@@ -26,8 +26,11 @@ use std::fmt::Write as _;
 use std::path::PathBuf;
 
 use proptest::prelude::*;
+use sts_k::core::verify::VERIFY_THREAD_SWEEP;
 use sts_k::core::SweepDirection;
-use sts_k::core::{solve_spec, Method, Ordering, StsBuilder, StsStructure, SuperRowSizing};
+use sts_k::core::{
+    factor_spec, solve_spec, Method, Ordering, StsBuilder, StsStructure, SuperRowSizing,
+};
 use sts_k::matrix::generators;
 use sts_k::verify::{mutate, verify, ScheduleSpec, ScheduleViolation};
 
@@ -243,3 +246,72 @@ fn violation_renderings_match_snapshot() {
 
     assert_snapshot("verify_violations.txt", &lines);
 }
+
+/// FNV-1a digest of a spec's chunk geometry: per stage its pack, chunk
+/// count and chain count, per chunk its row range and readiness.
+fn geometry_digest(spec: &ScheduleSpec) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut feed = |v: usize| {
+        for byte in (v as u64).to_le_bytes() {
+            h ^= byte as u64;
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    for stage in &spec.stages {
+        feed(stage.pack);
+        feed(stage.chunks.len());
+        feed(stage.chains.len());
+        for chunk in &stage.chunks {
+            feed(chunk.rows.first().map_or(usize::MAX, |rf| rf.row));
+            feed(chunk.rows.len());
+            feed(chunk.dep);
+        }
+    }
+    h
+}
+
+/// The specs are read off the `PipelinePlan` / factor chunking the kernels
+/// run. Their geometry (chunk counts, row ranges, readiness) must equal what
+/// the verifier's own copy of the chunk formula produced before it was
+/// removed; the digests below were captured at that commit.
+#[test]
+fn plan_derived_specs_keep_the_recorded_chunk_geometry() {
+    let s = mutation_structure();
+    let mut computed = Vec::new();
+    for &threads in &VERIFY_THREAD_SWEEP {
+        computed.push(geometry_digest(&solve_spec(
+            &s,
+            threads,
+            SweepDirection::Forward,
+        )));
+        computed.push(geometry_digest(&solve_spec(
+            &s,
+            threads,
+            SweepDirection::Transpose,
+        )));
+        computed.push(geometry_digest(&factor_spec(&s, threads)));
+    }
+    assert_eq!(
+        computed, RECORDED_GEOMETRY,
+        "computed digests: {computed:#018x?}"
+    );
+}
+
+/// `[forward, transpose, factor]` per entry of `VERIFY_THREAD_SWEEP`.
+const RECORDED_GEOMETRY: [u64; 15] = [
+    0xefe46b2d59c4bec4,
+    0x47a85d834e521084,
+    0x93d193a21ac10084,
+    0xf7497d9f4ed6bb55,
+    0x83ac00422611b9b4,
+    0x8ed7385cf154381a,
+    0xf51211dc83c525b6,
+    0xd80b490d43777396,
+    0x7b006baf02bc7811,
+    0x5c708c9260ac1b9c,
+    0x3c68a2ccc87aec18,
+    0x7b006baf02bc7811,
+    0x3485ed6f68a1d2c9,
+    0x840c4b34729eefee,
+    0x7b006baf02bc7811,
+];

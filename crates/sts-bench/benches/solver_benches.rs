@@ -7,7 +7,7 @@
 //! artefacts that reproduce the paper's multi-core results.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use sts_core::{Method, ParallelSolver};
+use sts_core::{Method, ParallelSolver, SolveEngine, SolveOptions};
 use sts_matrix::suite::{self, SuiteId};
 use sts_matrix::SuiteScale;
 use sts_numa::Schedule;
@@ -24,15 +24,18 @@ fn solver_benchmarks(c: &mut Criterion) {
             &s,
             |bench, s| bench.iter(|| s.solve_sequential(&b).unwrap()),
         );
-        group.bench_with_input(
-            BenchmarkId::new("sequential_split", method.label()),
-            &s,
-            |bench, s| bench.iter(|| s.solve_sequential_split(&b).unwrap()),
-        );
         let threads = std::thread::available_parallelism()
             .map(|c| c.get())
             .unwrap_or(1);
         let solver = ParallelSolver::new(threads, Schedule::Guided { min_chunk: 1 });
+        let piped = SolveOptions::default();
+        let split = piped.with_engine(SolveEngine::Split);
+        let sequential = piped.with_engine(SolveEngine::Sequential);
+        group.bench_with_input(
+            BenchmarkId::new("sequential_split", method.label()),
+            &s,
+            |bench, s| bench.iter(|| solver.solve_with(s, &b, &sequential).unwrap()),
+        );
         group.bench_with_input(
             BenchmarkId::new(format!("threads_{threads}"), method.label()),
             &s,
@@ -41,19 +44,19 @@ fn solver_benchmarks(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new(format!("split_threads_{threads}"), method.label()),
             &s,
-            |bench, s| bench.iter(|| solver.solve_split(s, &b).unwrap()),
+            |bench, s| bench.iter(|| solver.solve_with(s, &b, &split).unwrap()),
         );
         group.bench_with_input(
             BenchmarkId::new(format!("pipelined_threads_{threads}"), method.label()),
             &s,
-            |bench, s| bench.iter(|| solver.solve_pipelined(s, &b).unwrap()),
+            |bench, s| bench.iter(|| solver.solve_with(s, &b, &piped).unwrap()),
         );
         let nrhs = 4;
         let b4 = vec![1.0; s.n() * nrhs];
         group.bench_with_input(
             BenchmarkId::new(format!("batch{nrhs}_threads_{threads}"), method.label()),
             &s,
-            |bench, s| bench.iter(|| solver.solve_batch(s, &b4, nrhs).unwrap()),
+            |bench, s| bench.iter(|| solver.solve_with(s, &b4, &split.with_nrhs(nrhs)).unwrap()),
         );
         group.bench_with_input(
             BenchmarkId::new(
@@ -61,7 +64,7 @@ fn solver_benchmarks(c: &mut Criterion) {
                 method.label(),
             ),
             &s,
-            |bench, s| bench.iter(|| solver.solve_batch_pipelined(s, &b4, nrhs).unwrap()),
+            |bench, s| bench.iter(|| solver.solve_with(s, &b4, &piped.with_nrhs(nrhs)).unwrap()),
         );
     }
     group.finish();

@@ -70,7 +70,9 @@ use std::time::Instant;
 
 use serde::{Serialize, Value};
 use sts_bench::harness::{self, Machine};
-use sts_core::{Method, ParallelSolver, PrecisionPolicy, SimulatedExecutor, SolveOptions};
+use sts_core::{
+    Method, ParallelSolver, PrecisionPolicy, SimulatedExecutor, SolveEngine, SolveOptions,
+};
 use sts_krylov::{
     solve_refined, Identity, KrylovWorkspace, Pcg, Preconditioner, RefineOptions, RobustPcg,
     SpdSystem, Ssor, SweepEngine,
@@ -235,13 +237,19 @@ fn main() {
     // Host wall-clock.
     let b = vec![1.0; s.n()];
     let wall_sequential_s = time_per_solve(repeats, || s.solve_sequential(&b).unwrap());
-    let wall_sequential_split_s = time_per_solve(repeats, || s.solve_sequential_split(&b).unwrap());
     // Every wall_* field is a mean over `repeats` solves, comparable with
     // the wall_* series of earlier commits.
     let wall_parallel_s = harness::wallclock_seconds(&run, threads, repeats);
     let wall_parallel_split_s = harness::wallclock_seconds_split(&run, threads, repeats);
     let wall_parallel_pipelined_s = harness::wallclock_seconds_pipelined(&run, threads, repeats);
     let solver = ParallelSolver::new(threads, harness::paper_schedule(run.method));
+    let split = SolveOptions::default().with_engine(SolveEngine::Split);
+    let piped = SolveOptions::default();
+    let wall_sequential_split_s = time_per_solve(repeats, || {
+        solver
+            .solve_with(s, &b, &piped.with_engine(SolveEngine::Sequential))
+            .unwrap()
+    });
     // The split-vs-pipelined ratio is the trend line CI watches for the
     // barrier-fusion win, so it gets its own dedicated measurement:
     // interleaved (process-level drift cancels out of the ratio instead of
@@ -252,14 +260,16 @@ fn main() {
     // multi-RHS buffers don't perturb the allocator state under it.
     let (paired_split_s, paired_piped_s) = time_pair(
         repeats,
-        || solver.solve_split(s, &b).unwrap(),
-        || solver.solve_pipelined(s, &b).unwrap(),
+        || solver.solve_with(s, &b, &split).unwrap(),
+        || solver.solve_with(s, &b, &piped).unwrap(),
     );
     let nrhs = 4;
     let b4 = vec![1.0; s.n() * nrhs];
-    let wall_batch4_s = time_per_solve(repeats, || solver.solve_batch(s, &b4, nrhs).unwrap());
+    let wall_batch4_s = time_per_solve(repeats, || {
+        solver.solve_with(s, &b4, &split.with_nrhs(nrhs)).unwrap()
+    });
     let wall_batch4_piped_s = time_per_solve(repeats, || {
-        solver.solve_batch_pipelined(s, &b4, nrhs).unwrap()
+        solver.solve_with(s, &b4, &piped.with_nrhs(nrhs)).unwrap()
     });
 
     // End-to-end Krylov workload: SSOR-PCG with pipelined sweeps on the same
@@ -435,8 +445,8 @@ fn main() {
     solver_traced.set_trace_recorder(Some(Arc::new(SpanRecorder::new(1024))));
     let (piped_plain_s, piped_traced_s) = time_pair(
         repeats,
-        || solver.solve_pipelined(s, &b).unwrap(),
-        || solver_traced.solve_pipelined(s, &b).unwrap(),
+        || solver.solve_with(s, &b, &piped).unwrap(),
+        || solver_traced.solve_with(s, &b, &piped).unwrap(),
     );
     let trace_overhead_ns = ((piped_traced_s - piped_plain_s) * 1e9).max(0.0);
 

@@ -4,7 +4,7 @@ use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use serde::Serialize;
-use sts_core::{Method, SimReport, SimulatedExecutor, StsStructure};
+use sts_core::{Method, SimReport, SimulatedExecutor, SolveEngine, SolveOptions, StsStructure};
 use sts_matrix::{SuiteMatrix, SuiteScale, TestSuite};
 use sts_numa::{NumaTopology, Schedule};
 
@@ -292,7 +292,13 @@ pub fn wallclock_seconds(run: &MethodRun, threads: usize, repeats: usize) -> f64
 /// host with `threads` workers (averaged over `repeats` solves).
 pub fn wallclock_seconds_split(run: &MethodRun, threads: usize, repeats: usize) -> f64 {
     wallclock_with(run, threads, repeats, |solver, s, b| {
-        solver.solve_split(s, b).expect("solve succeeds");
+        solver
+            .solve_with(
+                s,
+                b,
+                &SolveOptions::default().with_engine(SolveEngine::Split),
+            )
+            .expect("solve succeeds");
     })
 }
 
@@ -300,7 +306,9 @@ pub fn wallclock_seconds_split(run: &MethodRun, threads: usize, repeats: usize) 
 /// host with `threads` workers (averaged over `repeats` solves).
 pub fn wallclock_seconds_pipelined(run: &MethodRun, threads: usize, repeats: usize) -> f64 {
     wallclock_with(run, threads, repeats, |solver, s, b| {
-        solver.solve_pipelined(s, b).expect("solve succeeds");
+        solver
+            .solve_with(s, b, &SolveOptions::default())
+            .expect("solve succeeds");
     })
 }
 

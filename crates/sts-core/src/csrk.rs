@@ -18,9 +18,8 @@ use sts_graph::Permutation;
 use sts_matrix::{LowerTriangularCsr, MatrixError};
 
 use crate::builder::Ordering;
-use crate::options::SlabValue;
+use crate::options::SweepDirection;
 use crate::split::SplitLayout;
-use crate::transpose::TransposeLayout;
 
 /// Result alias for the core crate.
 pub type Result<T> = std::result::Result<T, MatrixError>;
@@ -46,7 +45,7 @@ pub struct StsStructure {
     /// The transpose (backward-sweep) split layout, likewise built on first
     /// use ([`StsStructure::transpose_split`]) — only the forward/backward
     /// sweep pairs of preconditioner applications pay for it.
-    tsplit: OnceLock<TransposeLayout>,
+    tsplit: OnceLock<SplitLayout>,
     /// Debug-only guard: set once the forward layout's schedule has been
     /// statically verified ([`StsStructure::split`] runs the check on first
     /// build under `debug_assertions`). A plain flag, not a lazily computed
@@ -277,9 +276,7 @@ impl StsStructure {
         // that reentrancy.
         #[cfg(debug_assertions)]
         if self.split_verified.set(()).is_ok() {
-            if let Err(v) =
-                self.verify_schedule_at(usize::MAX, crate::options::SweepDirection::Forward)
-            {
+            if let Err(v) = self.verify_schedule_at(usize::MAX, SweepDirection::Forward) {
                 panic!("forward schedule fails static verification: {v}");
             }
             for &threads in &crate::verify::VERIFY_THREAD_SWEEP {
@@ -299,19 +296,17 @@ impl StsStructure {
     }
 
     /// The transpose (backward-sweep) split layout, built on first use like
-    /// [`StsStructure::split`]. See [`TransposeLayout`] for the
-    /// reverse-pack-order correctness argument the backward kernels rely on.
-    pub fn transpose_split(&self) -> &TransposeLayout {
+    /// [`StsStructure::split`]. See [`crate::transpose`] for the
+    /// reverse-pack-order correctness argument the backward sweeps rely on.
+    pub fn transpose_split(&self) -> &SplitLayout {
         let layout = self
             .tsplit
-            .get_or_init(|| TransposeLayout::build(&self.l, &self.index3, &self.index2));
+            .get_or_init(|| crate::transpose::build(&self.l, &self.index3, &self.index2));
         // Same first-build verification (and same reentrancy-safe guard) as
         // `split()`, for the backward-sweep schedule.
         #[cfg(debug_assertions)]
         if self.tsplit_verified.set(()).is_ok() {
-            if let Err(v) =
-                self.verify_schedule_at(usize::MAX, crate::options::SweepDirection::Transpose)
-            {
+            if let Err(v) = self.verify_schedule_at(usize::MAX, SweepDirection::Transpose) {
                 panic!("transpose schedule fails static verification: {v}");
             }
         }
@@ -321,6 +316,14 @@ impl StsStructure {
     /// Whether the transpose split layout has been built yet (diagnostic).
     pub fn transpose_split_built(&self) -> bool {
         self.tsplit.get().is_some()
+    }
+
+    /// The split layout a sweep in `direction` runs on.
+    pub(crate) fn layout(&self, direction: SweepDirection) -> &SplitLayout {
+        match direction {
+            SweepDirection::Forward => self.split(),
+            SweepDirection::Transpose => self.transpose_split(),
+        }
     }
 
     /// Rebuilds this structure around a different operand that shares the
@@ -361,472 +364,6 @@ impl StsStructure {
         Arc::ptr_eq(&self.index3, &other.index3)
             && Arc::ptr_eq(&self.index2, &other.index2)
             && Arc::ptr_eq(&self.perm, &other.perm)
-    }
-
-    /// Solves `L' x' = b'` sequentially on the dependency-split layout.
-    ///
-    /// Produces the same iteration order as [`StsStructure::solve_sequential`]
-    /// pack by pack, but walks each pack in two phases: first the external
-    /// gather `x[i] = b[i] − Σ L_ext·x` over all rows of the pack (inputs are
-    /// final, any order works), then the internal substitution over the
-    /// super-rows. Floating-point sums are reassociated relative to the
-    /// unsplit kernel, so results agree to rounding (≤ 1e-12 relative), not
-    /// bitwise.
-    pub fn solve_sequential_split(&self, b: &[f64]) -> Result<Vec<f64>> {
-        let mut x = vec![0.0; self.n()];
-        self.solve_sequential_split_into(b, &mut x)?;
-        Ok(x)
-    }
-
-    /// [`StsStructure::solve_sequential_split`] into a caller-provided
-    /// buffer: no heap allocation, so repeated solves on one structure (the
-    /// preconditioner pattern) stay allocation-free after the lazy layout
-    /// build.
-    pub fn solve_sequential_split_into(&self, b: &[f64], x: &mut [f64]) -> Result<()> {
-        let split = self.split();
-        self.sequential_split_sweep_into(b, x, split.ext_vals(), split.int_vals())
-    }
-
-    /// Mixed-precision [`StsStructure::solve_sequential_split`]: loads the
-    /// demoted `f32` value slabs but accumulates in `f64` (the storage /
-    /// accumulation split of
-    /// [`PrecisionPolicy::ValuesF32WithRefinement`](crate::options::PrecisionPolicy)).
-    /// Accurate to ≈ `f32` storage rounding per sweep; drive to full
-    /// accuracy with an outer corrector.
-    pub fn solve_sequential_split_f32(&self, b: &[f64]) -> Result<Vec<f64>> {
-        let mut x = vec![0.0; self.n()];
-        self.solve_sequential_split_f32_into(b, &mut x)?;
-        Ok(x)
-    }
-
-    /// [`StsStructure::solve_sequential_split_f32`] into a caller-provided
-    /// buffer (no heap allocation after the lazy `f32` slab build).
-    pub fn solve_sequential_split_f32_into(&self, b: &[f64], x: &mut [f64]) -> Result<()> {
-        let split = self.split();
-        self.sequential_split_sweep_into(b, x, split.ext_vals_f32(), split.int_vals_f32())
-    }
-
-    /// The forward sequential split sweep, generic over the stored value
-    /// type. The `f64` instantiation is instruction-for-instruction the
-    /// pre-generic kernel (`SlabValue::to_f64` is the inlined identity), so
-    /// the engine-matrix bitwise invariants are preserved.
-    fn sequential_split_sweep_into<V: SlabValue>(
-        &self,
-        b: &[f64],
-        x: &mut [f64],
-        evals: &[V],
-        ivals: &[V],
-    ) -> Result<()> {
-        if b.len() != self.n() || x.len() != self.n() {
-            return Err(MatrixError::DimensionMismatch(format!(
-                "b and x must both have length {}, got {} and {}",
-                self.n(),
-                b.len(),
-                x.len()
-            )));
-        }
-        let split = self.split();
-        let erp = split.ext_row_ptr();
-        let ecols = split.ext_cols();
-        let irp = split.int_row_ptr();
-        let icols = split.int_cols();
-        let inv_diag = split.inv_diags();
-        for p in 0..self.num_packs() {
-            let rows = self.pack_rows(p);
-            // Phase 1: external gather with the diagonal scale folded in,
-            // `y[i] = (b[i] − Σ L_ext·x) / L[i][i]`. Rows without internal
-            // entries are already final after this sweep.
-            for i1 in rows.clone() {
-                let mut acc = 0.0;
-                for k in erp[i1]..erp[i1 + 1] {
-                    acc += evals[k].to_f64() * x[ecols[k] as usize];
-                }
-                x[i1] = (b[i1] - acc) * inv_diag[i1];
-            }
-            // Phase 2: internal substitution, visiting only the chain rows
-            // (`x[i] −= d_i · Σ L_int·x`) of the chain tasks; everything
-            // else was final after phase 1.
-            for t in 0..split.chain_super_rows(p).len() {
-                for &i1 in split.chain_rows_of(p, t) {
-                    let i1 = i1 as usize;
-                    let mut acc = 0.0;
-                    for k in irp[i1]..irp[i1 + 1] {
-                        acc += ivals[k].to_f64() * x[icols[k] as usize];
-                    }
-                    x[i1] -= acc * inv_diag[i1];
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Solves `L' X' = B'` for `nrhs` interleaved right-hand sides
-    /// (`b[i * nrhs + q]`) sequentially on the dependency-split layout, with
-    /// the index traffic of every row amortised over the batch.
-    ///
-    /// Per right-hand side this performs **exactly** the floating-point
-    /// operations of [`StsStructure::solve_sequential_split`], in the same
-    /// order — the batch dimension only reorders the *loads* of the shared
-    /// column/value slabs — so the result is bitwise identical to `nrhs`
-    /// scalar sequential split solves. That is what lets the sequential
-    /// sweep engine serve batched preconditioner applications
-    /// interchangeably with the pipelined batch kernels on single-core
-    /// hosts.
-    pub fn solve_batch_sequential_split(&self, b: &[f64], nrhs: usize) -> Result<Vec<f64>> {
-        let mut x = vec![0.0; b.len()];
-        self.solve_batch_sequential_split_into(b, &mut x, nrhs)?;
-        Ok(x)
-    }
-
-    /// [`StsStructure::solve_batch_sequential_split`] into a caller-provided
-    /// buffer: no heap allocation (the per-row accumulators live in a fixed
-    /// stack block, walked in chunks of up to [`BATCH_CHUNK`] right-hand
-    /// sides).
-    pub fn solve_batch_sequential_split_into(
-        &self,
-        b: &[f64],
-        x: &mut [f64],
-        nrhs: usize,
-    ) -> Result<()> {
-        let split = self.split();
-        self.batch_sequential_split_sweep_into(b, x, nrhs, split.ext_vals(), split.int_vals())
-    }
-
-    /// Mixed-precision [`StsStructure::solve_batch_sequential_split_into`]:
-    /// `f32` value slabs, `f64` accumulation, lane-bitwise identical to
-    /// `nrhs` scalar [`StsStructure::solve_sequential_split_f32`] sweeps.
-    pub fn solve_batch_sequential_split_f32_into(
-        &self,
-        b: &[f64],
-        x: &mut [f64],
-        nrhs: usize,
-    ) -> Result<()> {
-        let split = self.split();
-        self.batch_sequential_split_sweep_into(
-            b,
-            x,
-            nrhs,
-            split.ext_vals_f32(),
-            split.int_vals_f32(),
-        )
-    }
-
-    /// The forward sequential batch sweep, generic over the stored value
-    /// type (see [`StsStructure::sequential_split_sweep_into`]).
-    fn batch_sequential_split_sweep_into<V: SlabValue>(
-        &self,
-        b: &[f64],
-        x: &mut [f64],
-        nrhs: usize,
-        evals: &[V],
-        ivals: &[V],
-    ) -> Result<()> {
-        self.check_batch_lengths(b, x, nrhs)?;
-        let split = self.split();
-        let erp = split.ext_row_ptr();
-        let ecols = split.ext_cols();
-        let irp = split.int_row_ptr();
-        let icols = split.int_cols();
-        let inv_diag = split.inv_diags();
-        for p in 0..self.num_packs() {
-            let rows = self.pack_rows(p);
-            // Phase 1: external gather with the diagonal scale folded in.
-            for i1 in rows.clone() {
-                let r = erp[i1]..erp[i1 + 1];
-                batch_row_update(
-                    Some(b),
-                    x,
-                    i1,
-                    &ecols[r.clone()],
-                    &evals[r],
-                    inv_diag[i1],
-                    nrhs,
-                );
-            }
-            // Phase 2: internal substitution over the chain rows.
-            for t in 0..split.chain_super_rows(p).len() {
-                for &i1 in split.chain_rows_of(p, t) {
-                    let i1 = i1 as usize;
-                    let r = irp[i1]..irp[i1 + 1];
-                    batch_row_update(
-                        None,
-                        x,
-                        i1,
-                        &icols[r.clone()],
-                        &ivals[r],
-                        inv_diag[i1],
-                        nrhs,
-                    );
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Solves the transposed system `L'ᵀ X' = B'` for `nrhs` interleaved
-    /// right-hand sides sequentially on the transpose split layout (packs in
-    /// reverse order, like
-    /// [`StsStructure::solve_transpose_sequential_split`]). Bitwise
-    /// identical per right-hand side to `nrhs` scalar transpose sequential
-    /// split solves, for the same reason as
-    /// [`StsStructure::solve_batch_sequential_split`].
-    pub fn solve_transpose_batch_sequential_split(
-        &self,
-        b: &[f64],
-        nrhs: usize,
-    ) -> Result<Vec<f64>> {
-        let mut x = vec![0.0; b.len()];
-        self.solve_transpose_batch_sequential_split_into(b, &mut x, nrhs)?;
-        Ok(x)
-    }
-
-    /// [`StsStructure::solve_transpose_batch_sequential_split`] into a
-    /// caller-provided buffer (no heap allocation).
-    pub fn solve_transpose_batch_sequential_split_into(
-        &self,
-        b: &[f64],
-        x: &mut [f64],
-        nrhs: usize,
-    ) -> Result<()> {
-        let ts = self.transpose_split();
-        self.transpose_batch_sequential_split_sweep_into(b, x, nrhs, ts.ext_vals(), ts.int_vals())
-    }
-
-    /// Mixed-precision
-    /// [`StsStructure::solve_transpose_batch_sequential_split_into`]:
-    /// `f32` value slabs, `f64` accumulation.
-    pub fn solve_transpose_batch_sequential_split_f32_into(
-        &self,
-        b: &[f64],
-        x: &mut [f64],
-        nrhs: usize,
-    ) -> Result<()> {
-        let ts = self.transpose_split();
-        self.transpose_batch_sequential_split_sweep_into(
-            b,
-            x,
-            nrhs,
-            ts.ext_vals_f32(),
-            ts.int_vals_f32(),
-        )
-    }
-
-    /// The backward sequential batch sweep, generic over the stored value
-    /// type (see [`StsStructure::sequential_split_sweep_into`]).
-    fn transpose_batch_sequential_split_sweep_into<V: SlabValue>(
-        &self,
-        b: &[f64],
-        x: &mut [f64],
-        nrhs: usize,
-        evals: &[V],
-        ivals: &[V],
-    ) -> Result<()> {
-        self.check_batch_lengths(b, x, nrhs)?;
-        let ts = self.transpose_split();
-        let erp = ts.ext_row_ptr();
-        let ecols = ts.ext_cols();
-        let irp = ts.int_row_ptr();
-        let icols = ts.int_cols();
-        let inv_diag = ts.inv_diags();
-        for p in (0..self.num_packs()).rev() {
-            // Phase 1: gather from later packs, all of which are final.
-            for i1 in self.pack_rows(p) {
-                let r = erp[i1]..erp[i1 + 1];
-                batch_row_update(
-                    Some(b),
-                    x,
-                    i1,
-                    &ecols[r.clone()],
-                    &evals[r],
-                    inv_diag[i1],
-                    nrhs,
-                );
-            }
-            // Phase 2: backward chains, decreasing row order within a task.
-            for t in 0..ts.chain_super_rows(p).len() {
-                for &i1 in ts.chain_rows_of(p, t) {
-                    let i1 = i1 as usize;
-                    let r = irp[i1]..irp[i1 + 1];
-                    batch_row_update(
-                        None,
-                        x,
-                        i1,
-                        &icols[r.clone()],
-                        &ivals[r],
-                        inv_diag[i1],
-                        nrhs,
-                    );
-                }
-            }
-        }
-        Ok(())
-    }
-
-    fn check_batch_lengths(&self, b: &[f64], x: &[f64], nrhs: usize) -> Result<()> {
-        if nrhs == 0 {
-            return Err(MatrixError::DimensionMismatch(
-                "batched solves need at least one right-hand side".into(),
-            ));
-        }
-        if b.len() != self.n() * nrhs || x.len() != self.n() * nrhs {
-            return Err(MatrixError::DimensionMismatch(format!(
-                "B and X must both have length n * nrhs = {}, got {} and {}",
-                self.n() * nrhs,
-                b.len(),
-                x.len()
-            )));
-        }
-        Ok(())
-    }
-
-    /// Solves the transposed system `L'ᵀ x' = b'` sequentially on the
-    /// transpose split layout, walking the packs in **reverse** order (see
-    /// [`TransposeLayout`] for why that ordering is correct): per pack, an
-    /// external gather against later (already finished) packs, then the
-    /// within-super-row backward chains in decreasing row order.
-    ///
-    /// The per-row arithmetic is identical to the parallel backward kernels
-    /// regardless of thread count, so sequential- and pipelined-sweep
-    /// callers see bitwise-identical results.
-    pub fn solve_transpose_sequential_split(&self, b: &[f64]) -> Result<Vec<f64>> {
-        let mut x = vec![0.0; self.n()];
-        self.solve_transpose_sequential_split_into(b, &mut x)?;
-        Ok(x)
-    }
-
-    /// [`StsStructure::solve_transpose_sequential_split`] into a
-    /// caller-provided buffer (no heap allocation).
-    pub fn solve_transpose_sequential_split_into(&self, b: &[f64], x: &mut [f64]) -> Result<()> {
-        let ts = self.transpose_split();
-        self.transpose_sequential_split_sweep_into(b, x, ts.ext_vals(), ts.int_vals())
-    }
-
-    /// Mixed-precision [`StsStructure::solve_transpose_sequential_split`]:
-    /// `f32` value slabs, `f64` accumulation (see
-    /// [`StsStructure::solve_sequential_split_f32`]).
-    pub fn solve_transpose_sequential_split_f32(&self, b: &[f64]) -> Result<Vec<f64>> {
-        let mut x = vec![0.0; self.n()];
-        self.solve_transpose_sequential_split_f32_into(b, &mut x)?;
-        Ok(x)
-    }
-
-    /// [`StsStructure::solve_transpose_sequential_split_f32`] into a
-    /// caller-provided buffer (no heap allocation after the lazy `f32` slab
-    /// build).
-    pub fn solve_transpose_sequential_split_f32_into(
-        &self,
-        b: &[f64],
-        x: &mut [f64],
-    ) -> Result<()> {
-        let ts = self.transpose_split();
-        self.transpose_sequential_split_sweep_into(b, x, ts.ext_vals_f32(), ts.int_vals_f32())
-    }
-
-    /// The backward sequential split sweep, generic over the stored value
-    /// type (see [`StsStructure::sequential_split_sweep_into`]).
-    fn transpose_sequential_split_sweep_into<V: SlabValue>(
-        &self,
-        b: &[f64],
-        x: &mut [f64],
-        evals: &[V],
-        ivals: &[V],
-    ) -> Result<()> {
-        if b.len() != self.n() || x.len() != self.n() {
-            return Err(MatrixError::DimensionMismatch(format!(
-                "b and x must both have length {}, got {} and {}",
-                self.n(),
-                b.len(),
-                x.len()
-            )));
-        }
-        let ts = self.transpose_split();
-        let erp = ts.ext_row_ptr();
-        let ecols = ts.ext_cols();
-        let irp = ts.int_row_ptr();
-        let icols = ts.int_cols();
-        let inv_diag = ts.inv_diags();
-        for p in (0..self.num_packs()).rev() {
-            // Phase 1: gather from later packs, all of which are final.
-            for i1 in self.pack_rows(p) {
-                let mut acc = 0.0;
-                for k in erp[i1]..erp[i1 + 1] {
-                    acc += evals[k].to_f64() * x[ecols[k] as usize];
-                }
-                x[i1] = (b[i1] - acc) * inv_diag[i1];
-            }
-            // Phase 2: backward chains, decreasing row order within a task.
-            for t in 0..ts.chain_super_rows(p).len() {
-                for &i1 in ts.chain_rows_of(p, t) {
-                    let i1 = i1 as usize;
-                    let mut acc = 0.0;
-                    for k in irp[i1]..irp[i1 + 1] {
-                        acc += ivals[k].to_f64() * x[icols[k] as usize];
-                    }
-                    x[i1] -= acc * inv_diag[i1];
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Solves `L' X' = B'` for `nrhs` right-hand sides at once on the split
-    /// layout, amortising the index traffic of every row over the batch.
-    ///
-    /// `b` holds the right-hand sides row-major (`b[i * nrhs + r]` is
-    /// component `i` of system `r`) and the solution uses the same layout.
-    pub fn solve_batch(&self, b: &[f64], nrhs: usize) -> Result<Vec<f64>> {
-        if nrhs == 0 {
-            return Err(MatrixError::DimensionMismatch(
-                "solve_batch needs at least one right-hand side".into(),
-            ));
-        }
-        if b.len() != self.n() * nrhs {
-            return Err(MatrixError::DimensionMismatch(format!(
-                "B has length {}, expected n * nrhs = {}",
-                b.len(),
-                self.n() * nrhs
-            )));
-        }
-        let mut x = vec![0.0; self.n() * nrhs];
-        let split = self.split();
-        for p in 0..self.num_packs() {
-            let rows = self.pack_rows(p);
-            for i1 in rows.clone() {
-                let (cols, vals) = split.ext_row(i1);
-                let d = split.inv_diag(i1);
-                // Every referenced column is < i1, so splitting at the row
-                // boundary separates the reads from the written row.
-                let (done, cur) = x.split_at_mut(i1 * nrhs);
-                let row = &mut cur[..nrhs];
-                row.copy_from_slice(&b[i1 * nrhs..(i1 + 1) * nrhs]);
-                for (&j, &v) in cols.iter().zip(vals) {
-                    // One (col, val) load serves all nrhs systems.
-                    let xj = &done[j as usize * nrhs..(j as usize + 1) * nrhs];
-                    for r in 0..nrhs {
-                        row[r] -= v * xj[r];
-                    }
-                }
-                for value in row.iter_mut() {
-                    *value *= d;
-                }
-            }
-            for t in 0..split.chain_super_rows(p).len() {
-                for &i1 in split.chain_rows_of(p, t) {
-                    let i1 = i1 as usize;
-                    let (cols, vals) = split.int_row(i1);
-                    let d = split.inv_diag(i1);
-                    let (done, cur) = x.split_at_mut(i1 * nrhs);
-                    let row = &mut cur[..nrhs];
-                    for (&j, &v) in cols.iter().zip(vals) {
-                        let xj = &done[j as usize * nrhs..(j as usize + 1) * nrhs];
-                        for r in 0..nrhs {
-                            row[r] -= v * d * xj[r];
-                        }
-                    }
-                }
-            }
-        }
-        Ok(x)
     }
 
     /// Solves the transposed (upper-triangular) system `L'ᵀ x' = b'`
@@ -904,54 +441,6 @@ impl StsStructure {
     }
 }
 
-/// Right-hand sides processed per stack accumulator block by the sequential
-/// batch kernels — wide enough that typical batches (4–8 RHS) stream the
-/// column/value slabs exactly once, small enough to stay in registers.
-pub const BATCH_CHUNK: usize = 8;
-
-/// One row of a sequential batched sweep, for every right-hand side, in
-/// chunks of [`BATCH_CHUNK`]: accumulates `acc[q] = Σ_k vals[k] ·
-/// x[cols[k], q]` in slab order (the *same* floating-point sequence as the
-/// scalar split kernels, so each lane is bitwise identical to a standalone
-/// solve) and then applies either the phase-1 external update
-/// `x[i, q] = (b[i, q] − acc[q]) · d` (when `b` is provided) or the phase-2
-/// chain update `x[i, q] −= acc[q] · d` (when it is not).
-#[inline]
-fn batch_row_update<V: SlabValue>(
-    b: Option<&[f64]>,
-    x: &mut [f64],
-    i1: usize,
-    cols: &[u32],
-    vals: &[V],
-    d: f64,
-    nrhs: usize,
-) {
-    let mut q0 = 0;
-    while q0 < nrhs {
-        let width = (nrhs - q0).min(BATCH_CHUNK);
-        let mut acc = [0.0f64; BATCH_CHUNK];
-        for (&j, &v) in cols.iter().zip(vals) {
-            let v = v.to_f64();
-            let xj = &x[j as usize * nrhs + q0..];
-            for (a, &xq) in acc[..width].iter_mut().zip(&xj[..width]) {
-                *a += v * xq;
-            }
-        }
-        let row = &mut x[i1 * nrhs + q0..i1 * nrhs + q0 + width];
-        if let Some(b) = b {
-            let bi = &b[i1 * nrhs + q0..];
-            for ((xv, &a), &bq) in row.iter_mut().zip(&acc[..width]).zip(bi) {
-                *xv = (bq - a) * d;
-            }
-        } else {
-            for (xv, &a) in row.iter_mut().zip(&acc[..width]) {
-                *xv -= a * d;
-            }
-        }
-        q0 += width;
-    }
-}
-
 fn check_monotone_cover(index: &[usize], total: usize, name: &str) -> Result<()> {
     let Some((&first, &last)) = index.first().zip(index.last()) else {
         return Err(MatrixError::InvalidStructure(format!(
@@ -1026,79 +515,6 @@ mod tests {
         let s = figure1_flat_structure();
         assert!(s.solve_sequential(&[1.0; 3]).is_err());
         assert!(s.solve_transpose_sequential(&[1.0; 3]).is_err());
-        assert!(s.solve_sequential_split(&[1.0; 3]).is_err());
-        assert!(s.solve_batch(&[1.0; 3], 1).is_err());
-        assert!(s.solve_batch(&[1.0; 9], 0).is_err());
-    }
-
-    #[test]
-    fn split_sequential_solve_matches_the_unsplit_kernel() {
-        let s = figure1_flat_structure();
-        let x_true: Vec<f64> = (0..9).map(|i| 1.0 + i as f64 * 0.25).collect();
-        let b = s.lower().multiply(&x_true).unwrap();
-        let x = s.solve_sequential(&b).unwrap();
-        let x_split = s.solve_sequential_split(&b).unwrap();
-        for (a, b) in x_split.iter().zip(&x) {
-            assert!((a - b).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn batch_solve_with_one_rhs_matches_the_single_solve() {
-        let s = figure1_flat_structure();
-        let b: Vec<f64> = (0..9).map(|i| 1.0 - i as f64 * 0.5).collect();
-        let x = s.solve_sequential(&b).unwrap();
-        let xb = s.solve_batch(&b, 1).unwrap();
-        for (a, b) in xb.iter().zip(&x) {
-            assert!((a - b).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn sequential_batch_kernels_are_bitwise_identical_to_per_rhs_sweeps() {
-        // The engine-matrix invariant: each lane of the sequential batch
-        // kernels runs the scalar split kernels' exact floating-point
-        // sequence, so equality is ==, not a tolerance. A width above
-        // BATCH_CHUNK exercises the chunked accumulator path too.
-        let s = figure1_flat_structure();
-        let n = s.n();
-        for nrhs in [1usize, 3, super::BATCH_CHUNK + 2] {
-            let mut bb = vec![0.0; n * nrhs];
-            for q in 0..nrhs {
-                for i in 0..n {
-                    bb[i * nrhs + q] = 1.0 + (i * 7 + q * 3) as f64 * 0.31;
-                }
-            }
-            let xb = s.solve_batch_sequential_split(&bb, nrhs).unwrap();
-            let tb = s.solve_transpose_batch_sequential_split(&bb, nrhs).unwrap();
-            for q in 0..nrhs {
-                let bq: Vec<f64> = (0..n).map(|i| bb[i * nrhs + q]).collect();
-                let xq = s.solve_sequential_split(&bq).unwrap();
-                let tq = s.solve_transpose_sequential_split(&bq).unwrap();
-                for i in 0..n {
-                    assert_eq!(
-                        xb[i * nrhs + q],
-                        xq[i],
-                        "forward lane {q} diverged at row {i}"
-                    );
-                    assert_eq!(
-                        tb[i * nrhs + q],
-                        tq[i],
-                        "backward lane {q} diverged at row {i}"
-                    );
-                }
-            }
-        }
-        // Length and nrhs validation.
-        let mut x = vec![0.0; n * 2];
-        assert!(s.solve_batch_sequential_split(&[1.0; 3], 2).is_err());
-        assert!(s
-            .solve_batch_sequential_split_into(&vec![1.0; n * 2], &mut x[..3], 2)
-            .is_err());
-        assert!(s.solve_batch_sequential_split(&[], 0).is_err());
-        assert!(s
-            .solve_transpose_batch_sequential_split(&[1.0; 3], 2)
-            .is_err());
     }
 
     #[test]
@@ -1112,21 +528,6 @@ mod tests {
         let x = s.solve_transpose_sequential(&y).unwrap();
         for (a, b) in x.iter().zip(&x_true) {
             assert!((a - b).abs() < 1e-10);
-        }
-    }
-
-    #[test]
-    fn transpose_split_sequential_solve_matches_the_column_sweep() {
-        let s = figure1_flat_structure();
-        let x_true: Vec<f64> = (0..9).map(|i| 1.0 - i as f64 * 0.2).collect();
-        let b = s.lower().multiply_transpose(&x_true).unwrap();
-        let x_ref = s.solve_transpose_sequential(&b).unwrap();
-        assert!(!s.transpose_split_built());
-        let x = s.solve_transpose_sequential_split(&b).unwrap();
-        assert!(s.transpose_split_built());
-        for ((a, b), c) in x.iter().zip(&x_ref).zip(&x_true) {
-            assert!((a - b).abs() < 1e-12);
-            assert!((a - c).abs() < 1e-10);
         }
     }
 
@@ -1194,8 +595,13 @@ mod tests {
         // The first split use builds it; later calls reuse the same layout.
         let first = s.split() as *const _;
         assert!(s.split_built());
-        let _ = s.solve_sequential_split(&b).unwrap();
         assert_eq!(first, s.split() as *const _);
+        // The transpose layout is independent and just as lazy.
+        assert!(!s.transpose_split_built());
+        let _ = s.solve_transpose_sequential(&b).unwrap();
+        assert!(!s.transpose_split_built());
+        let _ = s.transpose_split();
+        assert!(s.transpose_split_built());
     }
 
     #[test]

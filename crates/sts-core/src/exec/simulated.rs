@@ -26,7 +26,8 @@ use serde::Serialize;
 use sts_numa::{NumaTopology, Schedule};
 
 use crate::csrk::StsStructure;
-use crate::options::PrecisionPolicy;
+use crate::options::{PrecisionPolicy, SweepDirection};
+use crate::solver::plan::{FactorChunks, PipelinePlan};
 
 /// Intra-pack scheduling policy used by the simulator (mirrors
 /// [`sts_numa::Schedule`]).
@@ -233,8 +234,8 @@ impl SimulatedExecutor {
         }
     }
 
-    /// Simulates a full solve of `s` with the two-phase split kernel
-    /// ([`ParallelSolver::solve_split`]): per pack, a statically chunked
+    /// Simulates a full forward solve of `s` under the split engine
+    /// ([`SolveEngine::Split`](crate::options::SolveEngine::Split)): per pack, a statically chunked
     /// external gather, a phase barrier, then the internal substitution under
     /// `schedule`, and the pack barrier.
     ///
@@ -246,9 +247,6 @@ impl SimulatedExecutor {
     /// entries pay **two** barriers instead of one — the split must save
     /// more critical-path work than the extra barrier costs to win, which is
     /// exactly the trade-off the bench harnesses measure.
-    ///
-    /// [`ParallelSolver::solve_split`]:
-    ///     crate::solver::parallel::ParallelSolver::solve_split
     pub fn simulate_split(
         &self,
         s: &StsStructure,
@@ -259,6 +257,8 @@ impl SimulatedExecutor {
         let core_ids = self.topology.compact_core_order(cores);
         let lat = &self.topology.latency;
         let split = s.split();
+        // Forward plan: stage p is pack p.
+        let plan = PipelinePlan::build(s, cores, SweepDirection::Forward);
         let n = s.n();
 
         let mut producer_core = vec![usize::MAX; n];
@@ -280,19 +280,16 @@ impl SimulatedExecutor {
                 continue;
             }
             let stamp = p as u32 + 1;
-            let m = rows.len();
             let mlp = self.params.gather_mlp.max(1.0);
 
             // Phase 1: the external gather with the diagonal scale folded
-            // in, rows statically chunked over the cores. Every row is
-            // produced here; chain rows are then corrected by phase 2.
+            // in, over the plan's static chunks (chunk c on slot c). Every
+            // row is produced here; chain rows are then corrected by phase 2.
             let mut core_time = vec![0.0f64; cores];
-            for (slot, time) in core_time.iter_mut().enumerate() {
-                let chunk = (slot * m / cores)..((slot + 1) * m / cores);
+            for (slot, chunk) in plan.stage_chunks(p).iter().enumerate() {
                 let core = core_ids[slot];
                 let mut cycles = 0.0;
-                for r in chunk {
-                    let i1 = rows.start + r;
+                for i1 in chunk.clone() {
                     phase1_slot[i1] = slot;
                     producer_core[i1] = core;
                     producer_pack[i1] = p;
@@ -325,7 +322,7 @@ impl SimulatedExecutor {
                         cycles += fetch / mlp;
                     }
                 }
-                *time += cycles;
+                core_time[slot] += cycles;
             }
             compute_cycles += core_time.iter().copied().fold(0.0, f64::max);
             sync_cycles += barrier; // phase (or pack, if phase 2 is empty) barrier
@@ -430,8 +427,8 @@ impl SimulatedExecutor {
         }
     }
 
-    /// Simulates a full solve of `s` with the pack-pipelined kernel
-    /// ([`ParallelSolver::solve_pipelined`]): the same per-row costs as
+    /// Simulates a full forward solve of `s` under the pipelined engine
+    /// ([`SolveEngine::Pipelined`](crate::options::SolveEngine::Pipelined)): the same per-row costs as
     /// [`SimulatedExecutor::simulate_split`], but the two per-pack barriers
     /// are fused into per-pack completion flags, so the model tracks a clock
     /// per core slot and lets a slot start the phase-1 gather of pack `p`
@@ -448,9 +445,6 @@ impl SimulatedExecutor {
     /// barriers per chained pack — comparing `sync_cycles` against
     /// `simulate_split`'s quantifies exactly the synchronisation the fusion
     /// removed.
-    ///
-    /// [`ParallelSolver::solve_pipelined`]:
-    ///     crate::solver::parallel::ParallelSolver::solve_pipelined
     pub fn simulate_pipelined(
         &self,
         s: &StsStructure,
@@ -465,6 +459,8 @@ impl SimulatedExecutor {
         let core_ids = self.topology.compact_core_order(cores);
         let lat = &self.topology.latency;
         let split = s.split();
+        // Forward plan: stage p is pack p.
+        let plan = PipelinePlan::build(s, cores, SweepDirection::Forward);
         let n = s.n();
 
         let mut producer_core = vec![usize::MAX; n];
@@ -492,20 +488,17 @@ impl SimulatedExecutor {
                 continue;
             }
             let stamp = p as u32 + 1;
-            let m = rows.len();
-            let nchunks = cores.min(m);
 
             // Phase 1: chunk c is owned by slot c (as in the kernel); it may
             // start once the packs its external reads target are done.
             let mut phase1_done = 0.0f64;
-            for slot in 0..nchunks {
-                let chunk =
-                    (rows.start + slot * m / nchunks)..(rows.start + (slot + 1) * m / nchunks);
-                let dep = split.range_ext_dep(chunk.clone()) as usize;
+            let chunks = plan.stage_chunks(p).iter().zip(plan.stage_deps(p));
+            for (slot, (chunk, &dep)) in chunks.enumerate() {
+                let dep = dep as usize;
                 let ready = if dep == 0 { 0.0 } else { done_time[dep - 1] };
                 let core = core_ids[slot];
                 let mut cycles = 0.0;
-                for i1 in chunk {
+                for i1 in chunk.clone() {
                     phase1_slot[i1] = slot;
                     producer_core[i1] = core;
                     producer_pack[i1] = p;
@@ -618,7 +611,7 @@ impl SimulatedExecutor {
         let cores = cores.clamp(1, self.topology.total_cores());
         let core_ids = self.topology.compact_core_order(cores);
         let lat = &self.topology.latency;
-        let split = s.split();
+        let chunks = FactorChunks::build(s, cores);
         let l = s.lower();
         let row_ptr = l.row_ptr();
         let n = s.n();
@@ -630,27 +623,17 @@ impl SimulatedExecutor {
         let mut producer_slot = vec![usize::MAX; n];
         let mut slot_time = vec![0.0f64; cores];
         let mut done_time = vec![0.0f64; num_packs];
-        let index2 = s.index2();
 
         for p in 0..num_packs {
-            let srs = s.pack_super_rows(p);
-            let nsr = srs.len();
             let prev_done = if p == 0 { 0.0 } else { done_time[p - 1] };
-            if nsr == 0 {
-                done_time[p] = prev_done;
-                continue;
-            }
-            let nchunks = cores.min(nsr);
             let mut pack_done = 0.0f64;
-            for slot in 0..nchunks {
-                let sr_lo = srs.start + slot * nsr / nchunks;
-                let sr_hi = srs.start + (slot + 1) * nsr / nchunks;
-                let rows = index2[sr_lo]..index2[sr_hi];
-                let dep = split.range_ext_dep(rows.clone()) as usize;
+            let pack_chunks = chunks.pack_chunks(p).iter().zip(chunks.pack_deps(p));
+            for (slot, (rows, &dep)) in pack_chunks.enumerate() {
+                let dep = dep as usize;
                 let ready = if dep == 0 { 0.0 } else { done_time[dep - 1] };
                 let core = core_ids[slot];
                 let mut cycles = 0.0;
-                for i1 in rows {
+                for i1 in rows.clone() {
                     let lo = row_ptr[i1];
                     let hi = row_ptr[i1 + 1];
                     let own_prefix = (hi - 1 - lo) as f64;

@@ -17,15 +17,17 @@
 //!   (streamed by the embarrassingly-parallel gather phase) and an
 //!   *internal* slab holding the true in-pack dependence chains, plus
 //!   per-row readiness metadata for pack pipelining;
-//! * [`transpose`] — the transpose (backward-sweep) split layout: the same
-//!   split applied to `L'ᵀ`, with the packs consumed in reverse order, so
-//!   preconditioner forward/backward sweep pairs both run on the parallel
-//!   engine;
-//! * [`solver`] — the threaded pack-parallel solver (worker pool + barriers),
-//!   its two-phase split variants (`solve_split`, `solve_batch`), the
-//!   pack-pipelined barrier-fused variants (`solve_pipelined`,
-//!   `solve_batch_pipelined`), a schedule-only level-scheduled solver
-//!   for callers who cannot reorder their system, and the level-scheduled
+//! * [`transpose`] — the transpose (backward-sweep) constructor of the same
+//!   layout type: the split applied to `L'ᵀ`, with the packs consumed in
+//!   reverse order, so preconditioner forward/backward sweep pairs both run
+//!   on the parallel engines;
+//! * [`solver`] — the threaded pack-parallel solver: one sweep kernel (two
+//!   row forms in `solver::kernel`, one chunk geometry in [`solver::plan`])
+//!   under a sequential, a two-phase split and a pack-pipelined
+//!   barrier-fused driver, all behind `ParallelSolver::solve_with` /
+//!   `solve_into`; the paper's unsplit barrier-per-pack kernel
+//!   (`ParallelSolver::solve`); a schedule-only level-scheduled solver for
+//!   callers who cannot reorder their system; and the level-scheduled
 //!   parallel IC(0) construction (`ParallelSolver::parallel_ic0`) that runs
 //!   the preconditioner *setup* over the same pack hierarchy and epoch-gate
 //!   readiness scheme as the solves;
@@ -79,7 +81,7 @@ pub use exec::simulated::{
     SimReport, SimSchedule, SimulatedExecutor, SimulationParams, SolveBytesModel,
 };
 pub use options::{PrecisionPolicy, SlabValue, SolveEngine, SolveOptions, SweepDirection};
-pub use solver::parallel::{ChaosHook, ParallelSolver, PipelinePlan};
+pub use solver::parallel::{ChaosHook, ParallelSolver};
+pub use solver::plan::PipelinePlan;
 pub use split::SplitLayout;
-pub use transpose::TransposeLayout;
 pub use verify::{factor_spec, solve_spec};

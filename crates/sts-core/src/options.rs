@@ -7,9 +7,10 @@
 //! 12-way method matrix to navigate and no way to thread a *new* axis (like
 //! precision) through it. [`SolveOptions`] collapses the matrix into one
 //! typed request consumed by
-//! [`ParallelSolver::solve_with`](crate::solver::parallel::ParallelSolver::solve_with);
-//! the named entries remain as thin delegating wrappers with bitwise
-//! identical behavior.
+//! [`ParallelSolver::solve_with`](crate::solver::parallel::ParallelSolver::solve_with)
+//! and its allocation-free form
+//! [`solve_into`](crate::solver::parallel::ParallelSolver::solve_into); one
+//! sweep kernel runs every combination.
 //!
 //! # Precision
 //!
@@ -63,9 +64,8 @@ impl PrecisionPolicy {
 /// Which solve engine runs the sweep.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum SolveEngine {
-    /// Single-threaded two-phase sweep on the split layout
-    /// ([`StsStructure`](crate::csrk::StsStructure)'s sequential split
-    /// kernels).
+    /// Single-threaded two-phase sweep on the split layout: the stage loop
+    /// on the calling thread, no pool involvement.
     Sequential,
     /// The pack-parallel kernel on the *unsplit* CSR operand (one barrier
     /// per pack). Forward, single right-hand side, `f64` only.

@@ -42,7 +42,7 @@
 //! # Memory ordering / race freedom
 //!
 //! The value array is shared through the same
-//! `SharedVec` (`solver::parallel`) wrapper as the solve kernels.
+//! `SharedVec` (`solver::kernel`) wrapper as the solve kernels.
 //! Row `i`'s slice has one writer (the owner of its chunk). Reads target
 //! (a) rows of packs `0..dep`, published by the gate's epoch edge
 //! (`wait_open(dep)` happens-after every arrival of those packs), or
@@ -63,9 +63,9 @@ use sts_trace::Phase;
 use sts_verify::TaskKind;
 
 use crate::csrk::{Result, StsStructure};
-use crate::solver::parallel::{
-    panic_message, pool_error_to_matrix, KernelFailure, ParallelSolver, SharedVec,
-};
+use crate::solver::kernel::SharedVec;
+use crate::solver::parallel::{panic_message, pool_error_to_matrix, KernelFailure, ParallelSolver};
+use crate::solver::plan::FactorChunks;
 
 impl ParallelSolver {
     /// Zero-fill incomplete Cholesky of `a`, level-scheduled over `s`'s pack
@@ -150,28 +150,11 @@ impl ParallelSolver {
         // c) with per-chunk readiness in pack numbering, as in the pipelined
         // solve plans. Forcing the lazy split layout here only borrows what
         // the preconditioner sweeps build anyway.
-        let split = s.split();
+        let chunks = FactorChunks::build(s, workers);
         let num_packs = s.num_packs();
-        let index2 = s.index2();
-        let mut chunk_rows: Vec<std::ops::Range<usize>> = Vec::new();
-        let mut chunk_dep: Vec<u32> = Vec::new();
-        let mut chunk_ptr = Vec::with_capacity(num_packs + 1);
-        let mut counts = Vec::with_capacity(num_packs);
-        chunk_ptr.push(0usize);
-        for p in 0..num_packs {
-            let srs = s.pack_super_rows(p);
-            let nsr = srs.len();
-            let nchunks = workers.min(nsr);
-            for c in 0..nchunks {
-                let sr_lo = srs.start + c * nsr / nchunks;
-                let sr_hi = srs.start + (c + 1) * nsr / nchunks;
-                let rows = index2[sr_lo]..index2[sr_hi];
-                chunk_dep.push(split.range_ext_dep(rows.clone()));
-                chunk_rows.push(rows);
-            }
-            chunk_ptr.push(chunk_rows.len());
-            counts.push((nchunks, 0));
-        }
+        let counts: Vec<(usize, usize)> = (0..num_packs)
+            .map(|p| (chunks.pack_chunks(p).len(), 0))
+            .collect();
         let gate = EpochGate::new(&counts);
         // Per-worker-slot breakdown records (row, pivot bits); usize::MAX
         // marks "none". Each slot has exactly one writer.
@@ -192,11 +175,10 @@ impl ParallelSolver {
                         let mut local_row = usize::MAX;
                         let mut local_pivot = 0.0f64;
                         for p in 0..num_packs {
-                            let nchunks = chunk_ptr[p + 1] - chunk_ptr[p];
-                            if w >= nchunks {
+                            let Some(rows) = chunks.pack_chunks(p).get(w) else {
                                 continue;
-                            }
-                            let idx = chunk_ptr[p] + w;
+                            };
+                            let dep = chunks.pack_deps(p)[w] as usize;
                             current_pack.set(p);
                             // Wait only for the packs this chunk's external
                             // columns reference (dep ≤ p, so progress is
@@ -204,7 +186,7 @@ impl ParallelSolver {
                             // strictly earlier packs). Poisoned or timed-out
                             // waits unwind the sweep instead of hanging.
                             let t0 = rec.map(|r| r.now_ns());
-                            let wait = gate.wait_open_until(chunk_dep[idx] as usize, deadline);
+                            let wait = gate.wait_open_until(dep, deadline);
                             if let Some(r) = rec {
                                 r.record(
                                     w as u32,
@@ -227,7 +209,7 @@ impl ParallelSolver {
                                 hook(w, p);
                             }
                             let t0 = rec.map(|r| r.now_ns());
-                            for i in chunk_rows[idx].clone() {
+                            for i in rows.clone() {
                                 let lo = row_ptr[i];
                                 // SAFETY: row i's slots are written only by
                                 // this chunk's owner; reads inside
@@ -422,8 +404,8 @@ mod tests {
         let w: Vec<f64> = (0..s.n()).map(|i| 1.0 - (i % 4) as f64 * 0.2).collect();
         let ftw = fs.lower().multiply_transpose(&w).unwrap();
         let r = fs.lower().multiply(&ftw).unwrap();
-        let y = fs.solve_sequential_split(&r).unwrap();
-        let z = fs.solve_transpose_sequential_split(&y).unwrap();
+        let y = fs.solve_sequential(&r).unwrap();
+        let z = fs.solve_transpose_sequential(&y).unwrap();
         for (got, want) in z.iter().zip(&w) {
             assert!((got - want).abs() < 1e-10);
         }

@@ -1,35 +1,47 @@
-//! The pack-parallel triangular solver.
+//! The pack-parallel triangular solver: one sweep kernel, three drivers.
 //!
-//! For each pack, the super-rows are distributed over the worker pool with the
-//! configured OpenMP-style schedule (the paper uses `dynamic,32` for the flat
-//! methods and `guided,1` for the 3-level methods); the pool's completion
-//! acts as the inter-pack barrier. Rows inside a super-row are solved
-//! sequentially by the owning worker.
+//! A sweep visits the packs as *stages* — in order for `L' x' = b'`, in
+//! reverse order for the transposed system `L'ᵀ x' = b'` — and runs every
+//! stage in two phases on the direction's
+//! [`SplitLayout`]:
 //!
-//! # The two-phase split kernels
-//!
-//! [`ParallelSolver::solve_split`] and [`ParallelSolver::solve_batch`] run
-//! each pack in two phases on the precomputed
-//! [`SplitLayout`](crate::split::SplitLayout):
-//!
-//! 1. **external gather** — `x[i] = b[i] − Σ L_ext·x` for every row `i` of
-//!    the pack, statically chunked over the workers. Every column of the
-//!    external slab belongs to an *earlier* pack, so all inputs are final:
-//!    rows can run in any order and any interleaving, and the slab streams
-//!    contiguously (the pack's rows are consecutive);
-//! 2. **internal substitution** — the short in-pack dependence chains,
-//!    distributed over super-rows under the solver's configured schedule.
+//! 1. **gather** — `x[i] = (b[i] − Σ L_ext·x)·d_i` for every row `i` of the
+//!    pack, cut into static chunks (chunk `c` is owned by worker `c`). Every
+//!    column of the external slab belongs to an already finished stage, so
+//!    all inputs are final: rows can run in any order and any interleaving,
+//!    and the slab streams contiguously (the pack's rows are consecutive);
+//! 2. **chain** — the short in-super-row dependence chains
+//!    (`x[i] −= d_i·Σ L_int·x`), one task per super-row that has any.
 //!
 //! This moves the bulk of the memory traffic out of the ordered critical
 //! path: phase 1 is a bandwidth-bound SpMV-style sweep with perfect load
-//! balance, and phase 2's critical path only walks the internal slab, which
-//! is a small fraction of the nonzeros for coloring/level-set packs.
+//! balance, and phase 2 only walks the internal slab, a small fraction of
+//! the nonzeros for coloring/level-set packs.
+//!
+//! The row arithmetic lives in `solver::kernel` (two forms, each
+//! written once), the chunk geometry in [`plan`](super::plan). This module
+//! holds the three **drivers** that walk the stages of a [`PipelinePlan`]
+//! and differ only in how they synchronise — direction, batch width and slab
+//! precision are data:
+//!
+//! * *sequential* — a plain stage loop on the calling thread;
+//! * *split* — two `parallel_for` dispatches per stage: the gather chunks
+//!   under the static schedule, then the chain tasks under the solver's
+//!   configured schedule; the pool's completion is the barrier;
+//! * *pipelined* — one dispatch per solve, with the per-stage barriers fused
+//!   into an [`EpochGate`] (below).
+//!
+//! [`ParallelSolver::solve_with`] is the allocating front door over all of
+//! them, [`ParallelSolver::solve_into`] the allocation-free form iterative
+//! solvers call with a caller-held plan and output buffer, and
+//! [`ParallelSolver::solve`] the paper's original kernel: one `parallel_for`
+//! over the super-rows of each pack on the *unsplit* operand, a barrier
+//! between packs.
 //!
 //! # Data-race freedom
 //!
-//! The solution vector is shared mutably across workers through a small
-//! `UnsafeCell`-style wrapper. For the one-phase kernel this is sound
-//! because:
+//! The solution vector is shared mutably across workers through
+//! `SharedVec`. For the unsplit kernel this is sound because:
 //!
 //! * every row index is written by exactly one super-row, and every super-row
 //!   is executed by exactly one worker within its pack;
@@ -39,47 +51,51 @@
 //! * [`StsStructure::validate`] enforces exactly this dependency discipline at
 //!   construction time.
 //!
-//! The two-phase kernels share `x` across an extra barrier, and the argument
+//! The split driver shares `x` across an extra barrier, and the argument
 //! extends as follows:
 //!
-//! * **phase 1** writes `x[i]` only for rows `i` of the current pack — each
+//! * **phase 1** writes `x[i]` only for rows `i` of the current stage — each
 //!   row belongs to exactly one statically-assigned chunk, so each index has
 //!   one writer — and reads `x[j]` only through the external slab, whose
-//!   columns `j` lie in earlier packs and were finalized before the previous
-//!   pack's completion barrier;
+//!   columns `j` lie in earlier stages and were finalized before the
+//!   previous stage's completion barrier;
 //! * the pool's completion of phase 1 is a barrier that publishes every
 //!   phase-1 write before phase 2 starts;
 //! * **phase 2** writes `x[i]` for the rows of exactly one super-row per
-//!   worker and reads, besides those same rows, only phase-1 results of the
-//!   current pack (published by the phase barrier) through the internal
+//!   task and reads, besides those same rows, only phase-1 results of the
+//!   current stage (published by the phase barrier) through the internal
 //!   slab, whose columns stay inside the writer's own super-row (same
 //!   worker, program order).
 //!
-//! # The pack-pipelined kernels (barrier fusion)
+//! With `nrhs > 1`, "row `i`" stands for the `nrhs` consecutive slots of row
+//! `i` throughout. For the transpose direction the argument is the mirror
+//! image (see [`transpose`](crate::transpose)): in `L'ᵀ`, row `i` reads only
+//! rows `j > i`, pack independence puts every cross-super-row `j` in a
+//! strictly *later* pack — an earlier stage of the reverse sweep — and
+//! same-pack reads stay inside `i`'s own super-row, whose chain rows are
+//! stored in decreasing order.
 //!
-//! [`ParallelSolver::solve_pipelined`] and
-//! [`ParallelSolver::solve_batch_pipelined`] run the *same* per-row
-//! arithmetic as the split kernels but fuse the two full-pool barriers per
-//! pack into an [`EpochGate`]: one pool dispatch covers
-//! the whole solve, and workers coordinate through per-pack completion
-//! counters instead of barriers. The schedule per worker `w`:
+//! # The pipelined driver (barrier fusion)
 //!
-//! * **phase 1** of pack `p` is statically chunked exactly as in
-//!   `solve_split`, and chunk `c` is *owned* by worker `c` — ownership is a
-//!   compile-time-static function of `(p, w)`, so no two workers ever write
-//!   the same row;
-//! * a chunk does not wait for pack `p − 1`; it waits only until the gate's
-//!   epoch covers the chunk's precomputed readiness
-//!   ([`SplitLayout::range_ext_dep`](crate::split::SplitLayout::range_ext_dep)
-//!   — the latest pack its external slab range actually reads). Phase 1 of
-//!   pack `p + 1` therefore overlaps phase 2 of pack `p` whenever the
-//!   dependency structure allows;
-//! * **phase 2** chain tasks of pack `p` are claimed one at a time from a
-//!   shared ticket counter once the gate reports pack `p`'s phase 1 drained;
-//!   a worker that finds no ticket left moves straight on to its phase-1
-//!   chunk of pack `p + 1`. While phase 1 of pack `p` is still draining, a
-//!   parked worker *looks ahead*: it runs its chunks of packs `p + 1` and
-//!   `p + 2` (readiness permitting) instead of spinning.
+//! The pipelined driver runs the *same* chunks and tasks but fuses the two
+//! full-pool barriers per stage into an [`EpochGate`]: one pool dispatch
+//! covers the whole solve, and workers coordinate through per-stage
+//! completion counters. The schedule per worker `w`:
+//!
+//! * chunk `c` of every stage is *owned* by worker `c` — ownership is a
+//!   static function of `(stage, w)`, so no two workers ever write the same
+//!   row;
+//! * a chunk does not wait for the previous stage; it waits only until the
+//!   gate's epoch covers the chunk's precomputed readiness
+//!   ([`SplitLayout::range_ext_dep`] — the latest stage its external slab
+//!   range actually reads). Phase 1 of stage `s + 1` therefore overlaps
+//!   phase 2 of stage `s` whenever the dependency structure allows;
+//! * **phase 2** chain tasks of stage `s` are claimed one at a time from a
+//!   shared ticket counter once the gate reports stage `s`'s phase 1
+//!   drained; a worker that finds no ticket left moves straight on to its
+//!   chunk of stage `s + 1`. While phase 1 of stage `s` is still draining, a
+//!   parked worker *looks ahead*: it runs its chunks of stages `s + 1` and
+//!   `s + 2` (readiness permitting) instead of spinning.
 //!
 //! ## Memory-ordering argument (which flag publishes which `x` entries)
 //!
@@ -87,68 +103,56 @@
 //! observes. The gate provides exactly two publication edges:
 //!
 //! * **`is_open(d)` / `wait_open(d)`** (epoch ≥ `d`) happens-after *every*
-//!   arrival of packs `0..d` — both phases — via the release sequences on the
-//!   gate's per-pack counters and the release CAS chain on the epoch. A
+//!   arrival of stages `0..d` — both phases — via the release sequences on
+//!   the gate's per-stage counters and the release CAS chain on the epoch. A
 //!   phase-1 chunk with readiness `d` reads `x[j]` only for external columns
-//!   `j` in packs `< d`, each finalized (phase-1 write, plus phase-2
-//!   correction for chain rows) before its pack's last arrival. The chunk
+//!   `j` in stages `< d`, each finalized (phase-1 write, plus phase-2
+//!   correction for chain rows) before its stage's last arrival. The chunk
 //!   runs behind `wait_open(d)`, so all those entries are published to it.
-//! * **`phase1_drained(p)`** happens-after every phase-1 arrival of pack `p`.
-//!   A phase-2 task reads `x[j]` only for internal columns `j` of its own
-//!   super-row (phase-1 values published by the drained flag, or its own
+//! * **`phase1_drained(s)`** happens-after every phase-1 arrival of stage
+//!   `s`. A phase-2 task reads `x[j]` only for internal columns `j` of its
+//!   own super-row (phase-1 values published by the drained flag, or its own
 //!   earlier chain-row corrections in program order) and corrects rows owned
-//!   by no other task. Its writes are in turn published to later packs by
+//!   by no other task. Its writes are in turn published to later stages by
 //!   its `arrive_phase2` and the epoch edge above.
 //!
-//! Lookahead never weakens this: a worker running a chunk of pack `p + 2`
+//! Lookahead never weakens this: a worker running a chunk of stage `s + 2`
 //! early still passed that chunk's own readiness check, and writes only rows
-//! of pack `p + 2`, which no other worker touches until the epoch covers
-//! `p + 2` — which cannot happen before the chunk's own arrival.
+//! of stage `s + 2`, which no other worker touches until the epoch covers
+//! `s + 2` — which cannot happen before the chunk's own arrival.
 //!
-//! # The transpose (backward-sweep) kernels
-//!
-//! [`ParallelSolver::solve_transpose_split`] and
-//! [`ParallelSolver::solve_transpose_pipelined`] run the upper-triangular
-//! system `L'ᵀ x' = b'` with the *same* two-phase / pipelined machinery over
-//! the packs in **reverse order**. The correctness argument (see
-//! [`TransposeLayout`](crate::transpose::TransposeLayout) for the full
-//! statement) is the mirror image of the forward one: in `L'ᵀ`, row `i`
-//! reads only rows `j > i`, and pack independence puts every such
-//! cross-super-row `j` in a strictly *later* pack — already finished when
-//! the reverse sweep reaches `i`'s pack — while same-pack reads stay inside
-//! `i`'s own super-row and run as phase-2 chains in decreasing row order.
-//! The pipelined orchestrator is direction-agnostic: it walks *stages*, and
-//! a [`PipelinePlan`] binds stage `s` to pack `s` (forward) or pack
-//! `num_packs − 1 − s` (backward) with readiness metadata stamped in the
-//! matching stage numbering. The epoch-gate memory-ordering argument above
-//! carries over verbatim with "pack" read as "stage".
-//!
-//! # Reusable plans and the `_into` kernels
+//! # Reusable plans
 //!
 //! Iterative solvers apply these kernels thousands of times on one
-//! structure. The `solve_*_into` variants take a caller-provided solution
-//! buffer plus a [`PipelinePlan`] — the per-solve scheduling state (gate
-//! arrival counts, per-chunk readiness, phase-2 ticket counters) built once
-//! by [`ParallelSolver::plan`] / [`ParallelSolver::plan_transpose`] and
-//! rewound between solves via the gate's generation-stamped
+//! structure. [`ParallelSolver::solve_into`] takes a caller-provided
+//! solution buffer plus a [`PipelinePlan`] — the chunk geometry and the
+//! per-solve scheduling state (gate arrival counts, phase-2 ticket counters)
+//! built once by [`ParallelSolver::plan`] and rewound between pipelined
+//! solves via the gate's generation-stamped
 //! [`reset`](sts_numa::EpochGate::reset) — so a solve performs **no heap
 //! allocation**. `&mut` on the plan is what makes the reset sound: the
 //! borrow checker guarantees no concurrent solve shares the scheduling
 //! state.
 
 use std::cell::Cell;
+use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use sts_matrix::{CsrMatrix, MatrixError};
-use sts_numa::{EpochGate, GateWait, PoolError, Schedule, WorkerPool};
+use sts_numa::{GateWait, PoolError, Schedule, WorkerPool};
 use sts_trace::{Phase, SpanRecorder};
 use sts_verify::TaskKind;
 
+use super::kernel::{RowForm, SharedVec, Slab, Sum, Tile, TILE};
+use super::plan::{chunk_count, chunk_range, stage_pack, PipelinePlan};
 use crate::csrk::{Result, StsStructure};
 use crate::options::{PrecisionPolicy, SlabValue, SolveEngine, SolveOptions, SweepDirection};
+use crate::split::SplitLayout;
+#[allow(unused_imports)] // doc links
+use sts_numa::EpochGate;
 
 /// Maps a pool-level failure into the matrix error taxonomy the solver
 /// surfaces.
@@ -238,58 +242,6 @@ impl KernelFailure {
 /// no healthy solve on any matrix in the suite comes near it.
 pub(crate) const DEFAULT_WATCHDOG_MS: u64 = 10_000;
 
-/// Shared mutable solution vector; see the module documentation for the
-/// aliasing discipline that makes this sound.
-pub(crate) struct SharedVec {
-    ptr: *mut f64,
-    len: usize,
-}
-
-// SAFETY: the wrapper only forwards raw-pointer accesses; every dereference
-// goes through the unsafe methods below, whose contracts require the caller
-// to provide the per-slot single-writer discipline argued in the module docs.
-unsafe impl Sync for SharedVec {}
-
-impl SharedVec {
-    /// Wraps a vector for shared mutable access; the vector must outlive every
-    /// use of the wrapper.
-    pub(crate) fn new(v: &mut [f64]) -> Self {
-        SharedVec {
-            ptr: v.as_mut_ptr(),
-            len: v.len(),
-        }
-    }
-
-    /// # Safety
-    /// Caller must guarantee the index is in bounds and not concurrently
-    /// accessed by another thread.
-    pub(crate) unsafe fn write(&self, idx: usize, value: f64) {
-        debug_assert!(idx < self.len);
-        *self.ptr.add(idx) = value;
-    }
-
-    /// # Safety
-    /// Caller must guarantee the index is in bounds and not concurrently
-    /// written by another thread.
-    pub(crate) unsafe fn read(&self, idx: usize) -> f64 {
-        debug_assert!(idx < self.len);
-        *self.ptr.add(idx)
-    }
-
-    /// Exclusive view of the `len` slots starting at `start`.
-    ///
-    /// # Safety
-    /// Caller must guarantee the range is in bounds and that no other thread
-    /// reads or writes any slot of the range for the lifetime of the
-    /// returned slice (the level-scheduled factorization's per-row
-    /// ownership discipline provides exactly this).
-    #[allow(clippy::mut_from_ref)]
-    pub(crate) unsafe fn slice_mut(&self, start: usize, len: usize) -> &mut [f64] {
-        debug_assert!(start + len <= self.len);
-        std::slice::from_raw_parts_mut(self.ptr.add(start), len)
-    }
-}
-
 /// A reusable parallel solver bound to a worker pool.
 pub struct ParallelSolver {
     pool: WorkerPool,
@@ -376,7 +328,7 @@ impl ParallelSolver {
     /// dispatch (`bench_smoke` measures this configuration and the CI gate
     /// bounds it below 2% of a PCG solve). The `worker` field of a span is
     /// the pool slot for the pipelined kernels and the static phase-1
-    /// chunks; for `solve_split`'s dynamically scheduled phase-2 it carries
+    /// chunks; for the split engine's dynamically scheduled phase-2 it carries
     /// the chain-task index instead (the pool does not expose which slot
     /// claimed a task). The `pack` field is the *stage* index: identical to
     /// the pack for forward sweeps, reversed for transpose sweeps.
@@ -456,17 +408,23 @@ impl ParallelSolver {
         self.schedule
     }
 
+    /// Builds the reusable [`PipelinePlan`] for sweeps of `s` in `direction`
+    /// on this solver's pool. Build it once per structure and direction;
+    /// [`ParallelSolver::solve_into`] reuses it at no allocation cost, for
+    /// every engine, batch width and precision.
+    pub fn plan(&self, s: &StsStructure, direction: SweepDirection) -> PipelinePlan {
+        PipelinePlan::build(s, self.pool.num_threads(), direction)
+    }
+
     /// Solves a triangular system described by a typed [`SolveOptions`]
-    /// request — the single entry behind the named `solve_*` methods.
+    /// request and returns the solution.
     ///
     /// The request selects the engine ([`SolveEngine`]), sweep direction
     /// ([`SweepDirection`]), batch width (`nrhs`, interleaved layout
     /// `b[i * nrhs + r]`) and value-slab precision ([`PrecisionPolicy`]).
-    /// Every named entry (`solve`, `solve_split`, `solve_batch`,
-    /// `solve_pipelined`, …) is a thin wrapper over this method and remains
-    /// bitwise identical to its pre-`SolveOptions` behaviour; f64
-    /// monomorphizations of the precision-generic kernels perform the exact
-    /// same arithmetic as the original fixed-precision code.
+    /// Every engine except [`SolveEngine::Parallel`] accepts every
+    /// combination of the other three; this method builds a fresh
+    /// [`PipelinePlan`] for the call and runs [`ParallelSolver::solve_into`].
     ///
     /// Mixed-precision requests ([`PrecisionPolicy::ValuesF32WithRefinement`])
     /// read the lazily demoted f32 value slabs but accumulate every partial
@@ -476,168 +434,164 @@ impl ParallelSolver {
     ///
     /// # Errors
     ///
-    /// Combinations without a kernel return
-    /// [`MatrixError::InvalidParameter`]: the unsplit [`SolveEngine::Parallel`]
-    /// engine only supports forward single-RHS f64 solves, and the split
-    /// engine has no transpose batch kernel (use the pipelined engine).
-    /// `nrhs == 0` or a right-hand side whose length is not `n * nrhs`
+    /// [`SolveEngine::Parallel`] (the unsplit kernel behind
+    /// [`ParallelSolver::solve`]) only supports forward single-RHS f64
+    /// solves and returns [`MatrixError::InvalidParameter`] for anything
+    /// else. `nrhs == 0` or a right-hand side whose length is not `n * nrhs`
     /// returns [`MatrixError::DimensionMismatch`].
     pub fn solve_with(&self, s: &StsStructure, b: &[f64], opts: &SolveOptions) -> Result<Vec<f64>> {
+        if opts.engine == SolveEngine::Parallel {
+            if opts.direction != SweepDirection::Forward
+                || opts.nrhs != 1
+                || opts.precision != PrecisionPolicy::ValuesF64
+            {
+                return Err(MatrixError::InvalidParameter(
+                    "the unsplit parallel engine supports only forward single-RHS f64 solves; \
+                     use the split or pipelined engine"
+                        .into(),
+                ));
+            }
+            return self.solve(s, b);
+        }
+        let mut plan = self.plan(s, opts.direction);
+        let mut x = vec![0.0f64; b.len()];
+        self.solve_into(s, &mut plan, b, &mut x, opts)?;
+        Ok(x)
+    }
+
+    /// [`ParallelSolver::solve_with`] into a caller-provided buffer with a
+    /// caller-held [`PipelinePlan`]: the hot path for iterative solvers,
+    /// performing no heap allocation. One plan per (structure, direction)
+    /// serves every engine, `nrhs` and precision — the schedule depends only
+    /// on the structure and the thread count.
+    ///
+    /// # Errors
+    ///
+    /// [`MatrixError::DimensionMismatch`] when `nrhs == 0` or `b` / `x` are
+    /// not `n * nrhs` long; [`MatrixError::InvalidParameter`] when `plan`
+    /// was not built by this solver for `s` and `opts.direction`, or for
+    /// [`SolveEngine::Parallel`], which runs without a plan. The pool-backed
+    /// engines also surface [`MatrixError::WorkerPanicked`], and the
+    /// pipelined engine [`MatrixError::SolveTimeout`]; on any error `x` must
+    /// be treated as torn.
+    pub fn solve_into(
+        &self,
+        s: &StsStructure,
+        plan: &mut PipelinePlan,
+        b: &[f64],
+        x: &mut [f64],
+        opts: &SolveOptions,
+    ) -> Result<()> {
         let nrhs = opts.nrhs;
         if nrhs == 0 {
             return Err(MatrixError::DimensionMismatch(
-                "solve_with needs at least one right-hand side".into(),
+                "a solve needs at least one right-hand side".into(),
             ));
         }
-        if b.len() != s.n() * nrhs {
+        if b.len() != s.n() * nrhs || x.len() != s.n() * nrhs {
             return Err(MatrixError::DimensionMismatch(format!(
-                "B has length {}, expected n * nrhs = {}",
+                "b and x must both have length n * nrhs = {}, got {} and {}",
+                s.n() * nrhs,
                 b.len(),
-                s.n() * nrhs
+                x.len()
             )));
         }
-        let f32_vals = opts.precision == PrecisionPolicy::ValuesF32WithRefinement;
-        match opts.engine {
-            SolveEngine::Sequential => {
-                let mut x = vec![0.0f64; s.n() * nrhs];
-                match (opts.direction, nrhs, f32_vals) {
-                    (SweepDirection::Forward, 1, false) => {
-                        s.solve_sequential_split_into(b, &mut x)?
-                    }
-                    (SweepDirection::Forward, 1, true) => {
-                        s.solve_sequential_split_f32_into(b, &mut x)?
-                    }
-                    (SweepDirection::Forward, _, false) => {
-                        s.solve_batch_sequential_split_into(b, &mut x, nrhs)?
-                    }
-                    (SweepDirection::Forward, _, true) => {
-                        s.solve_batch_sequential_split_f32_into(b, &mut x, nrhs)?
-                    }
-                    (SweepDirection::Transpose, 1, false) => {
-                        s.solve_transpose_sequential_split_into(b, &mut x)?
-                    }
-                    (SweepDirection::Transpose, 1, true) => {
-                        s.solve_transpose_sequential_split_f32_into(b, &mut x)?
-                    }
-                    (SweepDirection::Transpose, _, false) => {
-                        s.solve_transpose_batch_sequential_split_into(b, &mut x, nrhs)?
-                    }
-                    (SweepDirection::Transpose, _, true) => {
-                        s.solve_transpose_batch_sequential_split_f32_into(b, &mut x, nrhs)?
-                    }
-                }
-                Ok(x)
-            }
-            SolveEngine::Parallel => {
-                if opts.direction != SweepDirection::Forward || nrhs != 1 || f32_vals {
-                    return Err(MatrixError::InvalidParameter(
-                        "the unsplit parallel engine supports only forward single-RHS f64 \
-                         solves; use the split or pipelined engine"
-                            .into(),
-                    ));
-                }
-                self.solve_unsplit(s, b)
-            }
-            SolveEngine::Split => match opts.direction {
-                SweepDirection::Forward => {
-                    let split = s.split();
-                    match (nrhs, f32_vals) {
-                        (1, false) => {
-                            self.solve_split_generic(s, b, split.ext_vals(), split.int_vals())
-                        }
-                        (1, true) => self.solve_split_generic(
-                            s,
-                            b,
-                            split.ext_vals_f32(),
-                            split.int_vals_f32(),
-                        ),
-                        (_, false) => {
-                            self.solve_batch_generic(s, b, nrhs, split.ext_vals(), split.int_vals())
-                        }
-                        (_, true) => self.solve_batch_generic(
-                            s,
-                            b,
-                            nrhs,
-                            split.ext_vals_f32(),
-                            split.int_vals_f32(),
-                        ),
-                    }
-                }
-                SweepDirection::Transpose => {
-                    if nrhs != 1 {
-                        return Err(MatrixError::InvalidParameter(
-                            "the split engine has no transpose batch kernel; use the \
-                             pipelined engine"
-                                .into(),
-                        ));
-                    }
-                    let ts = s.transpose_split();
-                    if f32_vals {
-                        self.solve_transpose_split_generic(
-                            s,
-                            b,
-                            ts.ext_vals_f32(),
-                            ts.int_vals_f32(),
-                        )
-                    } else {
-                        self.solve_transpose_split_generic(s, b, ts.ext_vals(), ts.int_vals())
-                    }
-                }
-            },
-            SolveEngine::Pipelined => {
-                let mut x = vec![0.0f64; s.n() * nrhs];
-                match opts.direction {
-                    SweepDirection::Forward => {
-                        let mut plan = self.plan(s);
-                        match (nrhs, f32_vals) {
-                            (1, false) => self.solve_pipelined_into(s, &mut plan, b, &mut x)?,
-                            (1, true) => self.solve_pipelined_f32_into(s, &mut plan, b, &mut x)?,
-                            (_, false) => {
-                                self.solve_batch_pipelined_into(s, &mut plan, b, &mut x, nrhs)?
-                            }
-                            (_, true) => {
-                                self.solve_batch_pipelined_f32_into(s, &mut plan, b, &mut x, nrhs)?
-                            }
-                        }
-                    }
-                    SweepDirection::Transpose => {
-                        let mut plan = self.plan_transpose(s);
-                        match (nrhs, f32_vals) {
-                            (1, false) => {
-                                self.solve_transpose_pipelined_into(s, &mut plan, b, &mut x)?
-                            }
-                            (1, true) => {
-                                self.solve_transpose_pipelined_f32_into(s, &mut plan, b, &mut x)?
-                            }
-                            (_, false) => self.solve_transpose_batch_pipelined_into(
-                                s, &mut plan, b, &mut x, nrhs,
-                            )?,
-                            (_, true) => self.solve_transpose_batch_pipelined_f32_into(
-                                s, &mut plan, b, &mut x, nrhs,
-                            )?,
-                        }
-                    }
-                }
-                Ok(x)
-            }
+        plan.check(s, self.pool.num_threads(), opts.direction)?;
+        let layout = s.layout(opts.direction);
+        let (ecols, icols) = (layout.ext_cols(), layout.int_cols());
+        match opts.precision {
+            PrecisionPolicy::ValuesF64 => self.sweep(
+                plan,
+                layout,
+                Slab {
+                    cols: ecols,
+                    vals: layout.ext_vals(),
+                },
+                Slab {
+                    cols: icols,
+                    vals: layout.int_vals(),
+                },
+                (b, x),
+                opts,
+            ),
+            PrecisionPolicy::ValuesF32WithRefinement => self.sweep(
+                plan,
+                layout,
+                Slab {
+                    cols: ecols,
+                    vals: layout.ext_vals_f32(),
+                },
+                Slab {
+                    cols: icols,
+                    vals: layout.int_vals_f32(),
+                },
+                (b, x),
+                opts,
+            ),
         }
     }
 
-    /// Solves the reordered system `L' x' = b'` in parallel and returns `x'`.
-    ///
-    /// Named wrapper over [`ParallelSolver::solve_with`] with
-    /// [`SolveEngine::Parallel`] (the unsplit barrier-per-pack kernel);
-    /// output is bitwise identical to the pre-`SolveOptions` entry.
-    pub fn solve(&self, s: &StsStructure, b: &[f64]) -> Result<Vec<f64>> {
-        self.solve_with(
-            s,
+    /// Picks the row arithmetic — a pure function of `(engine, nrhs)`, see
+    /// `solver::kernel` — for one sweep over `layout`'s external and internal
+    /// slabs, from `b` into `x`.
+    fn sweep<V: SlabValue>(
+        &self,
+        plan: &mut PipelinePlan,
+        layout: &SplitLayout,
+        ext: Slab<'_, V>,
+        int: Slab<'_, V>,
+        (b, x): (&[f64], &mut [f64]),
+        opts: &SolveOptions,
+    ) -> Result<()> {
+        let rows = SweepRows {
+            solver: self,
+            layout,
+            ext,
+            int,
             b,
-            &SolveOptions::default().with_engine(SolveEngine::Parallel),
-        )
+            x: SharedVec::new(x),
+            nrhs: opts.nrhs,
+            direction: plan.direction(),
+            num_stages: plan.num_stages(),
+        };
+        match (opts.nrhs, opts.engine) {
+            (1, _) => self.drive::<V, Sum<1>>(opts.engine, plan, &rows),
+            (_, SolveEngine::Sequential) => self.drive::<V, Sum<TILE>>(opts.engine, plan, &rows),
+            _ => self.drive::<V, Tile>(opts.engine, plan, &rows),
+        }
     }
 
-    /// The unsplit barrier-per-pack kernel behind [`SolveEngine::Parallel`].
-    fn solve_unsplit(&self, s: &StsStructure, b: &[f64]) -> Result<Vec<f64>> {
+    /// Binds the row form to the sweep's `(gather, chain)` bodies and runs
+    /// them under `engine`'s driver.
+    fn drive<V: SlabValue, F: RowForm>(
+        &self,
+        engine: SolveEngine,
+        plan: &mut PipelinePlan,
+        rows: &SweepRows<'_, V>,
+    ) -> Result<()> {
+        let gather = |range: Range<usize>| rows.gather_rows::<F>(range);
+        let chain = |st: usize, t: usize| rows.chain_task::<F>(st, t);
+        match engine {
+            SolveEngine::Sequential => {
+                drive_sequential(plan, &gather, &chain);
+                Ok(())
+            }
+            SolveEngine::Split => self.drive_split(plan, &gather, &chain),
+            SolveEngine::Pipelined => self.drive_pipelined(plan, &gather, &chain),
+            SolveEngine::Parallel => Err(MatrixError::InvalidParameter(
+                "the unsplit parallel engine runs without a plan; call solve or solve_with".into(),
+            )),
+        }
+    }
+
+    /// Solves the reordered system `L' x' = b'` with the paper's unsplit
+    /// barrier-per-pack kernel ([`SolveEngine::Parallel`]) and returns `x'`:
+    /// per pack, the super-rows are distributed over the pool under the
+    /// configured OpenMP-style schedule (the paper uses `dynamic,32` for the
+    /// flat methods and `guided,1` for the 3-level methods), each walking
+    /// its rows' full nonzero lists; the pool's completion is the inter-pack
+    /// barrier. Never forces the split layouts.
+    pub fn solve(&self, s: &StsStructure, b: &[f64]) -> Result<Vec<f64>> {
         if b.len() != s.n() {
             return Err(MatrixError::DimensionMismatch(format!(
                 "b has length {}, expected {}",
@@ -681,1196 +635,66 @@ impl ParallelSolver {
         Ok(x)
     }
 
-    /// Solves `L' x' = b'` with the two-phase split kernel (see the module
-    /// documentation): per pack, a statically-chunked external gather over
-    /// the rows, a phase barrier, then the internal substitution over the
-    /// super-rows under the configured schedule.
+    /// The split driver: per stage, the plan's gather chunks under the
+    /// static schedule (one contiguous block of rows — and one contiguous
+    /// slab range — per worker), the pool's completion as the phase barrier,
+    /// then the chain tasks under the configured schedule. Chain-free stages
+    /// skip phase 2 and its barrier entirely.
+    fn drive_split(
+        &self,
+        plan: &PipelinePlan,
+        gather: &GatherFn<'_>,
+        chain: &ChainFn<'_>,
+    ) -> Result<()> {
+        let rec = self.active_recorder();
+        for st in 0..plan.num_stages() {
+            let chunks = plan.stage_chunks(st);
+            self.pool
+                .parallel_for(chunks.len(), Schedule::Static, &|c| {
+                    let t0 = rec.map(|r| r.now_ns());
+                    gather(chunks[c].clone());
+                    if let Some(r) = rec {
+                        r.record(
+                            c as u32,
+                            st as u32,
+                            Phase::Gather,
+                            t0.unwrap_or(0),
+                            r.now_ns(),
+                        );
+                    }
+                })
+                .map_err(pool_error_to_matrix)?;
+            let ntasks = plan.num_chain_tasks(st);
+            if ntasks == 0 {
+                continue;
+            }
+            self.pool
+                .parallel_for(ntasks, self.schedule, &|t| {
+                    let t0 = rec.map(|r| r.now_ns());
+                    chain(st, t);
+                    if let Some(r) = rec {
+                        // The pool does not expose which slot claimed a
+                        // dynamically scheduled task, so the worker field
+                        // carries the chain-task index here.
+                        r.record(
+                            t as u32,
+                            st as u32,
+                            Phase::Chain,
+                            t0.unwrap_or(0),
+                            r.now_ns(),
+                        );
+                    }
+                })
+                .map_err(pool_error_to_matrix)?;
+        }
+        Ok(())
+    }
+
+    /// The pipelined driver: one pool dispatch, per-stage completion
+    /// counters instead of barriers, statically owned phase-1 chunks with
+    /// readiness waits, ticket-claimed phase-2 chain tasks, and bounded
+    /// gather lookahead for parked workers (see the module documentation).
     ///
-    /// Named wrapper over [`ParallelSolver::solve_with`] with
-    /// [`SolveEngine::Split`]; output is bitwise identical to the
-    /// pre-`SolveOptions` entry.
-    pub fn solve_split(&self, s: &StsStructure, b: &[f64]) -> Result<Vec<f64>> {
-        self.solve_with(
-            s,
-            b,
-            &SolveOptions::default().with_engine(SolveEngine::Split),
-        )
-    }
-
-    /// [`ParallelSolver::solve_split`] reading the f32 value slabs
-    /// (accumulation stays f64; see [`PrecisionPolicy`]).
-    pub fn solve_split_f32(&self, s: &StsStructure, b: &[f64]) -> Result<Vec<f64>> {
-        self.solve_with(
-            s,
-            b,
-            &SolveOptions::default()
-                .with_engine(SolveEngine::Split)
-                .with_precision(PrecisionPolicy::ValuesF32WithRefinement),
-        )
-    }
-
-    /// The two-phase split kernel, generic over the value-slab precision:
-    /// `evals`/`ivals` are the external/internal slabs of `s.split()` in
-    /// either width, and every partial product is accumulated in f64.
-    fn solve_split_generic<V: SlabValue>(
-        &self,
-        s: &StsStructure,
-        b: &[f64],
-        evals: &[V],
-        ivals: &[V],
-    ) -> Result<Vec<f64>> {
-        if b.len() != s.n() {
-            return Err(MatrixError::DimensionMismatch(format!(
-                "b has length {}, expected {}",
-                b.len(),
-                s.n()
-            )));
-        }
-        let mut x = vec![0.0f64; s.n()];
-        {
-            let shared = SharedVec::new(&mut x);
-            let split = s.split();
-            let erp = split.ext_row_ptr();
-            let ecols = split.ext_cols();
-            let irp = split.int_row_ptr();
-            let icols = split.int_cols();
-            let inv_diag = split.inv_diags();
-            let workers = self.pool.num_threads();
-            let rec = self.active_recorder();
-            for p in 0..s.num_packs() {
-                let rows = s.pack_rows(p);
-                let first_row = rows.start;
-                let m = rows.len();
-                // Phase 1: external gather with the diagonal scale folded in,
-                // statically chunked — one contiguous block of rows (and one
-                // contiguous slab range) per worker, one dispatch per worker.
-                // Rows without internal entries are final after this sweep.
-                let nchunks = workers.min(m);
-                self.pool
-                    .parallel_for(nchunks, Schedule::Static, &|c| {
-                        let t0 = rec.map(|r| r.now_ns());
-                        let chunk_start = first_row + c * m / nchunks;
-                        let chunk_end = first_row + (c + 1) * m / nchunks;
-                        for i1 in chunk_start..chunk_end {
-                            let mut acc = 0.0;
-                            for k in erp[i1]..erp[i1 + 1] {
-                                // SAFETY: external columns belong to earlier
-                                // packs, finalized before this pack's first
-                                // barrier.
-                                acc +=
-                                    evals[k].to_f64() * unsafe { shared.read(ecols[k] as usize) };
-                            }
-                            // SAFETY: row i1 is written by exactly one phase-1
-                            // chunk.
-                            unsafe { shared.write(i1, (b[i1] - acc) * inv_diag[i1]) };
-                            self.shadow_record(
-                                TaskKind::Gather,
-                                i1,
-                                ecols[erp[i1]..erp[i1 + 1]].iter().map(|&j| j as usize),
-                            );
-                        }
-                        if let Some(r) = rec {
-                            r.record(
-                                c as u32,
-                                p as u32,
-                                Phase::Gather,
-                                t0.unwrap_or(0),
-                                r.now_ns(),
-                            );
-                        }
-                    })
-                    .map_err(pool_error_to_matrix)?;
-                // Phase 2: internal substitution along the super-row chains.
-                // Only the precomputed chain tasks are dispatched, and each
-                // task visits only its chain rows; chain-free packs skip the
-                // phase (and its barrier) entirely.
-                let chain = split.chain_super_rows(p);
-                if chain.is_empty() {
-                    continue;
-                }
-                self.pool
-                    .parallel_for(chain.len(), self.schedule, &|t| {
-                        let t0 = rec.map(|r| r.now_ns());
-                        for &i1 in split.chain_rows_of(p, t) {
-                            let i1 = i1 as usize;
-                            let mut acc = 0.0;
-                            for k in irp[i1]..irp[i1 + 1] {
-                                // SAFETY: internal columns stay inside this
-                                // super-row — written earlier by this worker if
-                                // they are chain rows, published by the phase
-                                // barrier otherwise.
-                                acc +=
-                                    ivals[k].to_f64() * unsafe { shared.read(icols[k] as usize) };
-                            }
-                            // SAFETY: row i1 belongs to exactly one chain task;
-                            // its phase-1 value was published by the barrier.
-                            let partial = unsafe { shared.read(i1) };
-                            unsafe { shared.write(i1, partial - acc * inv_diag[i1]) };
-                            // The recorded reads: the internal columns plus
-                            // the re-read of the row's own phase-1 partial.
-                            self.shadow_record(
-                                TaskKind::Chain,
-                                i1,
-                                (irp[i1]..irp[i1 + 1])
-                                    .map(|k| icols[k] as usize)
-                                    .chain(std::iter::once(i1)),
-                            );
-                        }
-                        if let Some(r) = rec {
-                            // The pool does not expose which slot claimed a
-                            // dynamically scheduled task, so the worker field
-                            // carries the chain-task index here.
-                            r.record(
-                                t as u32,
-                                p as u32,
-                                Phase::Chain,
-                                t0.unwrap_or(0),
-                                r.now_ns(),
-                            );
-                        }
-                    })
-                    .map_err(pool_error_to_matrix)?;
-            }
-        }
-        Ok(x)
-    }
-
-    /// Solves `L' X' = B'` for `nrhs` right-hand sides with the two-phase
-    /// split kernel, amortising each `(col, val)` load over the whole batch.
-    /// Layout matches [`StsStructure::solve_batch`]: `b[i * nrhs + r]`.
-    ///
-    /// Named wrapper over [`ParallelSolver::solve_with`] with
-    /// [`SolveEngine::Split`] and the given batch width; output is bitwise
-    /// identical to the pre-`SolveOptions` entry.
-    pub fn solve_batch(&self, s: &StsStructure, b: &[f64], nrhs: usize) -> Result<Vec<f64>> {
-        self.solve_with(
-            s,
-            b,
-            &SolveOptions::default()
-                .with_engine(SolveEngine::Split)
-                .with_nrhs(nrhs),
-        )
-    }
-
-    /// The two-phase split batch kernel, generic over the value-slab
-    /// precision (accumulation stays f64).
-    fn solve_batch_generic<V: SlabValue>(
-        &self,
-        s: &StsStructure,
-        b: &[f64],
-        nrhs: usize,
-        evals: &[V],
-        ivals: &[V],
-    ) -> Result<Vec<f64>> {
-        if nrhs == 0 {
-            return Err(MatrixError::DimensionMismatch(
-                "solve_batch needs at least one right-hand side".into(),
-            ));
-        }
-        if b.len() != s.n() * nrhs {
-            return Err(MatrixError::DimensionMismatch(format!(
-                "B has length {}, expected n * nrhs = {}",
-                b.len(),
-                s.n() * nrhs
-            )));
-        }
-        let mut x = vec![0.0f64; s.n() * nrhs];
-        {
-            let shared = SharedVec::new(&mut x);
-            let split = s.split();
-            let erp = split.ext_row_ptr();
-            let ecols = split.ext_cols();
-            let irp = split.int_row_ptr();
-            let icols = split.int_cols();
-            let inv_diag = split.inv_diags();
-            // The aliasing argument is identical to solve_split's, with "row
-            // i1" standing for the nrhs consecutive slots of row i1.
-            let workers = self.pool.num_threads();
-            for p in 0..s.num_packs() {
-                let rows = s.pack_rows(p);
-                let first_row = rows.start;
-                let m = rows.len();
-                let nchunks = workers.min(m);
-                // Rows are exclusively owned by their chunk/task, so each
-                // row's partial sums accumulate in a stack-local tile
-                // (registers, no round-trips through the shared pointer) and
-                // are written back once; right-hand sides beyond the tile
-                // width are processed in further passes over the row.
-                const TILE: usize = 8;
-                self.pool
-                    .parallel_for(nchunks, Schedule::Static, &|c| {
-                        let chunk_start = first_row + c * m / nchunks;
-                        let chunk_end = first_row + (c + 1) * m / nchunks;
-                        for i1 in chunk_start..chunk_end {
-                            let base = i1 * nrhs;
-                            let d = inv_diag[i1];
-                            for r0 in (0..nrhs).step_by(TILE) {
-                                let w = TILE.min(nrhs - r0);
-                                let mut acc = [0.0f64; TILE];
-                                acc[..w].copy_from_slice(&b[base + r0..base + r0 + w]);
-                                for k in erp[i1]..erp[i1 + 1] {
-                                    let (j, v) = (ecols[k] as usize, evals[k].to_f64());
-                                    for (r, a) in acc[..w].iter_mut().enumerate() {
-                                        // SAFETY: as in solve_split, reads target
-                                        // earlier packs, finalized before this
-                                        // pack's first barrier.
-                                        *a -= v * unsafe { shared.read(j * nrhs + r0 + r) };
-                                    }
-                                }
-                                for (r, a) in acc[..w].iter().enumerate() {
-                                    // SAFETY: the nrhs slots of row i1 have
-                                    // exactly one phase-1 writer (this chunk).
-                                    unsafe { shared.write(base + r0 + r, a * d) };
-                                }
-                            }
-                        }
-                    })
-                    .map_err(pool_error_to_matrix)?;
-                let chain = split.chain_super_rows(p);
-                if chain.is_empty() {
-                    continue;
-                }
-                self.pool
-                    .parallel_for(chain.len(), self.schedule, &|t| {
-                        for &i1 in split.chain_rows_of(p, t) {
-                            let i1 = i1 as usize;
-                            let base = i1 * nrhs;
-                            let d = inv_diag[i1];
-                            for r0 in (0..nrhs).step_by(TILE) {
-                                let w = TILE.min(nrhs - r0);
-                                let mut acc = [0.0f64; TILE];
-                                for (r, a) in acc[..w].iter_mut().enumerate() {
-                                    // SAFETY: row i1 belongs to exactly one chain
-                                    // task; its phase-1 values were published by
-                                    // the barrier.
-                                    *a = unsafe { shared.read(base + r0 + r) };
-                                }
-                                for k in irp[i1]..irp[i1 + 1] {
-                                    let (j, v) = (icols[k] as usize, ivals[k].to_f64());
-                                    let vd = v * d;
-                                    for (r, a) in acc[..w].iter_mut().enumerate() {
-                                        // SAFETY: same-super-row reads — this
-                                        // worker's earlier writes, or phase-1
-                                        // results published by the barrier.
-                                        *a -= vd * unsafe { shared.read(j * nrhs + r0 + r) };
-                                    }
-                                }
-                                for (r, a) in acc[..w].iter().enumerate() {
-                                    // SAFETY: row i1 is owned by this chain task.
-                                    unsafe { shared.write(base + r0 + r, *a) };
-                                }
-                            }
-                        }
-                    })
-                    .map_err(pool_error_to_matrix)?;
-            }
-        }
-        Ok(x)
-    }
-
-    /// Builds the reusable pipelined-scheduling state for `s` in the given
-    /// direction (one O(n) sweep over the readiness metadata, forcing the
-    /// corresponding lazy layout).
-    fn build_plan(&self, s: &StsStructure, forward: bool) -> PipelinePlan {
-        let workers = self.pool.num_threads();
-        let num_packs = s.num_packs();
-        let mut stage_rows = Vec::with_capacity(num_packs);
-        let mut ntasks = Vec::with_capacity(num_packs);
-        let mut counts = Vec::with_capacity(num_packs);
-        let mut chunk_ptr = Vec::with_capacity(num_packs + 1);
-        let mut chunk_dep: Vec<u32> = Vec::new();
-        chunk_ptr.push(0usize);
-        for st in 0..num_packs {
-            let p = if forward { st } else { num_packs - 1 - st };
-            let rows = s.pack_rows(p);
-            let m = rows.len();
-            let nchunks = workers.min(m);
-            for c in 0..nchunks {
-                let chunk = rows.start + c * m / nchunks..rows.start + (c + 1) * m / nchunks;
-                chunk_dep.push(if forward {
-                    s.split().range_ext_dep(chunk)
-                } else {
-                    s.transpose_split().range_ext_dep(chunk)
-                });
-            }
-            chunk_ptr.push(chunk_dep.len());
-            let nt = if forward {
-                s.split().chain_super_rows(p).len()
-            } else {
-                s.transpose_split().chain_super_rows(p).len()
-            };
-            counts.push((nchunks, nt));
-            ntasks.push(nt);
-            stage_rows.push(rows);
-        }
-        PipelinePlan {
-            forward,
-            n: s.n(),
-            threads: workers,
-            stage_rows,
-            ntasks,
-            chunk_ptr,
-            chunk_dep,
-            gate: EpochGate::new(&counts),
-            tickets: (0..num_packs).map(|_| AtomicUsize::new(0)).collect(),
-        }
-    }
-
-    /// Builds a reusable [`PipelinePlan`] for forward pipelined solves on
-    /// `s` (`solve_pipelined_into` / `solve_batch_pipelined_into`). Build it
-    /// once per structure; the `_into` kernels rewind it between solves at
-    /// no allocation cost.
-    pub fn plan(&self, s: &StsStructure) -> PipelinePlan {
-        self.build_plan(s, true)
-    }
-
-    /// Builds a reusable [`PipelinePlan`] for backward (transpose) pipelined
-    /// solves on `s` (`solve_transpose_pipelined_into` /
-    /// `solve_transpose_batch_pipelined_into`).
-    pub fn plan_transpose(&self, s: &StsStructure) -> PipelinePlan {
-        self.build_plan(s, false)
-    }
-
-    /// Checks that a plan was built by this solver for this structure and
-    /// direction. Dimensions, stage → row-range bindings and chain-task
-    /// counts are verified on every call (O(num_packs + chunks)), because a
-    /// stale plan would hand the gather closures row ranges that race the
-    /// structure's own chain tasks through [`SharedVec`]; the per-chunk
-    /// readiness values — a pure function of the (already matched) pack
-    /// boundaries and the operand's pattern — are re-derived and compared in
-    /// debug builds.
-    fn check_plan(&self, s: &StsStructure, plan: &PipelinePlan, forward: bool) -> Result<()> {
-        let num_packs = s.num_packs();
-        let mut consistent = plan.forward == forward
-            && plan.n == s.n()
-            && plan.stage_rows.len() == num_packs
-            && plan.threads == self.pool.num_threads();
-        if consistent {
-            for st in 0..num_packs {
-                let p = if forward { st } else { num_packs - 1 - st };
-                let ntasks = if forward {
-                    s.split().chain_super_rows(p).len()
-                } else {
-                    s.transpose_split().chain_super_rows(p).len()
-                };
-                if plan.stage_rows[st] != s.pack_rows(p) || plan.ntasks[st] != ntasks {
-                    consistent = false;
-                    break;
-                }
-            }
-        }
-        if !consistent {
-            return Err(MatrixError::InvalidParameter(format!(
-                "pipeline plan mismatch: plan is {} over {} stages for n = {} on {} threads and \
-                 must have been built from this exact structure, kernel needs {} over {} stages \
-                 for n = {} on {} threads",
-                if plan.forward { "forward" } else { "backward" },
-                plan.stage_rows.len(),
-                plan.n,
-                plan.threads,
-                if forward { "forward" } else { "backward" },
-                num_packs,
-                s.n(),
-                self.pool.num_threads(),
-            )));
-        }
-        #[cfg(debug_assertions)]
-        {
-            let fresh = self.build_plan(s, forward);
-            debug_assert_eq!(
-                fresh.chunk_dep, plan.chunk_dep,
-                "plan readiness metadata is stale for this structure"
-            );
-        }
-        Ok(())
-    }
-
-    /// Solves `L' x' = b'` with the pack-pipelined kernel: same arithmetic as
-    /// [`ParallelSolver::solve_split`], but the per-pack phase barriers are
-    /// fused into an [`EpochGate`] so phase 1 of later packs overlaps phase 2
-    /// of earlier ones (see the module documentation). One pool dispatch
-    /// covers the whole solve.
-    ///
-    /// Named wrapper over [`ParallelSolver::solve_with`] with the default
-    /// [`SolveEngine::Pipelined`]; output is bitwise identical to the
-    /// pre-`SolveOptions` entry.
-    pub fn solve_pipelined(&self, s: &StsStructure, b: &[f64]) -> Result<Vec<f64>> {
-        self.solve_with(s, b, &SolveOptions::default())
-    }
-
-    /// [`ParallelSolver::solve_pipelined`] into a caller-provided buffer
-    /// with a caller-held [`PipelinePlan`]: the hot path for iterative
-    /// solvers, performing no heap allocation.
-    pub fn solve_pipelined_into(
-        &self,
-        s: &StsStructure,
-        plan: &mut PipelinePlan,
-        b: &[f64],
-        x: &mut [f64],
-    ) -> Result<()> {
-        let split = s.split();
-        self.solve_pipelined_into_generic(s, plan, b, x, split.ext_vals(), split.int_vals())
-    }
-
-    /// [`ParallelSolver::solve_pipelined_into`] reading the f32 value slabs
-    /// (accumulation stays f64; see [`PrecisionPolicy`]). Builds the slabs
-    /// on first use; call [`SplitLayout::ext_vals_f32`] ahead of timing
-    /// loops to exclude the one-time demotion.
-    ///
-    /// [`SplitLayout::ext_vals_f32`]: crate::split::SplitLayout::ext_vals_f32
-    pub fn solve_pipelined_f32_into(
-        &self,
-        s: &StsStructure,
-        plan: &mut PipelinePlan,
-        b: &[f64],
-        x: &mut [f64],
-    ) -> Result<()> {
-        let split = s.split();
-        self.solve_pipelined_into_generic(s, plan, b, x, split.ext_vals_f32(), split.int_vals_f32())
-    }
-
-    /// The forward pipelined kernel, generic over the value-slab precision
-    /// (accumulation stays f64).
-    fn solve_pipelined_into_generic<V: SlabValue>(
-        &self,
-        s: &StsStructure,
-        plan: &mut PipelinePlan,
-        b: &[f64],
-        x: &mut [f64],
-        evals: &[V],
-        ivals: &[V],
-    ) -> Result<()> {
-        if b.len() != s.n() || x.len() != s.n() {
-            return Err(MatrixError::DimensionMismatch(format!(
-                "b and x must both have length {}, got {} and {}",
-                s.n(),
-                b.len(),
-                x.len()
-            )));
-        }
-        self.check_plan(s, plan, true)?;
-        let shared = SharedVec::new(x);
-        let split = s.split();
-        let erp = split.ext_row_ptr();
-        let ecols = split.ext_cols();
-        let irp = split.int_row_ptr();
-        let icols = split.int_cols();
-        let inv_diag = split.inv_diags();
-        let gather = |rows: std::ops::Range<usize>| {
-            for i1 in rows {
-                let mut acc = 0.0;
-                for k in erp[i1]..erp[i1 + 1] {
-                    // SAFETY: external columns lie in packs the chunk's
-                    // readiness wait covered; the epoch edge published
-                    // their final values (module docs).
-                    acc += evals[k].to_f64() * unsafe { shared.read(ecols[k] as usize) };
-                }
-                // SAFETY: row i1 is written by exactly one statically
-                // owned chunk.
-                unsafe { shared.write(i1, (b[i1] - acc) * inv_diag[i1]) };
-                self.shadow_record(
-                    TaskKind::Gather,
-                    i1,
-                    ecols[erp[i1]..erp[i1 + 1]].iter().map(|&j| j as usize),
-                );
-            }
-        };
-        let chain = |p: usize, t: usize| {
-            // Forward plans bind stage p to pack p.
-            for &i1 in split.chain_rows_of(p, t) {
-                let i1 = i1 as usize;
-                let mut acc = 0.0;
-                for k in irp[i1]..irp[i1 + 1] {
-                    // SAFETY: internal columns stay inside this
-                    // super-row — written earlier by this task if they
-                    // are chain rows, published by the drained flag
-                    // otherwise.
-                    acc += ivals[k].to_f64() * unsafe { shared.read(icols[k] as usize) };
-                }
-                // SAFETY: row i1 belongs to exactly one chain task; its
-                // phase-1 value was published by the drained flag.
-                let partial = unsafe { shared.read(i1) };
-                unsafe { shared.write(i1, partial - acc * inv_diag[i1]) };
-                self.shadow_record(
-                    TaskKind::Chain,
-                    i1,
-                    (irp[i1]..irp[i1 + 1])
-                        .map(|k| icols[k] as usize)
-                        .chain(std::iter::once(i1)),
-                );
-            }
-        };
-        self.run_pipelined(plan, &gather, &chain)?;
-        Ok(())
-    }
-
-    /// Solves `L' X' = B'` for `nrhs` right-hand sides with the
-    /// pack-pipelined kernel (the multi-RHS analogue of
-    /// [`ParallelSolver::solve_pipelined`]; layout matches
-    /// [`StsStructure::solve_batch`]: `b[i * nrhs + r]`).
-    pub fn solve_batch_pipelined(
-        &self,
-        s: &StsStructure,
-        b: &[f64],
-        nrhs: usize,
-    ) -> Result<Vec<f64>> {
-        self.solve_with(s, b, &SolveOptions::default().with_nrhs(nrhs))
-    }
-
-    /// [`ParallelSolver::solve_batch_pipelined`] into a caller-provided
-    /// buffer with a caller-held [`PipelinePlan`] (no heap allocation). The
-    /// same plan serves every `nrhs`: the schedule depends only on the
-    /// structure and the thread count.
-    pub fn solve_batch_pipelined_into(
-        &self,
-        s: &StsStructure,
-        plan: &mut PipelinePlan,
-        b: &[f64],
-        x: &mut [f64],
-        nrhs: usize,
-    ) -> Result<()> {
-        let split = s.split();
-        self.solve_batch_pipelined_into_generic(
-            s,
-            plan,
-            b,
-            x,
-            nrhs,
-            split.ext_vals(),
-            split.int_vals(),
-        )
-    }
-
-    /// [`ParallelSolver::solve_batch_pipelined_into`] reading the f32 value
-    /// slabs (accumulation stays f64; see [`PrecisionPolicy`]).
-    pub fn solve_batch_pipelined_f32_into(
-        &self,
-        s: &StsStructure,
-        plan: &mut PipelinePlan,
-        b: &[f64],
-        x: &mut [f64],
-        nrhs: usize,
-    ) -> Result<()> {
-        let split = s.split();
-        self.solve_batch_pipelined_into_generic(
-            s,
-            plan,
-            b,
-            x,
-            nrhs,
-            split.ext_vals_f32(),
-            split.int_vals_f32(),
-        )
-    }
-
-    /// The forward pipelined batch kernel, generic over the value-slab
-    /// precision (accumulation stays f64).
-    #[allow(clippy::too_many_arguments)]
-    fn solve_batch_pipelined_into_generic<V: SlabValue>(
-        &self,
-        s: &StsStructure,
-        plan: &mut PipelinePlan,
-        b: &[f64],
-        x: &mut [f64],
-        nrhs: usize,
-        evals: &[V],
-        ivals: &[V],
-    ) -> Result<()> {
-        if nrhs == 0 {
-            return Err(MatrixError::DimensionMismatch(
-                "solve_batch_pipelined_into needs at least one right-hand side".into(),
-            ));
-        }
-        if b.len() != s.n() * nrhs || x.len() != s.n() * nrhs {
-            return Err(MatrixError::DimensionMismatch(format!(
-                "B and X must both have length n * nrhs = {}, got {} and {}",
-                s.n() * nrhs,
-                b.len(),
-                x.len()
-            )));
-        }
-        self.check_plan(s, plan, true)?;
-        let shared = SharedVec::new(x);
-        let split = s.split();
-        let erp = split.ext_row_ptr();
-        let ecols = split.ext_cols();
-        let irp = split.int_row_ptr();
-        let icols = split.int_cols();
-        let inv_diag = split.inv_diags();
-        // The aliasing argument is solve_pipelined's, with "row i1"
-        // standing for the nrhs consecutive slots of row i1; the
-        // register-tile accumulation mirrors solve_batch.
-        let gather = |rows: std::ops::Range<usize>| {
-            for i1 in rows {
-                let base = i1 * nrhs;
-                let d = inv_diag[i1];
-                for r0 in (0..nrhs).step_by(TILE) {
-                    let w = TILE.min(nrhs - r0);
-                    let mut acc = [0.0f64; TILE];
-                    acc[..w].copy_from_slice(&b[base + r0..base + r0 + w]);
-                    for k in erp[i1]..erp[i1 + 1] {
-                        let (j, v) = (ecols[k] as usize, evals[k].to_f64());
-                        for (r, a) in acc[..w].iter_mut().enumerate() {
-                            // SAFETY: external reads target packs the
-                            // readiness wait covered (epoch edge).
-                            *a -= v * unsafe { shared.read(j * nrhs + r0 + r) };
-                        }
-                    }
-                    for (r, a) in acc[..w].iter().enumerate() {
-                        // SAFETY: the nrhs slots of row i1 have exactly
-                        // one phase-1 writer (this chunk).
-                        unsafe { shared.write(base + r0 + r, a * d) };
-                    }
-                }
-            }
-        };
-        let chain = |p: usize, t: usize| {
-            for &i1 in split.chain_rows_of(p, t) {
-                let i1 = i1 as usize;
-                let base = i1 * nrhs;
-                let d = inv_diag[i1];
-                for r0 in (0..nrhs).step_by(TILE) {
-                    let w = TILE.min(nrhs - r0);
-                    let mut acc = [0.0f64; TILE];
-                    for (r, a) in acc[..w].iter_mut().enumerate() {
-                        // SAFETY: row i1 belongs to exactly one chain
-                        // task; its phase-1 values were published by the
-                        // drained flag.
-                        *a = unsafe { shared.read(base + r0 + r) };
-                    }
-                    for k in irp[i1]..irp[i1 + 1] {
-                        let (j, v) = (icols[k] as usize, ivals[k].to_f64());
-                        let vd = v * d;
-                        for (r, a) in acc[..w].iter_mut().enumerate() {
-                            // SAFETY: same-super-row reads — this task's
-                            // earlier writes, or phase-1 results behind
-                            // the drained flag.
-                            *a -= vd * unsafe { shared.read(j * nrhs + r0 + r) };
-                        }
-                    }
-                    for (r, a) in acc[..w].iter().enumerate() {
-                        // SAFETY: row i1 is owned by this chain task.
-                        unsafe { shared.write(base + r0 + r, *a) };
-                    }
-                }
-            }
-        };
-        self.run_pipelined(plan, &gather, &chain)?;
-        Ok(())
-    }
-
-    /// Solves the transposed (upper-triangular) system `L'ᵀ x' = b'` with
-    /// the two-phase split kernel over the packs in **reverse** order: per
-    /// pack, a statically-chunked gather of the later-pack entries, a phase
-    /// barrier, then the backward in-super-row chains. See the module
-    /// documentation for the reverse-pack-order correctness argument.
-    ///
-    /// Named wrapper over [`ParallelSolver::solve_with`] with
-    /// [`SolveEngine::Split`] and [`SweepDirection::Transpose`]; output is
-    /// bitwise identical to the pre-`SolveOptions` entry.
-    pub fn solve_transpose_split(&self, s: &StsStructure, b: &[f64]) -> Result<Vec<f64>> {
-        self.solve_with(
-            s,
-            b,
-            &SolveOptions::default()
-                .with_engine(SolveEngine::Split)
-                .with_direction(SweepDirection::Transpose),
-        )
-    }
-
-    /// [`ParallelSolver::solve_transpose_split`] reading the f32 value slabs
-    /// (accumulation stays f64; see [`PrecisionPolicy`]).
-    pub fn solve_transpose_split_f32(&self, s: &StsStructure, b: &[f64]) -> Result<Vec<f64>> {
-        self.solve_with(
-            s,
-            b,
-            &SolveOptions::default()
-                .with_engine(SolveEngine::Split)
-                .with_direction(SweepDirection::Transpose)
-                .with_precision(PrecisionPolicy::ValuesF32WithRefinement),
-        )
-    }
-
-    /// The two-phase transpose split kernel, generic over the value-slab
-    /// precision: `evals`/`ivals` are the slabs of `s.transpose_split()` in
-    /// either width, and every partial product is accumulated in f64.
-    fn solve_transpose_split_generic<V: SlabValue>(
-        &self,
-        s: &StsStructure,
-        b: &[f64],
-        evals: &[V],
-        ivals: &[V],
-    ) -> Result<Vec<f64>> {
-        if b.len() != s.n() {
-            return Err(MatrixError::DimensionMismatch(format!(
-                "b has length {}, expected {}",
-                b.len(),
-                s.n()
-            )));
-        }
-        let mut x = vec![0.0f64; s.n()];
-        {
-            let shared = SharedVec::new(&mut x);
-            let ts = s.transpose_split();
-            let erp = ts.ext_row_ptr();
-            let ecols = ts.ext_cols();
-            let irp = ts.int_row_ptr();
-            let icols = ts.int_cols();
-            let inv_diag = ts.inv_diags();
-            let workers = self.pool.num_threads();
-            for p in (0..s.num_packs()).rev() {
-                let rows = s.pack_rows(p);
-                let first_row = rows.start;
-                let m = rows.len();
-                // Phase 1: gather the later-pack entries — all final, since
-                // the reverse sweep finished those packs before this one.
-                let nchunks = workers.min(m);
-                self.pool
-                    .parallel_for(nchunks, Schedule::Static, &|c| {
-                        let chunk_start = first_row + c * m / nchunks;
-                        let chunk_end = first_row + (c + 1) * m / nchunks;
-                        for i1 in chunk_start..chunk_end {
-                            let mut acc = 0.0;
-                            for k in erp[i1]..erp[i1 + 1] {
-                                // SAFETY: external transpose columns belong to
-                                // later packs, finalized before this pack's
-                                // first barrier of the reverse sweep.
-                                acc +=
-                                    evals[k].to_f64() * unsafe { shared.read(ecols[k] as usize) };
-                            }
-                            // SAFETY: row i1 is written by exactly one phase-1
-                            // chunk.
-                            unsafe { shared.write(i1, (b[i1] - acc) * inv_diag[i1]) };
-                            self.shadow_record(
-                                TaskKind::Gather,
-                                i1,
-                                ecols[erp[i1]..erp[i1 + 1]].iter().map(|&j| j as usize),
-                            );
-                        }
-                    })
-                    .map_err(pool_error_to_matrix)?;
-                // Phase 2: backward chains in decreasing row order.
-                let chain = ts.chain_super_rows(p);
-                if chain.is_empty() {
-                    continue;
-                }
-                self.pool
-                    .parallel_for(chain.len(), self.schedule, &|t| {
-                        for &i1 in ts.chain_rows_of(p, t) {
-                            let i1 = i1 as usize;
-                            let mut acc = 0.0;
-                            for k in irp[i1]..irp[i1 + 1] {
-                                // SAFETY: internal columns stay inside this
-                                // super-row — corrected earlier by this task
-                                // (decreasing order) if they are chain rows,
-                                // published by the phase barrier otherwise.
-                                acc +=
-                                    ivals[k].to_f64() * unsafe { shared.read(icols[k] as usize) };
-                            }
-                            // SAFETY: row i1 belongs to exactly one chain task.
-                            let partial = unsafe { shared.read(i1) };
-                            unsafe { shared.write(i1, partial - acc * inv_diag[i1]) };
-                            self.shadow_record(
-                                TaskKind::Chain,
-                                i1,
-                                (irp[i1]..irp[i1 + 1])
-                                    .map(|k| icols[k] as usize)
-                                    .chain(std::iter::once(i1)),
-                            );
-                        }
-                    })
-                    .map_err(pool_error_to_matrix)?;
-            }
-        }
-        Ok(x)
-    }
-
-    /// Solves `L'ᵀ x' = b'` with the pack-pipelined kernel over the packs in
-    /// reverse order: the backward analogue of
-    /// [`ParallelSolver::solve_pipelined`], one pool dispatch per solve.
-    ///
-    /// Named wrapper over [`ParallelSolver::solve_with`] with
-    /// [`SweepDirection::Transpose`]; output is bitwise identical to the
-    /// pre-`SolveOptions` entry.
-    pub fn solve_transpose_pipelined(&self, s: &StsStructure, b: &[f64]) -> Result<Vec<f64>> {
-        self.solve_with(
-            s,
-            b,
-            &SolveOptions::default().with_direction(SweepDirection::Transpose),
-        )
-    }
-
-    /// [`ParallelSolver::solve_transpose_pipelined`] into a caller-provided
-    /// buffer with a caller-held backward [`PipelinePlan`] (no heap
-    /// allocation).
-    pub fn solve_transpose_pipelined_into(
-        &self,
-        s: &StsStructure,
-        plan: &mut PipelinePlan,
-        b: &[f64],
-        x: &mut [f64],
-    ) -> Result<()> {
-        let ts = s.transpose_split();
-        self.solve_transpose_pipelined_into_generic(s, plan, b, x, ts.ext_vals(), ts.int_vals())
-    }
-
-    /// [`ParallelSolver::solve_transpose_pipelined_into`] reading the f32
-    /// value slabs (accumulation stays f64; see [`PrecisionPolicy`]).
-    pub fn solve_transpose_pipelined_f32_into(
-        &self,
-        s: &StsStructure,
-        plan: &mut PipelinePlan,
-        b: &[f64],
-        x: &mut [f64],
-    ) -> Result<()> {
-        let ts = s.transpose_split();
-        self.solve_transpose_pipelined_into_generic(
-            s,
-            plan,
-            b,
-            x,
-            ts.ext_vals_f32(),
-            ts.int_vals_f32(),
-        )
-    }
-
-    /// The backward pipelined kernel, generic over the value-slab precision
-    /// (accumulation stays f64).
-    fn solve_transpose_pipelined_into_generic<V: SlabValue>(
-        &self,
-        s: &StsStructure,
-        plan: &mut PipelinePlan,
-        b: &[f64],
-        x: &mut [f64],
-        evals: &[V],
-        ivals: &[V],
-    ) -> Result<()> {
-        if b.len() != s.n() || x.len() != s.n() {
-            return Err(MatrixError::DimensionMismatch(format!(
-                "b and x must both have length {}, got {} and {}",
-                s.n(),
-                b.len(),
-                x.len()
-            )));
-        }
-        self.check_plan(s, plan, false)?;
-        let num_packs = s.num_packs();
-        let shared = SharedVec::new(x);
-        let ts = s.transpose_split();
-        let erp = ts.ext_row_ptr();
-        let ecols = ts.ext_cols();
-        let irp = ts.int_row_ptr();
-        let icols = ts.int_cols();
-        let inv_diag = ts.inv_diags();
-        let gather = |rows: std::ops::Range<usize>| {
-            for i1 in rows {
-                let mut acc = 0.0;
-                for k in erp[i1]..erp[i1 + 1] {
-                    // SAFETY: external transpose columns lie in the later
-                    // packs this chunk's readiness wait covered (reverse
-                    // stage numbering); the epoch edge published them.
-                    acc += evals[k].to_f64() * unsafe { shared.read(ecols[k] as usize) };
-                }
-                // SAFETY: row i1 is written by exactly one statically owned
-                // chunk.
-                unsafe { shared.write(i1, (b[i1] - acc) * inv_diag[i1]) };
-                self.shadow_record(
-                    TaskKind::Gather,
-                    i1,
-                    ecols[erp[i1]..erp[i1 + 1]].iter().map(|&j| j as usize),
-                );
-            }
-        };
-        let chain = |st: usize, t: usize| {
-            // Backward plans bind stage st to pack num_packs − 1 − st.
-            let p = num_packs - 1 - st;
-            for &i1 in ts.chain_rows_of(p, t) {
-                let i1 = i1 as usize;
-                let mut acc = 0.0;
-                for k in irp[i1]..irp[i1 + 1] {
-                    // SAFETY: internal columns stay inside this super-row —
-                    // corrected earlier by this task (decreasing order) if
-                    // they are chain rows, published by the drained flag
-                    // otherwise.
-                    acc += ivals[k].to_f64() * unsafe { shared.read(icols[k] as usize) };
-                }
-                // SAFETY: row i1 belongs to exactly one chain task; its
-                // phase-1 value was published by the drained flag.
-                let partial = unsafe { shared.read(i1) };
-                unsafe { shared.write(i1, partial - acc * inv_diag[i1]) };
-                self.shadow_record(
-                    TaskKind::Chain,
-                    i1,
-                    (irp[i1]..irp[i1 + 1])
-                        .map(|k| icols[k] as usize)
-                        .chain(std::iter::once(i1)),
-                );
-            }
-        };
-        self.run_pipelined(plan, &gather, &chain)?;
-        Ok(())
-    }
-
-    /// Solves `L'ᵀ X' = B'` for `nrhs` right-hand sides with the backward
-    /// pack-pipelined kernel (layout matches [`StsStructure::solve_batch`]:
-    /// `b[i * nrhs + r]`).
-    pub fn solve_transpose_batch_pipelined(
-        &self,
-        s: &StsStructure,
-        b: &[f64],
-        nrhs: usize,
-    ) -> Result<Vec<f64>> {
-        self.solve_with(
-            s,
-            b,
-            &SolveOptions::default()
-                .with_direction(SweepDirection::Transpose)
-                .with_nrhs(nrhs),
-        )
-    }
-
-    /// [`ParallelSolver::solve_transpose_batch_pipelined`] into a
-    /// caller-provided buffer with a caller-held backward [`PipelinePlan`]
-    /// (no heap allocation).
-    pub fn solve_transpose_batch_pipelined_into(
-        &self,
-        s: &StsStructure,
-        plan: &mut PipelinePlan,
-        b: &[f64],
-        x: &mut [f64],
-        nrhs: usize,
-    ) -> Result<()> {
-        let ts = s.transpose_split();
-        self.solve_transpose_batch_pipelined_into_generic(
-            s,
-            plan,
-            b,
-            x,
-            nrhs,
-            ts.ext_vals(),
-            ts.int_vals(),
-        )
-    }
-
-    /// [`ParallelSolver::solve_transpose_batch_pipelined_into`] reading the
-    /// f32 value slabs (accumulation stays f64; see [`PrecisionPolicy`]).
-    pub fn solve_transpose_batch_pipelined_f32_into(
-        &self,
-        s: &StsStructure,
-        plan: &mut PipelinePlan,
-        b: &[f64],
-        x: &mut [f64],
-        nrhs: usize,
-    ) -> Result<()> {
-        let ts = s.transpose_split();
-        self.solve_transpose_batch_pipelined_into_generic(
-            s,
-            plan,
-            b,
-            x,
-            nrhs,
-            ts.ext_vals_f32(),
-            ts.int_vals_f32(),
-        )
-    }
-
-    /// The backward pipelined batch kernel, generic over the value-slab
-    /// precision (accumulation stays f64).
-    #[allow(clippy::too_many_arguments)]
-    fn solve_transpose_batch_pipelined_into_generic<V: SlabValue>(
-        &self,
-        s: &StsStructure,
-        plan: &mut PipelinePlan,
-        b: &[f64],
-        x: &mut [f64],
-        nrhs: usize,
-        evals: &[V],
-        ivals: &[V],
-    ) -> Result<()> {
-        if nrhs == 0 {
-            return Err(MatrixError::DimensionMismatch(
-                "solve_transpose_batch_pipelined_into needs at least one right-hand side".into(),
-            ));
-        }
-        if b.len() != s.n() * nrhs || x.len() != s.n() * nrhs {
-            return Err(MatrixError::DimensionMismatch(format!(
-                "B and X must both have length n * nrhs = {}, got {} and {}",
-                s.n() * nrhs,
-                b.len(),
-                x.len()
-            )));
-        }
-        self.check_plan(s, plan, false)?;
-        let num_packs = s.num_packs();
-        let shared = SharedVec::new(x);
-        let ts = s.transpose_split();
-        let erp = ts.ext_row_ptr();
-        let ecols = ts.ext_cols();
-        let irp = ts.int_row_ptr();
-        let icols = ts.int_cols();
-        let inv_diag = ts.inv_diags();
-        // Aliasing as in solve_transpose_pipelined_into, with "row i1"
-        // standing for its nrhs consecutive slots.
-        let gather = |rows: std::ops::Range<usize>| {
-            for i1 in rows {
-                let base = i1 * nrhs;
-                let d = inv_diag[i1];
-                for r0 in (0..nrhs).step_by(TILE) {
-                    let w = TILE.min(nrhs - r0);
-                    let mut acc = [0.0f64; TILE];
-                    acc[..w].copy_from_slice(&b[base + r0..base + r0 + w]);
-                    for k in erp[i1]..erp[i1 + 1] {
-                        let (j, v) = (ecols[k] as usize, evals[k].to_f64());
-                        for (r, a) in acc[..w].iter_mut().enumerate() {
-                            // SAFETY: external reads target later packs the
-                            // readiness wait covered (epoch edge).
-                            *a -= v * unsafe { shared.read(j * nrhs + r0 + r) };
-                        }
-                    }
-                    for (r, a) in acc[..w].iter().enumerate() {
-                        // SAFETY: the nrhs slots of row i1 have exactly one
-                        // phase-1 writer (this chunk).
-                        unsafe { shared.write(base + r0 + r, a * d) };
-                    }
-                }
-            }
-        };
-        let chain = |st: usize, t: usize| {
-            let p = num_packs - 1 - st;
-            for &i1 in ts.chain_rows_of(p, t) {
-                let i1 = i1 as usize;
-                let base = i1 * nrhs;
-                let d = inv_diag[i1];
-                for r0 in (0..nrhs).step_by(TILE) {
-                    let w = TILE.min(nrhs - r0);
-                    let mut acc = [0.0f64; TILE];
-                    for (r, a) in acc[..w].iter_mut().enumerate() {
-                        // SAFETY: row i1 belongs to exactly one chain task;
-                        // its phase-1 values were published by the drained
-                        // flag.
-                        *a = unsafe { shared.read(base + r0 + r) };
-                    }
-                    for k in irp[i1]..irp[i1 + 1] {
-                        let (j, v) = (icols[k] as usize, ivals[k].to_f64());
-                        let vd = v * d;
-                        for (r, a) in acc[..w].iter_mut().enumerate() {
-                            // SAFETY: same-super-row reads — this task's
-                            // earlier corrections (decreasing order), or
-                            // phase-1 results behind the drained flag.
-                            *a -= vd * unsafe { shared.read(j * nrhs + r0 + r) };
-                        }
-                    }
-                    for (r, a) in acc[..w].iter().enumerate() {
-                        // SAFETY: row i1 is owned by this chain task.
-                        unsafe { shared.write(base + r0 + r, *a) };
-                    }
-                }
-            }
-        };
-        self.run_pipelined(plan, &gather, &chain)?;
-        Ok(())
-    }
-
-    /// Sparse matrix–vector product `y = A x` on the solver's worker pool:
-    /// the rows are statically chunked, each chunk writing a disjoint slice
-    /// of `y`. This is the companion kernel iterative solvers need next to
-    /// the triangular sweeps (one `A·p` per iteration), sharing the pool so
-    /// the whole iteration runs on one set of (optionally pinned) workers.
-    /// No heap allocation.
-    pub fn spmv_into(&self, a: &CsrMatrix, x: &[f64], y: &mut [f64]) -> Result<()> {
-        if x.len() != a.ncols() || y.len() != a.nrows() {
-            return Err(MatrixError::DimensionMismatch(
-                "x/y lengths must match the matrix dimensions".into(),
-            ));
-        }
-        let n = a.nrows();
-        if n == 0 {
-            return Ok(());
-        }
-        let shared = SharedVec::new(y);
-        let row_ptr = a.row_ptr();
-        let col_idx = a.col_idx();
-        let values = a.values();
-        let nchunks = self.pool.num_threads().min(n);
-        self.pool
-            .parallel_for(nchunks, Schedule::Static, &|c| {
-                for r in c * n / nchunks..(c + 1) * n / nchunks {
-                    let mut acc = 0.0;
-                    for k in row_ptr[r]..row_ptr[r + 1] {
-                        acc += values[k] * x[col_idx[k]];
-                    }
-                    // SAFETY: row r belongs to exactly one static chunk; x is
-                    // never written during the product.
-                    unsafe { shared.write(r, acc) };
-                }
-            })
-            .map_err(pool_error_to_matrix)?;
-        Ok(())
-    }
-
-    /// Multi-RHS sparse matrix–vector product `Y = A X` on the solver's
-    /// worker pool, with the interleaved layout the batch solvers use
-    /// (`x[i * nrhs + r]`). Each `(col, val)` load is amortised over the
-    /// batch via a register tile. No heap allocation.
-    pub fn spmv_batch_into(
-        &self,
-        a: &CsrMatrix,
-        x: &[f64],
-        y: &mut [f64],
-        nrhs: usize,
-    ) -> Result<()> {
-        if nrhs == 0 {
-            return Err(MatrixError::DimensionMismatch(
-                "spmv_batch_into needs at least one right-hand side".into(),
-            ));
-        }
-        if x.len() != a.ncols() * nrhs || y.len() != a.nrows() * nrhs {
-            return Err(MatrixError::DimensionMismatch(
-                "x/y lengths must match the matrix dimensions times nrhs".into(),
-            ));
-        }
-        let n = a.nrows();
-        if n == 0 {
-            return Ok(());
-        }
-        let shared = SharedVec::new(y);
-        let row_ptr = a.row_ptr();
-        let col_idx = a.col_idx();
-        let values = a.values();
-        let nchunks = self.pool.num_threads().min(n);
-        self.pool
-            .parallel_for(nchunks, Schedule::Static, &|c| {
-                for r in c * n / nchunks..(c + 1) * n / nchunks {
-                    let base = r * nrhs;
-                    for r0 in (0..nrhs).step_by(TILE) {
-                        let w = TILE.min(nrhs - r0);
-                        let mut acc = [0.0f64; TILE];
-                        for k in row_ptr[r]..row_ptr[r + 1] {
-                            let (j, v) = (col_idx[k], values[k]);
-                            for (q, a) in acc[..w].iter_mut().enumerate() {
-                                *a += v * x[j * nrhs + r0 + q];
-                            }
-                        }
-                        for (q, a) in acc[..w].iter().enumerate() {
-                            // SAFETY: the nrhs slots of row r belong to exactly
-                            // one static chunk.
-                            unsafe { shared.write(base + r0 + q, *a) };
-                        }
-                    }
-                }
-            })
-            .map_err(pool_error_to_matrix)?;
-        Ok(())
-    }
-
-    /// The pipelined orchestrator shared by all four pipelined kernels
-    /// (forward/backward × single/multi-RHS): one pool dispatch, per-stage
-    /// completion counters instead of barriers, statically owned phase-1
-    /// chunks with readiness waits, ticket-claimed phase-2 chain tasks, and
-    /// bounded gather lookahead for parked workers. The plan binds stages to
-    /// packs (identity for forward plans, reversal for backward ones);
-    /// `gather` runs one contiguous phase-1 row range and `chain(st, t)`
-    /// runs chain task `t` of stage `st`.
     /// # Failure semantics
     ///
     /// Every worker's loop runs under `catch_unwind`. A panicking body (or
@@ -1884,20 +708,21 @@ impl ParallelSolver {
     /// finishes, since `parallel_for` cannot abandon a borrowed job; the
     /// caller therefore regains control after `max(stall, budget)`, never
     /// hangs. On any error the output buffer must be treated as torn.
-    fn run_pipelined(
+    fn drive_pipelined(
         &self,
         plan: &mut PipelinePlan,
-        gather: &(dyn Fn(std::ops::Range<usize>) + Sync),
-        chain: &(dyn Fn(usize, usize) + Sync),
+        gather: &GatherFn<'_>,
+        chain: &ChainFn<'_>,
     ) -> Result<()> {
         let workers = self.pool.num_threads();
-        let num_stages = plan.stage_rows.len();
+        let num_stages = plan.num_stages();
         // Rewind the gate (generation-stamped) and the ticket counters; &mut
         // exclusivity makes the plain stores race-free, and the pool dispatch
         // below publishes them to every worker. The single-worker fast path
         // never touches the gate, but still rewinds so the generation stamp
         // keeps counting solves regardless of thread count.
         plan.rewind();
+        let plan = &*plan;
         let rec = self.active_recorder();
         if workers == 1 {
             // A single worker's program order is exactly the two-phase sweep;
@@ -1910,7 +735,7 @@ impl ParallelSolver {
                     if let Some(hook) = &self.chaos {
                         hook(0, st);
                     }
-                    let rows = plan.stage_rows[st].clone();
+                    let rows = plan.stage_rows(st);
                     if !rows.is_empty() {
                         let t0 = rec.map(|r| r.now_ns());
                         gather(rows);
@@ -1918,7 +743,7 @@ impl ParallelSolver {
                             r.record(0, st as u32, Phase::Gather, t0.unwrap_or(0), r.now_ns());
                         }
                     }
-                    for t in 0..plan.ntasks[st] {
+                    for t in 0..plan.num_chain_tasks(st) {
                         let t0 = rec.map(|r| r.now_ns());
                         chain(st, t);
                         if let Some(r) = rec {
@@ -1938,16 +763,15 @@ impl ParallelSolver {
         }
         let deadline = Instant::now() + Duration::from_millis(self.watchdog_ms);
         let failure = KernelFailure::new();
-        let plan = &*plan;
         // Runs worker `w`'s phase-1 chunk of stage `st` (a no-op `Ran` when
         // the worker owns none). Non-blocking mode refuses — `NotReady` —
         // instead of waiting for the chunk's readiness; `Bail` means the
         // gate was poisoned (or this wait timed out and poisoned it) and the
         // worker must unwind its loop.
         let run_chunk = |w: usize, st: usize, blocking: bool, current: &Cell<usize>| -> ChunkStep {
-            let nchunks = plan.chunk_ptr[st + 1] - plan.chunk_ptr[st];
-            if w < nchunks {
-                let dep = plan.chunk_dep[plan.chunk_ptr[st] + w] as usize;
+            let chunks = plan.stage_chunks(st);
+            if w < chunks.len() {
+                let dep = plan.stage_deps(st)[w] as usize;
                 if blocking {
                     let t0 = rec.map(|r| r.now_ns());
                     let wait = plan.gate.wait_open_until(dep, deadline);
@@ -1978,10 +802,8 @@ impl ParallelSolver {
                 if let Some(hook) = &self.chaos {
                     hook(w, st);
                 }
-                let rows = plan.stage_rows[st].clone();
-                let m = rows.len();
                 let t0 = rec.map(|r| r.now_ns());
-                gather(rows.start + w * m / nchunks..rows.start + (w + 1) * m / nchunks);
+                gather(chunks[w].clone());
                 if let Some(r) = rec {
                     r.record(
                         w as u32,
@@ -2010,7 +832,7 @@ impl ParallelSolver {
                             }
                             next_p1 = st + 1;
                         }
-                        let ntasks = plan.ntasks[st];
+                        let ntasks = plan.num_chain_tasks(st);
                         if ntasks == 0 {
                             continue;
                         }
@@ -2079,6 +901,189 @@ impl ParallelSolver {
             .map_err(pool_error_to_matrix)?;
         failure.into_result(self.watchdog_ms)
     }
+
+    /// Sparse matrix–vector product `y = A x` on the solver's worker pool:
+    /// the rows are statically chunked, each chunk writing a disjoint slice
+    /// of `y`. This is the companion kernel iterative solvers need next to
+    /// the triangular sweeps (one `A·p` per iteration), sharing the pool so
+    /// the whole iteration runs on one set of (optionally pinned) workers.
+    /// No heap allocation.
+    pub fn spmv_into(&self, a: &CsrMatrix, x: &[f64], y: &mut [f64]) -> Result<()> {
+        if x.len() != a.ncols() || y.len() != a.nrows() {
+            return Err(MatrixError::DimensionMismatch(
+                "x/y lengths must match the matrix dimensions".into(),
+            ));
+        }
+        let n = a.nrows();
+        if n == 0 {
+            return Ok(());
+        }
+        let shared = SharedVec::new(y);
+        let row_ptr = a.row_ptr();
+        let col_idx = a.col_idx();
+        let values = a.values();
+        let nchunks = chunk_count(self.pool.num_threads(), n);
+        self.pool
+            .parallel_for(nchunks, Schedule::Static, &|c| {
+                for r in chunk_range(0, n, nchunks, c) {
+                    let mut acc = 0.0;
+                    for k in row_ptr[r]..row_ptr[r + 1] {
+                        acc += values[k] * x[col_idx[k]];
+                    }
+                    // SAFETY: row r belongs to exactly one static chunk; x is
+                    // never written during the product.
+                    unsafe { shared.write(r, acc) };
+                }
+            })
+            .map_err(pool_error_to_matrix)?;
+        Ok(())
+    }
+
+    /// Multi-RHS sparse matrix–vector product `Y = A X` on the solver's
+    /// worker pool, with the interleaved layout the batch solvers use
+    /// (`x[i * nrhs + r]`). Each `(col, val)` load is amortised over the
+    /// batch via a register tile. No heap allocation.
+    pub fn spmv_batch_into(
+        &self,
+        a: &CsrMatrix,
+        x: &[f64],
+        y: &mut [f64],
+        nrhs: usize,
+    ) -> Result<()> {
+        if nrhs == 0 {
+            return Err(MatrixError::DimensionMismatch(
+                "spmv_batch_into needs at least one right-hand side".into(),
+            ));
+        }
+        if x.len() != a.ncols() * nrhs || y.len() != a.nrows() * nrhs {
+            return Err(MatrixError::DimensionMismatch(
+                "x/y lengths must match the matrix dimensions times nrhs".into(),
+            ));
+        }
+        let n = a.nrows();
+        if n == 0 {
+            return Ok(());
+        }
+        let shared = SharedVec::new(y);
+        let row_ptr = a.row_ptr();
+        let col_idx = a.col_idx();
+        let values = a.values();
+        let nchunks = chunk_count(self.pool.num_threads(), n);
+        self.pool
+            .parallel_for(nchunks, Schedule::Static, &|c| {
+                for r in chunk_range(0, n, nchunks, c) {
+                    let base = r * nrhs;
+                    for r0 in (0..nrhs).step_by(TILE) {
+                        let w = TILE.min(nrhs - r0);
+                        let mut acc = [0.0f64; TILE];
+                        for k in row_ptr[r]..row_ptr[r + 1] {
+                            let (j, v) = (col_idx[k], values[k]);
+                            for (q, a) in acc[..w].iter_mut().enumerate() {
+                                *a += v * x[j * nrhs + r0 + q];
+                            }
+                        }
+                        for (q, a) in acc[..w].iter().enumerate() {
+                            // SAFETY: the nrhs slots of row r belong to exactly
+                            // one static chunk.
+                            unsafe { shared.write(base + r0 + q, *a) };
+                        }
+                    }
+                }
+            })
+            .map_err(pool_error_to_matrix)?;
+        Ok(())
+    }
+}
+
+/// One contiguous phase-1 row range of a sweep.
+type GatherFn<'a> = dyn Fn(Range<usize>) + Sync + 'a;
+/// Chain task `t` of stage `st` of a sweep.
+type ChainFn<'a> = dyn Fn(usize, usize) + Sync + 'a;
+
+/// The sequential driver: the stages in order on the calling thread — no
+/// pool, no synchronisation, no hooks.
+fn drive_sequential(plan: &PipelinePlan, gather: &GatherFn<'_>, chain: &ChainFn<'_>) {
+    for st in 0..plan.num_stages() {
+        gather(plan.stage_rows(st));
+        for t in 0..plan.num_chain_tasks(st) {
+            chain(st, t);
+        }
+    }
+}
+
+/// The data of one sweep: the direction's layout with the value slabs at the
+/// requested precision, the right-hand sides, and the shared solution.
+struct SweepRows<'a, V> {
+    solver: &'a ParallelSolver,
+    layout: &'a SplitLayout,
+    ext: Slab<'a, V>,
+    int: Slab<'a, V>,
+    b: &'a [f64],
+    x: SharedVec,
+    nrhs: usize,
+    direction: SweepDirection,
+    num_stages: usize,
+}
+
+impl<V: SlabValue> SweepRows<'_, V> {
+    /// Phase 1 over one contiguous row range (a gather chunk).
+    fn gather_rows<F: RowForm>(&self, rows: Range<usize>) {
+        let erp = self.layout.ext_row_ptr();
+        let inv_diag = self.layout.inv_diags();
+        for i in rows {
+            let r = erp[i]..erp[i + 1];
+            // SAFETY: solve_into checked x holds n * nrhs slots and the
+            // layout's columns are rows of s. Row i is written by exactly
+            // one gather chunk; its external columns lie in stages finished
+            // before this chunk started — behind the previous barrier
+            // (split), the chunk's readiness wait (pipelined) or in program
+            // order (sequential). See the module docs.
+            unsafe {
+                F::gather(
+                    &self.x,
+                    self.b,
+                    i,
+                    self.ext,
+                    r.clone(),
+                    inv_diag[i],
+                    self.nrhs,
+                )
+            };
+            self.solver.shadow_record(
+                TaskKind::Gather,
+                i,
+                self.ext.cols[r].iter().map(|&j| j as usize),
+            );
+        }
+    }
+
+    /// Phase 2: chain task `t` of stage `st`, its chain rows in layout order
+    /// (increasing for forward sweeps, decreasing for transpose sweeps).
+    fn chain_task<F: RowForm>(&self, st: usize, t: usize) {
+        let p = stage_pack(self.direction, self.num_stages, st);
+        let irp = self.layout.int_row_ptr();
+        let inv_diag = self.layout.inv_diags();
+        for &i in self.layout.chain_rows_of(p, t) {
+            let i = i as usize;
+            let r = irp[i]..irp[i + 1];
+            // SAFETY: bounds as in gather_rows. Row i belongs to exactly one
+            // chain task; its phase-1 value was published by the phase
+            // barrier / drained flag; its internal columns stay inside this
+            // task's super-row — corrected earlier by this task if they are
+            // chain rows, phase-1 values otherwise.
+            unsafe { F::chain(&self.x, i, self.int, r.clone(), inv_diag[i], self.nrhs) };
+            // The recorded reads: the internal columns plus the re-read of
+            // the row's own phase-1 partial.
+            self.solver.shadow_record(
+                TaskKind::Chain,
+                i,
+                self.int.cols[r]
+                    .iter()
+                    .map(|&j| j as usize)
+                    .chain(std::iter::once(i)),
+            );
+        }
+    }
 }
 
 /// Tri-state outcome of one phase-1 chunk attempt in the pipelined loop.
@@ -2092,75 +1097,8 @@ enum ChunkStep {
     Bail,
 }
 
-/// Register-tile width of the multi-RHS kernels: partial sums for up to this
-/// many right-hand sides accumulate in a stack tile per row, so each
-/// `(col, val)` load is amortised without round-trips through the shared
-/// pointer.
-const TILE: usize = 8;
-
-/// The reusable per-structure scheduling state of the pipelined kernels: the
-/// stage → row-range binding (packs in forward or reverse order), per-chunk
-/// readiness, gate arrival counts, and the phase-2 ticket counters. Built by
-/// [`ParallelSolver::plan`] / [`ParallelSolver::plan_transpose`] once per
-/// structure, rewound — never reallocated — by every `solve_*_into` call, so
-/// repeated solves on one structure are allocation-free.
-///
-/// A plan is tied to the (structure, direction, thread count) it was built
-/// for; the `_into` kernels reject mismatches.
-#[derive(Debug)]
-pub struct PipelinePlan {
-    /// Forward (stage `s` = pack `s`) or backward (stage `s` = pack
-    /// `num_packs − 1 − s`).
-    forward: bool,
-    /// Dimension of the structure the plan was built for.
-    n: usize,
-    /// Thread count of the solver the plan was built for.
-    threads: usize,
-    /// The rows of each stage's pack (contiguous in the reordered
-    /// numbering).
-    stage_rows: Vec<std::ops::Range<usize>>,
-    /// Chain tasks per stage.
-    ntasks: Vec<usize>,
-    /// Stage pointer into `chunk_dep` (`num_stages + 1` entries).
-    chunk_ptr: Vec<usize>,
-    /// Per-chunk readiness in the plan's stage numbering.
-    chunk_dep: Vec<u32>,
-    /// The resettable epoch gate coordinating the stages.
-    gate: EpochGate,
-    /// Phase-2 ticket counters, one per stage.
-    tickets: Vec<AtomicUsize>,
-}
-
-impl PipelinePlan {
-    /// Whether this is a forward plan (`solve_pipelined_into` /
-    /// `solve_batch_pipelined_into`) or a backward one
-    /// (`solve_transpose_*_into`).
-    pub fn is_forward(&self) -> bool {
-        self.forward
-    }
-
-    /// Number of stages (packs).
-    pub fn num_stages(&self) -> usize {
-        self.stage_rows.len()
-    }
-
-    /// How many solves have rewound this plan (the gate's generation stamp).
-    pub fn generation(&self) -> usize {
-        self.gate.generation()
-    }
-
-    /// Rewinds the gate and the ticket counters for the next solve. `&mut`
-    /// exclusivity makes the plain stores race-free.
-    fn rewind(&mut self) {
-        self.gate.reset();
-        for t in &mut self.tickets {
-            *t.get_mut() = 0;
-        }
-    }
-}
-
-/// How many packs past the one a worker is parked on it may gather ahead
-/// into (packs `p + 1` and `p + 2`): enough to hide short chains without
+/// How many stages past the one a worker is parked on it may gather ahead
+/// into (stages `s + 1` and `s + 2`): enough to hide short chains without
 /// letting fast workers run arbitrarily far from the cache-resident frontier.
 const PIPELINE_LOOKAHEAD: usize = 2;
 
@@ -2168,7 +1106,65 @@ const PIPELINE_LOOKAHEAD: usize = 2;
 mod tests {
     use super::*;
     use crate::builder::Method;
-    use sts_matrix::{generators, ops};
+    use sts_matrix::{generators, ops, CooMatrix, LowerTriangularCsr};
+
+    const SPLIT_ENGINES: [SolveEngine; 3] = [
+        SolveEngine::Sequential,
+        SolveEngine::Split,
+        SolveEngine::Pipelined,
+    ];
+    const DIRECTIONS: [SweepDirection; 2] = [SweepDirection::Forward, SweepDirection::Transpose];
+    const F32: PrecisionPolicy = PrecisionPolicy::ValuesF32WithRefinement;
+
+    fn opts(engine: SolveEngine, direction: SweepDirection) -> SolveOptions {
+        SolveOptions::default()
+            .with_engine(engine)
+            .with_direction(direction)
+    }
+
+    /// The plain (unsplit, single-threaded) reference sweep of `direction`.
+    fn reference(s: &StsStructure, direction: SweepDirection, b: &[f64]) -> Vec<f64> {
+        match direction {
+            SweepDirection::Forward => s.solve_sequential(b).unwrap(),
+            SweepDirection::Transpose => s.solve_transpose_sequential(b).unwrap(),
+        }
+    }
+
+    /// A right-hand side manufactured from a known solution.
+    fn manufactured(s: &StsStructure, direction: SweepDirection, shift: usize) -> Vec<f64> {
+        let x: Vec<f64> = (0..s.n())
+            .map(|i| 1.0 + ((i + shift) % 5) as f64 * 0.3)
+            .collect();
+        match direction {
+            SweepDirection::Forward => s.lower().multiply(&x).unwrap(),
+            SweepDirection::Transpose => s.lower().multiply_transpose(&x).unwrap(),
+        }
+    }
+
+    /// `nrhs` manufactured systems interleaved row-major, with the
+    /// reference solution of each.
+    fn interleaved(
+        s: &StsStructure,
+        direction: SweepDirection,
+        nrhs: usize,
+    ) -> (Vec<f64>, Vec<f64>) {
+        let n = s.n();
+        let mut b = vec![0.0; n * nrhs];
+        let mut expected = vec![0.0; n * nrhs];
+        for r in 0..nrhs {
+            let br = manufactured(s, direction, r);
+            let xr = reference(s, direction, &br);
+            for i in 0..n {
+                b[i * nrhs + r] = br[i];
+                expected[i * nrhs + r] = xr[i];
+            }
+        }
+        (b, expected)
+    }
+
+    fn lane(x: &[f64], nrhs: usize, q: usize) -> Vec<f64> {
+        x.iter().skip(q).step_by(nrhs).copied().collect()
+    }
 
     fn check_parallel_matches_sequential(
         a: &sts_matrix::CsrMatrix,
@@ -2229,14 +1225,6 @@ mod tests {
     }
 
     #[test]
-    fn wrong_rhs_length_is_rejected() {
-        let l = generators::paper_figure1_l();
-        let s = Method::CsrLs.build(&l, 2).unwrap();
-        let solver = ParallelSolver::new(2, Schedule::Static);
-        assert!(solver.solve(&s, &[1.0; 4]).is_err());
-    }
-
-    #[test]
     fn solver_is_reusable_across_structures_and_right_hand_sides() {
         let solver = ParallelSolver::new(3, Schedule::Dynamic { chunk: 2 });
         for seed in 0..3 {
@@ -2253,26 +1241,53 @@ mod tests {
     }
 
     #[test]
-    fn split_solver_matches_sequential_for_all_methods_and_schedules() {
+    fn every_engine_matches_the_reference_sweeps_for_all_methods_and_schedules() {
         let a = generators::triangulated_grid(14, 14, 2).unwrap();
         let l = generators::lower_operand(&a).unwrap();
         for method in Method::all() {
             let s = method.build(&l, 8).unwrap();
-            let x_true: Vec<f64> = (0..s.n()).map(|i| 1.0 + (i % 5) as f64 * 0.3).collect();
-            let b = s.lower().multiply(&x_true).unwrap();
-            let seq = s.solve_sequential(&b).unwrap();
-            for threads in [1, 2, 4] {
-                for schedule in [
-                    Schedule::Static,
-                    Schedule::Dynamic { chunk: 4 },
-                    Schedule::Guided { min_chunk: 1 },
-                ] {
-                    let solver = ParallelSolver::new(threads, schedule);
-                    let par = solver.solve_split(&s, &b).unwrap();
+            for direction in DIRECTIONS {
+                let b = manufactured(&s, direction, 0);
+                let expected = reference(&s, direction, &b);
+                for threads in [1, 2, 4, 8] {
+                    for schedule in [
+                        Schedule::Static,
+                        Schedule::Dynamic { chunk: 4 },
+                        Schedule::Guided { min_chunk: 1 },
+                    ] {
+                        let solver = ParallelSolver::new(threads, schedule);
+                        for engine in SPLIT_ENGINES {
+                            let x = solver.solve_with(&s, &b, &opts(engine, direction)).unwrap();
+                            assert!(
+                                ops::relative_error_inf(&x, &expected) < 1e-12,
+                                "{} {engine:?} {direction:?} with {threads} threads under \
+                                 {schedule:?} diverged from the reference sweep",
+                                method.label()
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn batch_sweeps_match_single_rhs_solves_on_every_engine() {
+        let a = generators::grid2d_9point(12, 12).unwrap();
+        let l = generators::lower_operand(&a).unwrap();
+        let s = Method::Sts3.build(&l, 6).unwrap();
+        let nrhs = 3;
+        for direction in DIRECTIONS {
+            let (b, expected) = interleaved(&s, direction, nrhs);
+            for threads in [1, 3, 8] {
+                let solver = ParallelSolver::new(threads, Schedule::Guided { min_chunk: 1 });
+                for engine in SPLIT_ENGINES {
+                    let x = solver
+                        .solve_with(&s, &b, &opts(engine, direction).with_nrhs(nrhs))
+                        .unwrap();
                     assert!(
-                        ops::relative_error_inf(&par, &seq) < 1e-12,
-                        "{} with {threads} threads diverged from sequential",
-                        method.label()
+                        ops::relative_error_inf(&x, &expected) < 1e-12,
+                        "{engine:?} {direction:?} batch diverged with {threads} threads"
                     );
                 }
             }
@@ -2280,235 +1295,146 @@ mod tests {
     }
 
     #[test]
-    fn batch_solver_matches_single_rhs_solves() {
-        let a = generators::grid2d_9point(12, 12).unwrap();
-        let l = generators::lower_operand(&a).unwrap();
-        let s = Method::Sts3.build(&l, 6).unwrap();
+    fn sequential_batch_lanes_are_bitwise_identical_to_scalar_sweeps() {
+        // The engine-matrix invariant: each lane of the sequential engine's
+        // batch runs the scalar sweep's exact floating-point sequence (the
+        // sum form), so equality is ==, not a tolerance. A width above TILE
+        // exercises the remainder pass too.
+        let a = generators::grid2d_9point(9, 9).unwrap();
+        let s = Method::Sts3
+            .build(&generators::lower_operand(&a).unwrap(), 4)
+            .unwrap();
         let n = s.n();
-        let nrhs = 3;
-        // Three manufactured systems, interleaved row-major.
-        let mut b = vec![0.0; n * nrhs];
-        let mut expected = vec![0.0; n * nrhs];
-        for r in 0..nrhs {
-            let x_true: Vec<f64> = (0..n).map(|i| (i + r) as f64 * 0.1 + 1.0).collect();
-            let br = s.lower().multiply(&x_true).unwrap();
-            let xr = s.solve_sequential(&br).unwrap();
-            for i in 0..n {
-                b[i * nrhs + r] = br[i];
-                expected[i * nrhs + r] = xr[i];
+        let solver = ParallelSolver::new(2, Schedule::Static);
+        for nrhs in [1usize, 3, TILE + 2] {
+            let bb: Vec<f64> = (0..n * nrhs)
+                .map(|k| 1.0 + ((k / nrhs) * 7 + (k % nrhs) * 3) as f64 * 0.31)
+                .collect();
+            for direction in DIRECTIONS {
+                for precision in [PrecisionPolicy::ValuesF64, F32] {
+                    let scalar = opts(SolveEngine::Sequential, direction).with_precision(precision);
+                    let xb = solver.solve_with(&s, &bb, &scalar.with_nrhs(nrhs)).unwrap();
+                    for q in 0..nrhs {
+                        let xq = solver.solve_with(&s, &lane(&bb, nrhs, q), &scalar).unwrap();
+                        assert_eq!(
+                            lane(&xb, nrhs, q),
+                            xq,
+                            "{direction:?} {precision:?} lane {q} of {nrhs} diverged"
+                        );
+                    }
+                }
             }
         }
-        let solver = ParallelSolver::new(3, Schedule::Guided { min_chunk: 1 });
-        let x = solver.solve_batch(&s, &b, nrhs).unwrap();
-        assert!(ops::relative_error_inf(&x, &expected) < 1e-12);
-        let x_seq = s.solve_batch(&b, nrhs).unwrap();
-        assert!(ops::relative_error_inf(&x_seq, &expected) < 1e-12);
     }
 
     #[test]
-    fn split_solver_rejects_bad_inputs() {
+    fn bad_shapes_are_rejected_by_every_engine() {
         let l = generators::paper_figure1_l();
         let s = Method::CsrLs.build(&l, 2).unwrap();
         let solver = ParallelSolver::new(2, Schedule::Static);
-        assert!(solver.solve_split(&s, &[1.0; 4]).is_err());
-        assert!(solver.solve_batch(&s, &[1.0; 9], 0).is_err());
-        assert!(solver.solve_batch(&s, &[1.0; 10], 2).is_err());
-        assert!(solver.solve_pipelined(&s, &[1.0; 4]).is_err());
-        assert!(solver.solve_batch_pipelined(&s, &[1.0; 9], 0).is_err());
-        assert!(solver.solve_batch_pipelined(&s, &[1.0; 10], 2).is_err());
-    }
-
-    #[test]
-    fn pipelined_solver_matches_sequential_for_all_methods_and_threads() {
-        let a = generators::triangulated_grid(14, 14, 2).unwrap();
-        let l = generators::lower_operand(&a).unwrap();
-        for method in Method::all() {
-            let s = method.build(&l, 8).unwrap();
-            let x_true: Vec<f64> = (0..s.n()).map(|i| 1.0 + (i % 5) as f64 * 0.3).collect();
-            let b = s.lower().multiply(&x_true).unwrap();
-            let seq = s.solve_sequential(&b).unwrap();
-            for threads in [1, 2, 4, 8] {
-                let solver = ParallelSolver::new(threads, Schedule::Guided { min_chunk: 1 });
-                let par = solver.solve_pipelined(&s, &b).unwrap();
-                assert!(
-                    ops::relative_error_inf(&par, &seq) < 1e-12,
-                    "{} pipelined with {threads} threads diverged from sequential",
-                    method.label()
-                );
+        assert!(solver.solve(&s, &[1.0; 4]).is_err());
+        for engine in SPLIT_ENGINES {
+            for direction in DIRECTIONS {
+                let o = opts(engine, direction);
+                for (b_len, nrhs) in [(4, 1), (9, 0), (10, 2)] {
+                    assert!(
+                        matches!(
+                            solver.solve_with(&s, &vec![1.0; b_len], &o.with_nrhs(nrhs)),
+                            Err(MatrixError::DimensionMismatch(_))
+                        ),
+                        "{engine:?} {direction:?} accepted b.len() = {b_len}, nrhs = {nrhs}"
+                    );
+                }
+                // solve_into checks the output buffer the same way.
+                let mut plan = solver.plan(&s, direction);
+                let mut short = vec![0.0; 3];
+                assert!(matches!(
+                    solver.solve_into(&s, &mut plan, &[1.0; 9], &mut short, &o),
+                    Err(MatrixError::DimensionMismatch(_))
+                ));
             }
         }
     }
 
     #[test]
-    fn pipelined_solver_is_stable_under_repeated_contention() {
+    fn degenerate_systems_solve_on_every_engine() {
+        let empty = LowerTriangularCsr::from_csr(&CooMatrix::new(0, 0).to_csr()).unwrap();
+        let mut one = CooMatrix::new(1, 1);
+        one.push(0, 0, 4.0).unwrap();
+        let one = LowerTriangularCsr::from_csr(&one.to_csr()).unwrap();
+        for l in [empty, one] {
+            let s = Method::Sts3.build(&l, 8).unwrap();
+            for threads in [1, 3] {
+                let solver = ParallelSolver::new(threads, Schedule::Static);
+                for engine in SPLIT_ENGINES {
+                    for direction in DIRECTIONS {
+                        for nrhs in [1, 3] {
+                            let b = vec![2.0; s.n() * nrhs];
+                            let x = solver
+                                .solve_with(&s, &b, &opts(engine, direction).with_nrhs(nrhs))
+                                .unwrap();
+                            assert_eq!(x, vec![0.5; s.n() * nrhs], "{engine:?} {direction:?}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn pipelined_sweeps_are_stable_under_repeated_contention() {
         // The chain-heaviest ordering (level sets) re-solved many times on an
         // oversubscribed pool: races between lookahead gathers and chain
-        // corrections would show up as sporadic divergence.
+        // corrections, or readiness races in the reverse sweep, would show
+        // up as sporadic divergence.
         let a = generators::grid2d_laplacian(24, 24).unwrap();
         let l = generators::lower_operand(&a).unwrap();
         let s = Method::Csr3Ls.build(&l, 6).unwrap();
-        let x_true: Vec<f64> = (0..s.n()).map(|i| 1.0 + (i % 7) as f64 * 0.2).collect();
-        let b = s.lower().multiply(&x_true).unwrap();
-        let seq = s.solve_sequential(&b).unwrap();
         let solver = ParallelSolver::new(8, Schedule::Guided { min_chunk: 1 });
-        for round in 0..50 {
-            let par = solver.solve_pipelined(&s, &b).unwrap();
-            assert!(
-                ops::relative_error_inf(&par, &seq) < 1e-12,
-                "pipelined diverged on round {round}"
-            );
-        }
-    }
-
-    #[test]
-    fn batch_pipelined_matches_single_rhs_solves() {
-        let a = generators::grid2d_9point(12, 12).unwrap();
-        let l = generators::lower_operand(&a).unwrap();
-        let s = Method::Sts3.build(&l, 6).unwrap();
-        let n = s.n();
-        let nrhs = 3;
-        let mut b = vec![0.0; n * nrhs];
-        let mut expected = vec![0.0; n * nrhs];
-        for r in 0..nrhs {
-            let x_true: Vec<f64> = (0..n).map(|i| (i + r) as f64 * 0.1 + 1.0).collect();
-            let br = s.lower().multiply(&x_true).unwrap();
-            let xr = s.solve_sequential(&br).unwrap();
-            for i in 0..n {
-                b[i * nrhs + r] = br[i];
-                expected[i * nrhs + r] = xr[i];
-            }
-        }
-        for threads in [1, 3, 8] {
-            let solver = ParallelSolver::new(threads, Schedule::Guided { min_chunk: 1 });
-            let x = solver.solve_batch_pipelined(&s, &b, nrhs).unwrap();
-            assert!(
-                ops::relative_error_inf(&x, &expected) < 1e-12,
-                "batch pipelined diverged with {threads} threads"
-            );
-        }
-    }
-
-    #[test]
-    fn transpose_kernels_match_the_sequential_column_sweep() {
-        let a = generators::triangulated_grid(14, 14, 2).unwrap();
-        let l = generators::lower_operand(&a).unwrap();
-        for method in Method::all() {
-            let s = method.build(&l, 8).unwrap();
-            let x_true: Vec<f64> = (0..s.n()).map(|i| 1.0 + (i % 5) as f64 * 0.3).collect();
-            let b = s.lower().multiply_transpose(&x_true).unwrap();
-            let seq = s.lower().solve_transpose_seq(&b).unwrap();
-            for threads in [1, 2, 4, 8] {
-                let solver = ParallelSolver::new(threads, Schedule::Guided { min_chunk: 1 });
-                let split = solver.solve_transpose_split(&s, &b).unwrap();
+        for direction in DIRECTIONS {
+            let b = manufactured(&s, direction, 0);
+            let expected = reference(&s, direction, &b);
+            let o = SolveOptions::default().with_direction(direction);
+            let mut plan = solver.plan(&s, direction);
+            let mut x = vec![0.0; s.n()];
+            for round in 0..50 {
+                solver.solve_into(&s, &mut plan, &b, &mut x, &o).unwrap();
                 assert!(
-                    ops::relative_error_inf(&split, &seq) < 1e-12,
-                    "{} transpose split with {threads} threads diverged",
-                    method.label()
-                );
-                let piped = solver.solve_transpose_pipelined(&s, &b).unwrap();
-                assert!(
-                    ops::relative_error_inf(&piped, &seq) < 1e-12,
-                    "{} transpose pipelined with {threads} threads diverged",
-                    method.label()
+                    ops::relative_error_inf(&x, &expected) < 1e-12,
+                    "{direction:?} pipelined diverged on round {round}"
                 );
             }
+            assert_eq!(plan.generation(), 50, "each solve rewinds the plan once");
         }
     }
 
     #[test]
-    fn transpose_pipelined_is_stable_under_repeated_contention() {
-        // Level sets have the deepest reverse dependence structure; an
-        // oversubscribed pool re-solving many times would expose readiness
-        // races as sporadic divergence.
-        let a = generators::grid2d_laplacian(24, 24).unwrap();
-        let l = generators::lower_operand(&a).unwrap();
-        let s = Method::Csr3Ls.build(&l, 6).unwrap();
-        let x_true: Vec<f64> = (0..s.n()).map(|i| 1.0 + (i % 7) as f64 * 0.2).collect();
-        let b = s.lower().multiply_transpose(&x_true).unwrap();
-        let seq = s.lower().solve_transpose_seq(&b).unwrap();
-        let solver = ParallelSolver::new(8, Schedule::Guided { min_chunk: 1 });
-        let mut plan = solver.plan_transpose(&s);
-        let mut x = vec![0.0; s.n()];
-        for round in 0..50 {
-            solver
-                .solve_transpose_pipelined_into(&s, &mut plan, &b, &mut x)
-                .unwrap();
-            assert!(
-                ops::relative_error_inf(&x, &seq) < 1e-12,
-                "transpose pipelined diverged on round {round}"
-            );
-        }
-        assert_eq!(plan.generation(), 50, "each solve rewinds the plan once");
-    }
-
-    #[test]
-    fn transpose_batch_pipelined_matches_single_rhs_solves() {
-        let a = generators::grid2d_9point(12, 12).unwrap();
-        let l = generators::lower_operand(&a).unwrap();
-        let s = Method::Sts3.build(&l, 6).unwrap();
-        let n = s.n();
-        let nrhs = 3;
-        let mut b = vec![0.0; n * nrhs];
-        let mut expected = vec![0.0; n * nrhs];
-        for r in 0..nrhs {
-            let x_true: Vec<f64> = (0..n).map(|i| (i + r) as f64 * 0.1 + 1.0).collect();
-            let br = s.lower().multiply_transpose(&x_true).unwrap();
-            let xr = s.lower().solve_transpose_seq(&br).unwrap();
-            for i in 0..n {
-                b[i * nrhs + r] = br[i];
-                expected[i * nrhs + r] = xr[i];
-            }
-        }
-        for threads in [1, 3, 8] {
-            let solver = ParallelSolver::new(threads, Schedule::Guided { min_chunk: 1 });
-            let x = solver
-                .solve_transpose_batch_pipelined(&s, &b, nrhs)
-                .unwrap();
-            assert!(
-                ops::relative_error_inf(&x, &expected) < 1e-12,
-                "transpose batch pipelined diverged with {threads} threads"
-            );
-        }
-    }
-
-    #[test]
-    fn into_kernels_reuse_plans_across_solves_and_match_allocating_kernels() {
+    fn solve_into_reuses_plans_across_solves_and_matches_solve_with() {
         let a = generators::grid2d_laplacian(16, 16).unwrap();
         let l = generators::lower_operand(&a).unwrap();
         let s = Method::Sts3.build(&l, 6).unwrap();
         let solver = ParallelSolver::new(4, Schedule::Guided { min_chunk: 1 });
-        let mut fwd = solver.plan(&s);
-        let mut bwd = solver.plan_transpose(&s);
-        let mut x = vec![0.0; s.n()];
-        for shift in 0..4 {
-            let b: Vec<f64> = (0..s.n()).map(|i| 1.0 + ((i + shift) % 5) as f64).collect();
-            solver
-                .solve_pipelined_into(&s, &mut fwd, &b, &mut x)
-                .unwrap();
-            let reference = solver.solve_pipelined(&s, &b).unwrap();
-            assert!(ops::relative_error_inf(&x, &reference) < 1e-15);
-            solver
-                .solve_transpose_pipelined_into(&s, &mut bwd, &b, &mut x)
-                .unwrap();
-            let reference = s.lower().solve_transpose_seq(&b).unwrap();
-            assert!(ops::relative_error_inf(&x, &reference) < 1e-12);
-        }
-        // Batch kernels share the same plans.
         let nrhs = 2;
         let bb: Vec<f64> = (0..s.n() * nrhs).map(|k| 1.0 + (k % 3) as f64).collect();
-        let mut xb = vec![0.0; s.n() * nrhs];
-        solver
-            .solve_batch_pipelined_into(&s, &mut fwd, &bb, &mut xb, nrhs)
-            .unwrap();
-        let reference = solver.solve_batch(&s, &bb, nrhs).unwrap();
-        assert!(ops::relative_error_inf(&xb, &reference) < 1e-12);
-        solver
-            .solve_transpose_batch_pipelined_into(&s, &mut bwd, &bb, &mut xb, nrhs)
-            .unwrap();
-        let reference = solver
-            .solve_transpose_batch_pipelined(&s, &bb, nrhs)
-            .unwrap();
-        assert!(ops::relative_error_inf(&xb, &reference) < 1e-15);
+        for direction in DIRECTIONS {
+            // One plan serves every engine, width and precision.
+            let mut plan = solver.plan(&s, direction);
+            let mut x = vec![0.0; s.n()];
+            let mut xb = vec![0.0; s.n() * nrhs];
+            for shift in 0..4 {
+                let b: Vec<f64> = (0..s.n()).map(|i| 1.0 + ((i + shift) % 5) as f64).collect();
+                for engine in SPLIT_ENGINES {
+                    for precision in [PrecisionPolicy::ValuesF64, F32] {
+                        let o = opts(engine, direction).with_precision(precision);
+                        solver.solve_into(&s, &mut plan, &b, &mut x, &o).unwrap();
+                        assert_eq!(x, solver.solve_with(&s, &b, &o).unwrap());
+                        let ob = o.with_nrhs(nrhs);
+                        solver.solve_into(&s, &mut plan, &bb, &mut xb, &ob).unwrap();
+                        assert_eq!(xb, solver.solve_with(&s, &bb, &ob).unwrap());
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -2519,20 +1445,23 @@ mod tests {
         let solver = ParallelSolver::new(3, Schedule::Static);
         let b = vec![1.0; s.n()];
         let mut x = vec![0.0; s.n()];
+        let fwd_opts = SolveOptions::default();
+        let bwd_opts = fwd_opts.with_direction(SweepDirection::Transpose);
         // Wrong direction.
-        let mut bwd = solver.plan_transpose(&s);
+        let mut bwd = solver.plan(&s, SweepDirection::Transpose);
+        assert_eq!(bwd.direction(), SweepDirection::Transpose);
         assert!(solver
-            .solve_pipelined_into(&s, &mut bwd, &b, &mut x)
+            .solve_into(&s, &mut bwd, &b, &mut x, &fwd_opts)
             .is_err());
-        let mut fwd = solver.plan(&s);
+        let mut fwd = solver.plan(&s, SweepDirection::Forward);
         assert!(solver
-            .solve_transpose_pipelined_into(&s, &mut fwd, &b, &mut x)
+            .solve_into(&s, &mut fwd, &b, &mut x, &bwd_opts)
             .is_err());
         // Wrong thread count.
         let other = ParallelSolver::new(2, Schedule::Static);
-        let mut plan2 = other.plan(&s);
+        let mut plan2 = other.plan(&s, SweepDirection::Forward);
         assert!(solver
-            .solve_pipelined_into(&s, &mut plan2, &b, &mut x)
+            .solve_into(&s, &mut plan2, &b, &mut x, &fwd_opts)
             .is_err());
         // Wrong structure.
         let a2 = generators::grid2d_laplacian(9, 9).unwrap();
@@ -2540,13 +1469,13 @@ mod tests {
         let s2 = Method::Sts3.build(&l2, 4).unwrap();
         let b2 = vec![1.0; s2.n()];
         let mut x2 = vec![0.0; s2.n()];
-        let mut plan = solver.plan(&s);
+        let mut plan = solver.plan(&s, SweepDirection::Forward);
         assert!(solver
-            .solve_pipelined_into(&s2, &mut plan, &b2, &mut x2)
+            .solve_into(&s2, &mut plan, &b2, &mut x2, &fwd_opts)
             .is_err());
         // Same n, pack count and thread count but different pack boundaries:
         // a structurally stale plan must still be rejected (the row ranges
-        // it would hand the gather closures race the other structure's chain
+        // it would hand the gather chunks race the other structure's chain
         // tasks).
         let l9 = generators::paper_figure1_l();
         let order = vec![0usize, 1, 4, 2, 3, 5, 6, 7, 8];
@@ -2575,14 +1504,28 @@ mod tests {
         assert_eq!(sa.num_packs(), sb.num_packs());
         let b9 = vec![1.0; 9];
         let mut x9 = vec![0.0; 9];
-        let mut plan_a = solver.plan(&sa);
-        assert!(solver
-            .solve_pipelined_into(&sb, &mut plan_a, &b9, &mut x9)
-            .is_err());
-        // ... and the plan still works against its own structure.
-        assert!(solver
-            .solve_pipelined_into(&sa, &mut plan_a, &b9, &mut x9)
-            .is_ok());
+        let mut plan_a = solver.plan(&sa, SweepDirection::Forward);
+        for engine in SPLIT_ENGINES {
+            let o = fwd_opts.with_engine(engine);
+            assert!(solver
+                .solve_into(&sb, &mut plan_a, &b9, &mut x9, &o)
+                .is_err());
+            // ... and the plan still works against its own structure.
+            assert!(solver
+                .solve_into(&sa, &mut plan_a, &b9, &mut x9, &o)
+                .is_ok());
+        }
+        // The unsplit engine runs without a plan.
+        assert!(matches!(
+            solver.solve_into(
+                &sa,
+                &mut plan_a,
+                &b9,
+                &mut x9,
+                &fwd_opts.with_engine(SolveEngine::Parallel)
+            ),
+            Err(MatrixError::InvalidParameter(_))
+        ));
     }
 
     #[test]
@@ -2591,12 +1534,12 @@ mod tests {
         let l = generators::lower_operand(&a).unwrap();
         let s = Method::Sts3.build(&l, 4).unwrap();
         let solver = ParallelSolver::new(1, Schedule::Static);
-        let mut plan = solver.plan(&s);
+        let mut plan = solver.plan(&s, SweepDirection::Forward);
         let b = vec![1.0; s.n()];
         let mut x = vec![0.0; s.n()];
         for round in 1..=3 {
             solver
-                .solve_pipelined_into(&s, &mut plan, &b, &mut x)
+                .solve_into(&s, &mut plan, &b, &mut x, &SolveOptions::default())
                 .unwrap();
             assert_eq!(plan.generation(), round);
         }
@@ -2648,138 +1591,41 @@ mod tests {
     }
 
     #[test]
-    fn solve_with_is_bitwise_identical_to_every_named_entry() {
-        let a = generators::triangulated_grid(12, 12, 1).unwrap();
-        let l = generators::lower_operand(&a).unwrap();
-        let s = Method::Sts3.build(&l, 6).unwrap();
-        let n = s.n();
-        let b: Vec<f64> = (0..n).map(|i| 1.0 + (i % 7) as f64 * 0.25).collect();
-        let nrhs = 3;
-        let bb: Vec<f64> = (0..n * nrhs)
-            .map(|k| 1.0 + (k % 11) as f64 * 0.125)
-            .collect();
-        let solver = ParallelSolver::new(4, Schedule::Guided { min_chunk: 1 });
-        let opt = SolveOptions::default;
-        // Every named entry must agree bitwise with the solve_with request it
-        // wraps — the API-redesign contract (assert_eq on f64 vectors).
-        assert_eq!(
-            solver.solve(&s, &b).unwrap(),
-            solver
-                .solve_with(&s, &b, &opt().with_engine(SolveEngine::Parallel))
-                .unwrap()
-        );
-        assert_eq!(
-            solver.solve_split(&s, &b).unwrap(),
-            solver
-                .solve_with(&s, &b, &opt().with_engine(SolveEngine::Split))
-                .unwrap()
-        );
-        assert_eq!(
-            solver.solve_batch(&s, &bb, nrhs).unwrap(),
-            solver
-                .solve_with(
-                    &s,
-                    &bb,
-                    &opt().with_engine(SolveEngine::Split).with_nrhs(nrhs)
-                )
-                .unwrap()
-        );
-        assert_eq!(
-            solver.solve_pipelined(&s, &b).unwrap(),
-            solver.solve_with(&s, &b, &opt()).unwrap()
-        );
-        assert_eq!(
-            solver.solve_batch_pipelined(&s, &bb, nrhs).unwrap(),
-            solver.solve_with(&s, &bb, &opt().with_nrhs(nrhs)).unwrap()
-        );
-        assert_eq!(
-            solver.solve_transpose_split(&s, &b).unwrap(),
-            solver
-                .solve_with(
-                    &s,
-                    &b,
-                    &opt()
-                        .with_engine(SolveEngine::Split)
-                        .with_direction(SweepDirection::Transpose)
-                )
-                .unwrap()
-        );
-        assert_eq!(
-            solver.solve_transpose_pipelined(&s, &b).unwrap(),
-            solver
-                .solve_with(&s, &b, &opt().with_direction(SweepDirection::Transpose))
-                .unwrap()
-        );
-        assert_eq!(
-            solver
-                .solve_transpose_batch_pipelined(&s, &bb, nrhs)
-                .unwrap(),
-            solver
-                .solve_with(
-                    &s,
-                    &bb,
-                    &opt()
-                        .with_direction(SweepDirection::Transpose)
-                        .with_nrhs(nrhs)
-                )
-                .unwrap()
-        );
-        // Sequential engine matches the structure's own kernels bitwise.
-        assert_eq!(
-            s.solve_sequential_split(&b).unwrap(),
-            solver
-                .solve_with(&s, &b, &opt().with_engine(SolveEngine::Sequential))
-                .unwrap()
-        );
-        assert_eq!(
-            s.solve_transpose_sequential_split(&b).unwrap(),
-            solver
-                .solve_with(
-                    &s,
-                    &b,
-                    &opt()
-                        .with_engine(SolveEngine::Sequential)
-                        .with_direction(SweepDirection::Transpose)
-                )
-                .unwrap()
-        );
-    }
-
-    #[test]
-    fn f32_kernels_agree_bitwise_across_engines_and_approximate_f64() {
+    fn single_rhs_sweeps_agree_bitwise_across_engines_and_f32_approximates_f64() {
         let a = generators::triangulated_grid(12, 12, 3).unwrap();
         let l = generators::lower_operand(&a).unwrap();
         let s = Method::Sts3.build(&l, 6).unwrap();
-        let n = s.n();
-        let x_true: Vec<f64> = (0..n).map(|i| 1.0 + (i % 5) as f64 * 0.3).collect();
-        let b = s.lower().multiply(&x_true).unwrap();
-        let f64_ref = s.solve_sequential_split(&b).unwrap();
-        let seq32 = s.solve_sequential_split_f32(&b).unwrap();
-        for threads in [1, 2, 4] {
-            let solver = ParallelSolver::new(threads, Schedule::Guided { min_chunk: 1 });
-            let split32 = solver.solve_split_f32(&s, &b).unwrap();
-            let pipe32 = solver
-                .solve_with(
-                    &s,
-                    &b,
-                    &SolveOptions::default()
-                        .with_precision(PrecisionPolicy::ValuesF32WithRefinement),
-                )
-                .unwrap();
-            // The mixed-precision kernels round only the stored values; the
-            // f64 accumulation order is engine-invariant, so all engines give
-            // the exact same bits.
-            assert_eq!(seq32, split32, "split f32 diverged at {threads} threads");
-            assert_eq!(seq32, pipe32, "pipelined f32 diverged at {threads} threads");
-            // Transpose engines agree with each other the same way.
-            let tseq32 = s.solve_transpose_sequential_split_f32(&b).unwrap();
-            let tsplit32 = solver.solve_transpose_split_f32(&s, &b).unwrap();
-            assert_eq!(tseq32, tsplit32);
+        for direction in DIRECTIONS {
+            let b = manufactured(&s, direction, 0);
+            for precision in [PrecisionPolicy::ValuesF64, F32] {
+                let one = ParallelSolver::new(1, Schedule::Static);
+                let seq = one
+                    .solve_with(
+                        &s,
+                        &b,
+                        &opts(SolveEngine::Sequential, direction).with_precision(precision),
+                    )
+                    .unwrap();
+                for threads in [1, 2, 4] {
+                    let solver = ParallelSolver::new(threads, Schedule::Guided { min_chunk: 1 });
+                    // Every engine runs the sum form row by row, and f32
+                    // slabs round only the stored values, so all engines
+                    // give the exact same bits at every thread count.
+                    for engine in [SolveEngine::Split, SolveEngine::Pipelined] {
+                        let x = solver
+                            .solve_with(&s, &b, &opts(engine, direction).with_precision(precision))
+                            .unwrap();
+                        assert_eq!(
+                            seq, x,
+                            "{engine:?} {direction:?} {precision:?} diverged at {threads} threads"
+                        );
+                    }
+                }
+                // The f32 sweep is accurate to at least roughly single
+                // precision before any refinement.
+                assert!(ops::relative_error_inf(&seq, &reference(&s, direction, &b)) < 1e-4);
+            }
         }
-        // And the sweep is accurate to at least roughly single precision
-        // before any refinement (exactly f64 when every stored value is
-        // f32-representable, as on integer-valued operands).
-        assert!(ops::relative_error_inf(&seq32, &f64_ref) < 1e-4);
     }
 
     #[test]
@@ -2788,12 +1634,13 @@ mod tests {
         let s = Method::Sts3.build(&l, 2).unwrap();
         let solver = ParallelSolver::new(2, Schedule::Static);
         let b = vec![1.0; s.n()];
-        // nrhs == 0 is a dimension error on every engine.
+        // nrhs == 0 is a dimension error on every split-layout engine.
         assert!(matches!(
             solver.solve_with(&s, &b, &SolveOptions::default().with_nrhs(0)),
             Err(MatrixError::DimensionMismatch(_))
         ));
-        // The unsplit parallel engine has no transpose/batch/f32 kernels.
+        // The unsplit parallel engine has no transpose/batch/f32 kernels —
+        // the only restrictions left in the options matrix.
         for bad in [
             SolveOptions::default()
                 .with_engine(SolveEngine::Parallel)
@@ -2803,7 +1650,7 @@ mod tests {
                 .with_nrhs(2),
             SolveOptions::default()
                 .with_engine(SolveEngine::Parallel)
-                .with_precision(PrecisionPolicy::ValuesF32WithRefinement),
+                .with_precision(F32),
         ] {
             let blen = s.n() * bad.nrhs;
             assert!(matches!(
@@ -2811,18 +1658,33 @@ mod tests {
                 Err(MatrixError::InvalidParameter(_))
             ));
         }
-        // The split engine has no transpose batch kernel.
-        assert!(matches!(
-            solver.solve_with(
-                &s,
-                &vec![1.0; s.n() * 2],
-                &SolveOptions::default()
-                    .with_engine(SolveEngine::Split)
-                    .with_direction(SweepDirection::Transpose)
-                    .with_nrhs(2)
-            ),
-            Err(MatrixError::InvalidParameter(_))
-        ));
+        assert_eq!(
+            solver
+                .solve_with(
+                    &s,
+                    &b,
+                    &SolveOptions::default().with_engine(SolveEngine::Parallel)
+                )
+                .unwrap(),
+            solver.solve(&s, &b).unwrap()
+        );
+        // The split engine's transpose batch sweep — a rejected special case
+        // before the drivers were unified — runs the pipelined engine's
+        // arithmetic exactly.
+        let a = generators::grid2d_9point(11, 11).unwrap();
+        let s = Method::Sts3
+            .build(&generators::lower_operand(&a).unwrap(), 5)
+            .unwrap();
+        let (bb, _) = interleaved(&s, SweepDirection::Transpose, 3);
+        let batch = SolveOptions::default()
+            .with_direction(SweepDirection::Transpose)
+            .with_nrhs(3);
+        assert_eq!(
+            solver
+                .solve_with(&s, &bb, &batch.with_engine(SolveEngine::Split))
+                .unwrap(),
+            solver.solve_with(&s, &bb, &batch).unwrap()
+        );
     }
 
     #[test]
@@ -2835,17 +1697,18 @@ mod tests {
         let mut b = vec![0.0; n * nrhs];
         let mut expected = vec![0.0; n * nrhs];
         let solver = ParallelSolver::new(3, Schedule::Guided { min_chunk: 1 });
+        let f32_split = SolveOptions::default()
+            .with_engine(SolveEngine::Split)
+            .with_precision(F32);
         for r in 0..nrhs {
             let br: Vec<f64> = (0..n).map(|i| 1.0 + ((i + r) % 9) as f64 * 0.2).collect();
-            let xr = solver.solve_split_f32(&s, &br).unwrap();
+            let xr = solver.solve_with(&s, &br, &f32_split).unwrap();
             for i in 0..n {
                 b[i * nrhs + r] = br[i];
                 expected[i * nrhs + r] = xr[i];
             }
         }
-        let f32_opts = SolveOptions::default()
-            .with_precision(PrecisionPolicy::ValuesF32WithRefinement)
-            .with_nrhs(nrhs);
+        let f32_opts = SolveOptions::default().with_precision(F32).with_nrhs(nrhs);
         let batch_pipe = solver.solve_with(&s, &b, &f32_opts).unwrap();
         let batch_split = solver
             .solve_with(&s, &b, &f32_opts.with_engine(SolveEngine::Split))
@@ -2853,11 +1716,11 @@ mod tests {
         let batch_seq = solver
             .solve_with(&s, &b, &f32_opts.with_engine(SolveEngine::Sequential))
             .unwrap();
-        // The two parallel batch kernels share their arithmetic exactly; the
-        // sequential batch kernel and the per-RHS solves fold the diagonal in
-        // a different (equally valid) order, so those agree to rounding.
+        // The two parallel batch engines share the tile form exactly; the
+        // sequential batch engine runs the sum form, lane-bitwise equal to
+        // the per-RHS solves, so it agrees with the tile form to rounding.
         assert_eq!(batch_pipe, batch_split);
+        assert_eq!(batch_seq, expected);
         assert!(ops::relative_error_inf(&batch_pipe, &expected) < 1e-12);
-        assert!(ops::relative_error_inf(&batch_seq, &expected) < 1e-12);
     }
 }

@@ -12,7 +12,7 @@ use sts_matrix::{LowerTriangularCsr, MatrixError};
 use sts_numa::{Schedule, WorkerPool};
 
 use crate::csrk::Result;
-use crate::solver::parallel::SharedVec;
+use crate::solver::kernel::SharedVec;
 
 /// A level-scheduled solver for a fixed lower-triangular matrix.
 pub struct LevelScheduledSolver {

@@ -37,6 +37,15 @@
 //! it on first use (and the split kernels force it), so unsplit-only callers
 //! skip the ≈2× off-diagonal storage and the build sweep entirely.
 //!
+//! # One type, two directions
+//!
+//! The backward sweep `L'ᵀ x' = b'` runs on the same type: [`SplitLayout`]
+//! built from the transposed operand by [`crate::transpose`], where
+//! "earlier pack" reads "later pack" (an earlier *stage* of the reverse
+//! sweep), readiness is stamped in reverse stage numbering and chain rows
+//! are stored in decreasing order. The kernels take a `&SplitLayout` plus a
+//! stage → pack mapping and never ask which direction they run.
+//!
 //! [`StsStructure::split`]: crate::csrk::StsStructure::split
 //!
 //! [`StsStructure::validate`]: crate::csrk::StsStructure::validate
@@ -45,11 +54,13 @@ use std::sync::OnceLock;
 
 use sts_matrix::LowerTriangularCsr;
 
-/// Per-row split of the reordered operand into external (off-pack) and
-/// internal (in-pack) slabs, plus the readiness metadata the pipelined
-/// kernel schedules against. Built lazily by the first
-/// [`StsStructure::split`](crate::csrk::StsStructure::split) call; immutable
-/// afterwards.
+/// Per-row split of the reordered operand (or its transpose) into external
+/// (off-pack) and internal (in-pack) slabs, plus the readiness metadata the
+/// pipelined kernel schedules against. Built lazily by the first
+/// [`StsStructure::split`](crate::csrk::StsStructure::split) /
+/// [`StsStructure::transpose_split`](crate::csrk::StsStructure::transpose_split)
+/// call; immutable afterwards. Field and accessor docs are phrased for the
+/// forward layout; see the module docs for the transpose reading.
 #[derive(Debug, Clone)]
 pub struct SplitLayout {
     /// CSR row pointer over the external slab (`n + 1` entries).
@@ -118,8 +129,41 @@ impl PartialEq for SplitLayout {
     }
 }
 
+/// The per-row slabs a layout constructor produces, before the chain tasks
+/// are grouped ([`SplitLayout::from_slabs`]); fields as on [`SplitLayout`].
+pub(crate) struct Slabs {
+    pub(crate) ext_row_ptr: Vec<usize>,
+    pub(crate) ext_cols: Vec<u32>,
+    pub(crate) ext_vals: Vec<f64>,
+    pub(crate) int_row_ptr: Vec<usize>,
+    pub(crate) int_cols: Vec<u32>,
+    pub(crate) int_vals: Vec<f64>,
+    pub(crate) inv_diag: Vec<f64>,
+    pub(crate) ext_dep: Vec<u32>,
+}
+
+/// The order phase 2 visits a chain task's rows in: increasing for the
+/// forward substitution, decreasing for the backward one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum ChainOrder {
+    Increasing,
+    Decreasing,
+}
+
+/// Row → pack lookup from the validated hierarchy arrays.
+pub(crate) fn pack_of_rows(n: usize, index3: &[usize], index2: &[usize]) -> Vec<u32> {
+    let mut pack_of_row = vec![0u32; n];
+    for p in 0..index3.len() - 1 {
+        let rows = index2[index3[p]]..index2[index3[p + 1]];
+        pack_of_row[rows].fill(p as u32);
+    }
+    pack_of_row
+}
+
 impl SplitLayout {
-    /// Splits the reordered operand's rows at each row's pack boundary.
+    /// Splits the reordered operand's rows at each row's pack boundary (the
+    /// forward layout; [`crate::transpose::build`] is the other
+    /// constructor).
     ///
     /// `pack_start_row[i]` must be the first row of the pack containing row
     /// `i`: because packs execute in row order, a column is external exactly
@@ -142,13 +186,7 @@ impl SplitLayout {
         let col_idx = l.col_idx();
         let values = l.values();
         let off_diag = l.nnz() - n;
-        let num_packs = index3.len() - 1;
-        // Row → pack lookup, for the readiness metadata below.
-        let mut pack_of_row = vec![0u32; n];
-        for p in 0..num_packs {
-            let rows = index2[index3[p]]..index2[index3[p + 1]];
-            pack_of_row[rows].fill(p as u32);
-        }
+        let pack_of_row = pack_of_rows(n, index3, index2);
         let mut ext_row_ptr = Vec::with_capacity(n + 1);
         let mut int_row_ptr = Vec::with_capacity(n + 1);
         let mut ext_cols = Vec::with_capacity(off_diag);
@@ -183,9 +221,35 @@ impl SplitLayout {
             );
             ext_dep.push(dep);
         }
-        // Group the super-rows that own internal entries ("chain tasks") by
-        // pack, and record each task's chain rows so phase 2 visits nothing
-        // else.
+        SplitLayout::from_slabs(
+            Slabs {
+                ext_row_ptr,
+                ext_cols,
+                ext_vals,
+                int_row_ptr,
+                int_cols,
+                int_vals,
+                inv_diag,
+                ext_dep,
+            },
+            index3,
+            index2,
+            ChainOrder::Increasing,
+        )
+    }
+
+    /// Completes a layout from its per-row slabs: groups the super-rows that
+    /// own internal entries ("chain tasks") by pack, and records each task's
+    /// chain rows in the order phase 2 must visit them, so phase 2 visits
+    /// nothing else.
+    pub(crate) fn from_slabs(
+        slabs: Slabs,
+        index3: &[usize],
+        index2: &[usize],
+        order: ChainOrder,
+    ) -> SplitLayout {
+        let num_packs = index3.len() - 1;
+        let int_row_ptr = &slabs.int_row_ptr;
         let mut chain_srs = Vec::new();
         let mut chain_sr_ptr = Vec::with_capacity(num_packs + 1);
         let mut chain_rows = Vec::new();
@@ -193,32 +257,36 @@ impl SplitLayout {
         chain_sr_ptr.push(0);
         for p in 0..num_packs {
             for sr in index3[p]..index3[p + 1] {
-                if int_row_ptr[index2[sr]] == int_row_ptr[index2[sr + 1]] {
+                let rows = index2[sr]..index2[sr + 1];
+                if int_row_ptr[rows.start] == int_row_ptr[rows.end] {
                     continue;
                 }
                 chain_srs.push(sr);
-                for r in index2[sr]..index2[sr + 1] {
-                    if int_row_ptr[r] != int_row_ptr[r + 1] {
-                        chain_rows.push(r as u32);
-                    }
+                let first = chain_rows.len();
+                chain_rows.extend(
+                    rows.filter(|&r| int_row_ptr[r] != int_row_ptr[r + 1])
+                        .map(|r| r as u32),
+                );
+                if order == ChainOrder::Decreasing {
+                    chain_rows[first..].reverse();
                 }
                 chain_row_ptr.push(chain_rows.len());
             }
             chain_sr_ptr.push(chain_srs.len());
         }
         SplitLayout {
-            ext_row_ptr,
-            ext_cols,
-            ext_vals,
-            int_row_ptr,
-            int_cols,
-            int_vals,
-            inv_diag,
+            ext_row_ptr: slabs.ext_row_ptr,
+            ext_cols: slabs.ext_cols,
+            ext_vals: slabs.ext_vals,
+            int_row_ptr: slabs.int_row_ptr,
+            int_cols: slabs.int_cols,
+            int_vals: slabs.int_vals,
+            inv_diag: slabs.inv_diag,
             chain_srs,
             chain_sr_ptr,
             chain_rows,
             chain_row_ptr,
-            ext_dep,
+            ext_dep: slabs.ext_dep,
             ext_vals_f32: OnceLock::new(),
             int_vals_f32: OnceLock::new(),
         }

@@ -1,11 +1,10 @@
-//! The transpose dependency-split layout behind the backward-sweep kernels.
+//! The transpose (backward-sweep) constructor of the dependency-split layout.
 //!
 //! Preconditioned iterative solvers pair every forward sweep `L' y = r` with
 //! a backward sweep `L'ᵀ z = t` — symmetric Gauss–Seidel and incomplete
-//! Cholesky both apply the transpose once per iteration. The forward sweep
-//! has the whole split/pipelined engine behind it; until this layout existed
-//! the backward sweep fell back to the sequential column sweep, serialising
-//! half of every preconditioner application.
+//! Cholesky both apply the transpose once per iteration. `build` produces
+//! the [`SplitLayout`] of `L'ᵀ`, so the backward sweep runs on the same
+//! kernels and drivers as the forward one, with the packs visited in reverse.
 //!
 //! # Why reverse pack order is correct
 //!
@@ -25,350 +24,114 @@
 //! already finished, so those entries gather in any order and any
 //! interleaving (phase 1), and only the short within-super-row chains remain
 //! ordered (phase 2, walking each super-row's rows in *decreasing* index
-//! order, the reverse of the forward sweep). The two-phase and pipelined
-//! forward kernels — and their barrier/epoch-gate correctness arguments —
-//! carry over verbatim with the pack sequence reversed.
+//! order, the reverse of the forward sweep). The split and pipelined drivers
+//! — and their barrier/epoch-gate correctness arguments — carry over
+//! verbatim with "pack" read as "stage".
 //!
-//! # The layout
+//! # What differs from the forward layout
 //!
-//! [`TransposeLayout`] materialises the transposed operand's strictly-upper
-//! entries row-wise (CSR of `L'ᵀ`, i.e. CSC of `L'` without the diagonal),
-//! split per row into:
+//! The slabs hold the transposed operand's strictly-upper entries row-wise
+//! (CSR of `L'ᵀ`, i.e. CSC of `L'` without the diagonal): the **external**
+//! slab of row `i` names rows `j` in *later* packs, the **internal** slab
+//! rows `j > i` of the same super-row. Readiness
+//! ([`SplitLayout::ext_dep`]) is stamped in **reverse stage numbering**: a
+//! backward sweep runs stage `s` = pack `num_packs − 1 − s`, so a row whose
+//! latest external read targets pack `q` is ready once the first
+//! `num_packs − q` *stages* are done. Chain rows are stored per task in
+//! decreasing row order, so phase 2 iterates them forward.
 //!
-//! * the **external** slab — entries whose row `j` lies in a *later* pack:
-//!   a pure gather against finalized data once the packs after this one are
-//!   done;
-//! * the **internal** slab — entries whose row `j` shares the super-row: the
-//!   true backward dependence chain.
-//!
-//! Readiness metadata is stamped in **reverse stage numbering**: the
-//! pipelined backward kernel runs stage `s` = pack `num_packs − 1 − s`, so a
-//! row whose latest external read targets pack `q` is ready once the first
-//! `num_packs − q` *stages* are done ([`TransposeLayout::ext_dep`]). Chain
-//! rows are stored per task in decreasing row order, so phase 2 iterates
-//! them forward.
-//!
-//! Like the forward [`SplitLayout`](crate::split::SplitLayout), the layout
-//! duplicates the off-diagonal storage and is therefore built lazily by the
-//! first [`StsStructure::transpose_split`] call.
+//! Like the forward layout, it duplicates the off-diagonal storage and is
+//! therefore built lazily by the first [`StsStructure::transpose_split`]
+//! call.
 //!
 //! [`StsStructure::transpose_split`]: crate::csrk::StsStructure::transpose_split
 //! [`StsStructure::validate`]: crate::csrk::StsStructure::validate
 
-use std::sync::OnceLock;
-
 use sts_matrix::LowerTriangularCsr;
 
-/// Per-row split of the transposed reordered operand into external
-/// (later-pack) and internal (same-super-row) slabs, plus reverse-stage
-/// readiness metadata. Built lazily by the first
-/// [`StsStructure::transpose_split`](crate::csrk::StsStructure::transpose_split)
-/// call; immutable afterwards.
-#[derive(Debug, Clone)]
-pub struct TransposeLayout {
-    /// CSR row pointer over the external slab (`n + 1` entries).
-    ext_row_ptr: Vec<usize>,
-    /// Columns of the external slab: *rows of `L'`* in strictly later packs.
-    ext_cols: Vec<u32>,
-    /// Values of the external slab (`L'[j][i]` stored at transpose-row `i`).
-    ext_vals: Vec<f64>,
-    /// CSR row pointer over the internal slab (`n + 1` entries).
-    int_row_ptr: Vec<usize>,
-    /// Columns of the internal slab: rows of the same super-row, all `> i`.
-    int_cols: Vec<u32>,
-    /// Values of the internal slab.
-    int_vals: Vec<f64>,
-    /// Reciprocal diagonal, `1.0 / L'[i][i]` (the diagonal of `L'ᵀ` is the
-    /// diagonal of `L'`).
-    inv_diag: Vec<f64>,
-    /// Super-rows owning at least one internal entry ("chain tasks"),
-    /// grouped by pack exactly as in the forward layout.
-    chain_srs: Vec<usize>,
-    /// Pack pointer into `chain_srs` (`num_packs + 1` entries).
-    chain_sr_ptr: Vec<usize>,
-    /// The chain rows of each task in **decreasing** row order — the order
-    /// the backward substitution must visit them.
-    chain_rows: Vec<u32>,
-    /// Task pointer into `chain_rows` (`chain_srs.len() + 1` entries).
-    chain_row_ptr: Vec<usize>,
-    /// Per-row readiness in reverse stage numbering: `num_packs − (earliest
-    /// later pack referenced)` … i.e. `max_j (num_packs − pack(j))` over the
-    /// row's external reads, `0` when it has none. The row's phase-1 gather
-    /// may run as soon as the first `ext_dep[i]` *stages* (latest packs) are
-    /// done.
-    ext_dep: Vec<u32>,
-    /// Lazily demoted `f32` copy of `ext_vals` for the mixed-precision
-    /// backward kernels (storage-only; ignored by `PartialEq`).
-    ext_vals_f32: OnceLock<Vec<f32>>,
-    /// Lazily demoted `f32` copy of `int_vals` (see `ext_vals_f32`).
-    int_vals_f32: OnceLock<Vec<f32>>,
-}
+use crate::split::{pack_of_rows, ChainOrder, Slabs, SplitLayout};
 
-/// Equality compares the built slabs and metadata; the lazily demoted `f32`
-/// value caches are derived data and are ignored (the same convention as the
-/// forward [`SplitLayout`](crate::split::SplitLayout)).
-impl PartialEq for TransposeLayout {
-    fn eq(&self, other: &TransposeLayout) -> bool {
-        self.ext_row_ptr == other.ext_row_ptr
-            && self.ext_cols == other.ext_cols
-            && self.ext_vals == other.ext_vals
-            && self.int_row_ptr == other.int_row_ptr
-            && self.int_cols == other.int_cols
-            && self.int_vals == other.int_vals
-            && self.inv_diag == other.inv_diag
-            && self.chain_srs == other.chain_srs
-            && self.chain_sr_ptr == other.chain_sr_ptr
-            && self.chain_rows == other.chain_rows
-            && self.chain_row_ptr == other.chain_row_ptr
-            && self.ext_dep == other.ext_dep
+/// Builds the transpose split of the reordered operand. `index3`/`index2`
+/// are the validated hierarchy arrays; classification relies on the
+/// pack-independence invariant (cross-super-row dependents live in strictly
+/// later packs).
+pub(crate) fn build(l: &LowerTriangularCsr, index3: &[usize], index2: &[usize]) -> SplitLayout {
+    let n = l.n();
+    debug_assert!(
+        n == 0 || n - 1 <= u32::MAX as usize,
+        "columns are stored as u32"
+    );
+    let row_ptr = l.row_ptr();
+    let col_idx = l.col_idx();
+    let values = l.values();
+    let num_packs = index3.len() - 1;
+    let pack_of_row = pack_of_rows(n, index3, index2);
+    // Counting pass: each strictly-lower entry (j, i) of L' is an entry
+    // (i, j) of the transpose; classify by pack(j) vs pack(i).
+    let mut ext_count = vec![0usize; n];
+    let mut int_count = vec![0usize; n];
+    for j in 0..n {
+        for &i in &col_idx[row_ptr[j]..row_ptr[j + 1] - 1] {
+            if pack_of_row[j] > pack_of_row[i] {
+                ext_count[i] += 1;
+            } else {
+                // Same pack ⇒ same super-row by the pack-independence
+                // invariant; an *earlier* pack is impossible for j > i.
+                debug_assert_eq!(pack_of_row[j], pack_of_row[i]);
+                int_count[i] += 1;
+            }
+        }
     }
-}
-
-impl TransposeLayout {
-    /// Builds the transpose split of the reordered operand. `index3`/`index2`
-    /// are the validated hierarchy arrays; classification relies on the
-    /// pack-independence invariant (cross-super-row dependents live in
-    /// strictly later packs).
-    pub(crate) fn build(
-        l: &LowerTriangularCsr,
-        index3: &[usize],
-        index2: &[usize],
-    ) -> TransposeLayout {
-        let n = l.n();
-        debug_assert!(
-            n == 0 || n - 1 <= u32::MAX as usize,
-            "columns are stored as u32"
-        );
-        let row_ptr = l.row_ptr();
-        let col_idx = l.col_idx();
-        let values = l.values();
-        let num_packs = index3.len() - 1;
-        // Row → pack and row → super-row lookups.
-        let mut pack_of_row = vec![0u32; n];
-        for p in 0..num_packs {
-            let rows = index2[index3[p]]..index2[index3[p + 1]];
-            pack_of_row[rows].fill(p as u32);
-        }
-        // Counting pass: each strictly-lower entry (j, i) of L' is an entry
-        // (i, j) of the transpose; classify by pack(j) vs pack(i).
-        let mut ext_count = vec![0usize; n];
-        let mut int_count = vec![0usize; n];
-        for j in 0..n {
-            for &i in &col_idx[row_ptr[j]..row_ptr[j + 1] - 1] {
-                if pack_of_row[j] > pack_of_row[i] {
-                    ext_count[i] += 1;
-                } else {
-                    // Same pack ⇒ same super-row by the pack-independence
-                    // invariant; an *earlier* pack is impossible for j > i.
-                    debug_assert_eq!(pack_of_row[j], pack_of_row[i]);
-                    int_count[i] += 1;
-                }
+    let mut ext_row_ptr = Vec::with_capacity(n + 1);
+    let mut int_row_ptr = Vec::with_capacity(n + 1);
+    ext_row_ptr.push(0);
+    int_row_ptr.push(0);
+    for i in 0..n {
+        ext_row_ptr.push(ext_row_ptr[i] + ext_count[i]);
+        int_row_ptr.push(int_row_ptr[i] + int_count[i]);
+    }
+    let mut ext_cols = vec![0u32; ext_row_ptr[n]];
+    let mut ext_vals = vec![0.0f64; ext_row_ptr[n]];
+    let mut int_cols = vec![0u32; int_row_ptr[n]];
+    let mut int_vals = vec![0.0f64; int_row_ptr[n]];
+    let mut ext_dep = vec![0u32; n];
+    // Fill pass; sweeping j in increasing order leaves every
+    // transpose-row's columns sorted increasingly.
+    let mut ext_cursor = ext_row_ptr[..n].to_vec();
+    let mut int_cursor = int_row_ptr[..n].to_vec();
+    for j in 0..n {
+        for k in row_ptr[j]..row_ptr[j + 1] - 1 {
+            let i = col_idx[k];
+            if pack_of_row[j] > pack_of_row[i] {
+                ext_cols[ext_cursor[i]] = j as u32;
+                ext_vals[ext_cursor[i]] = values[k];
+                ext_cursor[i] += 1;
+                // Reverse-stage readiness: pack q is stage
+                // num_packs − 1 − q, so "stage of pack(j) done" is
+                // epoch ≥ num_packs − pack(j).
+                ext_dep[i] = ext_dep[i].max(num_packs as u32 - pack_of_row[j]);
+            } else {
+                int_cols[int_cursor[i]] = j as u32;
+                int_vals[int_cursor[i]] = values[k];
+                int_cursor[i] += 1;
             }
         }
-        let mut ext_row_ptr = Vec::with_capacity(n + 1);
-        let mut int_row_ptr = Vec::with_capacity(n + 1);
-        ext_row_ptr.push(0);
-        int_row_ptr.push(0);
-        for i in 0..n {
-            ext_row_ptr.push(ext_row_ptr[i] + ext_count[i]);
-            int_row_ptr.push(int_row_ptr[i] + int_count[i]);
-        }
-        let mut ext_cols = vec![0u32; ext_row_ptr[n]];
-        let mut ext_vals = vec![0.0f64; ext_row_ptr[n]];
-        let mut int_cols = vec![0u32; int_row_ptr[n]];
-        let mut int_vals = vec![0.0f64; int_row_ptr[n]];
-        let mut ext_dep = vec![0u32; n];
-        // Fill pass; sweeping j in increasing order leaves every
-        // transpose-row's columns sorted increasingly.
-        let mut ext_cursor = ext_row_ptr[..n].to_vec();
-        let mut int_cursor = int_row_ptr[..n].to_vec();
-        for j in 0..n {
-            for k in row_ptr[j]..row_ptr[j + 1] - 1 {
-                let i = col_idx[k];
-                if pack_of_row[j] > pack_of_row[i] {
-                    ext_cols[ext_cursor[i]] = j as u32;
-                    ext_vals[ext_cursor[i]] = values[k];
-                    ext_cursor[i] += 1;
-                    // Reverse-stage readiness: pack q is stage
-                    // num_packs − 1 − q, so "stage of pack(j) done" is
-                    // epoch ≥ num_packs − pack(j).
-                    ext_dep[i] = ext_dep[i].max(num_packs as u32 - pack_of_row[j]);
-                } else {
-                    int_cols[int_cursor[i]] = j as u32;
-                    int_vals[int_cursor[i]] = values[k];
-                    int_cursor[i] += 1;
-                }
-            }
-        }
-        let inv_diag: Vec<f64> = (0..n).map(|i| 1.0 / l.diag(i)).collect();
-        // Chain tasks: super-rows with at least one internal entry, grouped
-        // by pack; each task's chain rows in decreasing row order (the
-        // backward substitution order).
-        let mut chain_srs = Vec::new();
-        let mut chain_sr_ptr = Vec::with_capacity(num_packs + 1);
-        let mut chain_rows = Vec::new();
-        let mut chain_row_ptr = vec![0usize];
-        chain_sr_ptr.push(0);
-        for p in 0..num_packs {
-            for sr in index3[p]..index3[p + 1] {
-                let rows = index2[sr]..index2[sr + 1];
-                if int_row_ptr[rows.start] == int_row_ptr[rows.end] {
-                    continue;
-                }
-                chain_srs.push(sr);
-                for r in rows.rev() {
-                    if int_row_ptr[r] != int_row_ptr[r + 1] {
-                        chain_rows.push(r as u32);
-                    }
-                }
-                chain_row_ptr.push(chain_rows.len());
-            }
-            chain_sr_ptr.push(chain_srs.len());
-        }
-        TransposeLayout {
+    }
+    SplitLayout::from_slabs(
+        Slabs {
             ext_row_ptr,
             ext_cols,
             ext_vals,
             int_row_ptr,
             int_cols,
             int_vals,
-            inv_diag,
-            chain_srs,
-            chain_sr_ptr,
-            chain_rows,
-            chain_row_ptr,
+            inv_diag: (0..n).map(|i| 1.0 / l.diag(i)).collect(),
             ext_dep,
-            ext_vals_f32: OnceLock::new(),
-            int_vals_f32: OnceLock::new(),
-        }
-    }
-
-    /// Number of rows.
-    pub fn n(&self) -> usize {
-        self.inv_diag.len()
-    }
-
-    /// The demoted `f32` copy of the external value slab, built on first
-    /// use (the reciprocal diagonal is *not* demoted). Thread-safe like the
-    /// forward
-    /// [`SplitLayout::ext_vals_f32`](crate::split::SplitLayout::ext_vals_f32).
-    #[inline]
-    pub fn ext_vals_f32(&self) -> &[f32] {
-        self.ext_vals_f32
-            .get_or_init(|| self.ext_vals.iter().map(|&v| v as f32).collect())
-    }
-
-    /// The demoted `f32` copy of the internal value slab (see
-    /// [`TransposeLayout::ext_vals_f32`]).
-    #[inline]
-    pub fn int_vals_f32(&self) -> &[f32] {
-        self.int_vals_f32
-            .get_or_init(|| self.int_vals.iter().map(|&v| v as f32).collect())
-    }
-
-    /// Whether the demoted `f32` slabs have been built yet (diagnostic).
-    pub fn f32_slabs_built(&self) -> bool {
-        self.ext_vals_f32.get().is_some() && self.int_vals_f32.get().is_some()
-    }
-
-    /// Total entries in the external (later-pack) slab.
-    pub fn ext_nnz(&self) -> usize {
-        self.ext_cols.len()
-    }
-
-    /// Total entries in the internal (same-super-row) slab.
-    pub fn int_nnz(&self) -> usize {
-        self.int_cols.len()
-    }
-
-    /// The external slab's CSR row pointer (`n + 1` entries).
-    #[inline]
-    pub fn ext_row_ptr(&self) -> &[usize] {
-        &self.ext_row_ptr
-    }
-
-    /// The external slab's column array (rows of `L'` in later packs).
-    #[inline]
-    pub fn ext_cols(&self) -> &[u32] {
-        &self.ext_cols
-    }
-
-    /// The external slab's value array.
-    #[inline]
-    pub fn ext_vals(&self) -> &[f64] {
-        &self.ext_vals
-    }
-
-    /// The internal slab's CSR row pointer (`n + 1` entries).
-    #[inline]
-    pub fn int_row_ptr(&self) -> &[usize] {
-        &self.int_row_ptr
-    }
-
-    /// The internal slab's column array.
-    #[inline]
-    pub fn int_cols(&self) -> &[u32] {
-        &self.int_cols
-    }
-
-    /// The internal slab's value array.
-    #[inline]
-    pub fn int_vals(&self) -> &[f64] {
-        &self.int_vals
-    }
-
-    /// The reciprocal diagonal array.
-    #[inline]
-    pub fn inv_diags(&self) -> &[f64] {
-        &self.inv_diag
-    }
-
-    /// External entries of transpose-row `i` as parallel `(cols, vals)`
-    /// slices.
-    #[inline]
-    pub fn ext_row(&self, i: usize) -> (&[u32], &[f64]) {
-        let r = self.ext_row_ptr[i]..self.ext_row_ptr[i + 1];
-        (&self.ext_cols[r.clone()], &self.ext_vals[r])
-    }
-
-    /// Internal entries of transpose-row `i` as parallel `(cols, vals)`
-    /// slices.
-    #[inline]
-    pub fn int_row(&self, i: usize) -> (&[u32], &[f64]) {
-        let r = self.int_row_ptr[i]..self.int_row_ptr[i + 1];
-        (&self.int_cols[r.clone()], &self.int_vals[r])
-    }
-
-    /// The chain tasks of pack `p`: the super-rows whose backward
-    /// substitution has at least one internal entry.
-    #[inline]
-    pub fn chain_super_rows(&self, p: usize) -> &[usize] {
-        &self.chain_srs[self.chain_sr_ptr[p]..self.chain_sr_ptr[p + 1]]
-    }
-
-    /// The chain rows of the `t`-th chain task of pack `p`, in *decreasing*
-    /// row order — exactly the rows (and the order) the backward phase 2
-    /// must correct.
-    #[inline]
-    pub fn chain_rows_of(&self, p: usize, t: usize) -> &[u32] {
-        let task = self.chain_sr_ptr[p] + t;
-        &self.chain_rows[self.chain_row_ptr[task]..self.chain_row_ptr[task + 1]]
-    }
-
-    /// Per-row readiness in reverse stage numbering (see the module docs):
-    /// row `i`'s backward gather may run as soon as the first `ext_dep()[i]`
-    /// stages — i.e. the last `ext_dep()[i]` packs — are done.
-    #[inline]
-    pub fn ext_dep(&self) -> &[u32] {
-        &self.ext_dep
-    }
-
-    /// Readiness of a contiguous row range (a backward phase-1 gather
-    /// chunk), in reverse stage numbering. Always `≤` the range's own stage.
-    #[inline]
-    pub fn range_ext_dep(&self, rows: std::ops::Range<usize>) -> u32 {
-        self.ext_dep[rows].iter().copied().max().unwrap_or(0)
-    }
+        },
+        index3,
+        index2,
+        ChainOrder::Decreasing,
+    )
 }
 
 #[cfg(test)]

@@ -16,13 +16,13 @@
 //! order), and hands the model to the dependency-free checker in
 //! [`sts_verify`].
 //!
-//! Chunk boundaries replicate the kernels' formulas verbatim: solve chunks
-//! split a pack's rows as `rows.start + c·m/nchunks` with
-//! `nchunks = workers.min(m)` (`ParallelSolver::build_plan`), factor chunks
-//! split a pack's super-rows the same way (`ParallelSolver::parallel_ic0`).
-//! Passing `threads = usize::MAX` therefore yields row- (super-row-)
-//! granularity chunks — the sharpest check, since coarser chunks take the
-//! `max` of their rows' readiness and can only over-synchronise.
+//! Chunk boundaries and readiness are not recomputed here: [`solve_spec`]
+//! reads them off the same [`PipelinePlan`] the kernels execute, and
+//! [`factor_spec`] off the `FactorChunks` `parallel_ic0` runs, so the proof
+//! is about the schedule that runs. Passing `threads = usize::MAX` yields
+//! row- (super-row-) granularity chunks — the sharpest check, since coarser
+//! chunks take the `max` of their rows' readiness and can only
+//! over-synchronise.
 //!
 //! The verified model is the **pipelined** schedule — the weakest
 //! synchronisation any engine uses. The split engine runs the same tasks
@@ -41,6 +41,7 @@ use sts_verify::{
 
 use crate::csrk::StsStructure;
 use crate::options::SweepDirection;
+use crate::solver::plan::{FactorChunks, PipelinePlan};
 #[allow(unused_imports)] // doc links
 use crate::split::SplitLayout;
 
@@ -53,150 +54,79 @@ pub const VERIFY_THREAD_SWEEP: [usize; 5] = [1, 2, 4, 8, usize::MAX];
 /// given worker count and direction. `threads = usize::MAX` gives
 /// row-granularity chunks (the sharpest readiness check).
 pub fn solve_spec(s: &StsStructure, threads: usize, direction: SweepDirection) -> ScheduleSpec {
-    let workers = threads.max(1);
-    let num_packs = s.num_packs();
-    let mut stages = Vec::with_capacity(num_packs);
-    for st in 0..num_packs {
-        let stage = match direction {
-            SweepDirection::Forward => {
-                let split = s.split();
-                build_stage(
-                    st,
-                    s.pack_rows(st),
-                    workers,
-                    split.ext_row_ptr(),
-                    split.ext_cols(),
-                    split.int_row_ptr(),
-                    split.int_cols(),
-                    |rows| split.range_ext_dep(rows) as usize,
-                    split.chain_super_rows(st).len(),
-                    |t| split.chain_rows_of(st, t),
-                )
+    let plan = PipelinePlan::build(s, threads, direction);
+    let layout = s.layout(direction);
+    let footprint = |i: usize, cols: &[u32]| RowFootprint {
+        row: i,
+        reads: cols.iter().map(|&j| j as usize).collect(),
+    };
+    let stages = (0..plan.num_stages())
+        .map(|st| {
+            let pack = plan.pack_of_stage(st);
+            let chunks = plan
+                .stage_chunks(st)
+                .iter()
+                .zip(plan.stage_deps(st))
+                .map(|(rows, &dep)| ChunkSpec {
+                    dep: dep as usize,
+                    rows: rows
+                        .clone()
+                        .map(|i| footprint(i, layout.ext_row(i).0))
+                        .collect(),
+                    publishes: true,
+                })
+                .collect();
+            let chains = (0..plan.num_chain_tasks(st))
+                .map(|t| ChainSpec {
+                    claims_after_drain: true,
+                    rows: layout
+                        .chain_rows_of(pack, t)
+                        .iter()
+                        .map(|&i| footprint(i as usize, layout.int_row(i as usize).0))
+                        .collect(),
+                })
+                .collect();
+            StageSpec {
+                pack,
+                chunks,
+                chains,
             }
-            SweepDirection::Transpose => {
-                let ts = s.transpose_split();
-                let p = num_packs - 1 - st;
-                build_stage(
-                    p,
-                    s.pack_rows(p),
-                    workers,
-                    ts.ext_row_ptr(),
-                    ts.ext_cols(),
-                    ts.int_row_ptr(),
-                    ts.int_cols(),
-                    |rows| ts.range_ext_dep(rows) as usize,
-                    ts.chain_super_rows(p).len(),
-                    |t| ts.chain_rows_of(p, t),
-                )
-            }
-        };
-        stages.push(stage);
-    }
+        })
+        .collect();
     ScheduleSpec {
         locations: s.n(),
         stages,
     }
 }
 
-/// One stage of a solve spec: the pack's phase-1 chunks (kernel chunking
-/// formula) and phase-2 chain tickets, with footprints read off the slabs.
-#[allow(clippy::too_many_arguments)]
-fn build_stage<'a>(
-    pack: usize,
-    rows: std::ops::Range<usize>,
-    workers: usize,
-    erp: &[usize],
-    ecols: &[u32],
-    irp: &[usize],
-    icols: &[u32],
-    range_dep: impl Fn(std::ops::Range<usize>) -> usize,
-    nchains: usize,
-    chain_rows: impl Fn(usize) -> &'a [u32],
-) -> StageSpec {
-    let m = rows.len();
-    let nchunks = workers.min(m);
-    let mut chunks = Vec::with_capacity(nchunks);
-    for c in 0..nchunks {
-        let chunk = rows.start + c * m / nchunks..rows.start + (c + 1) * m / nchunks;
-        let dep = range_dep(chunk.clone());
-        let rows_fp = chunk
-            .map(|i| RowFootprint {
-                row: i,
-                reads: ecols[erp[i]..erp[i + 1]]
-                    .iter()
-                    .map(|&j| j as usize)
-                    .collect(),
-            })
-            .collect();
-        chunks.push(ChunkSpec {
-            dep,
-            rows: rows_fp,
-            publishes: true,
-        });
-    }
-    let chains = (0..nchains)
-        .map(|t| ChainSpec {
-            claims_after_drain: true,
-            rows: chain_rows(t)
+/// Builds the static schedule model of one `parallel_ic0` sweep: per pack,
+/// the factor kernel's super-row-aligned chunks, whose rows read the rows
+/// named by their strictly-lower columns; no phase 2.
+pub fn factor_spec(s: &StsStructure, threads: usize) -> ScheduleSpec {
+    let chunks = FactorChunks::build(s, threads);
+    let l = s.lower();
+    let stages = (0..s.num_packs())
+        .map(|p| StageSpec {
+            pack: p,
+            chunks: chunks
+                .pack_chunks(p)
                 .iter()
-                .map(|&i| {
-                    let i = i as usize;
-                    RowFootprint {
-                        row: i,
-                        reads: icols[irp[i]..irp[i + 1]]
-                            .iter()
-                            .map(|&j| j as usize)
-                            .collect(),
-                    }
+                .zip(chunks.pack_deps(p))
+                .map(|(rows, &dep)| ChunkSpec {
+                    dep: dep as usize,
+                    rows: rows
+                        .clone()
+                        .map(|i| RowFootprint {
+                            row: i,
+                            reads: l.row_off_diag_cols(i).to_vec(),
+                        })
+                        .collect(),
+                    publishes: true,
                 })
                 .collect(),
+            chains: Vec::new(),
         })
         .collect();
-    StageSpec {
-        pack,
-        chunks,
-        chains,
-    }
-}
-
-/// Builds the static schedule model of one `parallel_ic0` sweep: per pack,
-/// super-row-aligned chunks (the factor kernel's formula) whose rows read
-/// the rows named by their strictly-lower columns; no phase 2.
-pub fn factor_spec(s: &StsStructure, threads: usize) -> ScheduleSpec {
-    let workers = threads.max(1);
-    let split = s.split();
-    let index2 = s.index2();
-    let l = s.lower();
-    let num_packs = s.num_packs();
-    let mut stages = Vec::with_capacity(num_packs);
-    for p in 0..num_packs {
-        let srs = s.pack_super_rows(p);
-        let nsr = srs.len();
-        let nchunks = workers.min(nsr);
-        let mut chunks = Vec::with_capacity(nchunks);
-        for c in 0..nchunks {
-            let sr_lo = srs.start + c * nsr / nchunks;
-            let sr_hi = srs.start + (c + 1) * nsr / nchunks;
-            let rows = index2[sr_lo]..index2[sr_hi];
-            let dep = split.range_ext_dep(rows.clone()) as usize;
-            let rows_fp = rows
-                .map(|i| RowFootprint {
-                    row: i,
-                    reads: l.row_off_diag_cols(i).to_vec(),
-                })
-                .collect();
-            chunks.push(ChunkSpec {
-                dep,
-                rows: rows_fp,
-                publishes: true,
-            });
-        }
-        stages.push(StageSpec {
-            pack: p,
-            chunks,
-            chains: Vec::new(),
-        });
-    }
     ScheduleSpec {
         locations: s.n(),
         stages,

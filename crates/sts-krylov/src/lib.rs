@@ -12,11 +12,11 @@
 //!   (solution scatter);
 //! * [`Preconditioner`] — the sweep contract ([`Identity`], [`Ssor`],
 //!   [`Ic0`]), each applying `z = M⁻¹ r` with **no heap allocation**: the
-//!   sweeps run through the `solve_*_into` kernels against caller-held
+//!   sweeps run through `ParallelSolver::solve_into` against caller-held
 //!   buffers and reusable [`PipelinePlan`](sts_core::PipelinePlan)s, with
-//!   the sweep engine selectable between the bitwise-identical sequential
-//!   split kernels and the pack-pipelined parallel kernels
-//!   ([`SweepEngine`]);
+//!   the sweep engine selectable between the sequential and the
+//!   pack-pipelined driver ([`SweepEngine`]) — bitwise identical for
+//!   single-RHS sweeps;
 //! * [`KrylovWorkspace`] — the persistent vector arena (`r`, `z`, `p`,
 //!   `A·p`, sweep scratch) sized once per structure, so a converged solve
 //!   followed by a thousand more allocates nothing;

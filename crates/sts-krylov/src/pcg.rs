@@ -209,7 +209,7 @@ impl Pcg {
     }
 
     /// The worker pool — preconditioner plans must be built against this
-    /// solver so the `_into` kernels accept them.
+    /// solver so `solve_into` accepts them.
     pub fn solver(&self) -> &ParallelSolver {
         &self.solver
     }
@@ -236,7 +236,7 @@ impl Pcg {
     /// Solves `A x = b` (original numbering) with preconditioned CG. After
     /// warm-up (lazy layout builds on first use), an iteration performs no
     /// heap allocation: every vector lives in `ws` and the sweeps run
-    /// through the `_into` kernels.
+    /// through `ParallelSolver::solve_into`.
     pub fn solve(
         &self,
         sys: &SpdSystem,

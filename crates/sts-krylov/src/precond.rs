@@ -4,7 +4,7 @@
 //! backward — on a fixed structure, repeated every iteration. Both
 //! implementations here therefore bind to an [`SpdSystem`]'s structure at
 //! construction, build their [`PipelinePlan`]s once, and apply through the
-//! allocation-free `solve_*_into` kernels:
+//! allocation-free [`ParallelSolver::solve_into`]:
 //!
 //! * [`Ssor`] — symmetric Gauss–Seidel, `M = (D + L) D⁻¹ (D + L)ᵀ`, whose
 //!   operand *is* the system structure's reordered lower triangle (no extra
@@ -20,15 +20,22 @@
 //! * [`Identity`] — `M = I`, turning the driver into plain CG for
 //!   comparison runs.
 //!
-//! The [`SweepEngine`] selects between the sequential split kernels and the
-//! pack-pipelined parallel kernels. Both run the *same* per-row arithmetic
-//! in the same order, so switching engines changes wall time, never the
-//! iterate sequence — sequential- and pipelined-sweep PCG take bitwise
-//! identical paths and the same iteration count.
+//! The [`SweepEngine`] selects between the sequential and the pack-pipelined
+//! driver of the one sweep kernel. For single-RHS applications both run the
+//! *same* per-row arithmetic in the same order, so switching engines changes
+//! wall time, never the iterate sequence — sequential- and pipelined-sweep
+//! PCG take bitwise identical paths and the same iteration count. For
+//! batched applications (`nrhs > 1`) the sequential engine stays
+//! lane-bitwise equal to the *scalar* sweep while the pipelined engine runs
+//! the tile arithmetic, which agrees with it to rounding (≈1e-12 relative),
+//! not bitwise; see the `sts_core::solver` module docs.
 
 use std::sync::Arc;
 
-use sts_core::{ParallelSolver, PipelinePlan, PrecisionPolicy, StsStructure};
+use sts_core::{
+    ParallelSolver, PipelinePlan, PrecisionPolicy, SolveEngine, SolveOptions, StsStructure,
+    SweepDirection,
+};
 use sts_matrix::MatrixError;
 
 use crate::system::SpdSystem;
@@ -37,12 +44,11 @@ use crate::Result;
 /// Which kernels a preconditioner's triangular sweeps run on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SweepEngine {
-    /// The sequential split kernels (`solve_sequential_split_into` /
-    /// `solve_transpose_sequential_split_into`): single-core, no pool
-    /// involvement.
+    /// The sequential driver ([`SolveEngine::Sequential`]): single-core, no
+    /// pool involvement.
     Sequential,
-    /// The pack-pipelined parallel kernels (`solve_pipelined_into` /
-    /// `solve_transpose_pipelined_into`) on the driver's worker pool.
+    /// The pack-pipelined driver ([`SolveEngine::Pipelined`]) on the
+    /// driver's worker pool.
     Pipelined,
 }
 
@@ -56,7 +62,7 @@ pub trait Preconditioner {
     fn label(&self) -> &'static str;
 
     /// Applies `z ← M⁻¹ r`. `solver` must be the pool the preconditioner's
-    /// plans were built against (the `_into` kernels verify this).
+    /// plans were built against (`solve_into` verifies this).
     fn apply_into(
         &mut self,
         solver: &ParallelSolver,
@@ -66,10 +72,8 @@ pub trait Preconditioner {
     ) -> Result<()>;
 
     /// Applies `z ← M⁻¹ r` to `nrhs` interleaved systems
-    /// (`r[i * nrhs + q]`). Both sweep engines carry batch sweeps ([`Ssor`]
-    /// / [`Ic0`] route the sequential engine through the batched sequential
-    /// split kernels); the trait default refuses for preconditioners
-    /// without batch support.
+    /// (`r[i * nrhs + q]`). Both sweep engines carry batch sweeps; the trait
+    /// default refuses for preconditioners without batch support.
     fn apply_batch_into(
         &mut self,
         solver: &ParallelSolver,
@@ -139,37 +143,32 @@ impl Preconditioner for Identity {
 }
 
 /// The two sweeps shared by [`Ssor`] and [`Ic0`]: a structure, its
-/// forward/backward plans (pipelined engine only), and the engine choice.
+/// forward/backward plans, and the request (engine, precision) every sweep
+/// is issued with.
 #[derive(Debug)]
 struct SweepPair {
     structure: Arc<StsStructure>,
-    engine: SweepEngine,
-    /// `(forward, backward)` plans; `None` for the sequential engine.
-    plans: Option<(PipelinePlan, PipelinePlan)>,
-    /// Which value slabs the sweeps read; switched by
+    forward: PipelinePlan,
+    backward: PipelinePlan,
+    /// Engine and value-slab precision of the sweeps; direction and `nrhs`
+    /// are set per call. Precision is switched by
     /// [`Preconditioner::set_precision`], f64 by default.
-    precision: PrecisionPolicy,
+    opts: SolveOptions,
 }
 
 impl SweepPair {
+    /// Builds both plans, which also forces the lazy layouts so the first
+    /// apply is not the one paying the build sweeps.
     fn new(structure: Arc<StsStructure>, solver: &ParallelSolver, engine: SweepEngine) -> Self {
-        let plans = match engine {
-            SweepEngine::Sequential => {
-                // Force the lazy layouts now so the first apply is not the
-                // one paying the build sweeps.
-                structure.split();
-                structure.transpose_split();
-                None
-            }
-            SweepEngine::Pipelined => {
-                Some((solver.plan(&structure), solver.plan_transpose(&structure)))
-            }
+        let engine = match engine {
+            SweepEngine::Sequential => SolveEngine::Sequential,
+            SweepEngine::Pipelined => SolveEngine::Pipelined,
         };
         SweepPair {
+            forward: solver.plan(&structure, SweepDirection::Forward),
+            backward: solver.plan(&structure, SweepDirection::Transpose),
             structure,
-            engine,
-            plans,
-            precision: PrecisionPolicy::ValuesF64,
+            opts: SolveOptions::default().with_engine(engine),
         }
     }
 
@@ -178,110 +177,30 @@ impl SweepPair {
     /// one-time conversion.
     fn set_precision(&mut self, precision: PrecisionPolicy) {
         if precision == PrecisionPolicy::ValuesF32WithRefinement {
-            self.structure.split().ext_vals_f32();
-            self.structure.split().int_vals_f32();
-            self.structure.transpose_split().ext_vals_f32();
-            self.structure.transpose_split().int_vals_f32();
+            for layout in [self.structure.split(), self.structure.transpose_split()] {
+                layout.ext_vals_f32();
+                layout.int_vals_f32();
+            }
         }
-        self.precision = precision;
+        self.opts.precision = precision;
     }
 
-    fn f32_vals(&self) -> bool {
-        self.precision == PrecisionPolicy::ValuesF32WithRefinement
-    }
-
-    /// Forward sweep `L y = r` into `y`.
-    fn forward(&mut self, solver: &ParallelSolver, r: &[f64], y: &mut [f64]) -> Result<()> {
-        let f32_vals = self.f32_vals();
-        match (&self.engine, &mut self.plans) {
-            (SweepEngine::Sequential, _) if f32_vals => {
-                self.structure.solve_sequential_split_f32_into(r, y)
-            }
-            (SweepEngine::Sequential, _) => self.structure.solve_sequential_split_into(r, y),
-            (SweepEngine::Pipelined, Some((fwd, _))) if f32_vals => {
-                solver.solve_pipelined_f32_into(&self.structure, fwd, r, y)
-            }
-            (SweepEngine::Pipelined, Some((fwd, _))) => {
-                solver.solve_pipelined_into(&self.structure, fwd, r, y)
-            }
-            (SweepEngine::Pipelined, None) => unreachable!("pipelined pair always holds plans"),
-        }
-    }
-
-    /// Backward sweep `Lᵀ z = t` into `z`.
-    fn backward(&mut self, solver: &ParallelSolver, t: &[f64], z: &mut [f64]) -> Result<()> {
-        let f32_vals = self.f32_vals();
-        match (&self.engine, &mut self.plans) {
-            (SweepEngine::Sequential, _) if f32_vals => self
-                .structure
-                .solve_transpose_sequential_split_f32_into(t, z),
-            (SweepEngine::Sequential, _) => {
-                self.structure.solve_transpose_sequential_split_into(t, z)
-            }
-            (SweepEngine::Pipelined, Some((_, bwd))) if f32_vals => {
-                solver.solve_transpose_pipelined_f32_into(&self.structure, bwd, t, z)
-            }
-            (SweepEngine::Pipelined, Some((_, bwd))) => {
-                solver.solve_transpose_pipelined_into(&self.structure, bwd, t, z)
-            }
-            (SweepEngine::Pipelined, None) => unreachable!("pipelined pair always holds plans"),
-        }
-    }
-
-    /// Batched forward sweep. The sequential engine runs the batched
-    /// sequential split kernel — bitwise identical per right-hand side to
-    /// the scalar sequential sweep — so engine selection works for batches
-    /// exactly as it does for single-RHS applications.
-    fn forward_batch(
+    /// One sweep over `nrhs` interleaved systems: `L y = r` (forward) or
+    /// `Lᵀ y = r` (transpose) into `y`.
+    fn sweep(
         &mut self,
         solver: &ParallelSolver,
+        direction: SweepDirection,
         r: &[f64],
         y: &mut [f64],
         nrhs: usize,
     ) -> Result<()> {
-        let f32_vals = self.f32_vals();
-        match (&self.engine, &mut self.plans) {
-            (SweepEngine::Sequential, _) if f32_vals => self
-                .structure
-                .solve_batch_sequential_split_f32_into(r, y, nrhs),
-            (SweepEngine::Sequential, _) => {
-                self.structure.solve_batch_sequential_split_into(r, y, nrhs)
-            }
-            (SweepEngine::Pipelined, Some((fwd, _))) if f32_vals => {
-                solver.solve_batch_pipelined_f32_into(&self.structure, fwd, r, y, nrhs)
-            }
-            (SweepEngine::Pipelined, Some((fwd, _))) => {
-                solver.solve_batch_pipelined_into(&self.structure, fwd, r, y, nrhs)
-            }
-            (SweepEngine::Pipelined, None) => unreachable!("pipelined pair always holds plans"),
-        }
-    }
-
-    /// Batched backward sweep; engine selection as in
-    /// [`SweepPair::forward_batch`].
-    fn backward_batch(
-        &mut self,
-        solver: &ParallelSolver,
-        t: &[f64],
-        z: &mut [f64],
-        nrhs: usize,
-    ) -> Result<()> {
-        let f32_vals = self.f32_vals();
-        match (&self.engine, &mut self.plans) {
-            (SweepEngine::Sequential, _) if f32_vals => self
-                .structure
-                .solve_transpose_batch_sequential_split_f32_into(t, z, nrhs),
-            (SweepEngine::Sequential, _) => self
-                .structure
-                .solve_transpose_batch_sequential_split_into(t, z, nrhs),
-            (SweepEngine::Pipelined, Some((_, bwd))) if f32_vals => {
-                solver.solve_transpose_batch_pipelined_f32_into(&self.structure, bwd, t, z, nrhs)
-            }
-            (SweepEngine::Pipelined, Some((_, bwd))) => {
-                solver.solve_transpose_batch_pipelined_into(&self.structure, bwd, t, z, nrhs)
-            }
-            (SweepEngine::Pipelined, None) => unreachable!("pipelined pair always holds plans"),
-        }
+        let plan = match direction {
+            SweepDirection::Forward => &mut self.forward,
+            SweepDirection::Transpose => &mut self.backward,
+        };
+        let opts = self.opts.with_direction(direction).with_nrhs(nrhs);
+        solver.solve_into(&self.structure, plan, r, y, &opts)
     }
 }
 
@@ -324,13 +243,15 @@ impl Preconditioner for Ssor {
         sweep: &mut [f64],
     ) -> Result<()> {
         // (D + L) y = r.
-        self.sweeps.forward(solver, r, sweep)?;
+        self.sweeps
+            .sweep(solver, SweepDirection::Forward, r, sweep, 1)?;
         // t = D y, in place.
         for (value, d) in sweep.iter_mut().zip(&self.diag) {
             *value *= d;
         }
         // (D + L)ᵀ z = t.
-        self.sweeps.backward(solver, sweep, z)
+        self.sweeps
+            .sweep(solver, SweepDirection::Transpose, sweep, z, 1)
     }
 
     fn apply_batch_into(
@@ -341,13 +262,15 @@ impl Preconditioner for Ssor {
         sweep: &mut [f64],
         nrhs: usize,
     ) -> Result<()> {
-        self.sweeps.forward_batch(solver, r, sweep, nrhs)?;
+        self.sweeps
+            .sweep(solver, SweepDirection::Forward, r, sweep, nrhs)?;
         for (i, &d) in self.diag.iter().enumerate() {
             for value in &mut sweep[i * nrhs..(i + 1) * nrhs] {
                 *value *= d;
             }
         }
-        self.sweeps.backward_batch(solver, sweep, z, nrhs)
+        self.sweeps
+            .sweep(solver, SweepDirection::Transpose, sweep, z, nrhs)
     }
 
     fn set_precision(&mut self, precision: PrecisionPolicy) {
@@ -355,7 +278,7 @@ impl Preconditioner for Ssor {
     }
 
     fn precision(&self) -> PrecisionPolicy {
-        self.sweeps.precision
+        self.sweeps.opts.precision
     }
 }
 
@@ -616,8 +539,10 @@ impl Preconditioner for Ic0 {
         sweep: &mut [f64],
     ) -> Result<()> {
         // F y = r, then Fᵀ z = y.
-        self.sweeps.forward(solver, r, sweep)?;
-        self.sweeps.backward(solver, sweep, z)
+        self.sweeps
+            .sweep(solver, SweepDirection::Forward, r, sweep, 1)?;
+        self.sweeps
+            .sweep(solver, SweepDirection::Transpose, sweep, z, 1)
     }
 
     fn apply_batch_into(
@@ -628,8 +553,10 @@ impl Preconditioner for Ic0 {
         sweep: &mut [f64],
         nrhs: usize,
     ) -> Result<()> {
-        self.sweeps.forward_batch(solver, r, sweep, nrhs)?;
-        self.sweeps.backward_batch(solver, sweep, z, nrhs)
+        self.sweeps
+            .sweep(solver, SweepDirection::Forward, r, sweep, nrhs)?;
+        self.sweeps
+            .sweep(solver, SweepDirection::Transpose, sweep, z, nrhs)
     }
 
     fn set_precision(&mut self, precision: PrecisionPolicy) {
@@ -637,7 +564,7 @@ impl Preconditioner for Ic0 {
     }
 
     fn precision(&self) -> PrecisionPolicy {
-        self.sweeps.precision
+        self.sweeps.opts.precision
     }
 }
 

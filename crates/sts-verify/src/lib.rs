@@ -1,6 +1,6 @@
 //! Static happens-before verification for pack-parallel schedules.
 //!
-//! The STS-k kernels (`solve_split`, `solve_pipelined`, `parallel_ic0`) are
+//! The STS-k kernels (the split and pipelined sweeps, `parallel_ic0`) are
 //! race-free only if the statically precomputed readiness metadata
 //! (`SplitLayout::ext_dep` and the transpose layout's reverse-stage
 //! equivalent) is a superset of what the tasks actually read. Historically

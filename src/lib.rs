@@ -42,17 +42,22 @@
 //! assert!(x.iter().zip(&x_true).all(|(a, b)| (a - b).abs() < 1e-10));
 //! ```
 //!
-//! # The two-phase split kernels
+//! # One sweep kernel, one front door
 //!
 //! Every structure also carries a dependency-split layout
 //! ([`core::SplitLayout`]): per pack, the nonzeros referencing *earlier*
 //! packs (a pure, embarrassingly-parallel gather) are separated from the
-//! short in-pack dependence chains. The split kernels stream the former and
-//! schedule only the latter, and the multi-RHS batch kernel amortises index
-//! traffic across right-hand sides:
+//! short in-pack dependence chains. One sweep kernel streams the former and
+//! schedules only the latter, and a single typed request,
+//! [`core::SolveOptions`], selects how it runs — engine (sequential,
+//! two-phase split, or pack-pipelined with the per-pack barriers fused into
+//! an epoch gate), sweep direction (`L'` or `L'ᵀ`), right-hand-side count
+//! and value-slab precision — through
+//! [`core::ParallelSolver::solve_with`]:
 //!
 //! ```
-//! use sts_k::core::{Ordering, ParallelSolver, StsBuilder};
+//! use sts_k::core::{Ordering, ParallelSolver, SolveEngine, SolveOptions, StsBuilder,
+//!                   SweepDirection};
 //! use sts_k::matrix::generators;
 //! use sts_k::numa::Schedule;
 //!
@@ -60,38 +65,40 @@
 //! let l = generators::lower_operand(&a).unwrap();
 //! let sts = StsBuilder::new(3).ordering(Ordering::Coloring).build(&l).unwrap();
 //! let b = vec![1.0; sts.n()];
-//!
-//! // Two-phase solve: external gather, phase barrier, in-pack chains.
 //! let solver = ParallelSolver::new(4, Schedule::Guided { min_chunk: 1 });
-//! let x = solver.solve_split(&sts, &b).unwrap();
+//!
+//! // Two-phase split solve: external gather, phase barrier, in-pack chains.
+//! let split = SolveOptions::default().with_engine(SolveEngine::Split);
+//! let x = solver.solve_with(&sts, &b, &split).unwrap();
 //! assert!((x[0] - sts.solve_sequential(&b).unwrap()[0]).abs() < 1e-12);
 //!
-//! // Pack-pipelined solve: same arithmetic, but the per-pack barriers are
-//! // fused into an epoch gate so the gather of pack p+1 overlaps the chains
-//! // of pack p on idle workers.
-//! let xp = solver.solve_pipelined(&sts, &b).unwrap();
-//! assert!((xp[0] - x[0]).abs() < 1e-12);
+//! // Pack-pipelined solve (the default engine): the same row arithmetic —
+//! // bitwise — but the gather of pack p+1 overlaps the chains of pack p on
+//! // idle workers.
+//! let piped = SolveOptions::default();
+//! assert_eq!(solver.solve_with(&sts, &b, &piped).unwrap(), x);
 //!
 //! // Four right-hand sides at once, row-major (`B[i * nrhs + r]`).
 //! let nrhs = 4;
 //! let bb: Vec<f64> = (0..sts.n() * nrhs).map(|k| 1.0 + (k % nrhs) as f64).collect();
-//! let xb = solver.solve_batch(&sts, &bb, nrhs).unwrap();
-//! let xbp = solver.solve_batch_pipelined(&sts, &bb, nrhs).unwrap();
-//! assert_eq!(xb.len(), sts.n() * nrhs);
-//! assert!(xb.iter().zip(&xbp).all(|(a, b)| (a - b).abs() < 1e-12));
+//! let xb = solver.solve_with(&sts, &bb, &piped.with_nrhs(nrhs)).unwrap();
+//! assert_eq!(xb, solver.solve_with(&sts, &bb, &split.with_nrhs(nrhs)).unwrap());
+//!
+//! // The backward sweep `L'ᵀ x = b` runs on the same kernel, packs reversed.
+//! let xt = solver
+//!     .solve_with(&sts, &b, &piped.with_direction(SweepDirection::Transpose))
+//!     .unwrap();
+//! let reference = sts.solve_transpose_sequential(&b).unwrap();
+//! assert!(xt.iter().zip(&reference).all(|(a, b)| (a - b).abs() < 1e-12));
 //! ```
 //!
-//! The split layout behind these kernels is built lazily on first use;
-//! callers that only ever run the unsplit kernels skip its ≈2× off-diagonal
-//! storage cost entirely.
+//! The split layouts behind the kernel are built lazily on first use;
+//! callers that only ever run the paper's unsplit kernel
+//! ([`core::ParallelSolver::solve`]) skip their ≈2× off-diagonal storage
+//! cost entirely. Iterative solvers hold a [`core::PipelinePlan`] per
+//! direction and call the allocation-free
+//! [`core::ParallelSolver::solve_into`].
 //!
-//! # One front door: `SolveOptions`
-//!
-//! The named entries above are thin wrappers over a single typed
-//! dispatcher, [`core::ParallelSolver::solve_with`]: engine, sweep
-//! direction, right-hand-side count and value-slab precision travel
-//! together in one [`core::SolveOptions`]. The wrappers stay — bitwise
-//! identical to the options they name — but new code should start here.
 //! [`core::PrecisionPolicy::ValuesF32WithRefinement`] demotes the value
 //! slabs to cached f32 copies (~half the sweep's value traffic) while every
 //! kernel still accumulates in f64, and
@@ -99,8 +106,7 @@
 //! or two of iterative refinement:
 //!
 //! ```
-//! use sts_k::core::{Ordering, ParallelSolver, PrecisionPolicy, SolveEngine,
-//!                   SolveOptions, StsBuilder};
+//! use sts_k::core::{Ordering, ParallelSolver, PrecisionPolicy, SolveOptions, StsBuilder};
 //! use sts_k::krylov::{solve_refined, RefineOptions};
 //! use sts_k::matrix::generators;
 //! use sts_k::numa::Schedule;
@@ -111,11 +117,9 @@
 //! let solver = ParallelSolver::new(4, Schedule::Guided { min_chunk: 1 });
 //! let b = vec![1.0; sts.n()];
 //!
-//! // The pipelined f64 solve, spelled through the front door: exactly the
-//! // bits `solve_pipelined` produces.
-//! let opts = SolveOptions::default().with_engine(SolveEngine::Pipelined);
+//! // The pipelined f64 solve.
+//! let opts = SolveOptions::default();
 //! let x = solver.solve_with(&sts, &b, &opts).unwrap();
-//! assert_eq!(x, solver.solve_pipelined(&sts, &b).unwrap());
 //!
 //! // Mixed precision: f32 value slabs, f64 accumulation, refined back to
 //! // the f64 answer against the full-precision operand.
@@ -132,10 +136,11 @@
 //! per iteration on a fixed structure. [`krylov::SpdSystem`] permutes the
 //! operator into the STS ordering once; [`krylov::Ssor`] (symmetric
 //! Gauss–Seidel) and [`krylov::Ic0`] (zero-fill incomplete Cholesky) run
-//! their sweeps on the pipelined `solve_*_into` kernels against a persistent
-//! [`krylov::KrylovWorkspace`], so an iteration allocates nothing; and the
-//! backward sweeps run in parallel too, on the transpose split layout
-//! ([`core::TransposeLayout`], packs in reverse order):
+//! their sweeps through [`core::ParallelSolver::solve_into`] against a
+//! persistent [`krylov::KrylovWorkspace`], so an iteration allocates
+//! nothing; and the backward sweeps run in parallel too, on the transpose
+//! split layout ([`core::StsStructure::transpose_split`], packs in reverse
+//! order):
 //!
 //! ```
 //! use sts_k::core::Method;
@@ -174,9 +179,8 @@
 //! its system keeps iterating on the rest; a converged system is *frozen*
 //! (its updates stop, its direction leaves the basis) while stragglers
 //! finish. Both sweep engines work — the sequential engine's batched sweeps
-//! ([`core::StsStructure::solve_batch_sequential_split`] and its transpose)
-//! are bitwise identical per lane to the scalar sequential kernels, so
-//! engine choice works for batches exactly as for single-RHS solves:
+//! are bitwise identical per lane to its scalar sweeps, and the pipelined
+//! engine's batch arithmetic agrees with them to rounding:
 //!
 //! ```
 //! use sts_k::core::Method;

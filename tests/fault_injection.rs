@@ -12,7 +12,7 @@ use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
 use std::time::{Duration, Instant};
 
 use sts_bench::faultinject;
-use sts_k::core::{ChaosHook, Method, ParallelSolver};
+use sts_k::core::{ChaosHook, Method, ParallelSolver, SolveEngine, SolveOptions, SweepDirection};
 use sts_k::krylov::{
     Ic0, KrylovWorkspace, Pcg, Preconditioner, RecoveryPolicy, RobustPcg, SpdSystem, SweepEngine,
 };
@@ -87,36 +87,51 @@ fn pipelined_solve_panic_poisons_and_recovers() {
     let a = generators::grid2d_laplacian(24, 24).unwrap();
     let l = generators::lower_operand(&a).unwrap();
     let s = Method::Sts3.build(&l, 16).unwrap();
-    let b = vec![1.0; s.n()];
-    let reference = s.solve_sequential(&b).unwrap();
-    for threads in thread_counts() {
-        within_budget("pipelined panic", || {
-            let mut solver = ParallelSolver::new(threads, Schedule::Guided { min_chunk: 1 });
-            solver.set_chaos_hook(Some(faultinject::panic_hook(0)));
-            let err = solver
-                .solve_pipelined(&s, &b)
-                .expect_err("the injected panic must surface");
-            match err {
-                MatrixError::WorkerPanicked {
-                    slot,
-                    pack,
-                    message,
-                } => {
-                    assert!(slot < threads);
-                    assert_eq!(pack, 0, "the panic site is deterministic");
-                    assert!(message.contains("injected fault"));
-                }
-                other => panic!("expected WorkerPanicked, got {other:?}"),
+    // The failure path is the driver's, whatever it drives: both directions,
+    // single-RHS and batched.
+    for direction in [SweepDirection::Forward, SweepDirection::Transpose] {
+        for nrhs in [1usize, 3] {
+            let opts = SolveOptions::default()
+                .with_direction(direction)
+                .with_nrhs(nrhs);
+            let b = vec![1.0; s.n() * nrhs];
+            let reference = ParallelSolver::new(1, Schedule::Static)
+                .solve_with(&s, &b, &opts.with_engine(SolveEngine::Sequential))
+                .unwrap();
+            for threads in thread_counts() {
+                within_budget("pipelined panic", || {
+                    let mut solver =
+                        ParallelSolver::new(threads, Schedule::Guided { min_chunk: 1 });
+                    solver.set_chaos_hook(Some(faultinject::panic_hook(0)));
+                    let err = solver
+                        .solve_with(&s, &b, &opts)
+                        .expect_err("the injected panic must surface");
+                    match err {
+                        MatrixError::WorkerPanicked {
+                            slot,
+                            pack,
+                            message,
+                        } => {
+                            assert!(slot < threads);
+                            assert_eq!(pack, 0, "the panic site is deterministic");
+                            assert!(message.contains("injected fault"));
+                        }
+                        other => panic!("expected WorkerPanicked, got {other:?}"),
+                    }
+                    // Clearing the hook restores a fully working solver: the
+                    // gate poison is rewound per solve, nothing leaks across
+                    // dispatches.
+                    solver.set_chaos_hook(None);
+                    let x = solver
+                        .solve_with(&s, &b, &opts)
+                        .expect("solver must recover");
+                    assert!(
+                        ops::relative_error_inf(&x, &reference) < 1e-12,
+                        "post-fault {direction:?} nrhs={nrhs} solve diverged at {threads} threads"
+                    );
+                });
             }
-            // Clearing the hook restores a fully working solver: the gate
-            // poison is rewound per solve, nothing leaks across dispatches.
-            solver.set_chaos_hook(None);
-            let x = solver.solve_pipelined(&s, &b).expect("solver must recover");
-            assert!(
-                ops::relative_error_inf(&x, &reference) < 1e-12,
-                "post-fault solve diverged at {threads} threads"
-            );
-        });
+        }
     }
 }
 
@@ -170,7 +185,7 @@ fn stalled_worker_times_out_instead_of_hanging() {
                 Duration::from_millis(1500),
             )));
             let err = solver
-                .solve_pipelined(&s, &b)
+                .solve_with(&s, &b, &SolveOptions::default())
                 .expect_err("the stalled solve must time out");
             match err {
                 MatrixError::SolveTimeout { timeout_ms, .. } => {
@@ -179,7 +194,9 @@ fn stalled_worker_times_out_instead_of_hanging() {
                 other => panic!("expected SolveTimeout, got {other:?}"),
             }
             solver.set_chaos_hook(None);
-            let x = solver.solve_pipelined(&s, &b).expect("solver must recover");
+            let x = solver
+                .solve_with(&s, &b, &SolveOptions::default())
+                .expect("solver must recover");
             assert!(
                 ops::relative_error_inf(&x, &reference) < 1e-12,
                 "post-timeout solve diverged at {threads} threads"
@@ -206,7 +223,7 @@ fn stalled_single_worker_is_a_slow_success() {
             Duration::from_millis(400),
         )));
         let x = solver
-            .solve_pipelined(&s, &b)
+            .solve_with(&s, &b, &SolveOptions::default())
             .expect("a stalled lone worker still finishes");
         assert!(ops::relative_error_inf(&x, &s.solve_sequential(&b).unwrap()) < 1e-12);
     });

@@ -2,7 +2,10 @@
 //! randomly generated sparse triangular systems and graphs.
 
 use proptest::prelude::*;
-use sts_k::core::{Method, Ordering, ParallelSolver, StsBuilder, SuperRowSizing};
+use sts_k::core::{
+    Method, Ordering, ParallelSolver, SolveEngine, SolveOptions, StsBuilder, StsStructure,
+    SuperRowSizing, SweepDirection,
+};
 use sts_k::graph::{rcm, Coloring, ColoringOrder, Graph, LevelSets, Permutation};
 use sts_k::matrix::suite::{SuiteScale, TestSuite};
 use sts_k::matrix::{generators, ops, CooMatrix, LowerTriangularCsr};
@@ -19,6 +22,62 @@ fn lower_triangular_strategy() -> impl Strategy<Value = LowerTriangularCsr> {
         generators::random_lower_triangular(n, density as f64, seed)
             .expect("random operand is always constructible")
     })
+}
+
+const SPLIT_ENGINES: [SolveEngine; 3] = [
+    SolveEngine::Sequential,
+    SolveEngine::Split,
+    SolveEngine::Pipelined,
+];
+const DIRECTIONS: [SweepDirection; 2] = [SweepDirection::Forward, SweepDirection::Transpose];
+
+/// The options-matrix agreement invariant on one structure: every
+/// split-layout engine, in both directions, single-RHS and batched, at
+/// several worker counts, agrees with the plain reference sweep to 1e-12.
+/// Returns the first divergence as a message naming the request.
+fn engines_match_the_reference_sweeps(s: &StsStructure, nrhs: usize) -> Result<(), String> {
+    let n = s.n();
+    let x_true: Vec<f64> = (0..n).map(|i| 0.5 + (i % 6) as f64 * 0.4).collect();
+    for direction in DIRECTIONS {
+        let reference = |b: &[f64]| match direction {
+            SweepDirection::Forward => s.solve_sequential(b).unwrap(),
+            SweepDirection::Transpose => s.solve_transpose_sequential(b).unwrap(),
+        };
+        let b = match direction {
+            SweepDirection::Forward => s.lower().multiply(&x_true).unwrap(),
+            SweepDirection::Transpose => s.lower().multiply_transpose(&x_true).unwrap(),
+        };
+        // Batched right-hand sides: shifted copies of b, expected solutions
+        // from the reference sweep per system.
+        let mut bb = vec![0.0; n * nrhs];
+        let mut expected = vec![0.0; n * nrhs];
+        for r in 0..nrhs {
+            let br: Vec<f64> = b.iter().map(|&v| v + r as f64).collect();
+            let xr = reference(&br);
+            for i in 0..n {
+                bb[i * nrhs + r] = br[i];
+                expected[i * nrhs + r] = xr[i];
+            }
+        }
+        let single = reference(&b);
+        for threads in [1usize, 2, 4, 8] {
+            let solver = ParallelSolver::new(threads, Schedule::Guided { min_chunk: 1 });
+            for engine in SPLIT_ENGINES {
+                let opts = SolveOptions::default()
+                    .with_engine(engine)
+                    .with_direction(direction);
+                for (rhs, want, width) in [(&b, &single, 1), (&bb, &expected, nrhs)] {
+                    let x = solver.solve_with(s, rhs, &opts.with_nrhs(width)).unwrap();
+                    if ops::relative_error_inf(&x, want) >= 1e-12 {
+                        return Err(format!(
+                            "{engine:?} {direction:?} nrhs={width} diverged ({threads} threads, n={n})"
+                        ));
+                    }
+                }
+            }
+        }
+    }
+    Ok(())
 }
 
 proptest! {
@@ -57,12 +116,11 @@ proptest! {
     }
 
     #[test]
-    fn split_and_batch_kernels_match_sequential(l in lower_triangular_strategy()) {
-        // The tentpole invariant: the two-phase split kernels and the
-        // multi-RHS batch kernel agree with the reference sequential solve to
-        // 1e-12, across both orderings, both multi-level depths and several
-        // worker counts.
-        let nrhs = 3;
+    fn every_engine_matches_the_reference_sweeps(l in lower_triangular_strategy()) {
+        // The sweep-kernel invariant: the sequential, split and pipelined
+        // drivers — forward and transpose, single-RHS and batched — agree
+        // with the reference sweeps to 1e-12, across both orderings, both
+        // multi-level depths and several worker counts.
         for ordering in [Ordering::LevelSet, Ordering::Coloring] {
             for k in [2usize, 3] {
                 let s = StsBuilder::new(k)
@@ -70,53 +128,8 @@ proptest! {
                     .super_row_sizing(SuperRowSizing::Rows(8))
                     .build(&l)
                     .unwrap();
-                let n = s.n();
-                let x_true: Vec<f64> = (0..n).map(|i| 0.5 + (i % 6) as f64 * 0.4).collect();
-                let b = s.lower().multiply(&x_true).unwrap();
-                let seq = s.solve_sequential(&b).unwrap();
-                let seq_split = s.solve_sequential_split(&b).unwrap();
-                prop_assert!(ops::relative_error_inf(&seq_split, &seq) < 1e-12);
-                // Batched right-hand sides: shifted copies of b, expected
-                // solutions from the reference kernel per system.
-                let mut bb = vec![0.0; n * nrhs];
-                let mut expected = vec![0.0; n * nrhs];
-                for r in 0..nrhs {
-                    let br: Vec<f64> = b.iter().map(|&v| v + r as f64).collect();
-                    let xr = s.solve_sequential(&br).unwrap();
-                    for i in 0..n {
-                        bb[i * nrhs + r] = br[i];
-                        expected[i * nrhs + r] = xr[i];
-                    }
-                }
-                let xb = s.solve_batch(&bb, nrhs).unwrap();
-                prop_assert!(ops::relative_error_inf(&xb, &expected) < 1e-12);
-                for threads in [1usize, 2, 4, 8] {
-                    let solver = ParallelSolver::new(threads, Schedule::Guided { min_chunk: 1 });
-                    let par_split = solver.solve_split(&s, &b).unwrap();
-                    prop_assert!(
-                        ops::relative_error_inf(&par_split, &seq) < 1e-12,
-                        "solve_split diverged ({:?}, k={k}, {threads} threads, n={n})",
-                        ordering
-                    );
-                    let par_piped = solver.solve_pipelined(&s, &b).unwrap();
-                    prop_assert!(
-                        ops::relative_error_inf(&par_piped, &seq) < 1e-12,
-                        "solve_pipelined diverged ({:?}, k={k}, {threads} threads, n={n})",
-                        ordering
-                    );
-                    let par_batch = solver.solve_batch(&s, &bb, nrhs).unwrap();
-                    prop_assert!(
-                        ops::relative_error_inf(&par_batch, &expected) < 1e-12,
-                        "solve_batch diverged ({:?}, k={k}, {threads} threads, n={n})",
-                        ordering
-                    );
-                    let batch_piped = solver.solve_batch_pipelined(&s, &bb, nrhs).unwrap();
-                    prop_assert!(
-                        ops::relative_error_inf(&batch_piped, &expected) < 1e-12,
-                        "solve_batch_pipelined diverged ({:?}, k={k}, {threads} threads, n={n})",
-                        ordering
-                    );
-                }
+                let outcome = engines_match_the_reference_sweeps(&s, 3);
+                prop_assert!(outcome.is_ok(), "{:?} k={}: {:?}", ordering, k, outcome);
             }
         }
     }
@@ -126,11 +139,14 @@ proptest! {
         l in lower_triangular_strategy()
     ) {
         // The engine-matrix invariant behind single-core batched
-        // preconditioning: every lane of the sequential batched split
-        // kernels (forward and transpose) runs the scalar kernels' exact
+        // preconditioning: every lane of the sequential engine's batched
+        // sweeps (forward and transpose) runs the scalar sweep's exact
         // floating-point sequence, so equality is ==, not a tolerance —
         // across both orderings and both multi-level depths.
         let nrhs = 3;
+        let solver = ParallelSolver::new(1, Schedule::Static);
+        let forward = SolveOptions::default().with_engine(SolveEngine::Sequential);
+        let backward = forward.with_direction(SweepDirection::Transpose);
         for ordering in [Ordering::LevelSet, Ordering::Coloring] {
             for k in [2usize, 3] {
                 let s = StsBuilder::new(k)
@@ -145,12 +161,12 @@ proptest! {
                         bb[i * nrhs + q] = 0.5 + ((i * 5 + q * 7) % 11) as f64 * 0.35;
                     }
                 }
-                let xb = s.solve_batch_sequential_split(&bb, nrhs).unwrap();
-                let tb = s.solve_transpose_batch_sequential_split(&bb, nrhs).unwrap();
+                let xb = solver.solve_with(&s, &bb, &forward.with_nrhs(nrhs)).unwrap();
+                let tb = solver.solve_with(&s, &bb, &backward.with_nrhs(nrhs)).unwrap();
                 for q in 0..nrhs {
                     let bq: Vec<f64> = (0..n).map(|i| bb[i * nrhs + q]).collect();
-                    let xq = s.solve_sequential_split(&bq).unwrap();
-                    let tq = s.solve_transpose_sequential_split(&bq).unwrap();
+                    let xq = solver.solve_with(&s, &bq, &forward).unwrap();
+                    let tq = solver.solve_with(&s, &bq, &backward).unwrap();
                     for i in 0..n {
                         prop_assert_eq!(
                             xb[i * nrhs + q], xq[i],
@@ -163,44 +179,6 @@ proptest! {
                             q, i, ordering, k
                         );
                     }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn transpose_kernels_match_the_sequential_backward_sweep(l in lower_triangular_strategy()) {
-        // The PR-3 tentpole invariant: the parallel backward-sweep kernels
-        // (two-phase split and pack-pipelined, packs in reverse order) agree
-        // with the sequential column sweep to 1e-12 across both orderings,
-        // both multi-level depths and several worker counts.
-        for ordering in [Ordering::LevelSet, Ordering::Coloring] {
-            for k in [2usize, 3] {
-                let s = StsBuilder::new(k)
-                    .ordering(ordering)
-                    .super_row_sizing(SuperRowSizing::Rows(8))
-                    .build(&l)
-                    .unwrap();
-                let n = s.n();
-                let x_true: Vec<f64> = (0..n).map(|i| 0.5 + (i % 6) as f64 * 0.4).collect();
-                let b = s.lower().multiply_transpose(&x_true).unwrap();
-                let seq = s.lower().solve_transpose_seq(&b).unwrap();
-                let seq_split = s.solve_transpose_sequential_split(&b).unwrap();
-                prop_assert!(ops::relative_error_inf(&seq_split, &seq) < 1e-12);
-                for threads in [1usize, 2, 4, 8] {
-                    let solver = ParallelSolver::new(threads, Schedule::Guided { min_chunk: 1 });
-                    let par_split = solver.solve_transpose_split(&s, &b).unwrap();
-                    prop_assert!(
-                        ops::relative_error_inf(&par_split, &seq) < 1e-12,
-                        "solve_transpose_split diverged ({:?}, k={k}, {threads} threads, n={n})",
-                        ordering
-                    );
-                    let par_piped = solver.solve_transpose_pipelined(&s, &b).unwrap();
-                    prop_assert!(
-                        ops::relative_error_inf(&par_piped, &seq) < 1e-12,
-                        "solve_transpose_pipelined diverged ({:?}, k={k}, {threads} threads, n={n})",
-                        ordering
-                    );
                 }
             }
         }
@@ -299,13 +277,11 @@ proptest! {
     }
 }
 
-/// The split/pipelined/batch agreement invariant on every matrix of the
-/// synthetic suite (deterministic, so suite regressions are reported by
-/// name).
+/// The options-matrix agreement invariant on every matrix of the synthetic
+/// suite (deterministic, so suite regressions are reported by name).
 #[test]
-fn split_kernels_match_sequential_on_the_synthetic_suite() {
+fn every_engine_matches_the_reference_sweeps_on_the_synthetic_suite() {
     let suite = TestSuite::generate(SuiteScale::Tiny).unwrap();
-    let nrhs = 2;
     for m in &suite.matrices {
         let l = m.lower().unwrap();
         for ordering in [Ordering::LevelSet, Ordering::Coloring] {
@@ -315,59 +291,8 @@ fn split_kernels_match_sequential_on_the_synthetic_suite() {
                     .super_row_sizing(SuperRowSizing::Rows(16))
                     .build(&l)
                     .unwrap();
-                let n = s.n();
-                let x_true: Vec<f64> = (0..n).map(|i| 1.0 + (i % 9) as f64 * 0.25).collect();
-                let b = s.lower().multiply(&x_true).unwrap();
-                let seq = s.solve_sequential(&b).unwrap();
-                assert!(
-                    ops::relative_error_inf(&s.solve_sequential_split(&b).unwrap(), &seq) < 1e-12,
-                    "sequential split diverged on {} ({ordering:?}, k={k})",
-                    m.id.label()
-                );
-                let mut bb = vec![0.0; n * nrhs];
-                let mut expected = vec![0.0; n * nrhs];
-                for r in 0..nrhs {
-                    let br: Vec<f64> = b.iter().map(|&v| v - r as f64 * 0.5).collect();
-                    let xr = s.solve_sequential(&br).unwrap();
-                    for i in 0..n {
-                        bb[i * nrhs + r] = br[i];
-                        expected[i * nrhs + r] = xr[i];
-                    }
-                }
-                assert!(
-                    ops::relative_error_inf(&s.solve_batch(&bb, nrhs).unwrap(), &expected) < 1e-12,
-                    "sequential batch diverged on {} ({ordering:?}, k={k})",
-                    m.id.label()
-                );
-                for threads in [1usize, 2, 4, 8] {
-                    let solver = ParallelSolver::new(threads, Schedule::Guided { min_chunk: 1 });
-                    assert!(
-                        ops::relative_error_inf(&solver.solve_split(&s, &b).unwrap(), &seq) < 1e-12,
-                        "solve_split diverged on {} ({ordering:?}, k={k}, {threads} threads)",
-                        m.id.label()
-                    );
-                    assert!(
-                        ops::relative_error_inf(&solver.solve_pipelined(&s, &b).unwrap(), &seq)
-                            < 1e-12,
-                        "solve_pipelined diverged on {} ({ordering:?}, k={k}, {threads} threads)",
-                        m.id.label()
-                    );
-                    assert!(
-                        ops::relative_error_inf(
-                            &solver.solve_batch(&s, &bb, nrhs).unwrap(),
-                            &expected
-                        ) < 1e-12,
-                        "solve_batch diverged on {} ({ordering:?}, k={k}, {threads} threads)",
-                        m.id.label()
-                    );
-                    assert!(
-                        ops::relative_error_inf(
-                            &solver.solve_batch_pipelined(&s, &bb, nrhs).unwrap(),
-                            &expected
-                        ) < 1e-12,
-                        "solve_batch_pipelined diverged on {} ({ordering:?}, k={k}, {threads} threads)",
-                        m.id.label()
-                    );
+                if let Err(what) = engines_match_the_reference_sweeps(&s, 2) {
+                    panic!("{} ({ordering:?}, k={k}): {what}", m.id.label());
                 }
             }
         }

@@ -16,8 +16,8 @@
 use std::sync::Arc;
 
 use sts_k::core::{
-    factor_spec, solve_spec, Method, Ordering, ParallelSolver, StsBuilder, SuperRowSizing,
-    SweepDirection,
+    factor_spec, solve_spec, Method, Ordering, ParallelSolver, SolveEngine, SolveOptions,
+    StsBuilder, SuperRowSizing, SweepDirection,
 };
 use sts_k::matrix::generators;
 use sts_k::numa::Schedule;
@@ -44,24 +44,37 @@ fn every_solve_engine_touches_exactly_the_modelled_footprints() {
                 .build(&l)
                 .unwrap();
             // The model is chunk-granularity-independent after replay
-            // flattening, so one row-granularity spec per direction covers
-            // every engine and thread count.
-            let fwd = solve_spec(&s, usize::MAX, SweepDirection::Forward);
-            let bwd = solve_spec(&s, usize::MAX, SweepDirection::Transpose);
-            let b = vec![1.0; s.n()];
-            for threads in THREAD_SWEEP {
-                let tag = format!("{ordering:?} k={k} threads={threads}");
-                let mut solver = ParallelSolver::new(threads, Schedule::Guided { min_chunk: 1 });
-                let log = Arc::new(AccessLog::new());
-                solver.set_shadow_log(Some(log.clone()));
-                solver.solve_split(&s, &b).unwrap();
-                replay(&log, &fwd, &format!("solve_split {tag}"));
-                solver.solve_pipelined(&s, &b).unwrap();
-                replay(&log, &fwd, &format!("solve_pipelined {tag}"));
-                solver.solve_transpose_split(&s, &b).unwrap();
-                replay(&log, &bwd, &format!("solve_transpose_split {tag}"));
-                solver.solve_transpose_pipelined(&s, &b).unwrap();
-                replay(&log, &bwd, &format!("solve_transpose_pipelined {tag}"));
+            // flattening, and a batch row touches the same rows as a
+            // single-RHS row (just `nrhs` slots of each), so one
+            // row-granularity spec per direction covers every engine, thread
+            // count and batch width.
+            for direction in [SweepDirection::Forward, SweepDirection::Transpose] {
+                let spec = solve_spec(&s, usize::MAX, direction);
+                for threads in THREAD_SWEEP {
+                    let mut solver =
+                        ParallelSolver::new(threads, Schedule::Guided { min_chunk: 1 });
+                    let log = Arc::new(AccessLog::new());
+                    solver.set_shadow_log(Some(log.clone()));
+                    for engine in [SolveEngine::Split, SolveEngine::Pipelined] {
+                        for nrhs in [1usize, 3] {
+                            let opts = SolveOptions::default()
+                                .with_engine(engine)
+                                .with_direction(direction)
+                                .with_nrhs(nrhs);
+                            solver
+                                .solve_with(&s, &vec![1.0; s.n() * nrhs], &opts)
+                                .unwrap();
+                            replay(
+                                &log,
+                                &spec,
+                                &format!(
+                                    "{engine:?} {direction:?} nrhs={nrhs} {ordering:?} k={k} \
+                                     threads={threads}"
+                                ),
+                            );
+                        }
+                    }
+                }
             }
         }
     }

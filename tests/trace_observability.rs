@@ -10,7 +10,7 @@ use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex};
 
 use serde::Value;
-use sts_k::core::Method;
+use sts_k::core::{Method, ParallelSolver, SolveEngine, SolveOptions, SweepDirection};
 use sts_k::krylov::{KrylovWorkspace, Pcg, SpdSystem, Ssor, SweepEngine};
 use sts_k::matrix::{generators, ops};
 use sts_k::numa::Schedule;
@@ -66,6 +66,40 @@ fn pipelined_solve_trace_covers_every_pack_per_phase() {
     let all: BTreeSet<u32> = (0..num_packs as u32).collect();
     assert_eq!(gathered, all, "every pack gathers once per sweep");
     assert_eq!(chained, all, "every pack runs its chains once per sweep");
+}
+
+/// The split driver records spans for whatever it drives: a transpose sweep
+/// and a batched sweep each leave `Gather` and `Chain` spans for every pack.
+#[test]
+fn split_engine_traces_transpose_and_batch_sweeps() {
+    let a = generators::grid2d_laplacian(40, 40).unwrap();
+    let sys = SpdSystem::build(&a, Method::Sts3, 40).unwrap();
+    let s = sys.structure();
+    let all: BTreeSet<u32> = (0..s.num_packs() as u32).collect();
+    let split = SolveOptions::default().with_engine(SolveEngine::Split);
+    for opts in [
+        split.with_direction(SweepDirection::Transpose),
+        split.with_nrhs(4),
+    ] {
+        let mut solver = ParallelSolver::new(3, Schedule::Guided { min_chunk: 1 });
+        let recorder = Arc::new(SpanRecorder::new(1 << 16));
+        recorder.enable();
+        solver.set_trace_recorder(Some(Arc::clone(&recorder)));
+        solver
+            .solve_with(s, &vec![1.0; s.n() * opts.nrhs], &opts)
+            .unwrap();
+        let packs_of = |phase: Phase| -> BTreeSet<u32> {
+            recorder
+                .snapshot()
+                .iter()
+                .filter(|span| span.phase == phase)
+                .map(|span| span.pack)
+                .collect()
+        };
+        assert_eq!(packs_of(Phase::Gather), all, "{opts:?}: gather spans");
+        assert_eq!(packs_of(Phase::Chain), all, "{opts:?}: chain spans");
+        assert_eq!(recorder.dropped(), 0);
+    }
 }
 
 #[test]

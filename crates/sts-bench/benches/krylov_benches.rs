@@ -61,8 +61,7 @@ fn krylov_benchmarks(c: &mut Criterion) {
             },
         );
     }
-    let mut ic0 =
-        Ic0::new_parallel(&sys, pcg.solver(), SweepEngine::Pipelined).expect("laplacian is SPD");
+    let mut ic0 = Ic0::new(&sys, pcg.solver(), SweepEngine::Pipelined).expect("laplacian is SPD");
     group.bench_with_input(
         BenchmarkId::new("ic0_solve", "pipelined_sweeps"),
         &sys,

@@ -297,20 +297,19 @@ fn main() {
     }
 
     // The mixed-precision trend lines. First the same SSOR-PCG solve with
-    // the preconditioner sweeps on the f32 value slabs: `solve_with`
-    // switches the slabs and the first call pays the one-time demotion, so
-    // it doubles as the warm-up; the reported wall time follows the same
-    // best-of-5 protocol as `pcg_wall_ns` so the f32-below-f64 comparison
-    // the gate trends is apples to apples. The preconditioner is restored to
-    // f64 afterwards — every later section must keep measuring the default
-    // path.
-    let f32_opts = SolveOptions::default().with_precision(PrecisionPolicy::ValuesF32WithRefinement);
+    // the preconditioner sweeps on the f32 value slabs: `set_precision`
+    // pays the one-time demotion and the first solve is the warm-up; the
+    // reported wall time follows the same best-of-5 protocol as
+    // `pcg_wall_ns` so the f32-below-f64 comparison the gate trends is
+    // apples to apples. The preconditioner is restored to f64 afterwards —
+    // every later section must keep measuring the default path.
+    pre.set_precision(PrecisionPolicy::ValuesF32WithRefinement);
     let mut best_f32 = pcg
-        .solve_with(&sys, &mut pre, &b_pcg, &mut ws, &f32_opts)
+        .solve(&sys, &mut pre, &b_pcg, &mut ws)
         .expect("warm-up f32-slab PCG solve succeeds");
     for _ in 0..4 {
         let out = pcg
-            .solve_with(&sys, &mut pre, &b_pcg, &mut ws, &f32_opts)
+            .solve(&sys, &mut pre, &b_pcg, &mut ws)
             .expect("f32-slab PCG solve succeeds");
         assert_eq!(
             out.iterations, best_f32.iterations,
@@ -328,6 +327,7 @@ fn main() {
     let bytes_f32 = bytes_exec.model_solve_bytes(s, PrecisionPolicy::ValuesF32WithRefinement);
     // And the accuracy side of the trade: how many correction passes drive
     // an f32-slab triangular solve on this operator back to the f64 answer.
+    let f32_opts = SolveOptions::default().with_precision(PrecisionPolicy::ValuesF32WithRefinement);
     let refined = solve_refined(&solver, s, &b, &f32_opts, &RefineOptions::default())
         .expect("the f32-slab smoke solve refines");
     assert!(

@@ -21,8 +21,8 @@
 //!   layout type: the split applied to `L'ᵀ`, with the packs consumed in
 //!   reverse order, so preconditioner forward/backward sweep pairs both run
 //!   on the parallel engines;
-//! * [`solver`] — the threaded pack-parallel solver: one sweep kernel (two
-//!   row forms in `solver::kernel`, one chunk geometry in [`solver::plan`])
+//! * [`solver`] — the threaded pack-parallel solver: one sweep kernel (one
+//!   row body in `solver::kernel`, one chunk geometry in [`solver::plan`])
 //!   under a sequential, a two-phase split and a pack-pipelined
 //!   barrier-fused driver, all behind `ParallelSolver::solve_with` /
 //!   `solve_into`; the paper's unsplit barrier-per-pack kernel

@@ -1,25 +1,18 @@
-//! The row arithmetic of the sweep kernels: two forms, each written once.
+//! The row arithmetic of the sweep kernels, written once.
 //!
 //! Every engine runs the same two-phase sweep per pack — *gather* a row
 //! against finished packs, then *chain*-correct the rows with in-super-row
-//! dependencies — and every output bit comes from one of two row bodies:
+//! dependencies — and every output bit comes from one row body, [`Sum`]: it
+//! accumulates `acc = Σ v·x` in slab order and then applies
+//! `x = (b − acc)·d` (gather) or `x −= acc·d` (chain). Single-RHS requests
+//! run it at lane width 1 (the plain scalar loop), batches at width
+//! [`TILE`]; a lane of a batch performs exactly the scalar sweep's
+//! floating-point sequence, so every lane of every batch on every engine is
+//! bitwise identical to the scalar sweep of that right-hand side.
 //!
-//! * the **sum form** ([`Sum`]) accumulates `acc = Σ v·x` and then applies
-//!   `x = (b − acc)·d` (gather) or `x −= acc·d` (chain). Every single-RHS
-//!   request runs it at lane width 1, and the sequential engine runs it at
-//!   width [`TILE`] for batches, so each lane of a sequential batch is
-//!   bitwise identical to a scalar sweep;
-//! * the **tile form** ([`Tile`]) starts from `acc = b` (gather) or
-//!   `acc = x` (chain) and subtracts `v·x` (gather) or `(v·d)·x` (chain)
-//!   term by term. The split and pipelined engines run it for `nrhs > 1`.
-//!
-//! The forms associate differently, so they agree to rounding (≈1e-12
-//! relative), not bitwise; see the [`solver`](crate::solver) module docs for
-//! which requests are bitwise identical.
-//!
-//! Both forms are generic over the stored value type (`f32` slabs widen
-//! exactly into the `f64` accumulation) and the sum form over a const lane
-//! width, so the width-1 instantiation is the plain scalar loop.
+//! The body is generic over the stored value type (`f32` slabs widen
+//! exactly into the `f64` accumulation) and a const lane width, so the
+//! solve-path instantiations are `{f64, f32} × {Sum<1>, Sum<TILE>}`.
 
 use std::ops::Range;
 
@@ -104,48 +97,13 @@ pub(crate) struct Slab<'a, V> {
     pub(crate) vals: &'a [V],
 }
 
-/// One arithmetic form of the sweep: how a row is gathered and how a chain
-/// row is corrected, for `nrhs` interleaved right-hand sides
-/// (`x[i * nrhs + q]`). `slab` is a whole slab, `entries` the row's range in
-/// it and `d` the row's reciprocal diagonal. (The row bodies index
-/// the slab rather than take sub-slices: with rows of two or three entries
-/// the plain checked loop measured faster than the unrolled one sub-slices
-/// compile to.)
-pub(crate) trait RowForm {
-    /// Phase 1: produces row `i` from `b` and the rows named by
-    /// `slab.cols[entries]`.
-    ///
-    /// # Safety
-    /// The `nrhs` slots of row `i` and of every row in `slab.cols[entries]` must
-    /// be in bounds of `x`; no other thread may access row `i`'s slots or
-    /// write the `slab.cols[entries]` rows' slots during the call.
-    unsafe fn gather<V: SlabValue>(
-        x: &SharedVec,
-        b: &[f64],
-        i: usize,
-        slab: Slab<'_, V>,
-        entries: Range<usize>,
-        d: f64,
-        nrhs: usize,
-    );
-
-    /// Phase 2: corrects row `i`'s phase-1 value by the rows named by
-    /// `slab.cols[entries]`.
-    ///
-    /// # Safety
-    /// As for [`RowForm::gather`].
-    unsafe fn chain<V: SlabValue>(
-        x: &SharedVec,
-        i: usize,
-        slab: Slab<'_, V>,
-        entries: Range<usize>,
-        d: f64,
-        nrhs: usize,
-    );
-}
-
-/// The sum form at lane width `W`: 1 for single-RHS sweeps (where `nrhs`
-/// must be 1 and every lane loop folds away), [`TILE`] for batches.
+/// The row body at lane width `W`: 1 for single-RHS sweeps (where `nrhs`
+/// must be 1 and every lane loop folds away), [`TILE`] for batches, over
+/// `nrhs` interleaved right-hand sides (`x[i * nrhs + q]`). `slab` is a whole
+/// slab, `entries` the row's range in it and `d` the row's reciprocal
+/// diagonal. (The body indexes the slab rather than take sub-slices: with
+/// rows of two or three entries the plain checked loop measured faster than
+/// the unrolled one sub-slices compile to.)
 pub(crate) struct Sum<const W: usize>;
 
 impl<const W: usize> Sum<W> {
@@ -154,7 +112,7 @@ impl<const W: usize> Sum<W> {
     /// `x[i, q] = finish(slot of (i, q), acc[q])`.
     ///
     /// # Safety
-    /// As for [`RowForm::gather`]; `finish` may read row `i`'s slots.
+    /// As for [`Sum::gather`]; `finish` may read row `i`'s slots.
     #[inline(always)]
     unsafe fn row<V: SlabValue>(
         x: &SharedVec,
@@ -176,9 +134,16 @@ impl<const W: usize> Sum<W> {
                     // SAFETY: forwarded from the caller's contract.
                     acc[0] += v * unsafe { x.read(from) };
                 } else {
-                    // SAFETY: forwarded from the caller's contract. (A slice,
-                    // not per-lane reads: this is the form the lane loop
-                    // vectorizes in.)
+                    // SAFETY: the view covers `w` slots of row `cols[k]`
+                    // only, which the caller's contract puts in bounds and
+                    // keeps free of writers for the whole call. Under the
+                    // split and pipelined drivers other workers do write `x`
+                    // while the view lives, but only slots of *other* rows
+                    // (each row has one writer, and `cols[k]` names finished
+                    // rows), and this call's own writes go to row `i`, which
+                    // a strictly triangular slab never names — so no write
+                    // overlaps the viewed range. (A slice, not per-lane
+                    // reads: this is the form the lane loop vectorizes in.)
                     let xj = unsafe { x.slice(from, w) };
                     for (a, &xq) in acc[..w].iter_mut().zip(xj) {
                         *a += v * xq;
@@ -193,12 +158,18 @@ impl<const W: usize> Sum<W> {
             q0 += w;
         }
     }
-}
 
-impl<const W: usize> RowForm for Sum<W> {
-    // SAFETY: the caller upholds the contract stated on `RowForm::gather`.
+    /// Phase 1: produces row `i` from `b` and the rows named by
+    /// `slab.cols[entries]`.
+    ///
+    /// # Safety
+    /// The `nrhs` slots of row `i` and of every row in `slab.cols[entries]`
+    /// must be in bounds of `x`; `slab.cols[entries]` must not name row `i`;
+    /// no other thread may access row `i`'s slots or write the
+    /// `slab.cols[entries]` rows' slots during the call. Other threads may
+    /// concurrently write rows that are neither.
     #[inline(always)]
-    unsafe fn gather<V: SlabValue>(
+    pub(crate) unsafe fn gather<V: SlabValue>(
         x: &SharedVec,
         b: &[f64],
         i: usize,
@@ -211,9 +182,13 @@ impl<const W: usize> RowForm for Sum<W> {
         unsafe { Self::row(x, i, slab, entries, nrhs, |slot, acc| (b[slot] - acc) * d) }
     }
 
-    // SAFETY: the caller upholds the contract stated on `RowForm::chain`.
+    /// Phase 2: corrects row `i`'s phase-1 value by the rows named by
+    /// `slab.cols[entries]`.
+    ///
+    /// # Safety
+    /// As for [`Sum::gather`].
     #[inline(always)]
-    unsafe fn chain<V: SlabValue>(
+    pub(crate) unsafe fn chain<V: SlabValue>(
         x: &SharedVec,
         i: usize,
         slab: Slab<'_, V>,
@@ -227,75 +202,6 @@ impl<const W: usize> RowForm for Sum<W> {
             Self::row(x, i, slab, entries, nrhs, |slot, acc| {
                 x.read(slot) - acc * d
             })
-        }
-    }
-}
-
-/// The tile form (lane width [`TILE`]).
-pub(crate) struct Tile;
-
-impl RowForm for Tile {
-    // SAFETY: the caller upholds the contract stated on `RowForm::gather`.
-    #[inline(always)]
-    unsafe fn gather<V: SlabValue>(
-        x: &SharedVec,
-        b: &[f64],
-        i: usize,
-        slab: Slab<'_, V>,
-        entries: Range<usize>,
-        d: f64,
-        nrhs: usize,
-    ) {
-        for q0 in (0..nrhs).step_by(TILE) {
-            let w = TILE.min(nrhs - q0);
-            let at = i * nrhs + q0;
-            let mut acc = [0.0f64; TILE];
-            acc[..w].copy_from_slice(&b[at..at + w]);
-            for k in entries.clone() {
-                let v = slab.vals[k].to_f64();
-                let from = slab.cols[k] as usize * nrhs + q0;
-                for (q, a) in acc[..w].iter_mut().enumerate() {
-                    // SAFETY: forwarded from the caller's contract.
-                    *a -= v * unsafe { x.read(from + q) };
-                }
-            }
-            for (q, &a) in acc[..w].iter().enumerate() {
-                // SAFETY: row i's slots are owned by this call.
-                unsafe { x.write(at + q, a * d) };
-            }
-        }
-    }
-
-    // SAFETY: the caller upholds the contract stated on `RowForm::chain`.
-    #[inline(always)]
-    unsafe fn chain<V: SlabValue>(
-        x: &SharedVec,
-        i: usize,
-        slab: Slab<'_, V>,
-        entries: Range<usize>,
-        d: f64,
-        nrhs: usize,
-    ) {
-        for q0 in (0..nrhs).step_by(TILE) {
-            let w = TILE.min(nrhs - q0);
-            let at = i * nrhs + q0;
-            let mut acc = [0.0f64; TILE];
-            for (q, a) in acc[..w].iter_mut().enumerate() {
-                // SAFETY: row i's slots are owned by this call.
-                *a = unsafe { x.read(at + q) };
-            }
-            for k in entries.clone() {
-                let vd = slab.vals[k].to_f64() * d;
-                let from = slab.cols[k] as usize * nrhs + q0;
-                for (q, a) in acc[..w].iter_mut().enumerate() {
-                    // SAFETY: forwarded from the caller's contract.
-                    *a -= vd * unsafe { x.read(from + q) };
-                }
-            }
-            for (q, &a) in acc[..w].iter().enumerate() {
-                // SAFETY: row i's slots are owned by this call.
-                unsafe { x.write(at + q, a) };
-            }
         }
     }
 }

@@ -6,8 +6,8 @@
 //!   [`ParallelSolver::solve_into`], plus Algorithm 1 executed with threads
 //!   ([`ParallelSolver::solve`]: one `parallel_for` over the super-rows of
 //!   each pack, a barrier between packs).
-//! * `kernel` — the row arithmetic of that sweep: the *sum form* and the
-//!   *tile form*, each with one gather-row and one chain-row function.
+//! * `kernel` — the row arithmetic of that sweep: one row body with a
+//!   gather-row and a chain-row function, at lane width 1 or 8.
 //! * [`plan`] — the one chunk geometry ([`PipelinePlan`], the factor
 //!   chunking): computed once, executed by the kernels, and read back by the
 //!   schedule verifier and the simulator.
@@ -19,28 +19,26 @@
 //!   ([`ParallelSolver::parallel_ic0`]): the preconditioner *setup* run over
 //!   the same pack hierarchy and epoch-gate readiness scheme as the solves,
 //!   bitwise identical to the sequential up-looking sweep.
-
 //!
 //! # Which requests are bitwise identical
 //!
 //! A sweep's output bits depend on the row arithmetic, never on the driver,
-//! the thread count or the chunking. Which arithmetic a request runs is a
-//! pure function of `(engine, nrhs)`:
+//! the thread count, the chunking or the batch width, and the split-layout
+//! engines share one row arithmetic (`acc = Σ v·x` in slab order, then
+//! `x = (b − acc)·d`):
 //!
-//! | request | form | bitwise identical to |
-//! |---|---|---|
-//! | `nrhs = 1`, sequential / split / pipelined | sum, width 1 | each other, at every thread count |
-//! | `nrhs > 1`, sequential | sum, width 8 | lane by lane, the `nrhs = 1` sweeps above |
-//! | `nrhs > 1`, split / pipelined | tile | each other, at every thread count |
-//! | [`ParallelSolver::solve`] (unsplit) | Algorithm 1's row loop | itself at every thread count and schedule |
+//! | request | bitwise identical to |
+//! |---|---|
+//! | sequential / split / pipelined, any `nrhs` | each other at every thread count; lane by lane, the `nrhs = 1` sweep of that right-hand side |
+//! | [`ParallelSolver::solve`] (unsplit, Algorithm 1's row loop) | itself at every thread count and schedule |
 //!
-//! Across rows of the table — sum vs tile vs the unsplit loop, and every
-//! engine vs [`StsStructure::solve_sequential`] /
-//! [`StsStructure::solve_transpose_sequential`] — results agree to rounding
-//! (≤ 1e-12 relative on the test suites), not bitwise: the forms associate
-//! the same products differently. Reading the f32 value slabs changes the
-//! stored values, not the form, so the table holds per precision.
-//! `tests/sweep_golden_bits.rs` pins the bits of every row.
+//! Across the two rows — and against [`StsStructure::solve_sequential`] /
+//! [`StsStructure::solve_transpose_sequential`] — results agree to rounding,
+//! not bitwise: the unsplit loop sums a row's entries in one pass and
+//! divides by the diagonal, the split layouts sum the external and internal
+//! slabs separately and multiply by its reciprocal. Reading the f32 value
+//! slabs changes the stored values, not the arithmetic, so the table holds
+//! per precision. `tests/sweep_golden_bits.rs` pins the bits of both rows.
 //!
 //! [`StsStructure::solve_sequential`]: crate::csrk::StsStructure::solve_sequential
 //! [`StsStructure::solve_transpose_sequential`]: crate::csrk::StsStructure::solve_transpose_sequential

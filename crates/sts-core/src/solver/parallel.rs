@@ -18,8 +18,8 @@
 //! balance, and phase 2 only walks the internal slab, a small fraction of
 //! the nonzeros for coloring/level-set packs.
 //!
-//! The row arithmetic lives in `solver::kernel` (two forms, each
-//! written once), the chunk geometry in [`plan`](super::plan). This module
+//! The row arithmetic lives in `solver::kernel` (one row body, written
+//! once), the chunk geometry in [`plan`](super::plan). This module
 //! holds the three **drivers** that walk the stages of a [`PipelinePlan`]
 //! and differ only in how they synchronise — direction, batch width and slab
 //! precision are data:
@@ -146,7 +146,7 @@ use sts_numa::{GateWait, PoolError, Schedule, WorkerPool};
 use sts_trace::{Phase, SpanRecorder};
 use sts_verify::TaskKind;
 
-use super::kernel::{RowForm, SharedVec, Slab, Sum, Tile, TILE};
+use super::kernel::{SharedVec, Slab, Sum, TILE};
 use super::plan::{chunk_count, chunk_range, stage_pack, PipelinePlan};
 use crate::csrk::{Result, StsStructure};
 use crate::options::{PrecisionPolicy, SlabValue, SolveEngine, SolveOptions, SweepDirection};
@@ -531,9 +531,10 @@ impl ParallelSolver {
         }
     }
 
-    /// Picks the row arithmetic — a pure function of `(engine, nrhs)`, see
-    /// `solver::kernel` — for one sweep over `layout`'s external and internal
-    /// slabs, from `b` into `x`.
+    /// One sweep over `layout`'s external and internal slabs, from `b` into
+    /// `x`: binds the row body — lane width 1 for a single right-hand side,
+    /// [`TILE`] for a batch — to the sweep's `(gather, chain)` bodies and
+    /// runs them under the requested engine's driver.
     fn sweep<V: SlabValue>(
         &self,
         plan: &mut PipelinePlan,
@@ -554,30 +555,38 @@ impl ParallelSolver {
             direction: plan.direction(),
             num_stages: plan.num_stages(),
         };
-        match (opts.nrhs, opts.engine) {
-            (1, _) => self.drive::<V, Sum<1>>(opts.engine, plan, &rows),
-            (_, SolveEngine::Sequential) => self.drive::<V, Sum<TILE>>(opts.engine, plan, &rows),
-            _ => self.drive::<V, Tile>(opts.engine, plan, &rows),
+        if opts.nrhs == 1 {
+            self.drive(
+                opts.engine,
+                plan,
+                &|range| rows.gather_rows::<1>(range),
+                &|st, t| rows.chain_task::<1>(st, t),
+            )
+        } else {
+            self.drive(
+                opts.engine,
+                plan,
+                &|range| rows.gather_rows::<TILE>(range),
+                &|st, t| rows.chain_task::<TILE>(st, t),
+            )
         }
     }
 
-    /// Binds the row form to the sweep's `(gather, chain)` bodies and runs
-    /// them under `engine`'s driver.
-    fn drive<V: SlabValue, F: RowForm>(
+    /// Runs a sweep's `(gather, chain)` bodies under `engine`'s driver.
+    fn drive(
         &self,
         engine: SolveEngine,
         plan: &mut PipelinePlan,
-        rows: &SweepRows<'_, V>,
+        gather: &GatherFn<'_>,
+        chain: &ChainFn<'_>,
     ) -> Result<()> {
-        let gather = |range: Range<usize>| rows.gather_rows::<F>(range);
-        let chain = |st: usize, t: usize| rows.chain_task::<F>(st, t);
         match engine {
             SolveEngine::Sequential => {
-                drive_sequential(plan, &gather, &chain);
+                drive_sequential(plan, gather, chain);
                 Ok(())
             }
-            SolveEngine::Split => self.drive_split(plan, &gather, &chain),
-            SolveEngine::Pipelined => self.drive_pipelined(plan, &gather, &chain),
+            SolveEngine::Split => self.drive_split(plan, gather, chain),
+            SolveEngine::Pipelined => self.drive_pipelined(plan, gather, chain),
             SolveEngine::Parallel => Err(MatrixError::InvalidParameter(
                 "the unsplit parallel engine runs without a plan; call solve or solve_with".into(),
             )),
@@ -1027,7 +1036,7 @@ struct SweepRows<'a, V> {
 
 impl<V: SlabValue> SweepRows<'_, V> {
     /// Phase 1 over one contiguous row range (a gather chunk).
-    fn gather_rows<F: RowForm>(&self, rows: Range<usize>) {
+    fn gather_rows<const W: usize>(&self, rows: Range<usize>) {
         let erp = self.layout.ext_row_ptr();
         let inv_diag = self.layout.inv_diags();
         for i in rows {
@@ -1039,7 +1048,7 @@ impl<V: SlabValue> SweepRows<'_, V> {
             // (split), the chunk's readiness wait (pipelined) or in program
             // order (sequential). See the module docs.
             unsafe {
-                F::gather(
+                Sum::<W>::gather(
                     &self.x,
                     self.b,
                     i,
@@ -1059,7 +1068,7 @@ impl<V: SlabValue> SweepRows<'_, V> {
 
     /// Phase 2: chain task `t` of stage `st`, its chain rows in layout order
     /// (increasing for forward sweeps, decreasing for transpose sweeps).
-    fn chain_task<F: RowForm>(&self, st: usize, t: usize) {
+    fn chain_task<const W: usize>(&self, st: usize, t: usize) {
         let p = stage_pack(self.direction, self.num_stages, st);
         let irp = self.layout.int_row_ptr();
         let inv_diag = self.layout.inv_diags();
@@ -1071,7 +1080,7 @@ impl<V: SlabValue> SweepRows<'_, V> {
             // barrier / drained flag; its internal columns stay inside this
             // task's super-row — corrected earlier by this task if they are
             // chain rows, phase-1 values otherwise.
-            unsafe { F::chain(&self.x, i, self.int, r.clone(), inv_diag[i], self.nrhs) };
+            unsafe { Sum::<W>::chain(&self.x, i, self.int, r.clone(), inv_diag[i], self.nrhs) };
             // The recorded reads: the internal columns plus the re-read of
             // the row's own phase-1 partial.
             self.solver.shadow_record(
@@ -1139,27 +1148,6 @@ mod tests {
             SweepDirection::Forward => s.lower().multiply(&x).unwrap(),
             SweepDirection::Transpose => s.lower().multiply_transpose(&x).unwrap(),
         }
-    }
-
-    /// `nrhs` manufactured systems interleaved row-major, with the
-    /// reference solution of each.
-    fn interleaved(
-        s: &StsStructure,
-        direction: SweepDirection,
-        nrhs: usize,
-    ) -> (Vec<f64>, Vec<f64>) {
-        let n = s.n();
-        let mut b = vec![0.0; n * nrhs];
-        let mut expected = vec![0.0; n * nrhs];
-        for r in 0..nrhs {
-            let br = manufactured(s, direction, r);
-            let xr = reference(s, direction, &br);
-            for i in 0..n {
-                b[i * nrhs + r] = br[i];
-                expected[i * nrhs + r] = xr[i];
-            }
-        }
-        (b, expected)
     }
 
     fn lane(x: &[f64], nrhs: usize, q: usize) -> Vec<f64> {
@@ -1272,55 +1260,45 @@ mod tests {
     }
 
     #[test]
-    fn batch_sweeps_match_single_rhs_solves_on_every_engine() {
-        let a = generators::grid2d_9point(12, 12).unwrap();
-        let l = generators::lower_operand(&a).unwrap();
-        let s = Method::Sts3.build(&l, 6).unwrap();
-        let nrhs = 3;
-        for direction in DIRECTIONS {
-            let (b, expected) = interleaved(&s, direction, nrhs);
-            for threads in [1, 3, 8] {
-                let solver = ParallelSolver::new(threads, Schedule::Guided { min_chunk: 1 });
-                for engine in SPLIT_ENGINES {
-                    let x = solver
-                        .solve_with(&s, &b, &opts(engine, direction).with_nrhs(nrhs))
-                        .unwrap();
-                    assert!(
-                        ops::relative_error_inf(&x, &expected) < 1e-12,
-                        "{engine:?} {direction:?} batch diverged with {threads} threads"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn sequential_batch_lanes_are_bitwise_identical_to_scalar_sweeps() {
-        // The engine-matrix invariant: each lane of the sequential engine's
-        // batch runs the scalar sweep's exact floating-point sequence (the
-        // sum form), so equality is ==, not a tolerance. A width above TILE
-        // exercises the remainder pass too.
+    fn batch_lanes_are_bitwise_identical_to_scalar_sweeps_on_every_engine() {
+        // The engine-matrix invariant: each lane of a batch runs the scalar
+        // sweep's exact floating-point sequence on every engine at every
+        // thread count, so equality is ==, not a tolerance. Widths above
+        // TILE exercise the remainder pass (9) and a third pass (17).
         let a = generators::grid2d_9point(9, 9).unwrap();
         let s = Method::Sts3
             .build(&generators::lower_operand(&a).unwrap(), 4)
             .unwrap();
         let n = s.n();
-        let solver = ParallelSolver::new(2, Schedule::Static);
-        for nrhs in [1usize, 3, TILE + 2] {
+        let scalar_solver = ParallelSolver::new(1, Schedule::Static);
+        for nrhs in [1usize, 3, 9, 17] {
             let bb: Vec<f64> = (0..n * nrhs)
                 .map(|k| 1.0 + ((k / nrhs) * 7 + (k % nrhs) * 3) as f64 * 0.31)
                 .collect();
             for direction in DIRECTIONS {
                 for precision in [PrecisionPolicy::ValuesF64, F32] {
                     let scalar = opts(SolveEngine::Sequential, direction).with_precision(precision);
-                    let xb = solver.solve_with(&s, &bb, &scalar.with_nrhs(nrhs)).unwrap();
+                    let mut expected = vec![0.0; n * nrhs];
                     for q in 0..nrhs {
-                        let xq = solver.solve_with(&s, &lane(&bb, nrhs, q), &scalar).unwrap();
-                        assert_eq!(
-                            lane(&xb, nrhs, q),
-                            xq,
-                            "{direction:?} {precision:?} lane {q} of {nrhs} diverged"
-                        );
+                        let xq = scalar_solver
+                            .solve_with(&s, &lane(&bb, nrhs, q), &scalar)
+                            .unwrap();
+                        for (i, v) in xq.into_iter().enumerate() {
+                            expected[i * nrhs + q] = v;
+                        }
+                    }
+                    for threads in [1, 3, 8] {
+                        let solver =
+                            ParallelSolver::new(threads, Schedule::Guided { min_chunk: 1 });
+                        for engine in SPLIT_ENGINES {
+                            let o = scalar.with_engine(engine).with_nrhs(nrhs);
+                            assert_eq!(
+                                solver.solve_with(&s, &bb, &o).unwrap(),
+                                expected,
+                                "{engine:?} {direction:?} {precision:?} batch of {nrhs} \
+                                 diverged from the scalar sweeps at {threads} threads"
+                            );
+                        }
                     }
                 }
             }
@@ -1608,7 +1586,7 @@ mod tests {
                     .unwrap();
                 for threads in [1, 2, 4] {
                     let solver = ParallelSolver::new(threads, Schedule::Guided { min_chunk: 1 });
-                    // Every engine runs the sum form row by row, and f32
+                    // Every engine runs the one row body row by row, and f32
                     // slabs round only the stored values, so all engines
                     // give the exact same bits at every thread count.
                     for engine in [SolveEngine::Split, SolveEngine::Pipelined] {
@@ -1668,59 +1646,5 @@ mod tests {
                 .unwrap(),
             solver.solve(&s, &b).unwrap()
         );
-        // The split engine's transpose batch sweep — a rejected special case
-        // before the drivers were unified — runs the pipelined engine's
-        // arithmetic exactly.
-        let a = generators::grid2d_9point(11, 11).unwrap();
-        let s = Method::Sts3
-            .build(&generators::lower_operand(&a).unwrap(), 5)
-            .unwrap();
-        let (bb, _) = interleaved(&s, SweepDirection::Transpose, 3);
-        let batch = SolveOptions::default()
-            .with_direction(SweepDirection::Transpose)
-            .with_nrhs(3);
-        assert_eq!(
-            solver
-                .solve_with(&s, &bb, &batch.with_engine(SolveEngine::Split))
-                .unwrap(),
-            solver.solve_with(&s, &bb, &batch).unwrap()
-        );
-    }
-
-    #[test]
-    fn f32_batch_kernels_match_per_rhs_f32_solves() {
-        let a = generators::grid2d_9point(11, 11).unwrap();
-        let l = generators::lower_operand(&a).unwrap();
-        let s = Method::Sts3.build(&l, 5).unwrap();
-        let n = s.n();
-        let nrhs = 3;
-        let mut b = vec![0.0; n * nrhs];
-        let mut expected = vec![0.0; n * nrhs];
-        let solver = ParallelSolver::new(3, Schedule::Guided { min_chunk: 1 });
-        let f32_split = SolveOptions::default()
-            .with_engine(SolveEngine::Split)
-            .with_precision(F32);
-        for r in 0..nrhs {
-            let br: Vec<f64> = (0..n).map(|i| 1.0 + ((i + r) % 9) as f64 * 0.2).collect();
-            let xr = solver.solve_with(&s, &br, &f32_split).unwrap();
-            for i in 0..n {
-                b[i * nrhs + r] = br[i];
-                expected[i * nrhs + r] = xr[i];
-            }
-        }
-        let f32_opts = SolveOptions::default().with_precision(F32).with_nrhs(nrhs);
-        let batch_pipe = solver.solve_with(&s, &b, &f32_opts).unwrap();
-        let batch_split = solver
-            .solve_with(&s, &b, &f32_opts.with_engine(SolveEngine::Split))
-            .unwrap();
-        let batch_seq = solver
-            .solve_with(&s, &b, &f32_opts.with_engine(SolveEngine::Sequential))
-            .unwrap();
-        // The two parallel batch engines share the tile form exactly; the
-        // sequential batch engine runs the sum form, lane-bitwise equal to
-        // the per-RHS solves, so it agrees with the tile form to rounding.
-        assert_eq!(batch_pipe, batch_split);
-        assert_eq!(batch_seq, expected);
-        assert!(ops::relative_error_inf(&batch_pipe, &expected) < 1e-12);
     }
 }

@@ -76,10 +76,10 @@ pub mod system;
 pub mod workspace;
 
 pub use pcg::{Pcg, PcgBatchOutcome, PcgBlockOutcome, PcgOptions, PcgOutcome, Tolerance};
-pub use precond::{Ic0, Identity, Preconditioner, Ssor, SweepEngine};
+pub use precond::{Ic0, Ic0Operand, Ic0Setup, Identity, Preconditioner, Ssor, SweepEngine};
 pub use recovery::{
     build_ladder_preconditioner, LadderPreconditioner, RecoveryAttempt, RecoveryPolicy,
-    RecoveryReport, RobustBatchOutcome, RobustBlockOutcome, RobustOutcome, RobustPcg,
+    RecoveryReport, Robust, RobustPcg,
 };
 pub use refine::{solve_refined, RefineOptions, RefineOutcome};
 pub use system::SpdSystem;

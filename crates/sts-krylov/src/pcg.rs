@@ -3,7 +3,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use sts_core::{ParallelSolver, SolveOptions};
+use sts_core::ParallelSolver;
 use sts_matrix::{ops, MatrixError};
 use sts_numa::Schedule;
 use sts_trace::Registry;
@@ -244,20 +244,7 @@ impl Pcg {
         b: &[f64],
         ws: &mut KrylovWorkspace,
     ) -> Result<PcgOutcome> {
-        let n = sys.n();
-        if b.len() != n {
-            return Err(MatrixError::DimensionMismatch(format!(
-                "b has length {}, expected {n}",
-                b.len()
-            )));
-        }
-        if ws.n() != n || ws.nrhs() != 1 {
-            return Err(MatrixError::DimensionMismatch(format!(
-                "workspace is sized for n = {} × nrhs = {}, solve needs n = {n} × nrhs = 1",
-                ws.n(),
-                ws.nrhs()
-            )));
-        }
+        check_shapes(sys, b, 1, ws)?;
         let start = Instant::now();
         let mut precond = Duration::ZERO;
         // With x₀ = 0 the initial residual *is* the gathered right-hand
@@ -272,9 +259,10 @@ impl Pcg {
             return Err(MatrixError::NonFiniteResidual { iteration: 0 });
         }
         let threshold = self.options.tolerance.threshold(rnorm);
+        // Grown as it is pushed, never sized from `max_iterations`: that
+        // bound is whatever the caller (or a wire request) asked for.
         let mut history = Vec::new();
         if self.options.record_history {
-            history.reserve(self.options.max_iterations + 1);
             history.push(rnorm);
         }
         let mut iterations = 0usize;
@@ -329,7 +317,7 @@ impl Pcg {
                 history.push(rnorm);
             }
         }
-        let mut x = vec![0.0; n];
+        let mut x = vec![0.0; sys.n()];
         sys.scatter_into(&ws.x, &mut x);
         // One elapsed() reading feeds both representations, so the integer
         // and f64 fields can never disagree about what was measured.
@@ -355,62 +343,6 @@ impl Pcg {
         Ok(outcome)
     }
 
-    /// [`Pcg::solve`] behind the unified [`SolveOptions`] front door: sets
-    /// the requested [`SolveOptions::precision`] on `pre`
-    /// ([`Preconditioner::set_precision`]) and runs the single-RHS solve.
-    ///
-    /// Only the `precision` and `nrhs` fields are consumed here — the
-    /// preconditioner's own [`SweepEngine`](crate::SweepEngine) governs how
-    /// its sweeps run, and CG has no direction to choose. `nrhs` must be 1;
-    /// use [`Pcg::solve_batch_with`] / [`Pcg::solve_block_with`] for more.
-    pub fn solve_with(
-        &self,
-        sys: &SpdSystem,
-        pre: &mut dyn Preconditioner,
-        b: &[f64],
-        ws: &mut KrylovWorkspace,
-        opts: &SolveOptions,
-    ) -> Result<PcgOutcome> {
-        if opts.nrhs != 1 {
-            return Err(MatrixError::DimensionMismatch(format!(
-                "solve_with is the single-RHS entry (got nrhs = {}); use solve_batch_with",
-                opts.nrhs
-            )));
-        }
-        pre.set_precision(opts.precision);
-        self.solve(sys, pre, b, ws)
-    }
-
-    /// [`Pcg::solve_batch`] behind the unified [`SolveOptions`] front door:
-    /// sets [`SolveOptions::precision`] on `pre` and solves
-    /// [`SolveOptions::nrhs`] systems in lockstep.
-    pub fn solve_batch_with(
-        &self,
-        sys: &SpdSystem,
-        pre: &mut dyn Preconditioner,
-        b: &[f64],
-        ws: &mut KrylovWorkspace,
-        opts: &SolveOptions,
-    ) -> Result<PcgBatchOutcome> {
-        pre.set_precision(opts.precision);
-        self.solve_batch(sys, pre, b, opts.nrhs, ws)
-    }
-
-    /// [`Pcg::solve_block`] behind the unified [`SolveOptions`] front door:
-    /// sets [`SolveOptions::precision`] on `pre` and solves
-    /// [`SolveOptions::nrhs`] systems on a shared block Krylov space.
-    pub fn solve_block_with(
-        &self,
-        sys: &SpdSystem,
-        pre: &mut dyn Preconditioner,
-        b: &[f64],
-        ws: &mut KrylovWorkspace,
-        opts: &SolveOptions,
-    ) -> Result<PcgBlockOutcome> {
-        pre.set_precision(opts.precision);
-        self.solve_block(sys, pre, b, opts.nrhs, ws)
-    }
-
     /// Solves `nrhs` systems `A X = B` at once (interleaved layout,
     /// `b[i * nrhs + q]`, original numbering) with lockstep preconditioned
     /// CG on the batch kernels: one batched sweep pair and one batched
@@ -427,46 +359,12 @@ impl Pcg {
         ws: &mut KrylovWorkspace,
     ) -> Result<PcgBatchOutcome> {
         let n = sys.n();
-        if nrhs == 0 {
-            return Err(MatrixError::DimensionMismatch(
-                "solve_batch needs at least one right-hand side".into(),
-            ));
-        }
-        if b.len() != n * nrhs {
-            return Err(MatrixError::DimensionMismatch(format!(
-                "B has length {}, expected n * nrhs = {}",
-                b.len(),
-                n * nrhs
-            )));
-        }
-        if ws.n() != n || ws.nrhs() != nrhs {
-            return Err(MatrixError::DimensionMismatch(format!(
-                "workspace is sized for n = {} × nrhs = {}, solve needs n = {n} × nrhs = {nrhs}",
-                ws.n(),
-                ws.nrhs()
-            )));
-        }
-        sys.gather_batch_into(b, &mut ws.r, nrhs);
-        ws.x.fill(0.0);
-        // Per-system scalar state (O(nrhs), allocated once per solve call).
-        let mut rnorm = vec![0.0f64; nrhs];
-        strided_norms_into(&ws.r, nrhs, &mut rnorm);
-        check_finite_norms(&rnorm, 0)?;
-        let thresholds: Vec<f64> = rnorm
-            .iter()
-            .map(|&bn| self.options.tolerance.threshold(bn))
-            .collect();
-        let mut iterations = vec![self.options.max_iterations; nrhs];
+        let (mut rnorm, thresholds, mut iterations) = self.start_batch(sys, b, nrhs, ws)?;
         let mut rz = vec![0.0f64; nrhs];
         let mut rz_new = vec![0.0f64; nrhs];
         let mut pap = vec![0.0f64; nrhs];
         let mut alpha = vec![0.0f64; nrhs];
         let mut beta = vec![0.0f64; nrhs];
-        for (q, (&r, &t)) in rnorm.iter().zip(&thresholds).enumerate() {
-            if r <= t {
-                iterations[q] = 0;
-            }
-        }
         let mut lockstep = 0usize;
         while lockstep < self.options.max_iterations
             && rnorm.iter().zip(&thresholds).any(|(&r, &t)| r > t)
@@ -518,18 +416,14 @@ impl Pcg {
                 }
             }
         }
-        let mut x = vec![0.0; n * nrhs];
-        sys.scatter_batch_into(&ws.x, &mut x, nrhs);
-        let converged: Vec<bool> = rnorm
-            .iter()
-            .zip(&thresholds)
-            .map(|(&r, &t)| r <= t)
-            .collect();
-        for (it, &c) in iterations.iter_mut().zip(&converged) {
-            if !c {
-                *it = lockstep;
-            }
-        }
+        let (x, converged) = finish_batch(
+            sys,
+            ws,
+            nrhs,
+            (&rnorm, &thresholds),
+            &mut iterations,
+            lockstep,
+        );
         Ok(PcgBatchOutcome {
             x,
             iterations,
@@ -566,9 +460,8 @@ impl Pcg {
     ///   (residuals numerically inside the converged span), the solve stops
     ///   and reports the state honestly rather than spinning.
     ///
-    /// Works with either [`SweepEngine`](crate::SweepEngine): the
-    /// preconditioner's batched application runs on the pipelined batch
-    /// kernels or the sequential batched split kernels.
+    /// Works with either [`SweepEngine`](crate::SweepEngine), with
+    /// bitwise identical iterates.
     pub fn solve_block(
         &self,
         sys: &SpdSystem,
@@ -578,51 +471,18 @@ impl Pcg {
         ws: &mut KrylovWorkspace,
     ) -> Result<PcgBlockOutcome> {
         let n = sys.n();
-        if nrhs == 0 {
-            return Err(MatrixError::DimensionMismatch(
-                "solve_block needs at least one right-hand side".into(),
-            ));
-        }
-        if b.len() != n * nrhs {
-            return Err(MatrixError::DimensionMismatch(format!(
-                "B has length {}, expected n * nrhs = {}",
-                b.len(),
-                n * nrhs
-            )));
-        }
-        if ws.n() != n || ws.nrhs() != nrhs {
-            return Err(MatrixError::DimensionMismatch(format!(
-                "workspace is sized for n = {} × nrhs = {}, solve needs n = {n} × nrhs = {nrhs}",
-                ws.n(),
-                ws.nrhs()
-            )));
-        }
         // A dependent direction is one whose pivot has fallen this far below
         // the block's largest: it no longer contributes a numerically new
         // search direction.
         const DEFLATION_TOL: f64 = 1e-12;
         let start = Instant::now();
         let mut seconds_precond = 0.0f64;
-        sys.gather_batch_into(b, &mut ws.r, nrhs);
-        ws.x.fill(0.0);
-        let mut rnorm = vec![0.0f64; nrhs];
-        strided_norms_into(&ws.r, nrhs, &mut rnorm);
-        check_finite_norms(&rnorm, 0)?;
-        let thresholds: Vec<f64> = rnorm
-            .iter()
-            .map(|&bn| self.options.tolerance.threshold(bn))
-            .collect();
-        let mut iterations = vec![self.options.max_iterations; nrhs];
+        let (mut rnorm, thresholds, mut iterations) = self.start_batch(sys, b, nrhs, ws)?;
         let mut active: Vec<bool> = rnorm
             .iter()
             .zip(&thresholds)
             .map(|(&r, &t)| r > t)
             .collect();
-        for (q, &a) in active.iter().enumerate() {
-            if !a {
-                iterations[q] = 0;
-            }
-        }
         let mut block_steps = 0usize;
         let mut deflations = 0usize;
         if active.iter().any(|&a| a) {
@@ -782,18 +642,14 @@ impl Pcg {
                 in_basis.copy_from_slice(&active);
             }
         }
-        let mut x = vec![0.0; n * nrhs];
-        sys.scatter_batch_into(&ws.x, &mut x, nrhs);
-        let converged: Vec<bool> = rnorm
-            .iter()
-            .zip(&thresholds)
-            .map(|(&r, &t)| r <= t)
-            .collect();
-        for (it, &c) in iterations.iter_mut().zip(&converged) {
-            if !c {
-                *it = block_steps;
-            }
-        }
+        let (x, converged) = finish_batch(
+            sys,
+            ws,
+            nrhs,
+            (&rnorm, &thresholds),
+            &mut iterations,
+            block_steps,
+        );
         Ok(PcgBlockOutcome {
             x,
             iterations,
@@ -805,6 +661,95 @@ impl Pcg {
             seconds_precond,
         })
     }
+
+    /// The entry state shared by the lockstep and block drivers: checks the
+    /// shapes, gathers `b` into `ws.r` (with `x₀ = 0` the initial residual
+    /// *is* the right-hand side), zeroes `ws.x`, and returns per system the
+    /// initial residual norm, the threshold, and the iteration stamp — 0 for
+    /// a system converged at entry, the iteration bound until a system
+    /// first meets its threshold otherwise.
+    fn start_batch(
+        &self,
+        sys: &SpdSystem,
+        b: &[f64],
+        nrhs: usize,
+        ws: &mut KrylovWorkspace,
+    ) -> Result<(Vec<f64>, Vec<f64>, Vec<usize>)> {
+        check_shapes(sys, b, nrhs, ws)?;
+        sys.gather_batch_into(b, &mut ws.r, nrhs);
+        ws.x.fill(0.0);
+        let mut rnorm = vec![0.0f64; nrhs];
+        strided_norms_into(&ws.r, nrhs, &mut rnorm);
+        check_finite_norms(&rnorm, 0)?;
+        let thresholds: Vec<f64> = rnorm
+            .iter()
+            .map(|&bn| self.options.tolerance.threshold(bn))
+            .collect();
+        let iterations = rnorm
+            .iter()
+            .zip(&thresholds)
+            .map(|(&r, &t)| {
+                if r <= t {
+                    0
+                } else {
+                    self.options.max_iterations
+                }
+            })
+            .collect();
+        Ok((rnorm, thresholds, iterations))
+    }
+}
+
+/// Rejects a right-hand side or a workspace that is not `n × nrhs`.
+fn check_shapes(sys: &SpdSystem, b: &[f64], nrhs: usize, ws: &KrylovWorkspace) -> Result<()> {
+    let n = sys.n();
+    if nrhs == 0 {
+        return Err(MatrixError::DimensionMismatch(
+            "a solve needs at least one right-hand side".into(),
+        ));
+    }
+    if b.len() != n * nrhs {
+        return Err(MatrixError::DimensionMismatch(format!(
+            "b has length {}, expected n * nrhs = {}",
+            b.len(),
+            n * nrhs
+        )));
+    }
+    if ws.n() != n || ws.nrhs() != nrhs {
+        return Err(MatrixError::DimensionMismatch(format!(
+            "workspace is sized for n = {} × nrhs = {}, solve needs n = {n} × nrhs = {nrhs}",
+            ws.n(),
+            ws.nrhs()
+        )));
+    }
+    Ok(())
+}
+
+/// The exit state shared by the lockstep and block drivers: scatters `ws.x`
+/// back to the caller's numbering, derives the convergence flags from the
+/// final norms, and stamps the systems that never met their threshold with
+/// the `steps` the solve performed.
+fn finish_batch(
+    sys: &SpdSystem,
+    ws: &KrylovWorkspace,
+    nrhs: usize,
+    (rnorm, thresholds): (&[f64], &[f64]),
+    iterations: &mut [usize],
+    steps: usize,
+) -> (Vec<f64>, Vec<bool>) {
+    let mut x = vec![0.0; sys.n() * nrhs];
+    sys.scatter_batch_into(&ws.x, &mut x, nrhs);
+    let converged: Vec<bool> = rnorm
+        .iter()
+        .zip(thresholds)
+        .map(|(&r, &t)| r <= t)
+        .collect();
+    for (it, &c) in iterations.iter_mut().zip(&converged) {
+        if !c {
+            *it = steps;
+        }
+    }
+    (x, converged)
 }
 
 /// Rejects a non-finite residual norm anywhere in a batch, naming the
@@ -1001,12 +946,13 @@ mod tests {
             "stagnating"
         }
 
-        fn apply_into(
+        fn apply_batch_into(
             &mut self,
             _solver: &sts_core::ParallelSolver,
             r: &[f64],
             z: &mut [f64],
             _sweep: &mut [f64],
+            _nrhs: usize,
         ) -> crate::Result<()> {
             if self.calls == 1 {
                 // z ⊥ r exactly: dot(r, z) = r₀·r₁ − r₁·r₀ = 0.0 in floating
@@ -1197,9 +1143,9 @@ mod tests {
     #[test]
     fn block_and_batch_solves_run_on_the_sequential_engine() {
         // The engine matrix is complete: batched lockstep and block solves
-        // work on single-core hosts through the sequential batched split
-        // kernels, with iterate sequences identical to the pipelined engine
-        // (the kernels are bitwise identical per lane).
+        // work on single-core hosts through the sequential engine, with
+        // iterate sequences identical to the pipelined engine (the kernels
+        // are bitwise identical per lane).
         let sys = laplacian_system(10, 13);
         let a = generators::grid2d_laplacian(10, 13).unwrap();
         let n = sys.n();
@@ -1222,12 +1168,10 @@ mod tests {
         let batch_pip = pcg.solve_batch(&sys, &mut pip, &b, nrhs, &mut ws).unwrap();
         assert!(batch_seq.converged.iter().all(|&c| c));
         assert_eq!(batch_seq.iterations, batch_pip.iterations);
-        assert!(ops::relative_error_inf(&batch_seq.x, &batch_pip.x) < 1e-10);
-        // The strong form of "exactly as single-RHS": every lane of the
-        // sequential-engine batch solve is bitwise identical to its
-        // standalone sequential-engine solve (the batched sequential sweeps
-        // run the scalar kernels' exact floating-point sequence; the
-        // pipelined batch kernels only promise tolerance-level agreement).
+        assert_eq!(batch_seq.x, batch_pip.x);
+        // The strong form of "exactly as single-RHS": every lane of a batch
+        // solve is bitwise identical to its standalone solve (the batched
+        // sweeps run the scalar kernels' exact floating-point sequence).
         let mut ws1 = KrylovWorkspace::new(n);
         for q in 0..nrhs {
             let bq: Vec<f64> = (0..n).map(|i| b[i * nrhs + q]).collect();
@@ -1245,7 +1189,7 @@ mod tests {
         let block_pip = pcg.solve_block(&sys, &mut pip, &b, nrhs, &mut ws).unwrap();
         assert!(block_seq.converged.iter().all(|&c| c));
         assert_eq!(block_seq.iterations, block_pip.iterations);
-        assert!(ops::relative_error_inf(&block_seq.x, &block_pip.x) < 1e-10);
+        assert_eq!(block_seq.x, block_pip.x);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //!
 //! 1. **IC(0)** on `A` itself — the fast path, identical to
 //!    [`Ic0::new`];
-//! 2. **row-boosted IC(0)** ([`Ic0::new_row_boosted`]): the breakdown
+//! 2. **row-boosted IC(0)** ([`Ic0Operand::RowBoosted`]): the breakdown
 //!    reports exactly which pivot went non-positive
 //!    ([`MatrixError::FactorizationBreakdown`]`::row`), so before touching
 //!    the whole diagonal the ladder boosts *only that row's* diagonal under
@@ -18,7 +18,7 @@
 //!    preconditioner, so convergence barely degrades when it works
 //!    (Kershaw's counterexample factors with a single boosted pivot);
 //! 3. **shifted IC(0)** on `A + α·diag(A)` under escalating α
-//!    ([`Ic0::new_shifted`], Manteuffel's shift): each rung is a strictly
+//!    ([`Ic0Operand::Shifted`], Manteuffel's shift): each rung is a strictly
 //!    more diagonally dominant operand, so a large enough α always
 //!    factors;
 //! 4. **SSOR** — no factorization at all, cannot break down at setup;
@@ -33,12 +33,17 @@
 //! structural errors (dimension mismatches, worker panics, timeouts)
 //! propagate immediately — retrying cannot fix those, and masking them
 //! would hide real faults.
+//!
+//! The rung order lives in one place (`descend`). Its two callers differ
+//! only in when a rung counts as accepted: [`build_ladder_preconditioner`]
+//! accepts a rung whose setup succeeds, [`RobustPcg`] one whose setup *and*
+//! solve succeed.
 
 use sts_core::{ParallelSolver, PrecisionPolicy};
 use sts_matrix::MatrixError;
 
 use crate::pcg::{Pcg, PcgBatchOutcome, PcgBlockOutcome, PcgOutcome};
-use crate::precond::{Ic0, Identity, Preconditioner, Ssor, SweepEngine};
+use crate::precond::{Ic0, Ic0Operand, Ic0Setup, Identity, Preconditioner, Ssor, SweepEngine};
 use crate::system::SpdSystem;
 use crate::workspace::KrylovWorkspace;
 use crate::Result;
@@ -48,7 +53,7 @@ use crate::Result;
 pub struct RecoveryPolicy {
     /// Escalating single-row diagonal boosts tried on the exact row
     /// [`MatrixError::FactorizationBreakdown`] reported, before any
-    /// whole-diagonal shift ([`Ic0::new_row_boosted`]). Empty disables
+    /// whole-diagonal shift ([`Ic0Operand::RowBoosted`]). Empty disables
     /// the rung.
     pub row_boosts: Vec<f64>,
     /// Escalating Manteuffel shifts tried after the unshifted (and
@@ -116,32 +121,14 @@ pub struct RecoveryReport {
     pub extra_iterations: usize,
 }
 
-/// A [`PcgOutcome`] plus the story of how it was obtained.
+/// A solve outcome ([`PcgOutcome`], [`PcgBatchOutcome`] or
+/// [`PcgBlockOutcome`]) plus the story of how it was obtained. A batch or
+/// block descends together: a breakdown on any system restarts the whole
+/// iteration on the next rung.
 #[derive(Debug, Clone)]
-pub struct RobustOutcome {
+pub struct Robust<O> {
     /// The final rung's solve outcome.
-    pub outcome: PcgOutcome,
-    /// The descent record.
-    pub report: RecoveryReport,
-}
-
-/// A [`PcgBatchOutcome`] plus the descent record — the batched analogue of
-/// [`RobustOutcome`]. The whole batch descends together: a breakdown on any
-/// system restarts the lockstep iteration on the next rung for all of them.
-#[derive(Debug, Clone)]
-pub struct RobustBatchOutcome {
-    /// The final rung's batched solve outcome.
-    pub outcome: PcgBatchOutcome,
-    /// The descent record.
-    pub report: RecoveryReport,
-}
-
-/// A [`PcgBlockOutcome`] plus the descent record — the block-CG analogue of
-/// [`RobustOutcome`].
-#[derive(Debug, Clone)]
-pub struct RobustBlockOutcome {
-    /// The final rung's block solve outcome.
-    pub outcome: PcgBlockOutcome,
+    pub outcome: O,
     /// The descent record.
     pub report: RecoveryReport,
 }
@@ -160,27 +147,27 @@ pub enum LadderPreconditioner {
     Identity(Identity),
 }
 
-impl Preconditioner for LadderPreconditioner {
-    fn label(&self) -> &'static str {
+impl LadderPreconditioner {
+    fn inner(&self) -> &dyn Preconditioner {
         match self {
-            LadderPreconditioner::Ic0(p) => p.label(),
-            LadderPreconditioner::Ssor(p) => p.label(),
-            LadderPreconditioner::Identity(p) => p.label(),
+            LadderPreconditioner::Ic0(p) => p,
+            LadderPreconditioner::Ssor(p) => p,
+            LadderPreconditioner::Identity(p) => p,
         }
     }
 
-    fn apply_into(
-        &mut self,
-        solver: &ParallelSolver,
-        r: &[f64],
-        z: &mut [f64],
-        sweep: &mut [f64],
-    ) -> Result<()> {
+    fn inner_mut(&mut self) -> &mut dyn Preconditioner {
         match self {
-            LadderPreconditioner::Ic0(p) => p.apply_into(solver, r, z, sweep),
-            LadderPreconditioner::Ssor(p) => p.apply_into(solver, r, z, sweep),
-            LadderPreconditioner::Identity(p) => p.apply_into(solver, r, z, sweep),
+            LadderPreconditioner::Ic0(p) => p,
+            LadderPreconditioner::Ssor(p) => p,
+            LadderPreconditioner::Identity(p) => p,
         }
+    }
+}
+
+impl Preconditioner for LadderPreconditioner {
+    fn label(&self) -> &'static str {
+        self.inner().label()
     }
 
     fn apply_batch_into(
@@ -191,34 +178,138 @@ impl Preconditioner for LadderPreconditioner {
         sweep: &mut [f64],
         nrhs: usize,
     ) -> Result<()> {
-        match self {
-            LadderPreconditioner::Ic0(p) => p.apply_batch_into(solver, r, z, sweep, nrhs),
-            LadderPreconditioner::Ssor(p) => p.apply_batch_into(solver, r, z, sweep, nrhs),
-            LadderPreconditioner::Identity(p) => p.apply_batch_into(solver, r, z, sweep, nrhs),
-        }
+        self.inner_mut().apply_batch_into(solver, r, z, sweep, nrhs)
     }
 
     fn set_precision(&mut self, precision: PrecisionPolicy) {
-        match self {
-            LadderPreconditioner::Ic0(p) => p.set_precision(precision),
-            LadderPreconditioner::Ssor(p) => p.set_precision(precision),
-            LadderPreconditioner::Identity(p) => p.set_precision(precision),
-        }
+        self.inner_mut().set_precision(precision);
     }
 
     fn precision(&self) -> PrecisionPolicy {
-        match self {
-            LadderPreconditioner::Ic0(p) => p.precision(),
-            LadderPreconditioner::Ssor(p) => p.precision(),
-            LadderPreconditioner::Identity(p) => p.precision(),
-        }
+        self.inner().precision()
     }
 }
 
+/// One rung of the ladder, in the order [`descend`] visits them.
+#[derive(Debug, Clone, Copy)]
+enum Rung {
+    /// IC(0) on `A` itself.
+    Plain,
+    /// IC(0) with the reported breakdown row's diagonal boosted.
+    RowBoost(f64),
+    /// IC(0) on `A + α·diag(A)`.
+    Shift(f64),
+    /// SSOR — setup cannot break down.
+    Ssor,
+    /// Plain CG.
+    Identity,
+}
+
+/// Walks the ladder: builds each permitted rung's preconditioner in order,
+/// switches it to the policy's precision and hands it to `accept`; the first
+/// rung `accept` returns `Ok` for is where the ladder rests.
+/// Breakdown-shaped failures — at setup or inside `accept` — are recorded
+/// and descend; structural failures propagate immediately.
+fn descend<T>(
+    sys: &SpdSystem,
+    solver: &ParallelSolver,
+    policy: &RecoveryPolicy,
+    accept: &mut dyn FnMut(LadderPreconditioner) -> Result<T>,
+) -> Result<(T, RecoveryReport)> {
+    let rungs = std::iter::once(Rung::Plain)
+        .chain(policy.row_boosts.iter().map(|&beta| Rung::RowBoost(beta)))
+        .chain(policy.shifts.iter().map(|&alpha| Rung::Shift(alpha)))
+        .chain(policy.allow_ssor.then_some(Rung::Ssor))
+        .chain(policy.allow_identity.then_some(Rung::Identity));
+    let ic0 = |operand: Ic0Operand| {
+        Ic0::with_operand(
+            sys,
+            solver,
+            policy.engine,
+            operand,
+            Ic0Setup::LevelScheduled,
+        )
+        .map(LadderPreconditioner::Ic0)
+    };
+    let mut attempts: Vec<RecoveryAttempt> = Vec::new();
+    let mut shifts_tried: Vec<f64> = Vec::new();
+    // The pivot row the first factorization breakdown named: the row-boost
+    // rungs target it, and are skipped when no setup has broken down.
+    let mut breakdown_row: Option<usize> = None;
+    for rung in rungs {
+        let (label, shift, built) = match rung {
+            Rung::Plain => ("ic0", 0.0, ic0(Ic0Operand::Plain)),
+            Rung::RowBoost(alpha) => match breakdown_row {
+                Some(row) => (
+                    "ic0-rowboost",
+                    alpha,
+                    ic0(Ic0Operand::RowBoosted { row, alpha }),
+                ),
+                None => continue,
+            },
+            Rung::Shift(alpha) => ("ic0-shifted", alpha, ic0(Ic0Operand::Shifted(alpha))),
+            Rung::Ssor => (
+                "ssor",
+                0.0,
+                Ok(LadderPreconditioner::Ssor(Ssor::new(
+                    sys,
+                    solver,
+                    policy.engine,
+                ))),
+            ),
+            Rung::Identity => ("none", 0.0, Ok(LadderPreconditioner::Identity(Identity))),
+        };
+        if matches!(rung, Rung::Plain | Rung::Shift(_)) {
+            shifts_tried.push(shift);
+        }
+        let accepted = built.and_then(|mut pre| {
+            pre.set_precision(policy.precision);
+            accept(pre)
+        });
+        let error = match accepted {
+            Ok(value) => {
+                let extra_iterations = attempts.iter().map(|a| a.iterations).sum();
+                let report = RecoveryReport {
+                    degraded: !attempts.is_empty(),
+                    attempts,
+                    shifts_tried,
+                    final_preconditioner: label,
+                    final_shift: shift,
+                    extra_iterations,
+                };
+                return Ok((value, report));
+            }
+            Err(e) => e,
+        };
+        // Only breakdown-shaped errors — fixable by a weaker preconditioner
+        // — descend; structural ones (wrong sizes, poisoned pool, timeout)
+        // a different preconditioner cannot cure.
+        let iterations = match error {
+            MatrixError::FactorizationBreakdown { row, .. } => {
+                breakdown_row.get_or_insert(row);
+                0
+            }
+            MatrixError::NonFiniteResidual { iteration } => iteration,
+            _ => return Err(error),
+        };
+        attempts.push(RecoveryAttempt {
+            preconditioner: label,
+            shift,
+            error,
+            iterations,
+        });
+    }
+    // Every permitted rung broke down. Surface the last breakdown.
+    Err(attempts.pop().map(|a| a.error).unwrap_or_else(|| {
+        MatrixError::InvalidParameter("recovery ladder has no permitted rungs".into())
+    }))
+}
+
 /// Climbs the *setup-time* rungs of the ladder without running a solve:
-/// IC(0), then shifted IC(0) under the policy's escalating shifts, then SSOR
-/// / Identity if permitted. Returns the first rung whose setup succeeded plus
-/// a [`RecoveryReport`] of the setup breakdowns burned on the way down.
+/// IC(0), row-boosted and shifted IC(0) under the policy's escalating
+/// values, then SSOR / Identity if permitted. Returns the first rung whose
+/// setup succeeded plus a [`RecoveryReport`] of the setup breakdowns burned
+/// on the way down.
 ///
 /// This is the factor-cache entry point: a solver service factors once at
 /// value-submission time and then reuses the returned preconditioner across
@@ -231,97 +322,7 @@ pub fn build_ladder_preconditioner(
     solver: &ParallelSolver,
     policy: &RecoveryPolicy,
 ) -> Result<(LadderPreconditioner, RecoveryReport)> {
-    let mut attempts: Vec<RecoveryAttempt> = Vec::new();
-    let mut shifts_tried: Vec<f64> = Vec::new();
-    let mut breakdown_row: Option<usize> = None;
-    let finish = |mut pre: LadderPreconditioner, report: RecoveryReport| {
-        pre.set_precision(policy.precision);
-        Ok((pre, report))
-    };
-
-    // Rung 1: plain IC(0). A breakdown names the offending pivot row,
-    // which rung 2 targets.
-    shifts_tried.push(0.0);
-    match Ic0::new(sys, solver, policy.engine) {
-        Ok(pre) => {
-            return finish(
-                LadderPreconditioner::Ic0(pre),
-                report_for(attempts, shifts_tried, "ic0", 0.0),
-            );
-        }
-        Err(e) if descends(&e) => {
-            if let MatrixError::FactorizationBreakdown { row, .. } = e {
-                breakdown_row = Some(row);
-            }
-            attempts.push(RecoveryAttempt {
-                preconditioner: "ic0",
-                shift: 0.0,
-                error: e,
-                iterations: 0,
-            });
-        }
-        Err(e) => return Err(e),
-    }
-
-    // Rung 2: boost only the reported pivot row's diagonal, escalating.
-    if let Some(row) = breakdown_row {
-        for &beta in policy.row_boosts.iter() {
-            match Ic0::new_row_boosted(sys, solver, policy.engine, row, beta) {
-                Ok(pre) => {
-                    return finish(
-                        LadderPreconditioner::Ic0(pre),
-                        report_for(attempts, shifts_tried, "ic0-rowboost", beta),
-                    );
-                }
-                Err(e) if descends(&e) => {
-                    attempts.push(RecoveryAttempt {
-                        preconditioner: "ic0-rowboost",
-                        shift: beta,
-                        error: e,
-                        iterations: 0,
-                    });
-                }
-                Err(e) => return Err(e),
-            }
-        }
-    }
-
-    // Rung 3: whole-diagonal Manteuffel shifts, escalating.
-    for &alpha in policy.shifts.iter() {
-        shifts_tried.push(alpha);
-        match Ic0::new_shifted(sys, solver, policy.engine, alpha) {
-            Ok(pre) => {
-                return finish(
-                    LadderPreconditioner::Ic0(pre),
-                    report_for(attempts, shifts_tried, "ic0-shifted", alpha),
-                );
-            }
-            Err(e) if descends(&e) => {
-                attempts.push(RecoveryAttempt {
-                    preconditioner: "ic0-shifted",
-                    shift: alpha,
-                    error: e,
-                    iterations: 0,
-                });
-            }
-            Err(e) => return Err(e),
-        }
-    }
-    if policy.allow_ssor {
-        return finish(
-            LadderPreconditioner::Ssor(Ssor::new(sys, solver, policy.engine)),
-            report_for(attempts, shifts_tried, "ssor", 0.0),
-        );
-    }
-    if policy.allow_identity {
-        return finish(
-            LadderPreconditioner::Identity(Identity),
-            report_for(attempts, shifts_tried, "none", 0.0),
-        );
-    }
-    Err(attempts.pop().map(|a| a.error).unwrap_or_else(|| {
-        MatrixError::InvalidParameter("recovery ladder has no permitted rungs".into())
-    }))
+    descend(sys, solver, policy, &mut Ok)
 }
 
 /// The fault-tolerant PCG driver: [`Pcg`] plus the recovery ladder.
@@ -370,38 +371,8 @@ impl RobustPcg {
         sys: &SpdSystem,
         b: &[f64],
         ws: &mut KrylovWorkspace,
-    ) -> Result<RobustOutcome> {
-        let (outcome, report) =
-            self.solve_ladder(sys, self.policy.precision, &mut |pcg, pre| {
-                pcg.solve(sys, pre, b, ws)
-            })?;
-        self.observe_recovery(&report);
-        Ok(RobustOutcome { outcome, report })
-    }
-
-    /// [`RobustPcg::solve`] behind the unified
-    /// [`SolveOptions`](sts_core::SolveOptions) front door. Only the
-    /// `precision` and `nrhs` fields are consumed: the requested precision
-    /// overrides [`RecoveryPolicy::precision`] for this solve (every rung's
-    /// preconditioner sweeps with it), and `nrhs` must be 1.
-    pub fn solve_with(
-        &self,
-        sys: &SpdSystem,
-        b: &[f64],
-        ws: &mut KrylovWorkspace,
-        opts: &sts_core::SolveOptions,
-    ) -> Result<RobustOutcome> {
-        if opts.nrhs != 1 {
-            return Err(MatrixError::DimensionMismatch(format!(
-                "solve_with is the single-RHS entry (got nrhs = {}); use solve_batch",
-                opts.nrhs
-            )));
-        }
-        let (outcome, report) = self.solve_ladder(sys, opts.precision, &mut |pcg, pre| {
-            pcg.solve(sys, pre, b, ws)
-        })?;
-        self.observe_recovery(&report);
-        Ok(RobustOutcome { outcome, report })
+    ) -> Result<Robust<PcgOutcome>> {
+        self.run(sys, &mut |pre| self.pcg.solve(sys, pre, b, ws))
     }
 
     /// Solves `nrhs` systems at once ([`Pcg::solve_batch`]) behind the
@@ -415,13 +386,8 @@ impl RobustPcg {
         b: &[f64],
         nrhs: usize,
         ws: &mut KrylovWorkspace,
-    ) -> Result<RobustBatchOutcome> {
-        let (outcome, report) =
-            self.solve_ladder(sys, self.policy.precision, &mut |pcg, pre| {
-                pcg.solve_batch(sys, pre, b, nrhs, ws)
-            })?;
-        self.observe_recovery(&report);
-        Ok(RobustBatchOutcome { outcome, report })
+    ) -> Result<Robust<PcgBatchOutcome>> {
+        self.run(sys, &mut |pre| self.pcg.solve_batch(sys, pre, b, nrhs, ws))
     }
 
     /// Solves `nrhs` systems on a shared block Krylov space
@@ -433,222 +399,31 @@ impl RobustPcg {
         b: &[f64],
         nrhs: usize,
         ws: &mut KrylovWorkspace,
-    ) -> Result<RobustBlockOutcome> {
-        let (outcome, report) =
-            self.solve_ladder(sys, self.policy.precision, &mut |pcg, pre| {
-                pcg.solve_block(sys, pre, b, nrhs, ws)
-            })?;
-        self.observe_recovery(&report);
-        Ok(RobustBlockOutcome { outcome, report })
+    ) -> Result<Robust<PcgBlockOutcome>> {
+        self.run(sys, &mut |pre| self.pcg.solve_block(sys, pre, b, nrhs, ws))
     }
 
-    /// Feeds the descent into the wrapped driver's metrics registry (if one
-    /// is installed): every abandoned rung counts one
-    /// `pcg_recovery_rungs_total` — the trend line a weakening default
-    /// shift schedule shows up on first.
-    fn observe_recovery(&self, report: &RecoveryReport) {
-        if report.attempts.is_empty() {
-            return;
-        }
-        if let Some(reg) = self.pcg.metrics_registry() {
-            reg.counter("pcg_recovery_rungs_total")
-                .add(report.attempts.len() as u64);
-        }
-    }
-
-    /// The shared descent: builds each rung's preconditioner in ladder order
-    /// and hands it to `run` (one of the three [`Pcg`] solve entries).
-    /// Breakdown-shaped failures — at setup or inside `run` — are recorded
-    /// and descend; structural failures propagate immediately.
-    fn solve_ladder<O>(
+    /// Descends the ladder with `solve` (one of the three [`Pcg`] entries)
+    /// as the acceptance test of each rung, and feeds the descent into the
+    /// wrapped driver's metrics registry (if one is installed): every
+    /// abandoned rung counts one `pcg_recovery_rungs_total` — the trend
+    /// line a weakening default shift schedule shows up on first.
+    fn run<O>(
         &self,
         sys: &SpdSystem,
-        precision: PrecisionPolicy,
-        run: &mut dyn FnMut(&Pcg, &mut dyn Preconditioner) -> Result<O>,
-    ) -> Result<(O, RecoveryReport)> {
-        let mut attempts: Vec<RecoveryAttempt> = Vec::new();
-        let mut shifts_tried: Vec<f64> = Vec::new();
-        let mut breakdown_row: Option<usize> = None;
-        let engine = self.policy.engine;
-
-        // Rung 1: plain IC(0). A setup breakdown names the offending pivot
-        // row, which rung 2 targets.
-        shifts_tried.push(0.0);
-        match Ic0::new(sys, self.pcg.solver(), engine) {
-            Ok(mut pre) => {
-                pre.set_precision(precision);
-                if let Some(outcome) =
-                    Self::try_rung(run, &self.pcg, &mut pre, "ic0", 0.0, &mut attempts)?
-                {
-                    return Ok((outcome, report_for(attempts, shifts_tried, "ic0", 0.0)));
-                }
-            }
-            Err(e) if descends(&e) => {
-                if let MatrixError::FactorizationBreakdown { row, .. } = e {
-                    breakdown_row = Some(row);
-                }
-                attempts.push(RecoveryAttempt {
-                    preconditioner: "ic0",
-                    shift: 0.0,
-                    error: e,
-                    iterations: 0,
-                });
-            }
-            Err(e) => return Err(e),
-        }
-
-        // Rung 2: boost only the reported pivot row's diagonal, escalating.
-        if let Some(row) = breakdown_row {
-            for &beta in self.policy.row_boosts.iter() {
-                let mut pre = match Ic0::new_row_boosted(sys, self.pcg.solver(), engine, row, beta)
-                {
-                    Ok(pre) => pre,
-                    Err(e) if descends(&e) => {
-                        attempts.push(RecoveryAttempt {
-                            preconditioner: "ic0-rowboost",
-                            shift: beta,
-                            error: e,
-                            iterations: 0,
-                        });
-                        continue;
-                    }
-                    Err(e) => return Err(e),
-                };
-                pre.set_precision(precision);
-                if let Some(outcome) = Self::try_rung(
-                    run,
-                    &self.pcg,
-                    &mut pre,
-                    "ic0-rowboost",
-                    beta,
-                    &mut attempts,
-                )? {
-                    return Ok((
-                        outcome,
-                        report_for(attempts, shifts_tried, "ic0-rowboost", beta),
-                    ));
-                }
+        solve: &mut dyn FnMut(&mut dyn Preconditioner) -> Result<O>,
+    ) -> Result<Robust<O>> {
+        let (outcome, report) = descend(sys, self.pcg.solver(), &self.policy, &mut |mut pre| {
+            solve(&mut pre)
+        })?;
+        if !report.attempts.is_empty() {
+            if let Some(reg) = self.pcg.metrics_registry() {
+                reg.counter("pcg_recovery_rungs_total")
+                    .add(report.attempts.len() as u64);
             }
         }
-
-        // Rung 3: whole-diagonal shifted IC(0) under escalating α.
-        for &alpha in self.policy.shifts.iter() {
-            shifts_tried.push(alpha);
-            let mut pre = match Ic0::new_shifted(sys, self.pcg.solver(), engine, alpha) {
-                Ok(pre) => pre,
-                Err(e) if descends(&e) => {
-                    attempts.push(RecoveryAttempt {
-                        preconditioner: "ic0-shifted",
-                        shift: alpha,
-                        error: e,
-                        iterations: 0,
-                    });
-                    continue;
-                }
-                Err(e) => return Err(e),
-            };
-            pre.set_precision(precision);
-            if let Some(outcome) = Self::try_rung(
-                run,
-                &self.pcg,
-                &mut pre,
-                "ic0-shifted",
-                alpha,
-                &mut attempts,
-            )? {
-                return Ok((
-                    outcome,
-                    report_for(attempts, shifts_tried, "ic0-shifted", alpha),
-                ));
-            }
-        }
-
-        // Rung 4: SSOR — setup cannot break down.
-        if self.policy.allow_ssor {
-            let mut pre = Ssor::new(sys, self.pcg.solver(), engine);
-            pre.set_precision(precision);
-            if let Some(outcome) =
-                Self::try_rung(run, &self.pcg, &mut pre, "ssor", 0.0, &mut attempts)?
-            {
-                return Ok((outcome, report_for(attempts, shifts_tried, "ssor", 0.0)));
-            }
-        }
-
-        // Rung 5: plain CG.
-        if self.policy.allow_identity {
-            let mut pre = Identity;
-            if let Some(outcome) =
-                Self::try_rung(run, &self.pcg, &mut pre, "none", 0.0, &mut attempts)?
-            {
-                return Ok((outcome, report_for(attempts, shifts_tried, "none", 0.0)));
-            }
-        }
-
-        // Every permitted rung broke down. Surface the last breakdown.
-        Err(attempts.pop().map(|a| a.error).unwrap_or_else(|| {
-            MatrixError::InvalidParameter("recovery ladder has no permitted rungs".into())
-        }))
+        Ok(Robust { outcome, report })
     }
-
-    /// Runs one rung's solve. `Ok(Some(outcome))` means the rung produced
-    /// a clean outcome; `Ok(None)` means it broke down (recorded in
-    /// `attempts`) and the ladder should descend; `Err` propagates
-    /// structural failures.
-    fn try_rung<O>(
-        run: &mut dyn FnMut(&Pcg, &mut dyn Preconditioner) -> Result<O>,
-        pcg: &Pcg,
-        pre: &mut dyn Preconditioner,
-        label: &'static str,
-        shift: f64,
-        attempts: &mut Vec<RecoveryAttempt>,
-    ) -> Result<Option<O>> {
-        match run(pcg, pre) {
-            Ok(outcome) => Ok(Some(outcome)),
-            Err(e) if descends(&e) => {
-                let iterations = match &e {
-                    MatrixError::NonFiniteResidual { iteration } => *iteration,
-                    _ => 0,
-                };
-                attempts.push(RecoveryAttempt {
-                    preconditioner: label,
-                    shift,
-                    error: e,
-                    iterations,
-                });
-                Ok(None)
-            }
-            Err(e) => Err(e),
-        }
-    }
-}
-
-/// Assembles the descent record once a rung has come to rest.
-fn report_for(
-    attempts: Vec<RecoveryAttempt>,
-    shifts_tried: Vec<f64>,
-    final_preconditioner: &'static str,
-    final_shift: f64,
-) -> RecoveryReport {
-    let extra_iterations = attempts.iter().map(|a| a.iterations).sum();
-    let degraded = !attempts.is_empty();
-    RecoveryReport {
-        attempts,
-        shifts_tried,
-        final_preconditioner,
-        final_shift,
-        degraded,
-        extra_iterations,
-    }
-}
-
-/// Whether an error is breakdown-shaped — fixable by a weaker
-/// preconditioner — as opposed to structural (wrong sizes, poisoned pool,
-/// timeout), which retrying under a different preconditioner cannot cure.
-fn descends(e: &MatrixError) -> bool {
-    matches!(
-        e,
-        MatrixError::FactorizationBreakdown { .. } | MatrixError::NonFiniteResidual { .. }
-    )
 }
 
 #[cfg(test)]

@@ -38,7 +38,8 @@ pub struct ServiceConfig {
     /// Recovery ladder policy applied when factoring at `submit_values`.
     pub recovery: RecoveryPolicy,
     /// Default stopping policy; per-request `tolerance` / `max_iterations`
-    /// fields override it for one solve.
+    /// fields override it for one solve. The default records no residual
+    /// history: no wire field reports it.
     pub options: PcgOptions,
 }
 
@@ -49,7 +50,10 @@ impl Default for ServiceConfig {
             schedule: Schedule::Guided { min_chunk: 1 },
             cache_capacity: 32,
             recovery: RecoveryPolicy::default(),
-            options: PcgOptions::default(),
+            options: PcgOptions {
+                record_history: false,
+                ..PcgOptions::default()
+            },
         }
     }
 }

@@ -178,9 +178,9 @@
 //! duplicate right-hand side) is *deflated*: dropped from the basis while
 //! its system keeps iterating on the rest; a converged system is *frozen*
 //! (its updates stop, its direction leaves the basis) while stragglers
-//! finish. Both sweep engines work — the sequential engine's batched sweeps
-//! are bitwise identical per lane to its scalar sweeps, and the pipelined
-//! engine's batch arithmetic agrees with them to rounding:
+//! finish. Both sweep engines work, with bitwise identical iterates — on
+//! either engine every lane of a batched sweep equals the scalar sweep of
+//! that lane:
 //!
 //! ```
 //! use sts_k::core::Method;
@@ -215,16 +215,17 @@
 //!
 //! The IC(0) factor shares the reordered pattern, so it reuses the same
 //! hierarchy — and the *factorization itself* is level-scheduled over that
-//! hierarchy on the driver's pool ([`krylov::Ic0::new_parallel`], the
-//! default behind [`krylov::Ic0::new`]): pack `p`'s update sweep waits only
-//! on the packs its column range actually reads, exactly like the pipelined
-//! solves. The sequential sweep ([`krylov::Ic0::new_sequential`]) remains
-//! as the fallback and produces a bitwise-identical factor, so the choice
-//! only moves setup wall time:
+//! hierarchy on the driver's pool by [`krylov::Ic0::new`]
+//! ([`krylov::Ic0Setup::LevelScheduled`]): pack `p`'s update sweep waits
+//! only on the packs its column range actually reads, exactly like the
+//! pipelined solves. The sequential sweep ([`krylov::Ic0Setup::Sequential`],
+//! through the general constructor [`krylov::Ic0::with_operand`]) remains as
+//! the reference and produces a bitwise-identical factor, so the choice only
+//! moves setup wall time:
 //!
 //! ```
 //! # use sts_k::core::Method;
-//! # use sts_k::krylov::{Ic0, KrylovWorkspace, Pcg, SpdSystem, SweepEngine};
+//! # use sts_k::krylov::{Ic0, Ic0Operand, Ic0Setup, KrylovWorkspace, Pcg, SpdSystem, SweepEngine};
 //! # use sts_k::matrix::{generators, ops};
 //! # use sts_k::numa::Schedule;
 //! # let a = generators::grid2d_laplacian(24, 24).unwrap();
@@ -233,12 +234,19 @@
 //! # let mut ws = KrylovWorkspace::new(sys.n());
 //! # let b = ops::spmv(&a, &vec![1.0; sys.n()]).unwrap();
 //! // Setup runs level-scheduled on the pool; sweeps run pipelined.
-//! let mut ic0 = Ic0::new_parallel(&sys, pcg.solver(), SweepEngine::Pipelined).unwrap();
+//! let mut ic0 = Ic0::new(&sys, pcg.solver(), SweepEngine::Pipelined).unwrap();
 //! let out_ic0 = pcg.solve(&sys, &mut ic0, &b, &mut ws).unwrap();
 //! assert!(out_ic0.converged);
 //!
-//! // Bitwise-identical fallback, for single-core hosts.
-//! let seq = Ic0::new_sequential(&sys, pcg.solver(), SweepEngine::Sequential).unwrap();
+//! // The sequential reference build gives the same factor bit for bit.
+//! let seq = Ic0::with_operand(
+//!     &sys,
+//!     pcg.solver(),
+//!     SweepEngine::Sequential,
+//!     Ic0Operand::Plain,
+//!     Ic0Setup::Sequential,
+//! )
+//! .unwrap();
 //! assert_eq!(seq.factor_values(), ic0.factor_values());
 //! ```
 //!

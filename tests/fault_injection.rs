@@ -14,7 +14,8 @@ use std::time::{Duration, Instant};
 use sts_bench::faultinject;
 use sts_k::core::{ChaosHook, Method, ParallelSolver, SolveEngine, SolveOptions, SweepDirection};
 use sts_k::krylov::{
-    Ic0, KrylovWorkspace, Pcg, Preconditioner, RecoveryPolicy, RobustPcg, SpdSystem, SweepEngine,
+    build_ladder_preconditioner, Ic0, Ic0Operand, Ic0Setup, KrylovWorkspace, Pcg, Preconditioner,
+    RecoveryPolicy, RobustPcg, SpdSystem, SweepEngine,
 };
 use sts_k::matrix::{factor, generators, ops, MatrixError};
 use sts_k::numa::{PoolError, Schedule, WorkerPool};
@@ -279,12 +280,13 @@ impl Preconditioner for LatePoison {
         "late-poison"
     }
 
-    fn apply_into(
+    fn apply_batch_into(
         &mut self,
         _solver: &ParallelSolver,
         r: &[f64],
         z: &mut [f64],
         _sweep: &mut [f64],
+        _nrhs: usize,
     ) -> sts_k::krylov::Result<()> {
         z.copy_from_slice(r);
         if self.calls >= 2 {
@@ -365,11 +367,13 @@ fn shifted_ic0_engines_are_bitwise_identical_across_the_ladder() {
         within_budget("shifted parity", || {
             let solver = ParallelSolver::new(threads, Schedule::Guided { min_chunk: 1 });
             for alpha in [1e-3, 1e-1, 1.0] {
-                let seq =
-                    Ic0::new_shifted_sequential(&sys, &solver, SweepEngine::Sequential, alpha)
-                        .unwrap();
-                let par = Ic0::new_shifted_parallel(&sys, &solver, SweepEngine::Sequential, alpha)
-                    .unwrap();
+                let build = |setup| {
+                    let operand = Ic0Operand::Shifted(alpha);
+                    Ic0::with_operand(&sys, &solver, SweepEngine::Sequential, operand, setup)
+                        .unwrap()
+                };
+                let seq = build(Ic0Setup::Sequential);
+                let par = build(Ic0Setup::LevelScheduled);
                 assert_eq!(
                     seq.factor_values(),
                     par.factor_values(),
@@ -421,6 +425,50 @@ fn recovery_ladder_restores_convergence_on_the_kershaw_operator() {
             "the reported boost must be one of the policy's betas"
         );
     });
+}
+
+#[test]
+fn setup_ladder_and_solve_ladder_report_the_same_descent() {
+    // One rung list, two acceptance tests: when every breakdown happens at
+    // setup, `build_ladder_preconditioner` (accepts a rung whose setup
+    // succeeds) and `RobustPcg::solve` (setup and solve) must tell the same
+    // story — attempt order, shifts tried, final rung, degraded flag — or
+    // fail with the same error.
+    let a = generators::grid2d_laplacian(40, 40).unwrap();
+    let (kershaw, _) = faultinject::kershaw_cycle(&a, 40, 40, 7);
+    let no_rungs = RecoveryPolicy {
+        row_boosts: Vec::new(),
+        shifts: Vec::new(),
+        allow_ssor: false,
+        allow_identity: false,
+        ..RecoveryPolicy::default()
+    };
+    for (name, operator, policy, rests_on) in [
+        ("laplacian", &a, RecoveryPolicy::default(), Some("ic0")),
+        (
+            "kershaw",
+            &kershaw,
+            RecoveryPolicy::default(),
+            Some("ic0-rowboost"),
+        ),
+        ("laplacian, no rungs", &a, no_rungs.clone(), Some("ic0")),
+        ("kershaw, no rungs", &kershaw, no_rungs, None),
+    ] {
+        let sys = SpdSystem::build(operator, Method::Sts3, 20).unwrap();
+        let robust = RobustPcg::with_policy(Pcg::new(2, Schedule::Guided { min_chunk: 1 }), policy);
+        let setup = build_ladder_preconditioner(&sys, robust.pcg().solver(), robust.policy())
+            .map(|(_, report)| report);
+        let mut ws = KrylovWorkspace::new(sys.n());
+        let solved = robust
+            .solve(&sys, &vec![1.0; sys.n()], &mut ws)
+            .map(|out| out.report);
+        assert_eq!(format!("{setup:?}"), format!("{solved:?}"), "{name}");
+        assert_eq!(
+            setup.ok().map(|report| report.final_preconditioner),
+            rests_on,
+            "{name}"
+        );
+    }
 }
 
 #[test]

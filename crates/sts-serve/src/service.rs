@@ -5,6 +5,12 @@
 //! performs no I/O of its own — [`SolverService::handle_line`] maps one
 //! request line to one response line — so the same state machine serves the
 //! TCP daemon, in-process tests, and the bench harness identically.
+//!
+//! A request passes through three phases — decode (line → [`Request`]),
+//! dispatch (cache lookup, workspace checkout, PCG, counters, the metrics
+//! line) and encode (outcome → reply line) — each timed into its own
+//! `sts_serve_phase_ns_*` histogram, next to the time the line waited for
+//! the service. The daemon runs all three under its mutex.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -23,7 +29,7 @@ use crate::cache::{key_from_wire, key_to_wire, pattern_key, FactorEntry, Structu
 use crate::pool::WorkspacePool;
 use crate::protocol::{
     err_envelope, float_array, map_error, obj, ok_envelope, parse_request, render, ErrorCode,
-    Request, SolveMode,
+    Request, RequestError, SolveMode,
 };
 
 /// Construction-time knobs of a [`SolverService`].
@@ -95,10 +101,14 @@ pub struct SolverService {
     trace_sink: Option<TraceSink>,
 }
 
-/// What a dispatched op produced: the result object of the success envelope
-/// plus the metric fields worth trending.
+/// What a dispatched op produced: the members of the success envelope's
+/// result object plus the metric fields worth trending.
+#[derive(Default)]
 struct OpOutcome {
-    result: Value,
+    /// A solve's solution, the vector PCG returned: the result's leading
+    /// `"x"` member, written from here when the reply is rendered.
+    x: Option<Vec<f64>>,
+    result: Vec<(&'static str, Value)>,
     metric_fields: Vec<(&'static str, Value)>,
 }
 
@@ -153,44 +163,75 @@ impl SolverService {
     /// shutdown flag. Never panics on malformed input: every failure maps to
     /// an error envelope with a stable [`ErrorCode`].
     pub fn handle_line(&mut self, line: &str) -> ServeReply {
-        let start = Instant::now();
+        self.handle(line.as_bytes(), Instant::now())
+    }
+
+    /// [`SolverService::handle_line`] for a line as it came off a socket at
+    /// `arrived` — possibly not UTF-8, which is the same `parse_error` any
+    /// other malformed line earns, and possibly having waited for the
+    /// service since.
+    ///
+    /// `sts_serve_op_wall_ns_<op>` is the request's whole stay, `arrived` to
+    /// reply rendered; the `sts_serve_phase_ns_*` histograms are its parts.
+    /// The metrics line's `wall_ns` is decode plus dispatch, as it was
+    /// before the phases were told apart.
+    pub(crate) fn handle(&mut self, line: &[u8], arrived: Instant) -> ServeReply {
+        let started = Instant::now();
         self.requests += 1;
-        let (id, op_name, outcome) = match parse_request(line) {
-            Ok((id, request)) => {
-                let op_name = op_label(&request);
-                (id, op_name, self.dispatch(request))
-            }
+        let request = match std::str::from_utf8(line) {
+            Ok(text) => parse_request(text),
+            Err(e) => Err(RequestError {
+                id: 0,
+                code: ErrorCode::ParseError,
+                message: format!("request is not valid UTF-8: {e}"),
+            }),
+        };
+        let decoded = Instant::now();
+        let (id, op, mut outcome) = match request {
+            Ok((id, request)) => (id, op_label(&request), self.dispatch(request)),
             Err(e) => (e.id, "invalid", Err((e.code, e.message))),
         };
-        let wall_ns = start.elapsed().as_nanos() as u64;
+        let wall_ns = started.elapsed().as_nanos() as u64;
         self.registry.counter("sts_serve_requests_total").inc();
-        self.registry
-            .histogram(&format!("sts_serve_op_wall_ns_{op_name}"))
-            .observe(wall_ns);
-        if let Err((code, _)) = &outcome {
-            self.registry
-                .counter(&format!("sts_serve_errors_total_{}", code.as_str()))
-                .inc();
-        }
-        let shutdown = op_name == "shutdown" && outcome.is_ok();
-        let (line, ok, code, metric_fields) = match outcome {
-            Ok(op) => (ok_envelope(id, op.result), true, None, op.metric_fields),
-            Err((code, message)) => (
-                err_envelope(id, code, &message),
-                false,
-                Some(code),
-                Vec::new(),
-            ),
+        let (code, metric_fields) = match &mut outcome {
+            Ok(op) => (None, std::mem::take(&mut op.metric_fields)),
+            Err((code, _)) => {
+                self.registry
+                    .counter(&format!("sts_serve_errors_total_{}", code.as_str()))
+                    .inc();
+                (Some(*code), Vec::new())
+            }
         };
-        self.emit_metrics(op_name, id, ok, code, wall_ns, metric_fields);
-        ServeReply { line, shutdown }
+        self.emit_metrics(op, id, code, wall_ns, metric_fields);
+        let dispatched = Instant::now();
+        let line = match &outcome {
+            Ok(op) => ok_envelope(id, op.x.as_deref(), &op.result),
+            Err((code, message)) => err_envelope(id, *code, message),
+        };
+        let encoded = Instant::now();
+        for (phase, from, to) in [
+            ("lock_wait", arrived, started),
+            ("decode", started, decoded),
+            ("dispatch", decoded, dispatched),
+            ("encode", dispatched, encoded),
+        ] {
+            self.registry
+                .histogram(&format!("sts_serve_phase_ns_{phase}"))
+                .observe(to.duration_since(from).as_nanos() as u64);
+        }
+        self.registry
+            .histogram(&format!("sts_serve_op_wall_ns_{op}"))
+            .observe(encoded.duration_since(arrived).as_nanos() as u64);
+        ServeReply {
+            line,
+            shutdown: op == "shutdown" && outcome.is_ok(),
+        }
     }
 
     fn emit_metrics(
         &mut self,
         op: &str,
         id: u64,
-        ok: bool,
         code: Option<ErrorCode>,
         wall_ns: u64,
         extra: Vec<(&'static str, Value)>,
@@ -200,7 +241,7 @@ impl SolverService {
                 ("event", Value::Str("request".to_string())),
                 ("op", Value::Str(op.to_string())),
                 ("id", Value::UInt(id)),
-                ("ok", Value::Bool(ok)),
+                ("ok", Value::Bool(code.is_none())),
                 ("wall_ns", Value::UInt(wall_ns)),
             ];
             if let Some(code) = code {
@@ -246,8 +287,8 @@ impl SolverService {
             Request::Stats => Ok(self.stats()),
             Request::Metrics => Ok(self.metrics_op()),
             Request::Shutdown => Ok(OpOutcome {
-                result: obj(vec![("stopping", Value::Bool(true))]),
-                metric_fields: Vec::new(),
+                result: vec![("stopping", Value::Bool(true))],
+                ..OpOutcome::default()
             }),
         }
     }
@@ -279,6 +320,7 @@ impl SolverService {
             let entry = self.cache.peek(key).ok_or_else(internal_race)?;
             let result = pattern_result(key, true, 0, &entry.structure);
             return Ok(OpOutcome {
+                x: None,
                 result,
                 metric_fields: vec![
                     ("pattern", Value::Str(key_to_wire(key))),
@@ -308,6 +350,7 @@ impl SolverService {
         );
         let result = pattern_result(key, false, analysis_wall_ns, &entry.structure);
         Ok(OpOutcome {
+            x: None,
             result,
             metric_fields: vec![
                 ("pattern", Value::Str(key_to_wire(key))),
@@ -358,7 +401,7 @@ impl SolverService {
                 .map_err(wire_error)?;
         let factor_wall_ns = start.elapsed().as_nanos() as u64;
         let label = preconditioner.label();
-        let result = obj(vec![
+        let result = vec![
             ("pattern", Value::Str(key_to_wire(key))),
             ("preconditioner", Value::Str(label.to_string())),
             ("degraded", Value::Bool(recovery.degraded)),
@@ -369,7 +412,7 @@ impl SolverService {
             ("final_shift", Value::Float(recovery.final_shift)),
             ("factor_wall_ns", Value::UInt(factor_wall_ns)),
             ("precision", Value::Str(precision.as_str().to_string())),
-        ]);
+        ];
         entry.factor = Some(FactorEntry {
             system,
             preconditioner,
@@ -378,6 +421,7 @@ impl SolverService {
             precision,
         });
         Ok(OpOutcome {
+            x: None,
             result,
             metric_fields: vec![
                 ("pattern", Value::Str(key_to_wire(key))),
@@ -464,7 +508,7 @@ impl SolverService {
         self.pool.checkin(ws);
         self.pcg.set_options(self.config.options);
         let solve_wall_ns = start.elapsed().as_nanos() as u64;
-        let (mut fields, iterations, pcg_wall_ns) = solved.map_err(wire_error)?;
+        let (x, mut fields, iterations, pcg_wall_ns) = solved.map_err(wire_error)?;
         self.solves += 1;
         if let (Some(rec), Some(sink)) = (&self.trace_recorder, self.trace_sink.as_mut()) {
             let spans = rec.snapshot();
@@ -489,35 +533,36 @@ impl SolverService {
             metric_fields.push(("pcg_wall_ns", Value::UInt(ns)));
         }
         Ok(OpOutcome {
-            result: obj(fields),
+            x: Some(x),
+            result: fields,
             metric_fields,
         })
     }
 
     fn stats(&mut self) -> OpOutcome {
         OpOutcome {
-            result: self.stats_value(),
-            metric_fields: Vec::new(),
+            result: self.stats_fields(),
+            ..OpOutcome::default()
         }
     }
 
     /// `stats` counters plus the Prometheus text exposition of the shared
     /// registry — one scrape-shaped response for external collectors.
     fn metrics_op(&mut self) -> OpOutcome {
-        let stats = self.stats_value();
+        let stats = obj(self.stats_fields());
         OpOutcome {
-            result: obj(vec![
+            result: vec![
                 ("stats", stats),
                 ("exposition", Value::Str(self.registry.render_prometheus())),
-            ]),
-            metric_fields: Vec::new(),
+            ],
+            ..OpOutcome::default()
         }
     }
 
-    fn stats_value(&mut self) -> Value {
+    fn stats_fields(&mut self) -> Vec<(&'static str, Value)> {
         let cache = self.cache.stats();
         let pool = self.pool.stats();
-        obj(vec![
+        vec![
             ("patterns_cached", Value::UInt(self.cache.len() as u64)),
             (
                 "factors_cached",
@@ -533,14 +578,15 @@ impl SolverService {
             ("requests", Value::UInt(self.requests)),
             ("solves", Value::UInt(self.solves)),
             ("threads", Value::UInt(self.config.threads as u64)),
-        ])
+        ]
     }
 }
 
-/// Response fields of a solve, the scalar iteration count reported on the
-/// metrics line, and the driver-measured wall time (`PcgOutcome::wall_ns`)
-/// when the mode exposes one.
-type SolveFields = (Vec<(&'static str, Value)>, u64, Option<u64>);
+/// The solution as the driver returned it, the response fields that follow
+/// it, the scalar iteration count reported on the metrics line, and the
+/// driver-measured wall time (`PcgOutcome::wall_ns`) when the mode exposes
+/// one.
+type SolveFields = (Vec<f64>, Vec<(&'static str, Value)>, u64, Option<u64>);
 
 /// Runs the mode-selected solve and lowers the outcome to response fields.
 fn run_solve(
@@ -557,8 +603,8 @@ fn run_solve(
             let out = pcg.solve(&factor.system, pre, b, ws)?;
             let iterations = out.iterations as u64;
             Ok((
+                out.x,
                 vec![
-                    ("x", float_array(&out.x)),
                     ("iterations", Value::UInt(iterations)),
                     ("converged", Value::Bool(out.converged)),
                     ("residual_norm", Value::Float(out.residual_norm)),
@@ -571,8 +617,8 @@ fn run_solve(
             let out = pcg.solve_batch(&factor.system, pre, b, nrhs, ws)?;
             let iterations = out.lockstep_iterations as u64;
             Ok((
+                out.x,
                 vec![
-                    ("x", float_array(&out.x)),
                     (
                         "iterations",
                         Value::Array(
@@ -597,8 +643,8 @@ fn run_solve(
             let out = pcg.solve_block(&factor.system, pre, b, nrhs, ws)?;
             let iterations = out.block_steps as u64;
             Ok((
+                out.x,
                 vec![
-                    ("x", float_array(&out.x)),
                     (
                         "iterations",
                         Value::Array(
@@ -629,8 +675,8 @@ fn pattern_result(
     cached: bool,
     analysis_wall_ns: u64,
     structure: &sts_core::StsStructure,
-) -> Value {
-    obj(vec![
+) -> Vec<(&'static str, Value)> {
+    vec![
         ("pattern", Value::Str(key_to_wire(key))),
         ("cached", Value::Bool(cached)),
         ("analysis_wall_ns", Value::UInt(analysis_wall_ns)),
@@ -638,7 +684,7 @@ fn pattern_result(
         ("nnz_lower", Value::UInt(structure.nnz() as u64)),
         ("packs", Value::UInt(structure.num_packs() as u64)),
         ("super_rows", Value::UInt(structure.num_super_rows() as u64)),
-    ])
+    ]
 }
 
 /// Symmetric M-matrix values for a pattern: `degree + 1` on the diagonal,

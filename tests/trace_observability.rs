@@ -193,6 +193,114 @@ fn metrics_op_returns_stats_and_prometheus_exposition() {
 }
 
 #[test]
+fn phase_histograms_account_for_the_op_wall_time() {
+    use sts_k::serve::protocol::{float_array, obj, render, usize_array};
+
+    // A scripted session on an operator large enough (n = 6 400, lines of
+    // ~120 KB) that every phase of a request is far longer than a clock
+    // read.
+    let a = generators::grid2d_laplacian(80, 80).unwrap();
+    let mut service = SolverService::new(ServiceConfig {
+        threads: 2,
+        ..ServiceConfig::default()
+    });
+    let request = |id: u64, op: &str, fields: Vec<(&str, Value)>| {
+        let mut all = vec![
+            ("v", Value::UInt(1)),
+            ("id", Value::UInt(id)),
+            ("op", Value::Str(op.to_string())),
+        ];
+        all.extend(fields);
+        render(&obj(all))
+    };
+    let reply = service.handle_line(&request(
+        1,
+        "submit_pattern",
+        vec![
+            ("n", Value::UInt(a.nrows() as u64)),
+            ("row_ptr", usize_array(a.row_ptr())),
+            ("col_idx", usize_array(a.col_idx())),
+            ("method", Value::Str("STS-3".to_string())),
+            ("rows_per_super_row", Value::UInt(8)),
+        ],
+    ));
+    assert!(reply.line.contains("\"ok\":true"), "{}", reply.line);
+    let key = reply.line.split("\"pattern\":\"").nth(1).unwrap()[..16].to_string();
+    let mut lines = vec![request(
+        2,
+        "submit_values",
+        vec![
+            ("pattern", Value::Str(key.clone())),
+            ("values", float_array(a.values())),
+        ],
+    )];
+    let b = ops::spmv(&a, &vec![1.0; a.nrows()]).unwrap();
+    for id in 3..9 {
+        lines.push(request(
+            id,
+            "solve",
+            vec![("pattern", Value::Str(key.clone())), ("b", float_array(&b))],
+        ));
+    }
+    lines.push("not json".to_string());
+    lines.push(request(10, "stats", vec![]));
+    for line in &lines {
+        service.handle_line(line);
+    }
+
+    let registry = service.metrics_registry();
+    let sum = |name: &str| registry.histogram(name).sum();
+    let count = |name: &str| registry.histogram(name).count();
+    let requests = 1 + lines.len() as u64;
+    for phase in ["decode", "lock_wait", "dispatch", "encode"] {
+        assert_eq!(
+            count(&format!("sts_serve_phase_ns_{phase}")),
+            requests,
+            "{phase} is observed once per request"
+        );
+    }
+    let ops = [
+        "submit_pattern",
+        "submit_values",
+        "solve",
+        "invalid",
+        "stats",
+    ];
+    let wall: u64 = ops
+        .iter()
+        .map(|op| sum(&format!("sts_serve_op_wall_ns_{op}")))
+        .sum();
+    assert_eq!(
+        ops.iter()
+            .map(|op| count(&format!("sts_serve_op_wall_ns_{op}")))
+            .sum::<u64>(),
+        requests
+    );
+    // The wall time runs from line in hand to reply rendered: the three
+    // working phases must account for it, and every one of them must have
+    // seen real work.
+    let [decode, dispatch, encode] =
+        ["decode", "dispatch", "encode"].map(|phase| sum(&format!("sts_serve_phase_ns_{phase}")));
+    let parts = decode + dispatch + encode;
+    assert!(
+        parts <= wall && wall - parts <= wall / 20,
+        "decode {decode} + dispatch {dispatch} + encode {encode} = {parts} of wall {wall}"
+    );
+    assert!(decode > 0 && dispatch > decode && encode > 0);
+
+    // And the phases are scraped with everything else.
+    let reply = service.handle_line(r#"{"v":1,"id":11,"op":"metrics"}"#);
+    for phase in ["decode", "lock_wait", "dispatch", "encode"] {
+        assert!(
+            reply
+                .line
+                .contains(&format!("# TYPE sts_serve_phase_ns_{phase} histogram")),
+            "{phase}"
+        );
+    }
+}
+
+#[test]
 fn service_trace_sink_receives_chrome_json_per_solve() {
     let mut service = SolverService::new(ServiceConfig {
         threads: 2,

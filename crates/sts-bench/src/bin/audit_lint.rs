@@ -10,8 +10,7 @@
 //! `1` when violations were found; `2` on unusable input (unreadable root,
 //! bad flags), which must fail the job rather than pass it silently.
 //!
-//! `--advisory` prints the same report but always exits `0`, mirroring
-//! `bench_gate`'s label-gated escape hatch.
+//! `--advisory` prints the same report but always exits `0`.
 
 use std::path::PathBuf;
 use std::process::ExitCode;

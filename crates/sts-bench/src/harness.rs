@@ -1,11 +1,12 @@
-//! Shared machinery for the figure/table binaries.
+//! Shared machinery of the `paper_figs` driver: the two machine presets,
+//! method construction on a suite matrix, and the two ways to time a solve
+//! (modelled cycles, host wall clock).
 
-use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use serde::Serialize;
-use sts_core::{Method, SimReport, SimulatedExecutor, SolveEngine, SolveOptions, StsStructure};
-use sts_matrix::{SuiteMatrix, SuiteScale, TestSuite};
+use sts_core::{Method, SimReport, SimulatedExecutor, StsStructure};
+use sts_matrix::SuiteMatrix;
 use sts_numa::{NumaTopology, Schedule};
 
 /// The two evaluation machines of the paper.
@@ -92,60 +93,6 @@ impl Machine {
     }
 }
 
-/// Command-line configuration shared by every harness binary.
-#[derive(Debug, Clone)]
-pub struct BenchConfig {
-    /// Suite scale.
-    pub scale: SuiteScale,
-    /// Output directory for JSON results.
-    pub out_dir: PathBuf,
-    /// Use wall-clock threaded execution on the host instead of the simulator.
-    pub wallclock: bool,
-}
-
-impl Default for BenchConfig {
-    fn default() -> Self {
-        BenchConfig {
-            scale: SuiteScale::Small,
-            out_dir: PathBuf::from("results"),
-            wallclock: false,
-        }
-    }
-}
-
-/// Parses the common `--scale`, `--out` and `--wallclock` arguments.
-pub fn parse_args() -> BenchConfig {
-    let mut config = BenchConfig::default();
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--scale" => {
-                i += 1;
-                config.scale = match args.get(i).map(String::as_str) {
-                    Some("tiny") => SuiteScale::Tiny,
-                    Some("small") | None => SuiteScale::Small,
-                    Some("medium") => SuiteScale::Medium,
-                    Some(other) => {
-                        eprintln!("unknown scale {other}, using small");
-                        SuiteScale::Small
-                    }
-                };
-            }
-            "--out" => {
-                i += 1;
-                if let Some(dir) = args.get(i) {
-                    config.out_dir = PathBuf::from(dir);
-                }
-            }
-            "--wallclock" => config.wallclock = true,
-            other => eprintln!("ignoring unknown argument {other}"),
-        }
-        i += 1;
-    }
-    config
-}
-
 /// One method built on one matrix, with its structure statistics.
 #[derive(Debug)]
 pub struct MethodRun {
@@ -172,9 +119,14 @@ pub struct SuiteRun {
     pub methods: Vec<MethodRun>,
 }
 
-/// Generates the suite at the configured scale.
-pub fn generate_suite(config: &BenchConfig) -> TestSuite {
-    TestSuite::generate(config.scale).expect("suite generation cannot fail for preset scales")
+impl SuiteRun {
+    /// The run of one method.
+    pub fn method(&self, method: Method) -> &MethodRun {
+        self.methods
+            .iter()
+            .find(|r| r.method == method)
+            .expect("build_methods builds every method")
+    }
 }
 
 /// Builds all four methods on one matrix using `rows_per_super_row` for the
@@ -205,24 +157,6 @@ pub fn build_methods(m: &SuiteMatrix, rows_per_super_row: usize) -> SuiteRun {
     }
 }
 
-/// Builds a single method on an explicit operand (used by the smoke bench,
-/// which targets one matrix/method pair rather than the suite).
-pub fn build_methods_single(
-    l: &sts_matrix::LowerTriangularCsr,
-    method: Method,
-    rows_per_super_row: usize,
-) -> MethodRun {
-    let start = Instant::now();
-    let structure = method
-        .build(l, rows_per_super_row)
-        .expect("builder succeeds on the smoke matrix");
-    MethodRun {
-        method,
-        structure,
-        build_seconds: start.elapsed().as_secs_f64(),
-    }
-}
-
 /// The OpenMP schedule the paper uses for each method (`dynamic,32` for the
 /// flat methods, `guided,1` for the 3-level methods).
 pub fn paper_schedule(method: Method) -> Schedule {
@@ -238,78 +172,22 @@ pub fn simulate(machine: Machine, run: &MethodRun, cores: usize) -> SimReport {
     exec.simulate(&run.structure, cores, paper_schedule(run.method))
 }
 
-/// Simulates one built method with the two-phase split kernel on `cores`
-/// cores of the given machine.
-pub fn simulate_split(machine: Machine, run: &MethodRun, cores: usize) -> SimReport {
-    let exec = SimulatedExecutor::new(machine.topology());
-    exec.simulate_split(&run.structure, cores, paper_schedule(run.method))
-}
-
-/// Simulates one built method with the pack-pipelined (barrier-fused) kernel
-/// on `cores` cores of the given machine.
-pub fn simulate_pipelined(machine: Machine, run: &MethodRun, cores: usize) -> SimReport {
-    let exec = SimulatedExecutor::new(machine.topology());
-    exec.simulate_pipelined(&run.structure, cores, paper_schedule(run.method))
-}
-
-/// Simulates the level-scheduled IC(0) construction for one built method on
-/// `cores` cores of the given machine (`cores = 1` models the sequential
-/// up-looking sweep).
-pub fn simulate_ic0_build(machine: Machine, run: &MethodRun, cores: usize) -> SimReport {
-    let exec = SimulatedExecutor::new(machine.topology());
-    exec.simulate_ic0_build(&run.structure, cores)
-}
-
-/// The shared measurement protocol of the `wallclock_seconds*` helpers: one
-/// untimed warm-up solve (which also forces the lazy split layout out of the
-/// timed region), then the mean over `repeats` solves, as the paper averages
-/// over 10 repeats.
-fn wallclock_with(
-    run: &MethodRun,
-    threads: usize,
-    repeats: usize,
-    solve: impl Fn(&sts_core::ParallelSolver, &StsStructure, &[f64]),
-) -> f64 {
+/// Measures the wall-clock solve time of one built method on the host with
+/// `threads` workers: one untimed warm-up solve (which also forces the lazy
+/// layouts out of the timed region), then the mean over `repeats` solves, as
+/// the paper averages over 10 repeats.
+pub fn wallclock_seconds(run: &MethodRun, threads: usize, repeats: usize) -> f64 {
     let solver = sts_core::ParallelSolver::new(threads, paper_schedule(run.method));
     let b = vec![1.0; run.structure.n()];
-    solve(&solver, &run.structure, &b); // warm-up
+    let solve = || {
+        solver.solve(&run.structure, &b).expect("solve succeeds");
+    };
+    solve(); // warm-up
     let start = Instant::now();
     for _ in 0..repeats {
-        solve(&solver, &run.structure, &b);
+        solve();
     }
     start.elapsed().as_secs_f64() / repeats as f64
-}
-
-/// Measures the wall-clock solve time of one built method on the host with
-/// `threads` workers (averaged over `repeats` solves).
-pub fn wallclock_seconds(run: &MethodRun, threads: usize, repeats: usize) -> f64 {
-    wallclock_with(run, threads, repeats, |solver, s, b| {
-        solver.solve(s, b).expect("solve succeeds");
-    })
-}
-
-/// Measures the wall-clock solve time of the two-phase split kernel on the
-/// host with `threads` workers (averaged over `repeats` solves).
-pub fn wallclock_seconds_split(run: &MethodRun, threads: usize, repeats: usize) -> f64 {
-    wallclock_with(run, threads, repeats, |solver, s, b| {
-        solver
-            .solve_with(
-                s,
-                b,
-                &SolveOptions::default().with_engine(SolveEngine::Split),
-            )
-            .expect("solve succeeds");
-    })
-}
-
-/// Measures the wall-clock solve time of the pack-pipelined kernel on the
-/// host with `threads` workers (averaged over `repeats` solves).
-pub fn wallclock_seconds_pipelined(run: &MethodRun, threads: usize, repeats: usize) -> f64 {
-    wallclock_with(run, threads, repeats, |solver, s, b| {
-        solver
-            .solve_with(s, b, &SolveOptions::default())
-            .expect("solve succeeds");
-    })
 }
 
 /// Geometric mean of a slice of positive values (0 when empty).
@@ -321,42 +199,11 @@ pub fn geometric_mean(values: &[f64]) -> f64 {
     (log_sum / values.len() as f64).exp()
 }
 
-/// Writes one JSON line to `path`, creating missing parent directories
-/// first — `bench_smoke --json-path bench/bench_smoke.json` must work from a
-/// fresh checkout where `bench/` does not exist yet (CI relies on the file
-/// appearing, so the caller treats an error as fatal).
-pub fn write_json_line(path: &Path, line: &str) -> std::io::Result<()> {
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent)?;
-        }
-    }
-    std::fs::write(path, format!("{line}\n"))
-}
-
-/// Writes a serialisable result as pretty JSON into `<out_dir>/<name>.json`.
-pub fn write_json<T: Serialize>(out_dir: &Path, name: &str, value: &T) {
-    if let Err(e) = std::fs::create_dir_all(out_dir) {
-        eprintln!("warning: cannot create {}: {e}", out_dir.display());
-        return;
-    }
-    let path = out_dir.join(format!("{name}.json"));
-    match serde_json::to_string_pretty(value) {
-        Ok(json) => {
-            if let Err(e) = std::fs::write(&path, json) {
-                eprintln!("warning: cannot write {}: {e}", path.display());
-            } else {
-                println!("\n[results written to {}]", path.display());
-            }
-        }
-        Err(e) => eprintln!("warning: cannot serialise {name}: {e}"),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use sts_matrix::suite::{self, SuiteId};
+    use sts_matrix::SuiteScale;
 
     #[test]
     fn machine_presets_match_paper_parameters() {
@@ -412,27 +259,6 @@ mod tests {
             paper_schedule(Method::Sts3),
             Schedule::Guided { min_chunk: 1 }
         );
-    }
-
-    #[test]
-    fn write_json_line_creates_missing_parent_directories() {
-        // A fresh checkout has no bench/ directory; the writer must create
-        // the whole chain rather than fail on the first missing component.
-        let root =
-            std::env::temp_dir().join(format!("sts_bench_write_json_line_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&root);
-        let path = root.join("nested/deeper/bench_smoke.json");
-        assert!(!path.parent().unwrap().exists());
-        write_json_line(&path, r#"{"ok":true}"#).expect("missing parents are created");
-        assert_eq!(
-            std::fs::read_to_string(&path).unwrap(),
-            "{\"ok\":true}\n",
-            "record is written with a trailing newline"
-        );
-        // Overwriting through now-existing directories also works.
-        write_json_line(&path, r#"{"ok":false}"#).unwrap();
-        assert_eq!(std::fs::read_to_string(&path).unwrap(), "{\"ok\":false}\n");
-        std::fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]

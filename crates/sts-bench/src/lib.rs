@@ -1,26 +1,25 @@
-//! Benchmark harness reproducing every table and figure of the STS-k paper.
+//! What measures and audits STS-k outside the repo benchmark.
 //!
-//! Each binary in `src/bin/` regenerates one artifact of the evaluation
-//! section (Table 1, Figures 6–14) plus the ablations listed in `DESIGN.md`.
-//! They share the machinery in [`harness`]: suite generation, method
-//! construction, simulated execution on the modelled Intel/AMD nodes, and
-//! JSON/row output.
+//! * `paper_figs` (binary) regenerates every artifact of the paper's
+//!   evaluation section — Table 1, Figures 1–14 — and four ablations (DAR
+//!   reordering, pack ordering, loop schedule, super-row size) over the
+//!   machinery in [`harness`]: method construction on the generated suite and
+//!   modelled execution on the paper's Intel/AMD nodes
+//!   ([`sts_numa::NumaTopology::intel_westmere_ex_32`],
+//!   [`sts_numa::NumaTopology::amd_magny_cours_24`]). It prints each table and
+//!   writes its raw numbers as JSON; `--wallclock` times the threaded solver
+//!   on the host instead, which is meaningful only on a multicore host.
+//! * [`audit`] and the `audit_lint` binary enforce the `unsafe` /
+//!   `Ordering::Relaxed` allowlist.
+//! * [`faultinject`] is the deterministic chaos toolkit behind
+//!   `tests/fault_injection.rs`.
+//! * `benches/` holds the criterion benches: the in-process instrument for
+//!   differences too small for separate processes to resolve.
 //!
-//! Conventions:
-//!
-//! * every binary accepts `--scale tiny|small|medium` (default `small`) and
-//!   `--out <dir>` (default `results/`);
-//! * every binary prints a human-readable table to stdout *and* writes a JSON
-//!   file with the raw numbers, which `EXPERIMENTS.md` references;
-//! * simulated timings use the machine presets
-//!   [`sts_numa::NumaTopology::intel_westmere_ex_32`] and
-//!   [`sts_numa::NumaTopology::amd_magny_cours_24`]; pass `--wallclock` to use
-//!   the threaded solver on the host instead (meaningful only on a multicore
-//!   host).
+//! Wall-time measurement of the system itself — end to end and per layer,
+//! with bounds and a two-commit `compare` — lives in the `benchmark/` package
+//! at the repository root, not here.
 
 pub mod audit;
 pub mod faultinject;
-pub mod gate;
 pub mod harness;
-
-pub use harness::{geometric_mean, parse_args, BenchConfig, Machine, MethodRun, SuiteRun};

@@ -26,8 +26,7 @@ use serde::Serialize;
 use sts_numa::{NumaTopology, Schedule};
 
 use crate::csrk::StsStructure;
-use crate::options::{PrecisionPolicy, SweepDirection};
-use crate::solver::plan::{FactorChunks, PipelinePlan};
+use crate::options::PrecisionPolicy;
 
 /// Intra-pack scheduling policy used by the simulator (mirrors
 /// [`sts_numa::Schedule`]).
@@ -50,14 +49,6 @@ pub struct SimulationParams {
     /// rest of `j`'s line for free, which is how the super-row/RCM spatial
     /// locality shows up in the model.
     pub cache_line_doubles: usize,
-    /// Memory-level parallelism of the *unordered* external gather phase of
-    /// the split kernel: how many outstanding misses the hardware overlaps
-    /// when no dependence chain serialises the reads. Inside the scheduled
-    /// substitution phase each read feeds the chain and pays full latency;
-    /// the gather's reads are independent and their latencies divide by this
-    /// factor. Out-of-order cores of the evaluation era sustain ~4–8
-    /// outstanding L1 misses (line-fill buffers).
-    pub gather_mlp: f64,
 }
 
 impl Default for SimulationParams {
@@ -67,11 +58,10 @@ impl Default for SimulationParams {
             flop_cycles: 1.0,
             // Chosen so the synchronisation-to-compute ratio of the reference
             // CSR-LS solver at the generated matrix sizes sits in the regime
-            // the paper reports for its much larger inputs; see DESIGN.md.
+            // the paper reports for its much larger inputs.
             barrier_base_cycles: 300.0,
             dispatch_cycles: 60.0,
             cache_line_doubles: 8,
-            gather_mlp: 4.0,
         }
     }
 }
@@ -112,8 +102,10 @@ pub struct SimReport {
 ///   model instead.
 ///
 /// Demoting the slabs to `f32` halves the value-slab term and nothing else,
-/// which is exactly the ~2× value-traffic reduction `bench_smoke` confirms
-/// on the wall clock.
+/// so quote [`total_bytes_per_row`](Self::total_bytes_per_row) beside
+/// [`value_bytes_per_row`](Self::value_bytes_per_row): on the 200×200
+/// Laplacian the values go 23.9 → 16.0 B/row (33 %) while the total goes
+/// 64 → 56 (12 %); on the 56³ 27-point grid the total goes 190 → 140 (26 %).
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct SolveBytesModel {
     /// Rows of the modelled structure.
@@ -133,8 +125,7 @@ impl SolveBytesModel {
         self.value_bytes + self.index_bytes + self.vector_bytes
     }
 
-    /// Value-slab traffic per row — the number `bench_smoke` reports as
-    /// `sim_bytes_per_row_{f64,f32}`.
+    /// Value-slab traffic per row: the only term the slab precision changes.
     pub fn value_bytes_per_row(&self) -> f64 {
         if self.n == 0 {
             0.0
@@ -231,453 +222,6 @@ impl SimulatedExecutor {
             seconds: self.topology.latency.cycles_to_seconds(compute),
             cores: upto.cores,
             num_packs: 1,
-        }
-    }
-
-    /// Simulates a full forward solve of `s` under the split engine
-    /// ([`SolveEngine::Split`](crate::options::SolveEngine::Split)): per pack, a statically chunked
-    /// external gather, a phase barrier, then the internal substitution under
-    /// `schedule`, and the pack barrier.
-    ///
-    /// The external gather streams each pack's contiguous slab, so its cost
-    /// is charged at streaming rates — with fetch latencies divided by
-    /// [`SimulationParams::gather_mlp`], because nothing serialises the
-    /// gather's reads — plus the diagonal scale; the scheduled phase only
-    /// pays for the chain rows of the internal slab. Packs with internal
-    /// entries pay **two** barriers instead of one — the split must save
-    /// more critical-path work than the extra barrier costs to win, which is
-    /// exactly the trade-off the bench harnesses measure.
-    pub fn simulate_split(
-        &self,
-        s: &StsStructure,
-        cores: usize,
-        schedule: SimSchedule,
-    ) -> SimReport {
-        let cores = cores.clamp(1, self.topology.total_cores());
-        let core_ids = self.topology.compact_core_order(cores);
-        let lat = &self.topology.latency;
-        let split = s.split();
-        // Forward plan: stage p is pack p.
-        let plan = PipelinePlan::build(s, cores, SweepDirection::Forward);
-        let n = s.n();
-
-        let mut producer_core = vec![usize::MAX; n];
-        let mut producer_pack = vec![usize::MAX; n];
-        let line = self.params.cache_line_doubles.max(1);
-        let num_lines = n / line + 1;
-        let mut fetched = vec![vec![0u32; num_lines]; cores];
-        // Which core slot ran row i's phase-1 gather during the current pack.
-        let mut phase1_slot = vec![usize::MAX; n];
-
-        let mut compute_cycles = 0.0f64;
-        let mut sync_cycles = 0.0f64;
-        let barrier = self.params.barrier_base_cycles * (1.0 + (cores as f64).log2());
-        let num_packs = s.num_packs();
-
-        for p in 0..num_packs {
-            let rows = s.pack_rows(p);
-            if rows.is_empty() {
-                continue;
-            }
-            let stamp = p as u32 + 1;
-            let mlp = self.params.gather_mlp.max(1.0);
-
-            // Phase 1: the external gather with the diagonal scale folded
-            // in, over the plan's static chunks (chunk c on slot c). Every
-            // row is produced here; chain rows are then corrected by phase 2.
-            let mut core_time = vec![0.0f64; cores];
-            for (slot, chunk) in plan.stage_chunks(p).iter().enumerate() {
-                let core = core_ids[slot];
-                let mut cycles = 0.0;
-                for i1 in chunk.clone() {
-                    phase1_slot[i1] = slot;
-                    producer_core[i1] = core;
-                    producer_pack[i1] = p;
-                    // The gathered value is written to x[i1]: write-allocate
-                    // leaves its line in this core's cache.
-                    fetched[slot][i1 / line] = stamp;
-                    let (cols, _) = split.ext_row(i1);
-                    // external entries + the diagonal scale
-                    cycles += (cols.len() + 1) as f64
-                        * (self.params.stream_cycles_per_nnz + self.params.flop_cycles);
-                    for &j in cols {
-                        let j = j as usize;
-                        let line_of_j = j / line;
-                        if fetched[slot][line_of_j] == stamp {
-                            cycles += lat.l1_cycles;
-                            continue;
-                        }
-                        fetched[slot][line_of_j] = stamp;
-                        let pc = producer_core[j];
-                        // No dependence chain serialises the gather, so
-                        // fetch latencies overlap up to the hardware's miss
-                        // parallelism.
-                        let fetch = if pc == usize::MAX {
-                            lat.dram_local_cycles
-                        } else if producer_pack[j] + 1 == p {
-                            lat.reuse_cycles(self.topology.distance(core, pc))
-                        } else {
-                            lat.memory_cycles(self.topology.distance(core, pc))
-                        };
-                        cycles += fetch / mlp;
-                    }
-                }
-                core_time[slot] += cycles;
-            }
-            compute_cycles += core_time.iter().copied().fold(0.0, f64::max);
-            sync_cycles += barrier; // phase (or pack, if phase 2 is empty) barrier
-
-            // Phase 2: only the chain tasks, under the requested schedule.
-            // Packs without internal entries skip the phase and its barrier.
-            let tasks: Vec<usize> = split.chain_super_rows(p).to_vec();
-            if tasks.is_empty() {
-                continue;
-            }
-            let mut core_time = vec![0.0f64; cores];
-            let mut assignment = vec![0usize; tasks.len()];
-            {
-                let fetched = &mut fetched;
-                let mut task_cost = |sr: usize, slot: usize| -> f64 {
-                    let core = core_ids[slot];
-                    let mut cycles = 0.0;
-                    for i1 in s.super_row_rows(sr) {
-                        let (cols, _) = split.int_row(i1);
-                        if cols.is_empty() {
-                            continue;
-                        }
-                        // internal entries + the correction flop
-                        cycles += cols.len() as f64
-                            * (self.params.stream_cycles_per_nnz + self.params.flop_cycles)
-                            + self.params.flop_cycles;
-                        // The phase-1 value of row i1: line-granular reuse
-                        // from the core that gathered it (L1 if this core
-                        // already holds the line). The addresses are known
-                        // before the chain starts, so fetches overlap.
-                        let line_of_i = i1 / line;
-                        let p1 = phase1_slot[i1];
-                        if fetched[slot][line_of_i] == stamp || p1 == usize::MAX {
-                            cycles += lat.l1_cycles;
-                        } else {
-                            cycles +=
-                                lat.reuse_cycles(self.topology.distance(core, core_ids[p1])) / mlp;
-                        }
-                        fetched[slot][line_of_i] = stamp;
-                        // Chain reads stay inside the super-row: produced by
-                        // this worker (chain rows) or already fetched lines.
-                        cycles += cols.len() as f64 * lat.l1_cycles;
-                    }
-                    cycles
-                };
-                match schedule {
-                    Schedule::Static => {
-                        let m2 = tasks.len();
-                        for (t, a) in assignment.iter_mut().enumerate() {
-                            *a = t * cores / m2.max(1);
-                        }
-                        for (t, &slot) in assignment.iter().enumerate() {
-                            core_time[slot] += task_cost(tasks[t], slot);
-                        }
-                    }
-                    Schedule::Dynamic { chunk } | Schedule::Guided { min_chunk: chunk } => {
-                        let guided = matches!(schedule, Schedule::Guided { .. });
-                        let min_chunk = chunk.max(1);
-                        let m2 = tasks.len();
-                        let mut next = 0usize;
-                        while next < m2 {
-                            let size = if guided {
-                                ((m2 - next) / (2 * cores)).max(min_chunk)
-                            } else {
-                                min_chunk
-                            };
-                            let slot = (0..cores)
-                                .min_by(|&a, &b| core_time[a].total_cmp(&core_time[b]))
-                                .unwrap_or(0);
-                            core_time[slot] += self.params.dispatch_cycles;
-                            for t in next..(next + size).min(m2) {
-                                assignment[t] = slot;
-                                core_time[slot] += task_cost(tasks[t], slot);
-                            }
-                            next += size;
-                        }
-                    }
-                }
-            }
-            // Chain rows were corrected by their phase-2 core; that core is
-            // their producer for subsequent packs.
-            for (t, &slot) in assignment.iter().enumerate() {
-                let core = core_ids[slot];
-                for r in s.super_row_rows(tasks[t]) {
-                    if !split.int_row(r).0.is_empty() {
-                        producer_core[r] = core;
-                    }
-                }
-            }
-            compute_cycles += core_time.iter().copied().fold(0.0, f64::max);
-            sync_cycles += barrier; // pack barrier
-        }
-
-        let total = compute_cycles + sync_cycles;
-        SimReport {
-            total_cycles: total,
-            compute_cycles,
-            sync_cycles,
-            seconds: lat.cycles_to_seconds(total),
-            cores,
-            num_packs,
-        }
-    }
-
-    /// Simulates a full forward solve of `s` under the pipelined engine
-    /// ([`SolveEngine::Pipelined`](crate::options::SolveEngine::Pipelined)): the same per-row costs as
-    /// [`SimulatedExecutor::simulate_split`], but the two per-pack barriers
-    /// are fused into per-pack completion flags, so the model tracks a clock
-    /// per core slot and lets a slot start the phase-1 gather of pack `p`
-    /// as soon as the packs its chunk actually reads
-    /// ([`SplitLayout::range_ext_dep`](crate::split::SplitLayout::range_ext_dep))
-    /// are done — overlapping it with other slots' phase 2 of earlier packs.
-    ///
-    /// The report separates the **critical path** (`compute_cycles`, the
-    /// makespan of the overlapped schedule, including any readiness stalls
-    /// and the per-claim dispatch charge, which lands on the claiming slot's
-    /// clock exactly as `simulate_split` charges dispatch to core time) from
-    /// the **barrier-bound** cycles (`sync_cycles`): the pipelined kernel
-    /// pays one pool-completion barrier per solve instead of two full
-    /// barriers per chained pack — comparing `sync_cycles` against
-    /// `simulate_split`'s quantifies exactly the synchronisation the fusion
-    /// removed.
-    pub fn simulate_pipelined(
-        &self,
-        s: &StsStructure,
-        cores: usize,
-        schedule: SimSchedule,
-    ) -> SimReport {
-        // The kernel claims phase-2 tasks one ticket at a time whatever the
-        // configured schedule; `schedule` only matters through the cost
-        // model's dispatch charge, which the ticket counter pays per task.
-        let _ = schedule;
-        let cores = cores.clamp(1, self.topology.total_cores());
-        let core_ids = self.topology.compact_core_order(cores);
-        let lat = &self.topology.latency;
-        let split = s.split();
-        // Forward plan: stage p is pack p.
-        let plan = PipelinePlan::build(s, cores, SweepDirection::Forward);
-        let n = s.n();
-
-        let mut producer_core = vec![usize::MAX; n];
-        let mut producer_pack = vec![usize::MAX; n];
-        let line = self.params.cache_line_doubles.max(1);
-        let num_lines = n / line + 1;
-        let mut fetched = vec![vec![0u32; num_lines]; cores];
-        let mut phase1_slot = vec![usize::MAX; n];
-
-        // Per-slot clocks and per-pack completion times of the overlapped
-        // schedule. `done_time[p]` mirrors the gate's epoch: it is monotone
-        // over packs (a gate opens only once every leading pack is done).
-        let mut slot_time = vec![0.0f64; cores];
-        let mut done_time = vec![0.0f64; s.num_packs()];
-        let mut sync_cycles = 0.0f64;
-        let barrier = self.params.barrier_base_cycles * (1.0 + (cores as f64).log2());
-        let num_packs = s.num_packs();
-        let mlp = self.params.gather_mlp.max(1.0);
-
-        for p in 0..num_packs {
-            let rows = s.pack_rows(p);
-            let prev_done = if p == 0 { 0.0 } else { done_time[p - 1] };
-            if rows.is_empty() {
-                done_time[p] = prev_done;
-                continue;
-            }
-            let stamp = p as u32 + 1;
-
-            // Phase 1: chunk c is owned by slot c (as in the kernel); it may
-            // start once the packs its external reads target are done.
-            let mut phase1_done = 0.0f64;
-            let chunks = plan.stage_chunks(p).iter().zip(plan.stage_deps(p));
-            for (slot, (chunk, &dep)) in chunks.enumerate() {
-                let dep = dep as usize;
-                let ready = if dep == 0 { 0.0 } else { done_time[dep - 1] };
-                let core = core_ids[slot];
-                let mut cycles = 0.0;
-                for i1 in chunk.clone() {
-                    phase1_slot[i1] = slot;
-                    producer_core[i1] = core;
-                    producer_pack[i1] = p;
-                    fetched[slot][i1 / line] = stamp;
-                    let (cols, _) = split.ext_row(i1);
-                    cycles += (cols.len() + 1) as f64
-                        * (self.params.stream_cycles_per_nnz + self.params.flop_cycles);
-                    for &j in cols {
-                        let j = j as usize;
-                        let line_of_j = j / line;
-                        if fetched[slot][line_of_j] == stamp {
-                            cycles += lat.l1_cycles;
-                            continue;
-                        }
-                        fetched[slot][line_of_j] = stamp;
-                        let pc = producer_core[j];
-                        let fetch = if pc == usize::MAX {
-                            lat.dram_local_cycles
-                        } else if producer_pack[j] + 1 == p {
-                            lat.reuse_cycles(self.topology.distance(core, pc))
-                        } else {
-                            lat.memory_cycles(self.topology.distance(core, pc))
-                        };
-                        cycles += fetch / mlp;
-                    }
-                }
-                let start = slot_time[slot].max(ready);
-                slot_time[slot] = start + cycles;
-                phase1_done = phase1_done.max(slot_time[slot]);
-            }
-
-            // Phase 2: chain tasks claimed one ticket at a time by the
-            // earliest-available slot, each gated on phase 1 being drained.
-            let tasks: Vec<usize> = split.chain_super_rows(p).to_vec();
-            if tasks.is_empty() {
-                done_time[p] = prev_done.max(phase1_done);
-                continue;
-            }
-            let mut pack_done = phase1_done;
-            for &sr in &tasks {
-                let slot = (0..cores)
-                    .min_by(|&a, &b| slot_time[a].total_cmp(&slot_time[b]))
-                    .unwrap_or(0);
-                let core = core_ids[slot];
-                let mut cycles = self.params.dispatch_cycles; // the ticket claim
-                for i1 in s.super_row_rows(sr) {
-                    let (cols, _) = split.int_row(i1);
-                    if cols.is_empty() {
-                        continue;
-                    }
-                    cycles += cols.len() as f64
-                        * (self.params.stream_cycles_per_nnz + self.params.flop_cycles)
-                        + self.params.flop_cycles;
-                    let line_of_i = i1 / line;
-                    let p1 = phase1_slot[i1];
-                    if fetched[slot][line_of_i] == stamp || p1 == usize::MAX {
-                        cycles += lat.l1_cycles;
-                    } else {
-                        cycles +=
-                            lat.reuse_cycles(self.topology.distance(core, core_ids[p1])) / mlp;
-                    }
-                    fetched[slot][line_of_i] = stamp;
-                    cycles += cols.len() as f64 * lat.l1_cycles;
-                    producer_core[i1] = core;
-                }
-                let start = slot_time[slot].max(phase1_done);
-                slot_time[slot] = start + cycles;
-                pack_done = pack_done.max(slot_time[slot]);
-            }
-            done_time[p] = prev_done.max(pack_done);
-        }
-
-        // One pool-completion barrier for the whole solve replaces the two
-        // per-pack barriers of the split kernel.
-        sync_cycles += barrier;
-        let makespan = slot_time.iter().copied().fold(0.0, f64::max);
-        let total = makespan + sync_cycles;
-        SimReport {
-            total_cycles: total,
-            compute_cycles: makespan,
-            sync_cycles,
-            seconds: lat.cycles_to_seconds(total),
-            cores,
-            num_packs,
-        }
-    }
-
-    /// Simulates the level-scheduled IC(0) construction
-    /// ([`ParallelSolver::parallel_ic0`]) on `cores` cores: per pack, the
-    /// super-rows are statically chunked over the core slots, and — as in
-    /// [`SimulatedExecutor::simulate_pipelined`] — a chunk starts as soon as
-    /// the packs its rows' external columns reference
-    /// ([`SplitLayout::range_ext_dep`](crate::split::SplitLayout::range_ext_dep))
-    /// are done, so setup work of pack `p + 1` overlaps stragglers of pack
-    /// `p` on per-slot clocks.
-    ///
-    /// Cost per row `i`: each retained strictly-lower entry `(i, k)` pays a
-    /// two-pointer merge that streams row `i`'s prefix and row `k`'s
-    /// off-diagonal entries (at streaming + FMA rates) plus one fetch of row
-    /// `k`'s slab at the NUMA reuse/memory latency of its producer (divided
-    /// by [`SimulationParams::gather_mlp`] — the merges of a row's entries
-    /// are independent reads); the diagonal update pays one pass over the
-    /// prefix. With `cores = 1` this collapses to the sequential up-looking
-    /// sweep, so the ratio of the two reports is the modelled setup speedup
-    /// the bench harness compares against the measured one.
-    ///
-    /// [`ParallelSolver::parallel_ic0`]:
-    ///     crate::solver::parallel::ParallelSolver
-    pub fn simulate_ic0_build(&self, s: &StsStructure, cores: usize) -> SimReport {
-        let cores = cores.clamp(1, self.topology.total_cores());
-        let core_ids = self.topology.compact_core_order(cores);
-        let lat = &self.topology.latency;
-        let chunks = FactorChunks::build(s, cores);
-        let l = s.lower();
-        let row_ptr = l.row_ptr();
-        let n = s.n();
-        let num_packs = s.num_packs();
-        let mlp = self.params.gather_mlp.max(1.0);
-
-        // Which core slot factored each row (usize::MAX = not yet): row k's
-        // slab is fetched from its producer's cache hierarchy.
-        let mut producer_slot = vec![usize::MAX; n];
-        let mut slot_time = vec![0.0f64; cores];
-        let mut done_time = vec![0.0f64; num_packs];
-
-        for p in 0..num_packs {
-            let prev_done = if p == 0 { 0.0 } else { done_time[p - 1] };
-            let mut pack_done = 0.0f64;
-            let pack_chunks = chunks.pack_chunks(p).iter().zip(chunks.pack_deps(p));
-            for (slot, (rows, &dep)) in pack_chunks.enumerate() {
-                let dep = dep as usize;
-                let ready = if dep == 0 { 0.0 } else { done_time[dep - 1] };
-                let core = core_ids[slot];
-                let mut cycles = 0.0;
-                for i1 in rows.clone() {
-                    let lo = row_ptr[i1];
-                    let hi = row_ptr[i1 + 1];
-                    let own_prefix = (hi - 1 - lo) as f64;
-                    for (off, &k) in l.row_off_diag_cols(i1).iter().enumerate() {
-                        // Merge of row i's prefix before this entry with row
-                        // k's off-diagonal entries, then the diagonal scale.
-                        let k_len = (row_ptr[k + 1] - 1 - row_ptr[k]) as f64;
-                        cycles += (off as f64 + k_len + 1.0)
-                            * (self.params.stream_cycles_per_nnz + self.params.flop_cycles);
-                        let ps = producer_slot[k];
-                        let fetch = if ps == usize::MAX || ps == slot {
-                            lat.l1_cycles
-                        } else {
-                            lat.reuse_cycles(self.topology.distance(core, core_ids[ps]))
-                        };
-                        cycles += fetch / mlp;
-                    }
-                    // Diagonal: one squared-accumulate pass plus the root.
-                    cycles += (own_prefix + 1.0) * self.params.flop_cycles;
-                    producer_slot[i1] = slot;
-                }
-                let start = slot_time[slot].max(ready);
-                slot_time[slot] = start + cycles;
-                pack_done = pack_done.max(slot_time[slot]);
-            }
-            done_time[p] = prev_done.max(pack_done);
-        }
-
-        // Multi-core builds pay one pool-completion barrier; the sequential
-        // sweep runs inline with no pool involvement.
-        let sync_cycles = if cores > 1 {
-            self.params.barrier_base_cycles * (1.0 + (cores as f64).log2())
-        } else {
-            0.0
-        };
-        let makespan = slot_time.iter().copied().fold(0.0, f64::max);
-        let total = makespan + sync_cycles;
-        SimReport {
-            total_cycles: total,
-            compute_cycles: makespan,
-            sync_cycles,
-            seconds: lat.cycles_to_seconds(total),
-            cores,
-            num_packs,
         }
     }
 
@@ -924,165 +468,6 @@ mod tests {
         assert!(r.total_cycles > 0.0);
         assert!(r.total_cycles < full.compute_cycles);
         assert_eq!(r.sync_cycles, 0.0);
-    }
-
-    #[test]
-    fn split_simulation_reports_consistent_components() {
-        let s = build(Method::Sts3);
-        let sim = SimulatedExecutor::new(NumaTopology::intel_westmere_ex_32());
-        let r = sim.simulate_split(&s, 16, Schedule::Guided { min_chunk: 1 });
-        assert!(r.total_cycles > 0.0);
-        assert!((r.total_cycles - (r.compute_cycles + r.sync_cycles)).abs() < 1e-6);
-        assert_eq!(r.num_packs, s.num_packs());
-        // Packs with external entries pay a phase barrier on top of the pack
-        // barrier; ext-free packs (at least the first) skip it.
-        let unsplit = sim.simulate(&s, 16, Schedule::Guided { min_chunk: 1 });
-        assert!(r.sync_cycles > unsplit.sync_cycles);
-        assert!(r.sync_cycles < 2.0 * unsplit.sync_cycles + 1e-6);
-    }
-
-    #[test]
-    fn split_kernel_shortens_the_modelled_critical_path() {
-        // The tentpole claim the model can check directly: taking the
-        // external gather out of the ordered phase shortens the per-pack
-        // critical paths (compute cycles). Whether *total* time wins depends
-        // on the extra phase barrier amortising against the pack's external
-        // volume — on the miniature test matrices the barrier often does not
-        // amortise, which is why the bench harness reports both numbers.
-        let sim = SimulatedExecutor::new(NumaTopology::intel_westmere_ex_32());
-        for method in [Method::Csr3Ls, Method::Sts3] {
-            let s = build(method);
-            let unsplit = sim.simulate(&s, 16, Schedule::Guided { min_chunk: 1 });
-            let split = sim.simulate_split(&s, 16, Schedule::Guided { min_chunk: 1 });
-            assert!(
-                split.compute_cycles < unsplit.compute_cycles,
-                "split critical path ({}) should be shorter than unsplit ({}) for {:?}",
-                split.compute_cycles,
-                unsplit.compute_cycles,
-                method
-            );
-        }
-    }
-
-    #[test]
-    fn pipelined_simulation_reports_consistent_components() {
-        let s = build(Method::Sts3);
-        let sim = SimulatedExecutor::new(NumaTopology::intel_westmere_ex_32());
-        let r = sim.simulate_pipelined(&s, 16, Schedule::Guided { min_chunk: 1 });
-        assert!(r.total_cycles > 0.0);
-        assert!((r.total_cycles - (r.compute_cycles + r.sync_cycles)).abs() < 1e-6);
-        assert_eq!(r.num_packs, s.num_packs());
-        assert_eq!(r.cores, 16);
-    }
-
-    #[test]
-    fn pipelining_removes_barrier_bound_cycles() {
-        // The tentpole claim: fusing the per-pack barriers into completion
-        // flags strips almost all barrier-bound cycles (one pool-completion
-        // barrier per solve remains) and the overlapped schedule's critical
-        // path never exceeds the barrier-synchronised one.
-        let sim = SimulatedExecutor::new(NumaTopology::intel_westmere_ex_32());
-        for method in [Method::CsrLs, Method::Csr3Ls, Method::Sts3] {
-            let s = build(method);
-            let split = sim.simulate_split(&s, 16, Schedule::Guided { min_chunk: 1 });
-            let piped = sim.simulate_pipelined(&s, 16, Schedule::Guided { min_chunk: 1 });
-            assert!(
-                piped.sync_cycles < split.sync_cycles / 2.0,
-                "{:?}: pipelined sync {} should be far below split sync {}",
-                method,
-                piped.sync_cycles,
-                split.sync_cycles
-            );
-            assert!(
-                piped.total_cycles < split.total_cycles,
-                "{:?}: pipelined total {} should beat split total {}",
-                method,
-                piped.total_cycles,
-                split.total_cycles
-            );
-        }
-    }
-
-    #[test]
-    fn pipelined_overlap_grows_with_pack_count() {
-        // Level-set orderings chain hundreds of packs; that is where barrier
-        // fusion pays the most, so the ratio split/pipelined must be larger
-        // for CSR-LS than for the coloring ordering with its few packs.
-        let sim = SimulatedExecutor::new(NumaTopology::intel_westmere_ex_32());
-        let ls = build(Method::CsrLs);
-        let col = build(Method::CsrCol);
-        let gain = |s: &StsStructure| {
-            let split = sim.simulate_split(s, 16, Schedule::Dynamic { chunk: 32 });
-            let piped = sim.simulate_pipelined(s, 16, Schedule::Dynamic { chunk: 32 });
-            split.total_cycles / piped.total_cycles
-        };
-        assert!(ls.num_packs() > col.num_packs());
-        assert!(
-            gain(&ls) > gain(&col),
-            "barrier fusion should pay more on chained level sets"
-        );
-    }
-
-    #[test]
-    fn pipelined_simulation_is_deterministic() {
-        let s = build(Method::Csr3Ls);
-        let sim = SimulatedExecutor::new(NumaTopology::amd_magny_cours_24());
-        let a = sim.simulate_pipelined(&s, 12, Schedule::Guided { min_chunk: 1 });
-        let b = sim.simulate_pipelined(&s, 12, Schedule::Guided { min_chunk: 1 });
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn split_simulation_is_deterministic() {
-        let s = build(Method::Csr3Ls);
-        let sim = SimulatedExecutor::new(NumaTopology::amd_magny_cours_24());
-        let a = sim.simulate_split(&s, 12, Schedule::Guided { min_chunk: 1 });
-        let b = sim.simulate_split(&s, 12, Schedule::Guided { min_chunk: 1 });
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn ic0_build_simulation_is_consistent_and_parallel_wins() {
-        let sim = SimulatedExecutor::new(NumaTopology::intel_westmere_ex_32());
-        for method in [Method::CsrCol, Method::Sts3] {
-            // Coloring packs hold many independent (super-)rows, so the
-            // level-scheduled build must shorten the makespan; level-set
-            // packs on the miniature matrices often hold a single super-row
-            // each, leaving nothing to overlap (covered by the ≤ bound in
-            // the deterministic test below).
-            let s = build(method);
-            let seq = sim.simulate_ic0_build(&s, 1);
-            let par = sim.simulate_ic0_build(&s, 16);
-            assert!(seq.total_cycles > 0.0 && par.total_cycles > 0.0);
-            assert!((seq.total_cycles - (seq.compute_cycles + seq.sync_cycles)).abs() < 1e-6);
-            assert_eq!(seq.sync_cycles, 0.0, "sequential build pays no barrier");
-            assert!(par.sync_cycles > 0.0);
-            assert!(
-                par.compute_cycles < seq.compute_cycles,
-                "{:?}: level-scheduled build ({}) should beat the sequential sweep ({})",
-                method,
-                par.compute_cycles,
-                seq.compute_cycles
-            );
-            // Speedup is bounded by the core count.
-            assert!(seq.compute_cycles / par.compute_cycles <= 16.0 + 1e-9);
-        }
-    }
-
-    #[test]
-    fn ic0_build_simulation_is_deterministic() {
-        let sim = SimulatedExecutor::new(NumaTopology::amd_magny_cours_24());
-        for method in [Method::Csr3Ls, Method::Sts3] {
-            let s = build(method);
-            assert_eq!(
-                sim.simulate_ic0_build(&s, 12),
-                sim.simulate_ic0_build(&s, 12)
-            );
-            // More cores never lengthen the modelled makespan.
-            let seq = sim.simulate_ic0_build(&s, 1);
-            let par = sim.simulate_ic0_build(&s, 12);
-            assert!(par.compute_cycles <= seq.compute_cycles + 1e-9);
-        }
     }
 
     #[test]

@@ -36,10 +36,10 @@
 //!   [`solver::parallel::ParallelSolver::solve_with`], and the [`SlabValue`]
 //!   abstraction behind the mixed-precision (f32-storage / f64-accumulation)
 //!   sweep kernels;
-//! * [`exec`] — the simulated NUMA executor that prices a solve on a modelled
-//!   machine (the paper's 32-core Intel and 24-core AMD nodes), used by the
-//!   figure harnesses, including the bytes-per-row bandwidth model that
-//!   predicts the mixed-precision traffic reduction;
+//! * [`exec`] — the simulated NUMA executor that prices the paper's
+//!   pack-by-pack solve on a modelled machine (the 32-core Intel and 24-core
+//!   AMD nodes), used by the `paper_figs` driver, and the bytes-per-sweep
+//!   model the repo benchmark's roofline ratio is taken against;
 //! * [`analysis`] — the parallelism and work-distribution statistics behind
 //!   Figures 7 and 8;
 //! * [`verify`] — static schedule verification: extracts every task's exact

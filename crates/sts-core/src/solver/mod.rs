@@ -10,7 +10,7 @@
 //!   gather-row and a chain-row function, at lane width 1 or 8.
 //! * [`plan`] — the one chunk geometry ([`PipelinePlan`], the factor
 //!   chunking): computed once, executed by the kernels, and read back by the
-//!   schedule verifier and the simulator.
+//!   schedule verifier.
 //! * [`scheduled`] — a schedule-only level-scheduled solver for callers who
 //!   must solve their original `L x = b` without any reordering (classical
 //!   Saltz level scheduling); it shares no storage transformation with STS-k

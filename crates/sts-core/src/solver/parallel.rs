@@ -325,8 +325,8 @@ impl ParallelSolver {
     ///
     /// The recorder's enabled flag is sampled once per solve, so an
     /// installed-but-disabled recorder costs one `Option` check per kernel
-    /// dispatch (`bench_smoke` measures this configuration and the CI gate
-    /// bounds it below 2% of a PCG solve). The `worker` field of a span is
+    /// dispatch (the configuration every untraced run of the repo benchmark
+    /// measures). The `worker` field of a span is
     /// the pool slot for the pipelined kernels and the static phase-1
     /// chunks; for the split engine's dynamically scheduled phase-2 it carries
     /// the chain-task index instead (the pool does not expose which slot

@@ -7,9 +7,9 @@
 //! external reads target are done. This module is the only place that
 //! arithmetic is written: `chunk_range` is the formula, [`PipelinePlan`]
 //! applies it to a solve sweep and `FactorChunks` to `parallel_ic0`. The
-//! kernels execute those ranges, and the schedule verifier
-//! ([`crate::verify`]) and the simulator read the very same objects, so what
-//! is proven and priced is the schedule that runs.
+//! kernels execute those ranges and the schedule verifier
+//! ([`crate::verify`]) reads the very same objects, so what is proven is the
+//! schedule that runs.
 
 use std::ops::Range;
 use std::sync::atomic::AtomicUsize;

@@ -15,8 +15,9 @@
 //!
 //! Each pass contracts the error by roughly the f32 rounding level (~1e-7),
 //! so one or two correction sweeps reach 1e-12 relative residuals; the
-//! [`RefineOutcome::refine_iterations`] count is the observable the bench
-//! gate holds at ≤ 2 on the smoke Laplacian. Requesting
+//! [`RefineOutcome::refine_iterations`] count is the observable
+//! `tests/mixed_precision.rs` holds at ≤ 2 on operands whose values do not
+//! round-trip through f32. Requesting
 //! [`ValuesF64`](sts_core::PrecisionPolicy::ValuesF64) degenerates gracefully: the first residual
 //! check already passes and the wrapper returns the plain solve with zero
 //! refinement passes.

@@ -421,11 +421,10 @@ pub fn random_lower_triangular(
 /// Krylov space exploits and lockstep scalar recurrences cannot.
 ///
 /// This is the **single definition** of the workload shared by the
-/// `bench_smoke` trend fields (`pcg_block_*`), the lockstep-vs-block
-/// criterion bench, the headline block-CG test and the facade example: the
-/// hashes are fixed (splitmix-style), so iteration counts measured on it
-/// are exact, comparable trend lines — and tweaking it here moves all four
-/// surfaces together.
+/// lockstep-vs-block criterion bench, the headline block-CG test and the
+/// facade example: the hashes are fixed (splitmix-style), so iteration
+/// counts measured on it are exact and comparable — and tweaking it here
+/// moves all three surfaces together.
 pub fn correlated_rhs_chain(a: &CsrMatrix, nrhs: usize) -> Result<Vec<f64>> {
     if a.nrows() != a.ncols() {
         return Err(MatrixError::DimensionMismatch(format!(

@@ -9,8 +9,7 @@
 //! to stdout (machine-readable readiness for wrappers; `--addr
 //! 127.0.0.1:0` picks a free port and reports it), then serves JSON-lines
 //! requests until a client sends `shutdown`. Unless `--quiet` is given,
-//! per-request metrics stream to stderr, one JSON object per line in the
-//! same format `bench_smoke` emits.
+//! per-request metrics stream to stderr, one JSON object per line.
 //!
 //! `--metrics-path FILE` appends the same per-request JSONL lines to `FILE`,
 //! flushed per line, in addition to (or, with `--quiet`, instead of) stderr.

@@ -90,7 +90,7 @@ fn demo(client: &mut Client, nx: usize, ny: usize, solves: usize) -> Result<(), 
     }
     let wall_ns = start.elapsed().as_nanos() as u64;
 
-    // 4. One closing metrics line, bench_smoke style.
+    // 4. One closing metrics line: one JSON object.
     println!(
         "{}",
         render(&obj(vec![

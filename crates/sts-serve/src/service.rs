@@ -74,8 +74,8 @@ pub struct ServeReply {
     pub shutdown: bool,
 }
 
-/// Per-request metrics sink: receives one JSON line per handled request, in
-/// the same one-object-per-line format `bench_smoke` emits.
+/// Per-request metrics sink: receives one JSON object per handled request,
+/// one per line.
 pub type MetricsSink = Box<dyn FnMut(&str) + Send>;
 
 /// Per-solve trace sink: receives the 1-based solve sequence number and the

@@ -2,8 +2,8 @@
 //!
 //! The paper's whole argument is about *where time goes* inside a sparse
 //! triangular solve — gather phases, in-pack dependence chains, gate waits —
-//! yet wall-clock totals (`PcgOutcome::seconds_total`, the `bench_smoke`
-//! fields) collapse all of that into one number. This crate provides the
+//! yet wall-clock totals (`PcgOutcome::seconds_total`, a benchmark's
+//! `solve_ms_p50`) collapse all of that into one number. This crate provides the
 //! three primitives the rest of the stack threads through its runtime
 //! layers, with **no dependencies** (std only) and **no locks on the record
 //! path**:
@@ -13,7 +13,8 @@
 //!   ([`SpanEvent`]), written via relaxed atomics into pre-allocated slots.
 //!   Recording while disabled is a single relaxed load and a branch, so an
 //!   installed-but-disabled recorder costs effectively nothing on the solve
-//!   hot path (gated below 2% of `pcg_wall_ns` by `bench_gate`).
+//!   hot path (the repo benchmark reports the cost of *enabled* tracing as
+//!   `run.trace_overhead_share`).
 //! * [`Registry`] — named monotonic [`Counter`]s and fixed-bucket log-scale
 //!   [`Histogram`]s, mergeable across threads, rendered as a
 //!   Prometheus-style text exposition ([`Registry::render_prometheus`]).

@@ -6,9 +6,8 @@
 //! 1. **Disabled must be free.** The recorder is installed on the solver
 //!    permanently (daemon deployments flip it per request); the disabled
 //!    path is one relaxed load and a predictable branch, *per chunk/task*,
-//!    never per row. `bench_smoke` measures exactly this configuration and
-//!    `bench_gate` fails the build if it ever costs more than 2% of a PCG
-//!    solve.
+//!    never per row. This is the configuration every untraced run of the
+//!    repo benchmark (`benchmark/`, `--trace 0`) measures.
 //! 2. **Recording must not synchronize workers.** A slot index comes from
 //!    one relaxed `fetch_add`; the five fields are relaxed stores into
 //!    pre-allocated atomics. No CAS loops, no allocation, nothing a worker

@@ -118,7 +118,7 @@ fn main() {
     // Block CG vs lockstep scalar CG on four correlated right-hand sides —
     // the canonical workload `generators::correlated_rhs_chain` (a Krylov
     // chain `b_q ∝ A^q c` plus a 1% individual rough part each; the same
-    // batch bench_smoke and the headline test measure): one system's
+    // batch the criterion bench and the headline test measure): one system's
     // solution lives mostly inside the others' Krylov content. The
     // lockstep driver amortises index traffic but keeps one scalar
     // recurrence per system; the block driver shares one Krylov space, so

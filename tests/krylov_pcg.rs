@@ -236,9 +236,8 @@ fn block_cg_beats_lockstep_scalar_cg_on_the_200x200_laplacian() {
     let sys = SpdSystem::build(&a, Method::Sts3, 80).unwrap();
     let n = sys.n();
     let nrhs = 4;
-    // The canonical correlated workload, shared with bench_smoke and the
-    // criterion bench so the asserted win and the reported trend line are
-    // the same measurement.
+    // The canonical correlated workload, shared with the criterion bench so
+    // the asserted win and the timed one are the same measurement.
     let b = generators::correlated_rhs_chain(&a, nrhs).unwrap();
     let pcg = Pcg::new(2, Schedule::Guided { min_chunk: 1 });
     let mut ws = KrylovWorkspace::with_nrhs(n, nrhs);

@@ -12,7 +12,7 @@
 //! super-rows of a pack are independent tasks; the rows of a super-row are
 //! solved sequentially by whichever core owns the task.
 
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use sts_graph::Permutation;
 use sts_matrix::{LowerTriangularCsr, MatrixError};
@@ -46,6 +46,9 @@ pub struct StsStructure {
     /// use ([`StsStructure::transpose_split`]) — only the forward/backward
     /// sweep pairs of preconditioner applications pay for it.
     tsplit: OnceLock<SplitLayout>,
+    /// Chunk readiness of the sweeps cut so far, remembered next to the
+    /// layouts it is derived from ([`StsStructure::chunk_readiness`]).
+    readiness: ReadinessCache,
     /// Debug-only guard: set once the forward layout's schedule has been
     /// statically verified ([`StsStructure::split`] runs the check on first
     /// build under `debug_assertions`). A plain flag, not a lazily computed
@@ -60,8 +63,39 @@ pub struct StsStructure {
     tsplit_verified: OnceLock<()>,
 }
 
-/// Equality ignores the lazy split cache: the layout is a pure function of
-/// the other fields, so two structures that differ only in whether
+/// The per-chunk readiness of every (direction, worker count) a sweep has
+/// been cut for so far. Deriving it is the one O(n) pass of a plan build
+/// ([`SplitLayout::range_ext_dep`] over every chunk); like the layouts it is
+/// a pure function of the structure, so it is derived once and shared. A
+/// handful of entries at most — one per direction and thread count in use.
+#[derive(Debug, Default)]
+struct ReadinessCache(Mutex<Vec<Readiness>>);
+
+/// One remembered readiness array and the sweep cut it belongs to.
+#[derive(Debug, Clone)]
+struct Readiness {
+    direction: SweepDirection,
+    workers: usize,
+    dep: Arc<[u32]>,
+}
+
+impl ReadinessCache {
+    /// A panic while the lock is held leaves the list as it was or one whole
+    /// entry longer, so a poisoned lock is simply recovered.
+    fn entries(&self) -> MutexGuard<'_, Vec<Readiness>> {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+impl Clone for ReadinessCache {
+    fn clone(&self) -> Self {
+        ReadinessCache(Mutex::new(self.entries().clone()))
+    }
+}
+
+/// Equality ignores the lazy caches (the split layouts and the chunk
+/// readiness derived from them): they are pure functions of the other
+/// fields, so two structures that differ only in whether
 /// [`StsStructure::split`] has been called yet are still equal.
 impl PartialEq for StsStructure {
     fn eq(&self, other: &Self) -> bool {
@@ -121,6 +155,7 @@ impl StsStructure {
             perm,
             split: OnceLock::new(),
             tsplit: OnceLock::new(),
+            readiness: ReadinessCache::default(),
             split_verified: OnceLock::new(),
             tsplit_verified: OnceLock::new(),
         };
@@ -326,6 +361,43 @@ impl StsStructure {
         }
     }
 
+    /// The readiness of the chunks a sweep in `direction` is cut into for
+    /// `workers` workers: `derive` on the first request, the remembered
+    /// result after it. Crate-internal — [`PipelinePlan::build`] owns the
+    /// chunk geometry and is the only caller, so the key determines the
+    /// value. Concurrent first requests may both derive; the first to finish
+    /// is kept and both get it.
+    ///
+    /// [`PipelinePlan::build`]: crate::solver::PipelinePlan::build
+    pub(crate) fn chunk_readiness(
+        &self,
+        direction: SweepDirection,
+        workers: usize,
+        derive: impl FnOnce() -> Vec<u32>,
+    ) -> Arc<[u32]> {
+        let find = |entries: &[Readiness]| {
+            entries
+                .iter()
+                .find(|e| e.direction == direction && e.workers == workers)
+                .map(|e| Arc::clone(&e.dep))
+        };
+        if let Some(dep) = find(&self.readiness.entries()) {
+            return dep;
+        }
+        // Derived outside the lock: it is the O(n) part, and other sweeps on
+        // this structure should not queue behind it.
+        let dep: Arc<[u32]> = derive().into();
+        let mut entries = self.readiness.entries();
+        find(&entries).unwrap_or_else(|| {
+            entries.push(Readiness {
+                direction,
+                workers,
+                dep: Arc::clone(&dep),
+            });
+            dep
+        })
+    }
+
     /// Rebuilds this structure around a different operand that shares the
     /// hierarchy: same dimension, same pack / super-row boundaries, and a
     /// sparsity pattern that still satisfies the pack-independence invariant
@@ -337,7 +409,8 @@ impl StsStructure {
     /// system matrix (and the split layouts derived from it) can host the
     /// factor's values without re-running the ordering pipeline. The split
     /// layouts themselves are value-bearing and are rebuilt lazily on the
-    /// returned structure.
+    /// returned structure; the chunk readiness derived from them starts
+    /// empty with them (the replacement's pattern may differ).
     pub fn with_operand(&self, l: LowerTriangularCsr) -> Result<StsStructure> {
         if l.n() != self.n() {
             return Err(MatrixError::DimensionMismatch(format!(
@@ -579,6 +652,10 @@ mod tests {
         let _ = a.split(); // populate a's cache only
         assert!(a.split_built() && !b.split_built());
         assert_eq!(a, b, "the split cache is derived state, not identity");
+        // Likewise the chunk readiness a plan build leaves behind.
+        let _ = crate::solver::PipelinePlan::build(&a, 2, SweepDirection::Transpose);
+        assert!(a.transpose_split_built() && !b.transpose_split_built());
+        assert_eq!(a, b, "remembered readiness is derived state, not identity");
     }
 
     #[test]

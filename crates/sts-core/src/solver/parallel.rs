@@ -261,8 +261,9 @@ pub struct ParallelSolver {
 }
 
 impl ParallelSolver {
-    /// Creates a solver that runs on `threads` unpinned workers with the given
-    /// intra-pack schedule.
+    /// Creates a solver that runs on `threads` unpinned workers — the calling
+    /// thread and `threads − 1` pool threads — with the given intra-pack
+    /// schedule.
     pub fn new(threads: usize, schedule: Schedule) -> Self {
         ParallelSolver {
             pool: WorkerPool::new(threads),
@@ -276,7 +277,12 @@ impl ParallelSolver {
     }
 
     /// Creates a solver whose workers are pinned to the given core order
-    /// (typically [`NumaTopology::compact_core_order`]).
+    /// (typically [`NumaTopology::compact_core_order`]). Worker 0 of every
+    /// solve is the thread that calls it (see [`sts_numa::pool`]):
+    /// `core_order[0]` names that thread's core and is not applied — the
+    /// solver does not own its caller, and a caller that wants the compact
+    /// placement for itself pins itself there. Workers `1..threads` are the
+    /// pool's own threads and are pinned to `core_order[1..]`.
     ///
     /// [`NumaTopology::compact_core_order`]:
     ///     sts_numa::NumaTopology::compact_core_order
@@ -385,7 +391,7 @@ impl ParallelSolver {
         self.trace.as_deref().filter(|r| r.is_enabled())
     }
 
-    /// Number of worker threads.
+    /// Number of workers: the calling thread plus the pool's own threads.
     pub fn num_threads(&self) -> usize {
         self.pool.num_threads()
     }
@@ -411,7 +417,10 @@ impl ParallelSolver {
     /// Builds the reusable [`PipelinePlan`] for sweeps of `s` in `direction`
     /// on this solver's pool. Build it once per structure and direction;
     /// [`ParallelSolver::solve_into`] reuses it at no allocation cost, for
-    /// every engine, batch width and precision.
+    /// every engine, batch width and precision. The first plan built for a
+    /// (structure, direction, thread count) makes the one O(n) readiness
+    /// pass and the structure remembers its result; later builds cost
+    /// O(packs × threads).
     pub fn plan(&self, s: &StsStructure, direction: SweepDirection) -> PipelinePlan {
         PipelinePlan::build(s, self.pool.num_threads(), direction)
     }
@@ -423,8 +432,13 @@ impl ParallelSolver {
     /// ([`SweepDirection`]), batch width (`nrhs`, interleaved layout
     /// `b[i * nrhs + r]`) and value-slab precision ([`PrecisionPolicy`]).
     /// Every engine except [`SolveEngine::Parallel`] accepts every
-    /// combination of the other three; this method builds a fresh
-    /// [`PipelinePlan`] for the call and runs [`ParallelSolver::solve_into`].
+    /// combination of the other three; this method cuts a [`PipelinePlan`]
+    /// for the call — the gate and ticket counters are the call's own, the
+    /// chunk readiness is the copy `s` remembers from the first sweep in
+    /// this direction at this thread count, so only that first call pays an
+    /// O(n) pass outside its sweep — and runs [`ParallelSolver::solve_into`].
+    /// Callers sweeping one structure many times still do better holding a
+    /// plan and an output buffer themselves: `solve_into` allocates nothing.
     ///
     /// Mixed-precision requests ([`PrecisionPolicy::ValuesF32WithRefinement`])
     /// read the lazily demoted f32 value slabs but accumulate every partial

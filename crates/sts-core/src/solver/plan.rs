@@ -13,12 +13,14 @@
 
 use std::ops::Range;
 use std::sync::atomic::AtomicUsize;
+use std::sync::Arc;
 
 use sts_matrix::MatrixError;
 use sts_numa::EpochGate;
 
 use crate::csrk::{Result, StsStructure};
 use crate::options::SweepDirection;
+use crate::split::SplitLayout;
 
 /// Static chunk `c` of `nchunks` over the `len` items starting at `start`.
 #[inline]
@@ -60,8 +62,9 @@ pub struct PipelinePlan {
     /// The row range of every gather chunk.
     chunk_rows: Vec<Range<usize>>,
     /// Per-chunk readiness in the plan's stage numbering: the chunk may run
-    /// once stages `0..dep` are done.
-    chunk_dep: Vec<u32>,
+    /// once stages `0..dep` are done. Shared with the structure, which
+    /// remembers it per (direction, workers).
+    chunk_dep: Arc<[u32]>,
     /// The resettable epoch gate coordinating the stages.
     pub(super) gate: EpochGate,
     /// Phase-2 ticket counters, one per stage.
@@ -70,9 +73,13 @@ pub struct PipelinePlan {
 
 impl PipelinePlan {
     /// Cuts the sweep of `s` in `direction` into chunks for `workers`
-    /// workers (one O(n) pass over the readiness metadata, forcing the
-    /// direction's lazy layout). No pool is involved, so `workers` may be
-    /// `usize::MAX` for row-granularity chunks.
+    /// workers, forcing the direction's lazy layout. The chunk ranges are
+    /// O(packs × workers) arithmetic; their readiness — one O(n) pass over
+    /// the layout's metadata — is derived by the first build for this
+    /// (direction, workers) and remembered on the structure next to that
+    /// layout, so every later build, by any caller, skips the pass. No pool
+    /// is involved, so `workers` may be `usize::MAX` for row-granularity
+    /// chunks.
     pub fn build(s: &StsStructure, workers: usize, direction: SweepDirection) -> PipelinePlan {
         let workers = workers.max(1);
         let layout = s.layout(direction);
@@ -82,23 +89,20 @@ impl PipelinePlan {
         let mut counts = Vec::with_capacity(num_packs);
         let mut chunk_ptr = Vec::with_capacity(num_packs + 1);
         let mut chunk_rows = Vec::new();
-        let mut chunk_dep = Vec::new();
         chunk_ptr.push(0usize);
         for st in 0..num_packs {
             let p = stage_pack(direction, num_packs, st);
             let rows = s.pack_rows(p);
             let nchunks = chunk_count(workers, rows.len());
-            for c in 0..nchunks {
-                let chunk = chunk_range(rows.start, rows.len(), nchunks, c);
-                chunk_dep.push(layout.range_ext_dep(chunk.clone()));
-                chunk_rows.push(chunk);
-            }
+            chunk_rows
+                .extend((0..nchunks).map(|c| chunk_range(rows.start, rows.len(), nchunks, c)));
             chunk_ptr.push(chunk_rows.len());
             let nt = layout.chain_super_rows(p).len();
             counts.push((nchunks, nt));
             ntasks.push(nt);
             stage_rows.push(rows);
         }
+        let chunk_dep = s.chunk_readiness(direction, workers, || derive_deps(layout, &chunk_rows));
         PipelinePlan {
             direction,
             n: s.n(),
@@ -172,7 +176,8 @@ impl PipelinePlan {
     /// structure's own chain tasks through the shared solution vector; the
     /// per-chunk ranges and readiness — a pure function of the (already
     /// matched) pack boundaries and the operand's pattern — are re-derived
-    /// and compared in debug builds.
+    /// from the layout, not taken from the structure's remembered copy, and
+    /// compared in debug builds.
     pub(super) fn check(
         &self,
         s: &StsStructure,
@@ -208,12 +213,22 @@ impl PipelinePlan {
         {
             let fresh = PipelinePlan::build(s, threads, direction);
             debug_assert!(
-                fresh.chunk_rows == self.chunk_rows && fresh.chunk_dep == self.chunk_dep,
+                fresh.chunk_rows == self.chunk_rows
+                    && derive_deps(layout, &fresh.chunk_rows) == *self.chunk_dep,
                 "plan chunk metadata is stale for this structure"
             );
         }
         Ok(())
     }
+}
+
+/// Readiness of each of `chunks` on `layout`: the O(n) pass a plan build
+/// makes once per (structure, direction, workers).
+fn derive_deps(layout: &SplitLayout, chunks: &[Range<usize>]) -> Vec<u32> {
+    chunks
+        .iter()
+        .map(|rows| layout.range_ext_dep(rows.clone()))
+        .collect()
 }
 
 /// Stage → pack binding of a sweep over `num_packs` packs.
@@ -274,5 +289,99 @@ impl FactorChunks {
     /// `0..dep` must be fully factored first.
     pub(crate) fn pack_deps(&self, p: usize) -> &[u32] {
         &self.dep[self.chunk_ptr[p]..self.chunk_ptr[p + 1]]
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::builder::Method;
+    use sts_matrix::{generators, CooMatrix, LowerTriangularCsr};
+
+    const DIRECTIONS: [SweepDirection; 2] = [SweepDirection::Forward, SweepDirection::Transpose];
+
+    fn structure() -> StsStructure {
+        let a = generators::grid2d_9point(14, 11).unwrap();
+        let l = generators::lower_operand(&a).unwrap();
+        Method::Sts3.build(&l, 4).unwrap()
+    }
+
+    /// Everything a driver or the verifier reads from a plan's geometry.
+    #[allow(clippy::type_complexity)]
+    fn geometry(plan: &PipelinePlan) -> Vec<(Vec<Range<usize>>, Vec<u32>, usize)> {
+        (0..plan.num_stages())
+            .map(|st| {
+                (
+                    plan.stage_chunks(st).to_vec(),
+                    plan.stage_deps(st).to_vec(),
+                    plan.num_chain_tasks(st),
+                )
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_plan_cut_from_remembered_readiness_equals_one_cut_from_scratch() {
+        let untouched = structure();
+        let warm = untouched.clone();
+        for threads in [1usize, 2, 3, 8] {
+            for direction in DIRECTIONS {
+                let first = PipelinePlan::build(&warm, threads, direction);
+                let again = PipelinePlan::build(&warm, threads, direction);
+                assert!(
+                    Arc::ptr_eq(&first.chunk_dep, &again.chunk_dep),
+                    "the second build re-derived readiness at {threads} threads"
+                );
+                let scratch = PipelinePlan::build(&untouched.clone(), threads, direction);
+                assert!(!Arc::ptr_eq(&scratch.chunk_dep, &again.chunk_dep));
+                assert_eq!(geometry(&again), geometry(&scratch));
+                // The re-derivation `check` makes in debug builds agrees.
+                again.check(&warm, threads, direction).unwrap();
+            }
+        }
+    }
+
+    #[test]
+    fn each_thread_count_and_direction_remembers_its_own_readiness() {
+        let s = structure();
+        let widest = (0..s.num_packs())
+            .map(|p| s.pack_rows(p).len())
+            .max()
+            .unwrap();
+        assert!(widest >= 3, "the fixture needs a pack that 3 workers split");
+        for direction in DIRECTIONS {
+            let two = PipelinePlan::build(&s, 2, direction);
+            let three = PipelinePlan::build(&s, 3, direction);
+            assert!(three.chunk_dep.len() > two.chunk_dep.len());
+            assert_eq!(
+                geometry(&three),
+                geometry(&PipelinePlan::build(&structure(), 3, direction))
+            );
+            // Asking for two again still finds two's.
+            let two_again = PipelinePlan::build(&s, 2, direction);
+            assert!(Arc::ptr_eq(&two.chunk_dep, &two_again.chunk_dep));
+        }
+        let forward = PipelinePlan::build(&s, 2, SweepDirection::Forward);
+        let transpose = PipelinePlan::build(&s, 2, SweepDirection::Transpose);
+        assert!(!Arc::ptr_eq(&forward.chunk_dep, &transpose.chunk_dep));
+    }
+
+    #[test]
+    fn with_operand_starts_without_the_donors_readiness() {
+        let s = structure();
+        let donor = PipelinePlan::build(&s, 2, SweepDirection::Forward);
+        assert!(donor.chunk_dep.iter().any(|&d| d > 0));
+        // A diagonal operand fits any hierarchy and reads nothing, so every
+        // chunk of it is ready at once — unlike the donor's.
+        let mut diagonal = CooMatrix::new(s.n(), s.n());
+        for i in 0..s.n() {
+            diagonal.push(i, i, 2.0).unwrap();
+        }
+        let rebound = s
+            .with_operand(LowerTriangularCsr::from_csr(&diagonal.to_csr()).unwrap())
+            .unwrap();
+        let plan = PipelinePlan::build(&rebound, 2, SweepDirection::Forward);
+        assert_eq!(plan.chunk_dep.len(), donor.chunk_dep.len());
+        assert!(plan.chunk_dep.iter().all(|&d| d == 0));
     }
 }

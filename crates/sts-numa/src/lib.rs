@@ -18,7 +18,9 @@
 //!   of the split solver into per-stage completion flags, enabling pack
 //!   pipelining (phase 1 of pack `p+1` overlapping phase 2 of pack `p`);
 //! * [`pool`] — a persistent, optionally pinned worker pool with the static /
-//!   dynamic / guided loop schedules the paper tunes per solver. Loop bodies
+//!   dynamic / guided loop schedules the paper tunes per solver. The thread
+//!   that dispatches a loop is a member of the team, and idle members spin
+//!   briefly before they sleep, as under OpenMP. Loop bodies
 //!   run under `catch_unwind`, so a panicking body surfaces as a structured
 //!   [`PoolError`] instead of deadlocking the completion barrier, and the
 //!   epoch gate carries poisoning plus watchdog deadlines so workers blocked

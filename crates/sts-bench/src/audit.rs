@@ -13,12 +13,15 @@
 //!    review nit.
 //! 2. **`unsafe` and `Ordering::Relaxed` appear only in the audited-module
 //!    allowlist** ([`is_allowlisted`]): the lock-free primitives in
-//!    `sts-numa` (`pool`, `epoch`, `barrier`, `affinity`), the solver
+//!    `sts-numa` (`pool`, `epoch`, `affinity`), the solver
 //!    kernels in `sts-core::solver`, and the lock-free recorders in
 //!    `sts-trace` (`span`, plus `metrics`, whose `Relaxed` uses are
 //!    monotonic counters merged under a single publishing barrier). New
 //!    unsafe code elsewhere must either move into an audited module or
-//!    extend the allowlist in the same PR that argues its soundness.
+//!    extend the allowlist in the same PR that argues its soundness. The
+//!    permission is for code that exists: an allow-listed path that is not
+//!    in the tree makes [`audit_workspace`] fail as unusable input, so
+//!    deleting a primitive deletes its entry.
 //!
 //! The scanner is line-based and deliberately simple: line comments and
 //! string literals are stripped before token matching, so prose mentioning
@@ -78,18 +81,34 @@ impl fmt::Display for Violation {
     }
 }
 
-/// The audited-module allowlist, as root-relative paths. `unsafe` and
-/// `Ordering::Relaxed` are permitted only here (rule 1 still applies).
+/// The allow-listed files, as root-relative paths.
+const ALLOWED_FILES: [&str; 5] = [
+    "crates/sts-numa/src/pool.rs",
+    "crates/sts-numa/src/epoch.rs",
+    "crates/sts-numa/src/affinity.rs",
+    "crates/sts-trace/src/span.rs",
+    "crates/sts-trace/src/metrics.rs",
+];
+
+/// The allow-listed directory (every file under it), as a root-relative
+/// prefix.
+const ALLOWED_DIR: &str = "crates/sts-core/src/solver/";
+
+/// The audited-module allowlist. `unsafe` and `Ordering::Relaxed` are
+/// permitted only here (rule 1 still applies).
 pub fn is_allowlisted(rel_path: &str) -> bool {
-    const FILES: [&str; 6] = [
-        "crates/sts-numa/src/pool.rs",
-        "crates/sts-numa/src/epoch.rs",
-        "crates/sts-numa/src/barrier.rs",
-        "crates/sts-numa/src/affinity.rs",
-        "crates/sts-trace/src/span.rs",
-        "crates/sts-trace/src/metrics.rs",
-    ];
-    FILES.contains(&rel_path) || rel_path.starts_with("crates/sts-core/src/solver/")
+    ALLOWED_FILES.contains(&rel_path) || rel_path.starts_with(ALLOWED_DIR)
+}
+
+/// The allowlist entries that name nothing under `root`: a standing
+/// permission for `unsafe` / `Relaxed` at a path where a new file could
+/// later pick it up unreviewed.
+fn missing_allowlisted(root: &Path) -> Vec<&'static str> {
+    ALLOWED_FILES
+        .into_iter()
+        .filter(|file| !root.join(file).is_file())
+        .chain(Some(ALLOWED_DIR).filter(|dir| !root.join(dir).is_dir()))
+        .collect()
 }
 
 /// Whether `content[i..]` starts a standalone `unsafe` / `Relaxed` token
@@ -297,8 +316,23 @@ fn collect_sources(root: &Path) -> io::Result<Vec<PathBuf>> {
 /// Audits every first-party source file under `root`. Returns the
 /// violations (empty means the workspace passes) and the number of files
 /// scanned.
+///
+/// # Errors
+///
+/// An unreadable `root`, or — as [`io::ErrorKind::NotFound`] — an
+/// allow-listed path that does not exist under it.
 pub fn audit_workspace(root: &Path) -> io::Result<(Vec<Violation>, usize)> {
     let files = collect_sources(root)?;
+    let missing = missing_allowlisted(root);
+    if !missing.is_empty() {
+        return Err(io::Error::new(
+            io::ErrorKind::NotFound,
+            format!(
+                "allow-listed but absent: {} — remove the entry with the code",
+                missing.join(", ")
+            ),
+        ));
+    }
     let mut violations = Vec::new();
     for path in &files {
         let rel = path
@@ -370,6 +404,23 @@ mod tests {
     fn prose_and_strings_do_not_trip_the_lint() {
         let src = "//! The unsafe kernels use Ordering::Relaxed counters.\nlet s = \"unsafe Ordering::Relaxed\";\nlet t = UnsafeCell::new(0);\n";
         assert!(scan_source("crates/sts-graph/src/lib.rs", src).is_empty());
+    }
+
+    #[test]
+    fn an_allowlisted_path_missing_from_the_tree_is_reported() {
+        let repo = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        assert!(missing_allowlisted(&repo).is_empty());
+        // Seen from a root that holds only part of the tree, every entry
+        // outside that part is a permission for nothing, and the audit
+        // refuses to run.
+        let part = repo.join("crates/sts-numa");
+        let missing = missing_allowlisted(&part);
+        assert_eq!(missing.len(), ALLOWED_FILES.len() + 1);
+        assert!(missing.contains(&"crates/sts-numa/src/pool.rs"));
+        assert!(missing.contains(&ALLOWED_DIR));
+        let err = audit_workspace(&part).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::NotFound);
+        assert!(err.to_string().contains("crates/sts-numa/src/pool.rs"));
     }
 
     #[test]

@@ -8,7 +8,8 @@
 //!
 //! Exit codes: `0` when the workspace passes (or `--advisory` was given);
 //! `1` when violations were found; `2` on unusable input (unreadable root,
-//! bad flags), which must fail the job rather than pass it silently.
+//! bad flags, an allow-listed path that does not exist under the root),
+//! which must fail the job rather than pass it silently.
 //!
 //! `--advisory` prints the same report but always exits `0`.
 
@@ -58,7 +59,7 @@ fn main() -> ExitCode {
     let (violations, files) = match audit::audit_workspace(&args.root) {
         Ok(r) => r,
         Err(e) => {
-            eprintln!("audit_lint: cannot walk {}: {e}", args.root.display());
+            eprintln!("audit_lint: cannot audit {}: {e}", args.root.display());
             return ExitCode::from(2);
         }
     };

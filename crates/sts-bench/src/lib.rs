@@ -13,8 +13,6 @@
 //!   `Ordering::Relaxed` allowlist.
 //! * [`faultinject`] is the deterministic chaos toolkit behind
 //!   `tests/fault_injection.rs`.
-//! * `benches/` holds the criterion benches: the in-process instrument for
-//!   differences too small for separate processes to resolve.
 //!
 //! Wall-time measurement of the system itself — end to end and per layer,
 //! with bounds and a two-commit `compare` — lives in the `benchmark/` package

@@ -2,7 +2,7 @@
 //! numeric precision are selected.
 //!
 //! [`ParallelSolver`](crate::solver::parallel::ParallelSolver) grew its entry
-//! points one at a time — engine (sequential / parallel / split / pipelined)
+//! points one at a time — engine (sequential / split / pipelined)
 //! × direction (forward / transpose) × single / batch — until callers had a
 //! 12-way method matrix to navigate and no way to thread a *new* axis (like
 //! precision) through it. [`SolveOptions`] collapses the matrix into one
@@ -61,15 +61,15 @@ impl PrecisionPolicy {
     }
 }
 
-/// Which solve engine runs the sweep.
+/// Which driver runs the sweep: the three synchronise differently and
+/// compute the same bits. (The paper's unsplit barrier-per-pack kernel is not
+/// one of them — it takes no options and is
+/// [`ParallelSolver::solve`](crate::solver::parallel::ParallelSolver::solve).)
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum SolveEngine {
     /// Single-threaded two-phase sweep on the split layout: the stage loop
     /// on the calling thread, no pool involvement.
     Sequential,
-    /// The pack-parallel kernel on the *unsplit* CSR operand (one barrier
-    /// per pack). Forward, single right-hand side, `f64` only.
-    Parallel,
     /// The two-phase split kernel (external gather, phase barrier, internal
     /// chains).
     Split,
@@ -84,7 +84,6 @@ impl SolveEngine {
     pub fn as_str(self) -> &'static str {
         match self {
             SolveEngine::Sequential => "sequential",
-            SolveEngine::Parallel => "parallel",
             SolveEngine::Split => "split",
             SolveEngine::Pipelined => "pipelined",
         }

@@ -11,8 +11,11 @@
 //!   chunked over the workers (chunk `c` of every pack is owned by worker
 //!   `c`, so each row has exactly one writer);
 //! * a chunk does not wait for pack `p − 1`; it waits — through the same
-//!   [`EpochGate`] protocol the pipelined solve kernels use — only until the
-//!   packs its rows' **external columns actually reference**
+//!   [`EpochGate`] protocol and on the same gated-worker scaffold as the
+//!   pipelined solve driver (`ParallelSolver::run_gated`; its failure
+//!   semantics are stated once, in the [`parallel`](super::parallel) module
+//!   docs) — only until the packs its rows' **external columns actually
+//!   reference**
 //!   ([`SplitLayout::range_ext_dep`](crate::split::SplitLayout::range_ext_dep),
 //!   a pure function of the pattern, which IC(0) preserves) are fully
 //!   factored. Chunks of pack `p + 1` overlap stragglers of pack `p`
@@ -31,9 +34,9 @@
 //! # Breakdown identity
 //!
 //! A worker that hits a non-SPD pivot does not abort the sweep (which would
-//! strand waiters on the gate); it records the row and keeps factoring —
-//! `sqrt` of the bad pivot propagates as NaN, and NaN-poisoned descendants
-//! fail their own pivot checks. The *lowest* recorded row has all its
+//! strand waiters on the gate); it records the row and keeps factoring, at
+//! one worker as at many — `sqrt` of the bad pivot propagates as NaN, and
+//! NaN-poisoned descendants fail their own pivot checks. The *lowest* recorded row has all its
 //! dependencies intact (any broken dependency would itself be a lower
 //! recorded row), so its pivot is bitwise identical to the one the
 //! sequential sweep reports when it stops there first: both engines return
@@ -44,27 +47,24 @@
 //! The value array is shared through the same
 //! `SharedVec` (`solver::kernel`) wrapper as the solve kernels.
 //! Row `i`'s slice has one writer (the owner of its chunk). Reads target
-//! (a) rows of packs `0..dep`, published by the gate's epoch edge
-//! (`wait_open(dep)` happens-after every arrival of those packs), or
-//! (b) rows of `i`'s own super-row, written earlier by the same worker in
+//! (a) rows of packs `0..dep`, published by the gate's epoch edge (a
+//! `Ready` from `wait_open_until(dep, ..)` happens-after every arrival of
+//! those packs), or (b) rows of `i`'s own super-row, written earlier by the same worker in
 //! program order. Pack independence ([`StsStructure::validate`]) rules out
 //! every other target, so no slot is ever accessed concurrently with its
 //! write.
 
-use std::cell::Cell;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering as AtomicOrdering};
-use std::time::Instant;
 
 use sts_matrix::factor::{ic0_factor_row, lower_pattern_copy};
 use sts_matrix::{CsrMatrix, LowerTriangularCsr, MatrixError};
-use sts_numa::{EpochGate, GateWait, Schedule};
+use sts_numa::EpochGate;
 use sts_trace::Phase;
 use sts_verify::TaskKind;
 
 use crate::csrk::{Result, StsStructure};
 use crate::solver::kernel::SharedVec;
-use crate::solver::parallel::{panic_message, pool_error_to_matrix, KernelFailure, ParallelSolver};
+use crate::solver::parallel::ParallelSolver;
 use crate::solver::plan::FactorChunks;
 
 impl ParallelSolver {
@@ -90,66 +90,12 @@ impl ParallelSolver {
                     .into(),
             ));
         }
-        let n = s.n();
-        let workers = self.num_threads();
-        if workers == 1 || n == 0 {
-            // One worker's program order is the sequential sweep; skip the
-            // gate (and its atomics) entirely. The packs partition the rows
-            // contiguously in order, so the pack-outer loop visits rows
-            // 0..n exactly as the flat sweep does — it exists so the chaos
-            // hook sees the same (worker, pack) schedule as the parallel
-            // path, and `catch_unwind` gives a panicking hook (or kernel)
-            // the same structured error.
-            let current_pack = Cell::new(0usize);
-            let rec = self.active_recorder();
-            let swept = catch_unwind(AssertUnwindSafe(|| -> Result<()> {
-                for p in 0..s.num_packs() {
-                    current_pack.set(p);
-                    if let Some(hook) = self.chaos_hook() {
-                        hook(0, p);
-                    }
-                    let t0 = rec.map(|r| r.now_ns());
-                    for i in s.pack_rows(p) {
-                        let (done, rest) = vals.split_at_mut(row_ptr[i]);
-                        let row = &mut rest[..row_ptr[i + 1] - row_ptr[i]];
-                        let d = ic0_factor_row(&row_ptr, &col_idx, |k| done[k], row, i);
-                        if d <= 0.0 || !d.is_finite() {
-                            return Err(MatrixError::FactorizationBreakdown { row: i, pivot: d });
-                        }
-                        // Row-granularity reads: every slot ic0_factor_row
-                        // touched belongs to a row named by i's strictly-lower
-                        // columns (or to row i itself, which is the write).
-                        self.shadow_record(
-                            TaskKind::Gather,
-                            i,
-                            col_idx[row_ptr[i]..row_ptr[i + 1] - 1].iter().copied(),
-                        );
-                    }
-                    if let Some(r) = rec {
-                        r.record(0, p as u32, Phase::Factor, t0.unwrap_or(0), r.now_ns());
-                    }
-                }
-                Ok(())
-            }));
-            match swept {
-                Ok(Ok(())) => {}
-                Ok(Err(e)) => return Err(e),
-                Err(payload) => {
-                    return Err(MatrixError::WorkerPanicked {
-                        slot: 0,
-                        pack: current_pack.get(),
-                        message: panic_message(payload.as_ref()),
-                    })
-                }
-            }
-            let csr = CsrMatrix::from_raw_unchecked(n, n, row_ptr, col_idx, vals);
-            return LowerTriangularCsr::from_csr(&csr);
-        }
-
         // Static chunks of each pack's super-rows (chunk c owned by worker
         // c) with per-chunk readiness in pack numbering, as in the pipelined
         // solve plans. Forcing the lazy split layout here only borrows what
         // the preconditioner sweeps build anyway.
+        let n = s.n();
+        let workers = self.num_threads();
         let chunks = FactorChunks::build(s, workers);
         let num_packs = s.num_packs();
         let counts: Vec<(usize, usize)> = (0..num_packs)
@@ -160,117 +106,65 @@ impl ParallelSolver {
         // marks "none". Each slot has exactly one writer.
         let bd_row: Vec<AtomicUsize> = (0..workers).map(|_| AtomicUsize::new(usize::MAX)).collect();
         let bd_pivot: Vec<AtomicU64> = (0..workers).map(|_| AtomicU64::new(0)).collect();
-        let deadline = Instant::now() + self.watchdog();
-        let failure = KernelFailure::new();
-        let rec = self.active_recorder();
-        {
-            let shared = SharedVec::new(&mut vals);
-            let row_ptr = &row_ptr;
-            let col_idx = &col_idx;
-            let failure = &failure;
-            self.pool()
-                .parallel_for(workers, Schedule::Static, &|w| {
-                    let current_pack = Cell::new(0usize);
-                    let body = catch_unwind(AssertUnwindSafe(|| {
-                        let mut local_row = usize::MAX;
-                        let mut local_pivot = 0.0f64;
-                        for p in 0..num_packs {
-                            let Some(rows) = chunks.pack_chunks(p).get(w) else {
-                                continue;
-                            };
-                            let dep = chunks.pack_deps(p)[w] as usize;
-                            current_pack.set(p);
-                            // Wait only for the packs this chunk's external
-                            // columns reference (dep ≤ p, so progress is
-                            // guaranteed: every worker only ever waits on
-                            // strictly earlier packs). Poisoned or timed-out
-                            // waits unwind the sweep instead of hanging.
-                            let t0 = rec.map(|r| r.now_ns());
-                            let wait = gate.wait_open_until(dep, deadline);
-                            if let Some(r) = rec {
-                                r.record(
-                                    w as u32,
-                                    p as u32,
-                                    Phase::GateWait,
-                                    t0.unwrap_or(0),
-                                    r.now_ns(),
-                                );
-                            }
-                            match wait {
-                                GateWait::Ready => {}
-                                GateWait::Poisoned => break,
-                                GateWait::TimedOut => {
-                                    failure.record_timeout(p);
-                                    gate.poison();
-                                    break;
-                                }
-                            }
-                            if let Some(hook) = self.chaos_hook() {
-                                hook(w, p);
-                            }
-                            let t0 = rec.map(|r| r.now_ns());
-                            for i in rows.clone() {
-                                let lo = row_ptr[i];
-                                // SAFETY: row i's slots are written only by
-                                // this chunk's owner; reads inside
-                                // ic0_factor_row target strictly earlier rows
-                                // — published by the epoch edge (earlier
-                                // packs) or written earlier by this worker
-                                // (own super-row). See the module docs.
-                                let row = unsafe { shared.slice_mut(lo, row_ptr[i + 1] - lo) };
-                                let d = ic0_factor_row(
-                                    row_ptr,
-                                    col_idx,
-                                    // SAFETY: same argument as the slice
-                                    // above — k names a finalized slot.
-                                    |k| unsafe { shared.read(k) },
-                                    row,
-                                    i,
-                                );
-                                if (d <= 0.0 || !d.is_finite()) && i < local_row {
-                                    local_row = i;
-                                    local_pivot = d;
-                                }
-                                // Same row-granularity read set as the
-                                // single-worker path above.
-                                self.shadow_record(
-                                    TaskKind::Gather,
-                                    i,
-                                    col_idx[lo..row_ptr[i + 1] - 1].iter().copied(),
-                                );
-                            }
-                            if let Some(r) = rec {
-                                r.record(
-                                    w as u32,
-                                    p as u32,
-                                    Phase::Factor,
-                                    t0.unwrap_or(0),
-                                    r.now_ns(),
-                                );
-                            }
-                            gate.arrive_phase1(p);
-                        }
-                        if local_row != usize::MAX {
-                            // Relaxed suffices: the pool's completion barrier
-                            // publishes these slots to the orchestrator below.
-                            bd_row[w].store(local_row, AtomicOrdering::Relaxed);
-                            bd_pivot[w].store(local_pivot.to_bits(), AtomicOrdering::Relaxed);
-                        }
-                    }));
-                    if let Err(payload) = body {
-                        failure.record_panic(
-                            w,
-                            current_pack.get(),
-                            panic_message(payload.as_ref()),
+        let shared = SharedVec::new(&mut vals);
+        // A panic or timeout outranks the breakdown merge below: the sweep
+        // did not finish, so the per-worker records may be incomplete.
+        self.run_gated(&gate, |worker| {
+            let w = worker.slot();
+            let mut local_row = usize::MAX;
+            let mut local_pivot = 0.0f64;
+            for p in 0..num_packs {
+                let Some(rows) = chunks.pack_chunks(p).get(w) else {
+                    continue;
+                };
+                // Wait only for the packs this chunk's external columns
+                // reference (dep ≤ p, so progress is guaranteed: every worker
+                // only ever waits on strictly earlier packs).
+                if !worker.await_stages(chunks.pack_deps(p)[w] as usize, p) {
+                    break;
+                }
+                worker.enter(p);
+                worker.span(Phase::Factor, p, || {
+                    for i in rows.clone() {
+                        let lo = row_ptr[i];
+                        // SAFETY: row i's slots are written only by this
+                        // chunk's owner; reads inside ic0_factor_row target
+                        // strictly earlier rows — published by the epoch edge
+                        // (earlier packs) or written earlier by this worker
+                        // (own super-row). See the module docs.
+                        let row = unsafe { shared.slice_mut(lo, row_ptr[i + 1] - lo) };
+                        let d = ic0_factor_row(
+                            &row_ptr,
+                            &col_idx,
+                            // SAFETY: same argument as the slice above — k
+                            // names a finalized slot.
+                            |k| unsafe { shared.read(k) },
+                            row,
+                            i,
                         );
-                        gate.poison();
+                        if (d <= 0.0 || !d.is_finite()) && i < local_row {
+                            local_row = i;
+                            local_pivot = d;
+                        }
+                        // Row-granularity reads: every slot ic0_factor_row
+                        // touched belongs to a row named by i's strictly-lower
+                        // columns (or to row i itself, which is the write).
+                        self.shadow_record(
+                            TaskKind::Gather,
+                            i,
+                            col_idx[lo..row_ptr[i + 1] - 1].iter().copied(),
+                        );
                     }
-                })
-                .map_err(pool_error_to_matrix)?;
-        }
-        // A panic or timeout outranks the breakdown merge: the sweep did not
-        // finish, so the per-worker records may be incomplete.
-        failure.into_result(self.watchdog().as_millis() as u64)?;
+                });
+                gate.arrive_phase1(p);
+            }
+            if local_row != usize::MAX {
+                // Relaxed suffices: the pool's completion barrier publishes
+                // these slots to the orchestrator below.
+                bd_row[w].store(local_row, AtomicOrdering::Relaxed);
+                bd_pivot[w].store(local_pivot.to_bits(), AtomicOrdering::Relaxed);
+            }
+        })?;
         let mut first = usize::MAX;
         let mut pivot = 0.0f64;
         for w in 0..workers {
@@ -293,6 +187,7 @@ mod tests {
     use super::*;
     use crate::builder::Method;
     use sts_matrix::{factor, generators};
+    use sts_numa::Schedule;
 
     /// The structure and reordered full matrix for a grid Laplacian: the
     /// SpdSystem shape without depending on sts-krylov.
@@ -318,6 +213,25 @@ mod tests {
             );
             assert_eq!(f.row_ptr(), reference.row_ptr());
             assert_eq!(f.col_idx(), reference.col_idx());
+        }
+    }
+
+    #[test]
+    fn degenerate_systems_factor_on_the_gated_body() {
+        // No rows, and one row: no pack has a peer to wait for, at one
+        // worker as at three.
+        use sts_matrix::CooMatrix;
+        let mut one = CooMatrix::new(1, 1);
+        one.push(0, 0, 4.0).unwrap();
+        for a in [CooMatrix::new(0, 0).to_csr(), one.to_csr()] {
+            let l = LowerTriangularCsr::from_csr(&a).unwrap();
+            let s = Method::Sts3.build(&l, 8).unwrap();
+            let reference = factor::ic0(&a).unwrap();
+            for threads in [1, 3] {
+                let solver = ParallelSolver::new(threads, Schedule::Static);
+                let f = solver.parallel_ic0(&s, &a).unwrap();
+                assert_eq!(f.values(), reference.values(), "n = {}", s.n());
+            }
         }
     }
 

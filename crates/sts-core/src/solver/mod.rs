@@ -17,8 +17,9 @@
 //!   and serves as an additional baseline.
 //! * [`factor`] — level-scheduled parallel IC(0) construction
 //!   ([`ParallelSolver::parallel_ic0`]): the preconditioner *setup* run over
-//!   the same pack hierarchy and epoch-gate readiness scheme as the solves,
-//!   bitwise identical to the sequential up-looking sweep.
+//!   the same pack hierarchy, epoch-gate readiness scheme and gated-worker
+//!   scaffold as the pipelined solves, bitwise identical to the sequential
+//!   up-looking sweep.
 //!
 //! # Which requests are bitwise identical
 //!

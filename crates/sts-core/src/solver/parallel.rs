@@ -29,7 +29,8 @@
 //!   under the static schedule, then the chain tasks under the solver's
 //!   configured schedule; the pool's completion is the barrier;
 //! * *pipelined* — one dispatch per solve, with the per-stage barriers fused
-//!   into an [`EpochGate`] (below).
+//!   into an [`EpochGate`] (below), on the gated-worker scaffold it shares
+//!   with the level-scheduled IC(0) build.
 //!
 //! [`ParallelSolver::solve_with`] is the allocating front door over all of
 //! them, [`ParallelSolver::solve_into`] the allocation-free form iterative
@@ -37,6 +38,40 @@
 //! [`ParallelSolver::solve`] the paper's original kernel: one `parallel_for`
 //! over the super-rows of each pack on the *unsplit* operand, a barrier
 //! between packs.
+//!
+//! # Failure semantics
+//!
+//! A pool dispatch cannot be abandoned — `parallel_for` lends the workers a
+//! borrowed body and returns only when all of them are done with it — so
+//! every failure is reported after the last worker has come back, the pool
+//! and the plan stay usable, and the output buffer must be treated as torn.
+//!
+//! The barrier-synchronised kernels ([`ParallelSolver::solve`], the split
+//! driver, the SpMVs) wait on nobody inside a dispatch: a panicking body is
+//! caught by the pool and surfaces as [`MatrixError::WorkerPanicked`] with
+//! the loop index in flight. The gate-synchronised kernels — the pipelined
+//! driver and [`parallel_ic0`](ParallelSolver::parallel_ic0) — wait on each
+//! other inside one, where a dead or stalled peer would strand them. Both
+//! are bodies run by one scaffold, `ParallelSolver::run_gated`, and it alone
+//! implements the following:
+//!
+//! * each worker's body runs under `catch_unwind`. A panic — in the row
+//!   arithmetic or in the [`ChaosHook`], called as a worker enters a stage's
+//!   phase-1 unit — records the first `(slot, stage, message)` and *poisons*
+//!   the gate; the dispatch returns [`MatrixError::WorkerPanicked`];
+//! * every wait — the blocking readiness wait and the polling loop a body
+//!   writes itself — gives up on the poison flag and on the *watchdog
+//!   deadline* ([`ParallelSolver::set_watchdog`], counted from dispatch
+//!   start). A poisoned wait bails out of the body; a wait past the deadline
+//!   records its stage, poisons the gate for the peers, and bails: the
+//!   dispatch returns [`MatrixError::SolveTimeout`], unless a panic was
+//!   recorded too (the timeout is then usually its collateral);
+//! * a stalled worker is not interrupted, so the caller regains control
+//!   after `max(stall, budget)`: never a hang, not a real-time bound. A
+//!   lone worker has no peer to starve — its own program order satisfies
+//!   every wait it meets — so there a stall is just a slow success;
+//! * the poison is rewound with the gate (per solve by the plan, per build
+//!   by `parallel_ic0`'s fresh gate): nothing leaks into the next dispatch.
 //!
 //! # Data-race freedom
 //!
@@ -50,6 +85,8 @@
 //!   (separated by the pool's completion barrier, which synchronises memory);
 //! * [`StsStructure::validate`] enforces exactly this dependency discipline at
 //!   construction time.
+//!
+//! ## The split driver (a barrier per phase)
 //!
 //! The split driver shares `x` across an extra barrier, and the argument
 //! extends as follows:
@@ -75,10 +112,10 @@
 //! same-pack reads stay inside `i`'s own super-row, whose chain rows are
 //! stored in decreasing order.
 //!
-//! # The pipelined driver (barrier fusion)
+//! ## The pipelined driver (gate readiness, tickets, look-ahead)
 //!
 //! The pipelined driver runs the *same* chunks and tasks but fuses the two
-//! full-pool barriers per stage into an [`EpochGate`]: one pool dispatch
+//! full-pool barriers per stage into an [`EpochGate`]: one gated dispatch
 //! covers the whole solve, and workers coordinate through per-stage
 //! completion counters. The schedule per worker `w`:
 //!
@@ -97,18 +134,19 @@
 //!   parked worker *looks ahead*: it runs its chunks of stages `s + 1` and
 //!   `s + 2` (readiness permitting) instead of spinning.
 //!
-//! ## Memory-ordering argument (which flag publishes which `x` entries)
+//! ### Memory-ordering argument (which flag publishes which `x` entries)
 //!
 //! Data-race freedom needs every read of `x[j]` to happen-after the write it
 //! observes. The gate provides exactly two publication edges:
 //!
-//! * **`is_open(d)` / `wait_open(d)`** (epoch ≥ `d`) happens-after *every*
-//!   arrival of stages `0..d` — both phases — via the release sequences on
-//!   the gate's per-stage counters and the release CAS chain on the epoch. A
-//!   phase-1 chunk with readiness `d` reads `x[j]` only for external columns
-//!   `j` in stages `< d`, each finalized (phase-1 write, plus phase-2
-//!   correction for chain rows) before its stage's last arrival. The chunk
-//!   runs behind `wait_open(d)`, so all those entries are published to it.
+//! * **`is_open(d)` / a `Ready` from `wait_open_until(d, ..)`** (epoch ≥ `d`)
+//!   happens-after *every* arrival of stages `0..d` — both phases — via the
+//!   release sequences on the gate's per-stage counters and the release CAS
+//!   chain on the epoch. A phase-1 chunk with readiness `d` reads `x[j]`
+//!   only for external columns `j` in stages `< d`, each finalized (phase-1
+//!   write, plus phase-2 correction for chain rows) before its stage's last
+//!   arrival. The chunk runs behind that edge, so all those entries are
+//!   published to it.
 //! * **`phase1_drained(s)`** happens-after every phase-1 arrival of stage
 //!   `s`. A phase-2 task reads `x[j]` only for internal columns `j` of its
 //!   own super-row (phase-1 values published by the drained flag, or its own
@@ -137,12 +175,13 @@
 use std::cell::Cell;
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::Ordering as AtomicOrdering;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use sts_matrix::{CsrMatrix, MatrixError};
-use sts_numa::{GateWait, PoolError, Schedule, WorkerPool};
+use sts_numa::pool::panic_message;
+use sts_numa::{EpochGate, GateWait, PoolError, Schedule, SpinWait, WorkerPool};
 use sts_trace::{Phase, SpanRecorder};
 use sts_verify::TaskKind;
 
@@ -151,8 +190,6 @@ use super::plan::{chunk_count, chunk_range, stage_pack, PipelinePlan};
 use crate::csrk::{Result, StsStructure};
 use crate::options::{PrecisionPolicy, SlabValue, SolveEngine, SolveOptions, SweepDirection};
 use crate::split::SplitLayout;
-#[allow(unused_imports)] // doc links
-use sts_numa::EpochGate;
 
 /// Maps a pool-level failure into the matrix error taxonomy the solver
 /// surfaces.
@@ -170,85 +207,147 @@ pub(crate) fn pool_error_to_matrix(e: PoolError) -> MatrixError {
     }
 }
 
-/// Stringifies a caught panic payload for error reporting.
-pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&'static str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
 /// A hook the fault-injection harness installs to perturb worker `w` at
 /// stage/pack `st` of a parallel kernel (panic, stall, …). Runs inside the
 /// kernel's `catch_unwind` region, so a panicking hook behaves exactly like a
 /// panicking kernel body.
 pub type ChaosHook = Arc<dyn Fn(usize, usize) + Send + Sync>;
 
-/// Shared failure record of one pipelined dispatch: the first panic and the
-/// first watchdog timeout, whichever workers hit them.
-pub(crate) struct KernelFailure {
-    panic: Mutex<Option<(usize, usize, String)>>,
-    timeout_stage: AtomicUsize,
+/// Times `f` as one `phase` span of `worker` at `stage` when a recorder is
+/// feeding this dispatch, and just runs it otherwise.
+#[inline]
+fn span<T>(
+    rec: Option<&SpanRecorder>,
+    phase: Phase,
+    worker: usize,
+    stage: usize,
+    f: impl FnOnce() -> T,
+) -> T {
+    let t0 = rec.map(|r| r.now_ns());
+    let out = f();
+    if let (Some(r), Some(t0)) = (rec, t0) {
+        r.record(worker as u32, stage as u32, phase, t0, r.now_ns());
+    }
+    out
 }
+
+/// Shared failure record of one gated dispatch: the first panic any worker
+/// hit, or else the first watchdog timeout.
+struct KernelFailure(Mutex<Option<MatrixError>>);
 
 impl KernelFailure {
-    pub(crate) fn new() -> Self {
-        KernelFailure {
-            panic: Mutex::new(None),
-            timeout_stage: AtomicUsize::new(usize::MAX),
-        }
+    fn new() -> Self {
+        KernelFailure(Mutex::new(None))
     }
 
-    pub(crate) fn record_panic(&self, slot: usize, pack: usize, message: String) {
-        if let Ok(mut guard) = self.panic.lock() {
-            if guard.is_none() {
-                *guard = Some((slot, pack, message));
+    /// Keeps `error` if it is the first, or the first panic: a panic
+    /// outranks a timeout, which is usually collateral of its poisoning.
+    fn record(&self, error: MatrixError) {
+        let mut first = self.0.lock().unwrap_or_else(PoisonError::into_inner);
+        let outranks = match &*first {
+            None => true,
+            Some(kept) => {
+                matches!(kept, MatrixError::SolveTimeout { .. })
+                    && matches!(error, MatrixError::WorkerPanicked { .. })
             }
+        };
+        if outranks {
+            *first = Some(error);
         }
     }
 
-    pub(crate) fn record_timeout(&self, stage: usize) {
-        let _ = self.timeout_stage.compare_exchange(
-            usize::MAX,
-            stage,
-            AtomicOrdering::Relaxed,
-            AtomicOrdering::Relaxed,
-        );
-    }
-
-    /// Resolves the dispatch outcome; a recorded panic outranks a timeout
-    /// (the timeout is usually collateral of the panic's poisoning).
-    pub(crate) fn into_result(self, timeout_ms: u64) -> Result<()> {
-        if let Ok(mut guard) = self.panic.lock() {
-            if let Some((slot, pack, message)) = guard.take() {
-                return Err(MatrixError::WorkerPanicked {
-                    slot,
-                    pack,
-                    message,
-                });
-            }
-        }
-        match self.timeout_stage.load(AtomicOrdering::Relaxed) {
-            usize::MAX => Ok(()),
-            stage => Err(MatrixError::SolveTimeout { stage, timeout_ms }),
-        }
+    fn into_result(self) -> Result<()> {
+        let first = self.0.into_inner().unwrap_or_else(PoisonError::into_inner);
+        first.map_or(Ok(()), Err)
     }
 }
 
-/// Default watchdog budget for one pipelined dispatch; generous enough that
+/// One worker of a gated dispatch ([`ParallelSolver::run_gated`]): the
+/// kernel body's only way to the chaos hook, the recorder, and the gate's
+/// failure paths.
+pub(crate) struct GatedWorker<'a> {
+    solver: &'a ParallelSolver,
+    gate: &'a EpochGate,
+    failure: &'a KernelFailure,
+    deadline: Instant,
+    rec: Option<&'a SpanRecorder>,
+    slot: usize,
+    /// The stage this worker last entered: where a panic is reported.
+    stage: Cell<usize>,
+}
+
+impl GatedWorker<'_> {
+    /// The pool slot this worker runs on.
+    pub(crate) fn slot(&self) -> usize {
+        self.slot
+    }
+
+    /// Marks `stage` as the one a panic from here on is reported at.
+    fn at(&self, stage: usize) {
+        self.stage.set(stage);
+    }
+
+    /// [`GatedWorker::at`], then the chaos hook: call it where the worker
+    /// starts the phase-1 unit of `stage`.
+    pub(crate) fn enter(&self, stage: usize) {
+        self.at(stage);
+        if let Some(hook) = &self.solver.chaos {
+            hook(self.slot, stage);
+        }
+    }
+
+    /// Times `f` as one `phase` span of this worker at `stage`.
+    #[inline]
+    pub(crate) fn span<T>(&self, phase: Phase, stage: usize, f: impl FnOnce() -> T) -> T {
+        span(self.rec, phase, self.slot, stage, f)
+    }
+
+    /// Waits until stages `0..dep` are done, on behalf of `stage`. `false`
+    /// means bail: a peer failed, or the watchdog deadline passed (recorded
+    /// against `stage`, and the gate poisoned for the peers).
+    pub(crate) fn await_stages(&self, dep: usize, stage: usize) -> bool {
+        let wait = self.span(Phase::GateWait, stage, || {
+            self.gate.wait_open_until(dep, self.deadline)
+        });
+        match wait {
+            GateWait::Ready => true,
+            GateWait::Poisoned => false,
+            GateWait::TimedOut => self.timed_out(stage),
+        }
+    }
+
+    /// One [`SpinWait::relax`] step of a wait at `stage` that the body
+    /// polls itself (it has work to look for between looks), against the
+    /// same deadline and with the same outcome as
+    /// [`GatedWorker::await_stages`]: `false` means bail.
+    fn relax(&self, wait: &mut SpinWait, stage: usize) -> bool {
+        if wait.relax(|| Instant::now() >= self.deadline) {
+            return self.timed_out(stage);
+        }
+        true
+    }
+
+    /// Records the watchdog timeout at `stage` and poisons the gate;
+    /// `false`, for the caller to bail with.
+    fn timed_out(&self, stage: usize) -> bool {
+        self.failure.record(MatrixError::SolveTimeout {
+            stage,
+            timeout_ms: self.solver.watchdog_ms,
+        });
+        self.gate.poison();
+        false
+    }
+}
+
+/// Default watchdog budget for one gated dispatch; generous enough that
 /// no healthy solve on any matrix in the suite comes near it.
-pub(crate) const DEFAULT_WATCHDOG_MS: u64 = 10_000;
+const DEFAULT_WATCHDOG_MS: u64 = 10_000;
 
 /// A reusable parallel solver bound to a worker pool.
 pub struct ParallelSolver {
     pool: WorkerPool,
     schedule: Schedule,
-    /// Watchdog budget for one pipelined dispatch, in milliseconds: gate
-    /// waits past this deadline poison the gate and surface as
-    /// [`MatrixError::SolveTimeout`].
+    /// Watchdog budget for one gated dispatch, in milliseconds.
     watchdog_ms: u64,
     /// Optional fault-injection hook; see [`ChaosHook`].
     chaos: Option<ChaosHook>,
@@ -265,15 +364,7 @@ impl ParallelSolver {
     /// thread and `threads − 1` pool threads — with the given intra-pack
     /// schedule.
     pub fn new(threads: usize, schedule: Schedule) -> Self {
-        ParallelSolver {
-            pool: WorkerPool::new(threads),
-            schedule,
-            watchdog_ms: DEFAULT_WATCHDOG_MS,
-            chaos: None,
-            trace: None,
-            #[cfg(feature = "race-shadow")]
-            shadow: None,
-        }
+        Self::with_pinning(threads, schedule, &[])
     }
 
     /// Creates a solver whose workers are pinned to the given core order
@@ -298,18 +389,16 @@ impl ParallelSolver {
         }
     }
 
-    /// Sets the watchdog deadline of the pipelined kernels: a gate wait that
-    /// exceeds this budget (counted from dispatch start) poisons the gate and
-    /// the solve returns [`MatrixError::SolveTimeout`] instead of hanging
-    /// behind a stalled worker. A stalled worker that is still *running* (as
-    /// opposed to dead) is waited out before the error returns, so the caller
-    /// regains control after roughly `max(stall, timeout)`, not `timeout`.
-    /// Budgets below 1 ms are clamped up to 1 ms.
+    /// Sets the watchdog deadline of the gate-synchronised kernels (module
+    /// docs, "Failure semantics"): a wait on a peer that exceeds this budget,
+    /// counted from dispatch start, ends the dispatch with
+    /// [`MatrixError::SolveTimeout`] instead of hanging behind a stalled
+    /// worker. Budgets below 1 ms are clamped up to 1 ms.
     pub fn set_watchdog(&mut self, budget: Duration) {
         self.watchdog_ms = (budget.as_millis() as u64).max(1);
     }
 
-    /// The current watchdog budget of the pipelined kernels.
+    /// The current watchdog budget of the gate-synchronised kernels.
     pub fn watchdog(&self) -> Duration {
         Duration::from_millis(self.watchdog_ms)
     }
@@ -396,19 +485,6 @@ impl ParallelSolver {
         self.pool.num_threads()
     }
 
-    /// The underlying worker pool (crate-internal: the level-scheduled
-    /// factorization kernel dispatches on it).
-    pub(crate) fn pool(&self) -> &WorkerPool {
-        &self.pool
-    }
-
-    /// The installed chaos hook, if any (crate-internal: the level-scheduled
-    /// factorization invokes it per `(worker, pack)` exactly like the
-    /// pipelined kernels do).
-    pub(crate) fn chaos_hook(&self) -> Option<&ChaosHook> {
-        self.chaos.as_ref()
-    }
-
     /// The intra-pack schedule in use.
     pub fn schedule(&self) -> Schedule {
         self.schedule
@@ -431,8 +507,8 @@ impl ParallelSolver {
     /// The request selects the engine ([`SolveEngine`]), sweep direction
     /// ([`SweepDirection`]), batch width (`nrhs`, interleaved layout
     /// `b[i * nrhs + r]`) and value-slab precision ([`PrecisionPolicy`]).
-    /// Every engine except [`SolveEngine::Parallel`] accepts every
-    /// combination of the other three; this method cuts a [`PipelinePlan`]
+    /// Every engine accepts every combination of the other three; this
+    /// method cuts a [`PipelinePlan`]
     /// for the call — the gate and ticket counters are the call's own, the
     /// chunk readiness is the copy `s` remembers from the first sweep in
     /// this direction at this thread count, so only that first call pays an
@@ -448,25 +524,9 @@ impl ParallelSolver {
     ///
     /// # Errors
     ///
-    /// [`SolveEngine::Parallel`] (the unsplit kernel behind
-    /// [`ParallelSolver::solve`]) only supports forward single-RHS f64
-    /// solves and returns [`MatrixError::InvalidParameter`] for anything
-    /// else. `nrhs == 0` or a right-hand side whose length is not `n * nrhs`
+    /// `nrhs == 0` or a right-hand side    /// else. `nrhs == 0` or a right-hand side whose length is not `n * nrhs`
     /// returns [`MatrixError::DimensionMismatch`].
     pub fn solve_with(&self, s: &StsStructure, b: &[f64], opts: &SolveOptions) -> Result<Vec<f64>> {
-        if opts.engine == SolveEngine::Parallel {
-            if opts.direction != SweepDirection::Forward
-                || opts.nrhs != 1
-                || opts.precision != PrecisionPolicy::ValuesF64
-            {
-                return Err(MatrixError::InvalidParameter(
-                    "the unsplit parallel engine supports only forward single-RHS f64 solves; \
-                     use the split or pipelined engine"
-                        .into(),
-                ));
-            }
-            return self.solve(s, b);
-        }
         let mut plan = self.plan(s, opts.direction);
         let mut x = vec![0.0f64; b.len()];
         self.solve_into(s, &mut plan, b, &mut x, opts)?;
@@ -483,8 +543,7 @@ impl ParallelSolver {
     ///
     /// [`MatrixError::DimensionMismatch`] when `nrhs == 0` or `b` / `x` are
     /// not `n * nrhs` long; [`MatrixError::InvalidParameter`] when `plan`
-    /// was not built by this solver for `s` and `opts.direction`, or for
-    /// [`SolveEngine::Parallel`], which runs without a plan. The pool-backed
+    /// was not built by this solver for `s` and `opts.direction`. The pool-backed
     /// engines also surface [`MatrixError::WorkerPanicked`], and the
     /// pipelined engine [`MatrixError::SolveTimeout`]; on any error `x` must
     /// be treated as torn.
@@ -601,14 +660,13 @@ impl ParallelSolver {
             }
             SolveEngine::Split => self.drive_split(plan, gather, chain),
             SolveEngine::Pipelined => self.drive_pipelined(plan, gather, chain),
-            SolveEngine::Parallel => Err(MatrixError::InvalidParameter(
-                "the unsplit parallel engine runs without a plan; call solve or solve_with".into(),
-            )),
         }
     }
 
     /// Solves the reordered system `L' x' = b'` with the paper's unsplit
-    /// barrier-per-pack kernel ([`SolveEngine::Parallel`]) and returns `x'`:
+    /// barrier-per-pack kernel (Algorithm 1 run with threads; it has no
+    /// [`SolveEngine`], no plan and no options — forward, one right-hand
+    /// side, f64) and returns `x'`:
     /// per pack, the super-rows are distributed over the pool under the
     /// configured OpenMP-style schedule (the paper uses `dynamic,32` for the
     /// flat methods and `guided,1` for the 3-level methods), each walking
@@ -674,255 +732,152 @@ impl ParallelSolver {
             let chunks = plan.stage_chunks(st);
             self.pool
                 .parallel_for(chunks.len(), Schedule::Static, &|c| {
-                    let t0 = rec.map(|r| r.now_ns());
-                    gather(chunks[c].clone());
-                    if let Some(r) = rec {
-                        r.record(
-                            c as u32,
-                            st as u32,
-                            Phase::Gather,
-                            t0.unwrap_or(0),
-                            r.now_ns(),
-                        );
-                    }
+                    span(rec, Phase::Gather, c, st, || gather(chunks[c].clone()))
                 })
                 .map_err(pool_error_to_matrix)?;
-            let ntasks = plan.num_chain_tasks(st);
-            if ntasks == 0 {
-                continue;
-            }
+            // The pool does not expose which slot claimed a dynamically
+            // scheduled task, so a chain span's worker field carries the
+            // chain-task index.
             self.pool
-                .parallel_for(ntasks, self.schedule, &|t| {
-                    let t0 = rec.map(|r| r.now_ns());
-                    chain(st, t);
-                    if let Some(r) = rec {
-                        // The pool does not expose which slot claimed a
-                        // dynamically scheduled task, so the worker field
-                        // carries the chain-task index here.
-                        r.record(
-                            t as u32,
-                            st as u32,
-                            Phase::Chain,
-                            t0.unwrap_or(0),
-                            r.now_ns(),
-                        );
-                    }
+                .parallel_for(plan.num_chain_tasks(st), self.schedule, &|t| {
+                    span(rec, Phase::Chain, t, st, || chain(st, t))
                 })
                 .map_err(pool_error_to_matrix)?;
         }
         Ok(())
     }
 
-    /// The pipelined driver: one pool dispatch, per-stage completion
+    /// Runs `body` once on every worker of the pool as one gate-coordinated
+    /// dispatch: the scaffold the pipelined sweep and the level-scheduled
+    /// IC(0) build share, and the one place their failure semantics (module
+    /// docs, "Failure semantics") are implemented. `gate` must be fresh or
+    /// reset: the poison a failed dispatch leaves on it is the caller's to
+    /// rewind.
+    pub(crate) fn run_gated(
+        &self,
+        gate: &EpochGate,
+        body: impl Fn(&GatedWorker<'_>) + Sync,
+    ) -> Result<()> {
+        let deadline = Instant::now() + self.watchdog();
+        let failure = KernelFailure::new();
+        let rec = self.active_recorder();
+        self.pool
+            .parallel_for(self.pool.num_threads(), Schedule::Static, &|slot| {
+                let worker = GatedWorker {
+                    solver: self,
+                    gate,
+                    failure: &failure,
+                    deadline,
+                    rec,
+                    slot,
+                    stage: Cell::new(0),
+                };
+                if let Err(payload) = catch_unwind(AssertUnwindSafe(|| body(&worker))) {
+                    failure.record(MatrixError::WorkerPanicked {
+                        slot,
+                        pack: worker.stage.get(),
+                        message: panic_message(payload.as_ref()),
+                    });
+                    gate.poison();
+                }
+            })
+            // Unreachable in practice — the catch above absorbs every panic —
+            // but kept sound rather than assumed.
+            .map_err(pool_error_to_matrix)?;
+        failure.into_result()
+    }
+
+    /// The pipelined driver: one gated dispatch, per-stage completion
     /// counters instead of barriers, statically owned phase-1 chunks with
     /// readiness waits, ticket-claimed phase-2 chain tasks, and bounded
     /// gather lookahead for parked workers (see the module documentation).
-    ///
-    /// # Failure semantics
-    ///
-    /// Every worker's loop runs under `catch_unwind`. A panicking body (or
-    /// chaos hook) records the first `(slot, stage, payload)` and poisons the
-    /// gate; peers observe the poison at their next bounded wait (or the
-    /// poison check ahead of each ticket claim) and bail, so the pool barrier
-    /// completes and the solve returns [`MatrixError::WorkerPanicked`]. A
-    /// blocking gate wait that exceeds the watchdog deadline records the
-    /// stage, poisons the gate the same way, and the solve returns
-    /// [`MatrixError::SolveTimeout`] — after the stalled worker's body
-    /// finishes, since `parallel_for` cannot abandon a borrowed job; the
-    /// caller therefore regains control after `max(stall, budget)`, never
-    /// hangs. On any error the output buffer must be treated as torn.
+    /// A lone worker runs the same body: every wait it meets is already
+    /// satisfied by its own program order.
     fn drive_pipelined(
         &self,
         plan: &mut PipelinePlan,
         gather: &GatherFn<'_>,
         chain: &ChainFn<'_>,
     ) -> Result<()> {
-        let workers = self.pool.num_threads();
-        let num_stages = plan.num_stages();
         // Rewind the gate (generation-stamped) and the ticket counters; &mut
         // exclusivity makes the plain stores race-free, and the pool dispatch
-        // below publishes them to every worker. The single-worker fast path
-        // never touches the gate, but still rewinds so the generation stamp
-        // keeps counting solves regardless of thread count.
+        // below publishes them to every worker.
         plan.rewind();
         let plan = &*plan;
-        let rec = self.active_recorder();
-        if workers == 1 {
-            // A single worker's program order is exactly the two-phase sweep;
-            // skip the gate and ticket atomics entirely. A stalling chaos
-            // hook simply runs slowly here — there is no peer to starve.
-            let current = Cell::new(0usize);
-            let result = catch_unwind(AssertUnwindSafe(|| {
-                for st in 0..num_stages {
-                    current.set(st);
-                    if let Some(hook) = &self.chaos {
-                        hook(0, st);
-                    }
-                    let rows = plan.stage_rows(st);
-                    if !rows.is_empty() {
-                        let t0 = rec.map(|r| r.now_ns());
-                        gather(rows);
-                        if let Some(r) = rec {
-                            r.record(0, st as u32, Phase::Gather, t0.unwrap_or(0), r.now_ns());
-                        }
-                    }
-                    for t in 0..plan.num_chain_tasks(st) {
-                        let t0 = rec.map(|r| r.now_ns());
-                        chain(st, t);
-                        if let Some(r) = rec {
-                            r.record(0, st as u32, Phase::Chain, t0.unwrap_or(0), r.now_ns());
-                        }
-                    }
-                }
-            }));
-            return match result {
-                Ok(()) => Ok(()),
-                Err(payload) => Err(MatrixError::WorkerPanicked {
-                    slot: 0,
-                    pack: current.get(),
-                    message: panic_message(payload.as_ref()),
-                }),
-            };
-        }
-        let deadline = Instant::now() + Duration::from_millis(self.watchdog_ms);
-        let failure = KernelFailure::new();
-        // Runs worker `w`'s phase-1 chunk of stage `st` (a no-op `Ran` when
-        // the worker owns none). Non-blocking mode refuses — `NotReady` —
-        // instead of waiting for the chunk's readiness; `Bail` means the
-        // gate was poisoned (or this wait timed out and poisoned it) and the
-        // worker must unwind its loop.
-        let run_chunk = |w: usize, st: usize, blocking: bool, current: &Cell<usize>| -> ChunkStep {
-            let chunks = plan.stage_chunks(st);
-            if w < chunks.len() {
+        let num_stages = plan.num_stages();
+        self.run_gated(&plan.gate, |worker| {
+            let w = worker.slot();
+            // Runs this worker's phase-1 chunk of stage `st` (a no-op `Ran`
+            // when it owns none). Non-blocking mode refuses — `NotReady` —
+            // instead of waiting for the chunk's readiness; `Bail` means the
+            // worker must unwind its loop.
+            let run_chunk = |st: usize, blocking: bool| -> ChunkStep {
+                let Some(rows) = plan.stage_chunks(st).get(w) else {
+                    return ChunkStep::Ran;
+                };
                 let dep = plan.stage_deps(st)[w] as usize;
                 if blocking {
-                    let t0 = rec.map(|r| r.now_ns());
-                    let wait = plan.gate.wait_open_until(dep, deadline);
-                    if let Some(r) = rec {
-                        r.record(
-                            w as u32,
-                            st as u32,
-                            Phase::GateWait,
-                            t0.unwrap_or(0),
-                            r.now_ns(),
-                        );
-                    }
-                    match wait {
-                        GateWait::Ready => {}
-                        GateWait::Poisoned => return ChunkStep::Bail,
-                        GateWait::TimedOut => {
-                            failure.record_timeout(st);
-                            plan.gate.poison();
-                            return ChunkStep::Bail;
-                        }
+                    if !worker.await_stages(dep, st) {
+                        return ChunkStep::Bail;
                     }
                 } else if plan.gate.is_poisoned() {
                     return ChunkStep::Bail;
                 } else if !plan.gate.is_open(dep) {
                     return ChunkStep::NotReady;
                 }
-                current.set(st);
-                if let Some(hook) = &self.chaos {
-                    hook(w, st);
-                }
-                let t0 = rec.map(|r| r.now_ns());
-                gather(chunks[w].clone());
-                if let Some(r) = rec {
-                    r.record(
-                        w as u32,
-                        st as u32,
-                        Phase::Gather,
-                        t0.unwrap_or(0),
-                        r.now_ns(),
-                    );
-                }
+                worker.enter(st);
+                worker.span(Phase::Gather, st, || gather(rows.clone()));
                 plan.gate.arrive_phase1(st);
-            }
-            ChunkStep::Ran
-        };
-        self.pool
-            .parallel_for(workers, Schedule::Static, &|w| {
-                let current = Cell::new(0usize);
-                let body = catch_unwind(AssertUnwindSafe(|| {
-                    // The next stage whose phase-1 chunk this worker still
-                    // owes; lookahead advances it past the stage being
-                    // processed.
-                    let mut next_p1 = 0usize;
-                    'stages: for st in 0..num_stages {
-                        if next_p1 == st {
-                            if run_chunk(w, st, true, &current) == ChunkStep::Bail {
-                                break 'stages;
-                            }
-                            next_p1 = st + 1;
-                        }
-                        let ntasks = plan.num_chain_tasks(st);
-                        if ntasks == 0 {
-                            continue;
-                        }
-                        let mut spins = 0u32;
-                        loop {
-                            if plan.gate.is_poisoned() {
-                                break 'stages;
-                            }
-                            if !plan.gate.phase1_drained(st) {
-                                // Parked: gather ahead into the next stages
-                                // instead of spinning (readiness permitting).
-                                if next_p1 < num_stages && next_p1 - st <= PIPELINE_LOOKAHEAD {
-                                    match run_chunk(w, next_p1, false, &current) {
-                                        ChunkStep::Ran => {
-                                            next_p1 += 1;
-                                            spins = 0;
-                                            continue;
-                                        }
-                                        ChunkStep::Bail => break 'stages,
-                                        ChunkStep::NotReady => {}
-                                    }
-                                }
-                                spins += 1;
-                                if spins < 64 {
-                                    std::hint::spin_loop();
-                                } else {
-                                    // Possibly oversubscribed: let the
-                                    // stragglers run — and watch the clock,
-                                    // in case a straggler never comes back.
-                                    if spins.is_multiple_of(64) && Instant::now() >= deadline {
-                                        failure.record_timeout(st);
-                                        plan.gate.poison();
-                                        break 'stages;
-                                    }
-                                    std::thread::yield_now();
-                                }
-                                continue;
-                            }
-                            let t = plan.tickets[st].fetch_add(1, AtomicOrdering::Relaxed);
-                            if t >= ntasks {
-                                break;
-                            }
-                            current.set(st);
-                            let t0 = rec.map(|r| r.now_ns());
-                            chain(st, t);
-                            if let Some(r) = rec {
-                                r.record(
-                                    w as u32,
-                                    st as u32,
-                                    Phase::Chain,
-                                    t0.unwrap_or(0),
-                                    r.now_ns(),
-                                );
-                            }
-                            plan.gate.arrive_phase2(st);
-                        }
+                ChunkStep::Ran
+            };
+            // The next stage whose phase-1 chunk this worker still owes;
+            // lookahead advances it past the stage being processed.
+            let mut next_p1 = 0usize;
+            for st in 0..num_stages {
+                if next_p1 == st {
+                    if run_chunk(st, true) == ChunkStep::Bail {
+                        return;
                     }
-                }));
-                if let Err(payload) = body {
-                    failure.record_panic(w, current.get(), panic_message(payload.as_ref()));
-                    plan.gate.poison();
+                    next_p1 = st + 1;
                 }
-            })
-            // Unreachable in practice — the catch above absorbs every panic —
-            // but kept sound rather than assumed.
-            .map_err(pool_error_to_matrix)?;
-        failure.into_result(self.watchdog_ms)
+                let ntasks = plan.num_chain_tasks(st);
+                if ntasks == 0 {
+                    continue;
+                }
+                let mut wait = SpinWait::new();
+                loop {
+                    if plan.gate.is_poisoned() {
+                        return;
+                    }
+                    if !plan.gate.phase1_drained(st) {
+                        // Parked: gather ahead into the next stages instead
+                        // of spinning (readiness permitting).
+                        if next_p1 < num_stages && next_p1 - st <= PIPELINE_LOOKAHEAD {
+                            match run_chunk(next_p1, false) {
+                                ChunkStep::Ran => {
+                                    next_p1 += 1;
+                                    wait = SpinWait::new();
+                                    continue;
+                                }
+                                ChunkStep::Bail => return,
+                                ChunkStep::NotReady => {}
+                            }
+                        }
+                        if !worker.relax(&mut wait, st) {
+                            return;
+                        }
+                        continue;
+                    }
+                    let t = plan.tickets[st].fetch_add(1, AtomicOrdering::Relaxed);
+                    if t >= ntasks {
+                        break;
+                    }
+                    worker.at(st);
+                    worker.span(Phase::Chain, st, || chain(st, t));
+                    plan.gate.arrive_phase2(st);
+                }
+            }
+        })
     }
 
     /// Sparse matrix–vector product `y = A x` on the solver's worker pool:
@@ -1507,17 +1462,6 @@ mod tests {
                 .solve_into(&sa, &mut plan_a, &b9, &mut x9, &o)
                 .is_ok());
         }
-        // The unsplit engine runs without a plan.
-        assert!(matches!(
-            solver.solve_into(
-                &sa,
-                &mut plan_a,
-                &b9,
-                &mut x9,
-                &fwd_opts.with_engine(SolveEngine::Parallel)
-            ),
-            Err(MatrixError::InvalidParameter(_))
-        ));
     }
 
     #[test]
@@ -1618,47 +1562,5 @@ mod tests {
                 assert!(ops::relative_error_inf(&seq, &reference(&s, direction, &b)) < 1e-4);
             }
         }
-    }
-
-    #[test]
-    fn solve_with_rejects_unsupported_combinations() {
-        let l = generators::paper_figure1_l();
-        let s = Method::Sts3.build(&l, 2).unwrap();
-        let solver = ParallelSolver::new(2, Schedule::Static);
-        let b = vec![1.0; s.n()];
-        // nrhs == 0 is a dimension error on every split-layout engine.
-        assert!(matches!(
-            solver.solve_with(&s, &b, &SolveOptions::default().with_nrhs(0)),
-            Err(MatrixError::DimensionMismatch(_))
-        ));
-        // The unsplit parallel engine has no transpose/batch/f32 kernels —
-        // the only restrictions left in the options matrix.
-        for bad in [
-            SolveOptions::default()
-                .with_engine(SolveEngine::Parallel)
-                .with_direction(SweepDirection::Transpose),
-            SolveOptions::default()
-                .with_engine(SolveEngine::Parallel)
-                .with_nrhs(2),
-            SolveOptions::default()
-                .with_engine(SolveEngine::Parallel)
-                .with_precision(F32),
-        ] {
-            let blen = s.n() * bad.nrhs;
-            assert!(matches!(
-                solver.solve_with(&s, &vec![1.0; blen], &bad),
-                Err(MatrixError::InvalidParameter(_))
-            ));
-        }
-        assert_eq!(
-            solver
-                .solve_with(
-                    &s,
-                    &b,
-                    &SolveOptions::default().with_engine(SolveEngine::Parallel)
-                )
-                .unwrap(),
-            solver.solve(&s, &b).unwrap()
-        );
     }
 }

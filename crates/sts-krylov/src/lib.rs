@@ -14,9 +14,9 @@
 //!   [`Ic0`]), each applying `z = M⁻¹ r` with **no heap allocation**: the
 //!   sweeps run through `ParallelSolver::solve_into` against caller-held
 //!   buffers and reusable [`PipelinePlan`](sts_core::PipelinePlan)s, with
-//!   the sweep engine selectable between the sequential and the
-//!   pack-pipelined driver ([`SweepEngine`]) — bitwise identical for
-//!   single-RHS sweeps;
+//!   the sweep engine selectable among the sequential, split and
+//!   pack-pipelined drivers ([`SweepEngine`], which is `sts_core`'s
+//!   `SolveEngine`) — bitwise identical at every batch width;
 //! * [`KrylovWorkspace`] — the persistent vector arena (`r`, `z`, `p`,
 //!   `A·p`, sweep scratch) sized once per structure, so a converged solve
 //!   followed by a thousand more allocates nothing;

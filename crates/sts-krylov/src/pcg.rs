@@ -460,7 +460,7 @@ impl Pcg {
     ///   (residuals numerically inside the converged span), the solve stops
     ///   and reports the state honestly rather than spinning.
     ///
-    /// Works with either [`SweepEngine`](crate::SweepEngine), with
+    /// Works with every [`SweepEngine`](crate::SweepEngine), with
     /// bitwise identical iterates.
     pub fn solve_block(
         &self,

@@ -20,11 +20,11 @@
 //! * [`Identity`] — `M = I`, turning the driver into plain CG for
 //!   comparison runs.
 //!
-//! The [`SweepEngine`] selects between the sequential and the pack-pipelined
-//! driver of the one sweep kernel. Both run the *same* per-row arithmetic in
-//! the same order at every batch width, so switching engines changes wall
-//! time, never the iterate sequence: sequential- and pipelined-sweep PCG
-//! take bitwise identical paths and the same iteration count, and every lane
+//! The [`SweepEngine`] selects between the sequential, the split and the
+//! pack-pipelined driver of the one sweep kernel. All run the *same* per-row
+//! arithmetic in the same order at every batch width, so switching engines
+//! changes wall time, never the iterate sequence: PCG on any of them takes
+//! bitwise identical paths and the same iteration count, and every lane
 //! of a batched application equals the single-RHS application of that lane
 //! bit for bit (see the `sts_core::solver` module docs).
 
@@ -32,24 +32,16 @@ use std::borrow::Cow;
 use std::sync::Arc;
 
 use sts_core::{
-    ParallelSolver, PipelinePlan, PrecisionPolicy, SolveEngine, SolveOptions, StsStructure,
-    SweepDirection,
+    ParallelSolver, PipelinePlan, PrecisionPolicy, SolveOptions, StsStructure, SweepDirection,
 };
 use sts_matrix::{CsrMatrix, MatrixError};
 
 use crate::system::SpdSystem;
 use crate::Result;
 
-/// Which kernels a preconditioner's triangular sweeps run on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SweepEngine {
-    /// The sequential driver ([`SolveEngine::Sequential`]): single-core, no
-    /// pool involvement.
-    Sequential,
-    /// The pack-pipelined driver ([`SolveEngine::Pipelined`]) on the
-    /// driver's worker pool.
-    Pipelined,
-}
+/// Which driver a preconditioner's triangular sweeps run on: the solve
+/// engine, under the name this crate has always used for it.
+pub use sts_core::SolveEngine as SweepEngine;
 
 /// The application contract `z = M⁻¹ r`, in the system's reordered
 /// numbering, with no heap allocation: implementations may only use the
@@ -144,10 +136,6 @@ impl SweepPair {
     /// Builds both plans, which also forces the lazy layouts so the first
     /// apply is not the one paying the build sweeps.
     fn new(structure: Arc<StsStructure>, solver: &ParallelSolver, engine: SweepEngine) -> Self {
-        let engine = match engine {
-            SweepEngine::Sequential => SolveEngine::Sequential,
-            SweepEngine::Pipelined => SolveEngine::Pipelined,
-        };
         SweepPair {
             forward: solver.plan(&structure, SweepDirection::Forward),
             backward: solver.plan(&structure, SweepDirection::Transpose),
@@ -487,7 +475,11 @@ mod tests {
         let (sys, solver) = test_setup();
         let r: Vec<f64> = (0..sys.n()).map(|i| 1.0 + (i % 5) as f64 * 0.3).collect();
         let expected = ssor_reference(&sys, &r);
-        for engine in [SweepEngine::Sequential, SweepEngine::Pipelined] {
+        for engine in [
+            SweepEngine::Sequential,
+            SweepEngine::Split,
+            SweepEngine::Pipelined,
+        ] {
             let mut pre = Ssor::new(&sys, &solver, engine);
             let mut z = vec![0.0; sys.n()];
             let mut sweep = vec![0.0; sys.n()];
@@ -561,14 +553,18 @@ mod tests {
     #[test]
     fn batch_application_is_bitwise_identical_to_per_system_applications() {
         // Every lane of a batched application runs the single-RHS
-        // application's exact floating-point sequence, on both engines.
+        // application's exact floating-point sequence, on every engine.
         let (sys, solver) = test_setup();
         let n = sys.n();
         let nrhs = 3;
         let rb: Vec<f64> = (0..n * nrhs)
             .map(|k| 1.0 + ((k / nrhs + k % nrhs) % 6) as f64 * 0.4)
             .collect();
-        for engine in [SweepEngine::Sequential, SweepEngine::Pipelined] {
+        for engine in [
+            SweepEngine::Sequential,
+            SweepEngine::Split,
+            SweepEngine::Pipelined,
+        ] {
             let mut pre = Ssor::new(&sys, &solver, engine);
             let mut zb = vec![0.0; n * nrhs];
             let mut sweepb = vec![0.0; n * nrhs];

@@ -1,8 +1,8 @@
 //! A counter-based epoch gate for pipelined (barrier-fused) pack execution.
 //!
-//! The split two-phase solver pays two full
-//! [`SpinBarrier`](crate::SpinBarrier)-equivalent pool
-//! barriers per chained pack, even though phase 1 (the external gather) of
+//! The split two-phase solver pays two full pool barriers (the completion
+//! count of a [`parallel_for`](crate::WorkerPool::parallel_for)) per chained
+//! pack, even though phase 1 (the external gather) of
 //! pack `p + 1` only depends on packs `≤ p` being *done* — not on every
 //! worker having reached the same program point. [`EpochGate`] replaces those
 //! barriers with per-stage completion counters and a monotone epoch, so idle
@@ -57,17 +57,19 @@
 //!
 //! The monotone protocol has one failure mode: an arrival that never comes.
 //! A worker that panics (its body is caught by the pool) or stalls leaves its
-//! stage's counters above zero, and every peer blocked in [`EpochGate::wait_open`]
-//! would spin forever. Two escape hatches close that hole:
+//! stage's counters above zero, and a peer waiting for that stage would
+//! wait forever. The gate therefore has one blocking wait,
+//! [`EpochGate::wait_open_until`], and it is bounded twice over (a caller
+//! with work to do between looks polls [`EpochGate::is_open`] /
+//! [`EpochGate::phase1_drained`] itself and checks the same two things):
 //!
-//! * **Poisoning** — [`EpochGate::poison`] raises a flag checked by the
-//!   bounded waits; a worker that catches a peer's failure (or observes its
-//!   own) poisons the gate, and every subsequent
-//!   [`EpochGate::wait_open_until`] / [`EpochGate::wait_phase1_drained_until`]
-//!   returns [`GateWait::Poisoned`] promptly. The poisoned flag never blocks
-//!   arrivals, so already-running workers drain normally.
-//! * **Deadlines** — the bounded waits take an absolute [`Instant`] deadline
-//!   (the solve-level watchdog) and return [`GateWait::TimedOut`] once it
+//! * **Poisoning** — [`EpochGate::poison`] raises a flag the wait checks at
+//!   every look; a worker that catches a peer's failure (or observes its
+//!   own) poisons the gate, and every waiter returns [`GateWait::Poisoned`]
+//!   promptly. The poisoned flag never blocks arrivals, so already-running
+//!   workers drain normally.
+//! * **Deadlines** — the wait takes an absolute [`Instant`] deadline (the
+//!   solve-level watchdog) and returns [`GateWait::TimedOut`] once it
 //!   passes, converting a silent hang behind a stalled worker into a
 //!   structured timeout the orchestrator can surface.
 //!
@@ -77,24 +79,12 @@
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::Instant;
 
-/// Spins briefly, then yields: the workers may be oversubscribed (more
-/// workers than cores, e.g. the single-core CI host), so unbounded spinning
-/// would starve the very thread being waited on.
-#[inline]
-fn relax(spins: &mut u32) {
-    *spins += 1;
-    if *spins < 64 {
-        std::hint::spin_loop();
-    } else {
-        std::thread::yield_now();
-    }
-}
+use crate::spin::SpinWait;
 
-/// Outcome of a bounded gate wait ([`EpochGate::wait_open_until`],
-/// [`EpochGate::wait_phase1_drained_until`]).
+/// Outcome of the bounded gate wait ([`EpochGate::wait_open_until`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GateWait {
-    /// The awaited condition (epoch coverage or phase-1 drain) was met.
+    /// The awaited stages are done.
     Ready,
     /// The gate was poisoned while waiting: a peer worker failed and the
     /// awaited arrivals may never come.
@@ -170,7 +160,7 @@ impl EpochGate {
     }
 
     /// Marks the gate as poisoned: a participant failed and arrivals it owed
-    /// may never come. Bounded waits return [`GateWait::Poisoned`] promptly
+    /// may never come. Waiters return [`GateWait::Poisoned`] promptly
     /// afterwards. Idempotent; cleared by [`EpochGate::reset`].
     pub fn poison(&self) {
         self.poisoned.store(true, Ordering::Release);
@@ -206,20 +196,13 @@ impl EpochGate {
         self.epoch.load(Ordering::Acquire) >= deps
     }
 
-    /// Blocks until stages `0..deps` are all done.
-    pub fn wait_open(&self, deps: usize) {
-        let mut spins = 0u32;
-        while !self.is_open(deps) {
-            relax(&mut spins);
-        }
-    }
-
     /// Blocks until stages `0..deps` are all done, the gate is poisoned, or
-    /// `deadline` passes — whichever happens first. The deadline is sampled
-    /// every 64 spins, so a timeout is reported within a bounded number of
-    /// yields of its expiry.
+    /// `deadline` passes — whichever happens first, relaxing between looks
+    /// through [`SpinWait`]: the clock is sampled only once the wait is
+    /// yielding, so briefly-closed gates never pay for `Instant`, and a
+    /// timeout is reported within one yield of its expiry.
     pub fn wait_open_until(&self, deps: usize, deadline: Instant) -> GateWait {
-        let mut spins = 0u32;
+        let mut wait = SpinWait::new();
         loop {
             if self.is_open(deps) {
                 return GateWait::Ready;
@@ -227,12 +210,9 @@ impl EpochGate {
             if self.is_poisoned() {
                 return GateWait::Poisoned;
             }
-            // Sample the clock only once the wait is already in yield
-            // territory, so briefly-closed gates never pay for `Instant`.
-            if spins >= 64 && spins.is_multiple_of(64) && Instant::now() >= deadline {
+            if wait.relax(|| Instant::now() >= deadline) {
                 return GateWait::TimedOut;
             }
-            relax(&mut spins);
         }
     }
 
@@ -241,34 +221,6 @@ impl EpochGate {
     #[inline]
     pub fn phase1_drained(&self, stage: usize) -> bool {
         self.phase1_remaining[stage].load(Ordering::Acquire) == 0
-    }
-
-    /// Blocks until every phase-1 arrival of `stage` has been reported.
-    pub fn wait_phase1_drained(&self, stage: usize) {
-        let mut spins = 0u32;
-        while !self.phase1_drained(stage) {
-            relax(&mut spins);
-        }
-    }
-
-    /// Blocks until every phase-1 arrival of `stage` has been reported, the
-    /// gate is poisoned, or `deadline` passes — whichever happens first.
-    pub fn wait_phase1_drained_until(&self, stage: usize, deadline: Instant) -> GateWait {
-        let mut spins = 0u32;
-        loop {
-            if self.phase1_drained(stage) {
-                return GateWait::Ready;
-            }
-            if self.is_poisoned() {
-                return GateWait::Poisoned;
-            }
-            // Sample the clock only once the wait is already in yield
-            // territory, so briefly-closed gates never pay for `Instant`.
-            if spins >= 64 && spins.is_multiple_of(64) && Instant::now() >= deadline {
-                return GateWait::TimedOut;
-            }
-            relax(&mut spins);
-        }
     }
 
     /// Reports one completed phase-1 unit of `stage`, publishing the caller's
@@ -318,6 +270,29 @@ mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
     use std::sync::Arc;
+    use std::time::Duration;
+
+    /// A deadline no healthy test comes near: the stress tests wait the way
+    /// the kernels do, so a protocol bug fails them instead of hanging them.
+    fn far() -> Instant {
+        Instant::now() + Duration::from_secs(60)
+    }
+
+    fn expect_open(gate: &EpochGate, deps: usize) {
+        assert_eq!(gate.wait_open_until(deps, far()), GateWait::Ready);
+    }
+
+    /// Polls the drained flag as the pipelined driver does (it has chunks to
+    /// look for between looks, so the gate has no blocking form of this).
+    fn await_drained(gate: &EpochGate, stage: usize) {
+        let (deadline, mut wait) = (far(), SpinWait::new());
+        while !gate.phase1_drained(stage) {
+            assert!(
+                !wait.relax(|| Instant::now() >= deadline),
+                "phase 1 of stage {stage} never drained"
+            );
+        }
+    }
 
     #[test]
     fn empty_stages_complete_at_construction() {
@@ -352,11 +327,11 @@ mod tests {
         let counts: Vec<(usize, usize)> = (0..stages).map(|s| (1 + s % 3, s % 2)).collect();
         let gate = EpochGate::new(&counts);
         for (s, &(p1, p2)) in counts.iter().enumerate() {
-            gate.wait_open(s); // deps of an in-order caller are always met
+            expect_open(&gate, s); // deps of an in-order caller are always met
             for _ in 0..p1 {
                 gate.arrive_phase1(s);
             }
-            gate.wait_phase1_drained(s);
+            await_drained(&gate, s);
             for _ in 0..p2 {
                 gate.arrive_phase2(s);
             }
@@ -417,7 +392,7 @@ mod tests {
                                 if t >= counts[s].1 {
                                     break;
                                 }
-                                gate.wait_phase1_drained(s);
+                                await_drained(&gate, s);
                                 for v in &slots[s] {
                                     assert_eq!(
                                         v.load(std::sync::atomic::Ordering::Relaxed),
@@ -428,7 +403,7 @@ mod tests {
                                 gate.arrive_phase2(s);
                             }
                         }
-                        gate.wait_open(stages);
+                        expect_open(&gate, stages);
                     })
                 })
                 .collect();
@@ -514,11 +489,11 @@ mod tests {
                                 if t >= counts_ref[s].1 {
                                     break;
                                 }
-                                gate_ref.wait_phase1_drained(s);
+                                await_drained(gate_ref, s);
                                 gate_ref.arrive_phase2(s);
                             }
                         }
-                        gate_ref.wait_open(stages);
+                        expect_open(gate_ref, stages);
                     });
                 }
             });
@@ -531,9 +506,8 @@ mod tests {
     fn poisoned_gate_unblocks_bounded_waits_immediately() {
         let gate = EpochGate::new(&[(1, 0)]);
         gate.poison();
-        let far = Instant::now() + std::time::Duration::from_secs(60);
+        let far = far();
         assert_eq!(gate.wait_open_until(1, far), GateWait::Poisoned);
-        assert_eq!(gate.wait_phase1_drained_until(0, far), GateWait::Poisoned);
         // Arrivals are still accepted while poisoned, and a satisfied
         // condition wins over the poison flag.
         gate.arrive_phase1(0);
@@ -547,11 +521,11 @@ mod tests {
     )]
     fn bounded_wait_times_out_on_a_missing_arrival() {
         let gate = EpochGate::new(&[(1, 0)]);
-        let deadline = Instant::now() + std::time::Duration::from_millis(20);
+        let deadline = Instant::now() + Duration::from_millis(20);
         let start = Instant::now();
         assert_eq!(gate.wait_open_until(1, deadline), GateWait::TimedOut);
         assert!(
-            start.elapsed() < std::time::Duration::from_secs(5),
+            start.elapsed() < Duration::from_secs(5),
             "timeout must be reported promptly"
         );
     }
@@ -563,9 +537,8 @@ mod tests {
         assert!(gate.is_poisoned());
         gate.reset();
         assert!(!gate.is_poisoned());
-        let far = Instant::now() + std::time::Duration::from_secs(60);
         gate.arrive_phase1(0);
-        assert_eq!(gate.wait_open_until(1, far), GateWait::Ready);
+        assert_eq!(gate.wait_open_until(1, far()), GateWait::Ready);
     }
 
     #[test]

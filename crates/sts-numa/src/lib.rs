@@ -13,7 +13,8 @@
 //!   L3 38–170 cycles, DRAM 175–290 cycles);
 //! * [`affinity`] — thread pinning (`sched_setaffinity` on Linux, no-op
 //!   elsewhere), the equivalent of the paper's `KMP_AFFINITY=compact`;
-//! * [`barrier`] — a sense-reversing spin barrier used between packs;
+//! * [`spin`] — the one spin-then-yield step every wait below relaxes
+//!   through;
 //! * [`epoch`] — a counter-based epoch gate that fuses the per-pack barriers
 //!   of the split solver into per-stage completion flags, enabling pack
 //!   pipelining (phase 1 of pack `p+1` overlapping phase 2 of pack `p`);
@@ -29,14 +30,14 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod affinity;
-pub mod barrier;
 pub mod epoch;
 pub mod latency;
 pub mod pool;
+pub mod spin;
 pub mod topology;
 
-pub use barrier::SpinBarrier;
 pub use epoch::{EpochGate, GateWait};
 pub use latency::{AccessKind, LatencyModel};
 pub use pool::{PoolError, Schedule, WorkerPool};
+pub use spin::SpinWait;
 pub use topology::{NumaDistance, NumaTopology};

@@ -25,9 +25,9 @@
 //! helpers, and bumps the generation; a helper that observes a generation it
 //! has not run reads the job, runs its share, and decrements the completion
 //! count; the dispatcher runs slot 0's share and then waits for the count to
-//! reach zero. Both waits are the pipelined driver's idiom — 64 `spin_loop`
-//! hints, then `yield_now` — because the pool may be oversubscribed (more
-//! slots than cores) and a waiter that never yields starves the thread it is
+//! reach zero. Both waits relax through [`SpinWait`] — 64 `spin_loop` hints,
+//! then `yield_now` — because the pool may be oversubscribed (more slots
+//! than cores) and a waiter that never yields starves the thread it is
 //! waiting for. Both are bounded by elapsed time (≈ 100 µs, like OpenMP's
 //! blocktime, only shorter): a waiter that saw nothing in that long parks
 //! on a condvar, so an idle pool burns nothing and a long loop body does not
@@ -121,6 +121,7 @@ use std::time::{Duration, Instant};
 use parking_lot::{Condvar, Mutex};
 
 use crate::affinity;
+use crate::spin::SpinWait;
 
 /// Loop schedule for [`WorkerPool::parallel_for`], mirroring OpenMP.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -176,8 +177,10 @@ impl std::fmt::Display for PoolError {
 
 impl std::error::Error for PoolError {}
 
-/// Stringifies a caught panic payload for error reporting.
-fn payload_message(payload: &(dyn std::any::Any + Send)) -> String {
+/// Stringifies a caught panic payload for error reporting: the one place
+/// the pool and the solver kernels above it turn a payload into the `message`
+/// of a `WorkerPanicked` error.
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&'static str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -225,29 +228,23 @@ unsafe impl Sync for JobCell {}
 /// anyone could measure what it burns.
 const POLL: Duration = Duration::from_micros(100);
 
-/// Polls `ready` until it holds (`true`) or [`POLL`] has passed (`false`):
-/// 64 `spin_loop` hints, then a `yield_now` between looks, as the pipelined
-/// driver and the epoch gate wait. The yield is what keeps an oversubscribed
-/// pool moving — the thread being waited for may need this core — and the
-/// bound is elapsed time, not an iteration count, because a `yield_now`
-/// costs anything from a hundred nanoseconds to a scheduler quantum.
+/// Polls `ready` until it holds (`true`) or it has been yielding for [`POLL`]
+/// (`false`), relaxing between looks the way every wait here does
+/// ([`SpinWait`]).
 fn poll(ready: impl Fn() -> bool) -> bool {
-    let mut spins = 0u32;
+    let mut wait = SpinWait::new();
     let mut yielding_since = None;
     loop {
         if ready() {
             return true;
         }
-        spins += 1;
-        if spins < 64 {
-            std::hint::spin_loop();
-            continue;
-        }
-        let now = Instant::now();
-        if now.duration_since(*yielding_since.get_or_insert(now)) >= POLL {
+        let polled_out = || {
+            let now = Instant::now();
+            now.duration_since(*yielding_since.get_or_insert(now)) >= POLL
+        };
+        if wait.relax(polled_out) {
             return false;
         }
-        std::thread::yield_now();
     }
 }
 
@@ -522,7 +519,7 @@ fn run_slot(shared: &Shared, job: &Job, slot: usize, threads: usize) {
     if let Err(payload) = result {
         let mut first = shared.panic.lock();
         if first.is_none() {
-            *first = Some((slot, current.get(), payload_message(payload.as_ref())));
+            *first = Some((slot, current.get(), panic_message(payload.as_ref())));
         }
         drop(first);
         // Stop the other slots promptly. Relaxed: the flag publishes nothing

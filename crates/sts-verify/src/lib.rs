@@ -24,8 +24,8 @@
 //! The model mirrors the runtime synchronisation exactly:
 //!
 //! * **Epoch readiness** — a phase-1 chunk with readiness `dep` starts only
-//!   after `EpochGate::wait_open(dep)`, which happens-after *every* arrival
-//!   (both phases) of stages `0..dep`.
+//!   after `EpochGate::wait_open_until(dep, ..)`, which happens-after *every*
+//!   arrival (both phases) of stages `0..dep`.
 //! * **Drain flag** — a phase-2 chain ticket is claimed only after
 //!   `phase1_drained(stage)`, which happens-after every phase-1 arrival of
 //!   its own stage.

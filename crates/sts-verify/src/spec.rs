@@ -33,7 +33,8 @@ pub struct RowFootprint {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChunkSpec {
     /// Readiness in **stage numbering**: the chunk may start once stages
-    /// `0..dep` have fully completed (the `EpochGate::wait_open(dep)` edge).
+    /// `0..dep` have fully completed (the `EpochGate::wait_open_until(dep, ..)`
+    /// edge).
     /// Forward sweeps number stages by pack; transpose sweeps reverse them.
     pub dep: usize,
     /// Per-row footprints in program order.

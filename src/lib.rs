@@ -178,9 +178,9 @@
 //! duplicate right-hand side) is *deflated*: dropped from the basis while
 //! its system keeps iterating on the rest; a converged system is *frozen*
 //! (its updates stop, its direction leaves the basis) while stragglers
-//! finish. Both sweep engines work, with bitwise identical iterates — on
-//! either engine every lane of a batched sweep equals the scalar sweep of
-//! that lane:
+//! finish. Every sweep engine works, with bitwise identical iterates — on
+//! each, every lane of a batched sweep equals the scalar sweep of that
+//! lane:
 //!
 //! ```
 //! use sts_k::core::Method;
@@ -265,7 +265,8 @@
 //!   reported as `NonFiniteResidual { iteration }`.
 //! * **Worker panics.** Pool job bodies run under `catch_unwind`; a panic
 //!   poisons only the current dispatch, and `parallel_for`, the pipelined
-//!   solves and the parallel IC(0) setup return
+//!   solves and the parallel IC(0) setup (the last two on one gated-worker
+//!   scaffold, so one failure path) return
 //!   `WorkerPanicked { slot, pack, message }` with the first payload. The
 //!   pool and any [`core::PipelinePlan`] stay usable — the epoch gate is
 //!   rewound per solve, so the next call runs clean.

@@ -5,7 +5,7 @@
 use sts_k::core::{Method, Ordering, ParallelSolver, SimulatedExecutor, StsBuilder};
 use sts_k::graph::{Coloring, ColoringOrder, Graph};
 use sts_k::matrix::{generators, io, ops};
-use sts_k::numa::{NumaTopology, Schedule, SpinBarrier, WorkerPool};
+use sts_k::numa::{NumaTopology, Schedule, WorkerPool};
 use sts_k::sched::dar::DarGraph;
 
 #[test]
@@ -37,8 +37,6 @@ fn facade_exposes_every_substrate() {
     // numa
     let topo = NumaTopology::amd_magny_cours_24();
     assert_eq!(topo.total_cores(), 24);
-    let barrier = SpinBarrier::new(1);
-    assert!(barrier.wait());
     let pool = WorkerPool::new(2);
     let counter = std::sync::atomic::AtomicUsize::new(0);
     pool.parallel_for(10, Schedule::Static, &|_| {

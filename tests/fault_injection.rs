@@ -204,6 +204,41 @@ fn stalled_worker_times_out_instead_of_hanging() {
             );
         });
     }
+    // The level-scheduled IC(0) build is the other gated kernel: the same
+    // stall during its pack 0 starves the peers' readiness waits the same
+    // way.
+    let a = generators::grid2d_laplacian(20, 20).unwrap();
+    let sys = SpdSystem::build(&a, Method::Sts3, 16).unwrap();
+    let f_ref = factor::ic0(sys.matrix()).unwrap();
+    for threads in thread_counts().into_iter().filter(|&t| t > 1) {
+        within_budget("ic0 stall timeout", || {
+            let mut solver = ParallelSolver::new(threads, Schedule::Guided { min_chunk: 1 });
+            solver.set_watchdog(Duration::from_millis(250));
+            solver.set_chaos_hook(Some(faultinject::stall_hook(
+                0,
+                0,
+                Duration::from_millis(1500),
+            )));
+            let err = solver
+                .parallel_ic0(sys.structure(), sys.matrix())
+                .expect_err("the stalled build must time out");
+            match err {
+                MatrixError::SolveTimeout { timeout_ms, .. } => {
+                    assert_eq!(timeout_ms, 250);
+                }
+                other => panic!("expected SolveTimeout, got {other:?}"),
+            }
+            solver.set_chaos_hook(None);
+            let f = solver
+                .parallel_ic0(sys.structure(), sys.matrix())
+                .expect("setup must recover");
+            assert_eq!(
+                f.values(),
+                f_ref.values(),
+                "post-timeout factor is exact at {threads} threads"
+            );
+        });
+    }
 }
 
 #[test]

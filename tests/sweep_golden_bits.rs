@@ -2,12 +2,12 @@
 //!
 //! Each `(structure, engine, direction, nrhs, precision)` request is solved
 //! at several thread counts and its output hashed over `f64::to_bits`. The
-//! sequential engine's digest (and the unsplit `Parallel` engine's, where it
-//! accepts the request) is compared with a table recorded once at the commit
-//! *before* the sweep kernels were unified; every other engine that accepts
-//! the request must produce the sequential engine's digest — there is one row
-//! arithmetic, so choosing an engine or a thread count never moves a bit. A
-//! kernel refactor must leave the table untouched: a changed digest means
+//! sequential engine's digest (and, for the one request it serves, that of
+//! the unsplit kernel `ParallelSolver::solve`) is compared with a table
+//! recorded once at the commit *before* the sweep kernels were unified; every
+//! other engine must produce the sequential engine's digest — there is one
+//! row arithmetic, so choosing an engine or a thread count never moves a bit.
+//! A kernel refactor must leave the table untouched: a changed digest means
 //! some request's output bits moved.
 //!
 //! The digests are thread-count invariant (per-row arithmetic does not
@@ -62,25 +62,29 @@ fn rhs(n: usize, nrhs: usize) -> Vec<f64> {
         .collect()
 }
 
-/// Solves one request at every thread count, asserts the outputs agree
-/// bitwise, and returns the digest — or `None` when the engine refuses the
-/// request with `InvalidParameter`.
-fn sweep_digest(s: &StsStructure, b: &[f64], opts: &SolveOptions, label: &str) -> Option<u64> {
+/// Runs one solve at every thread count, asserts the outputs agree bitwise,
+/// and returns the digest.
+fn digest_at_every_thread_count(
+    label: &str,
+    solve: impl Fn(&ParallelSolver) -> Result<Vec<f64>, MatrixError>,
+) -> u64 {
     let mut first: Option<u64> = None;
     for threads in THREADS {
         let solver = ParallelSolver::new(threads, Schedule::Guided { min_chunk: 1 });
-        let x = match solver.solve_with(s, b, opts) {
-            Ok(x) => x,
-            Err(MatrixError::InvalidParameter(_)) => return None,
-            Err(e) => panic!("{label} failed at {threads} threads: {e}"),
-        };
+        let x =
+            solve(&solver).unwrap_or_else(|e| panic!("{label} failed at {threads} threads: {e}"));
         let d = digest(&x);
         match first {
             None => first = Some(d),
             Some(f) => assert_eq!(f, d, "{label}: bits differ at {threads} threads"),
         }
     }
-    first
+    first.expect("at least one thread count")
+}
+
+/// The digest of one options-matrix request.
+fn sweep_digest(s: &StsStructure, b: &[f64], opts: &SolveOptions, label: &str) -> u64 {
+    digest_at_every_thread_count(label, |solver| solver.solve_with(s, b, opts))
 }
 
 fn computed_table() -> Vec<(String, u64)> {
@@ -97,32 +101,27 @@ fn computed_table() -> Vec<(String, u64)> {
                         .with_direction(direction)
                         .with_nrhs(nrhs)
                         .with_precision(precision);
-                    let label = |engine: SolveEngine| {
+                    let label = |engine: &str| {
                         format!(
-                            "{name}/{}/{}/n{nrhs}/{}",
-                            engine.as_str(),
+                            "{name}/{engine}/{}/n{nrhs}/{}",
                             direction.as_str(),
                             precision.as_str()
                         )
                     };
-                    let sequential = sweep_digest(
-                        &s,
-                        &b,
-                        &base.with_engine(SolveEngine::Sequential),
-                        &label(SolveEngine::Sequential),
-                    )
-                    .expect("the sequential engine accepts every request");
-                    table.push((label(SolveEngine::Sequential), sequential));
-                    let l = label(SolveEngine::Parallel);
-                    if let Some(d) =
-                        sweep_digest(&s, &b, &base.with_engine(SolveEngine::Parallel), &l)
-                    {
+                    let l = label(SolveEngine::Sequential.as_str());
+                    let sequential =
+                        sweep_digest(&s, &b, &base.with_engine(SolveEngine::Sequential), &l);
+                    table.push((l, sequential));
+                    // The unsplit barrier-per-pack kernel serves one request:
+                    // forward, one right-hand side, f64.
+                    if base == SolveOptions::default() {
+                        let l = label("parallel");
+                        let d = digest_at_every_thread_count(&l, |solver| solver.solve(&s, &b));
                         table.push((l, d));
                     }
                     for engine in [SolveEngine::Split, SolveEngine::Pipelined] {
-                        let l = label(engine);
-                        let d = sweep_digest(&s, &b, &base.with_engine(engine), &l)
-                            .expect("the split and pipelined engines accept every request");
+                        let l = label(engine.as_str());
+                        let d = sweep_digest(&s, &b, &base.with_engine(engine), &l);
                         assert_eq!(d, sequential, "{l} must equal the sequential sweep's bits");
                     }
                 }

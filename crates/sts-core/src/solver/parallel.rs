@@ -524,7 +524,7 @@ impl ParallelSolver {
     ///
     /// # Errors
     ///
-    /// `nrhs == 0` or a right-hand side    /// else. `nrhs == 0` or a right-hand side whose length is not `n * nrhs`
+    /// `nrhs == 0` or a right-hand side whose length is not `n * nrhs`
     /// returns [`MatrixError::DimensionMismatch`].
     pub fn solve_with(&self, s: &StsStructure, b: &[f64], opts: &SolveOptions) -> Result<Vec<f64>> {
         let mut plan = self.plan(s, opts.direction);
@@ -561,10 +561,11 @@ impl ParallelSolver {
                 "a solve needs at least one right-hand side".into(),
             ));
         }
-        if b.len() != s.n() * nrhs || x.len() != s.n() * nrhs {
+        let len = s.n().checked_mul(nrhs);
+        if len != Some(b.len()) || len != Some(x.len()) {
             return Err(MatrixError::DimensionMismatch(format!(
                 "b and x must both have length n * nrhs = {}, got {} and {}",
-                s.n() * nrhs,
+                s.n() as u128 * nrhs as u128,
                 b.len(),
                 x.len()
             )));
@@ -933,7 +934,9 @@ impl ParallelSolver {
                 "spmv_batch_into needs at least one right-hand side".into(),
             ));
         }
-        if x.len() != a.ncols() * nrhs || y.len() != a.nrows() * nrhs {
+        if a.ncols().checked_mul(nrhs) != Some(x.len())
+            || a.nrows().checked_mul(nrhs) != Some(y.len())
+        {
             return Err(MatrixError::DimensionMismatch(
                 "x/y lengths must match the matrix dimensions times nrhs".into(),
             ));
@@ -1274,6 +1277,17 @@ mod tests {
         }
     }
 
+    /// The `nrhs` for which `n * nrhs` wraps to 1 (`n` odd): the inverse of
+    /// `n` modulo 2^bits, by Newton's iteration. An unchecked length check
+    /// accepts a one-entry buffer for it.
+    fn wraps_to_one(n: usize) -> usize {
+        let v = (0..6).fold(1usize, |v, _| {
+            v.wrapping_mul(2usize.wrapping_sub(n.wrapping_mul(v)))
+        });
+        assert_eq!(n.wrapping_mul(v), 1);
+        v
+    }
+
     #[test]
     fn bad_shapes_are_rejected_by_every_engine() {
         let l = generators::paper_figure1_l();
@@ -1283,7 +1297,7 @@ mod tests {
         for engine in SPLIT_ENGINES {
             for direction in DIRECTIONS {
                 let o = opts(engine, direction);
-                for (b_len, nrhs) in [(4, 1), (9, 0), (10, 2)] {
+                for (b_len, nrhs) in [(4, 1), (9, 0), (10, 2), (1, wraps_to_one(9))] {
                     assert!(
                         matches!(
                             solver.solve_with(&s, &vec![1.0; b_len], &o.with_nrhs(nrhs)),
@@ -1510,6 +1524,12 @@ mod tests {
         let mut y = vec![0.0; a.nrows()];
         assert!(solver.spmv_into(&a, &x[1..], &mut y).is_err());
         assert!(solver.spmv_batch_into(&a, &xb, &mut yb, 0).is_err());
+        assert_eq!((a.nrows(), a.ncols()), (143, 143));
+        let nrhs = wraps_to_one(143);
+        assert!(matches!(
+            solver.spmv_batch_into(&a, &[1.0], &mut [0.0], nrhs),
+            Err(MatrixError::DimensionMismatch(_))
+        ));
     }
 
     #[test]

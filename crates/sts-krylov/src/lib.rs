@@ -24,12 +24,11 @@
 //!   ([`Tolerance`]), iteration bound, per-iteration residual history,
 //!   preconditioner wall-time attribution ([`PcgOutcome`]), a batched
 //!   multi-RHS entry point ([`Pcg::solve_batch`]) running lockstep CG on the
-//!   interleaved layout of the batch sweep kernels, and a **block**-CG entry
-//!   point ([`Pcg::solve_block`]) sharing one Krylov space across the batch
-//!   — small dense projections pick the step over the whole direction block,
-//!   with rank-revealing deflation of dependent directions and per-system
-//!   convergence freezing, so the batch converges in fewer iterations, not
-//!   just cheaper ones;
+//!   interleaved layout of the batch sweep kernels: one batched sweep pair
+//!   and one batched `A·P` product per iteration serve every right-hand
+//!   side, and a converged system is frozen until the stragglers finish
+//!   ([`Pcg::solve_block`] reports the same solve under the field names of
+//!   the block-CG driver it replaced);
 //! * [`RobustPcg`] — the fault-tolerant driver: on IC(0) breakdown it
 //!   descends a recovery ladder (a single-row diagonal boost targeting the
 //!   exact pivot the breakdown named, then Manteuffel-shifted IC(0) under

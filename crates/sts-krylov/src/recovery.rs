@@ -42,7 +42,7 @@
 use sts_core::{ParallelSolver, PrecisionPolicy};
 use sts_matrix::MatrixError;
 
-use crate::pcg::{Pcg, PcgBatchOutcome, PcgBlockOutcome, PcgOutcome};
+use crate::pcg::{Pcg, PcgBatchOutcome, PcgOutcome};
 use crate::precond::{Ic0, Ic0Operand, Ic0Setup, Identity, Preconditioner, Ssor, SweepEngine};
 use crate::system::SpdSystem;
 use crate::workspace::KrylovWorkspace;
@@ -121,10 +121,9 @@ pub struct RecoveryReport {
     pub extra_iterations: usize,
 }
 
-/// A solve outcome ([`PcgOutcome`], [`PcgBatchOutcome`] or
-/// [`PcgBlockOutcome`]) plus the story of how it was obtained. A batch or
-/// block descends together: a breakdown on any system restarts the whole
-/// iteration on the next rung.
+/// A solve outcome ([`PcgOutcome`] or [`PcgBatchOutcome`]) plus the story of
+/// how it was obtained. A batch descends together: a breakdown on any system
+/// restarts the whole iteration on the next rung.
 #[derive(Debug, Clone)]
 pub struct Robust<O> {
     /// The final rung's solve outcome.
@@ -390,20 +389,7 @@ impl RobustPcg {
         self.run(sys, &mut |pre| self.pcg.solve_batch(sys, pre, b, nrhs, ws))
     }
 
-    /// Solves `nrhs` systems on a shared block Krylov space
-    /// ([`Pcg::solve_block`]) behind the ladder, descending the whole block
-    /// together on breakdown like [`RobustPcg::solve_batch`].
-    pub fn solve_block(
-        &self,
-        sys: &SpdSystem,
-        b: &[f64],
-        nrhs: usize,
-        ws: &mut KrylovWorkspace,
-    ) -> Result<Robust<PcgBlockOutcome>> {
-        self.run(sys, &mut |pre| self.pcg.solve_block(sys, pre, b, nrhs, ws))
-    }
-
-    /// Descends the ladder with `solve` (one of the three [`Pcg`] entries)
+    /// Descends the ladder with `solve` (one of the [`Pcg`] entries)
     /// as the acceptance test of each rung, and feeds the descent into the
     /// wrapped driver's metrics registry (if one is installed): every
     /// abandoned rung counts one `pcg_recovery_rungs_total` — the trend
@@ -451,7 +437,7 @@ mod tests {
     }
 
     #[test]
-    fn batch_and_block_entries_descend_the_same_ladder() {
+    fn batch_entry_descends_the_ladder() {
         let a = generators::grid2d_laplacian(10, 10).unwrap();
         let sys = SpdSystem::build(&a, Method::Sts3, 8).unwrap();
         let nrhs = 3;
@@ -465,10 +451,7 @@ mod tests {
         assert!(batch.outcome.converged.iter().all(|&c| c));
         assert!(!batch.report.degraded);
         assert_eq!(batch.report.final_preconditioner, "ic0");
-        let block = robust.solve_block(&sys, &b, nrhs, &mut ws).unwrap();
-        assert!(block.outcome.converged.iter().all(|&c| c));
-        assert!(!block.report.degraded);
-        // Batch/batch entries surface structural errors (wrong-size B)
+        // The batch entry surfaces structural errors (wrong-size B)
         // without descending, like the scalar entry.
         let e = robust
             .solve_batch(&sys, &b[..5], nrhs, &mut ws)

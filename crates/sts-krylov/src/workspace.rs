@@ -26,18 +26,6 @@ pub struct KrylovWorkspace {
     /// Preconditioner mid-sweep scratch (the vector between the forward and
     /// backward triangular solves).
     pub(crate) sweep: Vec<f64>,
-    /// Block-CG coefficient scratch: the `nrhs × nrhs` Gram matrix
-    /// `Pᵀ A P`, factored in place per projection.
-    pub(crate) gram: Vec<f64>,
-    /// A pristine copy of the Gram matrix — the β projection refactors it
-    /// after the α solve consumed the first factorization.
-    pub(crate) gram_copy: Vec<f64>,
-    /// The `nrhs × nrhs` coefficient block (`α`, then `β`) solved against
-    /// the Gram factorization.
-    pub(crate) coef: Vec<f64>,
-    /// Rank mask from the small Cholesky: directions still linearly
-    /// independent in the block Krylov basis.
-    pub(crate) retained: Vec<bool>,
 }
 
 impl KrylovWorkspace {
@@ -60,10 +48,6 @@ impl KrylovWorkspace {
             p: vec![0.0; len],
             ap: vec![0.0; len],
             sweep: vec![0.0; len],
-            gram: vec![0.0; nrhs * nrhs],
-            gram_copy: vec![0.0; nrhs * nrhs],
-            coef: vec![0.0; nrhs * nrhs],
-            retained: vec![false; nrhs],
         }
     }
 
@@ -90,11 +74,6 @@ mod tests {
         for buf in [&ws.x, &ws.r, &ws.z, &ws.p, &ws.ap, &ws.sweep] {
             assert_eq!(buf.len(), 21);
         }
-        // Block coefficient scratch: nrhs² dense blocks plus the rank mask.
-        for buf in [&ws.gram, &ws.gram_copy, &ws.coef] {
-            assert_eq!(buf.len(), 9);
-        }
-        assert_eq!(ws.retained.len(), 3);
         assert_eq!(KrylovWorkspace::new(5).nrhs(), 1);
     }
 }

@@ -413,87 +413,9 @@ pub fn random_lower_triangular(
     LowerTriangularCsr::from_csr(&coo.to_csr())
 }
 
-/// A deterministic correlated multi-RHS workload for block-Krylov solvers,
-/// interleaved (`b[i * nrhs + q]`): a Krylov chain `b_q ∝ A^q c`
-/// (normalized per column) plus a 1% independent rough part per system —
-/// the "family of related load cases" shape where one system's solution
-/// lies mostly inside the other systems' Krylov content, which a shared
-/// Krylov space exploits and lockstep scalar recurrences cannot.
-///
-/// This is the **single definition** of the workload shared by the
-/// lockstep-vs-block criterion bench, the headline block-CG test and the
-/// facade example: the hashes are fixed (splitmix-style), so iteration
-/// counts measured on it are exact and comparable — and tweaking it here
-/// moves all three surfaces together.
-pub fn correlated_rhs_chain(a: &CsrMatrix, nrhs: usize) -> Result<Vec<f64>> {
-    if a.nrows() != a.ncols() {
-        return Err(MatrixError::DimensionMismatch(format!(
-            "correlated_rhs_chain needs a square operator, got {}x{}",
-            a.nrows(),
-            a.ncols()
-        )));
-    }
-    let n = a.nrows();
-    let mut b = vec![0.0; n * nrhs];
-    if n == 0 {
-        return Ok(b);
-    }
-    let mut chain: Vec<f64> = (0..n)
-        .map(|i| {
-            let mut s = (i as u64).wrapping_mul(6364136223846793005);
-            s ^= s >> 33;
-            s = s.wrapping_mul(0xff51afd7ed558ccd);
-            s ^= s >> 33;
-            (s % 2000) as f64 / 1000.0 - 1.0
-        })
-        .collect();
-    for q in 0..nrhs {
-        let nc = crate::ops::norm2(&chain);
-        for (i, &ci) in chain.iter().enumerate() {
-            let mut s = (i as u64)
-                .wrapping_mul(2862933555777941757)
-                .wrapping_add(q as u64 + 1);
-            s ^= s >> 33;
-            s = s.wrapping_mul(0xc4ceb9fe1a85ec53);
-            s ^= s >> 33;
-            let rough = (s % 2000) as f64 / 1000.0 - 1.0;
-            b[i * nrhs + q] = ci / nc + 0.01 * rough / (n as f64).sqrt();
-        }
-        chain = crate::ops::spmv(a, &chain)?;
-    }
-    Ok(b)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn correlated_rhs_chain_is_deterministic_and_correlated() {
-        let a = grid2d_laplacian(6, 5).unwrap();
-        let n = a.nrows();
-        let nrhs = 3;
-        let b1 = correlated_rhs_chain(&a, nrhs).unwrap();
-        let b2 = correlated_rhs_chain(&a, nrhs).unwrap();
-        assert_eq!(b1.len(), n * nrhs);
-        assert_eq!(b1, b2, "the workload must be bitwise reproducible");
-        // Columns are distinct but strongly correlated: column q+1 is
-        // (normalized) A · column-q's chain part, so the cosine between
-        // consecutive columns is far from 0 and from 1.
-        for q in 0..nrhs - 1 {
-            let u: Vec<f64> = (0..n).map(|i| b1[i * nrhs + q]).collect();
-            let v: Vec<f64> = (0..n).map(|i| b1[i * nrhs + q + 1]).collect();
-            let cos = crate::ops::dot(&u, &v) / (crate::ops::norm2(&u) * crate::ops::norm2(&v));
-            assert!(cos.abs() < 0.999, "columns {q},{} coincide", q + 1);
-            assert!(u != v);
-        }
-        // A non-square operator is rejected; an empty one yields an empty
-        // workload.
-        let rect = CooMatrix::new(3, 4).to_csr();
-        assert!(correlated_rhs_chain(&rect, 2).is_err());
-        let empty = CooMatrix::new(0, 0).to_csr();
-        assert_eq!(correlated_rhs_chain(&empty, 2).unwrap(), Vec::<f64>::new());
-    }
 
     #[test]
     fn grid2d_has_expected_size_and_density() {

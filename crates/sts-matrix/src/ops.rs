@@ -106,193 +106,6 @@ pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
     }
 }
 
-/// Per-column cross dot products of two interleaved block vectors:
-/// `out[j * nrhs + q] = Σ_i u[i * nrhs + j] · v[i * nrhs + q]` — the small
-/// dense matrix `Uᵀ V` (row-major, `nrhs × nrhs`) that block-CG projections
-/// are built from (`Pᵀ R`, `(A P)ᵀ Z`). Allocation-free; one pass over the
-/// interleaved storage serves all `nrhs²` entries.
-pub fn block_dots_into(u: &[f64], v: &[f64], nrhs: usize, out: &mut [f64]) -> Result<()> {
-    if u.len() != v.len() || out.len() != nrhs * nrhs || (nrhs > 0 && !u.len().is_multiple_of(nrhs))
-    {
-        return Err(MatrixError::DimensionMismatch(format!(
-            "block_dots needs equal u/v lengths divisible by nrhs = {nrhs} and an nrhs² output, \
-             got {} / {} / {}",
-            u.len(),
-            v.len(),
-            out.len()
-        )));
-    }
-    out.fill(0.0);
-    for (cu, cv) in u.chunks_exact(nrhs).zip(v.chunks_exact(nrhs)) {
-        for (j, &uj) in cu.iter().enumerate() {
-            let row = &mut out[j * nrhs..(j + 1) * nrhs];
-            for (o, &vq) in row.iter_mut().zip(cv) {
-                *o += uj * vq;
-            }
-        }
-    }
-    Ok(())
-}
-
-/// [`block_dots_into`] with an allocated result.
-pub fn block_dots(u: &[f64], v: &[f64], nrhs: usize) -> Result<Vec<f64>> {
-    let mut out = vec![0.0; nrhs * nrhs];
-    block_dots_into(u, v, nrhs, &mut out)?;
-    Ok(out)
-}
-
-/// The symmetric block Gram matrix `Pᵀ (A P)` of an interleaved block vector
-/// against its operator image: like [`block_dots_into`] but exploiting the
-/// symmetry the SPD operator guarantees — only the upper triangle is
-/// accumulated, then mirrored, so the inner loop does roughly half the
-/// multiplies. (Also correct for `Rᵀ Z = Rᵀ M⁻¹ R` with a symmetric
-/// preconditioner.)
-pub fn block_gram_into(p: &[f64], ap: &[f64], nrhs: usize, out: &mut [f64]) -> Result<()> {
-    if p.len() != ap.len()
-        || out.len() != nrhs * nrhs
-        || (nrhs > 0 && !p.len().is_multiple_of(nrhs))
-    {
-        return Err(MatrixError::DimensionMismatch(format!(
-            "block_gram needs equal p/ap lengths divisible by nrhs = {nrhs} and an nrhs² output, \
-             got {} / {} / {}",
-            p.len(),
-            ap.len(),
-            out.len()
-        )));
-    }
-    out.fill(0.0);
-    for (cp, cap) in p.chunks_exact(nrhs).zip(ap.chunks_exact(nrhs)) {
-        for (j, &pj) in cp.iter().enumerate() {
-            let row = &mut out[j * nrhs + j..(j + 1) * nrhs];
-            for (o, &aq) in row.iter_mut().zip(&cap[j..]) {
-                *o += pj * aq;
-            }
-        }
-    }
-    for j in 0..nrhs {
-        for q in j + 1..nrhs {
-            out[q * nrhs + j] = out[j * nrhs + q];
-        }
-    }
-    Ok(())
-}
-
-/// [`block_gram_into`] with an allocated result.
-pub fn block_gram(p: &[f64], ap: &[f64], nrhs: usize) -> Result<Vec<f64>> {
-    let mut out = vec![0.0; nrhs * nrhs];
-    block_gram_into(p, ap, nrhs, &mut out)?;
-    Ok(out)
-}
-
-/// Rank-revealing dense Cholesky solve for the small (`m × m`, row-major)
-/// coefficient systems of block-CG: factors `w` in place (lower triangle
-/// becomes `L` with `W = L Lᵀ`) and overwrites the `m × k` row-major
-/// right-hand-side block `b` with the solution of `W X = B`.
-///
-/// The factorization is *rank-revealing by diagonal threshold*: a pivot
-/// whose remaining diagonal has fallen to `drop_tol` times its original
-/// magnitude (or below, including exactly zero, negative or non-finite) is
-/// declared linearly dependent — its row and column are excluded from the
-/// factor and the corresponding solution rows are zeroed, so the solve acts
-/// on the retained positive-definite principal submatrix. `retained[j]` is
-/// set accordingly (length `m`); block-CG uses it to deflate dependent
-/// search directions while continuing with the rest.
-pub fn small_cholesky_solve(
-    w: &mut [f64],
-    m: usize,
-    b: &mut [f64],
-    k: usize,
-    drop_tol: f64,
-    retained: &mut [bool],
-) -> Result<()> {
-    if w.len() != m * m || b.len() != m * k || retained.len() != m {
-        return Err(MatrixError::DimensionMismatch(format!(
-            "small_cholesky_solve needs w of length m² = {}, b of length m·k = {} and a mask of \
-             length {m}, got {} / {} / {}",
-            m * m,
-            m * k,
-            w.len(),
-            b.len(),
-            retained.len()
-        )));
-    }
-    // Right-looking factorization with column dropping. The drop bound is
-    // relative to the *largest original* diagonal (read before any
-    // elimination): once updates have cancelled all but a `drop_tol` sliver
-    // of a pivot, that direction is numerically inside the span of the
-    // retained columns before it.
-    let bound = drop_tol
-        * (0..m)
-            .map(|j| w[j * m + j].abs())
-            .fold(0.0f64, |acc, d| if d > acc { d } else { acc });
-    for j in 0..m {
-        let d = w[j * m + j];
-        // NaN pivots (and a NaN bound) are dropped too, never allowed to
-        // poison the factor.
-        if d.is_nan() || d <= bound || !d.is_finite() || bound.is_nan() {
-            retained[j] = false;
-            for i in j..m {
-                w[i * m + j] = 0.0;
-            }
-            continue;
-        }
-        retained[j] = true;
-        let ljj = d.sqrt();
-        w[j * m + j] = ljj;
-        for i in j + 1..m {
-            w[i * m + j] /= ljj;
-        }
-        for i in j + 1..m {
-            let lij = w[i * m + j];
-            for c in j + 1..=i {
-                w[i * m + c] -= lij * w[c * m + j];
-            }
-        }
-    }
-    // Forward substitution `L Y = B`, skipping dropped rows.
-    for j in 0..m {
-        if !retained[j] {
-            b[j * k..(j + 1) * k].fill(0.0);
-            continue;
-        }
-        for c in 0..j {
-            let ljc = w[j * m + c];
-            if ljc != 0.0 {
-                let (head, tail) = b.split_at_mut(j * k);
-                let yj = &mut tail[..k];
-                for (yv, &yc) in yj.iter_mut().zip(&head[c * k..(c + 1) * k]) {
-                    *yv -= ljc * yc;
-                }
-            }
-        }
-        let inv = 1.0 / w[j * m + j];
-        for yv in &mut b[j * k..(j + 1) * k] {
-            *yv *= inv;
-        }
-    }
-    // Backward substitution `Lᵀ X = Y`, skipping dropped rows.
-    for j in (0..m).rev() {
-        if !retained[j] {
-            continue;
-        }
-        for c in j + 1..m {
-            let lcj = w[c * m + j];
-            if lcj != 0.0 {
-                let (head, tail) = b.split_at_mut(c * k);
-                let xj = &mut head[j * k..(j + 1) * k];
-                for (xv, &xc) in xj.iter_mut().zip(&tail[..k]) {
-                    *xv -= lcj * xc;
-                }
-            }
-        }
-        let inv = 1.0 / w[j * m + j];
-        for xv in &mut b[j * k..(j + 1) * k] {
-            *xv *= inv;
-        }
-    }
-    Ok(())
-}
-
 /// Residual `||L x - b||₂` of a candidate triangular solution.
 pub fn triangular_residual(l: &LowerTriangularCsr, x: &[f64], b: &[f64]) -> Result<f64> {
     let lx = l.multiply(x)?;
@@ -376,83 +189,6 @@ mod tests {
         let mut y = vec![1.0, 1.0];
         axpy(2.0, &[3.0, -1.0], &mut y);
         assert_eq!(y, vec![7.0, -1.0]);
-    }
-
-    #[test]
-    fn block_dots_and_gram_match_the_naive_cross_products() {
-        // 3 components, 2 columns, interleaved u[i * nrhs + q].
-        let nrhs = 2;
-        let u = vec![1.0, 2.0, 3.0, -1.0, 0.5, 4.0];
-        let v = vec![2.0, 1.0, -1.0, 3.0, 1.5, -2.0];
-        let naive = |a: &[f64], b: &[f64], j: usize, q: usize| -> f64 {
-            (0..3).map(|i| a[i * nrhs + j] * b[i * nrhs + q]).sum()
-        };
-        let d = block_dots(&u, &v, nrhs).unwrap();
-        for j in 0..nrhs {
-            for q in 0..nrhs {
-                assert!((d[j * nrhs + q] - naive(&u, &v, j, q)).abs() < 1e-14);
-            }
-        }
-        // Gram against a symmetric image: ap = u (any equal pair is
-        // symmetric enough to check the mirror).
-        let g = block_gram(&u, &u, nrhs).unwrap();
-        for j in 0..nrhs {
-            for q in 0..nrhs {
-                assert!((g[j * nrhs + q] - naive(&u, &u, j, q)).abs() < 1e-14);
-                assert_eq!(g[j * nrhs + q], g[q * nrhs + j], "gram must be symmetric");
-            }
-        }
-        // Dimension checks.
-        let mut out = vec![0.0; 3];
-        assert!(block_dots_into(&u, &v, nrhs, &mut out).is_err());
-        assert!(block_dots(&u, &v[..4], nrhs).is_err());
-        assert!(block_gram(&u[..5], &v[..5], nrhs).is_err());
-    }
-
-    #[test]
-    fn small_cholesky_solves_an_spd_system() {
-        // W = [[4,2,0],[2,5,1],[0,1,3]] (SPD), two right-hand sides.
-        let mut w = vec![4.0, 2.0, 0.0, 2.0, 5.0, 1.0, 0.0, 1.0, 3.0];
-        let x_true = vec![1.0, -2.0, 0.5, 3.0, 0.0, -1.0]; // m×k, k=2
-        let mut b = vec![0.0; 6];
-        for j in 0..3 {
-            for q in 0..2 {
-                b[j * 2 + q] = (0..3).map(|c| w[j * 3 + c] * x_true[c * 2 + q]).sum();
-            }
-        }
-        let mut retained = vec![false; 3];
-        small_cholesky_solve(&mut w, 3, &mut b, 2, 1e-12, &mut retained).unwrap();
-        assert!(retained.iter().all(|&r| r));
-        for (a, e) in b.iter().zip(&x_true) {
-            assert!((a - e).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn small_cholesky_drops_dependent_and_zero_columns() {
-        // Column 1 duplicates column 0 (exactly dependent), column 2 is a
-        // zero direction (not in the basis): both must be dropped, and the
-        // retained 1×1 system still solves exactly.
-        let mut w = vec![2.0, 2.0, 0.0, 2.0, 2.0, 0.0, 0.0, 0.0, 0.0];
-        let mut b = vec![6.0, 6.0, 0.0];
-        let mut retained = vec![true; 3];
-        small_cholesky_solve(&mut w, 3, &mut b, 1, 1e-12, &mut retained).unwrap();
-        assert_eq!(retained, vec![true, false, false]);
-        assert!((b[0] - 3.0).abs() < 1e-14);
-        assert_eq!(b[1], 0.0);
-        assert_eq!(b[2], 0.0);
-        // A NaN pivot is dropped, never propagated into the solution.
-        let mut w = vec![f64::NAN, 0.0, 0.0, 1.0];
-        let mut b = vec![5.0, 2.0];
-        let mut retained = vec![true; 2];
-        small_cholesky_solve(&mut w, 2, &mut b, 1, 1e-12, &mut retained).unwrap();
-        assert!(b.iter().all(|v| v.is_finite()));
-        assert!(!retained[0]);
-        // Dimension checks.
-        let mut w = vec![1.0; 4];
-        let mut b = vec![1.0; 3];
-        let mut mask = vec![false; 2];
-        assert!(small_cholesky_solve(&mut w, 2, &mut b, 1, 1e-12, &mut mask).is_err());
     }
 
     #[test]

@@ -58,7 +58,7 @@ pub struct SolveResult {
     /// bitwise identical to the solver's in-process output.
     pub x: Vec<f64>,
     /// Iterations: the scalar count for `single`, the lockstep count for
-    /// `batch`, block steps for `block`.
+    /// `batch` and `block`.
     pub iterations: u64,
     /// Whether every system met the tolerance.
     pub converged: bool,

@@ -1,7 +1,7 @@
 //! A checkout pool of [`KrylovWorkspace`]s.
 //!
-//! Workspaces are the per-solve mutable state (six `n × nrhs` vectors plus
-//! block-CG scratch); everything else a solve touches is shared and
+//! Workspaces are the per-solve mutable state (six `n × nrhs` vectors);
+//! everything else a solve touches is shared and
 //! immutable. The pool keeps finished workspaces around keyed by their
 //! `(n, nrhs)` shape so a stream of same-shaped requests allocates exactly
 //! once, not per request.

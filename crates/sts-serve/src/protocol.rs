@@ -143,8 +143,9 @@ pub enum SolveMode {
     /// `nrhs` systems under lockstep batched PCG (shared sweeps, independent
     /// Krylov spaces).
     Batch,
-    /// `nrhs` systems on one shared block Krylov space (deflation +
-    /// freezing).
+    /// Accepted for compatibility and answered by the lockstep driver, like
+    /// `Batch`; the reply keeps its `block_steps` key (the lockstep count)
+    /// and `deflations` key (always 0).
     Block,
 }
 

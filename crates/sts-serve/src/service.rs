@@ -479,13 +479,13 @@ impl SolverService {
             )
         })?;
         let n = factor.system.n();
-        if b.len() != n * nrhs {
+        if n.checked_mul(nrhs) != Some(b.len()) {
             return Err((
                 ErrorCode::DimensionMismatch,
                 format!(
                     "b has {} entries, expected n * nrhs = {}",
                     b.len(),
-                    n * nrhs
+                    n as u128 * nrhs as u128
                 ),
             ));
         }
@@ -613,58 +613,33 @@ fn run_solve(
                 Some(out.wall_ns),
             ))
         }
-        SolveMode::Batch => {
+        SolveMode::Batch | SolveMode::Block => {
             let out = pcg.solve_batch(&factor.system, pre, b, nrhs, ws)?;
             let iterations = out.lockstep_iterations as u64;
-            Ok((
-                out.x,
-                vec![
-                    (
-                        "iterations",
-                        Value::Array(
-                            out.iterations
-                                .iter()
-                                .map(|&i| Value::UInt(i as u64))
-                                .collect(),
-                        ),
+            let mut fields = vec![
+                (
+                    "iterations",
+                    Value::Array(
+                        out.iterations
+                            .iter()
+                            .map(|&i| Value::UInt(i as u64))
+                            .collect(),
                     ),
-                    (
-                        "converged",
-                        Value::Array(out.converged.iter().map(|&c| Value::Bool(c)).collect()),
-                    ),
-                    ("residual_norms", float_array(&out.residual_norms)),
-                    ("lockstep_iterations", Value::UInt(iterations)),
-                ],
-                iterations,
-                None,
-            ))
-        }
-        SolveMode::Block => {
-            let out = pcg.solve_block(&factor.system, pre, b, nrhs, ws)?;
-            let iterations = out.block_steps as u64;
-            Ok((
-                out.x,
-                vec![
-                    (
-                        "iterations",
-                        Value::Array(
-                            out.iterations
-                                .iter()
-                                .map(|&i| Value::UInt(i as u64))
-                                .collect(),
-                        ),
-                    ),
-                    (
-                        "converged",
-                        Value::Array(out.converged.iter().map(|&c| Value::Bool(c)).collect()),
-                    ),
-                    ("residual_norms", float_array(&out.residual_norms)),
-                    ("block_steps", Value::UInt(iterations)),
-                    ("deflations", Value::UInt(out.deflations as u64)),
-                ],
-                iterations,
-                None,
-            ))
+                ),
+                (
+                    "converged",
+                    Value::Array(out.converged.iter().map(|&c| Value::Bool(c)).collect()),
+                ),
+                ("residual_norms", float_array(&out.residual_norms)),
+            ];
+            if mode == SolveMode::Block {
+                // Block CG is gone; its reply keys stay for old clients.
+                fields.push(("block_steps", Value::UInt(iterations)));
+                fields.push(("deflations", Value::UInt(0)));
+            } else {
+                fields.push(("lockstep_iterations", Value::UInt(iterations)));
+            }
+            Ok((out.x, fields, iterations, None))
         }
     }
 }

@@ -16,11 +16,6 @@
 //! bitwise-identical arithmetic, so they take *exactly* the same iteration
 //! count and differ only in speed.
 //!
-//! A final section solves four *correlated* right-hand sides at once two
-//! ways — lockstep scalar CG (one recurrence per system) versus block CG on
-//! a shared Krylov space — showing the block driver converging in fewer
-//! total iterations, with deflation and per-system freezing reported.
-//!
 //! Run with `cargo run --release --example pcg_preconditioner`.
 
 use sts_k::core::Method;
@@ -113,40 +108,5 @@ fn main() {
     println!(
         "preconditioner '{label}' applied {} times without allocation",
         pip.iterations
-    );
-
-    // Block CG vs lockstep scalar CG on four correlated right-hand sides —
-    // the canonical workload `generators::correlated_rhs_chain` (a Krylov
-    // chain `b_q ∝ A^q c` plus a 1% individual rough part each; the same
-    // batch the criterion bench and the headline test measure): one system's
-    // solution lives mostly inside the others' Krylov content. The
-    // lockstep driver amortises index traffic but keeps one scalar
-    // recurrence per system; the block driver shares one Krylov space, so
-    // the batch converges in fewer iterations outright.
-    let nrhs = 4;
-    let bb = generators::correlated_rhs_chain(&a, nrhs).expect("workload binds to the operator");
-    let mut wsb = KrylovWorkspace::with_nrhs(n, nrhs);
-    let lockstep = pcg
-        .solve_batch(&sys, &mut Identity, &bb, nrhs, &mut wsb)
-        .expect("lockstep CG runs");
-    let block = pcg
-        .solve_block(&sys, &mut Identity, &bb, nrhs, &mut wsb)
-        .expect("block CG runs");
-    let lockstep_total: usize = lockstep.iterations.iter().sum();
-    println!(
-        "\nbatch of {nrhs} correlated RHS: lockstep scalar CG {:?} = {} total iterations",
-        lockstep.iterations, lockstep_total
-    );
-    println!(
-        "batch of {nrhs} correlated RHS: block CG        {:?} = {} total ({} shared steps, \
-         {} deflated)",
-        block.iterations,
-        block.total_iterations(),
-        block.block_steps,
-        block.deflations
-    );
-    println!(
-        "shared-Krylov-space iteration ratio: {:.2}x",
-        lockstep_total as f64 / block.total_iterations().max(1) as f64
     );
 }

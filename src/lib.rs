@@ -164,51 +164,44 @@
 //! assert!(ops::relative_error_inf(&out.x, &x_true) < 1e-6);
 //! ```
 //!
-//! ## Block CG: one Krylov space for the whole batch
+//! ## Many right-hand sides at once
 //!
-//! [`krylov::Pcg::solve_batch`] runs one scalar recurrence per right-hand
-//! side in lockstep — cheaper iterations, same iteration *count*.
-//! [`krylov::Pcg::solve_block`] goes further: every system searches the
-//! **shared** block Krylov space, with the step coefficients solved from
-//! small dense projections (`Pᵀ A P`, `Pᵀ R` — [`matrix::ops::block_gram`],
-//! [`matrix::ops::block_dots`], and the rank-revealing
-//! [`matrix::ops::small_cholesky_solve`]). Correlated right-hand sides — the
-//! common production case — then converge in strictly fewer iterations, not
-//! just cheaper ones. A direction that becomes linearly dependent (e.g. a
-//! duplicate right-hand side) is *deflated*: dropped from the basis while
-//! its system keeps iterating on the rest; a converged system is *frozen*
-//! (its updates stop, its direction leaves the basis) while stragglers
-//! finish. Every sweep engine works, with bitwise identical iterates — on
-//! each, every lane of a batched sweep equals the scalar sweep of that
-//! lane:
+//! [`krylov::Pcg::solve_batch`] solves `nrhs` systems on one operator with
+//! lockstep CG: one recurrence per right-hand side, but one batched sweep
+//! pair and one batched `A·P` product per iteration serve them all, so each
+//! row's index traffic is paid once for the whole batch. A converged system
+//! is frozen (its updates scaled by zero) while the stragglers finish. Every
+//! sweep engine works, and every lane of a batched solve is bitwise equal to
+//! the standalone solve of that right-hand side:
 //!
 //! ```
 //! use sts_k::core::Method;
-//! use sts_k::krylov::{Identity, KrylovWorkspace, Pcg, SpdSystem};
-//! use sts_k::matrix::{generators, ops};
+//! use sts_k::krylov::{KrylovWorkspace, Pcg, SpdSystem, Ssor, SweepEngine};
+//! use sts_k::matrix::generators;
 //! use sts_k::numa::Schedule;
 //!
 //! let a = generators::grid2d_laplacian(20, 20).unwrap();
 //! let sys = SpdSystem::build(&a, Method::Sts3, 40).unwrap();
 //! let (n, nrhs) = (sys.n(), 3);
 //!
-//! // Correlated right-hand sides, interleaved (`b[i * nrhs + q]`).
-//! let common: Vec<f64> = (0..n).map(|i| ((i * 7919) % 13) as f64 - 6.0).collect();
+//! // Three right-hand sides, interleaved (`b[i * nrhs + q]`).
 //! let mut b = vec![0.0; n * nrhs];
-//! for q in 0..nrhs {
-//!     for i in 0..n {
-//!         b[i * nrhs + q] = common[i] + 0.01 * ((i + q) % 5) as f64;
-//!     }
+//! for (k, v) in b.iter_mut().enumerate() {
+//!     *v = ((k * 7919) % 13) as f64 - 6.0;
 //! }
 //!
 //! let pcg = Pcg::new(4, Schedule::Guided { min_chunk: 1 });
+//! let mut pre = Ssor::new(&sys, pcg.solver(), SweepEngine::Pipelined);
 //! let mut ws = KrylovWorkspace::with_nrhs(n, nrhs);
-//! let out = pcg.solve_block(&sys, &mut Identity, &b, nrhs, &mut ws).unwrap();
+//! let out = pcg.solve_batch(&sys, &mut pre, &b, nrhs, &mut ws).unwrap();
 //! assert!(out.converged.iter().all(|&c| c));
-//! // Per-system convergence steps, the shared step count, and any deflated
-//! // directions are all reported.
-//! assert_eq!(out.block_steps, *out.iterations.iter().max().unwrap());
-//! assert!(out.total_iterations() <= nrhs * out.block_steps);
+//! assert_eq!(out.lockstep_iterations, *out.iterations.iter().max().unwrap());
+//!
+//! // Lane 1 equals its own single-RHS solve, bit for bit.
+//! let b1: Vec<f64> = (0..n).map(|i| b[i * nrhs + 1]).collect();
+//! let one = pcg.solve(&sys, &mut pre, &b1, &mut KrylovWorkspace::new(n)).unwrap();
+//! assert_eq!(one.iterations, out.iterations[1]);
+//! assert!((0..n).all(|i| out.x[i * nrhs + 1] == one.x[i]));
 //! ```
 //!
 //! ## Parallel preconditioner setup

@@ -583,43 +583,6 @@ fn recovery_ladder_covers_the_batched_solve_entry() {
 }
 
 #[test]
-fn recovery_ladder_covers_the_block_solve_entry() {
-    // And through `RobustPcg::solve_block`: block CG on the shared Krylov
-    // space runs on whatever rung the ladder settled on.
-    let a = generators::grid2d_laplacian(120, 120).unwrap();
-    let (k, _) = faultinject::kershaw_cycle(&a, 120, 120, 7);
-    let sys = SpdSystem::build(&k, Method::Sts3, 60).expect("the perturbed operator stays SPD");
-    within_budget("block recovery ladder", || {
-        let robust = RobustPcg::new(Pcg::new(4, Schedule::Guided { min_chunk: 1 }));
-        let nrhs = 3;
-        let mut ws = KrylovWorkspace::with_nrhs(sys.n(), nrhs);
-        let mut b = vec![0.0; sys.n() * nrhs];
-        for (i, v) in b.iter_mut().enumerate() {
-            *v = 1.0 + (i % 11) as f64;
-        }
-        let out = robust
-            .solve_block(&sys, &b, nrhs, &mut ws)
-            .expect("the ladder holds for the block entry");
-        assert!(
-            out.outcome.converged.iter().all(|&c| c),
-            "every block RHS must converge after recovery"
-        );
-        assert!(out.outcome.x.iter().all(|v| v.is_finite()));
-        assert!(out.report.degraded, "the unshifted rung must have failed");
-        assert!(out
-            .report
-            .attempts
-            .iter()
-            .all(|at| matches!(at.error, MatrixError::FactorizationBreakdown { .. })));
-        assert!(
-            out.report.final_preconditioner == "ic0-rowboost"
-                || out.report.final_preconditioner == "ic0-shifted"
-                || out.report.final_preconditioner == "ssor"
-        );
-    });
-}
-
-#[test]
 fn chaos_hooks_compose_with_the_krylov_driver() {
     // End-to-end: a panic injected under a full PCG solve surfaces as the
     // same structured error through every layer, and the driver is usable

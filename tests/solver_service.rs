@@ -49,6 +49,10 @@ fn error_code_of(line: &str) -> String {
         .to_string()
 }
 
+fn bits_of(v: &Value, field: &str) -> Vec<u64> {
+    floats_of(v, field).iter().map(|x| x.to_bits()).collect()
+}
+
 fn floats_of(v: &Value, field: &str) -> Vec<f64> {
     v.get(field)
         .and_then(Value::as_array)
@@ -107,7 +111,7 @@ fn solve_request(id: u64, key: &str, b: &[f64], extra: Vec<(&str, Value)>) -> St
 fn served_solves_match_the_direct_api_bitwise() {
     // The acceptance property: a solve through the protocol — synthetic
     // pattern analysis, warm value rebind, JSON float round-trip — equals
-    // the direct in-process build bit for bit, in all three modes.
+    // the direct in-process build bit for bit, in single and batch mode.
     let a = generators::grid2d_laplacian(24, 24).unwrap();
     let config = ServiceConfig::default();
     let mut service = SolverService::new(config.clone());
@@ -139,7 +143,7 @@ fn served_solves_match_the_direct_api_bitwise() {
         "the served solution must round-trip the wire bitwise"
     );
 
-    // Batch and block modes through the same cached factor.
+    // Batch mode through the same cached factor.
     let nrhs = 3;
     let b_multi: Vec<f64> = (0..n * nrhs).map(|i| 1.0 + (i % 7) as f64).collect();
     let mut ws_multi = KrylovWorkspace::with_nrhs(n, nrhs);
@@ -170,34 +174,85 @@ fn served_solves_match_the_direct_api_bitwise() {
             .map(|v| v.to_bits())
             .collect::<Vec<_>>()
     );
+}
 
-    let direct_block = pcg
-        .solve_block(&sys, &mut pre, &b_multi, nrhs, &mut ws_multi)
-        .unwrap();
-    let served_block = result_of(
-        &service
-            .handle_line(&solve_request(
-                5,
-                &key,
-                &b_multi,
-                vec![
-                    ("mode", Value::Str("block".to_string())),
-                    ("nrhs", Value::UInt(nrhs as u64)),
-                ],
-            ))
-            .line,
+#[test]
+fn served_block_mode_is_the_lockstep_reply() {
+    // `block` is answered by the lockstep driver: the same reply as
+    // `batch`, bit for bit, under the block-CG reply keys.
+    let a = generators::grid2d_laplacian(20, 16).unwrap();
+    let mut service = SolverService::new(ServiceConfig::default());
+    let key = submit(&mut service, &a, "STS-3", 8);
+    let nrhs = 4;
+    let b_multi: Vec<f64> = (0..a.nrows() * nrhs)
+        .map(|i| ((i * 17) % 11) as f64 - 4.5)
+        .collect();
+    let served = |service: &mut SolverService, id: u64, mode: &str| {
+        result_of(
+            &service
+                .handle_line(&solve_request(
+                    id,
+                    &key,
+                    &b_multi,
+                    vec![
+                        ("mode", Value::Str(mode.to_string())),
+                        ("nrhs", Value::UInt(nrhs as u64)),
+                    ],
+                ))
+                .line,
+        )
+    };
+    let served_batch = served(&mut service, 3, "batch");
+    let served_block = served(&mut service, 4, "block");
+    let converged = served_batch
+        .get("converged")
+        .and_then(Value::as_array)
+        .expect("a batch reply carries per-system flags");
+    assert_eq!(converged.len(), nrhs);
+    assert!(converged.iter().all(|c| c.as_bool() == Some(true)));
+    assert_eq!(served_block.get("converged"), served_batch.get("converged"));
+    for field in ["x", "residual_norms"] {
+        assert_eq!(
+            bits_of(&served_block, field),
+            bits_of(&served_batch, field),
+            "{field} differs between block and batch mode"
+        );
+    }
+    assert_eq!(
+        served_block.get("iterations"),
+        served_batch.get("iterations")
     );
     assert_eq!(
-        floats_of(&served_block, "x")
-            .iter()
-            .map(|v| v.to_bits())
-            .collect::<Vec<_>>(),
-        direct_block
-            .x
-            .iter()
-            .map(|v| v.to_bits())
-            .collect::<Vec<_>>()
+        served_block.get("block_steps").and_then(Value::as_u64),
+        served_batch
+            .get("lockstep_iterations")
+            .and_then(Value::as_u64)
     );
+    assert_eq!(
+        served_block.get("deflations").and_then(Value::as_u64),
+        Some(0)
+    );
+}
+
+#[test]
+fn an_nrhs_whose_product_with_n_wraps_is_a_dimension_mismatch() {
+    // n = 16, nrhs = 2^60: n * nrhs wraps to 0 = b.len(). Unchecked, the
+    // shape check passed and the daemon aborted sizing its buffers.
+    let a = generators::grid2d_laplacian(4, 4).unwrap();
+    let mut service = SolverService::new(ServiceConfig::default());
+    let key = submit(&mut service, &a, "STS-3", 8);
+    for mode in ["batch", "block"] {
+        let line = format!(
+            r#"{{"v":1,"id":3,"op":"solve","pattern":"{key}","b":[],"mode":"{mode}","nrhs":1152921504606846976}}"#
+        );
+        assert_eq!(
+            error_code_of(&service.handle_line(&line).line),
+            "dimension_mismatch",
+            "mode {mode}"
+        );
+        let stats = result_of(&service.handle_line(&request(4, "stats", vec![])).line);
+        assert!(stats.get("patterns_cached").is_some());
+    }
 }
 
 #[test]

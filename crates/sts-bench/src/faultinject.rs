@@ -16,12 +16,13 @@
 //! * **worker panics** — [`panic_hook`] panics the worker that picks up a
 //!   chosen pack, exercising pool poisoning;
 //! * **worker stalls** — [`stall_hook`] parks the worker that picks up a
-//!   chosen pack, exercising the epoch-gate watchdog.
+//!   chosen pack, exercising the IC(0) build's epoch-gate watchdog (a
+//!   stalled sweep is only slow).
 //!
 //! The hooks plug into
 //! [`ParallelSolver::set_chaos_hook`](sts_core::ParallelSolver), which the
-//! pipelined kernels and the parallel IC(0) build invoke at every
-//! `(worker, pack)` unit start.
+//! split sweep driver invokes at every `(gather chunk, stage)` start and the
+//! parallel IC(0) build at every `(worker, pack)` chunk start.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -161,8 +162,9 @@ pub fn panic_hook(pack: usize) -> ChaosHook {
 /// A chaos hook that stalls worker `worker` for `dur` when it picks up pack
 /// `pack` — the "hardware went away" shape the epoch-gate watchdog exists
 /// for. The worker *returns* after the stall (the pool can always complete
-/// its barrier); on a multi-worker solve its peers hit the watchdog deadline
-/// first and the solve reports a timeout.
+/// its barrier); in a multi-worker IC(0) build its peers hit the watchdog
+/// deadline first and the build reports a timeout, while a sweep just runs
+/// slow.
 pub fn stall_hook(worker: usize, pack: usize, dur: Duration) -> ChaosHook {
     Arc::new(move |w, p| {
         if w == worker && p == pack {

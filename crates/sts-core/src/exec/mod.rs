@@ -8,8 +8,8 @@
 //! engine behind the `paper_figs` driver, so the evaluation can be reproduced
 //! on hosts with any core count (including the single-core CI machine); the
 //! wall-clock path uses [`crate::solver::ParallelSolver`] instead. It models
-//! the paper's barrier-per-pack solve only: the split and pipelined engines
-//! and the level-scheduled IC(0) build are measured (`benchmark/`), not
+//! the paper's barrier-per-pack solve only: the split engine and the
+//! level-scheduled IC(0) build are measured (`benchmark/`), not
 //! modelled.
 
 pub mod simulated;

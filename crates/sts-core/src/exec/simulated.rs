@@ -84,7 +84,7 @@ pub struct SimReport {
     pub num_packs: usize,
 }
 
-/// The modelled memory traffic of one split/pipelined triangular sweep
+/// The modelled memory traffic of one split triangular sweep
 /// under a given [`PrecisionPolicy`] — the bandwidth side of the simulator,
 /// complementing the cycle model.
 ///
@@ -180,7 +180,7 @@ impl SimulatedExecutor {
         self.simulate_packs(s, cores, schedule, 0..s.num_packs())
     }
 
-    /// Models the compulsory memory traffic of one forward split/pipelined
+    /// Models the compulsory memory traffic of one forward split
     /// sweep of `s` under `precision` (see [`SolveBytesModel`] for what is
     /// counted). Forces the lazy split layout; pure arithmetic otherwise.
     pub fn model_solve_bytes(

@@ -16,21 +16,21 @@
 //!   use): per pack, an *external* slab of entries referencing earlier packs
 //!   (streamed by the embarrassingly-parallel gather phase) and an
 //!   *internal* slab holding the true in-pack dependence chains, plus
-//!   per-row readiness metadata for pack pipelining;
+//!   per-row readiness metadata for level scheduling;
 //! * [`transpose`] — the transpose (backward-sweep) constructor of the same
 //!   layout type: the split applied to `L'ᵀ`, with the packs consumed in
 //!   reverse order, so preconditioner forward/backward sweep pairs both run
 //!   on the parallel engines;
 //! * [`solver`] — the threaded pack-parallel solver: one sweep kernel (one
-//!   row body in `solver::kernel`, one chunk geometry in [`solver::plan`])
-//!   under a sequential, a two-phase split and a pack-pipelined
-//!   barrier-fused driver, all behind `ParallelSolver::solve_with` /
-//!   `solve_into`; the paper's unsplit barrier-per-pack kernel
-//!   (`ParallelSolver::solve`); a schedule-only level-scheduled solver for
-//!   callers who cannot reorder their system; and the level-scheduled
-//!   parallel IC(0) construction (`ParallelSolver::parallel_ic0`) that runs
-//!   the preconditioner *setup* over the same pack hierarchy and epoch-gate
-//!   readiness scheme as the solves;
+//!   row body in `solver::kernel`, one chunk geometry in `solver::plan`)
+//!   under a sequential and a two-phase split driver, both behind
+//!   `ParallelSolver::solve_with` / `solve_into`; the paper's unsplit
+//!   barrier-per-pack kernel (`ParallelSolver::solve`); a schedule-only
+//!   level-scheduled solver for callers who cannot reorder their system;
+//!   and the level-scheduled parallel IC(0) construction
+//!   (`ParallelSolver::parallel_ic0`) that runs the preconditioner *setup*
+//!   over the same pack hierarchy, each chunk waiting on an epoch gate for
+//!   just the packs it reads;
 //! * [`options`] — the typed [`SolveOptions`] request (engine × direction ×
 //!   batch width × [`PrecisionPolicy`]) consumed by
 //!   [`solver::parallel::ParallelSolver::solve_with`], and the [`SlabValue`]
@@ -82,6 +82,5 @@ pub use exec::simulated::{
 };
 pub use options::{PrecisionPolicy, SlabValue, SolveEngine, SolveOptions, SweepDirection};
 pub use solver::parallel::{ChaosHook, ParallelSolver};
-pub use solver::plan::PipelinePlan;
 pub use split::SplitLayout;
 pub use verify::{factor_spec, solve_spec};

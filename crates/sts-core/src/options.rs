@@ -2,7 +2,7 @@
 //! numeric precision are selected.
 //!
 //! [`ParallelSolver`](crate::solver::parallel::ParallelSolver) grew its entry
-//! points one at a time — engine (sequential / split / pipelined)
+//! points one at a time — engine (sequential / split)
 //! × direction (forward / transpose) × single / batch — until callers had a
 //! 12-way method matrix to navigate and no way to thread a *new* axis (like
 //! precision) through it. [`SolveOptions`] collapses the matrix into one
@@ -61,21 +61,22 @@ impl PrecisionPolicy {
     }
 }
 
-/// Which driver runs the sweep: the three synchronise differently and
-/// compute the same bits. (The paper's unsplit barrier-per-pack kernel is not
-/// one of them — it takes no options and is
+/// Which driver runs the sweep: they synchronise differently and compute
+/// the same bits. (The paper's unsplit barrier-per-pack kernel is not one
+/// of them — it takes no options and is
 /// [`ParallelSolver::solve`](crate::solver::parallel::ParallelSolver::solve).)
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum SolveEngine {
     /// Single-threaded two-phase sweep on the split layout: the stage loop
     /// on the calling thread, no pool involvement.
     Sequential,
-    /// The two-phase split kernel (external gather, phase barrier, internal
-    /// chains).
-    Split,
-    /// The pack-pipelined kernel (barriers fused into an epoch gate) — the
-    /// paper's best engine and the default.
+    /// The two-phase split kernel on the pool (external gather, phase
+    /// barrier, internal chains, stage barrier) — the default.
     #[default]
+    Split,
+    /// Answered by the split driver. The name stays only because the repo
+    /// benchmark (`benchmark/`) still selects it; the next change to the
+    /// benchmark retires it.
     Pipelined,
 }
 
@@ -115,14 +116,14 @@ impl SweepDirection {
 /// [`ParallelSolver::solve_with`](crate::solver::parallel::ParallelSolver::solve_with)
 /// consumes it, and the Krylov / service layers thread it through unchanged.
 ///
-/// The default is the common case: pipelined engine, forward sweep, one
+/// The default is the common case: split engine, forward sweep, one
 /// right-hand side, full `f64` precision.
 ///
 /// ```
 /// use sts_core::{PrecisionPolicy, SolveEngine, SolveOptions, SweepDirection};
 ///
 /// let opts = SolveOptions::default();
-/// assert_eq!(opts.engine, SolveEngine::Pipelined);
+/// assert_eq!(opts.engine, SolveEngine::Split);
 /// assert_eq!(opts.direction, SweepDirection::Forward);
 /// assert_eq!(opts.nrhs, 1);
 /// assert_eq!(opts.precision, PrecisionPolicy::ValuesF64);
@@ -214,9 +215,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn defaults_are_the_full_precision_pipelined_single_solve() {
+    fn defaults_are_the_full_precision_split_single_solve() {
         let opts = SolveOptions::default();
-        assert_eq!(opts.engine, SolveEngine::Pipelined);
+        assert_eq!(opts.engine, SolveEngine::Split);
         assert_eq!(opts.direction, SweepDirection::Forward);
         assert_eq!(opts.nrhs, 1);
         assert_eq!(opts.precision, PrecisionPolicy::ValuesF64);

@@ -10,16 +10,15 @@
 //! * the super-rows of pack `p` are factored concurrently, statically
 //!   chunked over the workers (chunk `c` of every pack is owned by worker
 //!   `c`, so each row has exactly one writer);
-//! * a chunk does not wait for pack `p − 1`; it waits — through the same
-//!   [`EpochGate`] protocol and on the same gated-worker scaffold as the
-//!   pipelined solve driver (`ParallelSolver::run_gated`; its failure
-//!   semantics are stated once, in the [`parallel`](super::parallel) module
-//!   docs) — only until the packs its rows' **external columns actually
-//!   reference**
+//! * a chunk does not wait for pack `p − 1`; it waits — through an
+//!   [`EpochGate`], on the gated-worker scaffold `ParallelSolver::run_gated`
+//!   (its failure semantics are stated in the [`parallel`](super::parallel)
+//!   module docs) — only until the packs its rows' **external columns
+//!   actually reference**
 //!   ([`SplitLayout::range_ext_dep`](crate::split::SplitLayout::range_ext_dep),
 //!   a pure function of the pattern, which IC(0) preserves) are fully
 //!   factored. Chunks of pack `p + 1` overlap stragglers of pack `p`
-//!   whenever the dependency structure allows, exactly as in the solves;
+//!   whenever the dependency structure allows;
 //! * within a chunk, rows run in increasing order, so same-super-row reads
 //!   are this worker's own earlier writes in program order.
 //!
@@ -91,15 +90,15 @@ impl ParallelSolver {
             ));
         }
         // Static chunks of each pack's super-rows (chunk c owned by worker
-        // c) with per-chunk readiness in pack numbering, as in the pipelined
-        // solve plans. Forcing the lazy split layout here only borrows what
-        // the preconditioner sweeps build anyway.
+        // c) with per-chunk readiness in pack numbering. Forcing the lazy
+        // split layout here only borrows what the preconditioner sweeps
+        // build anyway.
         let n = s.n();
         let workers = self.num_threads();
         let chunks = FactorChunks::build(s, workers);
         let num_packs = s.num_packs();
-        let counts: Vec<(usize, usize)> = (0..num_packs)
-            .map(|p| (chunks.pack_chunks(p).len(), 0))
+        let counts: Vec<usize> = (0..num_packs)
+            .map(|p| chunks.pack_chunks(p).len())
             .collect();
         let gate = EpochGate::new(&counts);
         // Per-worker-slot breakdown records (row, pivot bits); usize::MAX
@@ -156,7 +155,7 @@ impl ParallelSolver {
                         );
                     }
                 });
-                gate.arrive_phase1(p);
+                gate.arrive(p);
             }
             if local_row != usize::MAX {
                 // Relaxed suffices: the pool's completion barrier publishes

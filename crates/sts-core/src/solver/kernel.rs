@@ -137,7 +137,7 @@ impl<const W: usize> Sum<W> {
                     // SAFETY: the view covers `w` slots of row `cols[k]`
                     // only, which the caller's contract puts in bounds and
                     // keeps free of writers for the whole call. Under the
-                    // split and pipelined drivers other workers do write `x`
+                    // split driver other workers do write `x`
                     // while the view lives, but only slots of *other* rows
                     // (each row has one writer, and `cols[k]` names finished
                     // rows), and this call's own writes go to row `i`, which

@@ -1,4 +1,4 @@
-//! The pack-parallel triangular solver: one sweep kernel, three drivers.
+//! The pack-parallel triangular solver: one sweep kernel, two drivers.
 //!
 //! A sweep visits the packs as *stages* — in order for `L' x' = b'`, in
 //! reverse order for the transposed system `L'ᵀ x' = b'` — and runs every
@@ -19,59 +19,65 @@
 //! the nonzeros for coloring/level-set packs.
 //!
 //! The row arithmetic lives in `solver::kernel` (one row body, written
-//! once), the chunk geometry in [`plan`](super::plan). This module
-//! holds the three **drivers** that walk the stages of a [`PipelinePlan`]
-//! and differ only in how they synchronise — direction, batch width and slab
-//! precision are data:
+//! once), the chunk geometry in `solver::plan`. This module holds the two
+//! **drivers** that walk the stages and differ only in how they synchronise
+//! — direction, batch width and slab precision are data:
 //!
 //! * *sequential* — a plain stage loop on the calling thread;
 //! * *split* — two `parallel_for` dispatches per stage: the gather chunks
 //!   under the static schedule, then the chain tasks under the solver's
-//!   configured schedule; the pool's completion is the barrier;
-//! * *pipelined* — one dispatch per solve, with the per-stage barriers fused
-//!   into an [`EpochGate`] (below), on the gated-worker scaffold it shares
-//!   with the level-scheduled IC(0) build.
+//!   configured schedule; the pool's completion is the barrier. This is the
+//!   paper's execution model: one parallel loop per phase, then a barrier.
 //!
-//! [`ParallelSolver::solve_with`] is the allocating front door over all of
-//! them, [`ParallelSolver::solve_into`] the allocation-free form iterative
-//! solvers call with a caller-held plan and output buffer, and
-//! [`ParallelSolver::solve`] the paper's original kernel: one `parallel_for`
-//! over the super-rows of each pack on the *unsplit* operand, a barrier
-//! between packs.
+//! [`ParallelSolver::solve_with`] is the allocating front door over both,
+//! [`ParallelSolver::solve_into`] the allocation-free form iterative solvers
+//! call with an output buffer they hold, and [`ParallelSolver::solve`] the
+//! paper's original kernel: one `parallel_for` over the super-rows of each
+//! pack on the *unsplit* operand, a barrier between packs.
+//!
+//! A sweep recomputes its chunk geometry per stage — a few integer
+//! operations on the pack boundaries — instead of storing it, so a sweep
+//! performs **no heap allocation** and its caller holds nothing but the
+//! buffers.
 //!
 //! # Failure semantics
 //!
 //! A pool dispatch cannot be abandoned — `parallel_for` lends the workers a
 //! borrowed body and returns only when all of them are done with it — so
 //! every failure is reported after the last worker has come back, the pool
-//! and the plan stay usable, and the output buffer must be treated as torn.
+//! stays usable, and the output buffer must be treated as torn.
 //!
 //! The barrier-synchronised kernels ([`ParallelSolver::solve`], the split
 //! driver, the SpMVs) wait on nobody inside a dispatch: a panicking body is
-//! caught by the pool and surfaces as [`MatrixError::WorkerPanicked`] with
-//! the loop index in flight. The gate-synchronised kernels — the pipelined
-//! driver and [`parallel_ic0`](ParallelSolver::parallel_ic0) — wait on each
-//! other inside one, where a dead or stalled peer would strand them. Both
-//! are bodies run by one scaffold, `ParallelSolver::run_gated`, and it alone
+//! caught by the pool and surfaces as [`MatrixError::WorkerPanicked`]. The
+//! split driver reports the stage whose dispatch panicked as its `pack`; the
+//! other kernels report the loop index in flight. The split driver calls the
+//! [`ChaosHook`] as `hook(c, st)` when gather chunk `c` of stage `st`
+//! starts, so a panicking hook fails the same way, and a stalling hook only
+//! holds back the stage's barrier: a stalled sweep worker is a slow success
+//! at every thread count.
+//!
+//! The one gate-synchronised kernel,
+//! [`parallel_ic0`](ParallelSolver::parallel_ic0), has its workers wait on
+//! each other inside one dispatch, where a dead or stalled peer would strand
+//! them. It runs its body on the scaffold `ParallelSolver::run_gated`, which
 //! implements the following:
 //!
 //! * each worker's body runs under `catch_unwind`. A panic — in the row
-//!   arithmetic or in the [`ChaosHook`], called as a worker enters a stage's
-//!   phase-1 unit — records the first `(slot, stage, message)` and *poisons*
+//!   arithmetic or in the chaos hook, called as a worker enters its chunk
+//!   of a pack — records the first `(slot, stage, message)` and *poisons*
 //!   the gate; the dispatch returns [`MatrixError::WorkerPanicked`];
-//! * every wait — the blocking readiness wait and the polling loop a body
-//!   writes itself — gives up on the poison flag and on the *watchdog
-//!   deadline* ([`ParallelSolver::set_watchdog`], counted from dispatch
-//!   start). A poisoned wait bails out of the body; a wait past the deadline
-//!   records its stage, poisons the gate for the peers, and bails: the
-//!   dispatch returns [`MatrixError::SolveTimeout`], unless a panic was
-//!   recorded too (the timeout is then usually its collateral);
+//! * every wait gives up on the poison flag and on the *watchdog deadline*
+//!   ([`ParallelSolver::set_watchdog`], counted from dispatch start). A
+//!   poisoned wait bails out of the body; a wait past the deadline records
+//!   its stage, poisons the gate for the peers, and bails: the dispatch
+//!   returns [`MatrixError::SolveTimeout`], unless a panic was recorded too
+//!   (the timeout is then usually its collateral);
 //! * a stalled worker is not interrupted, so the caller regains control
 //!   after `max(stall, budget)`: never a hang, not a real-time bound. A
 //!   lone worker has no peer to starve — its own program order satisfies
 //!   every wait it meets — so there a stall is just a slow success;
-//! * the poison is rewound with the gate (per solve by the plan, per build
-//!   by `parallel_ic0`'s fresh gate): nothing leaks into the next dispatch.
+//! * every dispatch runs on a fresh gate: nothing leaks into the next one.
 //!
 //! # Data-race freedom
 //!
@@ -112,81 +118,25 @@
 //! same-pack reads stay inside `i`'s own super-row, whose chain rows are
 //! stored in decreasing order.
 //!
-//! ## The pipelined driver (gate readiness, tickets, look-ahead)
-//!
-//! The pipelined driver runs the *same* chunks and tasks but fuses the two
-//! full-pool barriers per stage into an [`EpochGate`]: one gated dispatch
-//! covers the whole solve, and workers coordinate through per-stage
-//! completion counters. The schedule per worker `w`:
-//!
-//! * chunk `c` of every stage is *owned* by worker `c` — ownership is a
-//!   static function of `(stage, w)`, so no two workers ever write the same
-//!   row;
-//! * a chunk does not wait for the previous stage; it waits only until the
-//!   gate's epoch covers the chunk's precomputed readiness
-//!   ([`SplitLayout::range_ext_dep`] — the latest stage its external slab
-//!   range actually reads). Phase 1 of stage `s + 1` therefore overlaps
-//!   phase 2 of stage `s` whenever the dependency structure allows;
-//! * **phase 2** chain tasks of stage `s` are claimed one at a time from a
-//!   shared ticket counter once the gate reports stage `s`'s phase 1
-//!   drained; a worker that finds no ticket left moves straight on to its
-//!   chunk of stage `s + 1`. While phase 1 of stage `s` is still draining, a
-//!   parked worker *looks ahead*: it runs its chunks of stages `s + 1` and
-//!   `s + 2` (readiness permitting) instead of spinning.
-//!
-//! ### Memory-ordering argument (which flag publishes which `x` entries)
-//!
-//! Data-race freedom needs every read of `x[j]` to happen-after the write it
-//! observes. The gate provides exactly two publication edges:
-//!
-//! * **`is_open(d)` / a `Ready` from `wait_open_until(d, ..)`** (epoch ≥ `d`)
-//!   happens-after *every* arrival of stages `0..d` — both phases — via the
-//!   release sequences on the gate's per-stage counters and the release CAS
-//!   chain on the epoch. A phase-1 chunk with readiness `d` reads `x[j]`
-//!   only for external columns `j` in stages `< d`, each finalized (phase-1
-//!   write, plus phase-2 correction for chain rows) before its stage's last
-//!   arrival. The chunk runs behind that edge, so all those entries are
-//!   published to it.
-//! * **`phase1_drained(s)`** happens-after every phase-1 arrival of stage
-//!   `s`. A phase-2 task reads `x[j]` only for internal columns `j` of its
-//!   own super-row (phase-1 values published by the drained flag, or its own
-//!   earlier chain-row corrections in program order) and corrects rows owned
-//!   by no other task. Its writes are in turn published to later stages by
-//!   its `arrive_phase2` and the epoch edge above.
-//!
-//! Lookahead never weakens this: a worker running a chunk of stage `s + 2`
-//! early still passed that chunk's own readiness check, and writes only rows
-//! of stage `s + 2`, which no other worker touches until the epoch covers
-//! `s + 2` — which cannot happen before the chunk's own arrival.
-//!
-//! # Reusable plans
-//!
-//! Iterative solvers apply these kernels thousands of times on one
-//! structure. [`ParallelSolver::solve_into`] takes a caller-provided
-//! solution buffer plus a [`PipelinePlan`] — the chunk geometry and the
-//! per-solve scheduling state (gate arrival counts, phase-2 ticket counters)
-//! built once by [`ParallelSolver::plan`] and rewound between pipelined
-//! solves via the gate's generation-stamped
-//! [`reset`](sts_numa::EpochGate::reset) — so a solve performs **no heap
-//! allocation**. `&mut` on the plan is what makes the reset sound: the
-//! borrow checker guarantees no concurrent solve shares the scheduling
-//! state.
+//! The schedule verifier ([`crate::verify`]) proves the weaker,
+//! dependency-minimal schedule — a chunk waits only for the stages its
+//! external reads target, a chain task only for its own stage's phase 1 —
+//! which the split driver's barriers strictly cover.
 
 use std::cell::Cell;
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::Ordering as AtomicOrdering;
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use sts_matrix::{CsrMatrix, MatrixError};
 use sts_numa::pool::panic_message;
-use sts_numa::{EpochGate, GateWait, PoolError, Schedule, SpinWait, WorkerPool};
+use sts_numa::{EpochGate, GateWait, PoolError, Schedule, WorkerPool};
 use sts_trace::{Phase, SpanRecorder};
 use sts_verify::TaskKind;
 
 use super::kernel::{SharedVec, Slab, Sum, TILE};
-use super::plan::{chunk_count, chunk_range, stage_pack, PipelinePlan};
+use super::plan::{chunk_count, chunk_range, stage_pack, stage_rows};
 use crate::csrk::{Result, StsStructure};
 use crate::options::{PrecisionPolicy, SlabValue, SolveEngine, SolveOptions, SweepDirection};
 use crate::split::SplitLayout;
@@ -207,10 +157,10 @@ pub(crate) fn pool_error_to_matrix(e: PoolError) -> MatrixError {
     }
 }
 
-/// A hook the fault-injection harness installs to perturb worker `w` at
+/// A hook the fault-injection harness installs to perturb unit `w` at
 /// stage/pack `st` of a parallel kernel (panic, stall, …). Runs inside the
-/// kernel's `catch_unwind` region, so a panicking hook behaves exactly like a
-/// panicking kernel body.
+/// kernel body, so a panicking hook behaves exactly like a panicking kernel
+/// body.
 pub type ChaosHook = Arc<dyn Fn(usize, usize) + Send + Sync>;
 
 /// Times `f` as one `phase` span of `worker` at `stage` when a recorder is
@@ -282,15 +232,11 @@ impl GatedWorker<'_> {
         self.slot
     }
 
-    /// Marks `stage` as the one a panic from here on is reported at.
-    fn at(&self, stage: usize) {
-        self.stage.set(stage);
-    }
-
-    /// [`GatedWorker::at`], then the chaos hook: call it where the worker
-    /// starts the phase-1 unit of `stage`.
+    /// Marks `stage` as the one a panic from here on is reported at, then
+    /// runs the chaos hook: call it where the worker starts its unit of
+    /// `stage`.
     pub(crate) fn enter(&self, stage: usize) {
-        self.at(stage);
+        self.stage.set(stage);
         if let Some(hook) = &self.solver.chaos {
             hook(self.slot, stage);
         }
@@ -312,35 +258,20 @@ impl GatedWorker<'_> {
         match wait {
             GateWait::Ready => true,
             GateWait::Poisoned => false,
-            GateWait::TimedOut => self.timed_out(stage),
+            GateWait::TimedOut => {
+                self.failure.record(MatrixError::SolveTimeout {
+                    stage,
+                    timeout_ms: self.solver.watchdog_ms,
+                });
+                self.gate.poison();
+                false
+            }
         }
-    }
-
-    /// One [`SpinWait::relax`] step of a wait at `stage` that the body
-    /// polls itself (it has work to look for between looks), against the
-    /// same deadline and with the same outcome as
-    /// [`GatedWorker::await_stages`]: `false` means bail.
-    fn relax(&self, wait: &mut SpinWait, stage: usize) -> bool {
-        if wait.relax(|| Instant::now() >= self.deadline) {
-            return self.timed_out(stage);
-        }
-        true
-    }
-
-    /// Records the watchdog timeout at `stage` and poisons the gate;
-    /// `false`, for the caller to bail with.
-    fn timed_out(&self, stage: usize) -> bool {
-        self.failure.record(MatrixError::SolveTimeout {
-            stage,
-            timeout_ms: self.solver.watchdog_ms,
-        });
-        self.gate.poison();
-        false
     }
 }
 
 /// Default watchdog budget for one gated dispatch; generous enough that
-/// no healthy solve on any matrix in the suite comes near it.
+/// no healthy build on any matrix in the suite comes near it.
 const DEFAULT_WATCHDOG_MS: u64 = 10_000;
 
 /// A reusable parallel solver bound to a worker pool.
@@ -389,44 +320,45 @@ impl ParallelSolver {
         }
     }
 
-    /// Sets the watchdog deadline of the gate-synchronised kernels (module
-    /// docs, "Failure semantics"): a wait on a peer that exceeds this budget,
-    /// counted from dispatch start, ends the dispatch with
-    /// [`MatrixError::SolveTimeout`] instead of hanging behind a stalled
-    /// worker. Budgets below 1 ms are clamped up to 1 ms.
+    /// Sets the watchdog deadline of the gate-synchronised kernel, the
+    /// level-scheduled IC(0) build (module docs, "Failure semantics"): a
+    /// wait on a peer that exceeds this budget, counted from dispatch start,
+    /// ends the build with [`MatrixError::SolveTimeout`] instead of hanging
+    /// behind a stalled worker. The sweeps wait on no peer inside a dispatch
+    /// and never time out. Budgets below 1 ms are clamped up to 1 ms.
     pub fn set_watchdog(&mut self, budget: Duration) {
         self.watchdog_ms = (budget.as_millis() as u64).max(1);
     }
 
-    /// The current watchdog budget of the gate-synchronised kernels.
+    /// The current watchdog budget of the gate-synchronised kernel.
     pub fn watchdog(&self) -> Duration {
         Duration::from_millis(self.watchdog_ms)
     }
 
-    /// Installs (or clears) a fault-injection hook invoked as `hook(w, st)`
-    /// when worker `w` starts the phase-1 unit of stage/pack `st` in the
-    /// pipelined kernels and the level-scheduled factorization. Test support:
-    /// a hook that panics or stalls exercises the failure paths
-    /// deterministically.
+    /// Installs (or clears) a fault-injection hook, invoked as `hook(c, st)`
+    /// when the split driver starts gather chunk `c` of stage `st`, and as
+    /// `hook(w, p)` when worker `w` of the level-scheduled factorization
+    /// starts its chunk of pack `p`. Test support: a hook that panics or
+    /// stalls exercises the failure paths deterministically.
     pub fn set_chaos_hook(&mut self, hook: Option<ChaosHook>) {
         self.chaos = hook;
     }
 
     /// Installs (or clears) a span recorder fed by the parallel kernels:
-    /// phase-1 gather chunks ([`Phase::Gather`]), phase-2 chain tasks
-    /// ([`Phase::Chain`]), blocking epoch-gate waits ([`Phase::GateWait`])
-    /// in the pipelined kernels, and level-scheduled IC(0) chunks
-    /// ([`Phase::Factor`]).
+    /// the split driver's phase-1 gather chunks ([`Phase::Gather`]) and
+    /// phase-2 chain tasks ([`Phase::Chain`]), and the level-scheduled IC(0)
+    /// build's chunks ([`Phase::Factor`]) and blocking epoch-gate waits
+    /// ([`Phase::GateWait`]).
     ///
     /// The recorder's enabled flag is sampled once per solve, so an
     /// installed-but-disabled recorder costs one `Option` check per kernel
     /// dispatch (the configuration every untraced run of the repo benchmark
-    /// measures). The `worker` field of a span is
-    /// the pool slot for the pipelined kernels and the static phase-1
-    /// chunks; for the split engine's dynamically scheduled phase-2 it carries
-    /// the chain-task index instead (the pool does not expose which slot
-    /// claimed a task). The `pack` field is the *stage* index: identical to
-    /// the pack for forward sweeps, reversed for transpose sweeps.
+    /// measures). The `worker` field of a span is the chunk index for the
+    /// split driver's static gather chunks, the chain-task index for its
+    /// dynamically scheduled phase 2 (the pool does not expose which slot
+    /// claimed a task), and the pool slot for the IC(0) build. The `pack`
+    /// field is the *stage* index: identical to the pack for forward sweeps,
+    /// reversed for transpose sweeps.
     pub fn set_trace_recorder(&mut self, recorder: Option<Arc<SpanRecorder>>) {
         self.trace = recorder;
     }
@@ -436,9 +368,9 @@ impl ParallelSolver {
         self.trace.as_ref()
     }
 
-    /// Installs (or clears) a race-shadow access log: the split, pipelined
-    /// and factor kernels record one [`sts_verify::RowTrace`] per produced
-    /// row (the exact shared slots the inner loop read), so
+    /// Installs (or clears) a race-shadow access log: the split and factor
+    /// kernels record one [`sts_verify::RowTrace`] per produced row (the
+    /// exact shared slots the inner loop read), so
     /// [`sts_verify::check_replay`] can cross-check the static schedule
     /// model against what the kernels really touch. Test support: recording
     /// serialises on the log's mutex.
@@ -490,31 +422,16 @@ impl ParallelSolver {
         self.schedule
     }
 
-    /// Builds the reusable [`PipelinePlan`] for sweeps of `s` in `direction`
-    /// on this solver's pool. Build it once per structure and direction;
-    /// [`ParallelSolver::solve_into`] reuses it at no allocation cost, for
-    /// every engine, batch width and precision. The first plan built for a
-    /// (structure, direction, thread count) makes the one O(n) readiness
-    /// pass and the structure remembers its result; later builds cost
-    /// O(packs × threads).
-    pub fn plan(&self, s: &StsStructure, direction: SweepDirection) -> PipelinePlan {
-        PipelinePlan::build(s, self.pool.num_threads(), direction)
-    }
-
     /// Solves a triangular system described by a typed [`SolveOptions`]
     /// request and returns the solution.
     ///
     /// The request selects the engine ([`SolveEngine`]), sweep direction
     /// ([`SweepDirection`]), batch width (`nrhs`, interleaved layout
     /// `b[i * nrhs + r]`) and value-slab precision ([`PrecisionPolicy`]).
-    /// Every engine accepts every combination of the other three; this
-    /// method cuts a [`PipelinePlan`]
-    /// for the call — the gate and ticket counters are the call's own, the
-    /// chunk readiness is the copy `s` remembers from the first sweep in
-    /// this direction at this thread count, so only that first call pays an
-    /// O(n) pass outside its sweep — and runs [`ParallelSolver::solve_into`].
-    /// Callers sweeping one structure many times still do better holding a
-    /// plan and an output buffer themselves: `solve_into` allocates nothing.
+    /// Every engine accepts every combination of the other three. This
+    /// method allocates the solution and runs
+    /// [`ParallelSolver::solve_into`], which callers sweeping one structure
+    /// many times call directly with a buffer they hold.
     ///
     /// Mixed-precision requests ([`PrecisionPolicy::ValuesF32WithRefinement`])
     /// read the lazily demoted f32 value slabs but accumulate every partial
@@ -527,30 +444,23 @@ impl ParallelSolver {
     /// `nrhs == 0` or a right-hand side whose length is not `n * nrhs`
     /// returns [`MatrixError::DimensionMismatch`].
     pub fn solve_with(&self, s: &StsStructure, b: &[f64], opts: &SolveOptions) -> Result<Vec<f64>> {
-        let mut plan = self.plan(s, opts.direction);
         let mut x = vec![0.0f64; b.len()];
-        self.solve_into(s, &mut plan, b, &mut x, opts)?;
+        self.solve_into(s, b, &mut x, opts)?;
         Ok(x)
     }
 
-    /// [`ParallelSolver::solve_with`] into a caller-provided buffer with a
-    /// caller-held [`PipelinePlan`]: the hot path for iterative solvers,
-    /// performing no heap allocation. One plan per (structure, direction)
-    /// serves every engine, `nrhs` and precision — the schedule depends only
-    /// on the structure and the thread count.
+    /// [`ParallelSolver::solve_with`] into a caller-provided buffer: the hot
+    /// path for iterative solvers, performing no heap allocation.
     ///
     /// # Errors
     ///
     /// [`MatrixError::DimensionMismatch`] when `nrhs == 0` or `b` / `x` are
-    /// not `n * nrhs` long; [`MatrixError::InvalidParameter`] when `plan`
-    /// was not built by this solver for `s` and `opts.direction`. The pool-backed
-    /// engines also surface [`MatrixError::WorkerPanicked`], and the
-    /// pipelined engine [`MatrixError::SolveTimeout`]; on any error `x` must
-    /// be treated as torn.
+    /// not `n * nrhs` long. The pool-backed engines also surface
+    /// [`MatrixError::WorkerPanicked`]; on any error `x` must be treated as
+    /// torn.
     pub fn solve_into(
         &self,
         s: &StsStructure,
-        plan: &mut PipelinePlan,
         b: &[f64],
         x: &mut [f64],
         opts: &SolveOptions,
@@ -570,34 +480,35 @@ impl ParallelSolver {
                 x.len()
             )));
         }
-        plan.check(s, self.pool.num_threads(), opts.direction)?;
-        let layout = s.layout(opts.direction);
-        let (ecols, icols) = (layout.ext_cols(), layout.int_cols());
+        let stages = Stages {
+            s,
+            layout: s.layout(opts.direction),
+            direction: opts.direction,
+        };
+        let (ecols, icols) = (stages.layout.ext_cols(), stages.layout.int_cols());
         match opts.precision {
             PrecisionPolicy::ValuesF64 => self.sweep(
-                plan,
-                layout,
+                stages,
                 Slab {
                     cols: ecols,
-                    vals: layout.ext_vals(),
+                    vals: stages.layout.ext_vals(),
                 },
                 Slab {
                     cols: icols,
-                    vals: layout.int_vals(),
+                    vals: stages.layout.int_vals(),
                 },
                 (b, x),
                 opts,
             ),
             PrecisionPolicy::ValuesF32WithRefinement => self.sweep(
-                plan,
-                layout,
+                stages,
                 Slab {
                     cols: ecols,
-                    vals: layout.ext_vals_f32(),
+                    vals: stages.layout.ext_vals_f32(),
                 },
                 Slab {
                     cols: icols,
-                    vals: layout.int_vals_f32(),
+                    vals: stages.layout.int_vals_f32(),
                 },
                 (b, x),
                 opts,
@@ -605,14 +516,14 @@ impl ParallelSolver {
         }
     }
 
-    /// One sweep over `layout`'s external and internal slabs, from `b` into
-    /// `x`: binds the row body — lane width 1 for a single right-hand side,
-    /// [`TILE`] for a batch — to the sweep's `(gather, chain)` bodies and
-    /// runs them under the requested engine's driver.
+    /// One sweep over the external and internal slabs of `stages`' layout,
+    /// from `b` into `x`: binds the row body — lane width 1 for a single
+    /// right-hand side, [`TILE`] for a batch — to the sweep's
+    /// `(gather, chain)` bodies and runs them under the requested engine's
+    /// driver.
     fn sweep<V: SlabValue>(
         &self,
-        plan: &mut PipelinePlan,
-        layout: &SplitLayout,
+        stages: Stages<'_>,
         ext: Slab<'_, V>,
         int: Slab<'_, V>,
         (b, x): (&[f64], &mut [f64]),
@@ -620,26 +531,24 @@ impl ParallelSolver {
     ) -> Result<()> {
         let rows = SweepRows {
             solver: self,
-            layout,
+            stages,
             ext,
             int,
             b,
             x: SharedVec::new(x),
             nrhs: opts.nrhs,
-            direction: plan.direction(),
-            num_stages: plan.num_stages(),
         };
         if opts.nrhs == 1 {
             self.drive(
                 opts.engine,
-                plan,
+                stages,
                 &|range| rows.gather_rows::<1>(range),
                 &|st, t| rows.chain_task::<1>(st, t),
             )
         } else {
             self.drive(
                 opts.engine,
-                plan,
+                stages,
                 &|range| rows.gather_rows::<TILE>(range),
                 &|st, t| rows.chain_task::<TILE>(st, t),
             )
@@ -650,24 +559,23 @@ impl ParallelSolver {
     fn drive(
         &self,
         engine: SolveEngine,
-        plan: &mut PipelinePlan,
+        stages: Stages<'_>,
         gather: &GatherFn<'_>,
         chain: &ChainFn<'_>,
     ) -> Result<()> {
         match engine {
             SolveEngine::Sequential => {
-                drive_sequential(plan, gather, chain);
+                drive_sequential(stages, gather, chain);
                 Ok(())
             }
-            SolveEngine::Split => self.drive_split(plan, gather, chain),
-            SolveEngine::Pipelined => self.drive_pipelined(plan, gather, chain),
+            SolveEngine::Split | SolveEngine::Pipelined => self.drive_split(stages, gather, chain),
         }
     }
 
     /// Solves the reordered system `L' x' = b'` with the paper's unsplit
     /// barrier-per-pack kernel (Algorithm 1 run with threads; it has no
-    /// [`SolveEngine`], no plan and no options — forward, one right-hand
-    /// side, f64) and returns `x'`:
+    /// [`SolveEngine`] and no options — forward, one right-hand side, f64)
+    /// and returns `x'`:
     /// per pack, the super-rows are distributed over the pool under the
     /// configured OpenMP-style schedule (the paper uses `dynamic,32` for the
     /// flat methods and `guided,1` for the 3-level methods), each walking
@@ -717,43 +625,49 @@ impl ParallelSolver {
         Ok(x)
     }
 
-    /// The split driver: per stage, the plan's gather chunks under the
-    /// static schedule (one contiguous block of rows — and one contiguous
-    /// slab range — per worker), the pool's completion as the phase barrier,
-    /// then the chain tasks under the configured schedule. Chain-free stages
-    /// skip phase 2 and its barrier entirely.
+    /// The split driver: per stage, the gather chunks under the static
+    /// schedule (one contiguous block of rows — and one contiguous slab
+    /// range — per worker), the pool's completion as the phase barrier,
+    /// then the chain tasks under the configured schedule. Chain-free
+    /// stages skip phase 2 and its barrier entirely. A panic in either
+    /// dispatch of stage `st` is reported at `pack: st`.
     fn drive_split(
         &self,
-        plan: &PipelinePlan,
+        stages: Stages<'_>,
         gather: &GatherFn<'_>,
         chain: &ChainFn<'_>,
     ) -> Result<()> {
         let rec = self.active_recorder();
-        for st in 0..plan.num_stages() {
-            let chunks = plan.stage_chunks(st);
+        let workers = self.pool.num_threads();
+        for st in 0..stages.count() {
+            let rows = stages.rows(st);
+            let nchunks = chunk_count(workers, rows.len());
             self.pool
-                .parallel_for(chunks.len(), Schedule::Static, &|c| {
-                    span(rec, Phase::Gather, c, st, || gather(chunks[c].clone()))
+                .parallel_for(nchunks, Schedule::Static, &|c| {
+                    if let Some(hook) = &self.chaos {
+                        hook(c, st);
+                    }
+                    let chunk = chunk_range(rows.start, rows.len(), nchunks, c);
+                    span(rec, Phase::Gather, c, st, || gather(chunk))
                 })
-                .map_err(pool_error_to_matrix)?;
+                .map_err(|e| stage_error(e, st))?;
             // The pool does not expose which slot claimed a dynamically
             // scheduled task, so a chain span's worker field carries the
             // chain-task index.
             self.pool
-                .parallel_for(plan.num_chain_tasks(st), self.schedule, &|t| {
+                .parallel_for(stages.chain_tasks(st), self.schedule, &|t| {
                     span(rec, Phase::Chain, t, st, || chain(st, t))
                 })
-                .map_err(pool_error_to_matrix)?;
+                .map_err(|e| stage_error(e, st))?;
         }
         Ok(())
     }
 
     /// Runs `body` once on every worker of the pool as one gate-coordinated
-    /// dispatch: the scaffold the pipelined sweep and the level-scheduled
-    /// IC(0) build share, and the one place their failure semantics (module
-    /// docs, "Failure semantics") are implemented. `gate` must be fresh or
-    /// reset: the poison a failed dispatch leaves on it is the caller's to
-    /// rewind.
+    /// dispatch: the scaffold of the level-scheduled IC(0) build, and the
+    /// one place the failure semantics of a gate-synchronised kernel
+    /// (module docs, "Failure semantics") are implemented. `gate` must be
+    /// fresh: the poison a failed dispatch leaves on it stays.
     pub(crate) fn run_gated(
         &self,
         gate: &EpochGate,
@@ -786,99 +700,6 @@ impl ParallelSolver {
             // but kept sound rather than assumed.
             .map_err(pool_error_to_matrix)?;
         failure.into_result()
-    }
-
-    /// The pipelined driver: one gated dispatch, per-stage completion
-    /// counters instead of barriers, statically owned phase-1 chunks with
-    /// readiness waits, ticket-claimed phase-2 chain tasks, and bounded
-    /// gather lookahead for parked workers (see the module documentation).
-    /// A lone worker runs the same body: every wait it meets is already
-    /// satisfied by its own program order.
-    fn drive_pipelined(
-        &self,
-        plan: &mut PipelinePlan,
-        gather: &GatherFn<'_>,
-        chain: &ChainFn<'_>,
-    ) -> Result<()> {
-        // Rewind the gate (generation-stamped) and the ticket counters; &mut
-        // exclusivity makes the plain stores race-free, and the pool dispatch
-        // below publishes them to every worker.
-        plan.rewind();
-        let plan = &*plan;
-        let num_stages = plan.num_stages();
-        self.run_gated(&plan.gate, |worker| {
-            let w = worker.slot();
-            // Runs this worker's phase-1 chunk of stage `st` (a no-op `Ran`
-            // when it owns none). Non-blocking mode refuses — `NotReady` —
-            // instead of waiting for the chunk's readiness; `Bail` means the
-            // worker must unwind its loop.
-            let run_chunk = |st: usize, blocking: bool| -> ChunkStep {
-                let Some(rows) = plan.stage_chunks(st).get(w) else {
-                    return ChunkStep::Ran;
-                };
-                let dep = plan.stage_deps(st)[w] as usize;
-                if blocking {
-                    if !worker.await_stages(dep, st) {
-                        return ChunkStep::Bail;
-                    }
-                } else if plan.gate.is_poisoned() {
-                    return ChunkStep::Bail;
-                } else if !plan.gate.is_open(dep) {
-                    return ChunkStep::NotReady;
-                }
-                worker.enter(st);
-                worker.span(Phase::Gather, st, || gather(rows.clone()));
-                plan.gate.arrive_phase1(st);
-                ChunkStep::Ran
-            };
-            // The next stage whose phase-1 chunk this worker still owes;
-            // lookahead advances it past the stage being processed.
-            let mut next_p1 = 0usize;
-            for st in 0..num_stages {
-                if next_p1 == st {
-                    if run_chunk(st, true) == ChunkStep::Bail {
-                        return;
-                    }
-                    next_p1 = st + 1;
-                }
-                let ntasks = plan.num_chain_tasks(st);
-                if ntasks == 0 {
-                    continue;
-                }
-                let mut wait = SpinWait::new();
-                loop {
-                    if plan.gate.is_poisoned() {
-                        return;
-                    }
-                    if !plan.gate.phase1_drained(st) {
-                        // Parked: gather ahead into the next stages instead
-                        // of spinning (readiness permitting).
-                        if next_p1 < num_stages && next_p1 - st <= PIPELINE_LOOKAHEAD {
-                            match run_chunk(next_p1, false) {
-                                ChunkStep::Ran => {
-                                    next_p1 += 1;
-                                    wait = SpinWait::new();
-                                    continue;
-                                }
-                                ChunkStep::Bail => return,
-                                ChunkStep::NotReady => {}
-                            }
-                        }
-                        if !worker.relax(&mut wait, st) {
-                            return;
-                        }
-                        continue;
-                    }
-                    let t = plan.tickets[st].fetch_add(1, AtomicOrdering::Relaxed);
-                    if t >= ntasks {
-                        break;
-                    }
-                    worker.at(st);
-                    worker.span(Phase::Chain, st, || chain(st, t));
-                    plan.gate.arrive_phase2(st);
-                }
-            }
-        })
     }
 
     /// Sparse matrix–vector product `y = A x` on the solver's worker pool:
@@ -976,49 +797,91 @@ impl ParallelSolver {
     }
 }
 
+/// A pool failure of one of stage `st`'s dispatches, reported at that
+/// stage.
+fn stage_error(e: PoolError, st: usize) -> MatrixError {
+    let PoolError::WorkerPanicked { slot, message, .. } = e;
+    MatrixError::WorkerPanicked {
+        slot,
+        pack: st,
+        message,
+    }
+}
+
 /// One contiguous phase-1 row range of a sweep.
 type GatherFn<'a> = dyn Fn(Range<usize>) + Sync + 'a;
 /// Chain task `t` of stage `st` of a sweep.
 type ChainFn<'a> = dyn Fn(usize, usize) + Sync + 'a;
 
+/// The stage geometry of one sweep — which rows and how many chain tasks
+/// each stage has — read off the structure, its layout in the sweep's
+/// direction, and the free functions of `solver::plan`.
+#[derive(Clone, Copy)]
+struct Stages<'a> {
+    s: &'a StsStructure,
+    layout: &'a SplitLayout,
+    direction: SweepDirection,
+}
+
+impl Stages<'_> {
+    /// Number of stages (packs).
+    fn count(&self) -> usize {
+        self.s.num_packs()
+    }
+
+    /// All rows of stage `st`.
+    fn rows(&self, st: usize) -> Range<usize> {
+        stage_rows(self.s, self.direction, st)
+    }
+
+    /// The pack stage `st` runs.
+    fn pack(&self, st: usize) -> usize {
+        stage_pack(self.direction, self.count(), st)
+    }
+
+    /// Number of chain tasks of stage `st`.
+    fn chain_tasks(&self, st: usize) -> usize {
+        self.layout.chain_super_rows(self.pack(st)).len()
+    }
+}
+
 /// The sequential driver: the stages in order on the calling thread — no
 /// pool, no synchronisation, no hooks.
-fn drive_sequential(plan: &PipelinePlan, gather: &GatherFn<'_>, chain: &ChainFn<'_>) {
-    for st in 0..plan.num_stages() {
-        gather(plan.stage_rows(st));
-        for t in 0..plan.num_chain_tasks(st) {
+fn drive_sequential(stages: Stages<'_>, gather: &GatherFn<'_>, chain: &ChainFn<'_>) {
+    for st in 0..stages.count() {
+        gather(stages.rows(st));
+        for t in 0..stages.chain_tasks(st) {
             chain(st, t);
         }
     }
 }
 
-/// The data of one sweep: the direction's layout with the value slabs at the
-/// requested precision, the right-hand sides, and the shared solution.
+/// The data of one sweep: the direction's stages and layout with the value
+/// slabs at the requested precision, the right-hand sides, and the shared
+/// solution.
 struct SweepRows<'a, V> {
     solver: &'a ParallelSolver,
-    layout: &'a SplitLayout,
+    stages: Stages<'a>,
     ext: Slab<'a, V>,
     int: Slab<'a, V>,
     b: &'a [f64],
     x: SharedVec,
     nrhs: usize,
-    direction: SweepDirection,
-    num_stages: usize,
 }
 
 impl<V: SlabValue> SweepRows<'_, V> {
     /// Phase 1 over one contiguous row range (a gather chunk).
     fn gather_rows<const W: usize>(&self, rows: Range<usize>) {
-        let erp = self.layout.ext_row_ptr();
-        let inv_diag = self.layout.inv_diags();
+        let erp = self.stages.layout.ext_row_ptr();
+        let inv_diag = self.stages.layout.inv_diags();
         for i in rows {
             let r = erp[i]..erp[i + 1];
             // SAFETY: solve_into checked x holds n * nrhs slots and the
             // layout's columns are rows of s. Row i is written by exactly
             // one gather chunk; its external columns lie in stages finished
-            // before this chunk started — behind the previous barrier
-            // (split), the chunk's readiness wait (pipelined) or in program
-            // order (sequential). See the module docs.
+            // before this chunk started — behind the previous stage's
+            // barrier (split) or in program order (sequential). See the
+            // module docs.
             unsafe {
                 Sum::<W>::gather(
                     &self.x,
@@ -1041,17 +904,17 @@ impl<V: SlabValue> SweepRows<'_, V> {
     /// Phase 2: chain task `t` of stage `st`, its chain rows in layout order
     /// (increasing for forward sweeps, decreasing for transpose sweeps).
     fn chain_task<const W: usize>(&self, st: usize, t: usize) {
-        let p = stage_pack(self.direction, self.num_stages, st);
-        let irp = self.layout.int_row_ptr();
-        let inv_diag = self.layout.inv_diags();
-        for &i in self.layout.chain_rows_of(p, t) {
+        let layout = self.stages.layout;
+        let irp = layout.int_row_ptr();
+        let inv_diag = layout.inv_diags();
+        for &i in layout.chain_rows_of(self.stages.pack(st), t) {
             let i = i as usize;
             let r = irp[i]..irp[i + 1];
             // SAFETY: bounds as in gather_rows. Row i belongs to exactly one
             // chain task; its phase-1 value was published by the phase
-            // barrier / drained flag; its internal columns stay inside this
-            // task's super-row — corrected earlier by this task if they are
-            // chain rows, phase-1 values otherwise.
+            // barrier (or program order); its internal columns stay inside
+            // this task's super-row — corrected earlier by this task if they
+            // are chain rows, phase-1 values otherwise.
             unsafe { Sum::<W>::chain(&self.x, i, self.int, r.clone(), inv_diag[i], self.nrhs) };
             // The recorded reads: the internal columns plus the re-read of
             // the row's own phase-1 partial.
@@ -1067,33 +930,13 @@ impl<V: SlabValue> SweepRows<'_, V> {
     }
 }
 
-/// Tri-state outcome of one phase-1 chunk attempt in the pipelined loop.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ChunkStep {
-    /// The chunk ran (or the worker owns none at this stage).
-    Ran,
-    /// Non-blocking readiness check failed; try again later.
-    NotReady,
-    /// The gate is poisoned (or this wait timed out): unwind the worker loop.
-    Bail,
-}
-
-/// How many stages past the one a worker is parked on it may gather ahead
-/// into (stages `s + 1` and `s + 2`): enough to hide short chains without
-/// letting fast workers run arbitrarily far from the cache-resident frontier.
-const PIPELINE_LOOKAHEAD: usize = 2;
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::builder::Method;
     use sts_matrix::{generators, ops, CooMatrix, LowerTriangularCsr};
 
-    const SPLIT_ENGINES: [SolveEngine; 3] = [
-        SolveEngine::Sequential,
-        SolveEngine::Split,
-        SolveEngine::Pipelined,
-    ];
+    const SPLIT_ENGINES: [SolveEngine; 2] = [SolveEngine::Sequential, SolveEngine::Split];
     const DIRECTIONS: [SweepDirection; 2] = [SweepDirection::Forward, SweepDirection::Transpose];
     const F32: PrecisionPolicy = PrecisionPolicy::ValuesF32WithRefinement;
 
@@ -1307,10 +1150,9 @@ mod tests {
                     );
                 }
                 // solve_into checks the output buffer the same way.
-                let mut plan = solver.plan(&s, direction);
                 let mut short = vec![0.0; 3];
                 assert!(matches!(
-                    solver.solve_into(&s, &mut plan, &[1.0; 9], &mut short, &o),
+                    solver.solve_into(&s, &[1.0; 9], &mut short, &o),
                     Err(MatrixError::DimensionMismatch(_))
                 ));
             }
@@ -1343,11 +1185,10 @@ mod tests {
     }
 
     #[test]
-    fn pipelined_sweeps_are_stable_under_repeated_contention() {
-        // The chain-heaviest ordering (level sets) re-solved many times on an
-        // oversubscribed pool: races between lookahead gathers and chain
-        // corrections, or readiness races in the reverse sweep, would show
-        // up as sporadic divergence.
+    fn split_sweeps_are_stable_under_repeated_contention() {
+        // The chain-heaviest ordering (level sets) re-solved many times into
+        // one buffer on an oversubscribed pool: a missing stage or phase
+        // barrier would show up as sporadic divergence.
         let a = generators::grid2d_laplacian(24, 24).unwrap();
         let l = generators::lower_operand(&a).unwrap();
         let s = Method::Csr3Ls.build(&l, 6).unwrap();
@@ -1355,22 +1196,20 @@ mod tests {
         for direction in DIRECTIONS {
             let b = manufactured(&s, direction, 0);
             let expected = reference(&s, direction, &b);
-            let o = SolveOptions::default().with_direction(direction);
-            let mut plan = solver.plan(&s, direction);
+            let o = opts(SolveEngine::Split, direction);
             let mut x = vec![0.0; s.n()];
             for round in 0..50 {
-                solver.solve_into(&s, &mut plan, &b, &mut x, &o).unwrap();
+                solver.solve_into(&s, &b, &mut x, &o).unwrap();
                 assert!(
                     ops::relative_error_inf(&x, &expected) < 1e-12,
-                    "{direction:?} pipelined diverged on round {round}"
+                    "{direction:?} split diverged on round {round}"
                 );
             }
-            assert_eq!(plan.generation(), 50, "each solve rewinds the plan once");
         }
     }
 
     #[test]
-    fn solve_into_reuses_plans_across_solves_and_matches_solve_with() {
+    fn solve_into_matches_solve_with_across_repeated_solves() {
         let a = generators::grid2d_laplacian(16, 16).unwrap();
         let l = generators::lower_operand(&a).unwrap();
         let s = Method::Sts3.build(&l, 6).unwrap();
@@ -1378,8 +1217,7 @@ mod tests {
         let nrhs = 2;
         let bb: Vec<f64> = (0..s.n() * nrhs).map(|k| 1.0 + (k % 3) as f64).collect();
         for direction in DIRECTIONS {
-            // One plan serves every engine, width and precision.
-            let mut plan = solver.plan(&s, direction);
+            // One pair of buffers serves every engine, width and precision.
             let mut x = vec![0.0; s.n()];
             let mut xb = vec![0.0; s.n() * nrhs];
             for shift in 0..4 {
@@ -1387,10 +1225,10 @@ mod tests {
                 for engine in SPLIT_ENGINES {
                     for precision in [PrecisionPolicy::ValuesF64, F32] {
                         let o = opts(engine, direction).with_precision(precision);
-                        solver.solve_into(&s, &mut plan, &b, &mut x, &o).unwrap();
+                        solver.solve_into(&s, &b, &mut x, &o).unwrap();
                         assert_eq!(x, solver.solve_with(&s, &b, &o).unwrap());
                         let ob = o.with_nrhs(nrhs);
-                        solver.solve_into(&s, &mut plan, &bb, &mut xb, &ob).unwrap();
+                        solver.solve_into(&s, &bb, &mut xb, &ob).unwrap();
                         assert_eq!(xb, solver.solve_with(&s, &bb, &ob).unwrap());
                     }
                 }
@@ -1399,99 +1237,36 @@ mod tests {
     }
 
     #[test]
-    fn mismatched_plans_are_rejected() {
-        let a = generators::grid2d_laplacian(10, 10).unwrap();
+    fn a_panicking_gather_chunk_is_reported_at_its_stage() {
+        let a = generators::grid2d_laplacian(12, 12).unwrap();
         let l = generators::lower_operand(&a).unwrap();
         let s = Method::Sts3.build(&l, 4).unwrap();
-        let solver = ParallelSolver::new(3, Schedule::Static);
+        assert!(s.num_packs() > 1, "the fixture needs a second stage");
         let b = vec![1.0; s.n()];
-        let mut x = vec![0.0; s.n()];
-        let fwd_opts = SolveOptions::default();
-        let bwd_opts = fwd_opts.with_direction(SweepDirection::Transpose);
-        // Wrong direction.
-        let mut bwd = solver.plan(&s, SweepDirection::Transpose);
-        assert_eq!(bwd.direction(), SweepDirection::Transpose);
-        assert!(solver
-            .solve_into(&s, &mut bwd, &b, &mut x, &fwd_opts)
-            .is_err());
-        let mut fwd = solver.plan(&s, SweepDirection::Forward);
-        assert!(solver
-            .solve_into(&s, &mut fwd, &b, &mut x, &bwd_opts)
-            .is_err());
-        // Wrong thread count.
-        let other = ParallelSolver::new(2, Schedule::Static);
-        let mut plan2 = other.plan(&s, SweepDirection::Forward);
-        assert!(solver
-            .solve_into(&s, &mut plan2, &b, &mut x, &fwd_opts)
-            .is_err());
-        // Wrong structure.
-        let a2 = generators::grid2d_laplacian(9, 9).unwrap();
-        let l2 = generators::lower_operand(&a2).unwrap();
-        let s2 = Method::Sts3.build(&l2, 4).unwrap();
-        let b2 = vec![1.0; s2.n()];
-        let mut x2 = vec![0.0; s2.n()];
-        let mut plan = solver.plan(&s, SweepDirection::Forward);
-        assert!(solver
-            .solve_into(&s2, &mut plan, &b2, &mut x2, &fwd_opts)
-            .is_err());
-        // Same n, pack count and thread count but different pack boundaries:
-        // a structurally stale plan must still be rejected (the row ranges
-        // it would hand the gather chunks race the other structure's chain
-        // tasks).
-        let l9 = generators::paper_figure1_l();
-        let order = vec![0usize, 1, 4, 2, 3, 5, 6, 7, 8];
-        let perm = sts_graph::Permutation::from_new_to_old(order).unwrap();
-        let lp = l9.permute_symmetric(perm.new_to_old()).unwrap();
-        let index2: Vec<usize> = (0..=9).collect();
-        let sa = StsStructure::new(
-            1,
-            crate::builder::Ordering::LevelSet,
-            vec![0, 3, 5, 6, 7, 8, 9],
-            index2.clone(),
-            lp.clone(),
-            perm.clone(),
-        )
-        .unwrap();
-        let sb = StsStructure::new(
-            1,
-            crate::builder::Ordering::LevelSet,
-            vec![0, 2, 5, 6, 7, 8, 9],
-            index2,
-            lp,
-            perm,
-        )
-        .unwrap();
-        assert_eq!(sa.n(), sb.n());
-        assert_eq!(sa.num_packs(), sb.num_packs());
-        let b9 = vec![1.0; 9];
-        let mut x9 = vec![0.0; 9];
-        let mut plan_a = solver.plan(&sa, SweepDirection::Forward);
-        for engine in SPLIT_ENGINES {
-            let o = fwd_opts.with_engine(engine);
-            assert!(solver
-                .solve_into(&sb, &mut plan_a, &b9, &mut x9, &o)
-                .is_err());
-            // ... and the plan still works against its own structure.
-            assert!(solver
-                .solve_into(&sa, &mut plan_a, &b9, &mut x9, &o)
-                .is_ok());
-        }
-    }
-
-    #[test]
-    fn single_worker_solves_still_stamp_the_plan_generation() {
-        let a = generators::grid2d_laplacian(8, 8).unwrap();
-        let l = generators::lower_operand(&a).unwrap();
-        let s = Method::Sts3.build(&l, 4).unwrap();
-        let solver = ParallelSolver::new(1, Schedule::Static);
-        let mut plan = solver.plan(&s, SweepDirection::Forward);
-        let b = vec![1.0; s.n()];
-        let mut x = vec![0.0; s.n()];
-        for round in 1..=3 {
-            solver
-                .solve_into(&s, &mut plan, &b, &mut x, &SolveOptions::default())
-                .unwrap();
-            assert_eq!(plan.generation(), round);
+        for threads in [1, 3] {
+            let mut solver = ParallelSolver::new(threads, Schedule::Static);
+            solver.set_chaos_hook(Some(Arc::new(|_, st| {
+                if st == 1 {
+                    panic!("injected fault at stage {st}");
+                }
+            })));
+            for direction in DIRECTIONS {
+                match solver.solve_with(&s, &b, &opts(SolveEngine::Split, direction)) {
+                    Err(MatrixError::WorkerPanicked {
+                        slot,
+                        pack,
+                        message,
+                    }) => {
+                        assert!(slot < threads);
+                        assert_eq!(pack, 1, "{direction:?} at {threads} threads");
+                        assert!(message.contains("injected fault"));
+                    }
+                    other => panic!("expected WorkerPanicked, got {other:?}"),
+                }
+            }
+            // The sequential driver runs no hooks.
+            let o = opts(SolveEngine::Sequential, SweepDirection::Forward);
+            assert!(solver.solve_with(&s, &b, &o).is_ok());
         }
     }
 
@@ -1566,7 +1341,8 @@ mod tests {
                     let solver = ParallelSolver::new(threads, Schedule::Guided { min_chunk: 1 });
                     // Every engine runs the one row body row by row, and f32
                     // slabs round only the stored values, so all engines
-                    // give the exact same bits at every thread count.
+                    // give the exact same bits at every thread count —
+                    // `Pipelined` included, which the split driver answers.
                     for engine in [SolveEngine::Split, SolveEngine::Pipelined] {
                         let x = solver
                             .solve_with(&s, &b, &opts(engine, direction).with_precision(precision))

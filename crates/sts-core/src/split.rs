@@ -21,15 +21,15 @@
 //! external slab is one dense streamable range. The reciprocal of each
 //! diagonal is precomputed so the substitution multiplies instead of divides.
 //!
-//! For the pack-pipelined kernel the layout additionally records **readiness
-//! metadata**: for every row, the number of leading packs that must be done
-//! before its external reads are final ([`SplitLayout::ext_dep`] — `1 +` the
-//! latest earlier pack the row's external entries reference, `0` when it has
-//! none; a row whose latest dependency is pack 0 therefore stores `1`, not
-//! `0`). A phase-1 gather chunk is ready as soon as the packs
-//! `0..max(ext_dep)` of its rows are *done* — typically much earlier than
-//! "the previous pack is done", which is the slack barrier fusion converts
-//! into overlap.
+//! The layout additionally records **readiness metadata**: for every row,
+//! the number of leading packs that must be done before its external reads
+//! are final ([`SplitLayout::ext_dep`] — `1 +` the latest earlier pack the
+//! row's external entries reference, `0` when it has none; a row whose
+//! latest dependency is pack 0 therefore stores `1`, not `0`). A chunk is
+//! ready as soon as the packs `0..max(ext_dep)` of its rows are *done* —
+//! typically much earlier than "the previous pack is done". The
+//! level-scheduled IC(0) build waits on exactly this, and the schedule
+//! verifier proves the sweeps against it.
 //!
 //! The layout duplicates the operand's off-diagonal storage (ext + int slabs
 //! hold every strictly-lower entry exactly once, next to the original CSR
@@ -56,7 +56,8 @@ use sts_matrix::LowerTriangularCsr;
 
 /// Per-row split of the reordered operand (or its transpose) into external
 /// (off-pack) and internal (in-pack) slabs, plus the readiness metadata the
-/// pipelined kernel schedules against. Built lazily by the first
+/// level-scheduled factorization and the schedule verifier read. Built
+/// lazily by the first
 /// [`StsStructure::split`](crate::csrk::StsStructure::split) /
 /// [`StsStructure::transpose_split`](crate::csrk::StsStructure::transpose_split)
 /// call; immutable afterwards. Field and accessor docs are phrased for the
@@ -420,8 +421,8 @@ impl SplitLayout {
     /// Readiness of a contiguous row range (a phase-1 gather chunk): the
     /// number of leading packs that must be done before every external read
     /// of the range is final. Always `≤` the range's own pack, and for
-    /// chained orderings typically `<` — the slack the pipelined kernel
-    /// overlaps.
+    /// chained orderings typically `<` — the slack the level-scheduled
+    /// IC(0) build overlaps.
     #[inline]
     pub fn range_ext_dep(&self, rows: std::ops::Range<usize>) -> u32 {
         self.ext_dep[rows].iter().copied().max().unwrap_or(0)
@@ -549,7 +550,7 @@ mod tests {
             if s.num_packs() > 2 {
                 assert!(
                     any_slack,
-                    "{}: no pipelining slack found in the readiness metadata",
+                    "{}: no level-scheduling slack found in the readiness metadata",
                     method.label()
                 );
             }

@@ -24,9 +24,9 @@
 //! already finished, so those entries gather in any order and any
 //! interleaving (phase 1), and only the short within-super-row chains remain
 //! ordered (phase 2, walking each super-row's rows in *decreasing* index
-//! order, the reverse of the forward sweep). The split and pipelined drivers
-//! — and their barrier/epoch-gate correctness arguments — carry over
-//! verbatim with "pack" read as "stage".
+//! order, the reverse of the forward sweep). The split driver — and its
+//! barrier correctness argument — carries over verbatim with "pack" read as
+//! "stage".
 //!
 //! # What differs from the forward layout
 //!

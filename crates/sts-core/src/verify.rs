@@ -11,24 +11,25 @@
 //! columns plus the row's own partial; writes: the chain rows) and
 //! `parallel_ic0` factor chunks (reads: the rows named by each row's
 //! strictly-lower columns; writes: the row) — together with the
-//! happens-before edges the kernels rely on (`EpochGate` readiness from
-//! [`SplitLayout::range_ext_dep`], drain-gated ticket claims, program
-//! order), and hands the model to the dependency-free checker in
+//! happens-before edges a chunk or task needs (readiness from
+//! [`SplitLayout::range_ext_dep`], chain tasks after their stage's phase 1,
+//! program order), and hands the model to the dependency-free checker in
 //! [`sts_verify`].
 //!
-//! Chunk boundaries and readiness are not recomputed here: [`solve_spec`]
-//! reads them off the same [`PipelinePlan`] the kernels execute, and
-//! [`factor_spec`] off the `FactorChunks` `parallel_ic0` runs, so the proof
-//! is about the schedule that runs. Passing `threads = usize::MAX` yields
-//! row- (super-row-) granularity chunks — the sharpest check, since coarser
-//! chunks take the `max` of their rows' readiness and can only
+//! Chunk boundaries are not re-derived here: [`solve_spec`] cuts them with
+//! the same `solver::plan` functions the split driver calls, and
+//! [`factor_spec`] reads the `FactorChunks` `parallel_ic0` runs, so the
+//! proof is about the schedule that runs. Passing `threads = usize::MAX`
+//! yields row- (super-row-) granularity chunks — the sharpest check, since
+//! coarser chunks take the `max` of their rows' readiness and can only
 //! over-synchronise.
 //!
-//! The verified model is the **pipelined** schedule — the weakest
-//! synchronisation any engine uses. The split engine runs the same tasks
-//! with full barriers between phases and packs (strictly more ordering), so
-//! a pipelined proof covers it; the dynamic `race-shadow` cross-check (see
-//! [`sts_verify::replay`]) validates the footprints against both engines.
+//! The verified solve model is the **dependency-minimal** schedule: each
+//! chunk waits only for the stages its external reads target, not for the
+//! whole previous stage. The split driver runs the same tasks with full
+//! barriers between phases and stages (strictly more ordering), so the
+//! proof covers it; the dynamic `race-shadow` cross-check (see
+//! [`sts_verify::replay`]) validates the footprints against what it touches.
 //!
 //! Under `debug_assertions`, the first build of each lazy layout re-runs
 //! the corresponding checks ([`StsStructure::split`] /
@@ -41,7 +42,7 @@ use sts_verify::{
 
 use crate::csrk::StsStructure;
 use crate::options::SweepDirection;
-use crate::solver::plan::{FactorChunks, PipelinePlan};
+use crate::solver::plan::{chunk_count, chunk_range, stage_pack, stage_rows, FactorChunks};
 #[allow(unused_imports)] // doc links
 use crate::split::SplitLayout;
 
@@ -50,33 +51,32 @@ use crate::split::SplitLayout;
 /// bound.
 pub const VERIFY_THREAD_SWEEP: [usize; 5] = [1, 2, 4, 8, usize::MAX];
 
-/// Builds the static schedule model of one pipelined solve sweep at the
-/// given worker count and direction. `threads = usize::MAX` gives
-/// row-granularity chunks (the sharpest readiness check).
+/// Builds the static schedule model of one solve sweep at the given worker
+/// count and direction, each chunk with its dependency-minimal readiness.
+/// `threads = usize::MAX` gives row-granularity chunks (the sharpest
+/// readiness check).
 pub fn solve_spec(s: &StsStructure, threads: usize, direction: SweepDirection) -> ScheduleSpec {
-    let plan = PipelinePlan::build(s, threads, direction);
     let layout = s.layout(direction);
     let footprint = |i: usize, cols: &[u32]| RowFootprint {
         row: i,
         reads: cols.iter().map(|&j| j as usize).collect(),
     };
-    let stages = (0..plan.num_stages())
+    let stages = (0..s.num_packs())
         .map(|st| {
-            let pack = plan.pack_of_stage(st);
-            let chunks = plan
-                .stage_chunks(st)
-                .iter()
-                .zip(plan.stage_deps(st))
-                .map(|(rows, &dep)| ChunkSpec {
-                    dep: dep as usize,
-                    rows: rows
-                        .clone()
-                        .map(|i| footprint(i, layout.ext_row(i).0))
-                        .collect(),
-                    publishes: true,
+            let pack = stage_pack(direction, s.num_packs(), st);
+            let rows = stage_rows(s, direction, st);
+            let nchunks = chunk_count(threads, rows.len());
+            let chunks = (0..nchunks)
+                .map(|c| {
+                    let chunk = chunk_range(rows.start, rows.len(), nchunks, c);
+                    ChunkSpec {
+                        dep: layout.range_ext_dep(chunk.clone()) as usize,
+                        rows: chunk.map(|i| footprint(i, layout.ext_row(i).0)).collect(),
+                        publishes: true,
+                    }
                 })
                 .collect();
-            let chains = (0..plan.num_chain_tasks(st))
+            let chains = (0..layout.chain_super_rows(pack).len())
                 .map(|t| ChainSpec {
                     claims_after_drain: true,
                     rows: layout

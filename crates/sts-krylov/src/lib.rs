@@ -13,10 +13,9 @@
 //! * [`Preconditioner`] — the sweep contract ([`Identity`], [`Ssor`],
 //!   [`Ic0`]), each applying `z = M⁻¹ r` with **no heap allocation**: the
 //!   sweeps run through `ParallelSolver::solve_into` against caller-held
-//!   buffers and reusable [`PipelinePlan`](sts_core::PipelinePlan)s, with
-//!   the sweep engine selectable among the sequential, split and
-//!   pack-pipelined drivers ([`SweepEngine`], which is `sts_core`'s
-//!   `SolveEngine`) — bitwise identical at every batch width;
+//!   buffers, with the sweep engine selectable between the sequential and
+//!   split drivers ([`SweepEngine`], which is `sts_core`'s `SolveEngine`) —
+//!   bitwise identical at every batch width;
 //! * [`KrylovWorkspace`] — the persistent vector arena (`r`, `z`, `p`,
 //!   `A·p`, sweep scratch) sized once per structure, so a converged solve
 //!   followed by a thousand more allocates nothing;
@@ -51,10 +50,10 @@
 //! let a = generators::grid2d_laplacian(24, 24).unwrap();
 //! let sys = SpdSystem::build(&a, Method::Sts3, 40).unwrap();
 //!
-//! // A PCG driver and a preconditioner whose sweeps run on the pipelined
-//! // parallel kernels.
+//! // A PCG driver and a preconditioner whose sweeps run on the split
+//! // parallel driver.
 //! let pcg = Pcg::new(4, Schedule::Guided { min_chunk: 1 });
-//! let mut pre = Ssor::new(&sys, pcg.solver(), SweepEngine::Pipelined);
+//! let mut pre = Ssor::new(&sys, SweepEngine::Split);
 //!
 //! // Persistent workspace: repeated solves allocate nothing.
 //! let mut ws = KrylovWorkspace::new(sys.n());

@@ -192,8 +192,7 @@ impl Pcg {
         self.metrics.as_ref()
     }
 
-    /// The worker pool — preconditioner plans must be built against this
-    /// solver so `solve_into` accepts them.
+    /// The worker pool the sweeps, products and IC(0) builds run on.
     pub fn solver(&self) -> &ParallelSolver {
         &self.solver
     }
@@ -603,9 +602,9 @@ mod tests {
         let pcg = Pcg::new(3, Schedule::Guided { min_chunk: 1 });
         let mut ws = KrylovWorkspace::new(sys.n());
         let plain = pcg.solve(&sys, &mut Identity, &b, &mut ws).unwrap();
-        let mut ssor = Ssor::new(&sys, pcg.solver(), SweepEngine::Pipelined);
+        let mut ssor = Ssor::new(&sys, SweepEngine::Split);
         let with_ssor = pcg.solve(&sys, &mut ssor, &b, &mut ws).unwrap();
-        let mut ic0 = Ic0::new(&sys, pcg.solver(), SweepEngine::Pipelined).unwrap();
+        let mut ic0 = Ic0::new(&sys, pcg.solver(), SweepEngine::Split).unwrap();
         let with_ic0 = pcg.solve(&sys, &mut ic0, &b, &mut ws).unwrap();
         assert!(plain.converged && with_ssor.converged && with_ic0.converged);
         assert!(
@@ -627,7 +626,7 @@ mod tests {
     }
 
     #[test]
-    fn sequential_and_pipelined_sweeps_take_identical_iteration_counts() {
+    fn sequential_and_split_sweeps_take_identical_iteration_counts() {
         // The acceptance invariant: both engines run the same per-row
         // arithmetic, so the iterate sequences — and hence the counts — are
         // identical, not merely close.
@@ -636,8 +635,8 @@ mod tests {
         let b = ops::spmv(&a, &vec![1.0; sys.n()]).unwrap();
         let pcg = Pcg::new(4, Schedule::Guided { min_chunk: 1 });
         let mut ws = KrylovWorkspace::new(sys.n());
-        let mut seq = Ssor::new(&sys, pcg.solver(), SweepEngine::Sequential);
-        let mut pip = Ssor::new(&sys, pcg.solver(), SweepEngine::Pipelined);
+        let mut seq = Ssor::new(&sys, SweepEngine::Sequential);
+        let mut pip = Ssor::new(&sys, SweepEngine::Split);
         let out_seq = pcg.solve(&sys, &mut seq, &b, &mut ws).unwrap();
         let out_pip = pcg.solve(&sys, &mut pip, &b, &mut ws).unwrap();
         assert!(out_seq.converged && out_pip.converged);
@@ -677,7 +676,7 @@ mod tests {
         let n = sys.n();
         let nrhs = 3;
         let pcg = Pcg::new(3, Schedule::Guided { min_chunk: 1 });
-        let mut pre = Ssor::new(&sys, pcg.solver(), SweepEngine::Pipelined);
+        let mut pre = Ssor::new(&sys, SweepEngine::Split);
         let mut b = vec![0.0; n * nrhs];
         let mut x_true = vec![0.0; n * nrhs];
         for q in 0..nrhs {
@@ -836,7 +835,7 @@ mod tests {
     fn block_solve_is_the_lockstep_batch_solve_on_both_engines() {
         // Batched lockstep solves run on single-core hosts through the
         // sequential engine with iterates bitwise identical to the
-        // pipelined engine, every lane equals its standalone solve, and
+        // split engine, every lane equals its standalone solve, and
         // `solve_block` reports that same solve under the block field names.
         let sys = laplacian_system(10, 13);
         let a = generators::grid2d_laplacian(10, 13).unwrap();
@@ -854,8 +853,8 @@ mod tests {
             }
         }
         let mut ws = KrylovWorkspace::with_nrhs(n, nrhs);
-        let mut seq = Ssor::new(&sys, pcg.solver(), SweepEngine::Sequential);
-        let mut pip = Ssor::new(&sys, pcg.solver(), SweepEngine::Pipelined);
+        let mut seq = Ssor::new(&sys, SweepEngine::Sequential);
+        let mut pip = Ssor::new(&sys, SweepEngine::Split);
         let batch_seq = pcg.solve_batch(&sys, &mut seq, &b, nrhs, &mut ws).unwrap();
         let batch_pip = pcg.solve_batch(&sys, &mut pip, &b, nrhs, &mut ws).unwrap();
         assert!(batch_seq.converged.iter().all(|&c| c));

@@ -3,8 +3,8 @@
 //! A preconditioner application is two triangular sweeps — one forward, one
 //! backward — on a fixed structure, repeated every iteration. Both
 //! implementations here therefore bind to an [`SpdSystem`]'s structure at
-//! construction, build their [`PipelinePlan`]s once, and apply through the
-//! allocation-free [`ParallelSolver::solve_into`]:
+//! construction, force both of its split layouts there, and apply through
+//! the allocation-free [`ParallelSolver::solve_into`]:
 //!
 //! * [`Ssor`] — symmetric Gauss–Seidel, `M = (D + L) D⁻¹ (D + L)ᵀ`, whose
 //!   operand *is* the system structure's reordered lower triangle (no extra
@@ -20,8 +20,8 @@
 //! * [`Identity`] — `M = I`, turning the driver into plain CG for
 //!   comparison runs.
 //!
-//! The [`SweepEngine`] selects between the sequential, the split and the
-//! pack-pipelined driver of the one sweep kernel. All run the *same* per-row
+//! The [`SweepEngine`] selects between the sequential and the split driver
+//! of the one sweep kernel. Both run the *same* per-row
 //! arithmetic in the same order at every batch width, so switching engines
 //! changes wall time, never the iterate sequence: PCG on any of them takes
 //! bitwise identical paths and the same iteration count, and every lane
@@ -31,9 +31,7 @@
 use std::borrow::Cow;
 use std::sync::Arc;
 
-use sts_core::{
-    ParallelSolver, PipelinePlan, PrecisionPolicy, SolveOptions, StsStructure, SweepDirection,
-};
+use sts_core::{ParallelSolver, PrecisionPolicy, SolveOptions, StsStructure, SweepDirection};
 use sts_matrix::{CsrMatrix, MatrixError};
 
 use crate::system::SpdSystem;
@@ -53,8 +51,7 @@ pub trait Preconditioner {
     fn label(&self) -> &'static str;
 
     /// Applies `z ← M⁻¹ r` to `nrhs` interleaved systems
-    /// (`r[i * nrhs + q]`). `solver` must be the pool the preconditioner's
-    /// plans were built against (`solve_into` verifies this).
+    /// (`r[i * nrhs + q]`) on `solver`'s pool.
     fn apply_batch_into(
         &mut self,
         solver: &ParallelSolver,
@@ -118,14 +115,11 @@ impl Preconditioner for Identity {
     }
 }
 
-/// The two sweeps shared by [`Ssor`] and [`Ic0`]: a structure, its
-/// forward/backward plans, and the request (engine, precision) every sweep
-/// is issued with.
+/// The two sweeps shared by [`Ssor`] and [`Ic0`]: a structure and the
+/// request (engine, precision) every sweep is issued with.
 #[derive(Debug)]
 struct SweepPair {
     structure: Arc<StsStructure>,
-    forward: PipelinePlan,
-    backward: PipelinePlan,
     /// Engine and value-slab precision of the sweeps; direction and `nrhs`
     /// are set per call. Precision is switched by
     /// [`Preconditioner::set_precision`], f64 by default.
@@ -133,12 +127,12 @@ struct SweepPair {
 }
 
 impl SweepPair {
-    /// Builds both plans, which also forces the lazy layouts so the first
-    /// apply is not the one paying the build sweeps.
-    fn new(structure: Arc<StsStructure>, solver: &ParallelSolver, engine: SweepEngine) -> Self {
+    /// Forces both lazy layouts, so the first apply is not the one paying
+    /// the build sweeps.
+    fn new(structure: Arc<StsStructure>, engine: SweepEngine) -> Self {
+        structure.split();
+        structure.transpose_split();
         SweepPair {
-            forward: solver.plan(&structure, SweepDirection::Forward),
-            backward: solver.plan(&structure, SweepDirection::Transpose),
             structure,
             opts: SolveOptions::default().with_engine(engine),
         }
@@ -160,19 +154,15 @@ impl SweepPair {
     /// One sweep over `nrhs` interleaved systems: `L y = r` (forward) or
     /// `Lᵀ y = r` (transpose) into `y`.
     fn sweep(
-        &mut self,
+        &self,
         solver: &ParallelSolver,
         direction: SweepDirection,
         r: &[f64],
         y: &mut [f64],
         nrhs: usize,
     ) -> Result<()> {
-        let plan = match direction {
-            SweepDirection::Forward => &mut self.forward,
-            SweepDirection::Transpose => &mut self.backward,
-        };
         let opts = self.opts.with_direction(direction).with_nrhs(nrhs);
-        solver.solve_into(&self.structure, plan, r, y, &opts)
+        solver.solve_into(&self.structure, r, y, &opts)
     }
 }
 
@@ -188,15 +178,15 @@ pub struct Ssor {
 }
 
 impl Ssor {
-    /// Builds the preconditioner on `sys`'s structure, with plans bound to
-    /// `solver` when the pipelined engine is selected.
-    pub fn new(sys: &SpdSystem, solver: &ParallelSolver, engine: SweepEngine) -> Ssor {
+    /// Builds the preconditioner on `sys`'s structure, its sweeps run by
+    /// `engine`.
+    pub fn new(sys: &SpdSystem, engine: SweepEngine) -> Ssor {
         let structure = sys.structure_arc();
         let diag = (0..structure.n())
             .map(|i| structure.lower().diag(i))
             .collect();
         Ssor {
-            sweeps: SweepPair::new(structure, solver, engine),
+            sweeps: SweepPair::new(structure, engine),
             diag,
         }
     }
@@ -337,7 +327,7 @@ impl Ic0 {
         };
         let structure = Arc::new(sys.structure().with_operand(factor)?);
         Ok(Ic0 {
-            sweeps: SweepPair::new(structure, solver, engine),
+            sweeps: SweepPair::new(structure, engine),
             operand,
         })
     }
@@ -475,12 +465,8 @@ mod tests {
         let (sys, solver) = test_setup();
         let r: Vec<f64> = (0..sys.n()).map(|i| 1.0 + (i % 5) as f64 * 0.3).collect();
         let expected = ssor_reference(&sys, &r);
-        for engine in [
-            SweepEngine::Sequential,
-            SweepEngine::Split,
-            SweepEngine::Pipelined,
-        ] {
-            let mut pre = Ssor::new(&sys, &solver, engine);
+        for engine in [SweepEngine::Sequential, SweepEngine::Split] {
+            let mut pre = Ssor::new(&sys, engine);
             let mut z = vec![0.0; sys.n()];
             let mut sweep = vec![0.0; sys.n()];
             pre.apply_into(&solver, &r, &mut z, &mut sweep).unwrap();
@@ -492,22 +478,22 @@ mod tests {
     }
 
     #[test]
-    fn sequential_and_pipelined_applications_are_bitwise_identical() {
+    fn sequential_and_split_applications_are_bitwise_identical() {
         let (sys, solver) = test_setup();
         let r: Vec<f64> = (0..sys.n()).map(|i| 0.25 + (i % 7) as f64).collect();
-        let mut seq = Ssor::new(&sys, &solver, SweepEngine::Sequential);
-        let mut pip = Ssor::new(&sys, &solver, SweepEngine::Pipelined);
+        let mut seq = Ssor::new(&sys, SweepEngine::Sequential);
+        let mut split = Ssor::new(&sys, SweepEngine::Split);
         let (mut z1, mut z2) = (vec![0.0; sys.n()], vec![0.0; sys.n()]);
         let mut sweep = vec![0.0; sys.n()];
         seq.apply_into(&solver, &r, &mut z1, &mut sweep).unwrap();
-        pip.apply_into(&solver, &r, &mut z2, &mut sweep).unwrap();
+        split.apply_into(&solver, &r, &mut z2, &mut sweep).unwrap();
         assert_eq!(z1, z2, "engines must take bitwise identical paths");
     }
 
     #[test]
     fn ic0_application_inverts_the_factor_product() {
         let (sys, solver) = test_setup();
-        let mut pre = Ic0::new(&sys, &solver, SweepEngine::Pipelined).unwrap();
+        let mut pre = Ic0::new(&sys, &solver, SweepEngine::Split).unwrap();
         // Manufacture r = F Fᵀ w, expect apply(r) = w.
         let f = sts_matrix::factor::ic0(sys.matrix()).unwrap();
         let w: Vec<f64> = (0..sys.n()).map(|i| 1.0 - (i % 4) as f64 * 0.2).collect();
@@ -560,12 +546,8 @@ mod tests {
         let rb: Vec<f64> = (0..n * nrhs)
             .map(|k| 1.0 + ((k / nrhs + k % nrhs) % 6) as f64 * 0.4)
             .collect();
-        for engine in [
-            SweepEngine::Sequential,
-            SweepEngine::Split,
-            SweepEngine::Pipelined,
-        ] {
-            let mut pre = Ssor::new(&sys, &solver, engine);
+        for engine in [SweepEngine::Sequential, SweepEngine::Split] {
+            let mut pre = Ssor::new(&sys, engine);
             let mut zb = vec![0.0; n * nrhs];
             let mut sweepb = vec![0.0; n * nrhs];
             pre.apply_batch_into(&solver, &rb, &mut zb, &mut sweepb, nrhs)

@@ -77,7 +77,7 @@ impl Default for RecoveryPolicy {
             shifts: vec![1e-3, 1e-2, 1e-1, 1.0],
             allow_ssor: true,
             allow_identity: true,
-            engine: SweepEngine::Pipelined,
+            engine: SweepEngine::Split,
             precision: PrecisionPolicy::ValuesF64,
         }
     }
@@ -250,11 +250,7 @@ fn descend<T>(
             Rung::Ssor => (
                 "ssor",
                 0.0,
-                Ok(LadderPreconditioner::Ssor(Ssor::new(
-                    sys,
-                    solver,
-                    policy.engine,
-                ))),
+                Ok(LadderPreconditioner::Ssor(Ssor::new(sys, policy.engine))),
             ),
             Rung::Identity => ("none", 0.0, Ok(LadderPreconditioner::Identity(Identity))),
         };

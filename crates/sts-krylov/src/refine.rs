@@ -182,11 +182,7 @@ mod tests {
     fn f32_solves_refine_to_the_f64_answer() {
         let (solver, s, b, _) = setup(4);
         let f64_opts = SolveOptions::default();
-        for engine in [
-            SolveEngine::Sequential,
-            SolveEngine::Split,
-            SolveEngine::Pipelined,
-        ] {
+        for engine in [SolveEngine::Sequential, SolveEngine::Split] {
             for direction in [SweepDirection::Forward, SweepDirection::Transpose] {
                 let opts = SolveOptions::default()
                     .with_engine(engine)

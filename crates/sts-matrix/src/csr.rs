@@ -30,11 +30,13 @@ impl CsrMatrix {
         col_idx: Vec<usize>,
         values: Vec<f64>,
     ) -> Result<Self> {
-        if row_ptr.len() != nrows + 1 {
+        let ptr_len = nrows.checked_add(1).ok_or_else(|| {
+            MatrixError::InvalidStructure(format!("{nrows} rows need more row pointers than fit"))
+        })?;
+        if row_ptr.len() != ptr_len {
             return Err(MatrixError::InvalidStructure(format!(
-                "row_ptr has length {} but expected {}",
-                row_ptr.len(),
-                nrows + 1
+                "row_ptr has length {} but expected {ptr_len}",
+                row_ptr.len()
             )));
         }
         if row_ptr.first().copied().unwrap_or(0) != 0 {
@@ -54,12 +56,14 @@ impl CsrMatrix {
                 col_idx.len()
             )));
         }
+        // Monotone before any row is sliced: with row_ptr[n] = nnz, that
+        // keeps every row's range inside col_idx.
+        if let Some(r) = row_ptr.windows(2).position(|w| w[0] > w[1]) {
+            return Err(MatrixError::InvalidStructure(format!(
+                "row_ptr decreases at row {r}"
+            )));
+        }
         for r in 0..nrows {
-            if row_ptr[r] > row_ptr[r + 1] {
-                return Err(MatrixError::InvalidStructure(format!(
-                    "row_ptr decreases at row {r}"
-                )));
-            }
             let mut prev: Option<usize> = None;
             for &c in &col_idx[row_ptr[r]..row_ptr[r + 1]] {
                 if c >= ncols {
@@ -416,6 +420,20 @@ impl CsrMatrix {
 mod tests {
     use super::*;
     use crate::coo::CooMatrix;
+
+    #[test]
+    fn from_raw_rejects_patterns_it_cannot_index() {
+        // nrows + 1 overflows: no row_ptr can have that length.
+        assert!(matches!(
+            CsrMatrix::from_raw(usize::MAX, usize::MAX, vec![], vec![], vec![]),
+            Err(MatrixError::InvalidStructure(_))
+        ));
+        // row_ptr[1] runs past nnz before row_ptr decreases back to it.
+        assert!(matches!(
+            CsrMatrix::from_raw(2, 2, vec![0, 5, 2], vec![0, 1], vec![1.0, 1.0]),
+            Err(MatrixError::InvalidStructure(_))
+        ));
+    }
 
     #[test]
     fn validate_accepts_an_spd_like_operand() {

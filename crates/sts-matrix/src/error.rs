@@ -67,8 +67,9 @@ pub enum MatrixError {
         /// The panic payload, stringified when possible.
         message: String,
     },
-    /// A parallel solve exceeded its watchdog deadline: a worker stalled (or
-    /// died without unwinding) and an epoch-gate arrival never came.
+    /// A gate-synchronised kernel (the level-scheduled IC(0) build) exceeded
+    /// its watchdog deadline: a worker stalled (or died without unwinding)
+    /// and an epoch-gate arrival never came.
     SolveTimeout {
         /// Stage (pack) whose gate wait timed out.
         stage: usize,

@@ -15,9 +15,10 @@
 //!   elsewhere), the equivalent of the paper's `KMP_AFFINITY=compact`;
 //! * [`spin`] — the one spin-then-yield step every wait below relaxes
 //!   through;
-//! * [`epoch`] — a counter-based epoch gate that fuses the per-pack barriers
-//!   of the split solver into per-stage completion flags, enabling pack
-//!   pipelining (phase 1 of pack `p+1` overlapping phase 2 of pack `p`);
+//! * [`epoch`] — a counter-based epoch gate: per-pack completion counts and a
+//!   monotone "packs done" epoch, so a worker of the level-scheduled IC(0)
+//!   build waits only for the packs its chunk reads, not for a barrier per
+//!   pack;
 //! * [`pool`] — a persistent, optionally pinned worker pool with the static /
 //!   dynamic / guided loop schedules the paper tunes per solver. The thread
 //!   that dispatches a loop is a member of the team, and idle members spin

@@ -108,7 +108,7 @@
 //!    healthy: the panicking generation is fully quiesced before
 //!    `parallel_for` returns, and subsequent dispatches run normally.
 //!
-//! Higher layers (the pipelined solvers' epoch gates) add their own poisoning
+//! Higher layers (the level-scheduled IC(0) build's epoch gate) add their own poisoning
 //! on top so that workers *blocked on a gate* — rather than claiming indices —
 //! also observe the failure; see `sts_numa::epoch`.
 

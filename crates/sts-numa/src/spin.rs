@@ -1,7 +1,6 @@
 //! The one way a thread waits for another here: spin briefly, then yield.
 //!
-//! Every wait in the pool hand-off, the epoch gate and the pipelined driver
-//! is a loop that looks at a flag and, finding it unset, calls
+//! Every wait in the pool hand-off and the epoch gate is a loop that looks at a flag and, finding it unset, calls
 //! [`SpinWait::relax`] before it looks again. The first [`SPIN_BUDGET`]
 //! steps are `spin_loop` hints — the flag is usually a few hundred
 //! nanoseconds away; every later step is a `yield_now`, because the team may

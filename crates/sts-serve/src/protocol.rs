@@ -61,7 +61,8 @@ pub enum ErrorCode {
     /// A solver worker panicked mid-solve (the pool recovered; retry is
     /// safe).
     WorkerPanicked,
-    /// A solve exceeded the configured watchdog deadline.
+    /// A factorization (`submit_values`) exceeded the configured watchdog
+    /// deadline.
     SolveTimeout,
     /// The iteration produced a non-finite residual and the ladder was
     /// exhausted or disabled.

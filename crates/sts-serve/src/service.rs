@@ -333,9 +333,15 @@ impl SolverService {
         // orderings are purely structural, so the hierarchy is identical to
         // what the caller's values would produce.
         let start = Instant::now();
-        let synthetic = synthetic_values(n, &row_ptr, &col_idx);
-        let a = CsrMatrix::from_raw(n, n, row_ptr.clone(), col_idx.clone(), synthetic)
-            .map_err(wire_error)?;
+        let mut a = CsrMatrix::from_raw(
+            n,
+            n,
+            row_ptr.clone(),
+            col_idx.clone(),
+            vec![-1.0; col_idx.len()],
+        )
+        .map_err(wire_error)?;
+        synthesize_diagonal(&mut a);
         let sys = SpdSystem::build(&a, method, rows_per_super_row).map_err(wire_error)?;
         let structure = sys.structure_arc();
         let analysis_wall_ns = start.elapsed().as_nanos() as u64;
@@ -662,25 +668,18 @@ fn pattern_result(
     ]
 }
 
-/// Symmetric M-matrix values for a pattern: `degree + 1` on the diagonal,
-/// `-1` off it. Diagonally dominant, so analysis-time validation and the
-/// orderings behave exactly as with production values.
-fn synthetic_values(n: usize, row_ptr: &[usize], col_idx: &[usize]) -> Vec<f64> {
-    let mut values = vec![-1.0; col_idx.len()];
-    if row_ptr.len() != n + 1 || *row_ptr.last().unwrap_or(&0) != col_idx.len() {
-        // Malformed pattern: let CsrMatrix::from_raw produce the real error.
-        return values;
-    }
-    for i in 0..n {
-        let row = row_ptr[i]..row_ptr[i + 1];
+/// Turns a validated pattern whose values are all `-1` into a symmetric
+/// M-matrix: `degree + 1` on the diagonal, `-1` off it. Diagonally dominant,
+/// so analysis-time validation and the orderings behave exactly as with
+/// production values.
+fn synthesize_diagonal(a: &mut CsrMatrix) {
+    for i in 0..a.nrows() {
+        let row = a.row_ptr()[i]..a.row_ptr()[i + 1];
         let degree = row.len().saturating_sub(1);
-        for k in row {
-            if col_idx[k] == i {
-                values[k] = degree as f64 + 1.0;
-            }
+        if let Some(k) = row.clone().find(|&k| a.col_idx()[k] == i) {
+            a.values_mut()[k] = degree as f64 + 1.0;
         }
     }
-    values
 }
 
 fn method_from_label(label: &str) -> Option<Method> {

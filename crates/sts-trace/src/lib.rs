@@ -26,8 +26,9 @@
 //!
 //! `sts-core` records [`Phase::Gather`] around every phase-1 external
 //! gather chunk, [`Phase::Chain`] around every phase-2 in-pack chain task,
-//! [`Phase::GateWait`] around blocking `EpochGate` waits (the pipelined
-//! kernels' readiness protocol), [`Phase::Refine`] around mixed-precision
+//! [`Phase::GateWait`] around the blocking `EpochGate` waits of the
+//! level-scheduled IC(0) build (the sweeps record none: they wait only at
+//! pool barriers), [`Phase::Refine`] around mixed-precision
 //! refinement passes, and [`Phase::Factor`] around the
 //! level-scheduled IC(0) construction chunks. Install a recorder with
 //! `ParallelSolver::set_trace_recorder`, run a solve, then [`SpanRecorder::snapshot`]

@@ -34,7 +34,8 @@ pub enum Phase {
     Gather,
     /// A phase-2 in-pack dependence-chain task.
     Chain,
-    /// A blocking wait on the `EpochGate` (readiness of earlier packs).
+    /// A blocking wait on the `EpochGate` (readiness of earlier packs) in
+    /// the level-scheduled IC(0) build.
     GateWait,
     /// A level-scheduled IC(0) construction chunk.
     Factor,

@@ -1,6 +1,6 @@
 //! Static happens-before verification for pack-parallel schedules.
 //!
-//! The STS-k kernels (the split and pipelined sweeps, `parallel_ic0`) are
+//! The STS-k kernels (the split sweeps, `parallel_ic0`) are
 //! race-free only if the statically precomputed readiness metadata
 //! (`SplitLayout::ext_dep` and the transpose layout's reverse-stage
 //! equivalent) is a superset of what the tasks actually read. Historically
@@ -21,17 +21,19 @@
 //! returning a [`ScheduleProof`] with aggregate statistics or the first
 //! [`ScheduleViolation`] with `(pack, phase, row, missing edge)` detail.
 //!
-//! The model mirrors the runtime synchronisation exactly:
+//! The model is the weakest synchronisation a kernel may rely on — the
+//! dependency-minimal schedule, which `parallel_ic0`'s epoch gate runs and
+//! the split sweep's per-phase barriers strictly cover:
 //!
 //! * **Epoch readiness** — a phase-1 chunk with readiness `dep` starts only
-//!   after `EpochGate::wait_open_until(dep, ..)`, which happens-after *every*
-//!   arrival (both phases) of stages `0..dep`.
-//! * **Drain flag** — a phase-2 chain ticket is claimed only after
-//!   `phase1_drained(stage)`, which happens-after every phase-1 arrival of
-//!   its own stage.
-//! * **Ticket claims** — each chain task is claimed by exactly one worker
-//!   (a `fetch_add` ticket), so its rows are processed sequentially in the
-//!   recorded order.
+//!   after every task of stages `0..dep` has finished (an
+//!   `EpochGate::wait_open_until(dep, ..)` in `parallel_ic0`, a stage
+//!   barrier in the split sweep).
+//! * **Drain edge** — a phase-2 chain task starts only after every phase-1
+//!   chunk of its own stage has finished (the split sweep's phase
+//!   barrier).
+//! * **Ticket claims** — each chain task runs on exactly one worker, so its
+//!   rows are processed sequentially in the recorded order.
 //! * **Program order** — rows inside one task run in the recorded order, so
 //!   a task may freely read rows it (or an earlier row of the same task)
 //!   already wrote.

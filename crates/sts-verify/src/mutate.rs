@@ -27,9 +27,8 @@ pub fn drop_dependency(spec: &mut ScheduleSpec, stage: usize, chunk: usize) -> b
 }
 
 /// Forges a ticket claim: chain task `task` of stage `stage` no longer waits
-/// for its stage's phase-1 drain flag, as if the ticket counter were
-/// consulted before `phase1_drained`. Returns `false` if the task does not
-/// exist.
+/// for its stage's phase 1 to drain, as if the phase barrier were missing.
+/// Returns `false` if the task does not exist.
 pub fn forge_ticket(spec: &mut ScheduleSpec, stage: usize, task: usize) -> bool {
     match spec
         .stages

@@ -1,8 +1,8 @@
 //! Dynamic cross-check: replaying recorded kernel accesses against the
 //! static footprint model.
 //!
-//! Under the `race-shadow` cargo feature, `sts-core`'s split, pipelined and
-//! factor kernels record every shared-slot access they perform — one
+//! Under the `race-shadow` cargo feature, `sts-core`'s split and factor
+//! kernels record every shared-slot access they perform — one
 //! [`RowTrace`] per produced row, straight from the slices the inner loops
 //! iterate — into an [`AccessLog`]. [`check_replay`] then compares the log
 //! against a [`ScheduleSpec`] at **row granularity**: every location must be

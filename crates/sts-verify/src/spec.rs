@@ -33,14 +33,15 @@ pub struct RowFootprint {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChunkSpec {
     /// Readiness in **stage numbering**: the chunk may start once stages
-    /// `0..dep` have fully completed (the `EpochGate::wait_open_until(dep, ..)`
-    /// edge).
+    /// `0..dep` have fully completed (a gate wait in `parallel_ic0`, a stage
+    /// barrier in the split sweep).
     /// Forward sweeps number stages by pack; transpose sweeps reverse them.
     pub dep: usize,
     /// Per-row footprints in program order.
     pub rows: Vec<RowFootprint>,
-    /// Whether the chunk's gate arrival is published *after* its writes (the
-    /// `arrive_phase1` release edge). Always true for real kernels;
+    /// Whether the chunk's completion is published *after* its writes (the
+    /// gate arrival's release edge, or the chunk's end before the barrier).
+    /// Always true for real kernels;
     /// [`crate::mutate::publish_early`] clears it to model a reordered gate
     /// publish.
     pub publishes: bool,
@@ -50,9 +51,8 @@ pub struct ChunkSpec {
 /// chain rows in execution order.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChainSpec {
-    /// Whether the ticket is claimed only after the stage's phase-1 drain
-    /// flag opened (`EpochGate::phase1_drained`). Always true for real
-    /// kernels; [`crate::mutate::forge_ticket`] clears it to model a forged
+    /// Whether the task starts only after its stage's phase 1 has drained
+    /// (the split sweep's phase barrier). Always true for real kernels; [`crate::mutate::forge_ticket`] clears it to model a forged
     /// ticket claim.
     pub claims_after_drain: bool,
     /// Per-row footprints in execution order (increasing rows on the forward

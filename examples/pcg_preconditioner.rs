@@ -7,8 +7,8 @@
 //!
 //! * plain CG (no preconditioner),
 //! * SSOR-PCG with *sequential* split sweeps,
-//! * SSOR-PCG with *pipelined* parallel sweeps,
-//! * IC(0)-PCG with pipelined parallel sweeps,
+//! * SSOR-PCG with *split* parallel sweeps,
+//! * IC(0)-PCG with split parallel sweeps,
 //!
 //! and reports iterations, wall time, and the share of time spent inside
 //! the preconditioner (the fraction the triangular kernels own). The two
@@ -68,29 +68,29 @@ fn main() {
         .expect("plain CG runs");
     report("plain CG", &plain, &x_true);
 
-    // SSOR-PCG, sequential vs pipelined sweeps: same iterates, faster sweeps.
-    let mut ssor_seq = Ssor::new(&sys, pcg.solver(), SweepEngine::Sequential);
+    // SSOR-PCG, sequential vs split sweeps: same iterates, faster sweeps.
+    let mut ssor_seq = Ssor::new(&sys, SweepEngine::Sequential);
     let seq = pcg
         .solve(&sys, &mut ssor_seq, &b, &mut ws)
         .expect("sequential-sweep PCG runs");
     report("SSOR-PCG (seq sweeps)", &seq, &x_true);
 
-    let mut ssor_pip = Ssor::new(&sys, pcg.solver(), SweepEngine::Pipelined);
+    let mut ssor_pip = Ssor::new(&sys, SweepEngine::Split);
     let pip = pcg
         .solve(&sys, &mut ssor_pip, &b, &mut ws)
-        .expect("pipelined-sweep PCG runs");
-    report("SSOR-PCG (pipelined)", &pip, &x_true);
+        .expect("split-sweep PCG runs");
+    report("SSOR-PCG (split)", &pip, &x_true);
     assert_eq!(
         seq.iterations, pip.iterations,
         "the sweep engines are bitwise identical: counts must match exactly"
     );
 
     // IC(0)-PCG: a genuine factorization, same hierarchy, fewer iterations.
-    let mut ic0 = Ic0::new(&sys, pcg.solver(), SweepEngine::Pipelined).expect("laplacian is SPD");
+    let mut ic0 = Ic0::new(&sys, pcg.solver(), SweepEngine::Split).expect("laplacian is SPD");
     let ic = pcg
         .solve(&sys, &mut ic0, &b, &mut ws)
         .expect("IC(0)-PCG runs");
-    report("IC(0)-PCG (pipelined)", &ic, &x_true);
+    report("IC(0)-PCG (split)", &ic, &x_true);
 
     println!(
         "\niteration reduction: SSOR {:.1}x, IC(0) {:.1}x over plain CG",

@@ -1,4 +1,4 @@
-//! Dump a Chrome trace-event timeline of one pipelined PCG solve.
+//! Dump a Chrome trace-event timeline of one PCG solve.
 //!
 //! Runs SSOR-PCG on a 200×200 2-D Laplacian with span recording enabled,
 //! then writes the recorded pack-level timeline — phase-1 gathers, phase-2
@@ -38,7 +38,7 @@ fn main() {
     pcg.solver_mut()
         .set_trace_recorder(Some(Arc::clone(&recorder)));
 
-    let mut pre = Ssor::new(&sys, pcg.solver(), SweepEngine::Pipelined);
+    let mut pre = Ssor::new(&sys, SweepEngine::Split);
     let mut ws = KrylovWorkspace::new(sys.n());
     let x_true = vec![1.0; sys.n()];
     let b = ops::spmv(&a, &x_true).expect("dimensions agree");

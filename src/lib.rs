@@ -11,7 +11,7 @@
 //! * [`sched`] — DAR task graphs, the In-Pack cost model and schedulers;
 //! * [`core`] — the CSR-k structure, pack construction and the four solvers;
 //! * [`krylov`] — the preconditioned conjugate-gradient subsystem driving
-//!   the pipelined triangular kernels end to end;
+//!   the parallel triangular kernels end to end;
 //! * [`serve`] — the persistent solver service: a JSON-lines daemon with a
 //!   structure/factor cache and a typed client library;
 //! * [`trace`] — the zero-dependency observability layer: lock-free span
@@ -49,9 +49,9 @@
 //! packs (a pure, embarrassingly-parallel gather) are separated from the
 //! short in-pack dependence chains. One sweep kernel streams the former and
 //! schedules only the latter, and a single typed request,
-//! [`core::SolveOptions`], selects how it runs — engine (sequential,
-//! two-phase split, or pack-pipelined with the per-pack barriers fused into
-//! an epoch gate), sweep direction (`L'` or `L'ᵀ`), right-hand-side count
+//! [`core::SolveOptions`], selects how it runs — engine (sequential, or the
+//! two-phase split driver on the pool: one parallel loop per phase, then a
+//! barrier), sweep direction (`L'` or `L'ᵀ`), right-hand-side count
 //! and value-slab precision — through
 //! [`core::ParallelSolver::solve_with`]:
 //!
@@ -67,26 +67,26 @@
 //! let b = vec![1.0; sts.n()];
 //! let solver = ParallelSolver::new(4, Schedule::Guided { min_chunk: 1 });
 //!
-//! // Two-phase split solve: external gather, phase barrier, in-pack chains.
-//! let split = SolveOptions::default().with_engine(SolveEngine::Split);
+//! // Two-phase split solve (the default engine): external gather, phase
+//! // barrier, in-pack chains.
+//! let split = SolveOptions::default();
 //! let x = solver.solve_with(&sts, &b, &split).unwrap();
 //! assert!((x[0] - sts.solve_sequential(&b).unwrap()[0]).abs() < 1e-12);
 //!
-//! // Pack-pipelined solve (the default engine): the same row arithmetic —
-//! // bitwise — but the gather of pack p+1 overlaps the chains of pack p on
-//! // idle workers.
-//! let piped = SolveOptions::default();
-//! assert_eq!(solver.solve_with(&sts, &b, &piped).unwrap(), x);
+//! // The sequential driver runs the same row arithmetic — bitwise — on the
+//! // calling thread alone.
+//! let seq = split.with_engine(SolveEngine::Sequential);
+//! assert_eq!(solver.solve_with(&sts, &b, &seq).unwrap(), x);
 //!
 //! // Four right-hand sides at once, row-major (`B[i * nrhs + r]`).
 //! let nrhs = 4;
 //! let bb: Vec<f64> = (0..sts.n() * nrhs).map(|k| 1.0 + (k % nrhs) as f64).collect();
-//! let xb = solver.solve_with(&sts, &bb, &piped.with_nrhs(nrhs)).unwrap();
-//! assert_eq!(xb, solver.solve_with(&sts, &bb, &split.with_nrhs(nrhs)).unwrap());
+//! let xb = solver.solve_with(&sts, &bb, &split.with_nrhs(nrhs)).unwrap();
+//! assert_eq!(xb, solver.solve_with(&sts, &bb, &seq.with_nrhs(nrhs)).unwrap());
 //!
 //! // The backward sweep `L'ᵀ x = b` runs on the same kernel, packs reversed.
 //! let xt = solver
-//!     .solve_with(&sts, &b, &piped.with_direction(SweepDirection::Transpose))
+//!     .solve_with(&sts, &b, &split.with_direction(SweepDirection::Transpose))
 //!     .unwrap();
 //! let reference = sts.solve_transpose_sequential(&b).unwrap();
 //! assert!(xt.iter().zip(&reference).all(|(a, b)| (a - b).abs() < 1e-12));
@@ -95,9 +95,8 @@
 //! The split layouts behind the kernel are built lazily on first use;
 //! callers that only ever run the paper's unsplit kernel
 //! ([`core::ParallelSolver::solve`]) skip their ≈2× off-diagonal storage
-//! cost entirely. Iterative solvers hold a [`core::PipelinePlan`] per
-//! direction and call the allocation-free
-//! [`core::ParallelSolver::solve_into`].
+//! cost entirely. Iterative solvers hold their own output buffers and call
+//! the allocation-free [`core::ParallelSolver::solve_into`].
 //!
 //! [`core::PrecisionPolicy::ValuesF32WithRefinement`] demotes the value
 //! slabs to cached f32 copies (~half the sweep's value traffic) while every
@@ -117,7 +116,7 @@
 //! let solver = ParallelSolver::new(4, Schedule::Guided { min_chunk: 1 });
 //! let b = vec![1.0; sts.n()];
 //!
-//! // The pipelined f64 solve.
+//! // The split f64 solve.
 //! let opts = SolveOptions::default();
 //! let x = solver.solve_with(&sts, &b, &opts).unwrap();
 //!
@@ -152,9 +151,9 @@
 //! let a = generators::grid2d_laplacian(24, 24).unwrap();
 //! let sys = SpdSystem::build(&a, Method::Sts3, 40).unwrap();
 //!
-//! // PCG with symmetric Gauss–Seidel sweeps on the pipelined kernels.
+//! // PCG with symmetric Gauss–Seidel sweeps on the split driver.
 //! let pcg = Pcg::new(4, Schedule::Guided { min_chunk: 1 });
-//! let mut pre = Ssor::new(&sys, pcg.solver(), SweepEngine::Pipelined);
+//! let mut pre = Ssor::new(&sys, SweepEngine::Split);
 //! let mut ws = KrylovWorkspace::new(sys.n());
 //!
 //! let x_true = vec![1.0; sys.n()];
@@ -191,7 +190,7 @@
 //! }
 //!
 //! let pcg = Pcg::new(4, Schedule::Guided { min_chunk: 1 });
-//! let mut pre = Ssor::new(&sys, pcg.solver(), SweepEngine::Pipelined);
+//! let mut pre = Ssor::new(&sys, SweepEngine::Split);
 //! let mut ws = KrylovWorkspace::with_nrhs(n, nrhs);
 //! let out = pcg.solve_batch(&sys, &mut pre, &b, nrhs, &mut ws).unwrap();
 //! assert!(out.converged.iter().all(|&c| c));
@@ -210,8 +209,8 @@
 //! hierarchy — and the *factorization itself* is level-scheduled over that
 //! hierarchy on the driver's pool by [`krylov::Ic0::new`]
 //! ([`krylov::Ic0Setup::LevelScheduled`]): pack `p`'s update sweep waits
-//! only on the packs its column range actually reads, exactly like the
-//! pipelined solves. The sequential sweep ([`krylov::Ic0Setup::Sequential`],
+//! only on the packs its column range actually reads, through an epoch
+//! gate instead of a barrier per pack. The sequential sweep ([`krylov::Ic0Setup::Sequential`],
 //! through the general constructor [`krylov::Ic0::with_operand`]) remains as
 //! the reference and produces a bitwise-identical factor, so the choice only
 //! moves setup wall time:
@@ -226,8 +225,8 @@
 //! # let pcg = Pcg::new(4, Schedule::Guided { min_chunk: 1 });
 //! # let mut ws = KrylovWorkspace::new(sys.n());
 //! # let b = ops::spmv(&a, &vec![1.0; sys.n()]).unwrap();
-//! // Setup runs level-scheduled on the pool; sweeps run pipelined.
-//! let mut ic0 = Ic0::new(&sys, pcg.solver(), SweepEngine::Pipelined).unwrap();
+//! // Setup runs level-scheduled on the pool; sweeps run on the split driver.
+//! let mut ic0 = Ic0::new(&sys, pcg.solver(), SweepEngine::Split).unwrap();
 //! let out_ic0 = pcg.solve(&sys, &mut ic0, &b, &mut ws).unwrap();
 //! assert!(out_ic0.converged);
 //!
@@ -257,15 +256,14 @@
 //!   a NaN emitted mid-recurrence trips the residual guard instead,
 //!   reported as `NonFiniteResidual { iteration }`.
 //! * **Worker panics.** Pool job bodies run under `catch_unwind`; a panic
-//!   poisons only the current dispatch, and `parallel_for`, the pipelined
-//!   solves and the parallel IC(0) setup (the last two on one gated-worker
-//!   scaffold, so one failure path) return
-//!   `WorkerPanicked { slot, pack, message }` with the first payload. The
-//!   pool and any [`core::PipelinePlan`] stay usable — the epoch gate is
-//!   rewound per solve, so the next call runs clean.
-//! * **Worker stalls.** Cross-worker gate waits carry a watchdog deadline
-//!   ([`core::ParallelSolver::set_watchdog`]); a worker that stops making
-//!   progress converts its peers' waits into
+//!   poisons only the current dispatch, and `parallel_for`, the sweeps (the
+//!   stage that panicked is the reported `pack`) and the parallel IC(0)
+//!   setup return `WorkerPanicked { slot, pack, message }` with the first
+//!   payload. The pool stays usable, so the next call runs clean.
+//! * **Worker stalls.** A stalled sweep worker only delays its stage's
+//!   barrier: a slow success. The IC(0) setup's cross-worker gate waits
+//!   carry a watchdog deadline ([`core::ParallelSolver::set_watchdog`]); a
+//!   worker that stops making progress converts its peers' waits into
 //!   `SolveTimeout { stage, timeout_ms }` instead of a livelock. A lone
 //!   worker has no peer to starve, so a stall there is just a slow success.
 //! * **Preconditioner breakdown.** IC(0) on an SPD-but-not-M matrix can hit

@@ -84,12 +84,12 @@ fn pool_panic_is_a_structured_error_and_the_pool_survives() {
 }
 
 #[test]
-fn pipelined_solve_panic_poisons_and_recovers() {
+fn sweep_panic_is_structured_and_recovers() {
     let a = generators::grid2d_laplacian(24, 24).unwrap();
     let l = generators::lower_operand(&a).unwrap();
     let s = Method::Sts3.build(&l, 16).unwrap();
-    // The failure path is the driver's, whatever it drives: both directions,
-    // single-RHS and batched.
+    // The failure path is the split driver's, whatever it drives: both
+    // directions, single-RHS and batched.
     for direction in [SweepDirection::Forward, SweepDirection::Transpose] {
         for nrhs in [1usize, 3] {
             let opts = SolveOptions::default()
@@ -100,7 +100,7 @@ fn pipelined_solve_panic_poisons_and_recovers() {
                 .solve_with(&s, &b, &opts.with_engine(SolveEngine::Sequential))
                 .unwrap();
             for threads in thread_counts() {
-                within_budget("pipelined panic", || {
+                within_budget("sweep panic", || {
                     let mut solver =
                         ParallelSolver::new(threads, Schedule::Guided { min_chunk: 1 });
                     solver.set_chaos_hook(Some(faultinject::panic_hook(0)));
@@ -119,9 +119,8 @@ fn pipelined_solve_panic_poisons_and_recovers() {
                         }
                         other => panic!("expected WorkerPanicked, got {other:?}"),
                     }
-                    // Clearing the hook restores a fully working solver: the
-                    // gate poison is rewound per solve, nothing leaks across
-                    // dispatches.
+                    // Clearing the hook restores a fully working solver:
+                    // nothing leaks across dispatches.
                     solver.set_chaos_hook(None);
                     let x = solver
                         .solve_with(&s, &b, &opts)
@@ -166,47 +165,11 @@ fn parallel_ic0_panic_is_a_structured_error() {
 
 #[test]
 fn stalled_worker_times_out_instead_of_hanging() {
-    // Worker 0 parks inside its stage-0 gather for far longer than the
-    // watchdog budget. With peers present, they hit the deadline waiting on
-    // the drained stage, poison the gate, and the solve reports a timeout
-    // shortly after the stalled worker wakes — bounded by
-    // max(stall, watchdog), never a hang.
-    let a = generators::grid2d_laplacian(24, 24).unwrap();
-    let l = generators::lower_operand(&a).unwrap();
-    let s = Method::Sts3.build(&l, 16).unwrap();
-    let b = vec![1.0; s.n()];
-    let reference = s.solve_sequential(&b).unwrap();
-    for threads in thread_counts().into_iter().filter(|&t| t > 1) {
-        within_budget("stall timeout", || {
-            let mut solver = ParallelSolver::new(threads, Schedule::Guided { min_chunk: 1 });
-            solver.set_watchdog(Duration::from_millis(250));
-            solver.set_chaos_hook(Some(faultinject::stall_hook(
-                0,
-                0,
-                Duration::from_millis(1500),
-            )));
-            let err = solver
-                .solve_with(&s, &b, &SolveOptions::default())
-                .expect_err("the stalled solve must time out");
-            match err {
-                MatrixError::SolveTimeout { timeout_ms, .. } => {
-                    assert_eq!(timeout_ms, 250);
-                }
-                other => panic!("expected SolveTimeout, got {other:?}"),
-            }
-            solver.set_chaos_hook(None);
-            let x = solver
-                .solve_with(&s, &b, &SolveOptions::default())
-                .expect("solver must recover");
-            assert!(
-                ops::relative_error_inf(&x, &reference) < 1e-12,
-                "post-timeout solve diverged at {threads} threads"
-            );
-        });
-    }
-    // The level-scheduled IC(0) build is the other gated kernel: the same
-    // stall during its pack 0 starves the peers' readiness waits the same
-    // way.
+    // The level-scheduled IC(0) build is the gated kernel: worker 0 parks
+    // inside its pack-0 chunk for far longer than the watchdog budget. With
+    // peers present, they hit the deadline waiting on pack 0, poison the
+    // gate, and the build reports a timeout shortly after the stalled worker
+    // wakes — bounded by max(stall, watchdog), never a hang.
     let a = generators::grid2d_laplacian(20, 20).unwrap();
     let sys = SpdSystem::build(&a, Method::Sts3, 16).unwrap();
     let f_ref = factor::ic0(sys.matrix()).unwrap();
@@ -243,14 +206,36 @@ fn stalled_worker_times_out_instead_of_hanging() {
 
 #[test]
 fn stalled_single_worker_is_a_slow_success() {
-    // With one worker there is no peer to starve: the stall just makes the
-    // solve slow. Explicitly documented semantics of the watchdog — it
-    // guards cross-worker waits, not total runtime.
+    // A sweep waits on no peer inside a dispatch, so a stalled sweep worker
+    // only holds back its stage's barrier: a slow success at every thread
+    // count. The same holds for a lone worker of the IC(0) build, which has
+    // no peer to starve. Explicitly documented semantics of the watchdog —
+    // it guards cross-worker waits, not total runtime.
     let a = generators::grid2d_laplacian(16, 16).unwrap();
     let l = generators::lower_operand(&a).unwrap();
     let s = Method::Sts3.build(&l, 16).unwrap();
     let b = vec![1.0; s.n()];
-    within_budget("single-worker stall", || {
+    let reference = s.solve_sequential(&b).unwrap();
+    for threads in thread_counts() {
+        within_budget("stalled sweep", || {
+            let mut solver = ParallelSolver::new(threads, Schedule::Guided { min_chunk: 1 });
+            solver.set_watchdog(Duration::from_millis(100));
+            solver.set_chaos_hook(Some(faultinject::stall_hook(
+                0,
+                0,
+                Duration::from_millis(400),
+            )));
+            let x = solver
+                .solve_with(&s, &b, &SolveOptions::default())
+                .expect("a stalled sweep worker still finishes");
+            assert!(
+                ops::relative_error_inf(&x, &reference) < 1e-12,
+                "stalled sweep diverged at {threads} threads"
+            );
+        });
+    }
+    let sys = SpdSystem::build(&a, Method::Sts3, 16).unwrap();
+    within_budget("single-worker IC(0) stall", || {
         let mut solver = ParallelSolver::new(1, Schedule::Static);
         solver.set_watchdog(Duration::from_millis(100));
         solver.set_chaos_hook(Some(faultinject::stall_hook(
@@ -258,10 +243,10 @@ fn stalled_single_worker_is_a_slow_success() {
             0,
             Duration::from_millis(400),
         )));
-        let x = solver
-            .solve_with(&s, &b, &SolveOptions::default())
+        let f = solver
+            .parallel_ic0(sys.structure(), sys.matrix())
             .expect("a stalled lone worker still finishes");
-        assert!(ops::relative_error_inf(&x, &s.solve_sequential(&b).unwrap()) < 1e-12);
+        assert_eq!(f.values(), factor::ic0(sys.matrix()).unwrap().values());
     });
 }
 
@@ -594,7 +579,7 @@ fn chaos_hooks_compose_with_the_krylov_driver() {
             let mut pcg = Pcg::new(threads, Schedule::Guided { min_chunk: 1 });
             pcg.solver_mut()
                 .set_chaos_hook(Some(faultinject::panic_hook(0)));
-            let mut pre = sts_k::krylov::Ssor::new(&sys, pcg.solver(), SweepEngine::Pipelined);
+            let mut pre = sts_k::krylov::Ssor::new(&sys, SweepEngine::Split);
             let mut ws = KrylovWorkspace::new(sys.n());
             let b = vec![1.0; sys.n()];
             let err = pcg

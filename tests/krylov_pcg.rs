@@ -1,5 +1,5 @@
 //! End-to-end tests of the `sts-krylov` subsystem against a dense reference:
-//! PCG (plain, SSOR, IC(0); sequential and pipelined sweep engines) must
+//! PCG (plain, SSOR, IC(0); sequential and split sweep engines) must
 //! converge to the dense-Cholesky solution of the synthetic SPD suite (grid
 //! Laplacians) within an iteration bound.
 
@@ -97,15 +97,12 @@ fn pcg_matches_the_dense_reference_on_the_spd_suite() {
             ("none", Box::new(Identity)),
             (
                 "ssor-seq",
-                Box::new(Ssor::new(&sys, pcg.solver(), SweepEngine::Sequential)),
+                Box::new(Ssor::new(&sys, SweepEngine::Sequential)),
             ),
+            ("ssor-split", Box::new(Ssor::new(&sys, SweepEngine::Split))),
             (
-                "ssor-pipelined",
-                Box::new(Ssor::new(&sys, pcg.solver(), SweepEngine::Pipelined)),
-            ),
-            (
-                "ic0-pipelined",
-                Box::new(Ic0::new(&sys, pcg.solver(), SweepEngine::Pipelined).unwrap()),
+                "ic0-split",
+                Box::new(Ic0::new(&sys, pcg.solver(), SweepEngine::Split).unwrap()),
             ),
         ];
         for (label, pre) in preconditioners.iter_mut() {
@@ -138,7 +135,7 @@ fn batched_pcg_matches_the_dense_reference() {
     let n = sys.n();
     let nrhs = 4;
     let pcg = Pcg::new(3, Schedule::Guided { min_chunk: 1 });
-    let mut pre = Ssor::new(&sys, pcg.solver(), SweepEngine::Pipelined);
+    let mut pre = Ssor::new(&sys, SweepEngine::Split);
     let mut b = vec![0.0; n * nrhs];
     let mut x_ref = vec![0.0; n * nrhs];
     for q in 0..nrhs {
@@ -195,15 +192,12 @@ fn batched_pcg_matches_the_dense_reference_on_every_preconditioner() {
         ("none", Box::new(Identity)),
         (
             "ssor-seq",
-            Box::new(Ssor::new(&sys, pcg.solver(), SweepEngine::Sequential)),
+            Box::new(Ssor::new(&sys, SweepEngine::Sequential)),
         ),
+        ("ssor-split", Box::new(Ssor::new(&sys, SweepEngine::Split))),
         (
-            "ssor-pipelined",
-            Box::new(Ssor::new(&sys, pcg.solver(), SweepEngine::Pipelined)),
-        ),
-        (
-            "ic0-pipelined",
-            Box::new(Ic0::new(&sys, pcg.solver(), SweepEngine::Pipelined).unwrap()),
+            "ic0-split",
+            Box::new(Ic0::new(&sys, pcg.solver(), SweepEngine::Split).unwrap()),
         ),
     ];
     for (label, pre) in preconditioners.iter_mut() {
@@ -252,7 +246,7 @@ fn batched_pcg_meets_the_true_residual_bound_on_the_200x200_laplacian() {
         .map(|i| ((i * 37) % 19) as f64 * 0.25 - 2.0)
         .collect();
     let pcg = Pcg::new(2, Schedule::Guided { min_chunk: 1 });
-    let mut pre = Ic0::new(&sys, pcg.solver(), SweepEngine::Pipelined).unwrap();
+    let mut pre = Ic0::new(&sys, pcg.solver(), SweepEngine::Split).unwrap();
     let mut ws = KrylovWorkspace::with_nrhs(n, nrhs);
     let out = pcg.solve_batch(&sys, &mut pre, &b, nrhs, &mut ws).unwrap();
     assert!(out.converged.iter().all(|&c| c));

@@ -62,7 +62,7 @@ proptest! {
                             .solve_with(&s, rhs, &SolveOptions::default().with_direction(direction))
                             .unwrap();
                         for engine in
-                            [SolveEngine::Sequential, SolveEngine::Split, SolveEngine::Pipelined]
+                            [SolveEngine::Sequential, SolveEngine::Split]
                         {
                             let opts = SolveOptions::default()
                                 .with_engine(engine)
@@ -121,8 +121,8 @@ fn f32_pcg_iteration_counts_are_engine_independent() {
     for threads in [1usize, 2, 4, 8] {
         let pcg = Pcg::new(threads, Schedule::Guided { min_chunk: 1 });
         let mut per_engine = Vec::new();
-        for engine in [SweepEngine::Sequential, SweepEngine::Pipelined] {
-            let mut pre = Ssor::new(&sys, pcg.solver(), engine);
+        for engine in [SweepEngine::Sequential, SweepEngine::Split] {
+            let mut pre = Ssor::new(&sys, engine);
             pre.set_precision(PrecisionPolicy::ValuesF32WithRefinement);
             assert_eq!(pre.precision(), PrecisionPolicy::ValuesF32WithRefinement);
             let mut ws = KrylovWorkspace::new(sys.n());

@@ -24,11 +24,7 @@ fn lower_triangular_strategy() -> impl Strategy<Value = LowerTriangularCsr> {
     })
 }
 
-const SPLIT_ENGINES: [SolveEngine; 3] = [
-    SolveEngine::Sequential,
-    SolveEngine::Split,
-    SolveEngine::Pipelined,
-];
+const SPLIT_ENGINES: [SolveEngine; 2] = [SolveEngine::Sequential, SolveEngine::Split];
 const DIRECTIONS: [SweepDirection; 2] = [SweepDirection::Forward, SweepDirection::Transpose];
 
 /// The options-matrix agreement invariant on one structure: every
@@ -126,7 +122,7 @@ proptest! {
 
     #[test]
     fn every_engine_matches_the_reference_sweeps(l in lower_triangular_strategy()) {
-        // The sweep-kernel invariant: the sequential, split and pipelined
+        // The sweep-kernel invariant: the sequential and split
         // drivers — forward and transpose, single-RHS and batched — return
         // identical bits (every batch lane those of its scalar sweep) and
         // agree with the reference sweeps to 1e-12, across both orderings,

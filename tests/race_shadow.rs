@@ -46,8 +46,8 @@ fn every_solve_engine_touches_exactly_the_modelled_footprints() {
             // The model is chunk-granularity-independent after replay
             // flattening, and a batch row touches the same rows as a
             // single-RHS row (just `nrhs` slots of each), so one
-            // row-granularity spec per direction covers every engine, thread
-            // count and batch width.
+            // row-granularity spec per direction covers every thread count
+            // and batch width of the split driver.
             for direction in [SweepDirection::Forward, SweepDirection::Transpose] {
                 let spec = solve_spec(&s, usize::MAX, direction);
                 for threads in THREAD_SWEEP {
@@ -55,24 +55,22 @@ fn every_solve_engine_touches_exactly_the_modelled_footprints() {
                         ParallelSolver::new(threads, Schedule::Guided { min_chunk: 1 });
                     let log = Arc::new(AccessLog::new());
                     solver.set_shadow_log(Some(log.clone()));
-                    for engine in [SolveEngine::Split, SolveEngine::Pipelined] {
-                        for nrhs in [1usize, 3] {
-                            let opts = SolveOptions::default()
-                                .with_engine(engine)
-                                .with_direction(direction)
-                                .with_nrhs(nrhs);
-                            solver
-                                .solve_with(&s, &vec![1.0; s.n() * nrhs], &opts)
-                                .unwrap();
-                            replay(
-                                &log,
-                                &spec,
-                                &format!(
-                                    "{engine:?} {direction:?} nrhs={nrhs} {ordering:?} k={k} \
-                                     threads={threads}"
-                                ),
-                            );
-                        }
+                    for nrhs in [1usize, 3] {
+                        let opts = SolveOptions::default()
+                            .with_engine(SolveEngine::Split)
+                            .with_direction(direction)
+                            .with_nrhs(nrhs);
+                        solver
+                            .solve_with(&s, &vec![1.0; s.n() * nrhs], &opts)
+                            .unwrap();
+                        replay(
+                            &log,
+                            &spec,
+                            &format!(
+                                "split {direction:?} nrhs={nrhs} {ordering:?} k={k} \
+                                 threads={threads}"
+                            ),
+                        );
                     }
                 }
             }

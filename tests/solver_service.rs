@@ -256,6 +256,28 @@ fn an_nrhs_whose_product_with_n_wraps_is_a_dimension_mismatch() {
 }
 
 #[test]
+fn a_pattern_from_raw_cannot_index_is_invalid_matrix_not_a_panic() {
+    // A decreasing row_ptr, and an n whose row_ptr length overflows: both
+    // used to panic the handler while synthesizing the analysis values.
+    let mut service = SolverService::new(ServiceConfig::default());
+    for (id, line) in [
+        r#"{"v":1,"id":1,"op":"submit_pattern","n":2,"row_ptr":[0,5,2],"col_idx":[0,1],"method":"STS-3","rows_per_super_row":8}"#,
+        r#"{"v":1,"id":2,"op":"submit_pattern","n":18446744073709551615,"row_ptr":[],"col_idx":[],"method":"STS-3","rows_per_super_row":8}"#,
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        assert_eq!(
+            error_code_of(&service.handle_line(line).line),
+            "invalid_matrix",
+            "line {id}"
+        );
+        let stats = result_of(&service.handle_line(&request(9, "stats", vec![])).line);
+        assert!(stats.get("patterns_cached").is_some());
+    }
+}
+
+#[test]
 fn lru_eviction_drops_the_coldest_pattern() {
     let a = generators::grid2d_laplacian(8, 8).unwrap();
     let mut service = SolverService::new(ServiceConfig {

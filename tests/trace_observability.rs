@@ -2,7 +2,7 @@
 //! service-level metrics surface.
 //!
 //! The acceptance workload is the 200×200 2-D Laplacian of the paper's
-//! smoke suite: a tracing-enabled pipelined SSOR-PCG solve must produce a
+//! smoke suite: a tracing-enabled split-driver SSOR-PCG solve must produce a
 //! valid Chrome trace-event JSON document whose spans cover every pack in
 //! both solve phases (phase-1 gather, phase-2 chains).
 
@@ -17,7 +17,7 @@ use sts_k::numa::Schedule;
 use sts_k::serve::{ServiceConfig, SolverService};
 use sts_k::trace::{chrome_trace_json, Phase, SpanRecorder};
 
-/// A traced pipelined solve on the acceptance workload, returning the
+/// A traced split-driver solve on the acceptance workload, returning the
 /// recorder and the system it ran on.
 fn traced_laplacian_solve() -> (Arc<SpanRecorder>, SpdSystem) {
     let a = generators::grid2d_laplacian(200, 200).unwrap();
@@ -27,7 +27,7 @@ fn traced_laplacian_solve() -> (Arc<SpanRecorder>, SpdSystem) {
     recorder.enable();
     pcg.solver_mut()
         .set_trace_recorder(Some(Arc::clone(&recorder)));
-    let mut pre = Ssor::new(&sys, pcg.solver(), SweepEngine::Pipelined);
+    let mut pre = Ssor::new(&sys, SweepEngine::Split);
     let mut ws = KrylovWorkspace::new(sys.n());
     let b = ops::spmv(&a, &vec![1.0; sys.n()]).unwrap();
     let out = pcg.solve(&sys, &mut pre, &b, &mut ws).unwrap();
@@ -37,7 +37,7 @@ fn traced_laplacian_solve() -> (Arc<SpanRecorder>, SpdSystem) {
 }
 
 #[test]
-fn pipelined_solve_trace_covers_every_pack_per_phase() {
+fn traced_solve_covers_every_pack_per_phase() {
     let (recorder, sys) = traced_laplacian_solve();
     let spans = recorder.snapshot();
     assert!(!spans.is_empty(), "a traced solve must record spans");
@@ -131,7 +131,7 @@ fn installed_but_disabled_recorder_stays_silent() {
     // Installed but never enabled: the disabled path must record nothing.
     pcg.solver_mut()
         .set_trace_recorder(Some(Arc::clone(&recorder)));
-    let mut pre = Ssor::new(&sys, pcg.solver(), SweepEngine::Pipelined);
+    let mut pre = Ssor::new(&sys, SweepEngine::Split);
     let mut ws = KrylovWorkspace::new(sys.n());
     let b = ops::spmv(&a, &vec![1.0; sys.n()]).unwrap();
     pcg.solve(&sys, &mut pre, &b, &mut ws).unwrap();

@@ -270,8 +270,8 @@ fn geometry_digest(spec: &ScheduleSpec) -> u64 {
     h
 }
 
-/// The specs are read off the `PipelinePlan` / factor chunking the kernels
-/// run. Their geometry (chunk counts, row ranges, readiness) must equal what
+/// The specs are cut by the same chunk functions and factor chunking the
+/// kernels run. Their geometry (chunk counts, row ranges, readiness) must equal what
 /// the verifier's own copy of the chunk formula produced before it was
 /// removed; the digests below were captured at that commit.
 #[test]

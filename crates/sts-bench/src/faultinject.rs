@@ -16,13 +16,14 @@
 //! * **worker panics** — [`panic_hook`] panics the worker that picks up a
 //!   chosen pack, exercising pool poisoning;
 //! * **worker stalls** — [`stall_hook`] parks the worker that picks up a
-//!   chosen pack, exercising the IC(0) build's epoch-gate watchdog (a
-//!   stalled sweep is only slow).
+//!   chosen unit of a chosen pack; no kernel waits on a peer inside a
+//!   dispatch, so a stall only holds back that dispatch's barrier.
 //!
 //! The hooks plug into
 //! [`ParallelSolver::set_chaos_hook`](sts_core::ParallelSolver), which the
-//! split sweep driver invokes at every `(gather chunk, stage)` start and the
-//! parallel IC(0) build at every `(worker, pack)` chunk start.
+//! split sweep driver invokes at every `(gather chunk, stage)` start, and
+//! the super-row loop of the unsplit sweep and the parallel IC(0) build at
+//! every `(super-row task, pack)` start.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -159,12 +160,10 @@ pub fn panic_hook(pack: usize) -> ChaosHook {
     })
 }
 
-/// A chaos hook that stalls worker `worker` for `dur` when it picks up pack
-/// `pack` — the "hardware went away" shape the epoch-gate watchdog exists
-/// for. The worker *returns* after the stall (the pool can always complete
-/// its barrier); in a multi-worker IC(0) build its peers hit the watchdog
-/// deadline first and the build reports a timeout, while a sweep just runs
-/// slow.
+/// A chaos hook that stalls unit `worker` of pack `pack` (a gather chunk or
+/// a super-row task) for `dur` — the "hardware went away" shape. The worker
+/// *returns* after the stall, and its peers wait for it only at the
+/// dispatch's barrier, so every kernel just runs slow.
 pub fn stall_hook(worker: usize, pack: usize, dur: Duration) -> ChaosHook {
     Arc::new(move |w, p| {
         if w == worker && p == pack {

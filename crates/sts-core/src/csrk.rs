@@ -279,10 +279,8 @@ impl StsStructure {
             if let Err(v) = self.verify_schedule_at(usize::MAX, SweepDirection::Forward) {
                 panic!("forward schedule fails static verification: {v}");
             }
-            for &threads in &crate::verify::VERIFY_THREAD_SWEEP {
-                if let Err(v) = self.verify_factor_schedule(threads) {
-                    panic!("factor schedule fails static verification: {v}");
-                }
+            if let Err(v) = self.verify_factor_schedule() {
+                panic!("factor schedule fails static verification: {v}");
             }
         }
         layout

@@ -25,12 +25,10 @@
 //!   row body in `solver::kernel`, one chunk geometry in `solver::plan`)
 //!   under a sequential and a two-phase split driver, both behind
 //!   `ParallelSolver::solve_with` / `solve_into`; the paper's unsplit
-//!   barrier-per-pack kernel (`ParallelSolver::solve`); a schedule-only
-//!   level-scheduled solver for callers who cannot reorder their system;
-//!   and the level-scheduled parallel IC(0) construction
+//!   barrier-per-pack kernel (`ParallelSolver::solve`); and the
+//!   level-scheduled parallel IC(0) construction
 //!   (`ParallelSolver::parallel_ic0`) that runs the preconditioner *setup*
-//!   over the same pack hierarchy, each chunk waiting on an epoch gate for
-//!   just the packs it reads;
+//!   on that same super-row loop, a barrier per pack;
 //! * [`options`] — the typed [`SolveOptions`] request (engine × direction ×
 //!   batch width × [`PrecisionPolicy`]) consumed by
 //!   [`solver::parallel::ParallelSolver::solve_with`], and the [`SlabValue`]
@@ -57,9 +55,9 @@
 //! permutation `P`, and the structure solves the reordered system
 //! `lower(P A Pᵀ) · x' = b'`. This matches the intended use in iterative
 //! solvers, where the application permutes its matrix once and then performs
-//! many triangular solves in the new ordering. Callers who must solve a fixed
-//! `L x = b` without reordering can use
-//! [`solver::LevelScheduledSolver`], which schedules the original system.
+//! many triangular solves in the new ordering. A fixed `L x = b` that must
+//! not be reordered has no parallel solver here; its sequential solve is
+//! `sts_matrix::LowerTriangularCsr::solve_seq`.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 

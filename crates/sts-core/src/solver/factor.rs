@@ -5,21 +5,14 @@
 //! retained strictly-lower columns (completely — prefix and diagonal) plus
 //! its own earlier entries. The pack / super-row hierarchy an
 //! [`StsStructure`] validates for the solve therefore schedules the
-//! factorization verbatim:
+//! factorization verbatim, on the same loop as the paper's unsplit sweep
+//! (Algorithm 1; see [`parallel`](super::parallel)):
 //!
-//! * the super-rows of pack `p` are factored concurrently, statically
-//!   chunked over the workers (chunk `c` of every pack is owned by worker
-//!   `c`, so each row has exactly one writer);
-//! * a chunk does not wait for pack `p − 1`; it waits — through an
-//!   [`EpochGate`], on the gated-worker scaffold `ParallelSolver::run_gated`
-//!   (its failure semantics are stated in the [`parallel`](super::parallel)
-//!   module docs) — only until the packs its rows' **external columns
-//!   actually reference**
-//!   ([`SplitLayout::range_ext_dep`](crate::split::SplitLayout::range_ext_dep),
-//!   a pure function of the pattern, which IC(0) preserves) are fully
-//!   factored. Chunks of pack `p + 1` overlap stragglers of pack `p`
-//!   whenever the dependency structure allows;
-//! * within a chunk, rows run in increasing order, so same-super-row reads
+//! * per pack, one `parallel_for` over the pack's super-rows under the
+//!   solver's schedule; each super-row is one task, run by one worker, so
+//!   each row has exactly one writer;
+//! * the pool's completion is the barrier between packs;
+//! * within a task, rows run in increasing order, so same-super-row reads
 //!   are this worker's own earlier writes in program order.
 //!
 //! # Bitwise identity
@@ -28,43 +21,43 @@
 //! evaluated by [`ic0_factor_row`] in
 //! the same merge order as the sequential sweep — so the level-scheduled
 //! factor is **bitwise identical** to `sts_matrix::factor::ic0` for every
-//! worker count and interleaving (asserted by the property tests).
+//! worker count, schedule and interleaving (asserted by the property tests).
 //!
 //! # Breakdown identity
 //!
-//! A worker that hits a non-SPD pivot does not abort the sweep (which would
-//! strand waiters on the gate); it records the row and keeps factoring, at
-//! one worker as at many — `sqrt` of the bad pivot propagates as NaN, and
-//! NaN-poisoned descendants fail their own pivot checks. The *lowest* recorded row has all its
-//! dependencies intact (any broken dependency would itself be a lower
-//! recorded row), so its pivot is bitwise identical to the one the
-//! sequential sweep reports when it stops there first: both engines return
-//! the same [`MatrixError::FactorizationBreakdown`].
+//! A task that hits a non-SPD pivot does not abort the sweep; it records the
+//! row and keeps factoring, at one worker as at many — `sqrt` of the bad
+//! pivot propagates as NaN, and NaN-poisoned descendants fail their own
+//! pivot checks. Each task keeps its lowest bad row and merges it once. The
+//! *lowest* recorded row has all its dependencies intact (any broken
+//! dependency would itself be a lower recorded row), so its pivot is bitwise
+//! identical to the one the sequential sweep reports when it stops there
+//! first: both engines return the same
+//! [`MatrixError::FactorizationBreakdown`].
 //!
 //! # Memory ordering / race freedom
 //!
 //! The value array is shared through the same
 //! `SharedVec` (`solver::kernel`) wrapper as the solve kernels.
-//! Row `i`'s slice has one writer (the owner of its chunk). Reads target
-//! (a) rows of packs `0..dep`, published by the gate's epoch edge (a
-//! `Ready` from `wait_open_until(dep, ..)` happens-after every arrival of
-//! those packs), or (b) rows of `i`'s own super-row, written earlier by the same worker in
+//! Row `i`'s slice has one writer (the worker that runs its super-row).
+//! Reads target (a) rows of earlier packs, published by the pack barrier —
+//! the pool's completion count, which every helper decrements after its last
+//! write of the pack and the dispatcher reads before it starts the next — or
+//! (b) rows of `i`'s own super-row, written earlier by the same worker in
 //! program order. Pack independence ([`StsStructure::validate`]) rules out
 //! every other target, so no slot is ever accessed concurrently with its
 //! write.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering as AtomicOrdering};
+use std::sync::{Mutex, PoisonError};
 
 use sts_matrix::factor::{ic0_factor_row, lower_pattern_copy};
 use sts_matrix::{CsrMatrix, LowerTriangularCsr, MatrixError};
-use sts_numa::EpochGate;
 use sts_trace::Phase;
 use sts_verify::TaskKind;
 
 use crate::csrk::{Result, StsStructure};
 use crate::solver::kernel::SharedVec;
-use crate::solver::parallel::ParallelSolver;
-use crate::solver::plan::FactorChunks;
+use crate::solver::parallel::{span, ParallelSolver};
 
 impl ParallelSolver {
     /// Zero-fill incomplete Cholesky of `a`, level-scheduled over `s`'s pack
@@ -72,14 +65,14 @@ impl ParallelSolver {
     ///
     /// `a` must be the reordered symmetric matrix whose lower triangle has
     /// **exactly** the sparsity pattern of `s.lower()` (the
-    /// [`StsStructure::with_operand`] contract) — the schedule's readiness
-    /// metadata and the pack-independence invariant are derived from that
-    /// pattern, so a mismatch is rejected up front. Values may differ.
+    /// [`StsStructure::with_operand`] contract) — the schedule's
+    /// pack-independence invariant is derived from that pattern, so a
+    /// mismatch is rejected up front. Values may differ.
     ///
     /// The result is bitwise identical to `sts_matrix::factor::ic0(a)` —
     /// including the [`MatrixError::FactorizationBreakdown`] row and pivot
-    /// on non-SPD input — for every thread count (see the module
-    /// documentation for the argument).
+    /// on non-SPD input — for every thread count and schedule (see the
+    /// module documentation for the argument).
     pub fn parallel_ic0(&self, s: &StsStructure, a: &CsrMatrix) -> Result<LowerTriangularCsr> {
         let (row_ptr, col_idx, mut vals) = lower_pattern_copy(a)?;
         if row_ptr != s.lower().row_ptr() || col_idx != s.lower().col_idx() {
@@ -89,90 +82,57 @@ impl ParallelSolver {
                     .into(),
             ));
         }
-        // Static chunks of each pack's super-rows (chunk c owned by worker
-        // c) with per-chunk readiness in pack numbering. Forcing the lazy
-        // split layout here only borrows what the preconditioner sweeps
-        // build anyway.
         let n = s.n();
-        let workers = self.num_threads();
-        let chunks = FactorChunks::build(s, workers);
-        let num_packs = s.num_packs();
-        let counts: Vec<usize> = (0..num_packs)
-            .map(|p| chunks.pack_chunks(p).len())
-            .collect();
-        let gate = EpochGate::new(&counts);
-        // Per-worker-slot breakdown records (row, pivot bits); usize::MAX
-        // marks "none". Each slot has exactly one writer.
-        let bd_row: Vec<AtomicUsize> = (0..workers).map(|_| AtomicUsize::new(usize::MAX)).collect();
-        let bd_pivot: Vec<AtomicU64> = (0..workers).map(|_| AtomicU64::new(0)).collect();
+        let rec = self.active_recorder();
+        // The lowest bad-pivot row any task saw, with its pivot; usize::MAX
+        // marks "none".
+        let breakdown = Mutex::new((usize::MAX, 0.0f64));
         let shared = SharedVec::new(&mut vals);
-        // A panic or timeout outranks the breakdown merge below: the sweep
-        // did not finish, so the per-worker records may be incomplete.
-        self.run_gated(&gate, |worker| {
-            let w = worker.slot();
-            let mut local_row = usize::MAX;
-            let mut local_pivot = 0.0f64;
-            for p in 0..num_packs {
-                let Some(rows) = chunks.pack_chunks(p).get(w) else {
-                    continue;
-                };
-                // Wait only for the packs this chunk's external columns
-                // reference (dep ≤ p, so progress is guaranteed: every worker
-                // only ever waits on strictly earlier packs).
-                if !worker.await_stages(chunks.pack_deps(p)[w] as usize, p) {
-                    break;
-                }
-                worker.enter(p);
-                worker.span(Phase::Factor, p, || {
-                    for i in rows.clone() {
-                        let lo = row_ptr[i];
-                        // SAFETY: row i's slots are written only by this
-                        // chunk's owner; reads inside ic0_factor_row target
-                        // strictly earlier rows — published by the epoch edge
-                        // (earlier packs) or written earlier by this worker
-                        // (own super-row). See the module docs.
-                        let row = unsafe { shared.slice_mut(lo, row_ptr[i + 1] - lo) };
-                        let d = ic0_factor_row(
-                            &row_ptr,
-                            &col_idx,
-                            // SAFETY: same argument as the slice above — k
-                            // names a finalized slot.
-                            |k| unsafe { shared.read(k) },
-                            row,
-                            i,
-                        );
-                        if (d <= 0.0 || !d.is_finite()) && i < local_row {
-                            local_row = i;
-                            local_pivot = d;
-                        }
-                        // Row-granularity reads: every slot ic0_factor_row
-                        // touched belongs to a row named by i's strictly-lower
-                        // columns (or to row i itself, which is the write).
-                        self.shadow_record(
-                            TaskKind::Gather,
-                            i,
-                            col_idx[lo..row_ptr[i + 1] - 1].iter().copied(),
-                        );
+        // A panic outranks the breakdown below: the sweep did not finish, so
+        // the record may be incomplete.
+        self.drive_super_rows(s, |p, t, rows| {
+            let (mut local_row, mut local_pivot) = (usize::MAX, 0.0f64);
+            span(rec, Phase::Factor, t, p, || {
+                for i in rows {
+                    let lo = row_ptr[i];
+                    // SAFETY: row i's slots are written only by the worker
+                    // running its super-row; reads inside ic0_factor_row
+                    // target strictly earlier rows — published by the pack
+                    // barrier (earlier packs) or written earlier by this
+                    // worker (own super-row). See the module docs.
+                    let row = unsafe { shared.slice_mut(lo, row_ptr[i + 1] - lo) };
+                    let d = ic0_factor_row(
+                        &row_ptr,
+                        &col_idx,
+                        // SAFETY: same argument as the slice above — k
+                        // names a finalized slot.
+                        |k| unsafe { shared.read(k) },
+                        row,
+                        i,
+                    );
+                    if (d <= 0.0 || !d.is_finite()) && local_row == usize::MAX {
+                        (local_row, local_pivot) = (i, d);
                     }
-                });
-                gate.arrive(p);
-            }
+                    // Row-granularity reads: every slot ic0_factor_row
+                    // touched belongs to a row named by i's strictly-lower
+                    // columns (or to row i itself, which is the write).
+                    self.shadow_record(
+                        TaskKind::Gather,
+                        i,
+                        col_idx[lo..row_ptr[i + 1] - 1].iter().copied(),
+                    );
+                }
+            });
             if local_row != usize::MAX {
-                // Relaxed suffices: the pool's completion barrier publishes
-                // these slots to the orchestrator below.
-                bd_row[w].store(local_row, AtomicOrdering::Relaxed);
-                bd_pivot[w].store(local_pivot.to_bits(), AtomicOrdering::Relaxed);
+                let mut first = breakdown.lock().unwrap_or_else(PoisonError::into_inner);
+                if local_row < first.0 {
+                    *first = (local_row, local_pivot);
+                }
             }
         })?;
-        let mut first = usize::MAX;
-        let mut pivot = 0.0f64;
-        for w in 0..workers {
-            let r = bd_row[w].load(AtomicOrdering::Relaxed);
-            if r < first {
-                first = r;
-                pivot = f64::from_bits(bd_pivot[w].load(AtomicOrdering::Relaxed));
-            }
-        }
+        let (first, pivot) = breakdown
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner);
         if first != usize::MAX {
             return Err(MatrixError::FactorizationBreakdown { row: first, pivot });
         }
@@ -216,9 +176,9 @@ mod tests {
     }
 
     #[test]
-    fn degenerate_systems_factor_on_the_gated_body() {
-        // No rows, and one row: no pack has a peer to wait for, at one
-        // worker as at three.
+    fn degenerate_systems_factor_at_every_thread_count() {
+        // No rows, and one row: packs with no super-row or a single one, at
+        // one worker as at three.
         use sts_matrix::CooMatrix;
         let mut one = CooMatrix::new(1, 1);
         one.push(0, 0, 4.0).unwrap();

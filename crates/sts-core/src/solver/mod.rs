@@ -5,20 +5,16 @@
 //!   two-phase sweep kernel behind [`ParallelSolver::solve_with`] /
 //!   [`ParallelSolver::solve_into`], plus Algorithm 1 executed with threads
 //!   ([`ParallelSolver::solve`]: one `parallel_for` over the super-rows of
-//!   each pack, a barrier between packs).
+//!   each pack, a barrier between packs) — the super-row loop the IC(0)
+//!   build runs on too.
 //! * `kernel` — the row arithmetic of that sweep: one row body with a
 //!   gather-row and a chain-row function, at lane width 1 or 8.
-//! * `plan` — the one chunk geometry (the sweep's stage and chunk
-//!   functions, the factor chunking): called by the drivers and by the
-//!   schedule verifier alike.
-//! * [`scheduled`] — a schedule-only level-scheduled solver for callers who
-//!   must solve their original `L x = b` without any reordering (classical
-//!   Saltz level scheduling); it shares no storage transformation with STS-k
-//!   and serves as an additional baseline.
+//! * `plan` — the one chunk geometry (the split sweep's stage and chunk
+//!   functions): called by the drivers and by the schedule verifier alike.
 //! * [`factor`] — level-scheduled parallel IC(0) construction
 //!   ([`ParallelSolver::parallel_ic0`]): the preconditioner *setup* run over
-//!   the same pack hierarchy with epoch-gate readiness on a gated-worker
-//!   scaffold, bitwise identical to the sequential up-looking sweep.
+//!   the same pack hierarchy on Algorithm 1's super-row loop, a barrier per
+//!   pack, bitwise identical to the sequential up-looking sweep.
 //!
 //! # Which requests are bitwise identical
 //!
@@ -47,7 +43,5 @@ pub mod factor;
 pub(crate) mod kernel;
 pub mod parallel;
 pub(crate) mod plan;
-pub mod scheduled;
 
 pub use parallel::ParallelSolver;
-pub use scheduled::LevelScheduledSolver;

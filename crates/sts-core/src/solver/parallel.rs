@@ -33,7 +33,10 @@
 //! [`ParallelSolver::solve_into`] the allocation-free form iterative solvers
 //! call with an output buffer they hold, and [`ParallelSolver::solve`] the
 //! paper's original kernel: one `parallel_for` over the super-rows of each
-//! pack on the *unsplit* operand, a barrier between packs.
+//! pack on the *unsplit* operand, a barrier between packs. That super-row
+//! loop is one private driver with two row bodies — the unsplit sweep row,
+//! and the IC(0) row of [`ParallelSolver::parallel_ic0`] (see
+//! [`factor`](super::factor)).
 //!
 //! A sweep recomputes its chunk geometry per stage — a few integer
 //! operations on the pack boundaries — instead of storing it, so a sweep
@@ -47,42 +50,23 @@
 //! every failure is reported after the last worker has come back, the pool
 //! stays usable, and the output buffer must be treated as torn.
 //!
-//! The barrier-synchronised kernels ([`ParallelSolver::solve`], the split
-//! driver, the SpMVs) wait on nobody inside a dispatch: a panicking body is
-//! caught by the pool and surfaces as [`MatrixError::WorkerPanicked`]. The
-//! split driver reports the stage whose dispatch panicked as its `pack`; the
-//! other kernels report the loop index in flight. The split driver calls the
-//! [`ChaosHook`] as `hook(c, st)` when gather chunk `c` of stage `st`
-//! starts, so a panicking hook fails the same way, and a stalling hook only
-//! holds back the stage's barrier: a stalled sweep worker is a slow success
+//! No kernel waits on a peer inside a dispatch: each is a sequence of
+//! `parallel_for` loops whose completion is the barrier. A panicking body is
+//! caught by the pool and surfaces as [`MatrixError::WorkerPanicked`], whose
+//! `pack` is the stage (split driver) or pack (super-row loop) whose
+//! dispatch panicked; the SpMVs, one dispatch each, report the loop index in
+//! flight. The [`ChaosHook`] runs where a unit of work starts — `hook(c, st)`
+//! at gather chunk `c` of stage `st` in the split driver, `hook(t, p)` at
+//! super-row task `t` of pack `p` in the super-row loop — so a panicking
+//! hook fails the same way, and a stalling hook only holds back its
+//! dispatch's barrier: a stalled worker is a slow success in every kernel
 //! at every thread count.
-//!
-//! The one gate-synchronised kernel,
-//! [`parallel_ic0`](ParallelSolver::parallel_ic0), has its workers wait on
-//! each other inside one dispatch, where a dead or stalled peer would strand
-//! them. It runs its body on the scaffold `ParallelSolver::run_gated`, which
-//! implements the following:
-//!
-//! * each worker's body runs under `catch_unwind`. A panic — in the row
-//!   arithmetic or in the chaos hook, called as a worker enters its chunk
-//!   of a pack — records the first `(slot, stage, message)` and *poisons*
-//!   the gate; the dispatch returns [`MatrixError::WorkerPanicked`];
-//! * every wait gives up on the poison flag and on the *watchdog deadline*
-//!   ([`ParallelSolver::set_watchdog`], counted from dispatch start). A
-//!   poisoned wait bails out of the body; a wait past the deadline records
-//!   its stage, poisons the gate for the peers, and bails: the dispatch
-//!   returns [`MatrixError::SolveTimeout`], unless a panic was recorded too
-//!   (the timeout is then usually its collateral);
-//! * a stalled worker is not interrupted, so the caller regains control
-//!   after `max(stall, budget)`: never a hang, not a real-time bound. A
-//!   lone worker has no peer to starve — its own program order satisfies
-//!   every wait it meets — so there a stall is just a slow success;
-//! * every dispatch runs on a fresh gate: nothing leaks into the next one.
 //!
 //! # Data-race freedom
 //!
 //! The solution vector is shared mutably across workers through
-//! `SharedVec`. For the unsplit kernel this is sound because:
+//! `SharedVec`. For the unsplit kernel (and, with the factor's value array
+//! in its place, the IC(0) build) this is sound because:
 //!
 //! * every row index is written by exactly one super-row, and every super-row
 //!   is executed by exactly one worker within its pack;
@@ -123,15 +107,11 @@
 //! external reads target, a chain task only for its own stage's phase 1 —
 //! which the split driver's barriers strictly cover.
 
-use std::cell::Cell;
 use std::ops::Range;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Mutex, PoisonError};
-use std::time::{Duration, Instant};
+use std::sync::Arc;
 
 use sts_matrix::{CsrMatrix, MatrixError};
-use sts_numa::pool::panic_message;
-use sts_numa::{EpochGate, GateWait, PoolError, Schedule, WorkerPool};
+use sts_numa::{PoolError, Schedule, WorkerPool};
 use sts_trace::{Phase, SpanRecorder};
 use sts_verify::TaskKind;
 
@@ -143,7 +123,7 @@ use crate::split::SplitLayout;
 
 /// Maps a pool-level failure into the matrix error taxonomy the solver
 /// surfaces.
-pub(crate) fn pool_error_to_matrix(e: PoolError) -> MatrixError {
+fn pool_error_to_matrix(e: PoolError) -> MatrixError {
     match e {
         PoolError::WorkerPanicked {
             slot,
@@ -166,7 +146,7 @@ pub type ChaosHook = Arc<dyn Fn(usize, usize) + Send + Sync>;
 /// Times `f` as one `phase` span of `worker` at `stage` when a recorder is
 /// feeding this dispatch, and just runs it otherwise.
 #[inline]
-fn span<T>(
+pub(crate) fn span<T>(
     rec: Option<&SpanRecorder>,
     phase: Phase,
     worker: usize,
@@ -181,105 +161,10 @@ fn span<T>(
     out
 }
 
-/// Shared failure record of one gated dispatch: the first panic any worker
-/// hit, or else the first watchdog timeout.
-struct KernelFailure(Mutex<Option<MatrixError>>);
-
-impl KernelFailure {
-    fn new() -> Self {
-        KernelFailure(Mutex::new(None))
-    }
-
-    /// Keeps `error` if it is the first, or the first panic: a panic
-    /// outranks a timeout, which is usually collateral of its poisoning.
-    fn record(&self, error: MatrixError) {
-        let mut first = self.0.lock().unwrap_or_else(PoisonError::into_inner);
-        let outranks = match &*first {
-            None => true,
-            Some(kept) => {
-                matches!(kept, MatrixError::SolveTimeout { .. })
-                    && matches!(error, MatrixError::WorkerPanicked { .. })
-            }
-        };
-        if outranks {
-            *first = Some(error);
-        }
-    }
-
-    fn into_result(self) -> Result<()> {
-        let first = self.0.into_inner().unwrap_or_else(PoisonError::into_inner);
-        first.map_or(Ok(()), Err)
-    }
-}
-
-/// One worker of a gated dispatch ([`ParallelSolver::run_gated`]): the
-/// kernel body's only way to the chaos hook, the recorder, and the gate's
-/// failure paths.
-pub(crate) struct GatedWorker<'a> {
-    solver: &'a ParallelSolver,
-    gate: &'a EpochGate,
-    failure: &'a KernelFailure,
-    deadline: Instant,
-    rec: Option<&'a SpanRecorder>,
-    slot: usize,
-    /// The stage this worker last entered: where a panic is reported.
-    stage: Cell<usize>,
-}
-
-impl GatedWorker<'_> {
-    /// The pool slot this worker runs on.
-    pub(crate) fn slot(&self) -> usize {
-        self.slot
-    }
-
-    /// Marks `stage` as the one a panic from here on is reported at, then
-    /// runs the chaos hook: call it where the worker starts its unit of
-    /// `stage`.
-    pub(crate) fn enter(&self, stage: usize) {
-        self.stage.set(stage);
-        if let Some(hook) = &self.solver.chaos {
-            hook(self.slot, stage);
-        }
-    }
-
-    /// Times `f` as one `phase` span of this worker at `stage`.
-    #[inline]
-    pub(crate) fn span<T>(&self, phase: Phase, stage: usize, f: impl FnOnce() -> T) -> T {
-        span(self.rec, phase, self.slot, stage, f)
-    }
-
-    /// Waits until stages `0..dep` are done, on behalf of `stage`. `false`
-    /// means bail: a peer failed, or the watchdog deadline passed (recorded
-    /// against `stage`, and the gate poisoned for the peers).
-    pub(crate) fn await_stages(&self, dep: usize, stage: usize) -> bool {
-        let wait = self.span(Phase::GateWait, stage, || {
-            self.gate.wait_open_until(dep, self.deadline)
-        });
-        match wait {
-            GateWait::Ready => true,
-            GateWait::Poisoned => false,
-            GateWait::TimedOut => {
-                self.failure.record(MatrixError::SolveTimeout {
-                    stage,
-                    timeout_ms: self.solver.watchdog_ms,
-                });
-                self.gate.poison();
-                false
-            }
-        }
-    }
-}
-
-/// Default watchdog budget for one gated dispatch; generous enough that
-/// no healthy build on any matrix in the suite comes near it.
-const DEFAULT_WATCHDOG_MS: u64 = 10_000;
-
 /// A reusable parallel solver bound to a worker pool.
 pub struct ParallelSolver {
     pool: WorkerPool,
     schedule: Schedule,
-    /// Watchdog budget for one gated dispatch, in milliseconds.
-    watchdog_ms: u64,
     /// Optional fault-injection hook; see [`ChaosHook`].
     chaos: Option<ChaosHook>,
     /// Optional span recorder; see [`ParallelSolver::set_trace_recorder`].
@@ -303,8 +188,9 @@ impl ParallelSolver {
     /// solve is the thread that calls it (see [`sts_numa::pool`]):
     /// `core_order[0]` names that thread's core and is not applied — the
     /// solver does not own its caller, and a caller that wants the compact
-    /// placement for itself pins itself there. Workers `1..threads` are the
-    /// pool's own threads and are pinned to `core_order[1..]`.
+    /// placement for itself pins itself there, before or after building the
+    /// solver. Workers `1..threads` are the pool's own threads and are
+    /// pinned to `core_order[1..]`.
     ///
     /// [`NumaTopology::compact_core_order`]:
     ///     sts_numa::NumaTopology::compact_core_order
@@ -312,7 +198,6 @@ impl ParallelSolver {
         ParallelSolver {
             pool: WorkerPool::with_pinning(threads, core_order),
             schedule,
-            watchdog_ms: DEFAULT_WATCHDOG_MS,
             chaos: None,
             trace: None,
             #[cfg(feature = "race-shadow")]
@@ -320,26 +205,12 @@ impl ParallelSolver {
         }
     }
 
-    /// Sets the watchdog deadline of the gate-synchronised kernel, the
-    /// level-scheduled IC(0) build (module docs, "Failure semantics"): a
-    /// wait on a peer that exceeds this budget, counted from dispatch start,
-    /// ends the build with [`MatrixError::SolveTimeout`] instead of hanging
-    /// behind a stalled worker. The sweeps wait on no peer inside a dispatch
-    /// and never time out. Budgets below 1 ms are clamped up to 1 ms.
-    pub fn set_watchdog(&mut self, budget: Duration) {
-        self.watchdog_ms = (budget.as_millis() as u64).max(1);
-    }
-
-    /// The current watchdog budget of the gate-synchronised kernel.
-    pub fn watchdog(&self) -> Duration {
-        Duration::from_millis(self.watchdog_ms)
-    }
-
     /// Installs (or clears) a fault-injection hook, invoked as `hook(c, st)`
     /// when the split driver starts gather chunk `c` of stage `st`, and as
-    /// `hook(w, p)` when worker `w` of the level-scheduled factorization
-    /// starts its chunk of pack `p`. Test support: a hook that panics or
-    /// stalls exercises the failure paths deterministically.
+    /// `hook(t, p)` when the super-row loop — the unsplit
+    /// [`ParallelSolver::solve`] and the level-scheduled factorization —
+    /// starts super-row task `t` of pack `p`. Test support: a hook that
+    /// panics or stalls exercises the failure paths deterministically.
     pub fn set_chaos_hook(&mut self, hook: Option<ChaosHook>) {
         self.chaos = hook;
     }
@@ -347,18 +218,17 @@ impl ParallelSolver {
     /// Installs (or clears) a span recorder fed by the parallel kernels:
     /// the split driver's phase-1 gather chunks ([`Phase::Gather`]) and
     /// phase-2 chain tasks ([`Phase::Chain`]), and the level-scheduled IC(0)
-    /// build's chunks ([`Phase::Factor`]) and blocking epoch-gate waits
-    /// ([`Phase::GateWait`]).
+    /// build's super-row tasks ([`Phase::Factor`]).
     ///
     /// The recorder's enabled flag is sampled once per solve, so an
     /// installed-but-disabled recorder costs one `Option` check per kernel
     /// dispatch (the configuration every untraced run of the repo benchmark
     /// measures). The `worker` field of a span is the chunk index for the
-    /// split driver's static gather chunks, the chain-task index for its
-    /// dynamically scheduled phase 2 (the pool does not expose which slot
-    /// claimed a task), and the pool slot for the IC(0) build. The `pack`
-    /// field is the *stage* index: identical to the pack for forward sweeps,
-    /// reversed for transpose sweeps.
+    /// split driver's static gather chunks, and the task index for its
+    /// dynamically scheduled chain tasks and the IC(0) build's super-row
+    /// tasks (the pool does not expose which slot claimed a task). The
+    /// `pack` field is the *stage* index: identical to the pack for forward
+    /// sweeps and the IC(0) build, reversed for transpose sweeps.
     pub fn set_trace_recorder(&mut self, recorder: Option<Arc<SpanRecorder>>) {
         self.trace = recorder;
     }
@@ -596,33 +466,50 @@ impl ParallelSolver {
             let row_ptr = l.row_ptr();
             let col_idx = l.col_idx();
             let values = l.values();
-            for p in 0..s.num_packs() {
-                let pack = s.pack_super_rows(p);
-                let first_super_row = pack.start;
-                let pack_len = pack.len();
-                self.pool
-                    .parallel_for(pack_len, self.schedule, &|t| {
-                        let sr = first_super_row + t;
-                        for i1 in s.super_row_rows(sr) {
-                            let start = row_ptr[i1];
-                            let end = row_ptr[i1 + 1];
-                            let mut acc = 0.0;
-                            for k in start..end - 1 {
-                                // SAFETY: column k refers either to an earlier pack
-                                // (completed before this pack started) or to an
-                                // earlier row of this same super-row (written by
-                                // this worker earlier in this closure).
-                                acc += values[k] * unsafe { shared.read(col_idx[k]) };
-                            }
-                            // SAFETY: row i1 belongs to exactly one super-row,
-                            // executed by exactly one worker.
-                            unsafe { shared.write(i1, (b[i1] - acc) / values[end - 1]) };
-                        }
-                    })
-                    .map_err(pool_error_to_matrix)?;
-            }
+            self.drive_super_rows(s, |_, _, rows| {
+                for i1 in rows {
+                    let start = row_ptr[i1];
+                    let end = row_ptr[i1 + 1];
+                    let mut acc = 0.0;
+                    for k in start..end - 1 {
+                        // SAFETY: column k refers either to an earlier pack
+                        // (completed before this pack started) or to an
+                        // earlier row of this same super-row (written by
+                        // this worker earlier in this closure).
+                        acc += values[k] * unsafe { shared.read(col_idx[k]) };
+                    }
+                    // SAFETY: row i1 belongs to exactly one super-row,
+                    // executed by exactly one worker.
+                    unsafe { shared.write(i1, (b[i1] - acc) / values[end - 1]) };
+                }
+            })?;
         }
         Ok(x)
+    }
+
+    /// Algorithm 1's loop, shared by the unsplit sweep and the IC(0) build:
+    /// per pack `p`, one `parallel_for` over its super-rows under the
+    /// solver's schedule, with the pool's completion as the barrier between
+    /// packs. Super-row task `t` hands its rows, in order, to
+    /// `task(p, t, rows)` on one worker, after the chaos hook ran as
+    /// `hook(t, p)`. A panic in pack `p`'s dispatch is reported at `pack: p`.
+    pub(crate) fn drive_super_rows(
+        &self,
+        s: &StsStructure,
+        task: impl Fn(usize, usize, Range<usize>) + Sync,
+    ) -> Result<()> {
+        for p in 0..s.num_packs() {
+            let srs = s.pack_super_rows(p);
+            self.pool
+                .parallel_for(srs.len(), self.schedule, &|t| {
+                    if let Some(hook) = &self.chaos {
+                        hook(t, p);
+                    }
+                    task(p, t, s.super_row_rows(srs.start + t));
+                })
+                .map_err(|e| stage_error(e, p))?;
+        }
+        Ok(())
     }
 
     /// The split driver: per stage, the gather chunks under the static
@@ -661,45 +548,6 @@ impl ParallelSolver {
                 .map_err(|e| stage_error(e, st))?;
         }
         Ok(())
-    }
-
-    /// Runs `body` once on every worker of the pool as one gate-coordinated
-    /// dispatch: the scaffold of the level-scheduled IC(0) build, and the
-    /// one place the failure semantics of a gate-synchronised kernel
-    /// (module docs, "Failure semantics") are implemented. `gate` must be
-    /// fresh: the poison a failed dispatch leaves on it stays.
-    pub(crate) fn run_gated(
-        &self,
-        gate: &EpochGate,
-        body: impl Fn(&GatedWorker<'_>) + Sync,
-    ) -> Result<()> {
-        let deadline = Instant::now() + self.watchdog();
-        let failure = KernelFailure::new();
-        let rec = self.active_recorder();
-        self.pool
-            .parallel_for(self.pool.num_threads(), Schedule::Static, &|slot| {
-                let worker = GatedWorker {
-                    solver: self,
-                    gate,
-                    failure: &failure,
-                    deadline,
-                    rec,
-                    slot,
-                    stage: Cell::new(0),
-                };
-                if let Err(payload) = catch_unwind(AssertUnwindSafe(|| body(&worker))) {
-                    failure.record(MatrixError::WorkerPanicked {
-                        slot,
-                        pack: worker.stage.get(),
-                        message: panic_message(payload.as_ref()),
-                    });
-                    gate.poison();
-                }
-            })
-            // Unreachable in practice — the catch above absorbs every panic —
-            // but kept sound rather than assumed.
-            .map_err(pool_error_to_matrix)?;
-        failure.into_result()
     }
 
     /// Sparse matrix–vector product `y = A x` on the solver's worker pool:
@@ -797,8 +645,8 @@ impl ParallelSolver {
     }
 }
 
-/// A pool failure of one of stage `st`'s dispatches, reported at that
-/// stage.
+/// A pool failure of one of stage (or pack) `st`'s dispatches, reported at
+/// that stage.
 fn stage_error(e: PoolError, st: usize) -> MatrixError {
     let PoolError::WorkerPanicked { slot, message, .. } = e;
     MatrixError::WorkerPanicked {

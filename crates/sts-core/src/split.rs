@@ -27,9 +27,9 @@
 //! row's external entries reference, `0` when it has none; a row whose
 //! latest dependency is pack 0 therefore stores `1`, not `0`). A chunk is
 //! ready as soon as the packs `0..max(ext_dep)` of its rows are *done* —
-//! typically much earlier than "the previous pack is done". The
-//! level-scheduled IC(0) build waits on exactly this, and the schedule
-//! verifier proves the sweeps against it.
+//! typically much earlier than "the previous pack is done". The schedule
+//! verifier proves the sweeps and the IC(0) build against it; the kernels
+//! themselves wait at a barrier after every stage, which covers it.
 //!
 //! The layout duplicates the operand's off-diagonal storage (ext + int slabs
 //! hold every strictly-lower entry exactly once, next to the original CSR
@@ -421,8 +421,7 @@ impl SplitLayout {
     /// Readiness of a contiguous row range (a phase-1 gather chunk): the
     /// number of leading packs that must be done before every external read
     /// of the range is final. Always `≤` the range's own pack, and for
-    /// chained orderings typically `<` — the slack the level-scheduled
-    /// IC(0) build overlaps.
+    /// chained orderings typically `<`.
     #[inline]
     pub fn range_ext_dep(&self, rows: std::ops::Range<usize>) -> u32 {
         self.ext_dep[rows].iter().copied().max().unwrap_or(0)

@@ -9,7 +9,7 @@
 //! external slab columns, i.e. the `x` slots of other packs; writes: the
 //! chunk's own partial rows), phase-2 chain tickets (reads: internal slab
 //! columns plus the row's own partial; writes: the chain rows) and
-//! `parallel_ic0` factor chunks (reads: the rows named by each row's
+//! `parallel_ic0` super-row tasks (reads: the rows named by each row's
 //! strictly-lower columns; writes: the row) — together with the
 //! happens-before edges a chunk or task needs (readiness from
 //! [`SplitLayout::range_ext_dep`], chain tasks after their stage's phase 1,
@@ -17,19 +17,21 @@
 //! [`sts_verify`].
 //!
 //! Chunk boundaries are not re-derived here: [`solve_spec`] cuts them with
-//! the same `solver::plan` functions the split driver calls, and
-//! [`factor_spec`] reads the `FactorChunks` `parallel_ic0` runs, so the
-//! proof is about the schedule that runs. Passing `threads = usize::MAX`
-//! yields row- (super-row-) granularity chunks — the sharpest check, since
-//! coarser chunks take the `max` of their rows' readiness and can only
-//! over-synchronise.
+//! the same `solver::plan` functions the split driver calls, so the proof is
+//! about the schedule that runs. Passing `threads = usize::MAX` yields
+//! row-granularity chunks — the sharpest check, since coarser chunks take
+//! the `max` of their rows' readiness and can only over-synchronise.
+//! [`factor_spec`] models one chunk per super-row: `parallel_ic0` schedules
+//! its super-row tasks dynamically, so no worker owns a fixed chunk, and one
+//! super-row is what every task runs in program order.
 //!
-//! The verified solve model is the **dependency-minimal** schedule: each
-//! chunk waits only for the stages its external reads target, not for the
-//! whole previous stage. The split driver runs the same tasks with full
-//! barriers between phases and stages (strictly more ordering), so the
-//! proof covers it; the dynamic `race-shadow` cross-check (see
-//! [`sts_verify::replay`]) validates the footprints against what it touches.
+//! The verified model is the **dependency-minimal** schedule: each chunk
+//! waits only for the stages its external reads target, not for the whole
+//! previous stage. The split driver and the IC(0) build run the same tasks
+//! with full barriers between phases and packs (strictly more ordering), so
+//! the proof covers them; the dynamic `race-shadow` cross-check (see
+//! [`sts_verify::replay`]) validates the footprints against what they
+//! touch.
 //!
 //! Under `debug_assertions`, the first build of each lazy layout re-runs
 //! the corresponding checks ([`StsStructure::split`] /
@@ -42,7 +44,7 @@ use sts_verify::{
 
 use crate::csrk::StsStructure;
 use crate::options::SweepDirection;
-use crate::solver::plan::{chunk_count, chunk_range, stage_pack, stage_rows, FactorChunks};
+use crate::solver::plan::{chunk_count, chunk_range, stage_pack, stage_rows};
 #[allow(unused_imports)] // doc links
 use crate::split::SplitLayout;
 
@@ -100,28 +102,29 @@ pub fn solve_spec(s: &StsStructure, threads: usize, direction: SweepDirection) -
 }
 
 /// Builds the static schedule model of one `parallel_ic0` sweep: per pack,
-/// the factor kernel's super-row-aligned chunks, whose rows read the rows
-/// named by their strictly-lower columns; no phase 2.
-pub fn factor_spec(s: &StsStructure, threads: usize) -> ScheduleSpec {
-    let chunks = FactorChunks::build(s, threads);
+/// one chunk per super-row — whose rows read the rows named by their
+/// strictly-lower columns — with its dependency-minimal readiness; no
+/// phase 2.
+pub fn factor_spec(s: &StsStructure) -> ScheduleSpec {
+    let layout = s.split();
     let l = s.lower();
     let stages = (0..s.num_packs())
         .map(|p| StageSpec {
             pack: p,
-            chunks: chunks
-                .pack_chunks(p)
-                .iter()
-                .zip(chunks.pack_deps(p))
-                .map(|(rows, &dep)| ChunkSpec {
-                    dep: dep as usize,
-                    rows: rows
-                        .clone()
-                        .map(|i| RowFootprint {
-                            row: i,
-                            reads: l.row_off_diag_cols(i).to_vec(),
-                        })
-                        .collect(),
-                    publishes: true,
+            chunks: s
+                .pack_super_rows(p)
+                .map(|sr| {
+                    let rows = s.super_row_rows(sr);
+                    ChunkSpec {
+                        dep: layout.range_ext_dep(rows.clone()) as usize,
+                        rows: rows
+                            .map(|i| RowFootprint {
+                                row: i,
+                                reads: l.row_off_diag_cols(i).to_vec(),
+                            })
+                            .collect(),
+                        publishes: true,
+                    }
                 })
                 .collect(),
             chains: Vec::new(),
@@ -134,9 +137,9 @@ pub fn factor_spec(s: &StsStructure, threads: usize) -> ScheduleSpec {
 }
 
 impl StsStructure {
-    /// Statically verifies the full pack schedule: both sweep directions and
-    /// the factor sweep, across the worker counts of
-    /// [`VERIFY_THREAD_SWEEP`]. Returns the merged [`ScheduleProof`] or the
+    /// Statically verifies the full pack schedule: both sweep directions
+    /// across the worker counts of [`VERIFY_THREAD_SWEEP`], and the factor
+    /// sweep. Returns the merged [`ScheduleProof`] or the
     /// first [`ScheduleViolation`] with `(pack, phase, row, missing edge)`
     /// detail.
     ///
@@ -148,8 +151,8 @@ impl StsStructure {
             for direction in [SweepDirection::Forward, SweepDirection::Transpose] {
                 proof.merge(&self.verify_schedule_at(threads, direction)?);
             }
-            proof.merge(&self.verify_factor_schedule(threads)?);
         }
+        proof.merge(&self.verify_factor_schedule()?);
         Ok(proof)
     }
 
@@ -163,13 +166,9 @@ impl StsStructure {
         sts_verify::verify(&solve_spec(self, threads, direction))
     }
 
-    /// Verifies the `parallel_ic0` factor schedule at a specific worker
-    /// count.
-    pub fn verify_factor_schedule(
-        &self,
-        threads: usize,
-    ) -> Result<ScheduleProof, ScheduleViolation> {
-        sts_verify::verify(&factor_spec(self, threads))
+    /// Verifies the `parallel_ic0` factor schedule.
+    pub fn verify_factor_schedule(&self) -> Result<ScheduleProof, ScheduleViolation> {
+        sts_verify::verify(&factor_spec(self))
     }
 }
 
@@ -223,7 +222,7 @@ mod tests {
     #[test]
     fn factor_spec_verifies_and_counts_every_row() {
         let s = structure();
-        let spec = factor_spec(&s, 4);
+        let spec = factor_spec(&s);
         let rows: usize = spec
             .stages
             .iter()

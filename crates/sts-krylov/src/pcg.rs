@@ -197,9 +197,8 @@ impl Pcg {
         &self.solver
     }
 
-    /// Mutable access to the worker pool, for configuring the watchdog
-    /// deadline ([`ParallelSolver::set_watchdog`]) or installing a
-    /// fault-injection hook.
+    /// Mutable access to the worker pool, for installing a fault-injection
+    /// hook ([`ParallelSolver::set_chaos_hook`]) or a span recorder.
     pub fn solver_mut(&mut self) -> &mut ParallelSolver {
         &mut self.solver
     }

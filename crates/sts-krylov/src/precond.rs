@@ -287,9 +287,9 @@ pub enum Ic0Operand {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Ic0Setup {
     /// Level-scheduled over the system's pack hierarchy on the solver's
-    /// pool (`ParallelSolver::parallel_ic0`): pack `p`'s update sweep waits
-    /// only on the packs its column range actually reads, so setup work of
-    /// later packs overlaps stragglers of earlier ones.
+    /// pool (`ParallelSolver::parallel_ic0`): per pack, the super-rows are
+    /// factored in parallel under the solver's schedule, with a barrier
+    /// between packs.
     LevelScheduled,
     /// The sequential up-looking sweep (`sts_matrix::factor::ic0`) — the
     /// reference the level-scheduled build is compared against.

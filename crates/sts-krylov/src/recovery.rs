@@ -346,7 +346,7 @@ impl RobustPcg {
         &self.pcg
     }
 
-    /// The wrapped driver, mutably (watchdog configuration, fault hooks).
+    /// The wrapped driver, mutably (fault hooks, span recorders).
     pub fn pcg_mut(&mut self) -> &mut Pcg {
         &mut self.pcg
     }

@@ -67,15 +67,6 @@ pub enum MatrixError {
         /// The panic payload, stringified when possible.
         message: String,
     },
-    /// A gate-synchronised kernel (the level-scheduled IC(0) build) exceeded
-    /// its watchdog deadline: a worker stalled (or died without unwinding)
-    /// and an epoch-gate arrival never came.
-    SolveTimeout {
-        /// Stage (pack) whose gate wait timed out.
-        stage: usize,
-        /// The watchdog budget that was exceeded, in milliseconds.
-        timeout_ms: u64,
-    },
     /// A matrix entry is NaN or infinite.
     NonFinite {
         /// Row of the offending entry.
@@ -130,11 +121,6 @@ impl fmt::Display for MatrixError {
             } => write!(
                 f,
                 "worker {slot} panicked while executing pack {pack}: {message}"
-            ),
-            MatrixError::SolveTimeout { stage, timeout_ms } => write!(
-                f,
-                "parallel solve timed out at stage {stage}: a worker stalled past the \
-                 {timeout_ms} ms watchdog deadline"
             ),
             MatrixError::NonFinite { row, col, value } => {
                 write!(f, "entry ({row}, {col}) has non-finite value {value}")

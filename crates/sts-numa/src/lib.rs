@@ -13,32 +13,22 @@
 //!   L3 38–170 cycles, DRAM 175–290 cycles);
 //! * [`affinity`] — thread pinning (`sched_setaffinity` on Linux, no-op
 //!   elsewhere), the equivalent of the paper's `KMP_AFFINITY=compact`;
-//! * [`spin`] — the one spin-then-yield step every wait below relaxes
-//!   through;
-//! * [`epoch`] — a counter-based epoch gate: per-pack completion counts and a
-//!   monotone "packs done" epoch, so a worker of the level-scheduled IC(0)
-//!   build waits only for the packs its chunk reads, not for a barrier per
-//!   pack;
 //! * [`pool`] — a persistent, optionally pinned worker pool with the static /
 //!   dynamic / guided loop schedules the paper tunes per solver. The thread
 //!   that dispatches a loop is a member of the team, and idle members spin
 //!   briefly before they sleep, as under OpenMP. Loop bodies
 //!   run under `catch_unwind`, so a panicking body surfaces as a structured
-//!   [`PoolError`] instead of deadlocking the completion barrier, and the
-//!   epoch gate carries poisoning plus watchdog deadlines so workers blocked
-//!   on a failed peer bail out in bounded time.
+//!   [`PoolError`] instead of deadlocking the completion barrier. Its waits
+//!   relax through one crate-private spin-then-yield step (`spin`).
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod affinity;
-pub mod epoch;
 pub mod latency;
 pub mod pool;
-pub mod spin;
+mod spin;
 pub mod topology;
 
-pub use epoch::{EpochGate, GateWait};
 pub use latency::{AccessKind, LatencyModel};
 pub use pool::{PoolError, Schedule, WorkerPool};
-pub use spin::SpinWait;
 pub use topology::{NumaDistance, NumaTopology};

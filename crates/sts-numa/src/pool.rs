@@ -25,7 +25,7 @@
 //! helpers, and bumps the generation; a helper that observes a generation it
 //! has not run reads the job, runs its share, and decrements the completion
 //! count; the dispatcher runs slot 0's share and then waits for the count to
-//! reach zero. Both waits relax through [`SpinWait`] — 64 `spin_loop` hints,
+//! reach zero. Both waits relax through the crate's one spin step — 64 `spin_loop` hints,
 //! then `yield_now` — because the pool may be oversubscribed (more slots
 //! than cores) and a waiter that never yields starves the thread it is
 //! waiting for. Both are bounded by elapsed time (≈ 100 µs, like OpenMP's
@@ -107,10 +107,6 @@
 //!    `cancelled` is re-armed at the next dispatch, the pool itself stays
 //!    healthy: the panicking generation is fully quiesced before
 //!    `parallel_for` returns, and subsequent dispatches run normally.
-//!
-//! Higher layers (the level-scheduled IC(0) build's epoch gate) add their own poisoning
-//! on top so that workers *blocked on a gate* — rather than claiming indices —
-//! also observe the failure; see `sts_numa::epoch`.
 
 use std::cell::{Cell, UnsafeCell};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -177,10 +173,9 @@ impl std::fmt::Display for PoolError {
 
 impl std::error::Error for PoolError {}
 
-/// Stringifies a caught panic payload for error reporting: the one place
-/// the pool and the solver kernels above it turn a payload into the `message`
-/// of a `WorkerPanicked` error.
-pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+/// Stringifies a caught panic payload into the `message` of a
+/// `WorkerPanicked` error.
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&'static str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -230,7 +225,7 @@ const POLL: Duration = Duration::from_micros(100);
 
 /// Polls `ready` until it holds (`true`) or it has been yielding for [`POLL`]
 /// (`false`), relaxing between looks the way every wait here does
-/// ([`SpinWait`]).
+/// (`SpinWait`).
 fn poll(ready: impl Fn() -> bool) -> bool {
     let mut wait = SpinWait::new();
     let mut yielding_since = None;
@@ -344,11 +339,14 @@ impl WorkerPool {
     /// pool does not own the calling thread and leaves its affinity to
     /// whoever does. A caller that wants the compact placement for the
     /// whole team pins itself to `core_order[0]`
-    /// ([`affinity::pin_current_thread`]); one that does not is placed by the
-    /// scheduler, and where it happens to sit on a helper's core the two
-    /// share that core until the scheduler moves the caller — Linux does not
-    /// move a running thread out of the way of a pinned one that wakes
-    /// beside it, and a caller woken by a helper tends to land next to it.
+    /// ([`affinity::pin_current_thread`]), before or after building the
+    /// pool: a helper spawned by a pinned caller inherits its one-core mask,
+    /// and its own pin replaces that mask with its core. A caller that does
+    /// not pin itself is placed by the scheduler, and where it happens to
+    /// sit on a helper's core the two share that core until the scheduler
+    /// moves the caller — Linux does not move a running thread out of the
+    /// way of a pinned one that wakes beside it, and a caller woken by a
+    /// helper tends to land next to it.
     pub fn with_pinning(threads: usize, core_order: &[usize]) -> Self {
         let threads = threads.max(1);
         let shared = Arc::new(Shared {

@@ -1,17 +1,20 @@
 //! The one way a thread waits for another here: spin briefly, then yield.
 //!
-//! Every wait in the pool hand-off and the epoch gate is a loop that looks at a flag and, finding it unset, calls
-//! [`SpinWait::relax`] before it looks again. The first [`SPIN_BUDGET`]
-//! steps are `spin_loop` hints — the flag is usually a few hundred
-//! nanoseconds away; every later step is a `yield_now`, because the team may
-//! be oversubscribed (more workers than cores) and a waiter that never
-//! yields holds the core the thread it waits for needs.
+//! Both waits of the pool hand-off — a helper's poll for the next job, the
+//! dispatcher's poll for the completion count — are loops that look at a
+//! word and, finding it unchanged, call [`SpinWait::relax`] before they look
+//! again. The first [`SPIN_BUDGET`] steps are `spin_loop` hints — the word
+//! is usually a few hundred nanoseconds away; every later step is a
+//! `yield_now`, because the team may be oversubscribed (more workers than
+//! cores) and a waiter that never yields holds the core the thread it waits
+//! for needs.
 //!
-//! A bounded wait passes its clock as the `expired` closure. It is consulted
-//! only once the wait is yielding, just before each yield, so a wait that
-//! ends within the spin budget never pays for `Instant::now`, and the bound
-//! is elapsed time rather than an iteration count — a `yield_now` costs
-//! anything from a hundred nanoseconds to a scheduler quantum.
+//! The pool bounds each poll by elapsed time and passes that clock as the
+//! `expired` closure. It is consulted only once the wait is yielding, just
+//! before each yield, so a wait that ends within the spin budget never pays
+//! for `Instant::now`, and the bound is elapsed time rather than an
+//! iteration count — a `yield_now` costs anything from a hundred
+//! nanoseconds to a scheduler quantum.
 
 /// How many `spin_loop` hints a wait issues before it starts yielding.
 pub const SPIN_BUDGET: u32 = 64;

@@ -61,8 +61,8 @@ pub enum ErrorCode {
     /// A solver worker panicked mid-solve (the pool recovered; retry is
     /// safe).
     WorkerPanicked,
-    /// A factorization (`submit_values`) exceeded the configured watchdog
-    /// deadline.
+    /// Reserved: a factorization timed out. No current path emits it; the
+    /// code stays in the catalogue so the contract only ever grows.
     SolveTimeout,
     /// The iteration produced a non-finite residual and the ladder was
     /// exhausted or disabled.
@@ -130,7 +130,6 @@ pub fn map_error(e: &MatrixError) -> ErrorCode {
         MatrixError::InvalidParameter(_) => ErrorCode::BadRequest,
         MatrixError::FactorizationBreakdown { .. } => ErrorCode::FactorizationBreakdown,
         MatrixError::WorkerPanicked { .. } => ErrorCode::WorkerPanicked,
-        MatrixError::SolveTimeout { .. } => ErrorCode::SolveTimeout,
         MatrixError::NonFiniteResidual { .. } => ErrorCode::NonFiniteResidual,
         MatrixError::ParseError { .. } | MatrixError::Io(_) => ErrorCode::Internal,
     }
@@ -673,13 +672,6 @@ mod tests {
                 message: "boom".into()
             }),
             ErrorCode::WorkerPanicked
-        );
-        assert_eq!(
-            map_error(&E::SolveTimeout {
-                stage: 2,
-                timeout_ms: 10
-            }),
-            ErrorCode::SolveTimeout
         );
         assert_eq!(
             map_error(&E::NonFiniteResidual { iteration: 3 }),

@@ -26,11 +26,10 @@
 //!
 //! `sts-core` records [`Phase::Gather`] around every phase-1 external
 //! gather chunk, [`Phase::Chain`] around every phase-2 in-pack chain task,
-//! [`Phase::GateWait`] around the blocking `EpochGate` waits of the
-//! level-scheduled IC(0) build (the sweeps record none: they wait only at
-//! pool barriers), [`Phase::Refine`] around mixed-precision
-//! refinement passes, and [`Phase::Factor`] around the
-//! level-scheduled IC(0) construction chunks. Install a recorder with
+//! [`Phase::Refine`] around mixed-precision refinement passes, and
+//! [`Phase::Factor`] around every super-row task of the level-scheduled
+//! IC(0) construction. Nothing records [`Phase::GateWait`]: every kernel
+//! waits only at pool barriers. Install a recorder with
 //! `ParallelSolver::set_trace_recorder`, run a solve, then [`SpanRecorder::snapshot`]
 //! and export.
 //!

@@ -34,10 +34,11 @@ pub enum Phase {
     Gather,
     /// A phase-2 in-pack dependence-chain task.
     Chain,
-    /// A blocking wait on the `EpochGate` (readiness of earlier packs) in
-    /// the level-scheduled IC(0) build.
+    /// A blocking wait on a peer worker inside a dispatch. Nothing records
+    /// it: every kernel waits only at pool barriers. Kept for the readers
+    /// that still match on it.
     GateWait,
-    /// A level-scheduled IC(0) construction chunk.
+    /// A super-row task of the level-scheduled IC(0) construction.
     Factor,
     /// A mixed-precision refinement pass: the f64 residual plus the f32
     /// correction sweep it feeds.

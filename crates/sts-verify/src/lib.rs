@@ -22,13 +22,13 @@
 //! [`ScheduleViolation`] with `(pack, phase, row, missing edge)` detail.
 //!
 //! The model is the weakest synchronisation a kernel may rely on — the
-//! dependency-minimal schedule, which `parallel_ic0`'s epoch gate runs and
-//! the split sweep's per-phase barriers strictly cover:
+//! dependency-minimal schedule, which the per-pack barriers of
+//! `parallel_ic0` and the per-phase barriers of the split sweep strictly
+//! cover:
 //!
 //! * **Epoch readiness** — a phase-1 chunk with readiness `dep` starts only
-//!   after every task of stages `0..dep` has finished (an
-//!   `EpochGate::wait_open_until(dep, ..)` in `parallel_ic0`, a stage
-//!   barrier in the split sweep).
+//!   after every task of stages `0..dep` has finished (in the kernels, the
+//!   barrier that ends the previous stage covers it).
 //! * **Drain edge** — a phase-2 chain task starts only after every phase-1
 //!   chunk of its own stage has finished (the split sweep's phase
 //!   barrier).

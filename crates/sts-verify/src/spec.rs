@@ -10,7 +10,7 @@
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TaskKind {
     /// A phase-1 unit: the external gather of the solve kernels, or a
-    /// super-row-aligned factor chunk of `parallel_ic0`.
+    /// super-row task of `parallel_ic0`.
     Gather,
     /// A phase-2 unit: one chain ticket correcting its super-row's chain
     /// rows.
@@ -33,14 +33,14 @@ pub struct RowFootprint {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChunkSpec {
     /// Readiness in **stage numbering**: the chunk may start once stages
-    /// `0..dep` have fully completed (a gate wait in `parallel_ic0`, a stage
-    /// barrier in the split sweep).
+    /// `0..dep` have fully completed (the kernels run a barrier after every
+    /// stage, which covers it).
     /// Forward sweeps number stages by pack; transpose sweeps reverse them.
     pub dep: usize,
     /// Per-row footprints in program order.
     pub rows: Vec<RowFootprint>,
     /// Whether the chunk's completion is published *after* its writes (the
-    /// gate arrival's release edge, or the chunk's end before the barrier).
+    /// chunk's end before the barrier).
     /// Always true for real kernels;
     /// [`crate::mutate::publish_early`] clears it to model a reordered gate
     /// publish.

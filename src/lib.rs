@@ -208,9 +208,9 @@
 //! The IC(0) factor shares the reordered pattern, so it reuses the same
 //! hierarchy — and the *factorization itself* is level-scheduled over that
 //! hierarchy on the driver's pool by [`krylov::Ic0::new`]
-//! ([`krylov::Ic0Setup::LevelScheduled`]): pack `p`'s update sweep waits
-//! only on the packs its column range actually reads, through an epoch
-//! gate instead of a barrier per pack. The sequential sweep ([`krylov::Ic0Setup::Sequential`],
+//! ([`krylov::Ic0Setup::LevelScheduled`]): per pack, one parallel loop over
+//! the pack's super-rows, then a barrier — the paper's Algorithm 1 with the
+//! IC(0) row in place of the solve row. The sequential sweep ([`krylov::Ic0Setup::Sequential`],
 //! through the general constructor [`krylov::Ic0::with_operand`]) remains as
 //! the reference and produces a bitwise-identical factor, so the choice only
 //! moves setup wall time:
@@ -256,16 +256,13 @@
 //!   a NaN emitted mid-recurrence trips the residual guard instead,
 //!   reported as `NonFiniteResidual { iteration }`.
 //! * **Worker panics.** Pool job bodies run under `catch_unwind`; a panic
-//!   poisons only the current dispatch, and `parallel_for`, the sweeps (the
-//!   stage that panicked is the reported `pack`) and the parallel IC(0)
-//!   setup return `WorkerPanicked { slot, pack, message }` with the first
-//!   payload. The pool stays usable, so the next call runs clean.
-//! * **Worker stalls.** A stalled sweep worker only delays its stage's
-//!   barrier: a slow success. The IC(0) setup's cross-worker gate waits
-//!   carry a watchdog deadline ([`core::ParallelSolver::set_watchdog`]); a
-//!   worker that stops making progress converts its peers' waits into
-//!   `SolveTimeout { stage, timeout_ms }` instead of a livelock. A lone
-//!   worker has no peer to starve, so a stall there is just a slow success.
+//!   poisons only the current dispatch, and `parallel_for`, the sweeps and
+//!   the parallel IC(0) setup (the stage or pack that panicked is the
+//!   reported `pack`) return `WorkerPanicked { slot, pack, message }` with
+//!   the first payload. The pool stays usable, so the next call runs clean.
+//! * **Worker stalls.** No worker waits on a peer inside a dispatch, so a
+//!   stalled worker — in a sweep or in the IC(0) setup — only delays its
+//!   dispatch's barrier: a slow success at every thread count.
 //! * **Preconditioner breakdown.** IC(0) on an SPD-but-not-M matrix can hit
 //!   a non-positive pivot (`FactorizationBreakdown { row, pivot }`, bitwise
 //!   identical between the sequential and level-scheduled engines).

@@ -2,7 +2,7 @@
 //! reaches through the re-exports must be usable together, mirroring the
 //! README quickstart and the examples.
 
-use sts_k::core::{Method, Ordering, ParallelSolver, SimulatedExecutor, StsBuilder};
+use sts_k::core::{Method, Ordering, ParallelSolver, SimulatedExecutor, SolveOptions, StsBuilder};
 use sts_k::graph::{Coloring, ColoringOrder, Graph};
 use sts_k::matrix::{generators, io, ops};
 use sts_k::numa::{NumaTopology, Schedule, WorkerPool};
@@ -61,16 +61,16 @@ fn facade_exposes_every_substrate() {
 }
 
 #[test]
-fn level_scheduled_solver_is_reachable_through_the_facade() {
-    use sts_k::core::solver::LevelScheduledSolver;
+fn level_scheduled_solve_is_reachable_through_the_facade() {
+    // CSR-LS, the flat level-set method, is solved by the same parallel
+    // driver as STS-3, on its reordered operand.
     let a = generators::grid2d_laplacian(10, 10).unwrap();
     let l = generators::lower_operand(&a).unwrap();
-    let x_true = vec![3.0; l.n()];
-    let b = l.multiply(&x_true).unwrap();
-    let solver = LevelScheduledSolver::new(l);
-    let pool = WorkerPool::new(2);
-    let x = solver
-        .solve_parallel(&pool, Schedule::Dynamic { chunk: 4 }, &b)
-        .unwrap();
+    let s = Method::CsrLs.build(&l, 2).unwrap();
+    let x_true: Vec<f64> = (0..s.n()).map(|i| 1.0 + (i % 7) as f64).collect();
+    let b = s.lower().multiply(&x_true).unwrap();
+    let solver = ParallelSolver::new(2, Schedule::Dynamic { chunk: 4 });
+    let x = solver.solve_with(&s, &b, &SolveOptions::default()).unwrap();
     assert!(ops::relative_error_inf(&x, &x_true) < 1e-10);
+    assert_eq!(x, s.solve_sequential(&b).unwrap());
 }

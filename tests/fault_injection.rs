@@ -164,67 +164,92 @@ fn parallel_ic0_panic_is_a_structured_error() {
 }
 
 #[test]
-fn stalled_worker_times_out_instead_of_hanging() {
-    // The level-scheduled IC(0) build is the gated kernel: worker 0 parks
-    // inside its pack-0 chunk for far longer than the watchdog budget. With
-    // peers present, they hit the deadline waiting on pack 0, poison the
-    // gate, and the build reports a timeout shortly after the stalled worker
-    // wakes — bounded by max(stall, watchdog), never a hang.
+fn parallel_ic0_panic_is_reported_at_its_pack() {
+    // The IC(0) build runs one dispatch per pack; a panic in a later pack
+    // names that pack, and the solver still factors exactly afterwards.
     let a = generators::grid2d_laplacian(20, 20).unwrap();
     let sys = SpdSystem::build(&a, Method::Sts3, 16).unwrap();
+    let last = sys.structure().num_packs() - 1;
+    assert!(last > 0, "the fixture needs a second pack");
     let f_ref = factor::ic0(sys.matrix()).unwrap();
-    for threads in thread_counts().into_iter().filter(|&t| t > 1) {
-        within_budget("ic0 stall timeout", || {
-            let mut solver = ParallelSolver::new(threads, Schedule::Guided { min_chunk: 1 });
-            solver.set_watchdog(Duration::from_millis(250));
-            solver.set_chaos_hook(Some(faultinject::stall_hook(
-                0,
-                0,
-                Duration::from_millis(1500),
-            )));
-            let err = solver
-                .parallel_ic0(sys.structure(), sys.matrix())
-                .expect_err("the stalled build must time out");
-            match err {
-                MatrixError::SolveTimeout { timeout_ms, .. } => {
-                    assert_eq!(timeout_ms, 250);
+    for threads in thread_counts() {
+        within_budget("ic0 late panic", || {
+            let mut solver = ParallelSolver::new(threads, Schedule::Dynamic { chunk: 2 });
+            solver.set_chaos_hook(Some(faultinject::panic_hook(last)));
+            match solver.parallel_ic0(sys.structure(), sys.matrix()) {
+                Err(MatrixError::WorkerPanicked {
+                    slot,
+                    pack,
+                    message,
+                }) => {
+                    assert!(slot < threads);
+                    assert_eq!(pack, last, "the panic is reported at its pack");
+                    assert!(message.contains("injected fault"));
                 }
-                other => panic!("expected SolveTimeout, got {other:?}"),
+                other => panic!("expected WorkerPanicked, got {other:?}"),
             }
             solver.set_chaos_hook(None);
             let f = solver
                 .parallel_ic0(sys.structure(), sys.matrix())
                 .expect("setup must recover");
-            assert_eq!(
-                f.values(),
-                f_ref.values(),
-                "post-timeout factor is exact at {threads} threads"
-            );
+            assert_eq!(f.values(), f_ref.values(), "post-fault factor is exact");
         });
     }
 }
 
 #[test]
-fn stalled_single_worker_is_a_slow_success() {
-    // A sweep waits on no peer inside a dispatch, so a stalled sweep worker
-    // only holds back its stage's barrier: a slow success at every thread
-    // count. The same holds for a lone worker of the IC(0) build, which has
-    // no peer to starve. Explicitly documented semantics of the watchdog —
-    // it guards cross-worker waits, not total runtime.
+fn unsplit_solve_panic_is_reported_at_its_pack() {
+    let a = generators::grid2d_laplacian(24, 24).unwrap();
+    let l = generators::lower_operand(&a).unwrap();
+    let s = Method::Sts3.build(&l, 16).unwrap();
+    assert!(s.num_packs() > 1, "the fixture needs a second pack");
+    let b = vec![1.0; s.n()];
+    let reference = s.solve_sequential(&b).unwrap();
+    for p in [0, s.num_packs() - 1] {
+        for threads in thread_counts() {
+            within_budget("unsplit solve panic", || {
+                let mut solver = ParallelSolver::new(threads, Schedule::Guided { min_chunk: 1 });
+                solver.set_chaos_hook(Some(faultinject::panic_hook(p)));
+                match solver.solve(&s, &b) {
+                    Err(MatrixError::WorkerPanicked {
+                        slot,
+                        pack,
+                        message,
+                    }) => {
+                        assert!(slot < threads);
+                        assert_eq!(pack, p, "the panic is reported at its pack");
+                        assert!(message.contains("injected fault"));
+                    }
+                    other => panic!("expected WorkerPanicked, got {other:?}"),
+                }
+                solver.set_chaos_hook(None);
+                let x = solver.solve(&s, &b).expect("solver must recover");
+                assert!(ops::relative_error_inf(&x, &reference) < 1e-12);
+            });
+        }
+    }
+}
+
+#[test]
+fn stalled_worker_is_a_slow_success() {
+    // No kernel waits on a peer inside a dispatch, so a stalled worker only
+    // holds back its dispatch's barrier: a slow success at every thread
+    // count, for the sweeps and for the IC(0) build alike.
     let a = generators::grid2d_laplacian(16, 16).unwrap();
     let l = generators::lower_operand(&a).unwrap();
     let s = Method::Sts3.build(&l, 16).unwrap();
     let b = vec![1.0; s.n()];
     let reference = s.solve_sequential(&b).unwrap();
+    let sys = SpdSystem::build(&a, Method::Sts3, 16).unwrap();
+    let f_ref = factor::ic0(sys.matrix()).unwrap();
     for threads in thread_counts() {
+        let mut solver = ParallelSolver::new(threads, Schedule::Guided { min_chunk: 1 });
+        solver.set_chaos_hook(Some(faultinject::stall_hook(
+            0,
+            0,
+            Duration::from_millis(400),
+        )));
         within_budget("stalled sweep", || {
-            let mut solver = ParallelSolver::new(threads, Schedule::Guided { min_chunk: 1 });
-            solver.set_watchdog(Duration::from_millis(100));
-            solver.set_chaos_hook(Some(faultinject::stall_hook(
-                0,
-                0,
-                Duration::from_millis(400),
-            )));
             let x = solver
                 .solve_with(&s, &b, &SolveOptions::default())
                 .expect("a stalled sweep worker still finishes");
@@ -233,21 +258,17 @@ fn stalled_single_worker_is_a_slow_success() {
                 "stalled sweep diverged at {threads} threads"
             );
         });
+        within_budget("stalled IC(0) build", || {
+            let f = solver
+                .parallel_ic0(sys.structure(), sys.matrix())
+                .expect("a stalled IC(0) worker still finishes");
+            assert_eq!(
+                f.values(),
+                f_ref.values(),
+                "stalled IC(0) build diverged at {threads} threads"
+            );
+        });
     }
-    let sys = SpdSystem::build(&a, Method::Sts3, 16).unwrap();
-    within_budget("single-worker IC(0) stall", || {
-        let mut solver = ParallelSolver::new(1, Schedule::Static);
-        solver.set_watchdog(Duration::from_millis(100));
-        solver.set_chaos_hook(Some(faultinject::stall_hook(
-            0,
-            0,
-            Duration::from_millis(400),
-        )));
-        let f = solver
-            .parallel_ic0(sys.structure(), sys.matrix())
-            .expect("a stalled lone worker still finishes");
-        assert_eq!(f.values(), factor::ic0(sys.matrix()).unwrap().values());
-    });
 }
 
 #[test]

@@ -1,7 +1,7 @@
 //! Parallel (level-scheduled) IC(0) construction: bitwise parity with the
 //! sequential up-looking sweep across the synthetic suite, orderings,
-//! multi-level depths and worker counts — including identical
-//! `FactorizationBreakdown` errors on non-SPD input.
+//! multi-level depths, worker counts and loop schedules — including
+//! identical `FactorizationBreakdown` errors on non-SPD input.
 //!
 //! The parity claim is exact equality (`==` on the value arrays), not a
 //! tolerance: every factor entry is a pure function of already-final inputs
@@ -15,9 +15,9 @@ use sts_k::numa::Schedule;
 
 /// The worker counts every parity check runs under. CI's build/test matrix
 /// exports `STS_TEST_THREADS` (1 on the no-contention leg, 4 on the
-/// oversubscribed one); that count is appended so the gate's readiness
-/// scheme is exercised under the runner's real contention regime on top of
-/// the fixed {1, 2, 4, 8} sweep.
+/// oversubscribed one); that count is appended so the pack barriers are
+/// exercised under the runner's real contention regime on top of the fixed
+/// {1, 2, 4, 8} sweep.
 fn thread_counts() -> Vec<usize> {
     let mut counts = vec![1usize, 2, 4, 8];
     if let Ok(raw) = std::env::var("STS_TEST_THREADS") {
@@ -29,6 +29,15 @@ fn thread_counts() -> Vec<usize> {
     }
     counts
 }
+
+/// The build runs its super-rows under the solver's schedule: the static
+/// blocks, dynamic chunks and the paper's `guided,1` all claim them in a
+/// different order.
+const SCHEDULES: [Schedule; 3] = [
+    Schedule::Static,
+    Schedule::Dynamic { chunk: 32 },
+    Schedule::Guided { min_chunk: 1 },
+];
 
 /// Builds the k-level structure for `l` and returns it with the reordered
 /// full symmetric matrix both IC(0) engines factor.
@@ -42,13 +51,18 @@ fn build_case(l: &LowerTriangularCsr, ordering: Ordering, k: usize) -> (StsStruc
     (s, a)
 }
 
-/// Asserts both engines agree bitwise on `a` — on the factor values when the
-/// factorization exists, on the breakdown row and pivot bits when it does
-/// not. Returns whether the factorization succeeded.
+/// Asserts both engines agree bitwise on `a` under every schedule — on the
+/// factor values when the factorization exists, on the breakdown row and
+/// pivot bits when it does not. Returns whether the factorization
+/// succeeded.
 fn assert_engines_agree(s: &StsStructure, a: &CsrMatrix, label: &str) -> bool {
     let seq = factor::ic0(a);
-    for threads in thread_counts() {
-        let solver = ParallelSolver::new(threads, Schedule::Guided { min_chunk: 1 });
+    for (threads, schedule) in thread_counts()
+        .into_iter()
+        .flat_map(|t| SCHEDULES.map(|sch| (t, sch)))
+    {
+        let label = format!("{label} under {schedule:?}");
+        let solver = ParallelSolver::new(threads, schedule);
         let par = solver.parallel_ic0(s, a);
         match (&seq, &par) {
             (Ok(f_seq), Ok(f_par)) => {

@@ -84,7 +84,7 @@ fn the_factor_kernel_touches_exactly_the_modelled_footprints() {
     let l = generators::lower_operand(&a).unwrap();
     let s = Method::Sts3.build(&l, 8).unwrap();
     let a_perm = a.permute_symmetric(s.permutation().new_to_old()).unwrap();
-    let spec = factor_spec(&s, usize::MAX);
+    let spec = factor_spec(&s);
     for threads in THREAD_SWEEP {
         let mut solver = ParallelSolver::new(threads, Schedule::Static);
         let log = Arc::new(AccessLog::new());

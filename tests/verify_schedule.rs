@@ -6,8 +6,8 @@
 //! * **Positive**: over random lower-triangular operands, every structure the
 //!   builder produces — both orderings, both multilevel depths, every
 //!   [`Method`] — passes [`StsStructure::verify_schedule`], which checks the
-//!   forward, transpose and factor schedules at each thread count of the
-//!   sweep. The debug-build hooks inside `split()`/`transpose_split()` run
+//!   forward and transpose schedules at each thread count of the sweep, and
+//!   the factor schedule. The debug-build hooks inside `split()`/`transpose_split()` run
 //!   the same check incidentally; this suite is the explicit, release-mode
 //!   guarantee.
 //! * **Negative**: corrupting a schedule spec — dropping a dependency edge,
@@ -48,7 +48,7 @@ proptest! {
 
     /// Every schedule the builder can produce verifies race- and
     /// deadlock-free: orderings × k × methods, each covering the full
-    /// thread-count × direction sweep plus the factor schedules.
+    /// thread-count × direction sweep plus the factor schedule.
     #[test]
     fn every_built_schedule_verifies(l in lower_triangular_strategy()) {
         for ordering in [Ordering::LevelSet, Ordering::Coloring] {
@@ -270,10 +270,12 @@ fn geometry_digest(spec: &ScheduleSpec) -> u64 {
     h
 }
 
-/// The specs are cut by the same chunk functions and factor chunking the
-/// kernels run. Their geometry (chunk counts, row ranges, readiness) must equal what
-/// the verifier's own copy of the chunk formula produced before it was
-/// removed; the digests below were captured at that commit.
+/// The solve specs are cut by the same chunk functions the split driver
+/// runs, and the factor spec by the pack's super-rows. Their geometry (chunk
+/// counts, row ranges, readiness) must equal what the verifier's own copy of
+/// the chunk formula produced before it was removed; the digests below were
+/// captured at that commit. The factor digest is the one its
+/// row-granularity chunking had then.
 #[test]
 fn plan_derived_specs_keep_the_recorded_chunk_geometry() {
     let s = mutation_structure();
@@ -289,28 +291,25 @@ fn plan_derived_specs_keep_the_recorded_chunk_geometry() {
             threads,
             SweepDirection::Transpose,
         )));
-        computed.push(geometry_digest(&factor_spec(&s, threads)));
     }
+    computed.push(geometry_digest(&factor_spec(&s)));
     assert_eq!(
         computed, RECORDED_GEOMETRY,
         "computed digests: {computed:#018x?}"
     );
 }
 
-/// `[forward, transpose, factor]` per entry of `VERIFY_THREAD_SWEEP`.
-const RECORDED_GEOMETRY: [u64; 15] = [
+/// `[forward, transpose]` per entry of `VERIFY_THREAD_SWEEP`, then the
+/// factor spec.
+const RECORDED_GEOMETRY: [u64; 11] = [
     0xefe46b2d59c4bec4,
     0x47a85d834e521084,
-    0x93d193a21ac10084,
     0xf7497d9f4ed6bb55,
     0x83ac00422611b9b4,
-    0x8ed7385cf154381a,
     0xf51211dc83c525b6,
     0xd80b490d43777396,
-    0x7b006baf02bc7811,
     0x5c708c9260ac1b9c,
     0x3c68a2ccc87aec18,
-    0x7b006baf02bc7811,
     0x3485ed6f68a1d2c9,
     0x840c4b34729eefee,
     0x7b006baf02bc7811,

@@ -5,23 +5,28 @@
 //! [`StsStructure`] by composing the steps of
 //! Section 3:
 //!
-//! 1. symmetrize to `A = L + Lᵀ` (keeping `L`'s diagonal) and apply RCM — all
-//!    methods receive the RCM-ordered matrix, as in the evaluation setup;
+//! 1. apply RCM to the graph `G1` of `A = L + Lᵀ` — all methods receive the
+//!    RCM-ordered matrix, as in the evaluation setup. `G1` is built straight
+//!    from `L`, and `A` itself is never formed: what the later steps read is
+//!    `G1` relabelled into the RCM order and `L` permuted into it
+//!    ([`LowerTriangularCsr::permute_symmetric`]), each dropped after its
+//!    last reader;
 //! 2. (k ≥ 2) coarsen the RCM-ordered graph into super-rows of roughly equal
 //!    work;
 //! 3. partition the (super-)rows into packs by greedy coloring or dependency
 //!    level sets, and order the packs by increasing size;
 //! 4. (k ≥ 3) reorder the super-rows inside each pack by RCM on the pack's
 //!    DAR graph so consecutive tasks share inputs;
-//! 5. assemble the global permutation, permute the symmetric matrix, and take
-//!    its lower triangle as the reordered operand.
+//! 5. assemble the global permutation and build the reordered operand
+//!    `lower(P (L + Lᵀ − D) Pᵀ)` (`D` is `L`'s diagonal, kept as is) from `L`
+//!    in two counting passes; `P A Pᵀ` is not built and no row is sorted.
 //!
 //! The four evaluation methods are exposed as [`Method`] presets:
 //! `CSR-LS`, `CSR-COL`, `CSR-3-LS` and `STS-3` (a.k.a. `CSR-3-COL`).
 
 use serde::Serialize;
 use sts_graph::{rcm, Coarsening, CoarseningStrategy, ColoringOrder, Graph, Permutation};
-use sts_matrix::{CooMatrix, CsrMatrix, LowerTriangularCsr, MatrixError};
+use sts_matrix::{LowerTriangularCsr, MatrixError};
 
 use crate::csrk::{Result, StsStructure};
 use crate::pack::Packs;
@@ -189,17 +194,19 @@ impl StsBuilder {
                 Permutation::identity(0),
             );
         }
-        // 1. Symmetrize (keeping L's diagonal) and apply RCM.
-        let a_sym = symmetrize_preserving_diagonal(l);
-        let g1 = Graph::from_symmetric_csr(&a_sym);
+        // 1. RCM on G1 = G(L + Lᵀ), built from L; then G1 relabelled and L
+        //    permuted into the RCM order. Nothing symmetric is materialised,
+        //    and each intermediate is dropped after its last reader: the
+        //    build's peak memory is the sum of what is alive at once.
+        let g1 = Graph::from_lower_triangular_symmetrized(l);
         let perm0 = if self.apply_rcm {
             rcm::reverse_cuthill_mckee(&g1)
         } else {
             Permutation::identity(n)
         };
-        let a1 = a_sym.permute_symmetric(perm0.new_to_old())?;
-        let l1 = LowerTriangularCsr::from_lower_triangle_of(&a1)?;
-        let g1r = Graph::from_symmetric_csr(&a1);
+        let g1r = g1.relabel(perm0.new_to_old());
+        drop(g1);
+        let l1 = l.permute_symmetric(perm0.new_to_old())?;
 
         // 2. Coarsen into super-rows (k >= 2); k == 1 keeps singleton groups.
         let (groups, entity_graph) = if self.k == 1 {
@@ -228,6 +235,7 @@ impl StsBuilder {
                 Packs::by_level_set(&preds)
             }
         };
+        drop(entity_graph);
         if self.order_packs_by_size {
             packs.order_by_increasing_size(&entity_sizes);
         }
@@ -238,6 +246,7 @@ impl StsBuilder {
         } else {
             Vec::new()
         };
+        drop(l1);
         let ordered_packs: Vec<Vec<usize>> = packs
             .all()
             .iter()
@@ -251,8 +260,10 @@ impl StsBuilder {
                 }
             })
             .collect();
+        drop(inputs);
 
-        // 5. Assemble the global ordering and the index arrays.
+        // 5. Assemble the global ordering and the index arrays, then the
+        //    operand lower(P (L + Lᵀ − D) Pᵀ) straight from L.
         let mut index3 = Vec::with_capacity(ordered_packs.len() + 1);
         let mut index2 = Vec::with_capacity(groups.len() + 1);
         let mut order1: Vec<usize> = Vec::with_capacity(n);
@@ -269,29 +280,9 @@ impl StsBuilder {
         let perm = Permutation::from_new_to_old(final_new_to_old).ok_or_else(|| {
             MatrixError::InvalidStructure("assembled ordering is not a permutation".into())
         })?;
-        let a_final = a_sym.permute_symmetric(perm.new_to_old())?;
-        let l_final = LowerTriangularCsr::from_lower_triangle_of(&a_final)?;
+        let l_final = l.permute_symmetric(perm.new_to_old())?;
         StsStructure::new(self.k, self.ordering, index3, index2, l_final, perm)
     }
-}
-
-/// Builds `A = L + Lᵀ` but keeps `L`'s diagonal (instead of doubling it), so
-/// that the reordered operand `lower(P A Pᵀ)` carries the same values as the
-/// input wherever the pattern overlaps.
-// Every pushed index comes from a validated `LowerTriangularCsr`, so the
-// bounds-checked pushes cannot fail.
-#[allow(clippy::expect_used)]
-pub fn symmetrize_preserving_diagonal(l: &LowerTriangularCsr) -> CsrMatrix {
-    let n = l.n();
-    let mut coo = CooMatrix::with_capacity(n, n, l.nnz() * 2);
-    for i in 0..n {
-        for (&j, &v) in l.row_off_diag_cols(i).iter().zip(l.row_off_diag_values(i)) {
-            coo.push(i, j, v).expect("indices in bounds");
-            coo.push(j, i, v).expect("indices in bounds");
-        }
-        coo.push(i, i, l.diag(i)).expect("indices in bounds");
-    }
-    coo.to_csr()
 }
 
 /// Computes, for every entity (super-row), the list of entities it depends on
@@ -488,18 +479,6 @@ mod tests {
         assert_eq!(s.n(), 0);
         assert_eq!(s.num_packs(), 0);
         assert_eq!(s.solve_sequential(&[]).unwrap(), Vec::<f64>::new());
-    }
-
-    #[test]
-    fn symmetrize_preserves_diagonal_and_mirrors_off_diagonals() {
-        let l = generators::paper_figure1_l();
-        let a = symmetrize_preserving_diagonal(&l);
-        assert!(a.is_symmetric(1e-15));
-        for i in 0..9 {
-            assert_eq!(a.get(i, i), l.diag(i));
-        }
-        assert_eq!(a.get(8, 0), -1.0);
-        assert_eq!(a.get(0, 8), -1.0);
     }
 
     #[test]

@@ -60,37 +60,31 @@ impl Graph {
     }
 
     /// Builds `G1 = G(L + Lᵀ)` directly from a lower-triangular operand
-    /// without materialising the symmetric matrix values.
+    /// without materialising the symmetric matrix values. Vertex weights are
+    /// the row counts of `L`.
+    ///
+    /// One counting pass and one scatter pass; the adjacency comes out
+    /// sorted without a sort. Rows are scattered in increasing order, so a
+    /// vertex first receives its lower neighbours (its own row of `L`,
+    /// ascending) and then its upper neighbours (the later rows that name
+    /// it, ascending).
     pub fn from_lower_triangular(l: &LowerTriangularCsr) -> Self {
-        let n = l.n();
-        // Count the degree of each vertex: each strictly-lower entry (i, j)
-        // contributes an edge {i, j}.
-        let mut degree = vec![0usize; n];
-        for i in 0..n {
-            for &j in l.row_off_diag_cols(i) {
-                degree[i] += 1;
-                degree[j] += 1;
-            }
+        let (adj_ptr, adj) = lower_triangular_adjacency(l);
+        let weights = (0..l.n()).map(|i| l.row_nnz(i)).collect();
+        Graph {
+            adj_ptr,
+            adj,
+            weights,
         }
-        let mut adj_ptr = vec![0usize; n + 1];
-        for i in 0..n {
-            adj_ptr[i + 1] = adj_ptr[i] + degree[i];
-        }
-        let mut adj = vec![0usize; adj_ptr[n]];
-        let mut next = adj_ptr.clone();
-        for i in 0..n {
-            for &j in l.row_off_diag_cols(i) {
-                adj[next[i]] = j;
-                next[i] += 1;
-                adj[next[j]] = i;
-                next[j] += 1;
-            }
-        }
-        // Sort each adjacency list so neighbour iteration is deterministic.
-        for i in 0..n {
-            adj[adj_ptr[i]..adj_ptr[i + 1]].sort_unstable();
-        }
-        let weights = (0..n).map(|i| l.row_nnz(i)).collect();
+    }
+
+    /// The graph [`Graph::from_symmetric_csr`] returns for `L + Lᵀ`, built
+    /// from `L` without forming `L + Lᵀ`: the edges of
+    /// [`Graph::from_lower_triangular`], with each vertex weighted by its row
+    /// count in `L + Lᵀ` (its degree plus the diagonal).
+    pub fn from_lower_triangular_symmetrized(l: &LowerTriangularCsr) -> Self {
+        let (adj_ptr, adj) = lower_triangular_adjacency(l);
+        let weights = adj_ptr.windows(2).map(|w| w[1] - w[0] + 1).collect();
         Graph {
             adj_ptr,
             adj,
@@ -145,31 +139,81 @@ impl Graph {
     }
 
     /// Applies a symmetric relabelling: vertex `new` of the result corresponds
-    /// to vertex `perm[new]` of `self` (`perm` maps new → old).
+    /// to vertex `perm[new]` of `self` (`perm` maps new → old). The same
+    /// graph as [`Graph::relabel`].
     pub fn permute(&self, perm: &[usize]) -> Graph {
-        assert_eq!(perm.len(), self.n());
+        self.relabel(perm)
+    }
+
+    /// Relabels the vertices: vertex `new` of the result is vertex
+    /// `new_to_old[new]` of `self`, and weights travel with their vertices.
+    ///
+    /// One scatter pass, no sort. The graph is undirected, so the new
+    /// neighbours of `u` are the new vertices `v` whose old vertex is
+    /// adjacent to `u`'s; visiting `v` in increasing order and appending `v`
+    /// to each neighbour's list leaves every list sorted.
+    ///
+    /// # Panics
+    /// Panics if `new_to_old` is not a permutation of `0..n`.
+    pub fn relabel(&self, new_to_old: &[usize]) -> Graph {
         let n = self.n();
-        let mut inv = vec![0usize; n];
-        for (new, &old) in perm.iter().enumerate() {
-            inv[old] = new;
+        assert_eq!(new_to_old.len(), n, "relabelling must cover every vertex");
+        let mut old_to_new = vec![usize::MAX; n];
+        for (new, &old) in new_to_old.iter().enumerate() {
+            assert!(
+                old_to_new[old] == usize::MAX,
+                "relabelling repeats vertex {old}"
+            );
+            old_to_new[old] = new;
         }
-        let mut adj_ptr = Vec::with_capacity(n + 1);
-        let mut adj = Vec::with_capacity(self.adj.len());
-        let mut weights = Vec::with_capacity(n);
-        adj_ptr.push(0);
-        for &old in perm.iter().take(n) {
-            let mut nb: Vec<usize> = self.neighbors(old).iter().map(|&o| inv[o]).collect();
-            nb.sort_unstable();
-            adj.extend_from_slice(&nb);
-            weights.push(self.weights[old]);
-            adj_ptr.push(adj.len());
+        let mut adj_ptr = vec![0usize; n + 1];
+        for (v, &old) in new_to_old.iter().enumerate() {
+            adj_ptr[v + 1] = adj_ptr[v] + self.degree(old);
         }
+        let mut adj = vec![0usize; self.adj.len()];
+        let mut next = adj_ptr[..n].to_vec();
+        for (v, &old) in new_to_old.iter().enumerate() {
+            for &o in self.neighbors(old) {
+                let u = old_to_new[o];
+                adj[next[u]] = v;
+                next[u] += 1;
+            }
+        }
+        let weights = new_to_old.iter().map(|&old| self.weights[old]).collect();
         Graph {
             adj_ptr,
             adj,
             weights,
         }
     }
+}
+
+/// The CSR adjacency of `G(L + Lᵀ)`: a degree count, then one scatter of the
+/// strictly-lower entries in row order, which leaves every list sorted.
+fn lower_triangular_adjacency(l: &LowerTriangularCsr) -> (Vec<usize>, Vec<usize>) {
+    let n = l.n();
+    // Each strictly-lower entry (i, j) contributes the edge {i, j}.
+    let mut adj_ptr = vec![0usize; n + 1];
+    for i in 0..n {
+        for &j in l.row_off_diag_cols(i) {
+            adj_ptr[i + 1] += 1;
+            adj_ptr[j + 1] += 1;
+        }
+    }
+    for i in 0..n {
+        adj_ptr[i + 1] += adj_ptr[i];
+    }
+    let mut adj = vec![0usize; adj_ptr[n]];
+    let mut next = adj_ptr[..n].to_vec();
+    for i in 0..n {
+        for &j in l.row_off_diag_cols(i) {
+            adj[next[i]] = j;
+            next[i] += 1;
+            adj[next[j]] = i;
+            next[j] += 1;
+        }
+    }
+    (adj_ptr, adj)
 }
 
 #[cfg(test)]
@@ -243,6 +287,41 @@ mod tests {
         assert!(p.has_edge(0, 8));
         // Weights travel with their vertices.
         assert_eq!(p.weight(0), g.weight(8));
+    }
+
+    #[test]
+    fn from_lower_triangular_symmetrized_is_the_graph_of_l_plus_lt() {
+        for l in [
+            generators::paper_figure1_l(),
+            generators::random_lower_triangular(200, 3.0, 4).unwrap(),
+        ] {
+            // `symmetrized` doubles the diagonal, which changes no pattern.
+            assert_eq!(
+                Graph::from_lower_triangular_symmetrized(&l),
+                Graph::from_symmetric_csr(&l.symmetrized())
+            );
+        }
+    }
+
+    #[test]
+    fn relabel_equals_relabelling_each_list_and_sorting_it() {
+        let l = generators::random_lower_triangular(200, 3.0, 7).unwrap();
+        let g = Graph::from_lower_triangular(&l);
+        let n = g.n();
+        let new_to_old: Vec<usize> = (0..n).map(|i| (i * 73 + 11) % n).collect();
+        let mut old_to_new = vec![0; n];
+        for (new, &old) in new_to_old.iter().enumerate() {
+            old_to_new[old] = new;
+        }
+        let r = g.relabel(&new_to_old);
+        for (v, &old) in new_to_old.iter().enumerate() {
+            let mut expected: Vec<usize> =
+                g.neighbors(old).iter().map(|&o| old_to_new[o]).collect();
+            expected.sort_unstable();
+            assert_eq!(r.neighbors(v), expected.as_slice());
+            assert_eq!(r.weight(v), g.weight(old));
+        }
+        assert_eq!(g.permute(&new_to_old), r);
     }
 
     #[test]

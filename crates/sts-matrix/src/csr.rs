@@ -360,29 +360,33 @@ impl CsrMatrix {
     /// Applies a symmetric permutation: returns `P A Pᵀ` where the permuted
     /// matrix's row `i` is the original row `perm[i]`. `perm` maps
     /// new index → old index.
+    ///
+    /// Values are moved, never combined, so every stored bit is kept. One
+    /// pass over the rows: each new row gathers its old row with relabelled
+    /// columns and sorts it, `O(nnz log row length)`. This is kept over the
+    /// two counting passes [`LowerTriangularCsr::permute_symmetric`] needs
+    /// because it is faster on long rows: on the 56³ 27-point operator under
+    /// its STS-3 ordering, which sends a row's neighbours to other packs, it
+    /// took 150–180 ms against 220–290 ms for bucketing by new column and
+    /// scattering into rows (two scattered writes per entry), on one core
+    /// of a 2-vCPU x86-64 host; on a 300×300 triangulation the two tie.
+    ///
+    /// [`LowerTriangularCsr::permute_symmetric`]: crate::LowerTriangularCsr::permute_symmetric
     pub fn permute_symmetric(&self, perm: &[usize]) -> Result<CsrMatrix> {
-        if perm.len() != self.nrows || self.nrows != self.ncols {
+        if self.nrows != self.ncols {
             return Err(MatrixError::DimensionMismatch(format!(
                 "permutation length {} does not match square matrix dimension {}",
                 perm.len(),
                 self.nrows
             )));
         }
-        let mut inv = vec![usize::MAX; perm.len()];
-        for (new, &old) in perm.iter().enumerate() {
-            if old >= self.nrows || inv[old] != usize::MAX {
-                return Err(MatrixError::InvalidParameter(
-                    "perm is not a permutation of 0..n".into(),
-                ));
-            }
-            inv[old] = new;
-        }
+        let inv = inverse_permutation(perm, self.nrows)?;
         let mut row_ptr = Vec::with_capacity(self.nrows + 1);
         let mut col_idx = Vec::with_capacity(self.nnz());
         let mut values = Vec::with_capacity(self.nnz());
         row_ptr.push(0);
         let mut scratch: Vec<(usize, f64)> = Vec::new();
-        for &old_r in perm.iter().take(self.nrows) {
+        for &old_r in perm {
             scratch.clear();
             for (&c, &v) in self.row_cols(old_r).iter().zip(self.row_values(old_r)) {
                 scratch.push((inv[c], v));
@@ -400,20 +404,56 @@ impl CsrMatrix {
     }
 
     /// True if the matrix is structurally and numerically symmetric to within
-    /// `tol`.
+    /// `tol`: row `r` stores, in order, exactly the entries of column `r`
+    /// listed by increasing row, each within `tol` of its mirror.
+    ///
+    /// One pass over the entries with one cursor per row and no transpose:
+    /// entry `(i, j)` must meet the next unconsumed entry of row `j`, at
+    /// column `i`.
     pub fn is_symmetric(&self, tol: f64) -> bool {
         if self.nrows != self.ncols {
             return false;
         }
-        let t = self.transpose();
-        if t.row_ptr != self.row_ptr || t.col_idx != self.col_idx {
-            return false;
+        let mut cursor = self.row_ptr[..self.nrows].to_vec();
+        for i in 0..self.nrows {
+            for k in self.row_ptr[i]..self.row_ptr[i + 1] {
+                let j = self.col_idx[k];
+                let m = cursor[j];
+                if m == self.row_ptr[j + 1] || self.col_idx[m] != i {
+                    return false;
+                }
+                let close = (self.values[m] - self.values[k]).abs() <= tol;
+                if !close {
+                    return false;
+                }
+                cursor[j] = m + 1;
+            }
         }
-        self.values
-            .iter()
-            .zip(t.values.iter())
-            .all(|(a, b)| (a - b).abs() <= tol)
+        // Every entry consumed one slot and no row overflowed, so every row
+        // was consumed exactly.
+        true
     }
+}
+
+/// Inverts `perm` (new index → old index) over `0..n`, rejecting anything
+/// that is not a permutation of `0..n`.
+pub(crate) fn inverse_permutation(perm: &[usize], n: usize) -> Result<Vec<usize>> {
+    if perm.len() != n {
+        return Err(MatrixError::DimensionMismatch(format!(
+            "permutation length {} does not match square matrix dimension {n}",
+            perm.len()
+        )));
+    }
+    let mut inv = vec![usize::MAX; n];
+    for (new, &old) in perm.iter().enumerate() {
+        if old >= n || inv[old] != usize::MAX {
+            return Err(MatrixError::InvalidParameter(
+                "perm is not a permutation of 0..n".into(),
+            ));
+        }
+        inv[old] = new;
+    }
+    Ok(inv)
 }
 
 #[cfg(test)]

@@ -13,7 +13,7 @@
 //! All higher-level solvers in `sts-core` permute and regroup this structure
 //! but keep the per-row layout identical, so the innermost loop is shared.
 
-use crate::csr::CsrMatrix;
+use crate::csr::{inverse_permutation, CsrMatrix};
 use crate::error::MatrixError;
 use crate::Result;
 
@@ -280,21 +280,77 @@ impl LowerTriangularCsr {
     }
 
     /// Returns the symmetric pattern matrix `A = L + Lᵀ` whose graph `G1`
-    /// drives the reorderings of the paper.
+    /// drives the reorderings of the paper. The diagonal is summed with
+    /// itself (`2D`); [`LowerTriangularCsr::permute_symmetric`] keeps it.
     pub fn symmetrized(&self) -> CsrMatrix {
         self.to_csr().plus_transpose()
     }
 
-    /// Applies a symmetric permutation to `L`: rows and columns are relabelled
-    /// by `perm` (new index → old index) and the result is re-extracted as a
-    /// lower-triangular matrix of the permuted symmetric pattern.
+    /// Applies a symmetric permutation to `L` and returns
+    /// `lower(P (L + Lᵀ − D) Pᵀ)`, where `D` is `L`'s diagonal: rows and
+    /// columns are relabelled by `perm` (new index → old index), every
+    /// entry that lands above the diagonal is mirrored into the lower
+    /// triangle, and the diagonal is kept as is.
     ///
-    /// This matches the paper's use of reorderings: permuting `A = L + Lᵀ`
-    /// symmetrically and taking the lower triangle of the result preserves
-    /// the solvability of the system while changing the dependency structure.
+    /// This is the paper's use of reorderings: the symmetric pattern
+    /// `A = L + Lᵀ` is permuted and its lower triangle becomes the new
+    /// operand, which changes the dependency structure but not the values.
+    /// Every value bit of `L` is kept, so the identity permutation returns
+    /// `L`, and `perm` followed by its inverse returns `L`.
+    ///
+    /// Two counting passes over `L`'s `nnz` entries (bucket by new column,
+    /// then scatter the columns in increasing order into their rows); no
+    /// sort and no symmetric matrix in between. Rows come out sorted with
+    /// the diagonal last.
     pub fn permute_symmetric(&self, perm: &[usize]) -> Result<LowerTriangularCsr> {
-        let sym = self.symmetrized().permute_symmetric(perm)?;
-        LowerTriangularCsr::from_lower_triangle_of(&sym)
+        let n = self.n;
+        let inv = inverse_permutation(perm, n)?;
+        // Entry (r, c) of L lands at (max, min) of its new labels.
+        let placed = |r: usize, k: usize| {
+            let (p, q) = (inv[r], inv[self.col_idx[k]]);
+            (p.max(q), p.min(q))
+        };
+        let mut row_ptr = vec![0usize; n + 1];
+        let mut col_ptr = vec![0usize; n + 1];
+        for r in 0..n {
+            for k in self.row_ptr[r]..self.row_ptr[r + 1] {
+                let (row, col) = placed(r, k);
+                row_ptr[row + 1] += 1;
+                col_ptr[col + 1] += 1;
+            }
+        }
+        for i in 0..n {
+            row_ptr[i + 1] += row_ptr[i];
+            col_ptr[i + 1] += col_ptr[i];
+        }
+        // Pass 1: bucket every entry by its new column.
+        let mut by_col = vec![(0usize, 0.0f64); self.nnz()];
+        let mut next = col_ptr[..n].to_vec();
+        for r in 0..n {
+            for k in self.row_ptr[r]..self.row_ptr[r + 1] {
+                let (row, col) = placed(r, k);
+                by_col[next[col]] = (row, self.values[k]);
+                next[col] += 1;
+            }
+        }
+        // Pass 2: the columns in increasing order into their rows, which
+        // fills every row sorted, the diagonal (its largest column) last.
+        let mut col_idx = vec![0usize; self.nnz()];
+        let mut values = vec![0.0f64; self.nnz()];
+        next.copy_from_slice(&row_ptr[..n]);
+        for c in 0..n {
+            for &(row, v) in &by_col[col_ptr[c]..col_ptr[c + 1]] {
+                col_idx[next[row]] = c;
+                values[next[row]] = v;
+                next[row] += 1;
+            }
+        }
+        Ok(LowerTriangularCsr {
+            n,
+            row_ptr,
+            col_idx,
+            values,
+        })
     }
 }
 
@@ -461,6 +517,103 @@ mod tests {
         // Figure 1: vertex 9 (index 8) is adjacent to 1, 2 and 8 (indices 0, 1, 7).
         let neighbors: Vec<usize> = a.row_cols(8).iter().copied().filter(|&c| c != 8).collect();
         assert_eq!(neighbors, vec![0, 1, 7]);
+    }
+
+    /// `lower(P A Pᵀ)` built the way the analysis built it before it became
+    /// counting passes: `A = L + Lᵀ − D` through a COO round trip, relabelled
+    /// through a second COO (which sorts every row), lower triangle
+    /// extracted.
+    fn permute_symmetric_reference(l: &LowerTriangularCsr, perm: &[usize]) -> LowerTriangularCsr {
+        let n = l.n();
+        let mut a = CooMatrix::with_capacity(n, n, 2 * l.nnz());
+        for i in 0..n {
+            for (&j, &v) in l.row_off_diag_cols(i).iter().zip(l.row_off_diag_values(i)) {
+                a.push(i, j, v).unwrap();
+                a.push(j, i, v).unwrap();
+            }
+            a.push(i, i, l.diag(i)).unwrap();
+        }
+        let a = a.to_csr();
+        let mut inv = vec![0; n];
+        for (new, &old) in perm.iter().enumerate() {
+            inv[old] = new;
+        }
+        let mut pa = CooMatrix::with_capacity(n, n, a.nnz());
+        for (r, c, v) in a.iter() {
+            pa.push(inv[r], inv[c], v).unwrap();
+        }
+        LowerTriangularCsr::from_lower_triangle_of(&pa.to_csr()).unwrap()
+    }
+
+    /// Figure 1 and the tiny suite's lower operands.
+    fn operands() -> Vec<LowerTriangularCsr> {
+        let mut ls = vec![paper_example()];
+        for m in crate::suite::TestSuite::generate(crate::suite::SuiteScale::Tiny)
+            .unwrap()
+            .matrices
+        {
+            ls.push(m.lower().unwrap());
+        }
+        ls
+    }
+
+    /// The reversal and a seeded shuffle of `0..n`.
+    fn permutations(n: usize) -> [Vec<usize>; 2] {
+        use rand::seq::SliceRandom;
+        use rand::SeedableRng;
+        let mut shuffled: Vec<usize> = (0..n).collect();
+        shuffled.shuffle(&mut rand::rngs::StdRng::seed_from_u64(n as u64));
+        [(0..n).rev().collect(), shuffled]
+    }
+
+    #[test]
+    fn permute_symmetric_by_the_identity_returns_l_bit_for_bit() {
+        for l in operands() {
+            let id: Vec<usize> = (0..l.n()).collect();
+            assert_eq!(l.permute_symmetric(&id).unwrap(), l);
+        }
+    }
+
+    #[test]
+    fn permute_symmetric_then_its_inverse_returns_l_bit_for_bit() {
+        for l in operands() {
+            for perm in permutations(l.n()) {
+                let mut inv = vec![0; perm.len()];
+                for (new, &old) in perm.iter().enumerate() {
+                    inv[old] = new;
+                }
+                let back = l
+                    .permute_symmetric(&perm)
+                    .unwrap()
+                    .permute_symmetric(&inv)
+                    .unwrap();
+                assert_eq!(back, l);
+            }
+        }
+    }
+
+    #[test]
+    fn permute_symmetric_equals_the_lower_triangle_of_the_permuted_symmetric_matrix() {
+        for l in operands() {
+            for perm in permutations(l.n()) {
+                assert_eq!(
+                    l.permute_symmetric(&perm).unwrap(),
+                    permute_symmetric_reference(&l, &perm)
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn permute_symmetric_keeps_the_diagonal() {
+        let l = paper_example();
+        let perm: Vec<usize> = (0..l.n()).rev().collect();
+        let lp = l.permute_symmetric(&perm).unwrap();
+        for (new, &old) in perm.iter().enumerate() {
+            assert_eq!(lp.diag(new), l.diag(old));
+        }
+        assert!(l.permute_symmetric(&[0; 9]).is_err());
+        assert!(l.permute_symmetric(&[0, 1]).is_err());
     }
 
     #[test]

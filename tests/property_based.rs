@@ -8,7 +8,7 @@ use sts_k::core::{
 };
 use sts_k::graph::{rcm, Coloring, ColoringOrder, Graph, LevelSets, Permutation};
 use sts_k::matrix::suite::{SuiteScale, TestSuite};
-use sts_k::matrix::{generators, ops, CooMatrix, LowerTriangularCsr};
+use sts_k::matrix::{generators, ops, CooMatrix, CsrMatrix, LowerTriangularCsr};
 use sts_k::numa::Schedule;
 use sts_k::sched::cost::InPackCostModel;
 use sts_k::sched::dar::DarGraph;
@@ -83,6 +83,91 @@ fn engines_match_the_reference_sweeps(s: &StsStructure, nrhs: usize) -> Result<(
         }
     }
     Ok(())
+}
+
+/// `is_symmetric` as it was computed before the cursor walk: build the
+/// transpose and compare arrays.
+fn is_symmetric_by_transpose(a: &CsrMatrix, tol: f64) -> bool {
+    if a.nrows() != a.ncols() {
+        return false;
+    }
+    let t = a.transpose();
+    t.row_ptr() == a.row_ptr()
+        && t.col_idx() == a.col_idx()
+        && a.values()
+            .iter()
+            .zip(t.values())
+            .all(|(x, y)| (x - y).abs() <= tol)
+}
+
+/// A symmetric `n × n` matrix from mirrored random entries (all ones when
+/// `pattern`, so only the structure can tell entries apart), as rows of
+/// `(column, value)`, then broken (or not) by `mutation`: a perturbed value,
+/// a NaN, two entries of a row swapped, a duplicated entry with or without
+/// its mirror, a dropped entry, or an extra column.
+fn mutated_symmetric(
+    n: usize,
+    entries: &[(usize, usize, f64)],
+    pattern: bool,
+    mutation: u8,
+    pick: usize,
+) -> CsrMatrix {
+    let mut coo = CooMatrix::new(n, n);
+    for &(r, c, v) in entries {
+        let v = if pattern { 1.0 } else { v };
+        coo.push(r % n, c % n, v).unwrap();
+        coo.push(c % n, r % n, v).unwrap();
+    }
+    for i in 0..n {
+        coo.push(i, i, if pattern { 1.0 } else { 4.0 }).unwrap();
+    }
+    let a = coo.to_csr();
+    let mut rows: Vec<Vec<(usize, f64)>> = (0..n)
+        .map(|r| {
+            a.row_cols(r)
+                .iter()
+                .copied()
+                .zip(a.row_values(r).iter().copied())
+                .collect()
+        })
+        .collect();
+    let r = pick % n;
+    let k = pick % rows[r].len();
+    let mut ncols = n;
+    match mutation {
+        1 => rows[r][k].1 += 1e-13,
+        2 => rows[r][k].1 += 1e-9,
+        3 => rows[r][k].1 = f64::NAN,
+        4 => {
+            let last = rows[r].len() - 1;
+            rows[r].swap(0, last);
+        }
+        5 => {
+            let e = rows[r][k];
+            rows[r].insert(k, e);
+        }
+        6 => {
+            let (c, v) = rows[r][k];
+            rows[r].insert(k, (c, v));
+            let m = rows[c].iter().position(|&(j, _)| j == r).unwrap();
+            rows[c].insert(m, (r, v));
+        }
+        7 => {
+            rows[r].remove(k);
+        }
+        8 => ncols = n + 1,
+        _ => {}
+    }
+    let mut row_ptr = vec![0];
+    let (mut col_idx, mut values) = (Vec::new(), Vec::new());
+    for row in rows {
+        for (c, v) in row {
+            col_idx.push(c);
+            values.push(v);
+        }
+        row_ptr.push(col_idx.len());
+    }
+    CsrMatrix::from_raw_unchecked(n, ncols, row_ptr, col_idx, values)
 }
 
 proptest! {
@@ -210,6 +295,25 @@ proptest! {
             let h = model.makespan(&dar, &assignment, q);
             prop_assert!(opt.makespan <= h + 1e-9,
                 "optimal {} exceeded heuristic {}", opt.makespan, h);
+        }
+    }
+
+    #[test]
+    fn is_symmetric_agrees_with_the_transpose_form(
+        n in 1usize..9,
+        entries in proptest::collection::vec((0usize..9, 0usize..9, -2.0f64..2.0), 0..24),
+        mutation in 0u8..10,
+        pick in 0usize..1000,
+    ) {
+        for pattern in [false, true] {
+            let a = mutated_symmetric(n, &entries, pattern, mutation, pick);
+            for tol in [0.0, 1e-12] {
+                prop_assert_eq!(
+                    a.is_symmetric(tol),
+                    is_symmetric_by_transpose(&a, tol),
+                    "mutation {} at tol {}, pattern {}", mutation, tol, pattern
+                );
+            }
         }
     }
 

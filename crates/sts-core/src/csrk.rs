@@ -260,8 +260,8 @@ impl StsStructure {
         Ok(x)
     }
 
-    /// The dependency-split layout (external/internal slabs plus readiness
-    /// metadata), built on first use. Thread-safe: concurrent first calls
+    /// The dependency-split layout (external/internal slabs plus the chain
+    /// tasks), built on first use. Thread-safe: concurrent first calls
     /// race benignly inside the `OnceLock`; every caller sees the same built
     /// layout. Callers who want the build cost out of their timed region can
     /// force it up front with this same method.
@@ -280,7 +280,7 @@ impl StsStructure {
                 panic!("forward schedule fails static verification: {v}");
             }
             if let Err(v) = self.verify_factor_schedule() {
-                panic!("factor schedule fails static verification: {v}");
+                panic!("super-row schedule fails static verification: {v}");
             }
         }
         layout

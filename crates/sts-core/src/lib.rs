@@ -15,8 +15,8 @@
 //! * [`split`] — the dependency-split CSR layout (built lazily on first
 //!   use): per pack, an *external* slab of entries referencing earlier packs
 //!   (streamed by the embarrassingly-parallel gather phase) and an
-//!   *internal* slab holding the true in-pack dependence chains, plus
-//!   per-row readiness metadata for level scheduling;
+//!   *internal* slab holding the true in-pack dependence chains, plus the
+//!   chain tasks of each pack;
 //! * [`transpose`] — the transpose (backward-sweep) constructor of the same
 //!   layout type: the split applied to `L'ᵀ`, with the packs consumed in
 //!   reverse order, so preconditioner forward/backward sweep pairs both run
@@ -40,10 +40,10 @@
 //!   model the repo benchmark's roofline ratio is taken against;
 //! * [`analysis`] — the parallelism and work-distribution statistics behind
 //!   Figures 7 and 8;
-//! * [`verify`] — static schedule verification: extracts every task's exact
-//!   read/write footprint and happens-before edges from the split layouts
-//!   and checks race-freedom, deadlock-freedom and write completeness via
-//!   the dependency-free `sts-verify` checker
+//! * [`verify`] — static schedule verification: extracts the dispatches the
+//!   split sweep and the super-row loop issue, with every task's exact
+//!   read/write footprint, and checks that a barrier or program order
+//!   orders every access, via the dependency-free `sts-verify` checker
 //!   ([`StsStructure::verify_schedule`]); re-run automatically on first
 //!   layout build under `debug_assertions`.
 //!
@@ -81,4 +81,4 @@ pub use exec::simulated::{
 pub use options::{PrecisionPolicy, SlabValue, SolveEngine, SolveOptions, SweepDirection};
 pub use solver::parallel::{ChaosHook, ParallelSolver};
 pub use split::SplitLayout;
-pub use verify::{factor_spec, solve_spec};
+pub use verify::{solve_spec, super_row_spec};

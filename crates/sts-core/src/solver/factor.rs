@@ -196,8 +196,8 @@ mod tests {
 
     #[test]
     fn repeated_contended_builds_stay_identical() {
-        // Oversubscribed pool, chain-heavy level-set ordering: readiness
-        // races would show up as sporadic divergence.
+        // Oversubscribed pool, chain-heavy level-set ordering: a missing
+        // barrier would show up as sporadic divergence.
         let a = generators::grid2d_laplacian(20, 20).unwrap();
         let l = generators::lower_operand(&a).unwrap();
         let s = Method::Csr3Ls.build(&l, 6).unwrap();

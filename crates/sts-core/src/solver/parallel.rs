@@ -102,10 +102,11 @@
 //! same-pack reads stay inside `i`'s own super-row, whose chain rows are
 //! stored in decreasing order.
 //!
-//! The schedule verifier ([`crate::verify`]) proves the weaker,
-//! dependency-minimal schedule — a chunk waits only for the stages its
-//! external reads target, a chain task only for its own stage's phase 1 —
-//! which the split driver's barriers strictly cover.
+//! The schedule verifier ([`crate::verify`]) checks both arguments on the
+//! dispatches the drivers issue: per stage the gather and chain dispatches
+//! of the split driver, per pack the super-row dispatch of the unsplit
+//! kernel and the IC(0) build. Every access must be ordered by an earlier
+//! dispatch's barrier or by program order within its task.
 
 use std::ops::Range;
 use std::sync::Arc;
@@ -238,8 +239,8 @@ impl ParallelSolver {
         self.trace.as_ref()
     }
 
-    /// Installs (or clears) a race-shadow access log: the split and factor
-    /// kernels record one [`sts_verify::RowTrace`] per produced row (the
+    /// Installs (or clears) a race-shadow access log: the split sweep, the
+    /// unsplit [`ParallelSolver::solve`] and the IC(0) build record one [`sts_verify::RowTrace`] per produced row (the
     /// exact shared slots the inner loop read), so
     /// [`sts_verify::check_replay`] can cross-check the static schedule
     /// model against what the kernels really touch. Test support: recording
@@ -481,6 +482,11 @@ impl ParallelSolver {
                     // SAFETY: row i1 belongs to exactly one super-row,
                     // executed by exactly one worker.
                     unsafe { shared.write(i1, (b[i1] - acc) / values[end - 1]) };
+                    self.shadow_record(
+                        TaskKind::Gather,
+                        i1,
+                        col_idx[start..end - 1].iter().copied(),
+                    );
                 }
             })?;
         }

@@ -21,15 +21,9 @@
 //! external slab is one dense streamable range. The reciprocal of each
 //! diagonal is precomputed so the substitution multiplies instead of divides.
 //!
-//! The layout additionally records **readiness metadata**: for every row,
-//! the number of leading packs that must be done before its external reads
-//! are final ([`SplitLayout::ext_dep`] — `1 +` the latest earlier pack the
-//! row's external entries reference, `0` when it has none; a row whose
-//! latest dependency is pack 0 therefore stores `1`, not `0`). A chunk is
-//! ready as soon as the packs `0..max(ext_dep)` of its rows are *done* —
-//! typically much earlier than "the previous pack is done". The schedule
-//! verifier proves the sweeps and the IC(0) build against it; the kernels
-//! themselves wait at a barrier after every stage, which covers it.
+//! The split sweep runs a stage's gather once the barrier that ends the
+//! previous stage has published every earlier pack; the schedule verifier
+//! ([`crate::verify`]) proves that every external column names such a row.
 //!
 //! The layout duplicates the operand's off-diagonal storage (ext + int slabs
 //! hold every strictly-lower entry exactly once, next to the original CSR
@@ -42,9 +36,9 @@
 //! The backward sweep `L'ᵀ x' = b'` runs on the same type: [`SplitLayout`]
 //! built from the transposed operand by [`crate::transpose`], where
 //! "earlier pack" reads "later pack" (an earlier *stage* of the reverse
-//! sweep), readiness is stamped in reverse stage numbering and chain rows
-//! are stored in decreasing order. The kernels take a `&SplitLayout` plus a
-//! stage → pack mapping and never ask which direction they run.
+//! sweep) and chain rows are stored in decreasing order. The kernels take a
+//! `&SplitLayout` plus a stage → pack mapping and never ask which direction
+//! they run.
 //!
 //! [`StsStructure::split`]: crate::csrk::StsStructure::split
 //!
@@ -55,9 +49,8 @@ use std::sync::OnceLock;
 use sts_matrix::LowerTriangularCsr;
 
 /// Per-row split of the reordered operand (or its transpose) into external
-/// (off-pack) and internal (in-pack) slabs, plus the readiness metadata the
-/// level-scheduled factorization and the schedule verifier read. Built
-/// lazily by the first
+/// (off-pack) and internal (in-pack) slabs, plus the chain tasks phase 2
+/// dispatches. Built lazily by the first
 /// [`StsStructure::split`](crate::csrk::StsStructure::split) /
 /// [`StsStructure::transpose_split`](crate::csrk::StsStructure::transpose_split)
 /// call; immutable afterwards. Field and accessor docs are phrased for the
@@ -96,10 +89,6 @@ pub struct SplitLayout {
     chain_rows: Vec<u32>,
     /// Task pointer into `chain_rows` (`chain_srs.len() + 1` entries).
     chain_row_ptr: Vec<usize>,
-    /// Per-row readiness: `1 + (latest pack referenced by the row's external
-    /// entries)`, `0` when the row has none. The row's phase-1 gather may run
-    /// as soon as packs `0..ext_dep[i]` are done.
-    ext_dep: Vec<u32>,
     /// Lazily demoted `f32` copy of `ext_vals` for the mixed-precision
     /// kernels (storage-only — accumulation stays `f64`). Built on first
     /// [`SplitLayout::ext_vals_f32`] call so `f64`-only callers never pay
@@ -126,7 +115,6 @@ impl PartialEq for SplitLayout {
             && self.chain_sr_ptr == other.chain_sr_ptr
             && self.chain_rows == other.chain_rows
             && self.chain_row_ptr == other.chain_row_ptr
-            && self.ext_dep == other.ext_dep
     }
 }
 
@@ -140,7 +128,6 @@ pub(crate) struct Slabs {
     pub(crate) int_cols: Vec<u32>,
     pub(crate) int_vals: Vec<f64>,
     pub(crate) inv_diag: Vec<f64>,
-    pub(crate) ext_dep: Vec<u32>,
 }
 
 /// The order phase 2 visits a chain task's rows in: increasing for the
@@ -149,16 +136,6 @@ pub(crate) struct Slabs {
 pub(crate) enum ChainOrder {
     Increasing,
     Decreasing,
-}
-
-/// Row → pack lookup from the validated hierarchy arrays.
-pub(crate) fn pack_of_rows(n: usize, index3: &[usize], index2: &[usize]) -> Vec<u32> {
-    let mut pack_of_row = vec![0u32; n];
-    for p in 0..index3.len() - 1 {
-        let rows = index2[index3[p]]..index2[index3[p + 1]];
-        pack_of_row[rows].fill(p as u32);
-    }
-    pack_of_row
 }
 
 impl SplitLayout {
@@ -187,7 +164,6 @@ impl SplitLayout {
         let col_idx = l.col_idx();
         let values = l.values();
         let off_diag = l.nnz() - n;
-        let pack_of_row = pack_of_rows(n, index3, index2);
         let mut ext_row_ptr = Vec::with_capacity(n + 1);
         let mut int_row_ptr = Vec::with_capacity(n + 1);
         let mut ext_cols = Vec::with_capacity(off_diag);
@@ -195,19 +171,16 @@ impl SplitLayout {
         let mut int_cols = Vec::new();
         let mut int_vals = Vec::new();
         let mut inv_diag = Vec::with_capacity(n);
-        let mut ext_dep = Vec::with_capacity(n);
         ext_row_ptr.push(0);
         int_row_ptr.push(0);
         for i in 0..n {
             let start = row_ptr[i];
             let end = row_ptr[i + 1];
             let pack_start = pack_start_row[i];
-            let mut dep = 0u32;
             for k in start..end - 1 {
                 if col_idx[k] < pack_start {
                     ext_cols.push(col_idx[k] as u32);
                     ext_vals.push(values[k]);
-                    dep = dep.max(pack_of_row[col_idx[k]] + 1);
                 } else {
                     int_cols.push(col_idx[k] as u32);
                     int_vals.push(values[k]);
@@ -216,11 +189,6 @@ impl SplitLayout {
             ext_row_ptr.push(ext_cols.len());
             int_row_ptr.push(int_cols.len());
             inv_diag.push(1.0 / values[end - 1]);
-            debug_assert!(
-                dep <= pack_of_row[i],
-                "external reads stay in earlier packs"
-            );
-            ext_dep.push(dep);
         }
         SplitLayout::from_slabs(
             Slabs {
@@ -231,7 +199,6 @@ impl SplitLayout {
                 int_cols,
                 int_vals,
                 inv_diag,
-                ext_dep,
             },
             index3,
             index2,
@@ -287,7 +254,6 @@ impl SplitLayout {
             chain_sr_ptr,
             chain_rows,
             chain_row_ptr,
-            ext_dep: slabs.ext_dep,
             ext_vals_f32: OnceLock::new(),
             int_vals_f32: OnceLock::new(),
         }
@@ -409,24 +375,6 @@ impl SplitLayout {
         &self.chain_rows[self.chain_row_ptr[task]..self.chain_row_ptr[task + 1]]
     }
 
-    /// Per-row readiness metadata: `ext_dep()[i]` is `1 +` the latest pack
-    /// referenced by row `i`'s external entries (`0` when it has none). Row
-    /// `i`'s phase-1 gather may run as soon as packs `0..ext_dep()[i]` are
-    /// done.
-    #[inline]
-    pub fn ext_dep(&self) -> &[u32] {
-        &self.ext_dep
-    }
-
-    /// Readiness of a contiguous row range (a phase-1 gather chunk): the
-    /// number of leading packs that must be done before every external read
-    /// of the range is final. Always `≤` the range's own pack, and for
-    /// chained orderings typically `<`.
-    #[inline]
-    pub fn range_ext_dep(&self, rows: std::ops::Range<usize>) -> u32 {
-        self.ext_dep[rows].iter().copied().max().unwrap_or(0)
-    }
-
     /// External entries of a contiguous row range, as one streamable slab
     /// (used by benches to verify the layout is contiguous per pack).
     pub fn ext_range_nnz(&self, rows: std::ops::Range<usize>) -> usize {
@@ -463,19 +411,28 @@ mod tests {
 
     #[test]
     fn external_entries_reference_earlier_packs_only() {
-        let a = generators::grid2d_9point(14, 14).unwrap();
-        let l = generators::lower_operand(&a).unwrap();
-        let s = Method::Sts3.build(&l, 8).unwrap();
-        let split = s.split();
-        for p in 0..s.num_packs() {
-            let rows = s.pack_rows(p);
-            for i in rows.clone() {
-                let (ext_cols, _) = split.ext_row(i);
-                assert!(ext_cols.iter().all(|&j| (j as usize) < rows.start));
-                let (int_cols, _) = split.int_row(i);
-                assert!(int_cols
-                    .iter()
-                    .all(|&j| rows.contains(&(j as usize)) && (j as usize) < i));
+        let grid = generators::grid2d_9point(14, 14).unwrap();
+        let triangulated = generators::triangulated_grid(12, 12, 7).unwrap();
+        for a in [grid, triangulated] {
+            let l = generators::lower_operand(&a).unwrap();
+            for method in Method::all() {
+                let s = method.build(&l, 8).unwrap();
+                let split = s.split();
+                for p in 0..s.num_packs() {
+                    let rows = s.pack_rows(p);
+                    for i in rows.clone() {
+                        let (ext_cols, _) = split.ext_row(i);
+                        assert!(
+                            ext_cols.iter().all(|&j| (j as usize) < rows.start),
+                            "{}: external entry of row {i} outside an earlier pack",
+                            method.label()
+                        );
+                        let (int_cols, _) = split.int_row(i);
+                        assert!(int_cols
+                            .iter()
+                            .all(|&j| rows.contains(&(j as usize)) && (j as usize) < i));
+                    }
+                }
             }
         }
     }
@@ -511,81 +468,6 @@ mod tests {
             assert_eq!(split.ext_range_nnz(rows.clone()), ext_sum);
             assert_eq!(split.int_range_nnz(rows), int_sum);
         }
-    }
-
-    #[test]
-    fn readiness_metadata_bounds_every_external_read() {
-        let a = generators::triangulated_grid(12, 12, 7).unwrap();
-        let l = generators::lower_operand(&a).unwrap();
-        for method in Method::all() {
-            let s = method.build(&l, 8).unwrap();
-            let split = s.split();
-            // Row → pack lookup from the structure.
-            let mut pack_of = vec![0usize; s.n()];
-            for p in 0..s.num_packs() {
-                for r in s.pack_rows(p) {
-                    pack_of[r] = p;
-                }
-            }
-            let mut any_slack = false;
-            for p in 0..s.num_packs() {
-                let rows = s.pack_rows(p);
-                assert!(split.range_ext_dep(rows.clone()) as usize <= p);
-                for i in rows {
-                    let dep = split.ext_dep()[i];
-                    let (cols, _) = split.ext_row(i);
-                    // dep is exactly 1 + the latest referenced pack.
-                    let latest = cols.iter().map(|&j| pack_of[j as usize] + 1).max();
-                    assert_eq!(dep as usize, latest.unwrap_or(0));
-                    if p > 0 && (dep as usize) < p {
-                        any_slack = true;
-                    }
-                }
-            }
-            // The tentpole premise: some rows' gathers are ready before the
-            // predecessor pack finishes (row-granular slack; whole packs
-            // rarely have it under level-set orderings, where every level
-            // depends on its predecessor by construction).
-            if s.num_packs() > 2 {
-                assert!(
-                    any_slack,
-                    "{}: no level-scheduling slack found in the readiness metadata",
-                    method.label()
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn ext_dep_distinguishes_a_pack_zero_dependency_from_none() {
-        // Level-set packs: pack 0 is the dependency-free level, and every
-        // pack-1 row reads pack-0 rows only. The encoding must keep those two
-        // cases apart: "no external reads" stores 0, "latest dependency is
-        // pack 0" stores 1.
-        let l = generators::paper_figure1_l();
-        let s = Method::CsrLs.build(&l, 2).unwrap();
-        assert!(s.num_packs() > 1);
-        let split = s.split();
-        for i in s.pack_rows(0) {
-            assert_eq!(split.ext_dep()[i], 0, "pack-0 row {i} has no dependency");
-        }
-        let pack0 = s.pack_rows(0);
-        let mut saw_boundary_row = false;
-        for i in s.pack_rows(1) {
-            let (cols, _) = split.ext_row(i);
-            if cols.is_empty() {
-                assert_eq!(split.ext_dep()[i], 0);
-                continue;
-            }
-            assert!(cols.iter().all(|&j| pack0.contains(&(j as usize))));
-            assert_eq!(
-                split.ext_dep()[i],
-                1,
-                "row {i}'s latest dependency is pack 0, so it must store 1, not 0"
-            );
-            saw_boundary_row = true;
-        }
-        assert!(saw_boundary_row, "some pack-1 row depends on pack 0");
     }
 
     #[test]

@@ -33,11 +33,7 @@
 //! The slabs hold the transposed operand's strictly-upper entries row-wise
 //! (CSR of `L'ᵀ`, i.e. CSC of `L'` without the diagonal): the **external**
 //! slab of row `i` names rows `j` in *later* packs, the **internal** slab
-//! rows `j > i` of the same super-row. Readiness
-//! ([`SplitLayout::ext_dep`]) is stamped in **reverse stage numbering**: a
-//! backward sweep runs stage `s` = pack `num_packs − 1 − s`, so a row whose
-//! latest external read targets pack `q` is ready once the first
-//! `num_packs − q` *stages* are done. Chain rows are stored per task in
+//! rows `j > i` of the same super-row. Chain rows are stored per task in
 //! decreasing row order, so phase 2 iterates them forward.
 //!
 //! Like the forward layout, it duplicates the off-diagonal storage and is
@@ -49,7 +45,17 @@
 
 use sts_matrix::LowerTriangularCsr;
 
-use crate::split::{pack_of_rows, ChainOrder, Slabs, SplitLayout};
+use crate::split::{ChainOrder, Slabs, SplitLayout};
+
+/// Row → pack lookup from the validated hierarchy arrays.
+fn pack_of_rows(n: usize, index3: &[usize], index2: &[usize]) -> Vec<u32> {
+    let mut pack_of_row = vec![0u32; n];
+    for p in 0..index3.len() - 1 {
+        let rows = index2[index3[p]]..index2[index3[p + 1]];
+        pack_of_row[rows].fill(p as u32);
+    }
+    pack_of_row
+}
 
 /// Builds the transpose split of the reordered operand. `index3`/`index2`
 /// are the validated hierarchy arrays; classification relies on the
@@ -64,7 +70,6 @@ pub(crate) fn build(l: &LowerTriangularCsr, index3: &[usize], index2: &[usize]) 
     let row_ptr = l.row_ptr();
     let col_idx = l.col_idx();
     let values = l.values();
-    let num_packs = index3.len() - 1;
     let pack_of_row = pack_of_rows(n, index3, index2);
     // Counting pass: each strictly-lower entry (j, i) of L' is an entry
     // (i, j) of the transpose; classify by pack(j) vs pack(i).
@@ -94,7 +99,6 @@ pub(crate) fn build(l: &LowerTriangularCsr, index3: &[usize], index2: &[usize]) 
     let mut ext_vals = vec![0.0f64; ext_row_ptr[n]];
     let mut int_cols = vec![0u32; int_row_ptr[n]];
     let mut int_vals = vec![0.0f64; int_row_ptr[n]];
-    let mut ext_dep = vec![0u32; n];
     // Fill pass; sweeping j in increasing order leaves every
     // transpose-row's columns sorted increasingly.
     let mut ext_cursor = ext_row_ptr[..n].to_vec();
@@ -106,10 +110,6 @@ pub(crate) fn build(l: &LowerTriangularCsr, index3: &[usize], index2: &[usize]) 
                 ext_cols[ext_cursor[i]] = j as u32;
                 ext_vals[ext_cursor[i]] = values[k];
                 ext_cursor[i] += 1;
-                // Reverse-stage readiness: pack q is stage
-                // num_packs − 1 − q, so "stage of pack(j) done" is
-                // epoch ≥ num_packs − pack(j).
-                ext_dep[i] = ext_dep[i].max(num_packs as u32 - pack_of_row[j]);
             } else {
                 int_cols[int_cursor[i]] = j as u32;
                 int_vals[int_cursor[i]] = values[k];
@@ -126,7 +126,6 @@ pub(crate) fn build(l: &LowerTriangularCsr, index3: &[usize], index2: &[usize]) 
             int_cols,
             int_vals,
             inv_diag: (0..n).map(|i| 1.0 / l.diag(i)).collect(),
-            ext_dep,
         },
         index3,
         index2,
@@ -158,22 +157,29 @@ mod tests {
 
     #[test]
     fn external_entries_reference_later_packs_only() {
-        let a = generators::grid2d_9point(14, 14).unwrap();
-        let l = generators::lower_operand(&a).unwrap();
-        let s = Method::Sts3.build(&l, 8).unwrap();
-        let ts = s.transpose_split();
-        for p in 0..s.num_packs() {
-            let rows = s.pack_rows(p);
-            for i in rows.clone() {
-                let (ext_cols, _) = ts.ext_row(i);
-                assert!(
-                    ext_cols.iter().all(|&j| (j as usize) >= rows.end),
-                    "external transpose entry of row {i} does not reach a later pack"
-                );
-                let (int_cols, _) = ts.int_row(i);
-                assert!(int_cols
-                    .iter()
-                    .all(|&j| rows.contains(&(j as usize)) && (j as usize) > i));
+        let grid = generators::grid2d_9point(14, 14).unwrap();
+        let triangulated = generators::triangulated_grid(12, 12, 7).unwrap();
+        for a in [grid, triangulated] {
+            let l = generators::lower_operand(&a).unwrap();
+            for method in Method::all() {
+                let s = method.build(&l, 8).unwrap();
+                let ts = s.transpose_split();
+                for p in 0..s.num_packs() {
+                    let rows = s.pack_rows(p);
+                    for i in rows.clone() {
+                        let (ext_cols, _) = ts.ext_row(i);
+                        assert!(
+                            ext_cols.iter().all(|&j| (j as usize) >= rows.end),
+                            "{}: external transpose entry of row {i} does not reach a later \
+                             pack",
+                            method.label()
+                        );
+                        let (int_cols, _) = ts.int_row(i);
+                        assert!(int_cols
+                            .iter()
+                            .all(|&j| rows.contains(&(j as usize)) && (j as usize) > i));
+                    }
+                }
             }
         }
     }
@@ -236,36 +242,6 @@ mod tests {
                         w[0] > w[1],
                         "chain rows must decrease for the backward sweep"
                     );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn readiness_metadata_bounds_every_external_read() {
-        let a = generators::triangulated_grid(12, 12, 7).unwrap();
-        let l = generators::lower_operand(&a).unwrap();
-        for method in Method::all() {
-            let s = method.build(&l, 8).unwrap();
-            let ts = s.transpose_split();
-            let num_packs = s.num_packs();
-            let mut pack_of = vec![0usize; s.n()];
-            for p in 0..num_packs {
-                for r in s.pack_rows(p) {
-                    pack_of[r] = p;
-                }
-            }
-            for p in 0..num_packs {
-                let rows = s.pack_rows(p);
-                // The range's stage is num_packs − 1 − p.
-                assert!(ts.range_ext_dep(rows.clone()) as usize <= num_packs - 1 - p);
-                for i in rows {
-                    let (cols, _) = ts.ext_row(i);
-                    let latest = cols
-                        .iter()
-                        .map(|&j| num_packs as u32 - pack_of[j as usize] as u32)
-                        .max();
-                    assert_eq!(ts.ext_dep()[i], latest.unwrap_or(0));
                 }
             }
         }

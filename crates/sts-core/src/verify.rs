@@ -1,150 +1,140 @@
-//! Extraction of [`ScheduleSpec`]s from a structure's split layouts, and
-//! the [`StsStructure::verify_schedule`] front door.
+//! Extraction of [`ScheduleSpec`]s from a structure, and the
+//! [`StsStructure::verify_schedule`] front door.
 //!
-//! The pack-parallel kernels are race-free only if the statically
-//! precomputed readiness metadata ([`SplitLayout::ext_dep`] and the
-//! transpose layout's reverse-stage equivalent) covers everything the tasks
-//! actually read. This module makes that checkable: it rebuilds every
-//! task's **exact** read/write footprint — phase-1 gather chunks (reads:
-//! external slab columns, i.e. the `x` slots of other packs; writes: the
-//! chunk's own partial rows), phase-2 chain tickets (reads: internal slab
-//! columns plus the row's own partial; writes: the chain rows) and
-//! `parallel_ic0` super-row tasks (reads: the rows named by each row's
-//! strictly-lower columns; writes: the row) — together with the
-//! happens-before edges a chunk or task needs (readiness from
-//! [`SplitLayout::range_ext_dep`], chain tasks after their stage's phase 1,
-//! program order), and hands the model to the dependency-free checker in
-//! [`sts_verify`].
+//! A spec is the list of `parallel_for` dispatches a kernel issues, each
+//! task with the exact read/write footprint of its rows in program order;
+//! [`sts_verify`] checks that every access is ordered by a dispatch's
+//! barrier or by program order. Two drivers run every parallel kernel:
+//!
+//! * the **split sweep** ([`solve_spec`]): per stage, one gather dispatch of
+//!   static chunks (reads: the external slab columns, i.e. `x` slots of
+//!   earlier stages; writes: the chunk's rows), then — when the stage's
+//!   pack has chain work — one chain dispatch of one task per chain
+//!   super-row (reads: the row's own phase-1 partial, then its internal
+//!   slab columns; writes: the chain rows, in layout order);
+//! * **Algorithm 1's super-row loop** ([`super_row_spec`]), which runs both
+//!   the unsplit [`ParallelSolver::solve`] and
+//!   [`ParallelSolver::parallel_ic0`]: per pack, one dispatch of one task per
+//!   super-row, whose rows read the rows named by their strictly-lower
+//!   columns. It reads only the structure's hierarchy and operand, so
+//!   verifying it builds no split layout.
 //!
 //! Chunk boundaries are not re-derived here: [`solve_spec`] cuts them with
 //! the same `solver::plan` functions the split driver calls, so the proof is
-//! about the schedule that runs. Passing `threads = usize::MAX` yields
-//! row-granularity chunks — the sharpest check, since coarser chunks take
-//! the `max` of their rows' readiness and can only over-synchronise.
-//! [`factor_spec`] models one chunk per super-row: `parallel_ic0` schedules
-//! its super-row tasks dynamically, so no worker owns a fixed chunk, and one
-//! super-row is what every task runs in program order.
-//!
-//! The verified model is the **dependency-minimal** schedule: each chunk
-//! waits only for the stages its external reads target, not for the whole
-//! previous stage. The split driver and the IC(0) build run the same tasks
-//! with full barriers between phases and packs (strictly more ordering), so
-//! the proof covers them; the dynamic `race-shadow` cross-check (see
-//! [`sts_verify::replay`]) validates the footprints against what they
-//! touch.
+//! about the schedule that runs. `threads = usize::MAX` gives one task per
+//! row, the finest cut. The super-row loop schedules its tasks dynamically,
+//! but a task is always one super-row run in program order, so the spec
+//! does not depend on the worker count. The dynamic `race-shadow`
+//! cross-check (see [`sts_verify::replay`]) validates the footprints
+//! against what the kernels touch.
 //!
 //! Under `debug_assertions`, the first build of each lazy layout re-runs
 //! the corresponding checks ([`StsStructure::split`] /
 //! [`StsStructure::transpose_split`]), so every structure any debug test
-//! solves with is verified race- and deadlock-free at row granularity.
+//! solves with is verified at row granularity.
+//!
+//! [`ParallelSolver::solve`]: crate::ParallelSolver::solve
+//! [`ParallelSolver::parallel_ic0`]: crate::ParallelSolver::parallel_ic0
 
-use sts_verify::{
-    ChainSpec, ChunkSpec, RowFootprint, ScheduleProof, ScheduleSpec, ScheduleViolation, StageSpec,
-};
+use sts_verify::{RowFootprint, ScheduleProof, ScheduleSpec, ScheduleViolation, Task, TaskKind};
 
 use crate::csrk::StsStructure;
 use crate::options::SweepDirection;
 use crate::solver::plan::{chunk_count, chunk_range, stage_pack, stage_rows};
-#[allow(unused_imports)] // doc links
-use crate::split::SplitLayout;
 
 /// Thread counts [`StsStructure::verify_schedule`] sweeps: the chunk
-/// granularities CI exercises, plus `usize::MAX` for the row-granularity
-/// bound.
+/// granularities CI exercises, plus `usize::MAX` for one task per row.
 pub const VERIFY_THREAD_SWEEP: [usize; 5] = [1, 2, 4, 8, usize::MAX];
 
-/// Builds the static schedule model of one solve sweep at the given worker
-/// count and direction, each chunk with its dependency-minimal readiness.
-/// `threads = usize::MAX` gives row-granularity chunks (the sharpest
-/// readiness check).
+/// Builds the dispatches of one split sweep at the given worker count and
+/// direction: per stage a gather dispatch, then a chain dispatch when the
+/// stage has chain tasks. `threads = usize::MAX` gives one gather task per
+/// row.
 pub fn solve_spec(s: &StsStructure, threads: usize, direction: SweepDirection) -> ScheduleSpec {
     let layout = s.layout(direction);
-    let footprint = |i: usize, cols: &[u32]| RowFootprint {
-        row: i,
-        reads: cols.iter().map(|&j| j as usize).collect(),
-    };
-    let stages = (0..s.num_packs())
-        .map(|st| {
-            let pack = stage_pack(direction, s.num_packs(), st);
-            let rows = stage_rows(s, direction, st);
-            let nchunks = chunk_count(threads, rows.len());
-            let chunks = (0..nchunks)
-                .map(|c| {
-                    let chunk = chunk_range(rows.start, rows.len(), nchunks, c);
-                    ChunkSpec {
-                        dep: layout.range_ext_dep(chunk.clone()) as usize,
-                        rows: chunk.map(|i| footprint(i, layout.ext_row(i).0)).collect(),
-                        publishes: true,
-                    }
-                })
-                .collect();
-            let chains = (0..layout.chain_super_rows(pack).len())
-                .map(|t| ChainSpec {
-                    claims_after_drain: true,
-                    rows: layout
-                        .chain_rows_of(pack, t)
-                        .iter()
-                        .map(|&i| footprint(i as usize, layout.int_row(i as usize).0))
+    let cols = |c: &[u32]| c.iter().map(|&j| j as usize).collect::<Vec<_>>();
+    let mut dispatches = Vec::with_capacity(2 * s.num_packs());
+    for st in 0..s.num_packs() {
+        let pack = stage_pack(direction, s.num_packs(), st);
+        let rows = stage_rows(s, direction, st);
+        let nchunks = chunk_count(threads, rows.len());
+        dispatches.push(
+            (0..nchunks)
+                .map(|c| Task {
+                    pack,
+                    kind: TaskKind::Gather,
+                    rows: chunk_range(rows.start, rows.len(), nchunks, c)
+                        .map(|i| RowFootprint {
+                            row: i,
+                            reads: cols(layout.ext_row(i).0),
+                        })
                         .collect(),
                 })
-                .collect();
-            StageSpec {
+                .collect(),
+        );
+        let chains: Vec<Task> = (0..layout.chain_super_rows(pack).len())
+            .map(|t| Task {
                 pack,
-                chunks,
-                chains,
-            }
-        })
-        .collect();
+                kind: TaskKind::Chain,
+                rows: layout
+                    .chain_rows_of(pack, t)
+                    .iter()
+                    .map(|&i| {
+                        let i = i as usize;
+                        let mut reads = vec![i];
+                        reads.extend(cols(layout.int_row(i).0));
+                        RowFootprint { row: i, reads }
+                    })
+                    .collect(),
+            })
+            .collect();
+        if !chains.is_empty() {
+            dispatches.push(chains);
+        }
+    }
     ScheduleSpec {
         locations: s.n(),
-        stages,
+        dispatches,
     }
 }
 
-/// Builds the static schedule model of one `parallel_ic0` sweep: per pack,
-/// one chunk per super-row — whose rows read the rows named by their
-/// strictly-lower columns — with its dependency-minimal readiness; no
-/// phase 2.
-pub fn factor_spec(s: &StsStructure) -> ScheduleSpec {
-    let layout = s.split();
+/// Builds the dispatches of Algorithm 1's super-row loop: per pack, one task
+/// per super-row, whose rows read the rows named by their strictly-lower
+/// columns.
+pub fn super_row_spec(s: &StsStructure) -> ScheduleSpec {
     let l = s.lower();
-    let stages = (0..s.num_packs())
-        .map(|p| StageSpec {
-            pack: p,
-            chunks: s
-                .pack_super_rows(p)
-                .map(|sr| {
-                    let rows = s.super_row_rows(sr);
-                    ChunkSpec {
-                        dep: layout.range_ext_dep(rows.clone()) as usize,
-                        rows: rows
-                            .map(|i| RowFootprint {
-                                row: i,
-                                reads: l.row_off_diag_cols(i).to_vec(),
-                            })
-                            .collect(),
-                        publishes: true,
-                    }
+    let dispatches = (0..s.num_packs())
+        .map(|p| {
+            s.pack_super_rows(p)
+                .map(|sr| Task {
+                    pack: p,
+                    kind: TaskKind::Gather,
+                    rows: s
+                        .super_row_rows(sr)
+                        .map(|i| RowFootprint {
+                            row: i,
+                            reads: l.row_off_diag_cols(i).to_vec(),
+                        })
+                        .collect(),
                 })
-                .collect(),
-            chains: Vec::new(),
+                .collect()
         })
         .collect();
     ScheduleSpec {
         locations: s.n(),
-        stages,
+        dispatches,
     }
 }
 
 impl StsStructure {
-    /// Statically verifies the full pack schedule: both sweep directions
-    /// across the worker counts of [`VERIFY_THREAD_SWEEP`], and the factor
-    /// sweep. Returns the merged [`ScheduleProof`] or the
-    /// first [`ScheduleViolation`] with `(pack, phase, row, missing edge)`
-    /// detail.
+    /// Statically verifies every parallel schedule: both split-sweep
+    /// directions across the worker counts of [`VERIFY_THREAD_SWEEP`], and
+    /// the super-row loop. Returns the merged [`ScheduleProof`] or the first
+    /// [`ScheduleViolation`] with its `(pack, phase, row, location)` and
+    /// writer.
     ///
-    /// Forces both lazy split layouts (they *are* the schedule being
-    /// verified).
+    /// Forces both lazy split layouts (they *are* the split sweep's
+    /// schedule).
     pub fn verify_schedule(&self) -> Result<ScheduleProof, ScheduleViolation> {
         let mut proof = ScheduleProof::default();
         for &threads in &VERIFY_THREAD_SWEEP {
@@ -156,8 +146,8 @@ impl StsStructure {
         Ok(proof)
     }
 
-    /// Verifies one solve schedule at a specific worker count and direction
-    /// (`threads = usize::MAX` checks at row granularity).
+    /// Verifies one split-sweep schedule at a specific worker count and
+    /// direction (`threads = usize::MAX` checks at row granularity).
     pub fn verify_schedule_at(
         &self,
         threads: usize,
@@ -166,9 +156,10 @@ impl StsStructure {
         sts_verify::verify(&solve_spec(self, threads, direction))
     }
 
-    /// Verifies the `parallel_ic0` factor schedule.
+    /// Verifies the super-row loop's schedule (the unsplit solve and the
+    /// IC(0) build). Builds no split layout.
     pub fn verify_factor_schedule(&self) -> Result<ScheduleProof, ScheduleViolation> {
-        sts_verify::verify(&factor_spec(self))
+        sts_verify::verify(&super_row_spec(self))
     }
 }
 
@@ -178,58 +169,31 @@ mod tests {
     use crate::builder::Method;
     use sts_matrix::generators;
 
-    fn structure() -> StsStructure {
-        let l = generators::random_lower_triangular(80, 3.0, 7).unwrap();
-        Method::Sts3.build(&l, 8).unwrap()
-    }
-
     #[test]
     fn every_method_schedule_verifies() {
         let l = generators::random_lower_triangular(60, 2.5, 11).unwrap();
         for method in Method::all() {
             let s = method.build(&l, 8).unwrap();
             let proof = s.verify_schedule().unwrap();
-            assert!(proof.chunks > 0);
+            assert!(proof.tasks > 0);
             assert_eq!(proof.locations, s.n() * proof.specs);
         }
     }
 
     #[test]
-    fn dropping_a_dependency_is_flagged_with_its_exact_row() {
-        let s = structure();
-        let mut spec = solve_spec(&s, usize::MAX, SweepDirection::Forward);
-        // Find the first chunk with a real dependency; at row granularity
-        // its dep is the row's own ext_dep, achieved by an actual read.
-        let (st, c) = spec
-            .stages
-            .iter()
-            .enumerate()
-            .find_map(|(st, stage)| stage.chunks.iter().position(|c| c.dep > 0).map(|c| (st, c)))
-            .expect("some chunk depends on an earlier pack");
-        let row = spec.stages[st].chunks[c].rows[0].row;
-        let pack = spec.stages[st].pack;
-        assert!(sts_verify::mutate::drop_dependency(&mut spec, st, c));
-        match sts_verify::verify(&spec) {
-            Err(ScheduleViolation::ReadRace {
-                pack: p, row: r, ..
-            }) => {
-                assert_eq!((p, r), (pack, row));
-            }
-            other => panic!("expected a ReadRace at (pack {pack}, row {row}), got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn factor_spec_verifies_and_counts_every_row() {
-        let s = structure();
-        let spec = factor_spec(&s);
-        let rows: usize = spec
-            .stages
-            .iter()
-            .flat_map(|st| &st.chunks)
-            .map(|c| c.rows.len())
-            .sum();
+    fn specs_issue_the_drivers_dispatches() {
+        let l = generators::random_lower_triangular(80, 3.0, 7).unwrap();
+        let s = Method::Sts3.build(&l, 8).unwrap();
+        let chain_stages = (0..s.num_packs())
+            .filter(|&p| !s.split().chain_super_rows(p).is_empty())
+            .count();
+        assert!(chain_stages > 0);
+        let spec = solve_spec(&s, 2, SweepDirection::Forward);
+        assert_eq!(spec.dispatches.len(), s.num_packs() + chain_stages);
+        let spec = super_row_spec(&s);
+        assert_eq!(spec.dispatches.len(), s.num_packs());
+        assert_eq!(spec.num_tasks(), s.num_super_rows());
+        let rows: usize = spec.dispatches.iter().flatten().map(|t| t.rows.len()).sum();
         assert_eq!(rows, s.n());
-        sts_verify::verify(&spec).unwrap();
     }
 }

@@ -1,8 +1,8 @@
 //! Zero-dependency, lock-free observability for the STS-k stack.
 //!
 //! The paper's whole argument is about *where time goes* inside a sparse
-//! triangular solve — gather phases, in-pack dependence chains, gate waits —
-//! yet wall-clock totals (`PcgOutcome::seconds_total`, a benchmark's
+//! triangular solve — gather phases, in-pack dependence chains, the
+//! barriers between them — yet wall-clock totals (`PcgOutcome::seconds_total`, a benchmark's
 //! `solve_ms_p50`) collapse all of that into one number. This crate provides the
 //! three primitives the rest of the stack threads through its runtime
 //! layers, with **no dependencies** (std only) and **no locks on the record

@@ -1,181 +1,106 @@
-//! The schedule checker: race freedom, deadlock freedom and completeness.
+//! The schedule checker: every access ordered by a barrier or by program
+//! order, every location produced exactly once.
 
 use std::fmt;
 
-use crate::spec::ScheduleSpec;
+use crate::spec::{RowFootprint, ScheduleSpec, Task, TaskKind};
 
 /// Aggregate statistics of a successful verification — the "proof object"
 /// returned when every check passes. Proofs from several specs (thread
-/// counts, directions, solve + factor) merge additively.
+/// counts, directions, the super-row loop) merge additively.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ScheduleProof {
     /// Specs folded into this proof.
     pub specs: usize,
-    /// Stages across all folded specs.
-    pub stages: usize,
-    /// Phase-1 chunks across all folded specs.
-    pub chunks: usize,
-    /// Phase-2 chain tickets across all folded specs.
-    pub chains: usize,
+    /// Dispatches (barrier-separated `parallel_for`s) across all specs.
+    pub dispatches: usize,
+    /// Tasks across all specs.
+    pub tasks: usize,
     /// Shared locations covered (summed over specs).
     pub locations: usize,
-    /// Individual read accesses checked against the happens-before relation.
+    /// Individual read accesses checked.
     pub reads_checked: u64,
-    /// Task-granularity happens-before edges in the verified schedules (see
-    /// [`ScheduleSpec::hb_edges`]).
-    pub hb_edges: u64,
 }
 
 impl ScheduleProof {
     /// Folds another proof into this one (additive on every counter).
     pub fn merge(&mut self, other: &ScheduleProof) {
         self.specs += other.specs;
-        self.stages += other.stages;
-        self.chunks += other.chunks;
-        self.chains += other.chains;
+        self.dispatches += other.dispatches;
+        self.tasks += other.tasks;
         self.locations += other.locations;
         self.reads_checked += other.reads_checked;
-        self.hb_edges += other.hb_edges;
     }
 }
 
-/// A schedule defect, reported with the exact `(pack, phase, row)` it was
-/// detected at and the synchronisation edge that is missing. The checker
-/// reports the *first* violation in deterministic (stage, task, row, read)
-/// scan order, so negative tests can pin exact locations.
+/// A schedule defect, reported with the exact `(pack, phase, row)` of the
+/// step it was detected at (phase 1 = gather, 2 = chain; see
+/// [`TaskKind::phase`]) and the conflicting writer's `(pack, phase)`. The
+/// checker reports the *first* violation in deterministic (dispatch, task,
+/// step, read) scan order, so negative tests can pin exact locations.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum ScheduleViolation {
-    /// A cross-task read is not covered by the reader's readiness wait: the
-    /// location's writer arrives at stage `needed_stages − 1`, but the
-    /// reader only waits for stages `0..covered_stages`.
+    /// A step reads a location that another task of the same dispatch
+    /// writes: no barrier orders the two.
     ReadRace {
-        /// Pack of the reading task.
-        pack: usize,
-        /// Phase of the reading task (1 = gather/factor chunk, 2 = chain).
-        phase: u8,
-        /// Row the reader was producing.
-        row: usize,
-        /// The location read without an ordering edge.
-        location: usize,
-        /// Pack of the conflicting writer.
-        writer_pack: usize,
-        /// Phase of the conflicting writer.
-        writer_phase: u8,
-        /// Stages the reader's wait actually covers (`0..covered_stages`).
-        covered_stages: usize,
-        /// Stages the read needs covered (`0..needed_stages`).
-        needed_stages: usize,
-    },
-    /// A task reads a row that the same task writes only later in its own
-    /// program order.
-    IntraTaskOrder {
-        /// Pack of the task.
-        pack: usize,
-        /// Phase of the task.
-        phase: u8,
-        /// Row being produced when the premature read happened.
-        row: usize,
-        /// The location read before its in-task write.
-        location: usize,
-    },
-    /// A read observes a chunk whose gate arrival is *not* ordered after its
-    /// writes (a reordered publish): the happens-before edge exists but
-    /// publishes garbage.
-    EarlyPublish {
         /// Pack of the reading task.
         pack: usize,
         /// Phase of the reading task.
         phase: u8,
         /// Row the reader was producing.
         row: usize,
-        /// The location whose value is unpublished.
+        /// The location read.
         location: usize,
-        /// Pack of the early-publishing chunk.
+        /// Pack of the conflicting writer.
         writer_pack: usize,
+        /// Phase of the conflicting writer.
+        writer_phase: u8,
     },
-    /// A chain ticket claimed without waiting for its stage's phase-1 drain
-    /// flag: the chain reads (and overwrites) phase-1 partials with no
-    /// ordering edge.
-    ForgedClaim {
-        /// Pack of the chain task.
+    /// A step reads a location that is written only after the read — in a
+    /// later dispatch, or later in the reader's own task.
+    StaleRead {
+        /// Pack of the reading task.
         pack: usize,
-        /// First chain row whose access is unordered.
+        /// Phase of the reading task.
+        phase: u8,
+        /// Row the reader was producing.
         row: usize,
-        /// The location read/overwritten without the drain edge.
+        /// The location read.
         location: usize,
-    },
-    /// A chain row reads a row owned by a *different* chain task; no edge
-    /// orders two tickets of the same stage.
-    CrossChainRace {
-        /// Pack of the reading chain task.
-        pack: usize,
-        /// Row being produced.
-        row: usize,
-        /// The location owned by the other ticket.
-        location: usize,
-        /// Pack of the other ticket.
+        /// Pack of the later writer.
         writer_pack: usize,
+        /// Phase of the later writer.
+        writer_phase: u8,
     },
-    /// A chain read that no synchronisation edge orders (its phase-1 writer
-    /// belongs to a different stage than the chain's drain flag covers).
-    ChainReadUnordered {
-        /// Pack of the chain task.
+    /// A write of `row` that is not ordered after the location's previous
+    /// write: a second gather step, a correction before the location's
+    /// gather, or two corrections in different tasks of one dispatch.
+    WriteRace {
+        /// Pack of the writing task.
         pack: usize,
-        /// Row being produced.
+        /// Phase of the writing task.
+        phase: u8,
+        /// The location written.
         row: usize,
-        /// The cross-stage location.
-        location: usize,
-        /// Pack that phase-1-writes the location.
+        /// Pack of the previous writer.
         writer_pack: usize,
+        /// Phase of the previous writer.
+        writer_phase: u8,
     },
-    /// A chain row whose phase-1 writer is not in the chain's own stage, so
-    /// the drain flag cannot order the correction after the partial.
-    ChainWriteUnordered {
-        /// Pack of the chain task.
-        pack: usize,
-        /// The mis-staged chain row.
-        row: usize,
-    },
-    /// Two phase-1 tasks write the same location.
-    DoubleWrite {
-        /// The location written twice.
+    /// A location no gather step produces.
+    UnwrittenLocation {
+        /// The never-produced location.
         location: usize,
-        /// Pack of the first writer.
-        first_pack: usize,
-        /// Pack of the second writer.
-        second_pack: usize,
-    },
-    /// Two chain tickets own the same row.
-    DoubleChainWrite {
-        /// The row owned twice.
-        location: usize,
-        /// Pack of the first ticket.
-        first_pack: usize,
-        /// Pack of the second ticket.
-        second_pack: usize,
-    },
-    /// A location no phase-1 task writes.
-    UnwrittenRow {
-        /// The never-written location.
-        location: usize,
-    },
-    /// A chunk waits on its own or a later stage: the wait graph has a
-    /// cycle (the stage can never open its own precondition).
-    WaitCycle {
-        /// Pack of the waiting chunk.
-        pack: usize,
-        /// Stage index of the waiting chunk.
-        stage: usize,
-        /// Chunk index within the stage.
-        chunk: usize,
-        /// The readiness it waits for (`0..dep` must complete first).
-        dep: usize,
     },
     /// A footprint references a location outside `0..locations`.
     LocationOutOfRange {
         /// Pack of the offending task.
         pack: usize,
+        /// Phase of the offending task.
+        phase: u8,
+        /// Row of the offending step.
+        row: usize,
         /// The out-of-range location.
         location: usize,
     },
@@ -191,453 +116,241 @@ impl fmt::Display for ScheduleViolation {
                 location,
                 writer_pack,
                 writer_phase,
-                covered_stages,
-                needed_stages,
             } => write!(
                 f,
-                "race: pack {pack} phase {phase} row {row} reads location {location} written by \
-                 pack {writer_pack} phase {writer_phase}, but its readiness wait covers only \
-                 stages 0..{covered_stages} (missing edge: the read needs stages \
-                 0..{needed_stages} complete)"
+                "read race: pack {pack} phase {phase} row {row} reads location {location}, which \
+                 pack {writer_pack} phase {writer_phase} writes in the same dispatch (no barrier \
+                 orders them)"
             ),
-            ScheduleViolation::IntraTaskOrder {
+            ScheduleViolation::StaleRead {
+                pack,
+                phase,
+                row,
+                location,
+                writer_pack,
+                writer_phase,
+            } => write!(
+                f,
+                "stale read: pack {pack} phase {phase} row {row} reads location {location} \
+                 before pack {writer_pack} phase {writer_phase} writes it"
+            ),
+            ScheduleViolation::WriteRace {
+                pack,
+                phase,
+                row,
+                writer_pack,
+                writer_phase,
+            } => write!(
+                f,
+                "write race: pack {pack} phase {phase} writes row {row}, unordered after its \
+                 write by pack {writer_pack} phase {writer_phase}"
+            ),
+            ScheduleViolation::UnwrittenLocation { location } => write!(
+                f,
+                "incomplete schedule: no gather step produces location {location}"
+            ),
+            ScheduleViolation::LocationOutOfRange {
                 pack,
                 phase,
                 row,
                 location,
             } => write!(
                 f,
-                "program-order race: pack {pack} phase {phase} row {row} reads location \
-                 {location}, which the same task writes only later"
+                "malformed spec: pack {pack} phase {phase} row {row} references location \
+                 {location} outside the shared vector"
             ),
-            ScheduleViolation::EarlyPublish {
-                pack,
-                phase,
-                row,
-                location,
-                writer_pack,
-            } => write!(
-                f,
-                "reordered publish: pack {pack} phase {phase} row {row} reads location \
-                 {location}, but pack {writer_pack}'s chunk arrives at the gate before writing it"
-            ),
-            ScheduleViolation::ForgedClaim {
-                pack,
-                row,
-                location,
-            } => write!(
-                f,
-                "forged ticket: pack {pack} phase 2 row {row} accesses location {location} \
-                 without waiting for the phase-1 drain flag"
-            ),
-            ScheduleViolation::CrossChainRace {
-                pack,
-                row,
-                location,
-                writer_pack,
-            } => write!(
-                f,
-                "race: pack {pack} phase 2 row {row} reads location {location} owned by another \
-                 chain ticket of pack {writer_pack}; no edge orders two tickets"
-            ),
-            ScheduleViolation::ChainReadUnordered {
-                pack,
-                row,
-                location,
-                writer_pack,
-            } => write!(
-                f,
-                "race: pack {pack} phase 2 row {row} reads location {location} whose phase-1 \
-                 writer is pack {writer_pack}; the drain flag only covers the chain's own stage"
-            ),
-            ScheduleViolation::ChainWriteUnordered { pack, row } => write!(
-                f,
-                "race: pack {pack} phase 2 row {row} is corrected by a chain whose stage never \
-                 phase-1-writes it; the drain flag cannot order partial and correction"
-            ),
-            ScheduleViolation::DoubleWrite {
-                location,
-                first_pack,
-                second_pack,
-            } => write!(
-                f,
-                "write-write race: location {location} has phase-1 writers in pack {first_pack} \
-                 and pack {second_pack}"
-            ),
-            ScheduleViolation::DoubleChainWrite {
-                location,
-                first_pack,
-                second_pack,
-            } => write!(
-                f,
-                "write-write race: row {location} is owned by chain tickets of pack {first_pack} \
-                 and pack {second_pack}"
-            ),
-            ScheduleViolation::UnwrittenRow { location } => {
-                write!(
-                    f,
-                    "incomplete schedule: location {location} is never written"
-                )
+        }
+    }
+}
+
+/// Where a step sits in the spec: dispatch, task, position in the task.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Pos {
+    dispatch: u32,
+    task: u32,
+    step: u32,
+}
+
+/// "No write recorded".
+const UNSET: Pos = Pos {
+    dispatch: u32::MAX,
+    task: u32::MAX,
+    step: u32::MAX,
+};
+
+impl Pos {
+    /// Whether `self` happens before `later`: a barrier separates them (an
+    /// earlier dispatch), or program order does (earlier in the same task).
+    fn before(self, later: Pos) -> bool {
+        self.dispatch < later.dispatch
+            || (self.dispatch == later.dispatch
+                && self.task == later.task
+                && self.step < later.step)
+    }
+}
+
+/// Runs `f` on every step of `spec` in scan order, with its position and
+/// task, stopping at the first violation.
+fn for_each_step<'a>(
+    spec: &'a ScheduleSpec,
+    mut f: impl FnMut(Pos, &'a Task, &'a RowFootprint) -> Result<(), ScheduleViolation>,
+) -> Result<(), ScheduleViolation> {
+    for (d, tasks) in spec.dispatches.iter().enumerate() {
+        for (t, task) in tasks.iter().enumerate() {
+            for (k, rf) in task.rows.iter().enumerate() {
+                let pos = Pos {
+                    dispatch: d as u32,
+                    task: t as u32,
+                    step: k as u32,
+                };
+                f(pos, task, rf)?;
             }
-            ScheduleViolation::WaitCycle {
-                pack,
-                stage,
-                chunk,
-                dep,
-            } => write!(
-                f,
-                "deadlock: pack {pack} chunk {chunk} (stage {stage}) waits for stages 0..{dep}, \
-                 which include its own — the wait graph has a cycle"
-            ),
-            ScheduleViolation::LocationOutOfRange { pack, location } => write!(
-                f,
-                "malformed spec: pack {pack} references location {location} outside the shared \
-                 vector"
-            ),
         }
     }
+    Ok(())
 }
 
-const NONE: u32 = u32::MAX;
-
-/// A location's writer in one phase: `(stage, task, position)` packed as
-/// parallel arrays, `NONE` stage marking "no writer".
-struct WriterTable {
-    stage: Vec<u32>,
-    task: Vec<u32>,
-    pos: Vec<u32>,
-}
-
-impl WriterTable {
-    fn new(n: usize) -> Self {
-        WriterTable {
-            stage: vec![NONE; n],
-            task: vec![NONE; n],
-            pos: vec![NONE; n],
-        }
-    }
-
-    fn set(&mut self, loc: usize, stage: usize, task: usize, pos: usize) {
-        self.stage[loc] = stage as u32;
-        self.task[loc] = task as u32;
-        self.pos[loc] = pos as u32;
-    }
-}
-
-/// Checks a [`ScheduleSpec`] for data races, deadlocks and completeness,
+/// Checks a [`ScheduleSpec`] against the barrier schedule it describes,
 /// returning aggregate statistics on success or the **first** violation in
-/// deterministic (stage, task, row, read) scan order.
+/// deterministic (dispatch, task, step, read) scan order.
 ///
-/// The happens-before relation used:
+/// One access happens before another when a barrier separates them (an
+/// earlier dispatch) or program order does (earlier in the same task);
+/// nothing else is ordered. The checks:
 ///
-/// * a chunk with readiness `dep` happens-after every task of stages
-///   `0..dep` (the epoch edge), provided those chunks publish after writing;
-/// * a chain ticket with `claims_after_drain` happens-after every phase-1
-///   chunk of its own stage (the drain edge);
-/// * rows inside one task are ordered by program order;
-/// * nothing else is ordered.
+/// * every location is produced by exactly one [`TaskKind::Gather`] step,
+///   and each further write of it (a chain correction) is ordered after the
+///   previous one;
+/// * a step's read of location `j` is ordered after every write of `j`
+///   other than the step's own. A write by another task of the same
+///   dispatch is a read race; a write after the read is a stale read.
+///
+/// Two linear passes over the footprints: the first records each location's
+/// last two writes, the second checks every access against them.
 pub fn verify(spec: &ScheduleSpec) -> Result<ScheduleProof, ScheduleViolation> {
     let n = spec.locations;
-    let mut chunk_w = WriterTable::new(n);
-    let mut chain_w = WriterTable::new(n);
+    let out_of_range =
+        |task: &Task, row: usize, location: usize| ScheduleViolation::LocationOutOfRange {
+            pack: task.pack,
+            phase: task.kind.phase(),
+            row,
+            location,
+        };
+    let writer = |w: Pos| {
+        let task = &spec.dispatches[w.dispatch as usize][w.task as usize];
+        (task.pack, task.kind.phase())
+    };
 
-    // Pass A: populate writer tables; flag double writes and out-of-range
-    // footprints.
-    for (s, stage) in spec.stages.iter().enumerate() {
-        for (c, chunk) in stage.chunks.iter().enumerate() {
-            for (pos, rf) in chunk.rows.iter().enumerate() {
-                if rf.row >= n {
-                    return Err(ScheduleViolation::LocationOutOfRange {
-                        pack: stage.pack,
-                        location: rf.row,
-                    });
-                }
-                if chunk_w.stage[rf.row] != NONE {
-                    return Err(ScheduleViolation::DoubleWrite {
-                        location: rf.row,
-                        first_pack: spec.stages[chunk_w.stage[rf.row] as usize].pack,
-                        second_pack: stage.pack,
-                    });
-                }
-                chunk_w.set(rf.row, s, c, pos);
-            }
+    // Pass 1: each location's last and second-to-last write in scan order,
+    // and whether a gather produces it.
+    let mut last = vec![UNSET; n];
+    let mut prev = vec![UNSET; n];
+    let mut produced = vec![false; n];
+    for_each_step(spec, |pos, task, rf| {
+        let i = rf.row;
+        if i >= n {
+            return Err(out_of_range(task, i, i));
         }
-        for (t, chain) in stage.chains.iter().enumerate() {
-            for (pos, rf) in chain.rows.iter().enumerate() {
-                if rf.row >= n {
-                    return Err(ScheduleViolation::LocationOutOfRange {
-                        pack: stage.pack,
-                        location: rf.row,
-                    });
-                }
-                if chain_w.stage[rf.row] != NONE {
-                    return Err(ScheduleViolation::DoubleChainWrite {
-                        location: rf.row,
-                        first_pack: spec.stages[chain_w.stage[rf.row] as usize].pack,
-                        second_pack: stage.pack,
-                    });
-                }
-                chain_w.set(rf.row, s, t, pos);
-            }
-        }
+        prev[i] = last[i];
+        last[i] = pos;
+        produced[i] |= task.kind == TaskKind::Gather;
+        Ok(())
+    })?;
+    if let Some(location) = produced.iter().position(|&p| !p) {
+        return Err(ScheduleViolation::UnwrittenLocation { location });
     }
 
-    // Completeness: phase 1 writes every location exactly once ("exactly"
-    // is the double-write check above plus this existence check).
-    for loc in 0..n {
-        if chunk_w.stage[loc] == NONE {
-            return Err(ScheduleViolation::UnwrittenRow { location: loc });
-        }
-    }
-
-    // Pass B: deadlock freedom. The only blocking edges are the epoch wait
-    // (all tasks of stages < dep → chunk) and the intra-stage drain (phase 1
-    // of s → chains of s). A topological order — stages ascending, phase 1
-    // before phase 2 — therefore exists iff no chunk waits on its own or a
-    // later stage; a `dep > stage` chunk closes a cycle through its own
-    // stage's completion.
-    for (s, stage) in spec.stages.iter().enumerate() {
-        for (c, chunk) in stage.chunks.iter().enumerate() {
-            if chunk.dep > s {
-                return Err(ScheduleViolation::WaitCycle {
-                    pack: stage.pack,
-                    stage: s,
-                    chunk: c,
-                    dep: chunk.dep,
-                });
-            }
-        }
-    }
-
-    // Pass C: every read must be covered by an edge of the HB relation.
+    // Pass 2: reads, then the write, of every step. A location's writes are
+    // totally ordered once every write passed below, so a read is ordered
+    // after all of them iff it is ordered after the latest one that is not
+    // the reader's own.
+    let mut written = vec![UNSET; n];
     let mut reads_checked: u64 = 0;
-    for (s, stage) in spec.stages.iter().enumerate() {
-        for (c, chunk) in stage.chunks.iter().enumerate() {
-            let d = chunk.dep;
-            for (pos, rf) in chunk.rows.iter().enumerate() {
-                for &j in &rf.reads {
-                    reads_checked += 1;
-                    if j >= n {
-                        return Err(ScheduleViolation::LocationOutOfRange {
-                            pack: stage.pack,
-                            location: j,
-                        });
-                    }
-                    if j == rf.row {
-                        continue; // read-modify-write of the task's own slot
-                    }
-                    let ws = chunk_w.stage[j] as usize;
-                    if ws == s && chunk_w.task[j] as usize == c {
-                        // Same task: program order must have written it.
-                        if chunk_w.pos[j] as usize >= pos {
-                            return Err(ScheduleViolation::IntraTaskOrder {
-                                pack: stage.pack,
-                                phase: 1,
-                                row: rf.row,
-                                location: j,
-                            });
-                        }
-                    } else {
-                        if d < ws + 1 {
-                            return Err(ScheduleViolation::ReadRace {
-                                pack: stage.pack,
-                                phase: 1,
-                                row: rf.row,
-                                location: j,
-                                writer_pack: spec.stages[ws].pack,
-                                writer_phase: 1,
-                                covered_stages: d,
-                                needed_stages: ws + 1,
-                            });
-                        }
-                        if !spec.stages[ws].chunks[chunk_w.task[j] as usize].publishes {
-                            return Err(ScheduleViolation::EarlyPublish {
-                                pack: stage.pack,
-                                phase: 1,
-                                row: rf.row,
-                                location: j,
-                                writer_pack: spec.stages[ws].pack,
-                            });
-                        }
-                    }
-                    // If a chain also corrects j, the epoch must cover its
-                    // phase-2 arrival too — otherwise this read can observe
-                    // the uncorrected partial mid-flight.
-                    if chain_w.stage[j] != NONE {
-                        let cs = chain_w.stage[j] as usize;
-                        if d < cs + 1 {
-                            return Err(ScheduleViolation::ReadRace {
-                                pack: stage.pack,
-                                phase: 1,
-                                row: rf.row,
-                                location: j,
-                                writer_pack: spec.stages[cs].pack,
-                                writer_phase: 2,
-                                covered_stages: d,
-                                needed_stages: cs + 1,
-                            });
-                        }
-                    }
-                }
+    for_each_step(spec, |pos, task, rf| {
+        let (pack, phase, row) = (task.pack, task.kind.phase(), rf.row);
+        for &j in &rf.reads {
+            reads_checked += 1;
+            if j >= n {
+                return Err(out_of_range(task, row, j));
             }
-        }
-        for (t, chain) in stage.chains.iter().enumerate() {
-            let drained = chain.claims_after_drain;
-            for (pos, rf) in chain.rows.iter().enumerate() {
-                let i = rf.row;
-                // The implicit self-access: the chain reads row i's phase-1
-                // partial and overwrites it. The only edge that can order
-                // both is this stage's drain flag over a same-stage,
-                // write-then-publish phase-1 chunk.
-                reads_checked += 1;
-                if chunk_w.stage[i] as usize != s {
-                    return Err(ScheduleViolation::ChainWriteUnordered {
-                        pack: stage.pack,
-                        row: i,
-                    });
-                }
-                if !drained {
-                    return Err(ScheduleViolation::ForgedClaim {
-                        pack: stage.pack,
-                        row: i,
-                        location: i,
-                    });
-                }
-                if !stage.chunks[chunk_w.task[i] as usize].publishes {
-                    return Err(ScheduleViolation::EarlyPublish {
-                        pack: stage.pack,
-                        phase: 2,
-                        row: i,
-                        location: i,
-                        writer_pack: stage.pack,
-                    });
-                }
-                for &j in &rf.reads {
-                    reads_checked += 1;
-                    if j >= n {
-                        return Err(ScheduleViolation::LocationOutOfRange {
-                            pack: stage.pack,
-                            location: j,
-                        });
-                    }
-                    if j == i {
-                        continue;
-                    }
-                    if chain_w.stage[j] != NONE {
-                        // Ordered only if the same ticket wrote it earlier.
-                        let cs = chain_w.stage[j] as usize;
-                        if cs == s && chain_w.task[j] as usize == t {
-                            if chain_w.pos[j] as usize >= pos {
-                                return Err(ScheduleViolation::IntraTaskOrder {
-                                    pack: stage.pack,
-                                    phase: 2,
-                                    row: i,
-                                    location: j,
-                                });
-                            }
-                            continue;
-                        }
-                        return Err(ScheduleViolation::CrossChainRace {
-                            pack: stage.pack,
-                            row: i,
-                            location: j,
-                            writer_pack: spec.stages[cs].pack,
-                        });
-                    }
-                    let ws = chunk_w.stage[j] as usize;
-                    if ws != s {
-                        return Err(ScheduleViolation::ChainReadUnordered {
-                            pack: stage.pack,
-                            row: i,
-                            location: j,
-                            writer_pack: spec.stages[ws].pack,
-                        });
-                    }
-                    if !drained {
-                        return Err(ScheduleViolation::ForgedClaim {
-                            pack: stage.pack,
-                            row: i,
-                            location: j,
-                        });
-                    }
-                    if !stage.chunks[chunk_w.task[j] as usize].publishes {
-                        return Err(ScheduleViolation::EarlyPublish {
-                            pack: stage.pack,
-                            phase: 2,
-                            row: i,
-                            location: j,
-                            writer_pack: stage.pack,
-                        });
-                    }
-                }
+            let w = if last[j] == pos { prev[j] } else { last[j] };
+            if w == UNSET || w.before(pos) {
+                continue;
             }
+            let (writer_pack, writer_phase) = writer(w);
+            return Err(if w.dispatch == pos.dispatch && w.task != pos.task {
+                ScheduleViolation::ReadRace {
+                    pack,
+                    phase,
+                    row,
+                    location: j,
+                    writer_pack,
+                    writer_phase,
+                }
+            } else {
+                ScheduleViolation::StaleRead {
+                    pack,
+                    phase,
+                    row,
+                    location: j,
+                    writer_pack,
+                    writer_phase,
+                }
+            });
         }
-    }
+        // A gather must be a location's first write; a correction must be
+        // ordered after the write before it.
+        let w = std::mem::replace(&mut written[row], pos);
+        if w != UNSET && (task.kind == TaskKind::Gather || !w.before(pos)) {
+            let (writer_pack, writer_phase) = writer(w);
+            return Err(ScheduleViolation::WriteRace {
+                pack,
+                phase,
+                row,
+                writer_pack,
+                writer_phase,
+            });
+        }
+        Ok(())
+    })?;
 
     Ok(ScheduleProof {
         specs: 1,
-        stages: spec.stages.len(),
-        chunks: spec.num_chunks(),
-        chains: spec.num_chains(),
+        dispatches: spec.dispatches.len(),
+        tasks: spec.num_tasks(),
         locations: n,
         reads_checked,
-        hb_edges: spec.hb_edges(),
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::{ChainSpec, ChunkSpec, RowFootprint, StageSpec};
 
-    /// Two stages, two rows each; stage 1's chunk reads stage 0's rows
-    /// behind dep 1 and corrects row 3 through a chain.
+    fn step(row: usize, reads: &[usize]) -> RowFootprint {
+        RowFootprint {
+            row,
+            reads: reads.to_vec(),
+        }
+    }
+
+    fn task(pack: usize, kind: TaskKind, rows: Vec<RowFootprint>) -> Task {
+        Task { pack, kind, rows }
+    }
+
+    /// Two packs of two rows: pack 0's gather, pack 1's gather reading pack
+    /// 0, then pack 1's chain correcting row 3 from row 2.
     fn good_spec() -> ScheduleSpec {
         ScheduleSpec {
             locations: 4,
-            stages: vec![
-                StageSpec {
-                    pack: 0,
-                    chunks: vec![ChunkSpec {
-                        dep: 0,
-                        rows: vec![
-                            RowFootprint {
-                                row: 0,
-                                reads: vec![],
-                            },
-                            RowFootprint {
-                                row: 1,
-                                reads: vec![0],
-                            },
-                        ],
-                        publishes: true,
-                    }],
-                    chains: vec![],
-                },
-                StageSpec {
-                    pack: 1,
-                    chunks: vec![ChunkSpec {
-                        dep: 1,
-                        rows: vec![
-                            RowFootprint {
-                                row: 2,
-                                reads: vec![0],
-                            },
-                            RowFootprint {
-                                row: 3,
-                                reads: vec![1],
-                            },
-                        ],
-                        publishes: true,
-                    }],
-                    chains: vec![ChainSpec {
-                        claims_after_drain: true,
-                        rows: vec![RowFootprint {
-                            row: 3,
-                            reads: vec![2],
-                        }],
-                    }],
-                },
+            dispatches: vec![
+                vec![task(0, TaskKind::Gather, vec![step(0, &[]), step(1, &[0])])],
+                vec![task(
+                    1,
+                    TaskKind::Gather,
+                    vec![step(2, &[0]), step(3, &[1])],
+                )],
+                vec![task(1, TaskKind::Chain, vec![step(3, &[3, 2])])],
             ],
         }
     }
@@ -645,155 +358,154 @@ mod tests {
     #[test]
     fn a_consistent_spec_verifies() {
         let proof = verify(&good_spec()).unwrap();
-        assert_eq!(proof.stages, 2);
-        assert_eq!(proof.chunks, 2);
-        assert_eq!(proof.chains, 1);
-        // chunk(dep 1) ← 1 task of stage 0; chain ← 1 chunk of its stage.
-        assert_eq!(proof.hb_edges, 2);
-        assert!(proof.reads_checked >= 4);
+        assert_eq!((proof.dispatches, proof.tasks, proof.locations), (3, 3, 4));
+        assert_eq!(proof.reads_checked, 5);
     }
 
     #[test]
-    fn a_dropped_dependency_is_a_read_race() {
+    fn a_read_of_the_same_dispatch_is_a_race() {
+        // Pack 1's gather in pack 0's dispatch: row 2 reads row 0 of
+        // another task with no barrier between them.
         let mut spec = good_spec();
-        spec.stages[1].chunks[0].dep = 0;
-        match verify(&spec) {
+        let moved = spec.dispatches.remove(1);
+        spec.dispatches[0].extend(moved);
+        assert_eq!(
+            verify(&spec),
             Err(ScheduleViolation::ReadRace {
                 pack: 1,
                 phase: 1,
                 row: 2,
                 location: 0,
                 writer_pack: 0,
-                covered_stages: 0,
-                needed_stages: 1,
-                ..
-            }) => {}
-            other => panic!("expected a ReadRace at (pack 1, row 2), got {other:?}"),
-        }
+                writer_phase: 1,
+            })
+        );
     }
 
     #[test]
-    fn a_forged_ticket_is_flagged_at_the_first_chain_row() {
+    fn a_read_before_its_write_is_stale() {
+        // The chain dispatch ahead of the gathers it corrects: row 3's
+        // partial is read before any gather writes it.
         let mut spec = good_spec();
-        spec.stages[1].chains[0].claims_after_drain = false;
-        match verify(&spec) {
-            Err(ScheduleViolation::ForgedClaim {
+        let chain = spec.dispatches.pop().unwrap();
+        spec.dispatches.insert(1, chain);
+        assert_eq!(
+            verify(&spec),
+            Err(ScheduleViolation::StaleRead {
                 pack: 1,
+                phase: 2,
                 row: 3,
                 location: 3,
-            }) => {}
-            other => panic!("expected a ForgedClaim at (pack 1, row 3), got {other:?}"),
-        }
+                writer_pack: 1,
+                writer_phase: 1,
+            })
+        );
     }
 
     #[test]
-    fn an_early_publish_is_flagged_at_its_first_reader() {
-        let mut spec = good_spec();
-        spec.stages[0].chunks[0].publishes = false;
-        match verify(&spec) {
-            Err(ScheduleViolation::EarlyPublish {
-                pack: 1,
-                phase: 1,
-                row: 2,
-                location: 0,
-                writer_pack: 0,
-            }) => {}
-            other => panic!("expected an EarlyPublish at (pack 1, row 2), got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn a_dep_past_the_own_stage_is_a_wait_cycle() {
-        let mut spec = good_spec();
-        spec.stages[0].chunks[0].dep = 1;
-        match verify(&spec) {
-            Err(ScheduleViolation::WaitCycle {
-                pack: 0,
-                stage: 0,
-                chunk: 0,
-                dep: 1,
-            }) => {}
-            other => panic!("expected a WaitCycle, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn completeness_catches_unwritten_and_doubly_written_rows() {
+    fn completeness_catches_unproduced_and_doubly_produced_rows() {
         let mut spec = good_spec();
         spec.locations = 5;
         assert_eq!(
             verify(&spec),
-            Err(ScheduleViolation::UnwrittenRow { location: 4 })
+            Err(ScheduleViolation::UnwrittenLocation { location: 4 })
         );
+        // A chain correction is not a production.
         let mut spec = good_spec();
-        spec.stages[1].chunks[0].rows[0].row = 0;
+        spec.dispatches[1][0].rows.pop();
         assert_eq!(
             verify(&spec),
-            Err(ScheduleViolation::DoubleWrite {
-                location: 0,
-                first_pack: 0,
-                second_pack: 1
+            Err(ScheduleViolation::UnwrittenLocation { location: 3 })
+        );
+        let mut spec = good_spec();
+        spec.dispatches[1][0].rows[0].row = 1;
+        spec.dispatches[0][0].rows.push(step(2, &[]));
+        assert_eq!(
+            verify(&spec),
+            Err(ScheduleViolation::WriteRace {
+                pack: 1,
+                phase: 1,
+                row: 1,
+                writer_pack: 0,
+                writer_phase: 1,
             })
         );
     }
 
     #[test]
-    fn chain_order_violations_are_caught() {
-        // A ticket may read rows it corrected earlier in its own order...
+    fn a_correction_in_the_producing_dispatch_is_a_write_race() {
+        // Without its self-read, the chain's only conflict is the write.
         let mut spec = good_spec();
-        spec.stages[1].chains[0].rows = vec![
-            RowFootprint {
-                row: 2,
-                reads: vec![],
-            },
-            RowFootprint {
-                row: 3,
-                reads: vec![2],
-            },
-        ];
-        assert!(verify(&spec).is_ok());
-        // ...but reading a row the same ticket corrects only later observes
-        // the uncorrected partial: a program-order race.
-        spec.stages[1].chains[0].rows = vec![
-            RowFootprint {
-                row: 3,
-                reads: vec![2],
-            },
-            RowFootprint {
-                row: 2,
-                reads: vec![],
-            },
-        ];
+        spec.dispatches[2][0].rows[0].reads.clear();
+        let chain = spec.dispatches.pop().unwrap();
+        spec.dispatches[1].extend(chain);
         assert_eq!(
             verify(&spec),
-            Err(ScheduleViolation::IntraTaskOrder {
+            Err(ScheduleViolation::WriteRace {
                 pack: 1,
                 phase: 2,
                 row: 3,
-                location: 2
+                writer_pack: 1,
+                writer_phase: 1,
             })
         );
     }
 
     #[test]
-    fn cross_ticket_reads_are_races() {
-        // Give row 2 to a second ticket: ticket 0's row 3 reads location 2,
-        // now owned by ticket 1 — no edge orders two tickets.
+    fn program_order_orders_steps_of_one_task() {
+        // A chain may read a row it corrected earlier in its own order...
         let mut spec = good_spec();
-        spec.stages[1].chains.push(ChainSpec {
-            claims_after_drain: true,
-            rows: vec![RowFootprint {
-                row: 2,
-                reads: vec![],
-            }],
-        });
+        spec.dispatches[2][0].rows = vec![step(2, &[2]), step(3, &[3, 2])];
+        assert!(verify(&spec).is_ok());
+        // ...but a row it corrects only later is read stale.
+        spec.dispatches[2][0].rows.reverse();
         assert_eq!(
             verify(&spec),
-            Err(ScheduleViolation::CrossChainRace {
+            Err(ScheduleViolation::StaleRead {
                 pack: 1,
+                phase: 2,
                 row: 3,
                 location: 2,
-                writer_pack: 1
+                writer_pack: 1,
+                writer_phase: 2,
+            })
+        );
+    }
+
+    #[test]
+    fn cross_task_reads_are_races() {
+        // Row 2 corrected by a second chain task of the same dispatch: the
+        // first task's read of it is unordered, though the writer's step
+        // index is the lower one.
+        let mut spec = good_spec();
+        spec.locations = 5;
+        spec.dispatches[1][0].rows.push(step(4, &[]));
+        spec.dispatches[2][0].rows.insert(0, step(4, &[4]));
+        spec.dispatches[2].push(task(1, TaskKind::Chain, vec![step(2, &[2])]));
+        assert_eq!(
+            verify(&spec),
+            Err(ScheduleViolation::ReadRace {
+                pack: 1,
+                phase: 2,
+                row: 3,
+                location: 2,
+                writer_pack: 1,
+                writer_phase: 2,
+            })
+        );
+    }
+
+    #[test]
+    fn out_of_range_locations_are_malformed() {
+        let mut spec = good_spec();
+        spec.dispatches[1][0].rows[1].reads.push(9);
+        assert_eq!(
+            verify(&spec),
+            Err(ScheduleViolation::LocationOutOfRange {
+                pack: 1,
+                phase: 1,
+                row: 3,
+                location: 9,
             })
         );
     }
@@ -802,17 +514,15 @@ mod tests {
     fn violations_render_with_pack_phase_row_detail() {
         let v = ScheduleViolation::ReadRace {
             pack: 3,
-            phase: 1,
+            phase: 2,
             row: 41,
             location: 17,
-            writer_pack: 2,
+            writer_pack: 3,
             writer_phase: 1,
-            covered_stages: 2,
-            needed_stages: 3,
         };
         let rendered = v.to_string();
-        assert!(rendered.contains("pack 3"), "{rendered}");
-        assert!(rendered.contains("row 41"), "{rendered}");
-        assert!(rendered.contains("missing edge"), "{rendered}");
+        for part in ["pack 3 phase 2", "row 41", "location 17", "no barrier"] {
+            assert!(rendered.contains(part), "{rendered}");
+        }
     }
 }

@@ -1,48 +1,36 @@
-//! Static happens-before verification for pack-parallel schedules.
+//! Static verification of the barrier schedules the pack-parallel kernels
+//! run.
 //!
-//! The STS-k kernels (the split sweeps, `parallel_ic0`) are
-//! race-free only if the statically precomputed readiness metadata
-//! (`SplitLayout::ext_dep` and the transpose layout's reverse-stage
-//! equivalent) is a superset of what the tasks actually read. Historically
-//! that invariant lived in module-doc prose; this crate turns it into an
+//! Every parallel STS-k kernel is a sequence of `parallel_for` dispatches
+//! whose completion is a barrier: the split sweep issues a gather dispatch
+//! and, when the stage has chain work, a chain dispatch per stage;
+//! Algorithm 1's super-row loop (the unsplit solve and the IC(0) build)
+//! issues one dispatch per pack. Those kernels are race-free only if every
+//! shared location a task reads was written behind an earlier barrier or
+//! earlier in the task itself. This crate turns that argument into an
 //! enforced contract.
 //!
 //! The crate is deliberately **independent of the solver types**: a caller
 //! (in practice `sts-core`'s `verify` module) extracts a [`ScheduleSpec`] —
-//! the exact read/write footprint of every task plus the synchronisation
-//! edges the kernels rely on — and [`verify`] checks that
+//! the kernel's dispatches in issue order, each task with the exact
+//! read/write footprint of its rows in program order — and [`verify`]
+//! checks in two linear passes that
 //!
-//! * (a) every cross-task read/write pair on the same location is ordered by
-//!   a happens-before edge (no data race),
-//! * (b) the wait graph is acyclic (no deadlock), and
-//! * (c) every location is written exactly once per phase that owns it
-//!   (completeness),
+//! * every location is produced by exactly one gather step, and every
+//!   further write of it (a chain correction) is ordered after the one
+//!   before;
+//! * every read is ordered after every write of its location other than the
+//!   reader's own,
 //!
-//! returning a [`ScheduleProof`] with aggregate statistics or the first
-//! [`ScheduleViolation`] with `(pack, phase, row, missing edge)` detail.
+//! where a barrier (an earlier dispatch) or program order (earlier in the
+//! same task) is the only ordering. It returns a [`ScheduleProof`] with
+//! aggregate statistics, or the first [`ScheduleViolation`] with its
+//! `(pack, phase, row, location)` and the conflicting writer.
 //!
-//! The model is the weakest synchronisation a kernel may rely on — the
-//! dependency-minimal schedule, which the per-pack barriers of
-//! `parallel_ic0` and the per-phase barriers of the split sweep strictly
-//! cover:
-//!
-//! * **Epoch readiness** — a phase-1 chunk with readiness `dep` starts only
-//!   after every task of stages `0..dep` has finished (in the kernels, the
-//!   barrier that ends the previous stage covers it).
-//! * **Drain edge** — a phase-2 chain task starts only after every phase-1
-//!   chunk of its own stage has finished (the split sweep's phase
-//!   barrier).
-//! * **Ticket claims** — each chain task runs on exactly one worker, so its
-//!   rows are processed sequentially in the recorded order.
-//! * **Program order** — rows inside one task run in the recorded order, so
-//!   a task may freely read rows it (or an earlier row of the same task)
-//!   already wrote.
-//!
-//! [`mutate`] provides the seeded-corruption harness the negative tests use
-//! (dropped dependency edge, forged ticket claim, reordered gate publish),
-//! and [`replay`] validates the static footprints against per-slot access
-//! logs recorded by the kernels under the `race-shadow` cargo feature of
-//! `sts-core`.
+//! [`mutate`] provides the seeded corruptions the negative tests use (a
+//! dropped barrier, a task handed to two workers), and [`replay`] validates
+//! the static footprints against per-slot access logs recorded by the
+//! kernels under the `race-shadow` cargo feature of `sts-core`.
 
 #![warn(missing_docs)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
@@ -54,4 +42,4 @@ pub mod spec;
 
 pub use check::{verify, ScheduleProof, ScheduleViolation};
 pub use replay::{check_replay, AccessLog, ReplayMismatch, ReplayReport, RowTrace};
-pub use spec::{ChainSpec, ChunkSpec, RowFootprint, ScheduleSpec, StageSpec, TaskKind};
+pub use spec::{RowFootprint, ScheduleSpec, Task, TaskKind};

@@ -1,95 +1,80 @@
 //! Seeded schedule corruptions for negative testing.
 //!
-//! Each helper damages one synchronisation edge of a [`ScheduleSpec`] the
-//! way a real scheduling bug would, so tests can assert that
-//! [`crate::verify`] flags the corruption with the exact `(pack, row)` it
-//! first breaks at. The helpers return `false` (and leave the spec intact)
-//! when the addressed task does not exist, so tests fail loudly on a stale
-//! target instead of silently verifying an unmutated spec.
+//! Each helper removes one ordering a kernel relies on, the way a real
+//! scheduling bug would, so tests can assert that [`crate::verify`] flags
+//! the corruption with the exact `(pack, phase, row)` it first breaks at.
+//! The helpers return `false` (and leave the spec intact) when the
+//! addressed dispatch or task does not exist, so tests fail loudly on a
+//! stale target instead of silently verifying an unmutated spec.
 
-use crate::spec::ScheduleSpec;
+use crate::spec::{ScheduleSpec, Task};
 
-/// Drops one dependency edge: decrements the readiness of chunk `chunk` of
-/// stage `stage`, as if `ext_dep` had been computed one pack short. Returns
-/// `false` if the chunk does not exist or already has readiness 0.
-pub fn drop_dependency(spec: &mut ScheduleSpec, stage: usize, chunk: usize) -> bool {
-    match spec
-        .stages
-        .get_mut(stage)
-        .and_then(|s| s.chunks.get_mut(chunk))
-    {
-        Some(c) if c.dep > 0 => {
-            c.dep -= 1;
-            true
-        }
-        _ => false,
+/// Drops the barrier in front of dispatch `d`: its tasks join dispatch
+/// `d − 1`, as if the driver had issued both in one `parallel_for`. Returns
+/// `false` if `d` is 0 or out of range.
+pub fn drop_barrier(spec: &mut ScheduleSpec, d: usize) -> bool {
+    if d == 0 || d >= spec.dispatches.len() {
+        return false;
     }
+    let moved = spec.dispatches.remove(d);
+    spec.dispatches[d - 1].extend(moved);
+    true
 }
 
-/// Forges a ticket claim: chain task `task` of stage `stage` no longer waits
-/// for its stage's phase 1 to drain, as if the phase barrier were missing.
-/// Returns `false` if the task does not exist.
-pub fn forge_ticket(spec: &mut ScheduleSpec, stage: usize, task: usize) -> bool {
-    match spec
-        .stages
-        .get_mut(stage)
-        .and_then(|s| s.chains.get_mut(task))
-    {
-        Some(c) => {
-            c.claims_after_drain = false;
-            true
-        }
-        None => false,
+/// Hands task `t` of dispatch `d` to two workers: its steps from position
+/// `at` on become a new task of the same dispatch, no longer ordered after
+/// the steps before `at`. Returns `false` if the task does not exist or
+/// `at` does not split it into two non-empty parts.
+pub fn split_task(spec: &mut ScheduleSpec, d: usize, t: usize, at: usize) -> bool {
+    let Some(tasks) = spec.dispatches.get_mut(d) else {
+        return false;
+    };
+    let Some(task) = tasks.get_mut(t) else {
+        return false;
+    };
+    if at == 0 || at >= task.rows.len() {
+        return false;
     }
-}
-
-/// Reorders one gate publish: chunk `chunk` of stage `stage` arrives at the
-/// gate *before* its writes, so the epoch and drain edges no longer publish
-/// its rows. Returns `false` if the chunk does not exist.
-pub fn publish_early(spec: &mut ScheduleSpec, stage: usize, chunk: usize) -> bool {
-    match spec
-        .stages
-        .get_mut(stage)
-        .and_then(|s| s.chunks.get_mut(chunk))
-    {
-        Some(c) => {
-            c.publishes = false;
-            true
-        }
-        None => false,
-    }
+    let tail = Task {
+        pack: task.pack,
+        kind: task.kind,
+        rows: task.rows.split_off(at),
+    };
+    tasks.insert(t + 1, tail);
+    true
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::{ChunkSpec, RowFootprint, ScheduleSpec, StageSpec};
+    use crate::spec::{RowFootprint, TaskKind};
 
-    fn one_stage_spec() -> ScheduleSpec {
+    fn one_task_spec() -> ScheduleSpec {
+        let rows = (0..2)
+            .map(|row| RowFootprint { row, reads: vec![] })
+            .collect();
         ScheduleSpec {
-            locations: 1,
-            stages: vec![StageSpec {
+            locations: 2,
+            dispatches: vec![vec![Task {
                 pack: 0,
-                chunks: vec![ChunkSpec {
-                    dep: 0,
-                    rows: vec![RowFootprint {
-                        row: 0,
-                        reads: vec![],
-                    }],
-                    publishes: true,
-                }],
-                chains: vec![],
-            }],
+                kind: TaskKind::Gather,
+                rows,
+            }]],
         }
     }
 
     #[test]
     fn mutations_report_missing_targets() {
-        let mut spec = one_stage_spec();
-        assert!(!drop_dependency(&mut spec, 0, 0), "dep is already 0");
-        assert!(!drop_dependency(&mut spec, 5, 0));
-        assert!(!forge_ticket(&mut spec, 0, 0), "no chain tasks exist");
-        assert!(publish_early(&mut spec, 0, 0));
-        assert!(!spec.stages[0].chunks[0].publishes);
+        let mut spec = one_task_spec();
+        assert!(
+            !drop_barrier(&mut spec, 0),
+            "no barrier precedes dispatch 0"
+        );
+        assert!(!drop_barrier(&mut spec, 1));
+        assert!(!split_task(&mut spec, 0, 0, 2), "nothing to hand over");
+        assert!(!split_task(&mut spec, 0, 1, 1));
+        assert!(split_task(&mut spec, 0, 0, 1));
+        assert_eq!(spec.dispatches[0].len(), 2);
+        assert_eq!(spec.dispatches[0][1].rows[0].row, 1);
     }
 }

@@ -1,8 +1,8 @@
 //! Dynamic cross-check: replaying recorded kernel accesses against the
 //! static footprint model.
 //!
-//! Under the `race-shadow` cargo feature, `sts-core`'s split and factor
-//! kernels record every shared-slot access they perform — one
+//! Under the `race-shadow` cargo feature, `sts-core`'s parallel kernels —
+//! the split sweep, the unsplit solve and the IC(0) build — record every shared-slot access they perform — one
 //! [`RowTrace`] per produced row, straight from the slices the inner loops
 //! iterate — into an [`AccessLog`]. [`check_replay`] then compares the log
 //! against a [`ScheduleSpec`] at **row granularity**: every location must be
@@ -150,12 +150,11 @@ impl fmt::Display for ReplayMismatch {
 
 /// Compares recorded kernel accesses against the static footprint model.
 ///
-/// Granularity is per row: phase-1 footprints come from the spec's chunks
-/// (every location exactly once), phase-2 footprints from its chain tickets
-/// (each chain row exactly once, reads extended by the implicit re-read of
-/// the row's own phase-1 partial). Read sets are compared as sorted
-/// multisets — the kernels traverse slabs in layout order, which replay must
-/// not constrain.
+/// Granularity is per row: the footprints of the spec's gather tasks (every
+/// location exactly once) and of its chain tasks (each chain row exactly
+/// once, the re-read of the row's own partial included). Read sets are
+/// compared as sorted multisets — the kernels traverse slabs in layout
+/// order, which replay must not constrain.
 pub fn check_replay(
     spec: &ScheduleSpec,
     traces: &[RowTrace],
@@ -163,21 +162,15 @@ pub fn check_replay(
     let n = spec.locations;
     let mut expected_gather: Vec<Option<Vec<usize>>> = vec![None; n];
     let mut expected_chain: Vec<Option<Vec<usize>>> = vec![None; n];
-    for stage in &spec.stages {
-        for chunk in &stage.chunks {
-            for rf in &chunk.rows {
-                let mut reads = rf.reads.clone();
-                reads.sort_unstable();
-                expected_gather[rf.row] = Some(reads);
-            }
-        }
-        for chain in &stage.chains {
-            for rf in &chain.rows {
-                let mut reads = rf.reads.clone();
-                reads.push(rf.row); // the re-read of the phase-1 partial
-                reads.sort_unstable();
-                expected_chain[rf.row] = Some(reads);
-            }
+    for task in spec.dispatches.iter().flatten() {
+        let expected = match task.kind {
+            TaskKind::Gather => &mut expected_gather,
+            TaskKind::Chain => &mut expected_chain,
+        };
+        for rf in &task.rows {
+            let mut reads = rf.reads.clone();
+            reads.sort_unstable();
+            expected[rf.row] = Some(reads);
         }
     }
 
@@ -244,38 +237,29 @@ pub fn check_replay(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::{ChainSpec, ChunkSpec, RowFootprint, StageSpec};
+    use crate::spec::{RowFootprint, Task};
 
     fn spec() -> ScheduleSpec {
+        let gather = Task {
+            pack: 0,
+            kind: TaskKind::Gather,
+            rows: (0..2)
+                .map(|row| RowFootprint { row, reads: vec![] })
+                .collect(),
+        };
+        let chain = Task {
+            pack: 0,
+            kind: TaskKind::Chain,
+            rows: vec![RowFootprint {
+                row: 1,
+                reads: vec![1, 0],
+            }],
+        };
         ScheduleSpec {
             locations: 2,
-            stages: vec![StageSpec {
-                pack: 0,
-                chunks: vec![ChunkSpec {
-                    dep: 0,
-                    rows: vec![
-                        RowFootprint {
-                            row: 0,
-                            reads: vec![],
-                        },
-                        RowFootprint {
-                            row: 1,
-                            reads: vec![],
-                        },
-                    ],
-                    publishes: true,
-                }],
-                chains: vec![ChainSpec {
-                    claims_after_drain: true,
-                    rows: vec![RowFootprint {
-                        row: 1,
-                        reads: vec![0],
-                    }],
-                }],
-            }],
+            dispatches: vec![vec![gather], vec![chain]],
         }
     }
-
     #[test]
     fn a_faithful_trace_replays_clean() {
         let log = AccessLog::new();

@@ -1,77 +1,57 @@
-//! The abstract schedule model: tasks, footprints and synchronisation knobs.
+//! The abstract schedule model: dispatches, tasks and row footprints.
 //!
 //! A [`ScheduleSpec`] is a complete static description of one kernel
-//! invocation over the pack hierarchy: which shared locations each task
-//! reads and writes, in what order, and which synchronisation edges gate it.
-//! `sts-core` extracts one from a structure's split/transpose layouts; the
-//! checker in [`crate::check`] consumes it.
+//! invocation as its driver issues it: an ordered list of dispatches, each
+//! one `parallel_for` whose completion is a barrier before the next. The
+//! tasks of one dispatch may run on different workers in any interleaving;
+//! the steps of one task run on one worker in the recorded order.
+//! `sts-core` extracts specs from a structure; the checker in
+//! [`crate::check`] consumes them.
 
-/// Which kernel family produced a task (or a replay trace row).
+/// Which kind of step a task runs (or a replay trace row records).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TaskKind {
-    /// A phase-1 unit: the external gather of the solve kernels, or a
-    /// super-row task of `parallel_ic0`.
+    /// Produces its rows: the external gather of the split sweep, or a
+    /// super-row task of Algorithm 1's loop (the unsplit solve and the
+    /// IC(0) build).
     Gather,
-    /// A phase-2 unit: one chain ticket correcting its super-row's chain
-    /// rows.
+    /// Corrects rows a gather already produced: one chain task of the split
+    /// sweep.
     Chain,
 }
 
-/// One row's shared-memory footprint: the locations read while producing
-/// `row`, in program order. The write of `row` itself is implicit.
+impl TaskKind {
+    /// The phase number violations report: 1 for a gather, 2 for a chain.
+    pub fn phase(self) -> u8 {
+        match self {
+            TaskKind::Gather => 1,
+            TaskKind::Chain => 2,
+        }
+    }
+}
+
+/// One step of a task: it reads `reads`, then writes `row`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RowFootprint {
     /// The location (solution-row slot) this step writes.
     pub row: usize,
-    /// The locations read before the write. Reads of `row` itself are legal
-    /// — a task may read-modify-write its own slot.
+    /// The locations read before the write, in the order a violation names
+    /// them first. A step may read `row` itself (a chain re-reads its
+    /// row's partial); its own write does not order that read.
     pub reads: Vec<usize>,
 }
 
-/// A phase-1 unit of dispatch: a contiguous block of rows gathered by one
-/// worker behind a single readiness wait.
+/// The work one worker runs for one index of a dispatch.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ChunkSpec {
-    /// Readiness in **stage numbering**: the chunk may start once stages
-    /// `0..dep` have fully completed (the kernels run a barrier after every
-    /// stage, which covers it).
-    /// Forward sweeps number stages by pack; transpose sweeps reverse them.
-    pub dep: usize,
-    /// Per-row footprints in program order.
-    pub rows: Vec<RowFootprint>,
-    /// Whether the chunk's completion is published *after* its writes (the
-    /// chunk's end before the barrier).
-    /// Always true for real kernels;
-    /// [`crate::mutate::publish_early`] clears it to model a reordered gate
-    /// publish.
-    pub publishes: bool,
-}
-
-/// A phase-2 unit of dispatch: one chain ticket correcting its super-row's
-/// chain rows in execution order.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ChainSpec {
-    /// Whether the task starts only after its stage's phase 1 has drained
-    /// (the split sweep's phase barrier). Always true for real kernels; [`crate::mutate::forge_ticket`] clears it to model a forged
-    /// ticket claim.
-    pub claims_after_drain: bool,
-    /// Per-row footprints in execution order (increasing rows on the forward
-    /// sweep, decreasing on the transpose sweep). Each row additionally
-    /// re-reads its own phase-1 partial; that self-read is implicit.
-    pub rows: Vec<RowFootprint>,
-}
-
-/// One pipeline stage: the tasks bound to one pack.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StageSpec {
-    /// The pack this stage executes (`stage == pack` forward,
-    /// `pack == num_packs − 1 − stage` on the transpose sweep). Violations
-    /// are reported in pack numbering.
+pub struct Task {
+    /// The pack the task belongs to; violations are reported in pack
+    /// numbering.
     pub pack: usize,
-    /// Phase-1 chunks, indexed by owning worker slot.
-    pub chunks: Vec<ChunkSpec>,
-    /// Phase-2 chain tickets.
-    pub chains: Vec<ChainSpec>,
+    /// What the task's steps do to their rows.
+    pub kind: TaskKind,
+    /// The steps in program order (increasing rows on the forward sweep,
+    /// decreasing chain rows on the transpose sweep).
+    pub rows: Vec<RowFootprint>,
 }
 
 /// The complete static schedule of one kernel invocation.
@@ -79,42 +59,16 @@ pub struct StageSpec {
 pub struct ScheduleSpec {
     /// Number of shared locations (solution rows / factor rows).
     pub locations: usize,
-    /// Stages in execution order.
-    pub stages: Vec<StageSpec>,
+    /// The dispatches in issue order, each the tasks of one `parallel_for`.
+    /// A task keeps its own pack and kind, so a merged dispatch
+    /// ([`crate::mutate::drop_barrier`]) still reports every access where
+    /// the kernel issues it.
+    pub dispatches: Vec<Vec<Task>>,
 }
 
 impl ScheduleSpec {
-    /// Total number of phase-1 chunks.
-    pub fn num_chunks(&self) -> usize {
-        self.stages.iter().map(|s| s.chunks.len()).sum()
-    }
-
-    /// Total number of phase-2 chain tickets.
-    pub fn num_chains(&self) -> usize {
-        self.stages.iter().map(|s| s.chains.len()).sum()
-    }
-
-    /// Total happens-before edges the synchronisation implies, at task
-    /// granularity: each chunk with readiness `dep` receives one edge from
-    /// every task (both phases) of stages `0..dep`, and each chain ticket
-    /// receives one edge from every phase-1 chunk of its own stage (the
-    /// drain flag).
-    pub fn hb_edges(&self) -> u64 {
-        let mut prefix: u64 = 0;
-        let mut prefixes = Vec::with_capacity(self.stages.len() + 1);
-        prefixes.push(0u64);
-        for stage in &self.stages {
-            prefix += (stage.chunks.len() + stage.chains.len()) as u64;
-            prefixes.push(prefix);
-        }
-        let mut edges = 0u64;
-        for stage in &self.stages {
-            for chunk in &stage.chunks {
-                let d = chunk.dep.min(self.stages.len());
-                edges += prefixes[d];
-            }
-            edges += (stage.chains.len() * stage.chunks.len()) as u64;
-        }
-        edges
+    /// Total number of tasks over all dispatches.
+    pub fn num_tasks(&self) -> usize {
+        self.dispatches.iter().map(Vec::len).sum()
     }
 }

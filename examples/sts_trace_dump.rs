@@ -2,8 +2,7 @@
 //!
 //! Runs SSOR-PCG on a 200×200 2-D Laplacian with span recording enabled,
 //! then writes the recorded pack-level timeline — phase-1 gathers, phase-2
-//! chain tasks, gate waits, and the parallel IC(0) factor sweeps of the
-//! warm-up — as Chrome trace-event JSON. Open the output in Perfetto
+//! chain tasks, and the parallel IC(0) factor sweeps of the warm-up — as Chrome trace-event JSON. Open the output in Perfetto
 //! (<https://ui.perfetto.dev>) or `chrome://tracing`: one track per worker,
 //! one slice per pack phase.
 //!

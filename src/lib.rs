@@ -19,9 +19,10 @@
 //!   histograms with a Prometheus-style exposition, and a Chrome
 //!   trace-event exporter (viewable in Perfetto / `chrome://tracing`);
 //! * [`verify`] — the static schedule checker behind
-//!   [`core::csrk::StsStructure::verify_schedule`]: proves every pack
-//!   schedule race- and deadlock-free from its read/write footprints and
-//!   happens-before edges, with a `race-shadow` dynamic cross-check.
+//!   [`core::csrk::StsStructure::verify_schedule`]: proves that a barrier
+//!   or program order orders every access of the dispatches the parallel
+//!   kernels issue, from their exact read/write footprints, with a
+//!   `race-shadow` dynamic cross-check.
 //!
 //! # Quickstart
 //!

@@ -1,12 +1,12 @@
 //! Dynamic cross-check of the static schedule model (`race-shadow` feature).
 //!
-//! Every solve/factor kernel records one `RowTrace` per produced row — the
-//! exact shared slots its inner loop read — and `check_replay` compares the
-//! log against the footprints `sts_core::verify` extracts from the split
-//! layouts. A divergence in either direction (kernel touches something the
-//! model missed, or the model claims reads the kernel never performs) fails
-//! here, so the verifier's happens-before proofs are grounded in what the
-//! kernels really do. Run with:
+//! Every parallel kernel — the split sweep, the unsplit solve and the IC(0)
+//! build — records one `RowTrace` per produced row (the exact shared slots
+//! its inner loop read), and `check_replay` compares the log against the
+//! footprints `sts_core::verify` extracts. A divergence in either direction
+//! (kernel touches something the model missed, or the model claims reads
+//! the kernel never performs) fails here, so the verifier's proofs are
+//! grounded in what the kernels really do. Run with:
 //!
 //! ```text
 //! cargo test --features race-shadow --test race_shadow
@@ -16,7 +16,7 @@
 use std::sync::Arc;
 
 use sts_k::core::{
-    factor_spec, solve_spec, Method, Ordering, ParallelSolver, SolveEngine, SolveOptions,
+    solve_spec, super_row_spec, Method, Ordering, ParallelSolver, SolveEngine, SolveOptions,
     StsBuilder, SuperRowSizing, SweepDirection,
 };
 use sts_k::matrix::generators;
@@ -84,12 +84,26 @@ fn the_factor_kernel_touches_exactly_the_modelled_footprints() {
     let l = generators::lower_operand(&a).unwrap();
     let s = Method::Sts3.build(&l, 8).unwrap();
     let a_perm = a.permute_symmetric(s.permutation().new_to_old()).unwrap();
-    let spec = factor_spec(&s);
+    let spec = super_row_spec(&s);
     for threads in THREAD_SWEEP {
         let mut solver = ParallelSolver::new(threads, Schedule::Static);
         let log = Arc::new(AccessLog::new());
         solver.set_shadow_log(Some(log.clone()));
         solver.parallel_ic0(&s, &a_perm).unwrap();
         replay(&log, &spec, &format!("parallel_ic0 threads={threads}"));
+    }
+}
+
+#[test]
+fn the_unsplit_kernel_touches_exactly_the_modelled_footprints() {
+    let l = generators::random_lower_triangular(120, 3.0, 42).unwrap();
+    let s = Method::Sts3.build(&l, 8).unwrap();
+    let spec = super_row_spec(&s);
+    for threads in THREAD_SWEEP {
+        let mut solver = ParallelSolver::new(threads, Schedule::Guided { min_chunk: 1 });
+        let log = Arc::new(AccessLog::new());
+        solver.set_shadow_log(Some(log.clone()));
+        solver.solve(&s, &vec![1.0; s.n()]).unwrap();
+        replay(&log, &spec, &format!("unsplit solve threads={threads}"));
     }
 }

@@ -6,15 +6,16 @@
 //! * **Positive**: over random lower-triangular operands, every structure the
 //!   builder produces — both orderings, both multilevel depths, every
 //!   [`Method`] — passes [`StsStructure::verify_schedule`], which checks the
-//!   forward and transpose schedules at each thread count of the sweep, and
-//!   the factor schedule. The debug-build hooks inside `split()`/`transpose_split()` run
-//!   the same check incidentally; this suite is the explicit, release-mode
-//!   guarantee.
-//! * **Negative**: corrupting a schedule spec — dropping a dependency edge,
-//!   forging a ticket claim, reordering a gate publish — must be flagged with
-//!   the *exact* `(pack, row)` of the first unordered access, and the
-//!   violation renderings are pinned against a committed snapshot so report
-//!   wording cannot drift silently.
+//!   forward and transpose split sweeps at each thread count of the sweep,
+//!   and the super-row loop. The debug-build hooks inside
+//!   `split()`/`transpose_split()` run the same check incidentally; this
+//!   suite is the explicit, release-mode guarantee. An ignored test runs it
+//!   on the `SuiteScale::Small` matrices (CI runs it in release).
+//! * **Negative**: corrupting a schedule spec — dropping the barrier in
+//!   front of a dispatch, handing one task to two workers — must be flagged
+//!   with the *exact* `(pack, phase, row)` of the first unordered access,
+//!   and the violation renderings are pinned against a committed snapshot
+//!   so report wording cannot drift silently.
 //!
 //! To regenerate the snapshot after an intentional wording change:
 //!
@@ -29,10 +30,11 @@ use proptest::prelude::*;
 use sts_k::core::verify::VERIFY_THREAD_SWEEP;
 use sts_k::core::SweepDirection;
 use sts_k::core::{
-    factor_spec, solve_spec, Method, Ordering, StsBuilder, StsStructure, SuperRowSizing,
+    solve_spec, super_row_spec, Method, Ordering, StsBuilder, StsStructure, SuperRowSizing,
 };
 use sts_k::matrix::generators;
-use sts_k::verify::{mutate, verify, ScheduleSpec, ScheduleViolation};
+use sts_k::matrix::suite::{SuiteScale, TestSuite};
+use sts_k::verify::{mutate, verify, ScheduleSpec, ScheduleViolation, TaskKind};
 
 /// Strategy mirroring `property_based.rs`: a random lower-triangular operand
 /// with n in [1, 60] and up to 4 strictly-lower entries per row on average.
@@ -46,9 +48,9 @@ fn lower_triangular_strategy() -> impl Strategy<Value = sts_k::matrix::LowerTria
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Every schedule the builder can produce verifies race- and
-    /// deadlock-free: orderings × k × methods, each covering the full
-    /// thread-count × direction sweep plus the factor schedule.
+    /// Every schedule the builder can produce verifies: orderings × k ×
+    /// methods, each covering the full thread-count × direction sweep plus
+    /// the super-row loop.
     #[test]
     fn every_built_schedule_verifies(l in lower_triangular_strategy()) {
         for ordering in [Ordering::LevelSet, Ordering::Coloring] {
@@ -61,7 +63,7 @@ proptest! {
                 let proof = s.verify_schedule().unwrap_or_else(|v| {
                     panic!("{ordering:?} k={k} n={}: {v}", l.n())
                 });
-                prop_assert!(proof.chunks > 0);
+                prop_assert!(proof.tasks > 0);
                 // Each folded spec covers the whole shared vector once.
                 prop_assert_eq!(proof.locations, s.n() * proof.specs);
             }
@@ -73,6 +75,30 @@ proptest! {
     }
 }
 
+/// Every `SuiteScale::Small` matrix under every method at the paper's 80
+/// rows per super-row: tens of thousands of rows per structure, far past
+/// the random operands above.
+#[test]
+#[ignore = "2 M rows over 48 structures; run in release"]
+fn small_suite_schedules_verify() {
+    for m in TestSuite::generate(SuiteScale::Small).unwrap().matrices {
+        let l = m.lower().unwrap();
+        for method in Method::all() {
+            let s = method.build(&l, 80).unwrap();
+            if let Err(v) = s.verify_schedule() {
+                panic!("{}/{}: {v}", m.id.label(), method.label());
+            }
+        }
+    }
+}
+
+#[test]
+fn verifying_the_super_row_loop_builds_no_split_layout() {
+    let s = mutation_structure();
+    s.verify_factor_schedule().unwrap();
+    assert!(!s.split_built() && !s.transpose_split_built());
+}
+
 /// The deterministic structure all mutation tests corrupt: big enough that
 /// every pack shape (external gathers, in-pack chains, multi-chunk stages)
 /// occurs, seeded so the flagged `(pack, row)` values are stable.
@@ -81,112 +107,116 @@ fn mutation_structure() -> StsStructure {
     Method::Sts3.build(&l, 8).unwrap()
 }
 
-/// Row-granularity forward spec of [`mutation_structure`]: the sharpest
-/// readiness checks, and one row per chunk so a mutated chunk names its row.
-fn row_spec(s: &StsStructure) -> ScheduleSpec {
-    solve_spec(s, usize::MAX, SweepDirection::Forward)
+/// Row-granularity split-sweep spec of [`mutation_structure`]: one row per
+/// gather task, so a flagged task names its row.
+fn row_spec(s: &StsStructure, direction: SweepDirection) -> ScheduleSpec {
+    solve_spec(s, usize::MAX, direction)
 }
 
-/// First `(stage, chunk)` whose readiness wait is real (`dep > 0`); dropping
-/// that edge must race, because at row granularity `dep` is the row's own
-/// `ext_dep` — achieved by an actual external read.
-fn first_dependent_chunk(spec: &ScheduleSpec) -> (usize, usize) {
-    spec.stages
-        .iter()
-        .enumerate()
-        .find_map(|(st, stage)| stage.chunks.iter().position(|c| c.dep > 0).map(|c| (st, c)))
-        .expect("some chunk depends on an earlier pack")
+/// An access the checker must flag: `(pack, phase, row)` of the reader.
+type Access = (usize, u8, usize);
+
+/// The first gather dispatch `d` that reads a location dispatch `d − 1`
+/// writes, with the first such read's row: dropping the barrier between
+/// them races there.
+fn first_gather_reading_previous(spec: &ScheduleSpec) -> (usize, Access) {
+    (1..spec.dispatches.len())
+        .find_map(|d| {
+            let mut prev = vec![false; spec.locations];
+            for task in &spec.dispatches[d - 1] {
+                for rf in &task.rows {
+                    prev[rf.row] = true;
+                }
+            }
+            spec.dispatches[d]
+                .iter()
+                .filter(|t| t.kind == TaskKind::Gather)
+                .flat_map(|t| t.rows.iter().map(move |rf| (t.pack, rf)))
+                .find(|(_, rf)| rf.reads.iter().any(|&j| prev[j]))
+                .map(|(pack, rf)| (d, (pack, 1, rf.row)))
+        })
+        .expect("some stage reads the previous one")
 }
 
-/// First stage carrying phase-2 chain work, with its first ticket's first
-/// row — the access a forged claim leaves unordered.
-fn first_chain(spec: &ScheduleSpec) -> (usize, usize) {
-    spec.stages
+/// The first chain dispatch, with its first chain row: without the barrier
+/// in front of it, that row re-reads its own partial while another task
+/// gathers it.
+fn first_chain(spec: &ScheduleSpec) -> (usize, Access) {
+    spec.dispatches
+        .iter()
+        .position(|tasks| tasks.first().is_some_and(|t| t.kind == TaskKind::Chain))
+        .map(|d| {
+            let task = &spec.dispatches[d][0];
+            (d, (task.pack, 2, task.rows[0].row))
+        })
+        .expect("the mutation structure has in-pack chain work")
+}
+
+/// The first super-row task whose later rows read its earlier ones, with
+/// the first such row's position: handing the rows from there on to a
+/// second worker races at that row.
+fn first_self_reading_task(spec: &ScheduleSpec) -> (usize, usize, usize, Access) {
+    spec.dispatches
         .iter()
         .enumerate()
-        .find_map(|(st, stage)| stage.chains.first().map(|ch| (st, ch.rows[0].row)))
-        .expect("the suite structure has in-pack chain work")
+        .flat_map(|(d, tasks)| tasks.iter().enumerate().map(move |(t, task)| (d, t, task)))
+        .find_map(|(d, t, task)| {
+            let first = task.rows[0].row;
+            let at = task
+                .rows
+                .iter()
+                .position(|rf| rf.reads.iter().any(|&j| j >= first && j < rf.row))?;
+            Some((d, t, at, (task.pack, 1, task.rows[at].row)))
+        })
+        .expect("some super-row reads its own earlier rows")
+}
+
+/// Asserts `verify` flags a read race at exactly `access`.
+fn assert_read_race(spec: &ScheduleSpec, access: Access) -> ScheduleViolation {
+    let v = verify(spec).unwrap_err();
+    match v {
+        ScheduleViolation::ReadRace {
+            pack, phase, row, ..
+        } => assert_eq!((pack, phase, row), access, "flagged the wrong access: {v}"),
+        _ => panic!("expected a read race at {access:?}, got {v}"),
+    }
+    v
 }
 
 #[test]
-fn a_dropped_dependency_edge_is_flagged_at_its_exact_row() {
+fn a_dropped_gather_barrier_is_flagged_at_its_exact_row() {
     let s = mutation_structure();
-    let mut spec = row_spec(&s);
-    let (st, c) = first_dependent_chunk(&spec);
-    let pack = spec.stages[st].pack;
-    let row = spec.stages[st].chunks[c].rows[0].row;
-    assert!(mutate::drop_dependency(&mut spec, st, c));
-    match verify(&spec) {
-        Err(ScheduleViolation::ReadRace {
-            pack: p,
-            row: r,
-            covered_stages,
-            needed_stages,
-            ..
-        }) => {
-            assert_eq!((p, r), (pack, row), "flagged the wrong task");
-            assert_eq!(
-                covered_stages + 1,
-                needed_stages,
-                "exactly one edge was dropped"
-            );
-        }
-        other => panic!("expected a ReadRace at (pack {pack}, row {row}), got {other:?}"),
+    for direction in [SweepDirection::Forward, SweepDirection::Transpose] {
+        let mut spec = row_spec(&s, direction);
+        let (d, access) = first_gather_reading_previous(&spec);
+        assert!(mutate::drop_barrier(&mut spec, d));
+        assert_read_race(&spec, access);
     }
 }
 
 #[test]
-fn a_forged_ticket_claim_is_flagged_at_its_exact_row() {
+fn a_dropped_chain_barrier_is_flagged_at_its_own_partial() {
     let s = mutation_structure();
-    let mut spec = row_spec(&s);
-    let (st, row) = first_chain(&spec);
-    let pack = spec.stages[st].pack;
-    assert!(mutate::forge_ticket(&mut spec, st, 0));
-    match verify(&spec) {
-        Err(ScheduleViolation::ForgedClaim {
-            pack: p,
-            row: r,
+    let mut spec = row_spec(&s, SweepDirection::Forward);
+    let (d, access) = first_chain(&spec);
+    assert!(mutate::drop_barrier(&mut spec, d));
+    match assert_read_race(&spec, access) {
+        ScheduleViolation::ReadRace {
             location,
-        }) => {
-            assert_eq!((p, r), (pack, row), "flagged the wrong task");
-            // The first unordered access is the ticket's own phase-1
-            // partial, read and overwritten without the drain edge.
-            assert_eq!(location, row);
-        }
-        other => panic!("expected a ForgedClaim at (pack {pack}, row {row}), got {other:?}"),
+            writer_phase,
+            ..
+        } => assert_eq!((location, writer_phase), (access.2, 1)),
+        _ => unreachable!(),
     }
 }
 
 #[test]
-fn a_reordered_gate_publish_is_flagged_at_its_exact_row() {
+fn a_super_row_on_two_workers_is_flagged_at_its_exact_row() {
     let s = mutation_structure();
-    let mut spec = row_spec(&s);
-    // Corrupt the publish of the chunk producing the first chain row: the
-    // stage's own phase-2 correction then observes an unpublished partial,
-    // which is the earliest reader in scan order.
-    let (st, row) = first_chain(&spec);
-    let pack = spec.stages[st].pack;
-    let c = spec.stages[st]
-        .chunks
-        .iter()
-        .position(|c| c.rows.iter().any(|rf| rf.row == row))
-        .expect("every row has a phase-1 chunk");
-    assert!(mutate::publish_early(&mut spec, st, c));
-    match verify(&spec) {
-        Err(ScheduleViolation::EarlyPublish {
-            pack: p,
-            row: r,
-            writer_pack,
-            ..
-        }) => {
-            assert_eq!((p, r), (pack, row), "flagged the wrong task");
-            assert_eq!(
-                writer_pack, pack,
-                "the corrupt publisher is the chain's own stage"
-            );
-        }
-        other => panic!("expected an EarlyPublish at (pack {pack}, row {row}), got {other:?}"),
-    }
+    let mut spec = super_row_spec(&s);
+    let (d, t, at, access) = first_self_reading_task(&spec);
+    assert!(mutate::split_task(&mut spec, d, t, at));
+    assert_read_race(&spec, access);
 }
 
 /// Compares `actual` against the committed snapshot, or rewrites it when
@@ -224,31 +254,37 @@ fn violation_renderings_match_snapshot() {
     let s = mutation_structure();
     let mut lines = String::new();
 
-    let mut spec = row_spec(&s);
-    let (st, c) = first_dependent_chunk(&spec);
-    mutate::drop_dependency(&mut spec, st, c);
-    writeln!(lines, "drop_dependency: {}", verify(&spec).unwrap_err()).unwrap();
+    let mut spec = row_spec(&s, SweepDirection::Forward);
+    let (d, _) = first_gather_reading_previous(&spec);
+    mutate::drop_barrier(&mut spec, d);
+    writeln!(
+        lines,
+        "drop_barrier (gather): {}",
+        verify(&spec).unwrap_err()
+    )
+    .unwrap();
 
-    let mut spec = row_spec(&s);
-    let (st, _) = first_chain(&spec);
-    mutate::forge_ticket(&mut spec, st, 0);
-    writeln!(lines, "forge_ticket: {}", verify(&spec).unwrap_err()).unwrap();
+    let mut spec = row_spec(&s, SweepDirection::Forward);
+    let (d, _) = first_chain(&spec);
+    mutate::drop_barrier(&mut spec, d);
+    writeln!(
+        lines,
+        "drop_barrier (chain): {}",
+        verify(&spec).unwrap_err()
+    )
+    .unwrap();
 
-    let mut spec = row_spec(&s);
-    let (st, row) = first_chain(&spec);
-    let c = spec.stages[st]
-        .chunks
-        .iter()
-        .position(|c| c.rows.iter().any(|rf| rf.row == row))
-        .expect("every row has a phase-1 chunk");
-    mutate::publish_early(&mut spec, st, c);
-    writeln!(lines, "publish_early: {}", verify(&spec).unwrap_err()).unwrap();
+    let mut spec = super_row_spec(&s);
+    let (d, t, at, _) = first_self_reading_task(&spec);
+    mutate::split_task(&mut spec, d, t, at);
+    writeln!(lines, "split_task: {}", verify(&spec).unwrap_err()).unwrap();
 
     assert_snapshot("verify_violations.txt", &lines);
 }
 
-/// FNV-1a digest of a spec's chunk geometry: per stage its pack, chunk
-/// count and chain count, per chunk its row range.
+/// FNV-1a digest of a spec's chunk geometry: per stage (a gather dispatch
+/// and the chain dispatch after it, if any) its pack, gather task count and
+/// chain task count, per gather task its row range.
 fn geometry_digest(spec: &ScheduleSpec) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     let mut feed = |v: usize| {
@@ -257,20 +293,26 @@ fn geometry_digest(spec: &ScheduleSpec) -> u64 {
             h = h.wrapping_mul(0x0000_0100_0000_01b3);
         }
     };
-    for stage in &spec.stages {
-        feed(stage.pack);
-        feed(stage.chunks.len());
-        feed(stage.chains.len());
-        for chunk in &stage.chunks {
-            feed(chunk.rows.first().map_or(usize::MAX, |rf| rf.row));
-            feed(chunk.rows.len());
+    let is_chain =
+        |tasks: &Vec<sts_k::verify::Task>| tasks.first().is_some_and(|t| t.kind == TaskKind::Chain);
+    for (d, gathers) in spec.dispatches.iter().enumerate() {
+        if is_chain(gathers) {
+            continue;
+        }
+        let chains = spec.dispatches.get(d + 1).filter(|c| is_chain(c));
+        feed(gathers[0].pack);
+        feed(gathers.len());
+        feed(chains.map_or(0, Vec::len));
+        for task in gathers {
+            feed(task.rows.first().map_or(usize::MAX, |rf| rf.row));
+            feed(task.rows.len());
         }
     }
     h
 }
 
 /// The solve specs are cut by the same chunk functions the split driver
-/// runs, and the factor spec by the pack's super-rows. Their geometry (chunk
+/// runs, and the super-row spec by the pack's super-rows. Their geometry (chunk
 /// counts, chain counts, row ranges) must not drift; the digests below were
 /// recorded from these fields alone, so a change to how the schedule is
 /// synchronised leaves them untouched.
@@ -290,7 +332,7 @@ fn plan_derived_specs_keep_the_recorded_chunk_geometry() {
             SweepDirection::Transpose,
         )));
     }
-    computed.push(geometry_digest(&factor_spec(&s)));
+    computed.push(geometry_digest(&super_row_spec(&s)));
     assert_eq!(
         computed, RECORDED_GEOMETRY,
         "computed digests: {computed:#018x?}"
@@ -298,7 +340,7 @@ fn plan_derived_specs_keep_the_recorded_chunk_geometry() {
 }
 
 /// `[forward, transpose]` per entry of `VERIFY_THREAD_SWEEP`, then the
-/// factor spec.
+/// super-row spec.
 const RECORDED_GEOMETRY: [u64; 11] = [
     0x989f389ad85acac3,
     0xe0dd63c4c4da5203,

@@ -80,5 +80,6 @@ pub use exec::simulated::{
 };
 pub use options::{PrecisionPolicy, SlabValue, SolveEngine, SolveOptions, SweepDirection};
 pub use solver::parallel::{ChaosHook, ParallelSolver};
+pub use solver::vector::BlockSums;
 pub use split::SplitLayout;
 pub use verify::{solve_spec, super_row_spec};

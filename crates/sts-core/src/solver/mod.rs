@@ -11,6 +11,15 @@
 //!   gather-row and a chain-row function, at lane width 1 or 8.
 //! * `plan` — the one chunk geometry (the split sweep's stage and chunk
 //!   functions): called by the drivers and by the schedule verifier alike.
+//! * [`vector`] — the vector kernels of a Krylov iteration on the same
+//!   pool, over fixed blocks of [`vector::BLOCK_ROWS`] rows: the products
+//!   [`ParallelSolver::spmv_into`] / [`ParallelSolver::spmv_batch_into`],
+//!   and the fused passes of a CG iteration — [`ParallelSolver::dots`],
+//!   [`ParallelSolver::update_direction`], [`ParallelSolver::spmv_dots`]
+//!   (`A·p` with `p·Ap`) and [`ParallelSolver::cg_step`] (`x`, `r` with
+//!   `r·r`) — whose sums follow one blocked order, so their bits do not
+//!   depend on the thread count and lane `q` of a batch sums as its
+//!   `nrhs = 1` reduction does.
 //! * [`factor`] — level-scheduled parallel IC(0) construction
 //!   ([`ParallelSolver::parallel_ic0`]): the preconditioner *setup* run over
 //!   the same pack hierarchy on Algorithm 1's super-row loop, a barrier per
@@ -43,5 +52,7 @@ pub mod factor;
 pub(crate) mod kernel;
 pub mod parallel;
 pub(crate) mod plan;
+pub mod vector;
 
 pub use parallel::ParallelSolver;
+pub use vector::BlockSums;

@@ -111,7 +111,7 @@
 use std::ops::Range;
 use std::sync::Arc;
 
-use sts_matrix::{CsrMatrix, MatrixError};
+use sts_matrix::MatrixError;
 use sts_numa::{PoolError, Schedule, WorkerPool};
 use sts_trace::{Phase, SpanRecorder};
 use sts_verify::TaskKind;
@@ -124,7 +124,7 @@ use crate::split::SplitLayout;
 
 /// Maps a pool-level failure into the matrix error taxonomy the solver
 /// surfaces.
-fn pool_error_to_matrix(e: PoolError) -> MatrixError {
+pub(super) fn pool_error_to_matrix(e: PoolError) -> MatrixError {
     match e {
         PoolError::WorkerPanicked {
             slot,
@@ -164,7 +164,7 @@ pub(crate) fn span<T>(
 
 /// A reusable parallel solver bound to a worker pool.
 pub struct ParallelSolver {
-    pool: WorkerPool,
+    pub(super) pool: WorkerPool,
     schedule: Schedule,
     /// Optional fault-injection hook; see [`ChaosHook`].
     chaos: Option<ChaosHook>,
@@ -553,100 +553,6 @@ impl ParallelSolver {
                 })
                 .map_err(|e| stage_error(e, st))?;
         }
-        Ok(())
-    }
-
-    /// Sparse matrix–vector product `y = A x` on the solver's worker pool:
-    /// the rows are statically chunked, each chunk writing a disjoint slice
-    /// of `y`. This is the companion kernel iterative solvers need next to
-    /// the triangular sweeps (one `A·p` per iteration), sharing the pool so
-    /// the whole iteration runs on one set of (optionally pinned) workers.
-    /// No heap allocation.
-    pub fn spmv_into(&self, a: &CsrMatrix, x: &[f64], y: &mut [f64]) -> Result<()> {
-        if x.len() != a.ncols() || y.len() != a.nrows() {
-            return Err(MatrixError::DimensionMismatch(
-                "x/y lengths must match the matrix dimensions".into(),
-            ));
-        }
-        let n = a.nrows();
-        if n == 0 {
-            return Ok(());
-        }
-        let shared = SharedVec::new(y);
-        let row_ptr = a.row_ptr();
-        let col_idx = a.col_idx();
-        let values = a.values();
-        let nchunks = chunk_count(self.pool.num_threads(), n);
-        self.pool
-            .parallel_for(nchunks, Schedule::Static, &|c| {
-                for r in chunk_range(0, n, nchunks, c) {
-                    let mut acc = 0.0;
-                    for k in row_ptr[r]..row_ptr[r + 1] {
-                        acc += values[k] * x[col_idx[k]];
-                    }
-                    // SAFETY: row r belongs to exactly one static chunk; x is
-                    // never written during the product.
-                    unsafe { shared.write(r, acc) };
-                }
-            })
-            .map_err(pool_error_to_matrix)?;
-        Ok(())
-    }
-
-    /// Multi-RHS sparse matrix–vector product `Y = A X` on the solver's
-    /// worker pool, with the interleaved layout the batch solvers use
-    /// (`x[i * nrhs + r]`). Each `(col, val)` load is amortised over the
-    /// batch via a register tile. No heap allocation.
-    pub fn spmv_batch_into(
-        &self,
-        a: &CsrMatrix,
-        x: &[f64],
-        y: &mut [f64],
-        nrhs: usize,
-    ) -> Result<()> {
-        if nrhs == 0 {
-            return Err(MatrixError::DimensionMismatch(
-                "spmv_batch_into needs at least one right-hand side".into(),
-            ));
-        }
-        if a.ncols().checked_mul(nrhs) != Some(x.len())
-            || a.nrows().checked_mul(nrhs) != Some(y.len())
-        {
-            return Err(MatrixError::DimensionMismatch(
-                "x/y lengths must match the matrix dimensions times nrhs".into(),
-            ));
-        }
-        let n = a.nrows();
-        if n == 0 {
-            return Ok(());
-        }
-        let shared = SharedVec::new(y);
-        let row_ptr = a.row_ptr();
-        let col_idx = a.col_idx();
-        let values = a.values();
-        let nchunks = chunk_count(self.pool.num_threads(), n);
-        self.pool
-            .parallel_for(nchunks, Schedule::Static, &|c| {
-                for r in chunk_range(0, n, nchunks, c) {
-                    let base = r * nrhs;
-                    for r0 in (0..nrhs).step_by(TILE) {
-                        let w = TILE.min(nrhs - r0);
-                        let mut acc = [0.0f64; TILE];
-                        for k in row_ptr[r]..row_ptr[r + 1] {
-                            let (j, v) = (col_idx[k], values[k]);
-                            for (q, a) in acc[..w].iter_mut().enumerate() {
-                                *a += v * x[j * nrhs + r0 + q];
-                            }
-                        }
-                        for (q, a) in acc[..w].iter().enumerate() {
-                            // SAFETY: the nrhs slots of row r belong to exactly
-                            // one static chunk.
-                            unsafe { shared.write(base + r0 + q, *a) };
-                        }
-                    }
-                }
-            })
-            .map_err(pool_error_to_matrix)?;
         Ok(())
     }
 }

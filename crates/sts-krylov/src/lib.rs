@@ -17,10 +17,20 @@
 //!   split drivers ([`SweepEngine`], which is `sts_core`'s `SolveEngine`) —
 //!   bitwise identical at every batch width;
 //! * [`KrylovWorkspace`] — the persistent vector arena (`r`, `z`, `p`,
-//!   `A·p`, sweep scratch) sized once per structure, so a converged solve
-//!   followed by a thousand more allocates nothing;
-//! * [`Pcg`] — the conjugate-gradient driver: tolerance policy
-//!   ([`Tolerance`]), iteration bound, per-iteration residual history,
+//!   `A·p`, sweep scratch, and the partial sums of the reductions) sized
+//!   once per structure, so a converged solve followed by a thousand more
+//!   allocates nothing, and no iteration allocates;
+//! * [`Pcg`] — the conjugate-gradient driver, every pass of whose
+//!   iteration runs on the driver's worker pool: the sweep pair, the
+//!   product `A·p` fused with `p·Ap`, and the vector work in three
+//!   dispatches (`r·z`; `p = z + β p`; `x += α p` and `r −= α Ap` fused with
+//!   `‖r‖`) from `sts_core`'s [`vector`](sts_core::solver::vector) kernels.
+//!   Every dot product and norm is one blocked reduction whose order is
+//!   fixed by the vector length (4096-row blocks, four sub-sums by row
+//!   mod 4, block partials added in ascending order), so the iterates do
+//!   not depend on the thread count, and the scalar driver and every lane
+//!   of a batch sum alike. It carries the tolerance policy
+//!   ([`Tolerance`]), the iteration bound, a per-iteration residual history,
 //!   preconditioner wall-time attribution ([`PcgOutcome`]), a batched
 //!   multi-RHS entry point ([`Pcg::solve_batch`]) running lockstep CG on the
 //!   interleaved layout of the batch sweep kernels: one batched sweep pair

@@ -4,7 +4,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use sts_core::ParallelSolver;
-use sts_matrix::{ops, MatrixError};
+use sts_matrix::MatrixError;
 use sts_numa::Schedule;
 use sts_trace::Registry;
 
@@ -215,10 +215,21 @@ impl Pcg {
         self.options = options;
     }
 
-    /// Solves `A x = b` (original numbering) with preconditioned CG. After
-    /// warm-up (lazy layout builds on first use), an iteration performs no
-    /// heap allocation: every vector lives in `ws` and the sweeps run
-    /// through `ParallelSolver::solve_into`.
+    /// Solves `A x = b` (original numbering) with preconditioned CG.
+    ///
+    /// Every pass of an iteration runs on the driver's pool: the sweep pair
+    /// through `ParallelSolver::solve_into`, and the vector work in three
+    /// dispatches around the product — `r·z`
+    /// ([`ParallelSolver::dots`]), `p = z + β p`
+    /// ([`ParallelSolver::update_direction`]), then `x += α p`,
+    /// `r −= α Ap` with `‖r‖` ([`ParallelSolver::cg_step`]) — while `p·Ap`
+    /// is summed in the product's own dispatch
+    /// ([`ParallelSolver::spmv_dots`]). Every sum follows one blocked order
+    /// fixed by `n` alone (see [`sts_core::solver::vector`]), so the
+    /// iterates, the iteration count and `x` are bitwise the same at every
+    /// thread count. After warm-up (lazy layout builds on first use), an
+    /// iteration performs no heap allocation: every vector and the partial
+    /// sums live in `ws`.
     pub fn solve(
         &self,
         sys: &SpdSystem,
@@ -233,7 +244,7 @@ impl Pcg {
         // side, so it lands directly in r.
         sys.gather_into(b, &mut ws.r);
         ws.x.fill(0.0);
-        let mut rnorm = ops::norm2(&ws.r);
+        let mut rnorm = self.solver.dots(&ws.r, &ws.r, &mut ws.sums)?[0].sqrt();
         if !rnorm.is_finite() {
             // A NaN or infinite right-hand side: every comparison against
             // the threshold would be silently false. Name the breakdown
@@ -253,7 +264,7 @@ impl Pcg {
             let t0 = Instant::now();
             pre.apply_into(&self.solver, &ws.r, &mut ws.z, &mut ws.sweep)?;
             precond += t0.elapsed();
-            let rz_new = ops::dot(&ws.r, &ws.z);
+            let rz_new = self.solver.dots(&ws.r, &ws.z, &mut ws.sums)?[0];
             if iterations == 0 {
                 ws.p.copy_from_slice(&ws.z);
             } else {
@@ -268,24 +279,24 @@ impl Pcg {
                     // freeze.
                     break;
                 }
-                let beta = rz_new / rz;
-                for (pi, zi) in ws.p.iter_mut().zip(&ws.z) {
-                    *pi = zi + beta * *pi;
-                }
+                self.solver
+                    .update_direction(&ws.z, &[rz_new / rz], &mut ws.p)?;
             }
             rz = rz_new;
-            self.solver.spmv_into(sys.matrix(), &ws.p, &mut ws.ap)?;
-            let pap = ops::dot(&ws.p, &ws.ap);
+            let pap = self
+                .solver
+                .spmv_dots(sys.matrix(), &ws.p, &mut ws.ap, &mut ws.sums)?[0];
             let alpha = rz / pap;
             if !alpha.is_finite() {
                 // Breakdown (indefinite operator or preconditioner): report
                 // the state honestly instead of iterating on NaNs.
                 break;
             }
-            ops::axpy(alpha, &ws.p, &mut ws.x);
-            ops::axpy(-alpha, &ws.ap, &mut ws.r);
+            let rr =
+                self.solver
+                    .cg_step(&[alpha], &ws.p, &ws.ap, &mut ws.x, &mut ws.r, &mut ws.sums)?[0];
             iterations += 1;
-            rnorm = ops::norm2(&ws.r);
+            rnorm = rr.sqrt();
             if !rnorm.is_finite() {
                 // A non-finite value slipped into the recurrence (operator
                 // or preconditioner emitted NaN/∞ past the alpha guard):
@@ -332,6 +343,12 @@ impl Pcg {
     /// index traffic of every row is amortised over the right-hand sides.
     /// Converged systems are frozen (their updates scaled by zero) until the
     /// stragglers finish.
+    ///
+    /// The vector work runs on the pool in the same kernels as
+    /// [`Pcg::solve`], at lane width `nrhs`; lane `q`'s sums follow exactly
+    /// the scalar driver's blocked order, so every lane is bitwise equal to
+    /// the standalone solve of its right-hand side, at every thread count.
+    /// After warm-up, a lockstep iteration performs no heap allocation.
     pub fn solve_batch(
         &self,
         sys: &SpdSystem,
@@ -340,11 +357,8 @@ impl Pcg {
         nrhs: usize,
         ws: &mut KrylovWorkspace,
     ) -> Result<PcgBatchOutcome> {
-        let n = sys.n();
         let (mut rnorm, thresholds, mut iterations) = self.start_batch(sys, b, nrhs, ws)?;
         let mut rz = vec![0.0f64; nrhs];
-        let mut rz_new = vec![0.0f64; nrhs];
-        let mut pap = vec![0.0f64; nrhs];
         let mut alpha = vec![0.0f64; nrhs];
         let mut beta = vec![0.0f64; nrhs];
         let mut lockstep = 0usize;
@@ -352,7 +366,7 @@ impl Pcg {
             && rnorm.iter().zip(&thresholds).any(|(&r, &t)| r > t)
         {
             pre.apply_batch_into(&self.solver, &ws.r, &mut ws.z, &mut ws.sweep, nrhs)?;
-            strided_dots(&ws.r, &ws.z, nrhs, &mut rz_new);
+            let rz_new = self.solver.dots(&ws.r, &ws.z, &mut ws.sums)?;
             for q in 0..nrhs {
                 let active = rnorm[q] > thresholds[q];
                 beta[q] = if lockstep == 0 || !active || rz[q] == 0.0 {
@@ -361,20 +375,15 @@ impl Pcg {
                     rz_new[q] / rz[q]
                 };
             }
+            rz.copy_from_slice(rz_new);
             if lockstep == 0 {
                 ws.p.copy_from_slice(&ws.z);
             } else {
-                for (i, chunk) in ws.p.chunks_exact_mut(nrhs).enumerate() {
-                    let base = i * nrhs;
-                    for (q, pi) in chunk.iter_mut().enumerate() {
-                        *pi = ws.z[base + q] + beta[q] * *pi;
-                    }
-                }
+                self.solver.update_direction(&ws.z, &beta, &mut ws.p)?;
             }
-            rz.copy_from_slice(&rz_new);
-            self.solver
-                .spmv_batch_into(sys.matrix(), &ws.p, &mut ws.ap, nrhs)?;
-            strided_dots(&ws.p, &ws.ap, nrhs, &mut pap);
+            let pap = self
+                .solver
+                .spmv_dots(sys.matrix(), &ws.p, &mut ws.ap, &mut ws.sums)?;
             for q in 0..nrhs {
                 let active = rnorm[q] > thresholds[q];
                 let a = rz[q] / pap[q];
@@ -382,15 +391,13 @@ impl Pcg {
                 // stay put, so their reported residual remains truthful.
                 alpha[q] = if active && a.is_finite() { a } else { 0.0 };
             }
-            for i in 0..n {
-                let base = i * nrhs;
-                for (q, &aq) in alpha.iter().enumerate() {
-                    ws.x[base + q] += aq * ws.p[base + q];
-                    ws.r[base + q] -= aq * ws.ap[base + q];
-                }
+            let rr =
+                self.solver
+                    .cg_step(&alpha, &ws.p, &ws.ap, &mut ws.x, &mut ws.r, &mut ws.sums)?;
+            for (r, &s) in rnorm.iter_mut().zip(rr) {
+                *r = s.sqrt();
             }
             lockstep += 1;
-            strided_norms_into(&ws.r, nrhs, &mut rnorm);
             check_finite_norms(&rnorm, lockstep)?;
             for q in 0..nrhs {
                 if rnorm[q] <= thresholds[q] && iterations[q] > lockstep {
@@ -455,8 +462,12 @@ impl Pcg {
         check_shapes(sys, b, nrhs, ws)?;
         sys.gather_batch_into(b, &mut ws.r, nrhs);
         ws.x.fill(0.0);
-        let mut rnorm = vec![0.0f64; nrhs];
-        strided_norms_into(&ws.r, nrhs, &mut rnorm);
+        let rnorm: Vec<f64> = self
+            .solver
+            .dots(&ws.r, &ws.r, &mut ws.sums)?
+            .iter()
+            .map(|s| s.sqrt())
+            .collect();
         check_finite_norms(&rnorm, 0)?;
         let thresholds: Vec<f64> = rnorm
             .iter()
@@ -536,30 +547,6 @@ fn check_finite_norms(rnorm: &[f64], iteration: usize) -> Result<()> {
         return Err(MatrixError::NonFiniteResidual { iteration });
     }
     Ok(())
-}
-
-/// Per-system 2-norms of an interleaved batch vector, into a caller buffer
-/// (no allocation in the lockstep loop).
-fn strided_norms_into(v: &[f64], nrhs: usize, out: &mut [f64]) {
-    out.fill(0.0);
-    for chunk in v.chunks_exact(nrhs) {
-        for (a, &x) in out.iter_mut().zip(chunk) {
-            *a += x * x;
-        }
-    }
-    for a in out {
-        *a = a.sqrt();
-    }
-}
-
-/// Per-system dot products of two interleaved batch vectors.
-fn strided_dots(u: &[f64], v: &[f64], nrhs: usize, out: &mut [f64]) {
-    out.fill(0.0);
-    for (cu, cv) in u.chunks_exact(nrhs).zip(v.chunks_exact(nrhs)) {
-        for ((o, &a), &b) in out.iter_mut().zip(cu).zip(cv) {
-            *o += a * b;
-        }
-    }
 }
 
 #[cfg(test)]

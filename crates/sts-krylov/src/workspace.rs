@@ -1,7 +1,10 @@
 //! The persistent vector arena behind allocation-free iterations.
 
-/// Every vector a PCG iteration touches, sized once for a structure (and an
-/// optional batch width) and reused across solves: after the first
+use sts_core::BlockSums;
+
+/// Every vector a PCG iteration touches, and the partial sums of its
+/// reductions, sized once for a structure (and an optional batch width) and
+/// reused across solves: after the first
 /// [`Pcg::solve`](crate::Pcg::solve) on a warmed-up system, neither the
 /// driver's updates nor the preconditioner sweeps allocate.
 ///
@@ -26,6 +29,8 @@ pub struct KrylovWorkspace {
     /// Preconditioner mid-sweep scratch (the vector between the forward and
     /// backward triangular solves).
     pub(crate) sweep: Vec<f64>,
+    /// Partial sums of the iteration's blocked reductions.
+    pub(crate) sums: BlockSums,
 }
 
 impl KrylovWorkspace {
@@ -36,9 +41,15 @@ impl KrylovWorkspace {
 
     /// Workspace for `nrhs`-wide batched solves (interleaved layout,
     /// `v[i * nrhs + r]`).
+    ///
+    /// # Panics
+    ///
+    /// When `n * nrhs` overflows `usize`.
     pub fn with_nrhs(n: usize, nrhs: usize) -> Self {
         let nrhs = nrhs.max(1);
-        let len = n * nrhs;
+        let Some(len) = n.checked_mul(nrhs) else {
+            panic!("KrylovWorkspace: n = {n} × nrhs = {nrhs} overflows usize");
+        };
         KrylovWorkspace {
             n,
             nrhs,
@@ -48,6 +59,7 @@ impl KrylovWorkspace {
             p: vec![0.0; len],
             ap: vec![0.0; len],
             sweep: vec![0.0; len],
+            sums: BlockSums::new(n, nrhs),
         }
     }
 
@@ -75,5 +87,12 @@ mod tests {
             assert_eq!(buf.len(), 21);
         }
         assert_eq!(KrylovWorkspace::new(5).nrhs(), 1);
+        assert_eq!((ws.sums.n(), ws.sums.nrhs()), (7, 3));
+    }
+
+    #[test]
+    #[should_panic(expected = "× nrhs = 3 overflows usize")]
+    fn an_overflowing_size_panics_instead_of_wrapping() {
+        KrylovWorkspace::with_nrhs(usize::MAX / 2, 3);
     }
 }

@@ -55,5 +55,5 @@ mod metrics;
 mod span;
 
 pub use export::chrome_trace_json;
-pub use metrics::{Counter, Histogram, Registry, HISTOGRAM_BUCKETS};
+pub use metrics::{Counter, CountingAllocator, Histogram, Registry, HISTOGRAM_BUCKETS};
 pub use span::{Phase, SpanEvent, SpanRecorder};

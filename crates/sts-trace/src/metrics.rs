@@ -14,6 +14,7 @@
 //! counts — and fixed buckets keep `observe` allocation-free and
 //! mergeable by plain element-wise addition.
 
+use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -125,6 +126,67 @@ impl Histogram {
     }
 }
 
+/// The system allocator plus a count of the allocations it served (every
+/// `alloc`, `alloc_zeroed` and `realloc`). A binary installs it with
+/// `#[global_allocator]` to show that a hot path allocates nothing; the
+/// count is a relaxed atomic add, like a [`Counter`].
+#[derive(Debug, Default)]
+pub struct CountingAllocator {
+    allocations: AtomicU64,
+}
+
+impl CountingAllocator {
+    /// An allocator that has counted nothing yet.
+    pub const fn new() -> Self {
+        CountingAllocator {
+            allocations: AtomicU64::new(0),
+        }
+    }
+
+    /// Allocations served so far.
+    pub fn allocations(&self) -> u64 {
+        self.allocations.load(Ordering::Relaxed)
+    }
+
+    fn count(&self) {
+        self.allocations.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+// SAFETY: every method forwards its arguments unchanged to the system
+// allocator and returns its result, so `System`'s guarantees carry over;
+// the count touches only an atomic and never allocates.
+unsafe impl GlobalAlloc for CountingAllocator {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        self.count();
+        // SAFETY: forwarded from the caller's contract.
+        unsafe { System.alloc(layout) }
+    }
+
+    // SAFETY: the caller upholds `GlobalAlloc`'s contract for this
+    // method, which the body forwards to `System` unchanged.
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        self.count();
+        // SAFETY: forwarded from the caller's contract.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    // SAFETY: the caller upholds `GlobalAlloc`'s contract for this
+    // method, which the body forwards to `System` unchanged.
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: forwarded from the caller's contract.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    // SAFETY: the caller upholds `GlobalAlloc`'s contract for this
+    // method, which the body forwards to `System` unchanged.
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        self.count();
+        // SAFETY: forwarded from the caller's contract.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
 /// A named collection of counters and histograms.
 ///
 /// Handing out `Arc`s keeps the observation path lock-free; the mutex
@@ -218,6 +280,25 @@ impl Registry {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn the_counting_allocator_counts_allocations_only() {
+        let a = CountingAllocator::new();
+        let layout = Layout::from_size_align(64, 8).unwrap();
+        // SAFETY: a non-zero-size layout; every pointer is freed once, with
+        // the layout it was allocated (or reallocated) with.
+        unsafe {
+            let p = a.alloc(layout);
+            assert!(!p.is_null());
+            let p = a.realloc(p, layout, 128);
+            assert!(!p.is_null());
+            a.dealloc(p, Layout::from_size_align(128, 8).unwrap());
+            let z = a.alloc_zeroed(layout);
+            assert!(!z.is_null() && *z == 0);
+            a.dealloc(z, layout);
+        }
+        assert_eq!(a.allocations(), 3);
+    }
 
     #[test]
     fn counters_accumulate_and_reregister() {

@@ -261,3 +261,57 @@ fn batched_pcg_meets_the_true_residual_bound_on_the_200x200_laplacian() {
         );
     }
 }
+
+#[test]
+fn pcg_bits_do_not_depend_on_the_thread_count() {
+    // 12 543 rows: four reduction blocks, the last one short, and a row
+    // count that is a multiple of neither 4 nor the block size, so every
+    // remainder path of the blocked reductions runs.
+    let a = generators::grid2d_laplacian(111, 113).unwrap();
+    let sys = SpdSystem::build(&a, Method::Sts3, 80).unwrap();
+    let n = sys.n();
+    let block = sts_k::core::solver::vector::BLOCK_ROWS;
+    assert!(n > 3 * block && !n.is_multiple_of(block) && !n.is_multiple_of(4));
+    let rhs = |nrhs: usize| -> Vec<f64> {
+        (0..n * nrhs)
+            .map(|k| ((k * 7919) % 23) as f64 * 0.37 - 4.0)
+            .collect()
+    };
+    // (iterations, x) per request, at the first thread count.
+    let mut first: Vec<(Vec<usize>, Vec<f64>)> = Vec::new();
+    for threads in [1, 2, 3, 8] {
+        let pcg = Pcg::new(threads, Schedule::Guided { min_chunk: 1 });
+        let mut pre = Ic0::new(&sys, pcg.solver(), SweepEngine::Split).unwrap();
+        let b = rhs(1);
+        let one = pcg
+            .solve(&sys, &mut pre, &b, &mut KrylovWorkspace::new(n))
+            .unwrap();
+        assert!(one.converged);
+        let mut got = vec![(vec![one.iterations], one.x)];
+        for nrhs in [3, 4] {
+            let mut ws = KrylovWorkspace::with_nrhs(n, nrhs);
+            let out = pcg
+                .solve_batch(&sys, &mut pre, &rhs(nrhs), nrhs, &mut ws)
+                .unwrap();
+            assert!(out.converged.iter().all(|&c| c));
+            got.push((out.iterations, out.x));
+        }
+        if first.is_empty() {
+            first = got;
+        } else {
+            for (want, have) in first.iter().zip(&got) {
+                assert_eq!(
+                    want.0, have.0,
+                    "iteration counts moved at {threads} threads"
+                );
+                assert!(
+                    want.1
+                        .iter()
+                        .zip(&have.1)
+                        .all(|(u, v)| u.to_bits() == v.to_bits()),
+                    "solution bits moved at {threads} threads"
+                );
+            }
+        }
+    }
+}

@@ -94,18 +94,6 @@ pub fn norm_inf(v: &[f64]) -> f64 {
     v.iter().fold(0.0f64, |m, &x| m.max(x.abs()))
 }
 
-/// Dot product.
-pub fn dot(a: &[f64], b: &[f64]) -> f64 {
-    a.iter().zip(b).map(|(x, y)| x * y).sum()
-}
-
-/// `y += alpha * x` (axpy).
-pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
-    for (yi, xi) in y.iter_mut().zip(x) {
-        *yi += alpha * xi;
-    }
-}
-
 /// Residual `||L x - b||₂` of a candidate triangular solution.
 pub fn triangular_residual(l: &LowerTriangularCsr, x: &[f64], b: &[f64]) -> Result<f64> {
     let lx = l.multiply(x)?;
@@ -178,17 +166,9 @@ mod tests {
     }
 
     #[test]
-    fn norms_and_dot() {
+    fn norms() {
         assert!((norm2(&[3.0, 4.0]) - 5.0).abs() < 1e-15);
         assert_eq!(norm_inf(&[-7.0, 2.0]), 7.0);
-        assert_eq!(dot(&[1.0, 2.0], &[3.0, 4.0]), 11.0);
-    }
-
-    #[test]
-    fn axpy_accumulates() {
-        let mut y = vec![1.0, 1.0];
-        axpy(2.0, &[3.0, -1.0], &mut y);
-        assert_eq!(y, vec![7.0, -1.0]);
     }
 
     #[test]

@@ -127,7 +127,8 @@ impl Histogram {
 }
 
 /// The system allocator plus a count of the allocations it served (every
-/// `alloc`, `alloc_zeroed` and `realloc`). A binary installs it with
+/// `alloc`, and the `alloc_zeroed` and `realloc` that `GlobalAlloc`'s
+/// default methods build on it). A binary installs it with
 /// `#[global_allocator]` to show that a hot path allocates nothing; the
 /// count is a relaxed atomic add, like a [`Counter`].
 #[derive(Debug, Default)]
@@ -153,9 +154,10 @@ impl CountingAllocator {
     }
 }
 
-// SAFETY: every method forwards its arguments unchanged to the system
-// allocator and returns its result, so `System`'s guarantees carry over;
-// the count touches only an atomic and never allocates.
+// SAFETY: `alloc` and `dealloc` forward their arguments unchanged to the
+// system allocator and return its result, so `System`'s guarantees carry
+// over (the default methods are built on these two); the count touches only
+// an atomic and never allocates.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         self.count();
@@ -165,25 +167,9 @@ unsafe impl GlobalAlloc for CountingAllocator {
 
     // SAFETY: the caller upholds `GlobalAlloc`'s contract for this
     // method, which the body forwards to `System` unchanged.
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        self.count();
-        // SAFETY: forwarded from the caller's contract.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    // SAFETY: the caller upholds `GlobalAlloc`'s contract for this
-    // method, which the body forwards to `System` unchanged.
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         // SAFETY: forwarded from the caller's contract.
         unsafe { System.dealloc(ptr, layout) }
-    }
-
-    // SAFETY: the caller upholds `GlobalAlloc`'s contract for this
-    // method, which the body forwards to `System` unchanged.
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        self.count();
-        // SAFETY: forwarded from the caller's contract.
-        unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
 

@@ -1,21 +1,26 @@
 //! The one driver for every table, figure and ablation of the STS-k paper.
 //!
 //! ```text
-//! paper_figs <name>|all [--scale tiny|small|medium] [--out DIR] [--wallclock]
+//! paper_figs <name>|all [--scale tiny|small|medium] [--out DIR]
 //! ```
 //!
 //! A figure is one entry of [`FIGURES`]: its `run` returns tables (a column
 //! list and rows of [`Value`]s), and one printer and one writer turn each
-//! table into aligned text on stdout and `<out>/<name>.json`. Timings are
-//! modelled cycles on the paper's two machines ([`Machine`]); `--wallclock`
-//! times the threaded solver on this host instead, for the figures that have
-//! a wall-clock form. `all` builds each (matrix, super-row size) method set
-//! once and hands it to every figure that needs it.
+//! table into aligned text on stdout and `<out>/<name>.json`. `all` builds
+//! each (matrix, super-row size) method set once and hands it to every
+//! figure that needs it.
+//!
+//! The timed figures (9–13 and the four ablations) are wall clock on this
+//! host ([`harness::wallclock_seconds`], every answer checked against the
+//! sequential solve first). They run at the paper's two super-row sizes,
+//! 80 and 320 rows, scaled for the suite, in place of its two machines, and
+//! every timed row records its thread count (at most the host's) and the
+//! host's CPU model. The other figures, Figure 14 included, are counts over
+//! the built structures and are deterministic.
 //!
 //! Exit codes: `0` when every selected figure ran and its JSON was written;
-//! `2` on unusable input (unknown figure, flag or scale, `--wallclock` on a
-//! figure without a wall-clock form, unwritable `--out`), with the reason on
-//! stderr.
+//! `2` on unusable input (unknown figure, flag or scale, unwritable
+//! `--out`), with the reason on stderr.
 
 use std::cell::{OnceCell, RefCell};
 use std::collections::BTreeMap;
@@ -23,12 +28,9 @@ use std::path::{Path, PathBuf};
 use std::rc::Rc;
 
 use serde::{Serialize, Value};
-use sts_bench::harness::{self, geometric_mean, Machine, MethodRun, SuiteRun};
+use sts_bench::harness::{self, geometric_mean, MethodRun, SuiteRun, PAPER_ROWS_PER_SUPER_ROW};
 use sts_core::pack::Packs;
-use sts_core::{
-    analysis, reorder, Method, Ordering, SimulatedExecutor, StsBuilder, StsStructure,
-    SuperRowSizing,
-};
+use sts_core::{analysis, reorder, Method, Ordering, StsBuilder, StsStructure, SuperRowSizing};
 use sts_graph::{Coarsening, CoarseningStrategy, ColoringOrder, Graph};
 use sts_matrix::suite::SuiteId;
 use sts_matrix::{generators, SuiteScale, TestSuite};
@@ -71,20 +73,24 @@ macro_rules! row {
     ($($cell:expr),+ $(,)?) => { vec![$(Serialize::to_value(&$cell)),+] };
 }
 
-/// What every figure reads: the flags, and the suite and method sets built
-/// on first use and shared by the figures of one invocation.
+/// What every figure reads: the scale, the host, and the suite and method
+/// sets built on first use and shared by the figures of one invocation.
 struct Ctx {
     scale: SuiteScale,
-    wallclock: bool,
+    /// The host's thread count; no timed row runs on more.
+    threads: usize,
+    /// The host's CPU model, recorded beside every timed row.
+    cpu: String,
     suite: OnceCell<TestSuite>,
     method_sets: RefCell<BTreeMap<usize, Rc<Vec<SuiteRun>>>>,
 }
 
 impl Ctx {
-    fn new(scale: SuiteScale, wallclock: bool) -> Self {
+    fn new(scale: SuiteScale) -> Self {
         Ctx {
             scale,
-            wallclock,
+            threads: sts_numa::affinity::available_cores(),
+            cpu: harness::cpu_model(),
             suite: OnceCell::new(),
             method_sets: RefCell::default(),
         }
@@ -111,27 +117,34 @@ impl Ctx {
         Rc::clone(set)
     }
 
-    /// The method sets at the super-row size `machine` uses at this scale.
-    fn machine_sets(&self, machine: Machine) -> Rc<Vec<SuiteRun>> {
-        self.method_sets(machine.rows_per_super_row_scaled(self.scale))
+    /// The paper's two super-row sizes, scaled for this suite scale.
+    fn scaled_sizes(&self) -> [usize; 2] {
+        PAPER_ROWS_PER_SUPER_ROW.map(|rows| harness::rows_per_super_row_scaled(rows, self.scale))
+    }
+
+    /// `(rows per super-row, method sets)` at each of [`Self::scaled_sizes`].
+    fn scaled_sets(&self) -> Vec<(usize, Rc<Vec<SuiteRun>>)> {
+        let sizes = self.scaled_sizes();
+        sizes.map(|rows| (rows, self.method_sets(rows))).to_vec()
     }
 
     /// The method sets at the paper's own super-row size (80 rows), which
     /// the structural figures use.
     fn structural_sets(&self) -> Rc<Vec<SuiteRun>> {
-        self.method_sets(Machine::Intel.rows_per_super_row())
+        self.method_sets(PAPER_ROWS_PER_SUPER_ROW[0])
     }
 
-    /// Solve time of one built method on `cores` cores: modelled cycles on
-    /// `machine`, or under `--wallclock` seconds on this host. Only ratios
-    /// of two such times are reported.
-    fn solve_time(&self, machine: Machine, run: &MethodRun, cores: usize) -> f64 {
-        if self.wallclock {
-            let threads = cores.min(sts_numa::affinity::available_cores());
-            harness::wallclock_seconds(run, threads, 3)
-        } else {
-            harness::simulate(machine, run, cores).total_cycles
-        }
+    /// Wall-clock seconds of one solve of `mr`, built on `run`'s matrix, on
+    /// `threads` workers under the paper's schedule for its method.
+    fn solve_time(&self, run: &SuiteRun, mr: &MethodRun, threads: usize) -> f64 {
+        let schedule = harness::paper_schedule(mr.method);
+        harness::wallclock_seconds(
+            &mr.structure,
+            schedule,
+            threads,
+            mr.method.label(),
+            &run.matrix_label,
+        )
     }
 }
 
@@ -139,8 +152,6 @@ impl Ctx {
 struct Figure {
     name: &'static str,
     title: &'static str,
-    /// Whether `run` honours `--wallclock`.
-    wallclock: bool,
     run: fn(&Ctx) -> Vec<Table>,
 }
 
@@ -148,83 +159,70 @@ const FIGURES: &[Figure] = &[
     Figure {
         name: "table1",
         title: "Table 1: the test suite, paper matrix vs generated analogue",
-        wallclock: false,
         run: table1,
     },
     Figure {
         name: "fig_example",
         title: "Figures 1-3: the worked 9x9 example",
-        wallclock: false,
         run: fig_example,
     },
     Figure {
         name: "fig_inpack_model",
         title: "Figures 4-5 and Theorem 1: the In-Pack scheduling model",
-        wallclock: false,
         run: fig_inpack_model,
     },
     Figure {
         name: "fig6_structure",
         title: "Figure 6: the structure of L under plain coloring versus STS-3",
-        wallclock: false,
         run: fig6_structure,
     },
     Figure {
         name: "fig7_parallelism",
         title: "Figure 7: degree of parallelism, packs vs components per pack",
-        wallclock: false,
         run: fig7_parallelism,
     },
     Figure {
         name: "fig8_work_distribution",
         title: "Figure 8: % of total work in the 5 largest packs",
-        wallclock: false,
         run: fig8_work_distribution,
     },
     Figure {
         name: "fig9_parallel_speedup",
         title: "Figure 9: parallel speedup T(mat, CSR-LS, 1) / T(mat, method, q)",
-        wallclock: true,
         run: fig9_parallel_speedup,
     },
     Figure {
         name: "fig10_relative_coloring",
         title: "Figure 10: relative speedup T(CSR-COL) / T(STS-3) per matrix",
-        wallclock: true,
         run: |ctx| relative_speedup(ctx, Method::CsrCol, Method::Sts3),
     },
     Figure {
         name: "fig11_relative_levelset",
         title: "Figure 11: relative speedup T(CSR-LS) / T(CSR-3-LS) per matrix",
-        wallclock: true,
         run: |ctx| relative_speedup(ctx, Method::CsrLs, Method::Csr3Ls),
     },
     Figure {
         name: "fig12_scaling_coloring",
         title: "Figure 12: T(*, CSR-COL, q) / T(*, STS-3, q) over the whole suite",
-        wallclock: false,
         run: |ctx| scaling(ctx, Method::CsrCol, Method::Sts3),
     },
     Figure {
         name: "fig13_scaling_levelset",
         title: "Figure 13: T(*, CSR-LS, q) / T(*, CSR-3-LS, q) over the whole suite",
-        wallclock: false,
         run: |ctx| scaling(ctx, Method::CsrLs, Method::Csr3Ls),
     },
     Figure {
         name: "fig14_largest_pack",
-        title: "Figure 14: largest-pack time per unknown, CSR-COL vs STS-3",
-        wallclock: false,
+        title: "Figure 14: x lines a largest-pack task reads from earlier packs, per unknown",
         run: fig14_largest_pack,
     },
     Figure {
         name: "ablation_dar_rcm",
         title: "Ablation: within-pack DAR RCM (Section 3.4) on/off",
-        wallclock: false,
         run: |ctx| {
             let columns = [
-                "with_dar_rcm_cycles",
-                "without_dar_rcm_cycles",
+                "with_dar_rcm_seconds",
+                "without_dar_rcm_seconds",
                 "speedup_from_dar_rcm",
             ];
             builder_ablation(ctx, columns, StsBuilder::within_pack_rcm)
@@ -233,11 +231,10 @@ const FIGURES: &[Figure] = &[
     Figure {
         name: "ablation_pack_order",
         title: "Ablation: ordering packs by increasing size (Section 3.2) on/off",
-        wallclock: false,
         run: |ctx| {
             let columns = [
-                "ordered_cycles",
-                "unordered_cycles",
+                "ordered_seconds",
+                "unordered_seconds",
                 "speedup_from_ordering",
             ];
             builder_ablation(ctx, columns, StsBuilder::order_packs_by_size)
@@ -246,13 +243,11 @@ const FIGURES: &[Figure] = &[
     Figure {
         name: "ablation_schedule",
         title: "Ablation: STS-3 intra-pack loop schedule, whole suite",
-        wallclock: false,
         run: ablation_schedule,
     },
     Figure {
         name: "ablation_superrow_size",
         title: "Ablation: STS-3 super-row size sweep",
-        wallclock: false,
         run: ablation_superrow_size,
     },
 ];
@@ -260,7 +255,7 @@ const FIGURES: &[Figure] = &[
 fn usage() -> String {
     let names: Vec<&str> = FIGURES.iter().map(|f| f.name).collect();
     format!(
-        "usage: paper_figs <name>|all [--scale tiny|small|medium] [--out DIR] [--wallclock]\n\
+        "usage: paper_figs <name>|all [--scale tiny|small|medium] [--out DIR]\n\
          figures: {}",
         names.join(", ")
     )
@@ -270,14 +265,12 @@ struct Cli {
     figure: String,
     scale: SuiteScale,
     out_dir: PathBuf,
-    wallclock: bool,
 }
 
 fn parse_args(args: &[String]) -> Result<Cli, String> {
     let mut figure = None;
     let mut scale = SuiteScale::Small;
     let mut out_dir = PathBuf::from("results");
-    let mut wallclock = false;
     let mut args = args.iter();
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -296,7 +289,6 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
                     .ok_or_else(|| format!("--out needs an argument\n{}", usage()))?;
                 out_dir = PathBuf::from(dir);
             }
-            "--wallclock" => wallclock = true,
             flag if flag.starts_with('-') => {
                 return Err(format!("unknown argument {flag}\n{}", usage()))
             }
@@ -308,7 +300,6 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
         figure: figure.ok_or_else(usage)?,
         scale,
         out_dir,
-        wallclock,
     })
 }
 
@@ -324,28 +315,9 @@ fn run(args: &[String]) -> Result<(), String> {
             .ok_or_else(|| format!("unknown figure {}\n{}", cli.figure, usage()))?;
         vec![figure]
     };
-    if cli.wallclock {
-        if let Some(f) = selected.iter().find(|f| !f.wallclock) {
-            let supported: Vec<&str> = FIGURES
-                .iter()
-                .filter(|f| f.wallclock)
-                .map(|f| f.name)
-                .collect();
-            return Err(format!(
-                "{} has no wall-clock form; --wallclock applies to {}",
-                f.name,
-                supported.join(", ")
-            ));
-        }
-    }
-    let ctx = Ctx::new(cli.scale, cli.wallclock);
+    let ctx = Ctx::new(cli.scale);
     for figure in selected {
-        let timing = if cli.wallclock {
-            ", wall clock on this host"
-        } else {
-            ""
-        };
-        println!("\n{} (scale {:?}{timing})", figure.title, cli.scale);
+        println!("\n{} (scale {:?})", figure.title, cli.scale);
         for table in (figure.run)(&ctx) {
             print_table(&table);
             write_table(&cli.out_dir, figure.name, table)?;
@@ -363,10 +335,12 @@ fn main() {
 }
 
 /// The one printer: strings left-aligned, numbers right-aligned, floats to
-/// two decimals (the JSON keeps every digit).
+/// two decimals, or two in exponent form below 0.01 (wall-clock seconds);
+/// the JSON keeps every digit.
 fn print_table(table: &Table) {
     let cell = |v: &Value| match v {
         Value::Str(s) => s.clone(),
+        Value::Float(x) if *x != 0.0 && x.abs() < 0.01 => format!("{x:.2e}"),
         Value::Float(x) => format!("{x:.2}"),
         other => serde_json::to_string(other).expect("a Value renders"),
     };
@@ -722,30 +696,39 @@ fn fig8_work_distribution(ctx: &Ctx) -> Vec<Table> {
     vec![table]
 }
 
-/// `speedup(method) = T(mat, CSR-LS, 1) / T(mat, method, q)` at 16 cores
-/// (Intel) and 12 cores (AMD), per matrix, with the geometric mean over the
-/// suite (the horizontal lines of the paper's figure).
+/// `speedup(method) = T(mat, CSR-LS, 1) / T(mat, method, q)` per matrix at
+/// the host's thread count `q` (where the paper used 16 Intel and 12 AMD
+/// cores), with the geometric mean over the suite (the horizontal lines of
+/// the paper's figure).
 fn fig9_parallel_speedup(ctx: &Ctx) -> Vec<Table> {
-    const COLUMNS: &[&str] = &["machine", "matrix", "method", "cores", "speedup"];
+    const COLUMNS: &[&str] = &[
+        "rows_per_super_row",
+        "matrix",
+        "method",
+        "threads",
+        "speedup",
+        "cpu",
+    ];
     let mut table = Table::new(COLUMNS);
-    for machine in Machine::both() {
-        let cores = machine.figure_cores();
+    let threads = ctx.threads;
+    for (rows, runs) in ctx.scaled_sets() {
         let mut speedups = Vec::new();
-        for run in ctx.machine_sets(machine).iter() {
-            let t_ref_1core = ctx.solve_time(machine, run.method(Method::CsrLs), 1);
+        for run in runs.iter() {
+            let t_ref_1thread = ctx.solve_time(run, run.method(Method::CsrLs), 1);
             for mr in &run.methods {
-                let speedup = t_ref_1core / ctx.solve_time(machine, mr, cores);
+                let speedup = t_ref_1thread / ctx.solve_time(run, mr, threads);
                 table.push(row![
-                    machine.name(),
+                    rows,
                     run.matrix_label,
                     mr.method.label(),
-                    cores,
+                    threads,
                     speedup,
+                    ctx.cpu,
                 ]);
                 speedups.push((mr.method.label(), speedup));
             }
         }
-        let heading = format!("geometric means, {}:", machine.name());
+        let heading = format!("geometric means, {rows} rows per super-row:");
         table
             .notes
             .extend(per_method_notes(&heading, &speedups, geometric_mean));
@@ -753,24 +736,30 @@ fn fig9_parallel_speedup(ctx: &Ctx) -> Vec<Table> {
     vec![table]
 }
 
-/// Figures 10 and 11: `T(baseline) / T(method)` per matrix at 16 cores
-/// (Intel) and 12 cores (AMD) — the incremental benefit of the k-level
-/// sub-structuring for one ordering family.
+/// Figures 10 and 11: `T(baseline) / T(method)` per matrix at the host's
+/// thread count — the incremental benefit of the k-level sub-structuring
+/// for one ordering family.
 fn relative_speedup(ctx: &Ctx, baseline: Method, method: Method) -> Vec<Table> {
-    let mut table = Table::new(&["machine", "matrix", "cores", "relative_speedup"]);
-    for machine in Machine::both() {
-        let cores = machine.figure_cores();
+    const COLUMNS: &[&str] = &[
+        "rows_per_super_row",
+        "matrix",
+        "threads",
+        "relative_speedup",
+        "cpu",
+    ];
+    let mut table = Table::new(COLUMNS);
+    let threads = ctx.threads;
+    for (rows, runs) in ctx.scaled_sets() {
         let mut ratios = Vec::new();
-        for run in ctx.machine_sets(machine).iter() {
-            let t_base = ctx.solve_time(machine, run.method(baseline), cores);
-            let t_method = ctx.solve_time(machine, run.method(method), cores);
+        for run in runs.iter() {
+            let t_base = ctx.solve_time(run, run.method(baseline), threads);
+            let t_method = ctx.solve_time(run, run.method(method), threads);
             let ratio = t_base / t_method;
-            table.push(row![machine.name(), run.matrix_label, cores, ratio]);
+            table.push(row![rows, run.matrix_label, threads, ratio, ctx.cpu]);
             ratios.push(ratio);
         }
         table.notes.push(format!(
-            "geometric mean, {}: {:.2}",
-            machine.name(),
+            "geometric mean, {rows} rows per super-row: {:.2}",
             geometric_mean(&ratios)
         ));
     }
@@ -778,80 +767,90 @@ fn relative_speedup(ctx: &Ctx, baseline: Method, method: Method) -> Vec<Table> {
 }
 
 /// Figures 12 and 13: `T(*, baseline, q) / T(*, method, q)` using the total
-/// modelled time over the whole suite, as the core count scales from 1 to 32
-/// (Intel) and 1 to 24 (AMD); the mean is taken over 8–32 / 6–24 cores as in
-/// the paper.
+/// time over the whole suite, as the thread count `q` scales from 1 to the
+/// host's; the mean is taken over `q ≥ 2` (the paper averages over 8–32
+/// Intel and 6–24 AMD cores, which this host may not have).
 fn scaling(ctx: &Ctx, baseline: Method, method: Method) -> Vec<Table> {
-    let mut table = Table::new(&["machine", "cores", "relative_speedup"]);
-    for machine in Machine::both() {
-        let runs = ctx.machine_sets(machine);
+    let mut table = Table::new(&["rows_per_super_row", "threads", "relative_speedup", "cpu"]);
+    for (rows, runs) in ctx.scaled_sets() {
         let mut mean_ratios = Vec::new();
-        for &q in machine.scaling_cores() {
+        for threads in 1..=ctx.threads {
             let (mut total_base, mut total_method) = (0.0, 0.0);
             for run in runs.iter() {
-                total_base += harness::simulate(machine, run.method(baseline), q).total_cycles;
-                total_method += harness::simulate(machine, run.method(method), q).total_cycles;
+                total_base += ctx.solve_time(run, run.method(baseline), threads);
+                total_method += ctx.solve_time(run, run.method(method), threads);
             }
             let ratio = total_base / total_method;
-            table.push(row![machine.name(), q, ratio]);
-            if machine.scaling_mean_cores().contains(&q) {
+            table.push(row![rows, threads, ratio, ctx.cpu]);
+            if threads >= 2 {
                 mean_ratios.push(ratio);
             }
         }
-        table.notes.push(format!(
-            "mean over {:?} cores, {}: {:.2}",
-            machine.scaling_mean_cores(),
-            machine.name(),
-            arithmetic_mean(&mean_ratios)
-        ));
+        table.notes.push(if mean_ratios.is_empty() {
+            format!("mean over 2+ threads, {rows} rows per super-row: none (one thread)")
+        } else {
+            format!(
+                "mean over 2..={} threads, {rows} rows per super-row: {:.2}",
+                ctx.threads,
+                arithmetic_mean(&mean_ratios)
+            )
+        });
     }
     vec![table]
+}
+
+/// Doubles of `x` per 64-byte cache line.
+const X_PER_LINE: usize = 8;
+
+/// The distinct cache lines of `x` that each super-row task of the largest
+/// pack reads from earlier packs, summed over the pack's tasks and divided
+/// by its unknowns. A task fetches each such line once however many of its
+/// rows read it, so rows that share inputs inside one task cost less.
+fn largest_pack_lines_per_unknown(s: &StsStructure) -> f64 {
+    let p = analysis::largest_pack(s).expect("non-empty structure");
+    let rows = s.pack_rows(p);
+    let l = s.lower();
+    let mut lines = Vec::new();
+    let mut total = 0usize;
+    for sr in s.pack_super_rows(p) {
+        lines.clear();
+        for i in s.super_row_rows(sr) {
+            let earlier = l.row_off_diag_cols(i).iter().filter(|&&j| j < rows.start);
+            lines.extend(earlier.map(|&j| j / X_PER_LINE));
+        }
+        lines.sort_unstable();
+        lines.dedup();
+        total += lines.len();
+    }
+    total as f64 / rows.len().max(1) as f64
 }
 
 /// The paper uses this to show that the STS-k gains come from enhanced
 /// locality inside a pack, not only from fewer synchronisations: the time of
 /// the largest pack, scaled by its number of unknowns, improves by ≈1.75x on
-/// Intel and ≈2.1x on AMD.
+/// Intel and ≈2.1x on AMD. The figure counts that within-pack reuse
+/// directly: the lines of `x` the largest pack's tasks fetch per unknown
+/// ([`largest_pack_lines_per_unknown`]), CSR-COL over STS-3.
 fn fig14_largest_pack(ctx: &Ctx) -> Vec<Table> {
     const COLUMNS: &[&str] = &[
-        "machine",
+        "rows_per_super_row",
         "matrix",
-        "cores",
-        "csr_col_cycles_per_unknown",
-        "sts3_cycles_per_unknown",
-        "relative_speedup_per_unknown",
+        "csr_col_lines_per_unknown",
+        "sts3_lines_per_unknown",
+        "relative_lines_per_unknown",
     ];
     let mut table = Table::new(COLUMNS);
-    for machine in Machine::both() {
-        let cores = machine.figure_cores();
-        let exec = SimulatedExecutor::new(machine.topology());
-        let per_unknown = |mr: &MethodRun| -> f64 {
-            let s = &mr.structure;
-            let p = analysis::largest_pack(s).expect("non-empty structure");
-            let unknowns = s.pack_rows(p).len().max(1) as f64;
-            let schedule = harness::paper_schedule(mr.method);
-            exec.simulate_single_pack(s, p, cores, schedule)
-                .total_cycles
-                / unknowns
-        };
+    for (rows, runs) in ctx.scaled_sets() {
         let mut ratios = Vec::new();
-        for run in ctx.machine_sets(machine).iter() {
-            let c_col = per_unknown(run.method(Method::CsrCol));
-            let c_sts = per_unknown(run.method(Method::Sts3));
+        for run in runs.iter() {
+            let c_col = largest_pack_lines_per_unknown(&run.method(Method::CsrCol).structure);
+            let c_sts = largest_pack_lines_per_unknown(&run.method(Method::Sts3).structure);
             let ratio = c_col / c_sts;
-            table.push(row![
-                machine.name(),
-                run.matrix_label,
-                cores,
-                c_col,
-                c_sts,
-                ratio
-            ]);
+            table.push(row![rows, run.matrix_label, c_col, c_sts, ratio]);
             ratios.push(ratio);
         }
         table.notes.push(format!(
-            "geometric mean, {}: {:.2}",
-            machine.name(),
+            "geometric mean, {rows} rows per super-row: {:.2}",
             geometric_mean(&ratios)
         ));
     }
@@ -859,40 +858,49 @@ fn fig14_largest_pack(ctx: &Ctx) -> Vec<Table> {
 }
 
 /// The two builder ablations: STS-3 built with one `StsBuilder` step on and
-/// off, and the modelled solve time of both. `columns` names the cycles with
-/// the step, the cycles without, and their ratio without / with.
+/// off, and the wall-clock solve time of both at the host's thread count.
+/// `columns` names the seconds with the step, the seconds without, and their
+/// ratio without / with.
 fn builder_ablation(
     ctx: &Ctx,
     columns: [&'static str; 3],
     step: fn(StsBuilder, bool) -> StsBuilder,
 ) -> Vec<Table> {
     let [with, without, gain] = columns;
-    let mut table = Table::new(&["machine", "matrix", with, without, gain]);
-    for machine in Machine::both() {
-        let cores = machine.figure_cores();
-        let exec = SimulatedExecutor::new(machine.topology());
-        let sizing = SuperRowSizing::Rows(machine.rows_per_super_row_scaled(ctx.scale));
+    let mut table = Table::new(&[
+        "rows_per_super_row",
+        "matrix",
+        "threads",
+        with,
+        without,
+        gain,
+        "cpu",
+    ]);
+    let threads = ctx.threads;
+    let (label, schedule) = (Method::Sts3.label(), harness::paper_schedule(Method::Sts3));
+    for rows in ctx.scaled_sizes() {
         for m in &ctx.suite().matrices {
             let l = m
                 .lower()
                 .expect("suite matrices have solvable lower operands");
-            let cycles = |on: bool| {
+            let seconds = |on: bool| {
                 let builder = StsBuilder::new(3)
                     .ordering(Ordering::Coloring)
-                    .super_row_sizing(sizing);
+                    .super_row_sizing(SuperRowSizing::Rows(rows));
                 let s = step(builder, on)
                     .build(&l)
                     .expect("builder succeeds on suite matrices");
-                exec.simulate(&s, cores, Schedule::Guided { min_chunk: 1 })
-                    .total_cycles
+                harness::wallclock_seconds(&s, schedule, threads, label, m.id.label())
             };
-            let (with, without) = (cycles(true), cycles(false));
+            let (with, without) = (seconds(true), seconds(false));
             table.push(row![
-                machine.name(),
+                rows,
                 m.id.label(),
+                threads,
                 with,
                 without,
-                without / with
+                without / with,
+                ctx.cpu
             ]);
         }
     }
@@ -902,7 +910,7 @@ fn builder_ablation(
 /// The paper tunes `schedule(dynamic, 32)` for the flat methods and
 /// `schedule(guided, 1)` for the 3-level methods; this runs STS-3 under
 /// static, dynamic (chunk 1 and 32) and guided schedules and reports the
-/// modelled solve time of the whole suite.
+/// wall-clock solve time of the whole suite.
 fn ablation_schedule(ctx: &Ctx) -> Vec<Table> {
     let schedules: [(&str, Schedule); 4] = [
         ("static", Schedule::Static),
@@ -910,20 +918,25 @@ fn ablation_schedule(ctx: &Ctx) -> Vec<Table> {
         ("dynamic,32", Schedule::Dynamic { chunk: 32 }),
         ("guided,1", Schedule::Guided { min_chunk: 1 }),
     ];
-    let mut table = Table::new(&["machine", "schedule", "total_cycles"]);
-    for machine in Machine::both() {
-        let cores = machine.figure_cores();
-        let exec = SimulatedExecutor::new(machine.topology());
-        let runs = ctx.machine_sets(machine);
+    const COLUMNS: &[&str] = &[
+        "rows_per_super_row",
+        "schedule",
+        "threads",
+        "total_seconds",
+        "cpu",
+    ];
+    let mut table = Table::new(COLUMNS);
+    let (threads, label) = (ctx.threads, Method::Sts3.label());
+    for (rows, runs) in ctx.scaled_sets() {
         for (name, schedule) in schedules {
             let total: f64 = runs
                 .iter()
                 .map(|run| {
                     let s = &run.method(Method::Sts3).structure;
-                    exec.simulate(s, cores, schedule).total_cycles
+                    harness::wallclock_seconds(s, schedule, threads, label, &run.matrix_label)
                 })
                 .sum();
-            table.push(row![machine.name(), name, total]);
+            table.push(row![rows, name, threads, total, ctx.cpu]);
         }
     }
     vec![table]
@@ -935,39 +948,38 @@ fn ablation_schedule(ctx: &Ctx) -> Vec<Table> {
 /// on a representative subset of the suite.
 fn ablation_superrow_size(ctx: &Ctx) -> Vec<Table> {
     const COLUMNS: &[&str] = &[
-        "machine",
         "matrix",
         "rows_per_super_row",
-        "total_cycles",
+        "threads",
+        "seconds",
         "num_packs",
+        "cpu",
     ];
     let subset = [SuiteId::G1, SuiteId::D2, SuiteId::D3, SuiteId::S1];
     let sizes = [10usize, 20, 40, 80, 160, 320, 640];
-    let schedule = harness::paper_schedule(Method::Sts3);
+    let (label, schedule) = (Method::Sts3.label(), harness::paper_schedule(Method::Sts3));
+    let threads = ctx.threads;
     let mut table = Table::new(COLUMNS);
-    for machine in Machine::both() {
-        let cores = machine.figure_cores();
-        let exec = SimulatedExecutor::new(machine.topology());
-        for id in subset {
-            let l = ctx
-                .suite()
-                .by_label(id.label())
-                .expect("the suite holds every id")
-                .lower()
-                .expect("suite matrices have solvable lower operands");
-            for size in sizes {
-                let s = Method::Sts3
-                    .build(&l, size)
-                    .expect("builder succeeds on suite matrices");
-                let cycles = exec.simulate(&s, cores, schedule).total_cycles;
-                table.push(row![
-                    machine.name(),
-                    id.label(),
-                    size,
-                    cycles,
-                    s.num_packs()
-                ]);
-            }
+    for id in subset {
+        let l = ctx
+            .suite()
+            .by_label(id.label())
+            .expect("the suite holds every id")
+            .lower()
+            .expect("suite matrices have solvable lower operands");
+        for size in sizes {
+            let s = Method::Sts3
+                .build(&l, size)
+                .expect("builder succeeds on suite matrices");
+            let seconds = harness::wallclock_seconds(&s, schedule, threads, label, id.label());
+            table.push(row![
+                id.label(),
+                size,
+                threads,
+                seconds,
+                s.num_packs(),
+                ctx.cpu
+            ]);
         }
     }
     vec![table]
@@ -1017,11 +1029,57 @@ mod tests {
     }
 
     #[test]
-    fn wallclock_is_refused_where_it_has_no_form() {
-        let message = reason(&["fig12_scaling_coloring", "--wallclock"]);
-        assert!(message.contains("fig12_scaling_coloring has no wall-clock form"));
-        assert!(message.contains("fig9_parallel_speedup"), "{message}");
-        assert!(reason(&["all", "--wallclock"]).contains("has no wall-clock form"));
+    fn a_retired_flag_is_refused_as_unknown() {
+        // Every timed figure is wall clock now, so the flag that selected
+        // wall clock for three of them is gone.
+        let flag = format!("--{}", "wallclock");
+        for figure in ["fig10_relative_coloring", "all"] {
+            let message = reason(&[figure, &flag]);
+            assert!(
+                message.contains(&format!("unknown argument {flag}")),
+                "{message}"
+            );
+        }
+    }
+
+    #[test]
+    fn the_scaling_figure_runs_every_thread_count_of_the_host() {
+        let ctx = Ctx::new(SuiteScale::Tiny);
+        let figure = FIGURES
+            .iter()
+            .find(|f| f.name == "fig12_scaling_coloring")
+            .unwrap();
+        let tables = (figure.run)(&ctx);
+        let [table] = tables.as_slice() else {
+            panic!("one table")
+        };
+        let column = |name: &str| table.columns.iter().position(|c| *c == name).unwrap();
+        let (size, threads, ratio) = (
+            column("rows_per_super_row"),
+            column("threads"),
+            column("relative_speedup"),
+        );
+        let uint = |v: &Value| match v {
+            Value::UInt(u) => *u as usize,
+            other => panic!("not a count: {other:?}"),
+        };
+        let nproc = sts_numa::affinity::available_cores();
+        for rows in ctx.scaled_sizes() {
+            let at_size: Vec<&Vec<Value>> = table
+                .rows
+                .iter()
+                .filter(|r| uint(&r[size]) == rows)
+                .collect();
+            let counts: Vec<usize> = at_size.iter().map(|r| uint(&r[threads])).collect();
+            assert_eq!(counts, (1..=nproc).collect::<Vec<_>>(), "{rows} rows");
+            for r in at_size {
+                let Value::Float(x) = r[ratio] else {
+                    panic!("a ratio is a float")
+                };
+                assert!(x.is_finite() && x > 0.0, "{rows} rows: ratio {x}");
+            }
+        }
+        assert_eq!(table.rows.len(), 2 * nproc);
     }
 
     #[test]

@@ -1,95 +1,32 @@
-//! Shared machinery of the `paper_figs` driver: the two machine presets,
-//! method construction on a suite matrix, and the two ways to time a solve
-//! (modelled cycles, host wall clock).
+//! Shared machinery of the `paper_figs` driver: the paper's two super-row
+//! sizes scaled for the suite, method construction on a suite matrix, and
+//! the one way to time a solve (wall clock on this host, checked against
+//! the sequential solve first).
 
 use std::time::Instant;
 
-use serde::Serialize;
-use sts_core::{Method, SimReport, SimulatedExecutor, StsStructure};
-use sts_matrix::SuiteMatrix;
-use sts_numa::{NumaTopology, Schedule};
+use sts_core::{Method, StsStructure};
+use sts_matrix::{ops, SuiteMatrix, SuiteScale};
+use sts_numa::Schedule;
 
-/// The two evaluation machines of the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
-pub enum Machine {
-    /// 32-core Intel Westmere-EX node (figures use 16 cores; scaling 1–32).
-    Intel,
-    /// 24-core AMD MagnyCours node (figures use 12 cores; scaling 1–24).
-    Amd,
-}
+/// The super-row sizes the paper tunes per machine: 80 rows on its Intel
+/// node and 320 on its AMD node ("to correspond to bigger L2 cache on
+/// AMD").
+pub const PAPER_ROWS_PER_SUPER_ROW: [usize; 2] = [80, 320];
 
-impl Machine {
-    /// Both machines, Intel first as in the paper's figures.
-    pub fn both() -> [Machine; 2] {
-        [Machine::Intel, Machine::Amd]
-    }
-
-    /// The topology preset for this machine.
-    pub fn topology(&self) -> NumaTopology {
-        match self {
-            Machine::Intel => NumaTopology::intel_westmere_ex_32(),
-            Machine::Amd => NumaTopology::amd_magny_cours_24(),
-        }
-    }
-
-    /// The per-matrix figure core count (16 on Intel, 12 on AMD).
-    pub fn figure_cores(&self) -> usize {
-        match self {
-            Machine::Intel => 16,
-            Machine::Amd => 12,
-        }
-    }
-
-    /// The core counts of the scaling figures (Figures 12 and 13).
-    pub fn scaling_cores(&self) -> &'static [usize] {
-        match self {
-            Machine::Intel => &[1, 2, 4, 8, 16, 24, 32],
-            Machine::Amd => &[1, 2, 4, 6, 12, 18, 24],
-        }
-    }
-
-    /// The core counts the paper averages over for the scaling figures
-    /// (8–32 on Intel, 6–24 on AMD).
-    pub fn scaling_mean_cores(&self) -> &'static [usize] {
-        match self {
-            Machine::Intel => &[8, 16, 24, 32],
-            Machine::Amd => &[6, 12, 18, 24],
-        }
-    }
-
-    /// The super-row size the paper uses on this machine (80 rows on Intel,
-    /// 320 on AMD, chosen for the respective L2 sizes).
-    pub fn rows_per_super_row(&self) -> usize {
-        match self {
-            Machine::Intel => 80,
-            Machine::Amd => 320,
-        }
-    }
-
-    /// The super-row size used by the harnesses at a given suite scale.
-    ///
-    /// The paper's 80/320 rows are calibrated for matrices of 1–50 million
-    /// rows whose dependency levels are tens of thousands of rows wide. The
-    /// generated suite is 100–1000× smaller, so using the paper's sizes would
-    /// leave most packs with a single task and no parallelism to measure.
-    /// The scaled values keep the ratio of tasks per pack in the regime the
-    /// paper evaluates while preserving the Intel:AMD 1:4 ratio.
-    pub fn rows_per_super_row_scaled(&self, scale: sts_matrix::SuiteScale) -> usize {
-        use sts_matrix::SuiteScale::*;
-        match (self, scale) {
-            (Machine::Intel, Tiny) | (Machine::Intel, Small) => 8,
-            (Machine::Intel, Medium) => 40,
-            (Machine::Amd, Tiny) | (Machine::Amd, Small) => 32,
-            (Machine::Amd, Medium) => 160,
-        }
-    }
-
-    /// Display name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Machine::Intel => "Intel",
-            Machine::Amd => "AMD",
-        }
+/// The super-row size the harnesses use for one of the paper's sizes at a
+/// given suite scale.
+///
+/// The paper's 80/320 rows are calibrated for matrices of 1–50 million
+/// rows whose dependency levels are tens of thousands of rows wide. The
+/// generated suite is 100–1000× smaller, so using the paper's sizes would
+/// leave most packs with a single task and no parallelism to measure.
+/// The scaled values keep the ratio of tasks per pack in the regime the
+/// paper evaluates while preserving the 1:4 ratio of the two sizes.
+pub fn rows_per_super_row_scaled(paper_rows: usize, scale: SuiteScale) -> usize {
+    match scale {
+        SuiteScale::Tiny | SuiteScale::Small => paper_rows / 10,
+        SuiteScale::Medium => paper_rows / 2,
     }
 }
 
@@ -105,8 +42,7 @@ pub struct MethodRun {
     pub build_seconds: f64,
 }
 
-/// All four methods built on one suite matrix (for a given machine's
-/// super-row size).
+/// All four methods built on one suite matrix at one super-row size.
 #[derive(Debug)]
 pub struct SuiteRun {
     /// The suite matrix.
@@ -166,28 +102,59 @@ pub fn paper_schedule(method: Method) -> Schedule {
     }
 }
 
-/// Simulates one built method on `cores` cores of the given machine.
-pub fn simulate(machine: Machine, run: &MethodRun, cores: usize) -> SimReport {
-    let exec = SimulatedExecutor::new(machine.topology());
-    exec.simulate(&run.structure, cores, paper_schedule(run.method))
-}
+/// Solves timed per measurement (the paper averages over 10).
+const REPEATS: usize = 3;
 
-/// Measures the wall-clock solve time of one built method on the host with
-/// `threads` workers: one untimed warm-up solve (which also forces the lazy
-/// layouts out of the timed region), then the mean over `repeats` solves, as
-/// the paper averages over 10 repeats.
-pub fn wallclock_seconds(run: &MethodRun, threads: usize, repeats: usize) -> f64 {
-    let solver = sts_core::ParallelSolver::new(threads, paper_schedule(run.method));
-    let b = vec![1.0; run.structure.n()];
-    let solve = || {
-        solver.solve(&run.structure, &b).expect("solve succeeds");
-    };
-    solve(); // warm-up
+/// Mean wall-clock seconds of one solve of `s` on this host with `threads`
+/// workers under `schedule`, by the paper's barrier-per-pack kernel
+/// ([`sts_core::ParallelSolver::solve`]).
+///
+/// One untimed warm-up solve comes first. It also forces any lazy layout
+/// out of the timed region, and its answer is checked against
+/// [`StsStructure::solve_sequential`] on the same right-hand side, to the
+/// `1e-12` relative ∞-norm bound of the solver's own parallel-vs-sequential
+/// test: a time is only reported for a solve that is right.
+///
+/// # Panics
+///
+/// When the check fails, naming `method` and `matrix`.
+pub fn wallclock_seconds(
+    s: &StsStructure,
+    schedule: Schedule,
+    threads: usize,
+    method: &str,
+    matrix: &str,
+) -> f64 {
+    let solver = sts_core::ParallelSolver::new(threads, schedule);
+    let b = vec![1.0; s.n()];
+    let solve = || solver.solve(s, &b).expect("solve succeeds");
+    let x = solve();
+    let reference = s.solve_sequential(&b).expect("sequential solve succeeds");
+    let error = ops::relative_error_inf(&x, &reference);
+    assert!(
+        error <= 1e-12,
+        "{method} on {matrix} ({threads} threads): parallel solve differs from the \
+         sequential one by {error:e}"
+    );
     let start = Instant::now();
-    for _ in 0..repeats {
+    for _ in 0..REPEATS {
         solve();
     }
-    start.elapsed().as_secs_f64() / repeats as f64
+    start.elapsed().as_secs_f64() / REPEATS as f64
+}
+
+/// The host's CPU model (the `model name` of `/proc/cpuinfo`), recorded
+/// beside every timed row; `"unknown"` where the platform does not say.
+pub fn cpu_model() -> String {
+    std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|info| {
+            info.lines().find_map(|line| {
+                let (key, value) = line.split_once(':')?;
+                (key.trim() == "model name").then(|| value.trim().to_string())
+            })
+        })
+        .unwrap_or_else(|| "unknown".to_string())
 }
 
 /// Geometric mean of a slice of positive values (0 when empty).
@@ -203,18 +170,20 @@ pub fn geometric_mean(values: &[f64]) -> f64 {
 mod tests {
     use super::*;
     use sts_matrix::suite::{self, SuiteId};
-    use sts_matrix::SuiteScale;
 
     #[test]
-    fn machine_presets_match_paper_parameters() {
-        assert_eq!(Machine::Intel.figure_cores(), 16);
-        assert_eq!(Machine::Amd.figure_cores(), 12);
-        assert_eq!(Machine::Intel.rows_per_super_row(), 80);
-        assert_eq!(Machine::Amd.rows_per_super_row(), 320);
-        assert_eq!(Machine::Intel.topology().total_cores(), 32);
-        assert_eq!(Machine::Amd.topology().total_cores(), 24);
-        assert_eq!(*Machine::Intel.scaling_cores().last().unwrap(), 32);
-        assert_eq!(*Machine::Amd.scaling_cores().last().unwrap(), 24);
+    fn scaled_super_row_sizes_keep_the_paper_ratio() {
+        assert_eq!(PAPER_ROWS_PER_SUPER_ROW, [80, 320]);
+        for (scale, sizes) in [
+            (SuiteScale::Tiny, [8, 32]),
+            (SuiteScale::Small, [8, 32]),
+            (SuiteScale::Medium, [40, 160]),
+        ] {
+            assert_eq!(
+                PAPER_ROWS_PER_SUPER_ROW.map(|rows| rows_per_super_row_scaled(rows, scale)),
+                sizes
+            );
+        }
     }
 
     #[test]
@@ -227,19 +196,6 @@ mod tests {
             assert_eq!(mr.structure.n(), run.n);
             assert!(mr.build_seconds >= 0.0);
         }
-    }
-
-    #[test]
-    fn simulation_of_built_methods_is_positive_and_favours_sts3() {
-        let m = suite::generate(SuiteId::D2, SuiteScale::Tiny).unwrap();
-        let run = build_methods(&m, Machine::Intel.rows_per_super_row());
-        let t_ref = simulate(Machine::Intel, &run.methods[0], 16).total_cycles;
-        let t_sts = simulate(Machine::Intel, &run.methods[3], 16).total_cycles;
-        assert!(t_ref > 0.0 && t_sts > 0.0);
-        assert!(
-            t_sts < t_ref,
-            "STS-3 should beat CSR-LS: {t_sts} vs {t_ref}"
-        );
     }
 
     #[test]
@@ -265,7 +221,8 @@ mod tests {
     fn wallclock_measurement_returns_positive_time() {
         let m = suite::generate(SuiteId::D3, SuiteScale::Tiny).unwrap();
         let run = build_methods(&m, 16);
-        let t = wallclock_seconds(&run.methods[3], 2, 2);
+        let sts = run.method(Method::Sts3);
+        let t = wallclock_seconds(&sts.structure, paper_schedule(sts.method), 2, "STS-3", "D3");
         assert!(t > 0.0);
     }
 }

@@ -1,14 +1,16 @@
-//! Parallelism and work-distribution statistics.
+//! Parallelism, work-distribution and traffic counts of a built structure.
 //!
 //! These are the quantities plotted in Figures 7 and 8 of the paper: how many
 //! packs a method needs, how many solution components each pack computes on
 //! average, and which fraction of the total work (nonzeros) is concentrated in
 //! the few largest packs — the measure that predicts both latency masking and
-//! synchronisation overhead.
+//! synchronisation overhead. [`solve_bytes`] counts the compulsory memory
+//! traffic of one sweep, the byte side of a roofline bound.
 
 use serde::Serialize;
 
 use crate::csrk::StsStructure;
+use crate::options::PrecisionPolicy;
 
 /// Parallelism statistics of one built structure.
 #[derive(Debug, Clone, PartialEq, Serialize)]
@@ -61,6 +63,103 @@ pub fn work_fraction_in_top_packs(s: &StsStructure, top: usize) -> f64 {
 /// the earliest pack); `None` for an empty structure.
 pub fn largest_pack(s: &StsStructure) -> Option<usize> {
     (0..s.num_packs()).max_by_key(|&p| (s.pack_rows(p).len(), usize::MAX - p))
+}
+
+/// The compulsory memory traffic of one forward split sweep under a given
+/// [`PrecisionPolicy`]: a count, not a timing.
+///
+/// The sweeps are bandwidth-bound: each solve streams the slab arrays once
+/// (compulsory traffic), so this is exact arithmetic over the layout sizes,
+/// not a cache simulation. Counted per solve:
+///
+/// * **value bytes** — the external + internal value slabs at the policy's
+///   storage width, plus the reciprocal diagonal (always `f64`: the
+///   storage/accumulation invariant keeps the diagonal scale exact);
+/// * **index bytes** — the `u32` column slabs plus the two `usize` row
+///   pointers;
+/// * **vector bytes** — reading `b` and writing `x` once each (`f64`).
+///   Gather *reads* of `x` are reuse-dependent and are not counted.
+///
+/// Demoting the slabs to `f32` halves the value-slab term and nothing else,
+/// so quote [`total_bytes_per_row`](Self::total_bytes_per_row) beside
+/// [`value_bytes_per_row`](Self::value_bytes_per_row): on the 200×200
+/// Laplacian the values go 23.9 → 16.0 B/row (33 %) while the total goes
+/// 64 → 56 (12 %); on the 56³ 27-point grid the total goes 190 → 140 (26 %).
+#[derive(Debug, Clone, PartialEq, Serialize)]
+pub struct SolveBytesModel {
+    /// Rows of the counted structure.
+    pub n: usize,
+    /// Value-slab traffic (slabs at storage width + `f64` reciprocal
+    /// diagonal).
+    pub value_bytes: u64,
+    /// Index traffic (`u32` columns + `usize` row pointers).
+    pub index_bytes: u64,
+    /// Right-hand-side read + solution write.
+    pub vector_bytes: u64,
+}
+
+impl SolveBytesModel {
+    /// Total traffic of one sweep.
+    pub fn total_bytes(&self) -> u64 {
+        self.value_bytes + self.index_bytes + self.vector_bytes
+    }
+
+    /// Value-slab traffic per row: the only term the slab precision changes.
+    pub fn value_bytes_per_row(&self) -> f64 {
+        if self.n == 0 {
+            0.0
+        } else {
+            self.value_bytes as f64 / self.n as f64
+        }
+    }
+
+    /// Total traffic per row.
+    pub fn total_bytes_per_row(&self) -> f64 {
+        if self.n == 0 {
+            0.0
+        } else {
+            self.total_bytes() as f64 / self.n as f64
+        }
+    }
+}
+
+/// Counts the compulsory memory traffic of one forward split sweep of `s`
+/// under `precision` (see [`SolveBytesModel`] for what is counted). Forces
+/// the lazy split layout; pure arithmetic otherwise.
+pub fn solve_bytes(s: &StsStructure, precision: PrecisionPolicy) -> SolveBytesModel {
+    let split = s.split();
+    let n = split.n() as u64;
+    let slab_nnz = (split.ext_nnz() + split.int_nnz()) as u64;
+    let usize_bytes = std::mem::size_of::<usize>() as u64;
+    SolveBytesModel {
+        n: split.n(),
+        value_bytes: slab_nnz * precision.value_bytes() as u64 + n * 8,
+        index_bytes: slab_nnz * 4 + 2 * (n + 1) * usize_bytes,
+        vector_bytes: 2 * n * 8,
+    }
+}
+
+/// Kept only because the repository benchmark (`benchmark/`) names it: its
+/// one method, [`model_solve_bytes`](Self::model_solve_bytes), is
+/// [`solve_bytes`]. It models no machine and times nothing.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct SimulatedExecutor;
+
+impl SimulatedExecutor {
+    /// The shim; the topology is ignored (see
+    /// [`sts_numa::topology::NumaTopology`]).
+    pub fn new(_topology: sts_numa::topology::NumaTopology) -> Self {
+        SimulatedExecutor
+    }
+
+    /// [`solve_bytes`] of `s` under `precision`.
+    pub fn model_solve_bytes(
+        &self,
+        s: &StsStructure,
+        precision: PrecisionPolicy,
+    ) -> SolveBytesModel {
+        solve_bytes(s, precision)
+    }
 }
 
 #[cfg(test)]
@@ -143,5 +242,37 @@ mod tests {
         assert_eq!(st.num_packs, 0);
         assert_eq!(st.total_work, 0);
         assert_eq!(largest_pack(&s), None);
+    }
+
+    #[test]
+    fn solve_bytes_on_the_laplacian_are_pinned_at_both_precisions() {
+        let a = generators::grid2d_laplacian(200, 200).unwrap();
+        let l = generators::lower_operand(&a).unwrap();
+        let s = Method::Sts3.build(&l, 80).unwrap();
+        let f64_bytes = solve_bytes(&s, PrecisionPolicy::ValuesF64);
+        let f32_bytes = solve_bytes(&s, PrecisionPolicy::ValuesF32WithRefinement);
+        // Recorded from the simulator's byte model before it became this free
+        // function: the arithmetic moved unchanged.
+        let expect = |value_bytes| SolveBytesModel {
+            n: 40_000,
+            value_bytes,
+            index_bytes: 958_416,
+            vector_bytes: 640_000,
+        };
+        assert_eq!(f64_bytes, expect(956_800));
+        assert_eq!(f32_bytes, expect(638_400));
+        // The doc comment's per-row figures: 23.9 → 16.0 value B/row,
+        // 64 → 56 total.
+        assert_eq!(format!("{:.1}", f64_bytes.value_bytes_per_row()), "23.9");
+        assert_eq!(format!("{:.1}", f32_bytes.value_bytes_per_row()), "16.0");
+        assert_eq!(f64_bytes.total_bytes_per_row().round(), 64.0);
+        assert_eq!(f32_bytes.total_bytes_per_row().round(), 56.0);
+        let shim = SimulatedExecutor::new(sts_numa::topology::NumaTopology::uma(2));
+        for (precision, bytes) in [
+            (PrecisionPolicy::ValuesF64, &f64_bytes),
+            (PrecisionPolicy::ValuesF32WithRefinement, &f32_bytes),
+        ] {
+            assert_eq!(&shim.model_solve_bytes(&s, precision), bytes);
+        }
     }
 }

@@ -47,9 +47,6 @@ pub enum SuperRowSizing {
     /// A fixed number of consecutive rows per super-row (the paper uses 80 on
     /// the Intel node and 320 on the AMD node).
     Rows(usize),
-    /// Consecutive rows accumulated until a nonzero budget is reached
-    /// (equal-work super-rows).
-    Nnz(usize),
 }
 
 /// The four methods compared throughout the paper's evaluation.
@@ -213,13 +210,9 @@ impl StsBuilder {
             let groups: Vec<Vec<usize>> = (0..n).map(|i| vec![i]).collect();
             (groups, g1r)
         } else {
-            let strategy = match self.sizing {
-                SuperRowSizing::Rows(r) => CoarseningStrategy::ContiguousRows {
-                    rows_per_group: r.max(1),
-                },
-                SuperRowSizing::Nnz(b) => CoarseningStrategy::ContiguousNnz {
-                    nnz_per_group: b.max(1),
-                },
+            let SuperRowSizing::Rows(r) = self.sizing;
+            let strategy = CoarseningStrategy::ContiguousRows {
+                rows_per_group: r.max(1),
             };
             let coarsening = Coarsening::coarsen(&g1r, strategy);
             let coarse = coarsening.coarse_graph(&g1r);
@@ -420,19 +413,6 @@ mod tests {
             assert!(s.super_row_rows(sr).len() <= 16);
         }
         assert!(s.num_super_rows() >= 400 / 16);
-    }
-
-    #[test]
-    fn super_row_sizing_by_nnz_builds_and_solves() {
-        let a = generators::grid2d_9point(15, 15).unwrap();
-        let l = generators::lower_operand(&a).unwrap();
-        let s = StsBuilder::new(3)
-            .ordering(Ordering::Coloring)
-            .super_row_sizing(SuperRowSizing::Nnz(120))
-            .build(&l)
-            .unwrap();
-        s.validate().unwrap();
-        check_solves_correctly(&s);
     }
 
     #[test]

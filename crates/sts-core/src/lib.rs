@@ -34,12 +34,10 @@
 //!   [`solver::parallel::ParallelSolver::solve_with`], and the [`SlabValue`]
 //!   abstraction behind the mixed-precision (f32-storage / f64-accumulation)
 //!   sweep kernels;
-//! * [`exec`] — the simulated NUMA executor that prices the paper's
-//!   pack-by-pack solve on a modelled machine (the 32-core Intel and 24-core
-//!   AMD nodes), used by the `paper_figs` driver, and the bytes-per-sweep
-//!   model the repo benchmark's roofline ratio is taken against;
 //! * [`analysis`] — the parallelism and work-distribution statistics behind
-//!   Figures 7 and 8;
+//!   Figures 7 and 8, and the bytes-per-sweep count
+//!   ([`analysis::solve_bytes`]) the repo benchmark's roofline ratio is
+//!   taken against;
 //! * [`verify`] — static schedule verification: extracts the dispatches the
 //!   split sweep and the super-row loop issue, with every task's exact
 //!   read/write footprint, and checks that a barrier or program order
@@ -64,7 +62,6 @@
 pub mod analysis;
 pub mod builder;
 pub mod csrk;
-pub mod exec;
 pub mod options;
 pub mod pack;
 pub mod reorder;
@@ -73,11 +70,9 @@ pub mod split;
 pub mod transpose;
 pub mod verify;
 
+pub use analysis::{SimulatedExecutor, SolveBytesModel};
 pub use builder::{Method, Ordering, StsBuilder, SuperRowSizing};
 pub use csrk::StsStructure;
-pub use exec::simulated::{
-    SimReport, SimSchedule, SimulatedExecutor, SimulationParams, SolveBytesModel,
-};
 pub use options::{PrecisionPolicy, SlabValue, SolveEngine, SolveOptions, SweepDirection};
 pub use solver::parallel::{ChaosHook, ParallelSolver};
 pub use solver::vector::BlockSums;

@@ -7,12 +7,10 @@
 //! aims for super-rows with roughly equal numbers of nonzeros so that tasks
 //! have equal work.
 //!
-//! Three strategies are provided:
+//! Two strategies are provided:
 //!
 //! * [`CoarseningStrategy::ContiguousRows`] — fixed number of consecutive rows
 //!   per super-row (the paper's 80 rows on Intel / 320 rows on AMD);
-//! * [`CoarseningStrategy::ContiguousNnz`] — consecutive rows accumulated
-//!   until a nonzero budget is reached (equal-work super-rows);
 //! * [`CoarseningStrategy::HeavyEdgeMatching`] — classic multilevel pairwise
 //!   matching (the Figure 1 illustration collapses pairs of connected
 //!   vertices), useful when the matrix is not band-ordered.
@@ -26,12 +24,6 @@ pub enum CoarseningStrategy {
     ContiguousRows {
         /// Number of consecutive rows per super-row (≥ 1).
         rows_per_group: usize,
-    },
-    /// Group consecutive vertices until the sum of their weights reaches
-    /// `nnz_per_group`.
-    ContiguousNnz {
-        /// Nonzero budget per super-row (≥ 1).
-        nnz_per_group: usize,
     },
     /// Greedy heavy-edge matching: every super-vertex is a matched pair of
     /// adjacent vertices (or a leftover singleton).
@@ -50,43 +42,23 @@ pub struct Coarsening {
 impl Coarsening {
     /// Coarsens `graph` with the requested strategy.
     ///
-    /// For the contiguous strategies the vertex numbering is assumed to be a
+    /// For the contiguous strategy the vertex numbering is assumed to be a
     /// band-reducing (e.g. RCM) order, as in the paper.
     pub fn coarsen(graph: &Graph, strategy: CoarseningStrategy) -> Coarsening {
         match strategy {
             CoarseningStrategy::ContiguousRows { rows_per_group } => {
-                let rows_per_group = rows_per_group.max(1);
-                Self::contiguous_by(graph.n(), |start| (start + rows_per_group).min(graph.n()))
-            }
-            CoarseningStrategy::ContiguousNnz { nnz_per_group } => {
-                let budget = nnz_per_group.max(1);
-                Self::contiguous_by(graph.n(), |start| {
-                    let mut end = start;
-                    let mut acc = 0usize;
-                    while end < graph.n() && (acc < budget || end == start) {
-                        acc += graph.weight(end);
-                        end += 1;
-                    }
-                    end
-                })
+                Self::contiguous(graph.n(), rows_per_group.max(1))
             }
             CoarseningStrategy::HeavyEdgeMatching => Self::heavy_edge_matching(graph),
         }
     }
 
-    fn contiguous_by(n: usize, mut next_end: impl FnMut(usize) -> usize) -> Coarsening {
-        let mut membership = vec![0usize; n];
-        let mut groups = Vec::new();
-        let mut start = 0usize;
-        while start < n {
-            let end = next_end(start).max(start + 1).min(n);
-            let s = groups.len();
-            for m in &mut membership[start..end] {
-                *m = s;
-            }
-            groups.push((start..end).collect());
-            start = end;
-        }
+    fn contiguous(n: usize, rows_per_group: usize) -> Coarsening {
+        let membership = (0..n).map(|v| v / rows_per_group).collect();
+        let groups = (0..n)
+            .step_by(rows_per_group)
+            .map(|start| (start..(start + rows_per_group).min(n)).collect())
+            .collect();
         Coarsening { membership, groups }
     }
 
@@ -236,29 +208,10 @@ mod tests {
     }
 
     #[test]
-    fn contiguous_nnz_balances_weight() {
-        let g = grid_graph(8, 8);
-        let c = Coarsening::coarsen(&g, CoarseningStrategy::ContiguousNnz { nnz_per_group: 20 });
-        assert!(c.is_contiguous());
-        // Every group except possibly the last reaches the budget.
-        for s in 0..c.num_groups() - 1 {
-            let w: usize = c.group(s).iter().map(|&v| g.weight(v)).sum();
-            assert!(w >= 20, "group {s} under budget: {w}");
-        }
-        // No group massively overshoots (bounded by budget + max weight).
-        let max_w = (0..g.n()).map(|v| g.weight(v)).max().unwrap();
-        for s in 0..c.num_groups() {
-            let w: usize = c.group(s).iter().map(|&v| g.weight(v)).sum();
-            assert!(w <= 20 + max_w);
-        }
-    }
-
-    #[test]
     fn membership_is_a_partition_for_all_strategies() {
         let g = grid_graph(7, 5);
         for strat in [
             CoarseningStrategy::ContiguousRows { rows_per_group: 3 },
-            CoarseningStrategy::ContiguousNnz { nnz_per_group: 12 },
             CoarseningStrategy::HeavyEdgeMatching,
         ] {
             let c = Coarsening::coarsen(&g, strat);
@@ -331,18 +284,5 @@ mod tests {
         let pairs = sizes.iter().filter(|&&s| s == 2).count();
         let singles = sizes.iter().filter(|&&s| s == 1).count();
         assert_eq!((pairs, singles), (4, 1));
-    }
-
-    #[test]
-    fn single_group_when_budget_exceeds_total() {
-        let g = grid_graph(3, 3);
-        let c = Coarsening::coarsen(
-            &g,
-            CoarseningStrategy::ContiguousNnz {
-                nnz_per_group: 10_000,
-            },
-        );
-        assert_eq!(c.num_groups(), 1);
-        assert_eq!(c.group(0).len(), 9);
     }
 }

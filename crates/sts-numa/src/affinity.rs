@@ -1,9 +1,9 @@
 //! Thread-to-core pinning.
 //!
 //! The paper pins OpenMP threads with `KMP_AFFINITY=compact`. The worker pool
-//! in [`pool`](crate::pool) pins each worker to a core id taken from
-//! [`NumaTopology::compact_core_order`](crate::topology::NumaTopology::compact_core_order)
-//! using `sched_setaffinity` on Linux. On other platforms, and for a core the
+//! in [`pool`](crate::pool) pins each worker to a core id taken from the
+//! caller's core order (e.g. `0..threads`, the compact order) using
+//! `sched_setaffinity` on Linux. On other platforms, and for a core the
 //! kernel refuses (offline, or outside the process's cpuset), pinning
 //! degrades to a no-op so the library stays portable.
 

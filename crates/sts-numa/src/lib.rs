@@ -1,16 +1,9 @@
 //! NUMA substrate for the STS-k reproduction.
 //!
 //! The paper's performance argument is about *where data lives* relative to
-//! the core that needs it: private L1/L2, the shared (and NUMA-affected) L3,
-//! local DRAM or a remote socket's DRAM. This crate provides:
+//! the core that needs it. This crate provides what places the work on the
+//! host's cores:
 //!
-//! * [`topology`] — a machine model (sockets, cores, L3 sharing groups) with
-//!   presets for the paper's two evaluation platforms, the 32-core Intel
-//!   Westmere-EX node and the 24-core AMD MagnyCours node, plus best-effort
-//!   detection of the host machine;
-//! * [`latency`] — a cycle-cost model of data accesses at each NUMA distance,
-//!   seeded with the latencies the paper cites (L1 4 cycles, L2 10 cycles,
-//!   L3 38–170 cycles, DRAM 175–290 cycles);
 //! * [`affinity`] — thread pinning (`sched_setaffinity` on Linux, no-op
 //!   elsewhere), the equivalent of the paper's `KMP_AFFINITY=compact`;
 //! * [`pool`] — a persistent, optionally pinned worker pool with the static /
@@ -19,16 +12,15 @@
 //!   briefly before they sleep, as under OpenMP. Loop bodies
 //!   run under `catch_unwind`, so a panicking body surfaces as a structured
 //!   [`PoolError`] instead of deadlocking the completion barrier. Its waits
-//!   relax through one crate-private spin-then-yield step (`spin`).
+//!   relax through one crate-private spin-then-yield step (`spin`);
+//! * [`topology`] — a field-less `NumaTopology` kept only because the
+//!   repository benchmark names it.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod affinity;
-pub mod latency;
 pub mod pool;
 mod spin;
 pub mod topology;
 
-pub use latency::{AccessKind, LatencyModel};
 pub use pool::{PoolError, Schedule, WorkerPool};
-pub use topology::{NumaDistance, NumaTopology};

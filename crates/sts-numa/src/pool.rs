@@ -333,8 +333,7 @@ impl WorkerPool {
     /// Creates a pool of `threads` slots: the thread that calls
     /// [`WorkerPool::parallel_for`] as slot 0 and `threads − 1` spawned
     /// helpers, helper `i` pinned to `core_order[i]` when that entry exists
-    /// (see
-    /// [`NumaTopology::compact_core_order`](crate::topology::NumaTopology::compact_core_order)).
+    /// (e.g. `0..threads`, the compact order).
     /// `core_order[0]` names the core of slot 0 and is **not applied**: the
     /// pool does not own the calling thread and leaves its affinity to
     /// whoever does. A caller that wants the compact placement for the

@@ -1,251 +1,15 @@
-//! Machine topology model.
-//!
-//! A [`NumaTopology`] describes how cores are grouped into L3 sharing domains
-//! and sockets. It is deliberately simple — exactly the information the
-//! paper's scheduling heuristics and our simulated executor need to decide
-//! whether a solution component produced by one core is "proximal" (same L3),
-//! on the same socket, or on a remote socket for another core.
+//! A placeholder kept only because the repository benchmark (`benchmark/`)
+//! names it: `NumaTopology::uma(threads)` is the argument of
+//! `sts_core::SimulatedExecutor::new`, which counts bytes and models no
+//! machine. Nothing in the library reads it.
 
-use serde::Serialize;
-
-use crate::latency::LatencyModel;
-
-/// Relative placement of two cores in the NUMA hierarchy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize)]
-pub enum NumaDistance {
-    /// The same core (data likely in private L1/L2).
-    SameCore,
-    /// Different cores sharing an L3 cache slice.
-    SameL3,
-    /// Same socket but different L3 group (AMD MagnyCours has two dies per
-    /// package, each with its own L3).
-    SameSocket,
-    /// Different sockets.
-    RemoteSocket,
-}
-
-/// A NUMA machine: `sockets × l3_groups_per_socket × cores_per_l3` cores.
-#[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct NumaTopology {
-    /// Human-readable name used in benchmark output.
-    pub name: String,
-    /// Number of sockets (packages).
-    pub sockets: usize,
-    /// L3 sharing domains per socket.
-    pub l3_groups_per_socket: usize,
-    /// Cores per L3 sharing domain.
-    pub cores_per_l3: usize,
-    /// The access-latency model attached to this machine.
-    pub latency: LatencyModel,
-}
+/// Describes no machine; see the module docs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct NumaTopology;
 
 impl NumaTopology {
-    /// Builds a topology, validating that every level has at least one member.
-    pub fn new(
-        name: impl Into<String>,
-        sockets: usize,
-        l3_groups_per_socket: usize,
-        cores_per_l3: usize,
-        latency: LatencyModel,
-    ) -> Self {
-        assert!(sockets > 0 && l3_groups_per_socket > 0 && cores_per_l3 > 0);
-        NumaTopology {
-            name: name.into(),
-            sockets,
-            l3_groups_per_socket,
-            cores_per_l3,
-            latency,
-        }
-    }
-
-    /// The paper's Intel evaluation node: 4 × Xeon E7-8837 (Westmere-EX),
-    /// 8 cores per socket, one 24 MB L3 shared by all 8 cores of a socket.
-    pub fn intel_westmere_ex_32() -> Self {
-        NumaTopology::new(
-            "Intel Westmere-EX 4x8",
-            4,
-            1,
-            8,
-            LatencyModel::intel_westmere_ex(),
-        )
-    }
-
-    /// The paper's AMD evaluation node: 2 × twelve-core MagnyCours. Each
-    /// package carries two six-core dies, each die with its own 6 MB L3.
-    pub fn amd_magny_cours_24() -> Self {
-        NumaTopology::new(
-            "AMD MagnyCours 2x12",
-            2,
-            2,
-            6,
-            LatencyModel::amd_magny_cours(),
-        )
-    }
-
-    /// A flat UMA machine with `cores` cores sharing one L3 — the platform of
-    /// Definition 1 (used by the In-Pack complexity results and their tests).
-    pub fn uma(cores: usize) -> Self {
-        NumaTopology::new(
-            format!("UMA {cores}-core"),
-            1,
-            1,
-            cores.max(1),
-            LatencyModel::uma(),
-        )
-    }
-
-    /// Best-effort description of the host: `available_parallelism` cores on a
-    /// single socket sharing one L3. Good enough for wall-clock runs; the
-    /// simulated executor should use the presets instead.
-    pub fn detect_host() -> Self {
-        let cores = std::thread::available_parallelism()
-            .map(|c| c.get())
-            .unwrap_or(1);
-        NumaTopology::new(
-            format!("host ({cores} cores)"),
-            1,
-            1,
-            cores,
-            LatencyModel::uma(),
-        )
-    }
-
-    /// Total number of cores.
-    pub fn total_cores(&self) -> usize {
-        self.sockets * self.l3_groups_per_socket * self.cores_per_l3
-    }
-
-    /// Cores per socket.
-    pub fn cores_per_socket(&self) -> usize {
-        self.l3_groups_per_socket * self.cores_per_l3
-    }
-
-    /// The socket that owns `core`.
-    pub fn socket_of(&self, core: usize) -> usize {
-        core / self.cores_per_socket()
-    }
-
-    /// The global L3-group index that owns `core`.
-    pub fn l3_group_of(&self, core: usize) -> usize {
-        core / self.cores_per_l3
-    }
-
-    /// The NUMA distance between two cores.
-    pub fn distance(&self, a: usize, b: usize) -> NumaDistance {
-        if a == b {
-            NumaDistance::SameCore
-        } else if self.l3_group_of(a) == self.l3_group_of(b) {
-            NumaDistance::SameL3
-        } else if self.socket_of(a) == self.socket_of(b) {
-            NumaDistance::SameSocket
-        } else {
-            NumaDistance::RemoteSocket
-        }
-    }
-
-    /// The list of core ids in "compact" affinity order (fill one L3 group,
-    /// then the next) truncated to `count` — the order in which worker threads
-    /// are pinned, matching `KMP_AFFINITY=compact`.
-    pub fn compact_core_order(&self, count: usize) -> Vec<usize> {
-        (0..self.total_cores().min(count)).collect()
-    }
-
-    /// The list of core ids in "scatter" order (round-robin across sockets),
-    /// provided for ablation experiments.
-    pub fn scatter_core_order(&self, count: usize) -> Vec<usize> {
-        let total = self.total_cores();
-        let per_socket = self.cores_per_socket();
-        let mut order = Vec::with_capacity(total);
-        for offset in 0..per_socket {
-            for s in 0..self.sockets {
-                order.push(s * per_socket + offset);
-            }
-        }
-        order.truncate(count.min(total));
-        order
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn intel_preset_has_32_cores_in_4_sockets() {
-        let t = NumaTopology::intel_westmere_ex_32();
-        assert_eq!(t.total_cores(), 32);
-        assert_eq!(t.sockets, 4);
-        assert_eq!(t.cores_per_socket(), 8);
-        assert_eq!(t.socket_of(0), 0);
-        assert_eq!(t.socket_of(31), 3);
-    }
-
-    #[test]
-    fn amd_preset_has_24_cores_with_6_core_l3_groups() {
-        let t = NumaTopology::amd_magny_cours_24();
-        assert_eq!(t.total_cores(), 24);
-        assert_eq!(t.l3_group_of(0), 0);
-        assert_eq!(t.l3_group_of(5), 0);
-        assert_eq!(t.l3_group_of(6), 1);
-        // cores 0 and 6 share a socket but not an L3.
-        assert_eq!(t.distance(0, 6), NumaDistance::SameSocket);
-    }
-
-    #[test]
-    fn distances_are_ordered_by_proximity() {
-        let t = NumaTopology::intel_westmere_ex_32();
-        assert_eq!(t.distance(3, 3), NumaDistance::SameCore);
-        assert_eq!(t.distance(0, 7), NumaDistance::SameL3);
-        assert_eq!(t.distance(0, 8), NumaDistance::RemoteSocket);
-        assert!(NumaDistance::SameCore < NumaDistance::SameL3);
-        assert!(NumaDistance::SameL3 < NumaDistance::SameSocket);
-        assert!(NumaDistance::SameSocket < NumaDistance::RemoteSocket);
-    }
-
-    #[test]
-    fn distance_is_symmetric() {
-        let t = NumaTopology::amd_magny_cours_24();
-        for a in 0..t.total_cores() {
-            for b in 0..t.total_cores() {
-                assert_eq!(t.distance(a, b), t.distance(b, a));
-            }
-        }
-    }
-
-    #[test]
-    fn uma_topology_has_single_l3() {
-        let t = NumaTopology::uma(16);
-        assert_eq!(t.total_cores(), 16);
-        assert_eq!(t.distance(0, 15), NumaDistance::SameL3);
-    }
-
-    #[test]
-    fn compact_order_fills_sockets_in_turn() {
-        let t = NumaTopology::intel_westmere_ex_32();
-        let order = t.compact_core_order(16);
-        assert_eq!(order.len(), 16);
-        assert_eq!(order[0], 0);
-        assert_eq!(order[8], 8);
-        assert!(order[..8].iter().all(|&c| t.socket_of(c) == 0));
-    }
-
-    #[test]
-    fn scatter_order_round_robins_sockets() {
-        let t = NumaTopology::intel_westmere_ex_32();
-        let order = t.scatter_core_order(8);
-        let sockets: Vec<usize> = order.iter().map(|&c| t.socket_of(c)).collect();
-        assert_eq!(sockets[..4], [0, 1, 2, 3]);
-    }
-
-    #[test]
-    fn detect_host_reports_at_least_one_core() {
-        let t = NumaTopology::detect_host();
-        assert!(t.total_cores() >= 1);
-    }
-
-    #[test]
-    #[should_panic]
-    fn zero_cores_is_rejected() {
-        let _ = NumaTopology::new("bad", 0, 1, 1, LatencyModel::uma());
+    /// The shim's one constructor; `cores` is ignored.
+    pub fn uma(_cores: usize) -> Self {
+        NumaTopology
     }
 }

@@ -1,4 +1,4 @@
-//! The In-Pack cost model (Definition 1 / Equation 1) and its NUMA extension.
+//! The In-Pack cost model (Definition 1 / Equation 1).
 //!
 //! On the one-level platform of Definition 1, processor `j` running the task
 //! set `V_j` pays
@@ -10,12 +10,7 @@
 //! ```
 //!
 //! and the schedule's execution time is the maximum over processors
-//! (Equation 1). The NUMA extension replaces the flat copy cost `w` by a
-//! distance-dependent cost: an input produced by a core at NUMA distance `d`
-//! from the reader costs `reuse(d)` to bring in, which is the quantity the
-//! paper's within-pack reordering and scheduling heuristics try to minimise.
-
-use sts_numa::{LatencyModel, NumaTopology};
+//! (Equation 1).
 
 use crate::dar::DarGraph;
 
@@ -73,75 +68,6 @@ impl InPackCostModel {
         );
         (0..q)
             .map(|j| self.processor_cost(dar, assignment, j))
-            .fold(0.0, f64::max)
-    }
-}
-
-/// The NUMA-distance extension: inputs are produced by cores of a previous
-/// pack, and fetching one costs the reuse latency of the distance between the
-/// reading core and the producing core.
-#[derive(Debug, Clone)]
-pub struct NumaCostModel {
-    /// Machine description providing core → core distances.
-    pub topology: NumaTopology,
-    /// Latency table used to price each distance.
-    pub latency: LatencyModel,
-    /// Cost of executing one task (cycles).
-    pub task_cycles: f64,
-}
-
-impl NumaCostModel {
-    /// Builds a NUMA cost model from a topology (its latency table is reused).
-    pub fn new(topology: NumaTopology, task_cycles: f64) -> Self {
-        let latency = topology.latency.clone();
-        NumaCostModel {
-            topology,
-            latency,
-            task_cycles,
-        }
-    }
-
-    /// Cost of core `core` executing the tasks assigned to it when input `x`
-    /// was produced by `producer[x]` (a core id of the previous pack). Each
-    /// distinct input is fetched once at the distance-dependent cost; each
-    /// additional read hits the local L1.
-    pub fn core_cost(
-        &self,
-        dar: &DarGraph,
-        assignment: &[usize],
-        producer: &[usize],
-        core: usize,
-    ) -> f64 {
-        let mut distinct: Vec<usize> = Vec::new();
-        let mut tasks = 0usize;
-        let mut reads = 0usize;
-        for (t, &c) in assignment.iter().enumerate() {
-            if c != core {
-                continue;
-            }
-            tasks += 1;
-            reads += dar.inputs(t).len();
-            distinct.extend_from_slice(dar.inputs(t));
-        }
-        distinct.sort_unstable();
-        distinct.dedup();
-        let fetch: f64 = distinct
-            .iter()
-            .map(|&x| {
-                let d = self.topology.distance(core, producer[x]);
-                self.latency.reuse_cycles(d)
-            })
-            .sum();
-        let rereads = (reads - distinct.len()) as f64 * self.latency.l1_cycles;
-        fetch + rereads + self.task_cycles * tasks as f64
-    }
-
-    /// Makespan over all cores of the topology.
-    pub fn makespan(&self, dar: &DarGraph, assignment: &[usize], producer: &[usize]) -> f64 {
-        let q = self.topology.total_cores();
-        assert!(assignment.iter().all(|&c| c < q));
-        (0..q)
-            .map(|c| self.core_cost(dar, assignment, producer, c))
             .fold(0.0, f64::max)
     }
 }
@@ -205,42 +131,5 @@ mod tests {
         let dar = DarGraph::line(2);
         let m = InPackCostModel::standard();
         let _ = m.makespan(&dar, &[0, 5], 2);
-    }
-
-    #[test]
-    fn numa_cost_prefers_proximal_producers() {
-        let topo = NumaTopology::amd_magny_cours_24();
-        let model = NumaCostModel::new(topo, 1.0);
-        // One task reading one input; the input's producer is either core 1
-        // (same L3 as core 0) or core 23 (remote socket).
-        let dar = DarGraph::from_inputs(vec![vec![0]]);
-        let near = model.core_cost(&dar, &[0], &[1], 0);
-        let far = model.core_cost(&dar, &[0], &[23], 0);
-        assert!(
-            near < far,
-            "same-L3 producer must be cheaper ({near} vs {far})"
-        );
-    }
-
-    #[test]
-    fn numa_rereads_hit_l1() {
-        let topo = NumaTopology::intel_westmere_ex_32();
-        let model = NumaCostModel::new(topo, 0.0);
-        // Two tasks on the same core sharing the same single input.
-        let dar = DarGraph::from_inputs(vec![vec![0], vec![0]]);
-        let cost = model.core_cost(&dar, &[0, 0], &[0], 0);
-        // one fetch at L1 (producer is the same core) + one re-read at L1
-        assert_eq!(cost, model.latency.l1_cycles * 2.0);
-    }
-
-    #[test]
-    fn numa_makespan_is_max_over_cores() {
-        let topo = NumaTopology::uma(4);
-        let model = NumaCostModel::new(topo, 10.0);
-        let dar = DarGraph::from_inputs(vec![vec![0], vec![1], vec![2]]);
-        let producer = vec![0, 0, 0];
-        let spread = model.makespan(&dar, &[0, 1, 2], &producer);
-        let piled = model.makespan(&dar, &[3, 3, 3], &producer);
-        assert!(piled > spread);
     }
 }

@@ -12,8 +12,7 @@
 //!
 //! * [`dar`] — the DAR graph of a pack, built from per-task input sets;
 //! * [`cost`] — the Definition-1 cost model (per-processor cost
-//!   `w·|∪ Iᵢ| + e·|Vⱼ| + r·Σ|Iᵢ|`, makespan = max) and its NUMA-distance
-//!   extension;
+//!   `w·|∪ Iᵢ| + e·|Vⱼ| + r·Σ|Iᵢ|`, makespan = max);
 //! * [`exact`] — an exhaustive optimal scheduler for small instances, used to
 //!   validate the heuristics;
 //! * [`heuristic`] — the block schedule for line DARs, an affinity-aware list
@@ -30,7 +29,7 @@ pub mod exact;
 pub mod heuristic;
 pub mod partition;
 
-pub use cost::{InPackCostModel, NumaCostModel};
+pub use cost::InPackCostModel;
 pub use dar::DarGraph;
 pub use exact::optimal_schedule;
 pub use heuristic::{affinity_list_schedule, block_schedule, round_robin_schedule};

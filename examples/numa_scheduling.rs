@@ -1,12 +1,14 @@
-//! NUMA-aware scheduling demo: the In-Pack model, the DAR graph of a real
-//! pack, and the effect of schedule and machine topology on the modelled
-//! solve time.
+//! NUMA-aware scheduling demo: the In-Pack model on a line DAR, and the
+//! effect of the intra-pack schedule on the real solver's time on this host.
 //!
 //! Run with `cargo run --release --example numa_scheduling`.
 
-use sts_k::core::{Method, SimulatedExecutor};
-use sts_k::matrix::generators;
-use sts_k::numa::{NumaTopology, Schedule};
+use std::time::Instant;
+
+use sts_k::core::{Method, ParallelSolver};
+use sts_k::matrix::{generators, ops};
+use sts_k::numa::affinity::available_cores;
+use sts_k::numa::Schedule;
 use sts_k::sched::cost::InPackCostModel;
 use sts_k::sched::dar::DarGraph;
 use sts_k::sched::exact::optimal_schedule;
@@ -44,48 +46,41 @@ fn main() {
     );
     println!("  optimal (exhaustive):       {:>8.0}", opt.makespan);
 
-    // Part 2: build STS-3 on a mesh matrix and price the solve on the two
-    // machine models of the paper, plus a flat UMA machine for contrast.
+    // Part 2: STS-3 on a mesh matrix, solved by the pool under each of the
+    // four intra-pack schedules and timed on this host. Every answer is
+    // checked against the sequential solve before its time is printed.
     let a = generators::triangulated_grid(48, 48, 7).expect("grid dimensions are valid");
     let l = generators::lower_operand(&a).expect("solvable operand");
     let sts = Method::Sts3.build(&l, 80).expect("builder succeeds");
-    let csr_ls = Method::CsrLs.build(&l, 80).expect("builder succeeds");
+    let x_true: Vec<f64> = (0..sts.n()).map(|i| 1.0 + (i % 7) as f64).collect();
+    let b = sts.lower().multiply(&x_true).expect("dimensions agree");
+    let reference = sts.solve_sequential(&b).expect("sequential solve succeeds");
+    let threads = available_cores();
+    const REPEATS: u32 = 20;
     println!(
-        "\nmatrix: n = {}, nnz = {}; STS-3 packs = {}, CSR-LS packs = {}",
+        "\nmatrix: n = {}, nnz = {}; STS-3 packs = {}",
         l.n(),
         l.nnz(),
-        sts.num_packs(),
-        csr_ls.num_packs()
+        sts.num_packs()
     );
-
-    for topology in [
-        NumaTopology::intel_westmere_ex_32(),
-        NumaTopology::amd_magny_cours_24(),
-        NumaTopology::uma(16),
-    ] {
-        let cores = topology.total_cores().min(16);
-        let exec = SimulatedExecutor::new(topology.clone());
-        let t_sts = exec.simulate(&sts, cores, Schedule::Guided { min_chunk: 1 });
-        let t_ls = exec.simulate(&csr_ls, cores, Schedule::Dynamic { chunk: 32 });
-        println!(
-            "  {:<26} {cores:>2} cores: STS-3 {:>12.0} cycles, CSR-LS {:>12.0} cycles ({:.1}x)",
-            topology.name,
-            t_sts.total_cycles,
-            t_ls.total_cycles,
-            t_ls.total_cycles / t_sts.total_cycles
-        );
-    }
-
-    // Part 3: how much of the STS-3 advantage comes from the schedule?
-    let exec = SimulatedExecutor::new(NumaTopology::intel_westmere_ex_32());
-    println!("\nSTS-3 on the Intel model, 16 cores, different intra-pack schedules:");
+    println!("STS-3 on this host, {threads} threads, different intra-pack schedules:");
     for (name, schedule) in [
         ("static", Schedule::Static),
         ("dynamic,1", Schedule::Dynamic { chunk: 1 }),
         ("dynamic,32", Schedule::Dynamic { chunk: 32 }),
         ("guided,1", Schedule::Guided { min_chunk: 1 }),
     ] {
-        let rep = exec.simulate(&sts, 16, schedule);
-        println!("  {:<12} {:>12.0} cycles", name, rep.total_cycles);
+        let solver = ParallelSolver::new(threads, schedule);
+        let x = solver.solve(&sts, &b).expect("parallel solve succeeds");
+        assert!(
+            ops::relative_error_inf(&x, &reference) <= 1e-12,
+            "{name}: the parallel answer differs from the sequential one"
+        );
+        let start = Instant::now();
+        for _ in 0..REPEATS {
+            solver.solve(&sts, &b).expect("parallel solve succeeds");
+        }
+        let us = start.elapsed().as_secs_f64() * 1e6 / f64::from(REPEATS);
+        println!("  {name:<12} {us:>10.1} us per solve");
     }
 }

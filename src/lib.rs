@@ -7,7 +7,7 @@
 //! * [`matrix`] — sparse matrix storage, Matrix Market I/O, synthetic suite,
 //!   incomplete factorizations;
 //! * [`graph`] — adjacency graphs, RCM, level sets, coloring, coarsening;
-//! * [`numa`] — machine topology and latency models, pinned thread pool;
+//! * [`numa`] — thread pinning and the pinned worker pool;
 //! * [`sched`] — DAR task graphs, the In-Pack cost model and schedulers;
 //! * [`core`] — the CSR-k structure, pack construction and the four solvers;
 //! * [`krylov`] — the preconditioned conjugate-gradient subsystem driving

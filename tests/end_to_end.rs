@@ -1,11 +1,11 @@
 //! End-to-end integration tests spanning the whole workspace: every suite
-//! class × every method × sequential/parallel execution, plus the simulated
-//! executor and the headline qualitative claims of the paper at test scale.
+//! class × every method × sequential/parallel execution, plus the headline
+//! structural claims of the paper at test scale.
 
-use sts_k::core::{analysis, Method, ParallelSolver, SimulatedExecutor};
+use sts_k::core::{analysis, Method, ParallelSolver};
 use sts_k::matrix::ops;
 use sts_k::matrix::suite::{SuiteId, SuiteScale, TestSuite};
-use sts_k::numa::{NumaTopology, Schedule};
+use sts_k::numa::Schedule;
 
 fn representative_suite() -> TestSuite {
     TestSuite::generate_subset(
@@ -85,65 +85,6 @@ fn coloring_dominates_level_sets_in_parallelism_metrics() {
             m.id.label()
         );
     }
-}
-
-#[test]
-fn simulated_machines_reproduce_the_headline_ordering() {
-    // Figure 9's qualitative outcome at test scale: on both modelled machines,
-    // STS-3 is the fastest of the four methods and CSR-LS the slowest, for a
-    // mesh-class matrix.
-    let suite = TestSuite::generate_subset(SuiteScale::Tiny, &[SuiteId::D2]).unwrap();
-    let l = suite.matrices[0].lower().unwrap();
-    for (topology, cores, rows) in [
-        (NumaTopology::intel_westmere_ex_32(), 16usize, 80usize),
-        (NumaTopology::amd_magny_cours_24(), 12, 320),
-    ] {
-        let exec = SimulatedExecutor::new(topology);
-        let time = |method: Method| {
-            let s = method.build(&l, rows).unwrap();
-            let schedule = match method {
-                Method::CsrLs | Method::CsrCol => Schedule::Dynamic { chunk: 32 },
-                _ => Schedule::Guided { min_chunk: 1 },
-            };
-            exec.simulate(&s, cores, schedule).total_cycles
-        };
-        let t_ls = time(Method::CsrLs);
-        let t_col = time(Method::CsrCol);
-        let t_sts = time(Method::Sts3);
-        assert!(
-            t_sts < t_col,
-            "STS-3 ({t_sts}) should beat CSR-COL ({t_col})"
-        );
-        assert!(
-            t_col < t_ls,
-            "CSR-COL ({t_col}) should beat CSR-LS ({t_ls})"
-        );
-    }
-}
-
-#[test]
-fn parallel_speedup_of_sts3_exceeds_one_on_the_modelled_machine() {
-    let suite = TestSuite::generate_subset(SuiteScale::Tiny, &[SuiteId::D2]).unwrap();
-    let l = suite.matrices[0].lower().unwrap();
-    // Small super-rows so the tiny test matrix still exposes enough tasks per
-    // pack to occupy 16 modelled cores.
-    let s = Method::Sts3.build(&l, 16).unwrap();
-    let exec = SimulatedExecutor::new(NumaTopology::intel_westmere_ex_32());
-    let t1 = exec
-        .simulate(&s, 1, Schedule::Guided { min_chunk: 1 })
-        .total_cycles;
-    let t16 = exec
-        .simulate(&s, 16, Schedule::Guided { min_chunk: 1 })
-        .total_cycles;
-    let speedup = t1 / t16;
-    assert!(
-        speedup > 2.0,
-        "expected a clear parallel speedup, got {speedup:.2}"
-    );
-    assert!(
-        speedup <= 16.0,
-        "speedup cannot exceed the core count, got {speedup:.2}"
-    );
 }
 
 #[test]

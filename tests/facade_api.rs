@@ -2,10 +2,10 @@
 //! reaches through the re-exports must be usable together, mirroring the
 //! README quickstart and the examples.
 
-use sts_k::core::{Method, Ordering, ParallelSolver, SimulatedExecutor, SolveOptions, StsBuilder};
+use sts_k::core::{Method, Ordering, ParallelSolver, SolveOptions, StsBuilder};
 use sts_k::graph::{Coloring, ColoringOrder, Graph};
 use sts_k::matrix::{generators, io, ops};
-use sts_k::numa::{NumaTopology, Schedule, WorkerPool};
+use sts_k::numa::{Schedule, WorkerPool};
 use sts_k::sched::dar::DarGraph;
 
 #[test]
@@ -35,8 +35,6 @@ fn facade_exposes_every_substrate() {
     assert!(c.is_proper(&g));
 
     // numa
-    let topo = NumaTopology::amd_magny_cours_24();
-    assert_eq!(topo.total_cores(), 24);
     let pool = WorkerPool::new(2);
     let counter = std::sync::atomic::AtomicUsize::new(0);
     pool.parallel_for(10, Schedule::Static, &|_| {
@@ -49,15 +47,13 @@ fn facade_exposes_every_substrate() {
     let dar = DarGraph::line(4);
     assert!(dar.is_union_of_paths());
 
-    // core: builder with explicit options + simulated executor
+    // core: builder with explicit options
     let l = generators::lower_operand(&a).unwrap();
     let s = StsBuilder::new(3)
         .ordering(Ordering::LevelSet)
         .build(&l)
         .unwrap();
-    let exec = SimulatedExecutor::new(topo);
-    let rep = exec.simulate(&s, 12, Schedule::Guided { min_chunk: 1 });
-    assert!(rep.total_cycles > 0.0);
+    s.validate().unwrap();
 }
 
 #[test]

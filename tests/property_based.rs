@@ -229,7 +229,7 @@ proptest! {
     fn builder_permutation_is_a_bijection(l in lower_triangular_strategy()) {
         let s = StsBuilder::new(3)
             .ordering(Ordering::Coloring)
-            .super_row_sizing(SuperRowSizing::Nnz(16))
+            .super_row_sizing(SuperRowSizing::Rows(16))
             .build(&l)
             .unwrap();
         let perm = s.permutation();

@@ -1,7 +1,9 @@
 //! End-to-end integration tests spanning the whole workspace: every suite
-//! class × every method × sequential/parallel execution, plus the headline
-//! structural claims of the paper at test scale.
+//! class × every method × sequential/parallel execution, the wall-clock
+//! measurement behind the timed paper figures, plus the headline structural
+//! claims of the paper at test scale.
 
+use sts_bench::harness;
 use sts_k::core::{analysis, Method, ParallelSolver};
 use sts_k::matrix::ops;
 use sts_k::matrix::suite::{SuiteId, SuiteScale, TestSuite};
@@ -83,6 +85,60 @@ fn coloring_dominates_level_sets_in_parallelism_metrics() {
             stat_sts.work_fraction_top5 > stat_ls.work_fraction_top5,
             "{}: STS-3 should concentrate more work in its top packs",
             m.id.label()
+        );
+    }
+}
+
+#[test]
+fn parallel_solve_matches_sequential_at_every_thread_count_under_every_schedule() {
+    // Figures 12-13 sweep the thread count; every count and every intra-pack
+    // schedule must give the sequential answer, also past the host's cores.
+    let suite = TestSuite::generate_subset(SuiteScale::Tiny, &[SuiteId::D2]).unwrap();
+    let l = suite.matrices[0].lower().unwrap();
+    for method in [Method::CsrLs, Method::Sts3] {
+        let s = method.build(&l, 16).unwrap();
+        let b: Vec<f64> = (0..s.n()).map(|i| 1.0 + (i % 5) as f64).collect();
+        let x_seq = s.solve_sequential(&b).unwrap();
+        for threads in 1..=4 {
+            for schedule in [
+                Schedule::Static,
+                Schedule::Dynamic { chunk: 32 },
+                Schedule::Guided { min_chunk: 1 },
+            ] {
+                let x = ParallelSolver::new(threads, schedule)
+                    .solve(&s, &b)
+                    .unwrap();
+                assert!(
+                    ops::relative_error_inf(&x, &x_seq) <= 1e-12,
+                    "{} with {threads} threads under {schedule:?} differs from sequential",
+                    method.label()
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn every_method_is_timed_at_the_paper_schedule_and_checked() {
+    // Figure 9's pipeline at test scale: build the four methods, time each at
+    // its paper schedule on this host. `wallclock_seconds` panics unless the
+    // timed solve gives the sequential answer, so a time here is a right one.
+    let suite = TestSuite::generate_subset(SuiteScale::Tiny, &[SuiteId::D2]).unwrap();
+    let m = &suite.matrices[0];
+    let run = harness::build_methods(m, harness::rows_per_super_row_scaled(80, SuiteScale::Tiny));
+    for method in Method::all() {
+        let s = &run.method(method).structure;
+        let seconds = harness::wallclock_seconds(
+            s,
+            harness::paper_schedule(method),
+            2,
+            method.label(),
+            m.id.label(),
+        );
+        assert!(
+            seconds.is_finite() && seconds > 0.0,
+            "{}: {seconds} s is not a time",
+            method.label()
         );
     }
 }

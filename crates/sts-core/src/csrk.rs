@@ -20,6 +20,7 @@ use sts_matrix::{LowerTriangularCsr, MatrixError};
 use crate::builder::Ordering;
 use crate::options::SweepDirection;
 use crate::split::SplitLayout;
+use crate::symmetric::SymmetricLayout;
 
 /// Result alias for the core crate.
 pub type Result<T> = std::result::Result<T, MatrixError>;
@@ -46,6 +47,10 @@ pub struct StsStructure {
     /// use ([`StsStructure::transpose_split`]) — only the forward/backward
     /// sweep pairs of preconditioner applications pay for it.
     tsplit: OnceLock<SplitLayout>,
+    /// The symmetric layout `L' + L'ᵀ − D` a Krylov iteration multiplies
+    /// by, likewise built on first use ([`StsStructure::symmetric`]) — only
+    /// a system's structure pays for it, never a factor's.
+    sym: OnceLock<SymmetricLayout>,
     /// Debug-only guard: set once the forward layout's schedule has been
     /// statically verified ([`StsStructure::split`] runs the check on first
     /// build under `debug_assertions`). A plain flag, not a lazily computed
@@ -60,9 +65,10 @@ pub struct StsStructure {
     tsplit_verified: OnceLock<()>,
 }
 
-/// Equality ignores the lazy split layouts: they are pure functions of the
-/// other fields, so two structures that differ only in whether
-/// [`StsStructure::split`] has been called yet are still equal.
+/// Equality ignores the lazy layouts: they are pure functions of the other
+/// fields, so two structures that differ only in whether
+/// [`StsStructure::split`] (or the transpose or symmetric layout) has been
+/// called yet are still equal.
 impl PartialEq for StsStructure {
     fn eq(&self, other: &Self) -> bool {
         self.k == other.k
@@ -112,18 +118,7 @@ impl StsStructure {
         l: LowerTriangularCsr,
         perm: Arc<Permutation>,
     ) -> Result<Self> {
-        let s = StsStructure {
-            k,
-            ordering,
-            index3,
-            index2,
-            l,
-            perm,
-            split: OnceLock::new(),
-            tsplit: OnceLock::new(),
-            split_verified: OnceLock::new(),
-            tsplit_verified: OnceLock::new(),
-        };
+        let s = StsStructure::assemble(k, ordering, index3, index2, l, perm);
         s.validate()?;
         if s.n() > 0 && s.n() - 1 > u32::MAX as usize {
             return Err(MatrixError::InvalidStructure(format!(
@@ -132,6 +127,30 @@ impl StsStructure {
             )));
         }
         Ok(s)
+    }
+
+    /// The fields, no layout built yet and nothing checked.
+    fn assemble(
+        k: usize,
+        ordering: Ordering,
+        index3: Arc<Vec<usize>>,
+        index2: Arc<Vec<usize>>,
+        l: LowerTriangularCsr,
+        perm: Arc<Permutation>,
+    ) -> Self {
+        StsStructure {
+            k,
+            ordering,
+            index3,
+            index2,
+            l,
+            perm,
+            split: OnceLock::new(),
+            tsplit: OnceLock::new(),
+            sym: OnceLock::new(),
+            split_verified: OnceLock::new(),
+            tsplit_verified: OnceLock::new(),
+        }
     }
 
     /// For every row, the first row of its pack (the boundary the split
@@ -316,6 +335,18 @@ impl StsStructure {
         self.tsplit.get().is_some()
     }
 
+    /// The symmetric layout `L' + L'ᵀ − D` (see [`crate::symmetric`]), built
+    /// on first use like [`StsStructure::split`]: the operator a Krylov
+    /// iteration's product reads.
+    pub fn symmetric(&self) -> &SymmetricLayout {
+        self.sym.get_or_init(|| SymmetricLayout::build(&self.l))
+    }
+
+    /// Whether the symmetric layout has been built yet (diagnostic).
+    pub fn symmetric_built(&self) -> bool {
+        self.sym.get().is_some()
+    }
+
     /// The split layout a sweep in `direction` runs on.
     pub(crate) fn layout(&self, direction: SweepDirection) -> &SplitLayout {
         match direction {
@@ -333,9 +364,15 @@ impl StsStructure {
     /// Cholesky factor has exactly the sparsity pattern of the reordered
     /// operand's lower triangle, so the ordering computed once for the
     /// system matrix (and the split layouts derived from it) can host the
-    /// factor's values without re-running the ordering pipeline. The split
+    /// factor's values without re-running the ordering pipeline. The
     /// layouts themselves are value-bearing and are rebuilt lazily on the
     /// returned structure.
+    ///
+    /// An operand that holds this structure's own pattern allocations
+    /// ([`LowerTriangularCsr::with_values`] of [`StsStructure::lower`]) is
+    /// not validated again: pack independence is a property of that pattern
+    /// and the hierarchy, and both were validated when this structure was
+    /// built. Any other operand is validated in full.
     pub fn with_operand(&self, l: LowerTriangularCsr) -> Result<StsStructure> {
         if l.n() != self.n() {
             return Err(MatrixError::DimensionMismatch(format!(
@@ -344,14 +381,23 @@ impl StsStructure {
                 self.n()
             )));
         }
-        StsStructure::from_shared(
-            self.k,
-            self.ordering,
+        let (index3, index2, perm) = (
             Arc::clone(&self.index3),
             Arc::clone(&self.index2),
-            l,
             Arc::clone(&self.perm),
-        )
+        );
+        if l.shares_pattern_with(&self.l) {
+            Ok(StsStructure::assemble(
+                self.k,
+                self.ordering,
+                index3,
+                index2,
+                l,
+                perm,
+            ))
+        } else {
+            StsStructure::from_shared(self.k, self.ordering, index3, index2, l, perm)
+        }
     }
 
     /// Whether `other` shares this structure's hierarchy allocations (index
@@ -580,6 +626,29 @@ mod tests {
         let _ = a.transpose_split();
         assert!(a.transpose_split_built() && !b.transpose_split_built());
         assert_eq!(a, b, "the transpose cache is derived state too");
+        let _ = a.symmetric();
+        assert!(a.symmetric_built() && !b.symmetric_built());
+        assert_eq!(a, b, "so is the symmetric layout");
+    }
+
+    #[test]
+    fn an_operand_on_the_shared_pattern_keeps_the_hierarchy() {
+        let s = figure1_flat_structure();
+        let halved: Vec<f64> = s.lower().values().iter().map(|v| v / 2.0).collect();
+        let s2 = s
+            .with_operand(s.lower().with_values(halved).unwrap())
+            .unwrap();
+        assert!(s2.shares_hierarchy_with(&s));
+        assert!(s2.lower().shares_pattern_with(s.lower()));
+        assert!(s2.validate().is_ok());
+        let b = vec![1.0; 9];
+        let (x, x2) = (
+            s.solve_sequential(&b).unwrap(),
+            s2.solve_sequential(&b).unwrap(),
+        );
+        for (a, b) in x2.iter().zip(&x) {
+            assert!((a - 2.0 * b).abs() < 1e-12);
+        }
     }
 
     #[test]
@@ -603,6 +672,11 @@ mod tests {
         assert!(!s.transpose_split_built());
         let _ = s.transpose_split();
         assert!(s.transpose_split_built());
+        // So is the symmetric layout, which no sweep reads.
+        assert!(!s.symmetric_built());
+        let first = s.symmetric() as *const _;
+        assert!(s.symmetric_built());
+        assert_eq!(first, s.symmetric() as *const _);
     }
 
     #[test]

@@ -21,6 +21,10 @@
 //!   layout type: the split applied to `L'ᵀ`, with the packs consumed in
 //!   reverse order, so preconditioner forward/backward sweep pairs both run
 //!   on the parallel engines;
+//! * [`symmetric`] — the third lazily built layout of a structure: the
+//!   symmetric operator `L' + L'ᵀ − D` row by row with `u32` columns, which
+//!   the Krylov product ([`ParallelSolver::spmv_dots`]) reads, so a system
+//!   needs no second copy of its operator;
 //! * [`solver`] — the threaded pack-parallel solver: one sweep kernel (one
 //!   row body in `solver::kernel`, one chunk geometry in `solver::plan`)
 //!   under a sequential and a two-phase split driver, both behind
@@ -67,6 +71,7 @@ pub mod pack;
 pub mod reorder;
 pub mod solver;
 pub mod split;
+pub mod symmetric;
 pub mod transpose;
 pub mod verify;
 
@@ -77,4 +82,5 @@ pub use options::{PrecisionPolicy, SlabValue, SolveEngine, SolveOptions, SweepDi
 pub use solver::parallel::{ChaosHook, ParallelSolver};
 pub use solver::vector::BlockSums;
 pub use split::SplitLayout;
+pub use symmetric::SymmetricLayout;
 pub use verify::{solve_spec, super_row_spec};

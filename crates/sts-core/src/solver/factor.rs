@@ -67,14 +67,16 @@ impl ParallelSolver {
     /// **exactly** the sparsity pattern of `s.lower()` (the
     /// [`StsStructure::with_operand`] contract) — the schedule's
     /// pack-independence invariant is derived from that pattern, so a
-    /// mismatch is rejected up front. Values may differ.
+    /// mismatch is rejected up front. Values may differ. Once checked,
+    /// `lower(a)`'s values are factored by
+    /// [`ParallelSolver::parallel_ic0_values`].
     ///
     /// The result is bitwise identical to `sts_matrix::factor::ic0(a)` —
     /// including the [`MatrixError::FactorizationBreakdown`] row and pivot
     /// on non-SPD input — for every thread count and schedule (see the
     /// module documentation for the argument).
     pub fn parallel_ic0(&self, s: &StsStructure, a: &CsrMatrix) -> Result<LowerTriangularCsr> {
-        let (row_ptr, col_idx, mut vals) = lower_pattern_copy(a)?;
+        let (row_ptr, col_idx, vals) = lower_pattern_copy(a)?;
         if row_ptr != s.lower().row_ptr() || col_idx != s.lower().col_idx() {
             return Err(MatrixError::InvalidStructure(
                 "parallel_ic0 needs lower(a) to have exactly the structure operand's sparsity \
@@ -82,7 +84,36 @@ impl ParallelSolver {
                     .into(),
             ));
         }
-        let n = s.n();
+        self.parallel_ic0_values(s, vals)
+    }
+
+    /// Zero-fill incomplete Cholesky of the operand whose lower triangle
+    /// has `s.lower()`'s pattern and the values `vals` (laid out parallel to
+    /// `s.lower().col_idx()`), level-scheduled like
+    /// [`ParallelSolver::parallel_ic0`] and with the same bits. The factor
+    /// is `vals` overwritten in place on `s.lower()`'s pattern, which it
+    /// shares ([`LowerTriangularCsr::with_values`]); so
+    /// [`StsStructure::with_operand`] hosts it without validating the
+    /// pattern again.
+    ///
+    /// # Errors
+    ///
+    /// [`MatrixError::DimensionMismatch`] when `vals` is not `s.nnz()`
+    /// long, [`MatrixError::FactorizationBreakdown`] at the first non-SPD
+    /// pivot, [`MatrixError::WorkerPanicked`] when the pool fails.
+    pub fn parallel_ic0_values(
+        &self,
+        s: &StsStructure,
+        mut vals: Vec<f64>,
+    ) -> Result<LowerTriangularCsr> {
+        if vals.len() != s.nnz() {
+            return Err(MatrixError::DimensionMismatch(format!(
+                "{} values for an operand of {} entries",
+                vals.len(),
+                s.nnz()
+            )));
+        }
+        let (row_ptr, col_idx) = (s.lower().row_ptr(), s.lower().col_idx());
         let rec = self.active_recorder();
         // The lowest bad-pivot row any task saw, with its pivot; usize::MAX
         // marks "none".
@@ -102,8 +133,8 @@ impl ParallelSolver {
                     // worker (own super-row). See the module docs.
                     let row = unsafe { shared.slice_mut(lo, row_ptr[i + 1] - lo) };
                     let d = ic0_factor_row(
-                        &row_ptr,
-                        &col_idx,
+                        row_ptr,
+                        col_idx,
                         // SAFETY: same argument as the slice above — k
                         // names a finalized slot.
                         |k| unsafe { shared.read(k) },
@@ -136,8 +167,7 @@ impl ParallelSolver {
         if first != usize::MAX {
             return Err(MatrixError::FactorizationBreakdown { row: first, pivot });
         }
-        let csr = CsrMatrix::from_raw_unchecked(n, n, row_ptr, col_idx, vals);
-        LowerTriangularCsr::from_csr(&csr)
+        s.lower().with_values(vals)
     }
 }
 
@@ -172,6 +202,7 @@ mod tests {
             );
             assert_eq!(f.row_ptr(), reference.row_ptr());
             assert_eq!(f.col_idx(), reference.col_idx());
+            assert!(f.shares_pattern_with(s.lower()));
         }
     }
 

@@ -13,17 +13,22 @@
 //!   functions): called by the drivers and by the schedule verifier alike.
 //! * [`vector`] — the vector kernels of a Krylov iteration on the same
 //!   pool, over fixed blocks of [`vector::BLOCK_ROWS`] rows: the products
-//!   [`ParallelSolver::spmv_into`] / [`ParallelSolver::spmv_batch_into`],
-//!   and the fused passes of a CG iteration — [`ParallelSolver::dots`],
-//!   [`ParallelSolver::update_direction`], [`ParallelSolver::spmv_dots`]
-//!   (`A·p` with `p·Ap`) and [`ParallelSolver::cg_step`] (`x`, `r` with
-//!   `r·r`) — whose sums follow one blocked order, so their bits do not
-//!   depend on the thread count and lane `q` of a batch sums as its
+//!   [`ParallelSolver::spmv_into`] / [`ParallelSolver::spmv_batch_into`] on
+//!   a `CsrMatrix`, and the fused passes of a CG iteration —
+//!   [`ParallelSolver::dots`], [`ParallelSolver::update_direction`],
+//!   [`ParallelSolver::spmv_dots`] (`A·p` with `p·Ap`, `A` read from the
+//!   structure's symmetric layout with `u32` columns, through the same row
+//!   body as the plain products) and [`ParallelSolver::cg_step`] (`x`, `r`
+//!   with `r·r`) — whose sums follow one blocked order, so their bits do
+//!   not depend on the thread count and lane `q` of a batch sums as its
 //!   `nrhs = 1` reduction does.
 //! * [`factor`] — level-scheduled parallel IC(0) construction
-//!   ([`ParallelSolver::parallel_ic0`]): the preconditioner *setup* run over
-//!   the same pack hierarchy on Algorithm 1's super-row loop, a barrier per
-//!   pack, bitwise identical to the sequential up-looking sweep.
+//!   ([`ParallelSolver::parallel_ic0`] from a matrix,
+//!   [`ParallelSolver::parallel_ic0_values`] from values on the structure's
+//!   own pattern, which the factor then shares): the preconditioner *setup*
+//!   run over the same pack hierarchy on Algorithm 1's super-row loop, a
+//!   barrier per pack, bitwise identical to the sequential up-looking
+//!   sweep.
 //!
 //! # Which requests are bitwise identical
 //!

@@ -6,15 +6,18 @@
 //!
 //! * [`ParallelSolver::dots`] — `u·v` per lane (`r·z`, and `r·r` at entry);
 //! * [`ParallelSolver::update_direction`] — `p = z + β∘p`;
-//! * [`ParallelSolver::spmv_dots`] — `A·p` together with `p·Ap`;
+//! * [`ParallelSolver::spmv_dots`] — `A·p` together with `p·Ap`, `A` read
+//!   from the structure's symmetric layout ([`StsStructure::symmetric`]);
 //! * [`ParallelSolver::cg_step`] — `x += α∘p` and `r −= α∘Ap`, together
 //!   with `r·r`.
 //!
 //! Vectors hold `nrhs` lanes interleaved (`v[i * nrhs + q]`); a lane's
 //! scalars (`α`, `β`) are per lane, so one kernel serves the scalar driver
 //! at `nrhs = 1` and every lane of a lockstep batch. The plain products
-//! [`ParallelSolver::spmv_into`] and [`ParallelSolver::spmv_batch_into`]
-//! live here too, and share their row arithmetic with `spmv_dots`.
+//! [`ParallelSolver::spmv_into`] and [`ParallelSolver::spmv_batch_into`] on a
+//! [`CsrMatrix`] live here too, and share their row body with `spmv_dots`:
+//! the body is generic over the column index type, `usize` for a
+//! `CsrMatrix`, `u32` for the symmetric layout.
 //!
 //! # The reduction order
 //!
@@ -33,7 +36,9 @@
 //! lane's vectors does, and a vector shorter than four rows sums left to
 //! right, as a plain loop would. The elementwise outputs (`p`, `x`, `r`,
 //! `A·p`) use one per-element formula at every width; `A·p` sums each row
-//! in CSR order, as the plain products do. None of the kernels allocates:
+//! in ascending column order from `0.0`, as the plain products do, so
+//! `spmv_dots` on a structure has the bits of `spmv_batch_into` on
+//! `P A Pᵀ` whenever `A` is exactly symmetric. None of the kernels allocates:
 //! the partial sums live in a caller-held [`BlockSums`].
 //!
 //! # Data-race freedom
@@ -53,7 +58,8 @@ use sts_numa::Schedule;
 use super::kernel::{SharedVec, TILE};
 use super::parallel::{pool_error_to_matrix, ParallelSolver};
 use super::plan::{chunk_count, chunk_range};
-use crate::csrk::Result;
+use crate::csrk::{Result, StsStructure};
+use crate::symmetric::SymmetricLayout;
 
 /// Rows per reduction block: the unit of work of every vector kernel, and
 /// the granularity that fixes the order of every sum. A constant, so that
@@ -198,15 +204,35 @@ fn block_sum<const W: usize>(
     }
 }
 
-/// The three arrays of a CSR matrix, read once outside the row loops.
+/// A column index a product reads: `usize` in a [`CsrMatrix`], `u32` in a
+/// [`SymmetricLayout`].
+trait Col: Copy + Sync {
+    fn at(self) -> usize;
+}
+
+impl Col for usize {
+    #[inline(always)]
+    fn at(self) -> usize {
+        self
+    }
+}
+
+impl Col for u32 {
+    #[inline(always)]
+    fn at(self) -> usize {
+        self as usize
+    }
+}
+
+/// The three arrays of a CSR operator, read once outside the row loops.
 #[derive(Clone, Copy)]
-struct Csr<'a> {
+struct Csr<'a, C> {
     row_ptr: &'a [usize],
-    col_idx: &'a [usize],
+    col_idx: &'a [C],
     values: &'a [f64],
 }
 
-impl<'a> Csr<'a> {
+impl<'a> Csr<'a, usize> {
     fn of(a: &'a CsrMatrix) -> Self {
         Csr {
             row_ptr: a.row_ptr(),
@@ -214,7 +240,19 @@ impl<'a> Csr<'a> {
             values: a.values(),
         }
     }
+}
 
+impl<'a> Csr<'a, u32> {
+    fn of_symmetric(a: &'a SymmetricLayout) -> Self {
+        Csr {
+            row_ptr: a.row_ptr(),
+            col_idx: a.col_idx(),
+            values: a.values(),
+        }
+    }
+}
+
+impl<C: Col> Csr<'_, C> {
     /// Lanes `q0..q0 + w` of row `r` of `A·X` (interleaved `x`, `nrhs`
     /// lanes): `Σ v·x` in CSR order, from `0.0`.
     #[inline(always)]
@@ -228,7 +266,7 @@ impl<'a> Csr<'a> {
     ) -> [f64; W] {
         let mut acc = [0.0f64; W];
         for k in self.row_ptr[r]..self.row_ptr[r + 1] {
-            let (j, v) = (self.col_idx[k], self.values[k]);
+            let (j, v) = (self.col_idx[k].at(), self.values[k]);
             if W == 1 {
                 acc[0] += v * x[j];
             } else {
@@ -245,8 +283,8 @@ impl<'a> Csr<'a> {
 /// Rows `rows` of `A·X` into `y`, the rows' `nrhs` slots each, lanes tiled
 /// `W` at a time.
 #[inline(always)]
-fn product_rows<const W: usize>(
-    a: Csr<'_>,
+fn product_rows<const W: usize, C: Col>(
+    a: Csr<'_, C>,
     x: &[f64],
     rows: Range<usize>,
     nrhs: usize,
@@ -305,7 +343,7 @@ impl BlockBody for Dots<'_> {
 
 /// `ap = A·p` and `p·ap` per lane.
 struct SpmvDots<'a> {
-    a: Csr<'a>,
+    a: Csr<'a, u32>,
     p: &'a [f64],
     ap: SharedVec,
     nrhs: usize,
@@ -319,7 +357,7 @@ impl BlockBody for SpmvDots<'_> {
         // SAFETY: the caller's contract gives this call the block's rows of
         // `ap` alone; `p` is never written during the dispatch.
         let ap = unsafe { self.ap.slice_mut(slots.start, slots.len()) };
-        product_rows::<W>(self.a, self.p, rows, self.nrhs, ap);
+        product_rows::<W, _>(self.a, self.p, rows, self.nrhs, ap);
         // A second pass over the block, while it is still in cache: summing
         // inside the product's row loop measured slower.
         dot_block::<W>(&self.p[slots], ap, self.nrhs, out);
@@ -458,35 +496,37 @@ impl ParallelSolver {
     }
 
     /// The CG product `ap = A·p` together with the per-lane dots `p·ap`, in
-    /// one dispatch. Each row of `ap` has the bits of
-    /// [`ParallelSolver::spmv_into`] / [`ParallelSolver::spmv_batch_into`];
-    /// the dots follow the blocked order of the
-    /// [module documentation](self). No heap allocation.
+    /// one dispatch, `A` being `s`'s symmetric operator
+    /// `L' + L'ᵀ − D` ([`StsStructure::symmetric`], built here on first
+    /// use). Each row of `ap` sums in ascending column order from `0.0`, so
+    /// it has the bits of [`ParallelSolver::spmv_batch_into`] on the CSR
+    /// form of that operator; the dots follow the blocked order of the
+    /// [module documentation](self). No heap allocation once the layout
+    /// exists.
     ///
     /// # Errors
     ///
-    /// [`MatrixError::DimensionMismatch`] when `a` is not `n × n` or `p` /
+    /// [`MatrixError::DimensionMismatch`] when `s` is not `n × n` or `p` /
     /// `ap` are not `n × nrhs` long; [`MatrixError::WorkerPanicked`] when
     /// the pool fails.
     pub fn spmv_dots<'s>(
         &self,
-        a: &CsrMatrix,
+        s: &StsStructure,
         p: &[f64],
         ap: &mut [f64],
         sums: &'s mut BlockSums,
     ) -> Result<&'s [f64]> {
-        if a.nrows() != sums.n || a.ncols() != sums.n {
+        if s.n() != sums.n {
             return Err(MatrixError::DimensionMismatch(format!(
-                "the matrix is {} × {}, the reduction scratch is sized for n = {}",
-                a.nrows(),
-                a.ncols(),
+                "the operator is {0} × {0}, the reduction scratch is sized for n = {1}",
+                s.n(),
                 sums.n
             )));
         }
         sums.check("p", p)?;
         sums.check("ap", ap)?;
         let body = SpmvDots {
-            a: Csr::of(a),
+            a: Csr::of_symmetric(s.symmetric()),
             p,
             ap: SharedVec::new(ap),
             nrhs: sums.nrhs,
@@ -585,9 +625,9 @@ impl ParallelSolver {
                 // alone; `x` is never written during the product.
                 let y = unsafe { shared.slice_mut(rows.start * nrhs, rows.len() * nrhs) };
                 if nrhs == 1 {
-                    product_rows::<1>(a, x, rows, 1, y);
+                    product_rows::<1, _>(a, x, rows, 1, y);
                 } else {
-                    product_rows::<TILE>(a, x, rows, nrhs, y);
+                    product_rows::<TILE, _>(a, x, rows, nrhs, y);
                 }
             })
             .map_err(pool_error_to_matrix)
@@ -663,17 +703,34 @@ mod tests {
             .collect()
     }
 
-    /// A tridiagonal `n × n` matrix with irrational-looking entries.
+    /// A symmetric tridiagonal `n × n` matrix with irrational-looking
+    /// entries.
     fn tridiagonal(n: usize) -> CsrMatrix {
         let mut coo = sts_matrix::CooMatrix::new(n, n);
         for i in 0..n {
             coo.push(i, i, 4.0 + (i % 7) as f64 / 3.0).unwrap();
             if i > 0 {
-                coo.push(i, i - 1, -1.0 - (i % 5) as f64 / 7.0).unwrap();
-                coo.push(i - 1, i, -0.9).unwrap();
+                let v = -1.0 - (i % 5) as f64 / 7.0;
+                coo.push(i, i - 1, v).unwrap();
+                coo.push(i - 1, i, v).unwrap();
             }
         }
         coo.to_csr()
+    }
+
+    /// The structure of symmetric `a`'s lower triangle as one super-row in
+    /// one pack, in the original numbering: its symmetric layout is `a`.
+    fn one_super_row(a: &CsrMatrix) -> StsStructure {
+        let n = a.nrows();
+        StsStructure::new(
+            1,
+            crate::builder::Ordering::LevelSet,
+            vec![0, 1],
+            vec![0, n],
+            generators::lower_operand(a).unwrap(),
+            sts_graph::Permutation::identity(n),
+        )
+        .unwrap()
     }
 
     #[test]
@@ -684,6 +741,7 @@ mod tests {
         ];
         for n in SIZES {
             let a = tridiagonal(n);
+            let s = one_super_row(&a);
             for nrhs in WIDTHS {
                 let len = n * nrhs;
                 let (u, v) = (values(len, 1), values(len, 2));
@@ -702,7 +760,7 @@ mod tests {
                     }
 
                     let mut ap = vec![f64::NAN; len];
-                    let got = bits(solver.spmv_dots(&a, &u, &mut ap, &mut sums).unwrap());
+                    let got = bits(solver.spmv_dots(&s, &u, &mut ap, &mut sums).unwrap());
                     let mut want = vec![0.0; len];
                     solver.spmv_batch_into(&a, &u, &mut want, nrhs).unwrap();
                     assert_eq!(ap, want, "spmv_dots' product {what}");
@@ -749,8 +807,10 @@ mod tests {
         solver.spmv_into(&a, &p, &mut want).unwrap();
         let mut ap = vec![0.0; n];
         let mut sums = BlockSums::new(n, 1);
-        solver.spmv_dots(&a, &p, &mut ap, &mut sums).unwrap();
-        assert_eq!(ap, want);
+        solver
+            .spmv_dots(&one_super_row(&a), &p, &mut ap, &mut sums)
+            .unwrap();
+        assert_eq!(bits(&ap), bits(&want));
     }
 
     #[test]
@@ -762,9 +822,8 @@ mod tests {
         assert!(solver.update_direction(&u, &[], &mut w).is_err());
         assert!(solver.update_direction(&u, &[1.0; 5], &mut w).is_err());
         assert!(solver.update_direction(&u, &[1.0], &mut w[1..]).is_err());
-        assert!(solver
-            .spmv_dots(&tridiagonal(5), &u, &mut w, &mut sums)
-            .is_err());
+        let five = one_super_row(&tridiagonal(5));
+        assert!(solver.spmv_dots(&five, &u, &mut w, &mut sums).is_err());
         let (mut x, mut r) = (vec![0.0; 12], vec![0.0; 12]);
         assert!(solver
             .cg_step(&[1.0], &u, &u, &mut x, &mut r, &mut sums)

@@ -5,11 +5,12 @@
 //! triangular sweep *per iteration*, thousands of times on one fixed
 //! structure. This crate is that workload as a production subsystem:
 //!
-//! * [`SpdSystem`] — an SPD operator bound to an STS ordering: the system
-//!   matrix is permuted **once** into the structure's numbering, so every
-//!   sweep, product and update of the iteration runs in reordered space and
-//!   the permutation is paid only at entry (right-hand side gather) and exit
-//!   (solution scatter);
+//! * [`SpdSystem`] — an SPD operator bound to an STS ordering, held as
+//!   nothing but its structure: the lower triangle is permuted **once** into
+//!   the structure's numbering and defines the operator, so every sweep,
+//!   product (on the structure's symmetric layout) and update of the
+//!   iteration runs in reordered space and the permutation is paid only at
+//!   entry (right-hand side gather) and exit (solution scatter);
 //! * [`Preconditioner`] — the sweep contract ([`Identity`], [`Ssor`],
 //!   [`Ic0`]), each applying `z = M⁻¹ r` with **no heap allocation**: the
 //!   sweeps run through `ParallelSolver::solve_into` against caller-held

@@ -285,7 +285,7 @@ impl Pcg {
             rz = rz_new;
             let pap = self
                 .solver
-                .spmv_dots(sys.matrix(), &ws.p, &mut ws.ap, &mut ws.sums)?[0];
+                .spmv_dots(sys.structure(), &ws.p, &mut ws.ap, &mut ws.sums)?[0];
             let alpha = rz / pap;
             if !alpha.is_finite() {
                 // Breakdown (indefinite operator or preconditioner): report
@@ -383,7 +383,7 @@ impl Pcg {
             }
             let pap = self
                 .solver
-                .spmv_dots(sys.matrix(), &ws.p, &mut ws.ap, &mut ws.sums)?;
+                .spmv_dots(sys.structure(), &ws.p, &mut ws.ap, &mut ws.sums)?;
             for q in 0..nrhs {
                 let active = rnorm[q] > thresholds[q];
                 let a = rz[q] / pap[q];

@@ -10,13 +10,15 @@
 //!   operand *is* the system structure's reordered lower triangle (no extra
 //!   factorization);
 //! * [`Ic0`] — zero-fill incomplete Cholesky, `M = F Fᵀ` with
-//!   `F = ic0(P A Pᵀ)`: the factor shares the lower triangle's sparsity
-//!   pattern exactly, so it reuses the system's pack / super-row hierarchy
-//!   (and hence the whole split-kernel machinery) through
-//!   [`StsStructure::with_operand`]. The factorization itself is
-//!   level-scheduled over that same hierarchy on the driver's pool
-//!   ([`Ic0Setup::LevelScheduled`]), bitwise identical to the sequential
-//!   reference sweep ([`Ic0Setup::Sequential`]);
+//!   `F = ic0(P A Pᵀ)`, factored from a copy of the values of the system
+//!   structure's lower triangle `L'` (which defines `P A Pᵀ`; no copy of
+//!   the operator is read). The factor has `L'`'s sparsity pattern exactly
+//!   and shares its allocations, so it reuses the system's pack / super-row
+//!   hierarchy (and hence the whole split-kernel machinery) through
+//!   [`StsStructure::with_operand`] without validating the pattern again.
+//!   The factorization itself is level-scheduled over that same hierarchy
+//!   on the driver's pool ([`Ic0Setup::LevelScheduled`]), bitwise identical
+//!   to the sequential reference sweep ([`Ic0Setup::Sequential`]);
 //! * [`Identity`] — `M = I`, turning the driver into plain CG for
 //!   comparison runs.
 //!
@@ -28,11 +30,10 @@
 //! of a batched application equals the single-RHS application of that lane
 //! bit for bit (see the `sts_core::solver` module docs).
 
-use std::borrow::Cow;
 use std::sync::Arc;
 
 use sts_core::{ParallelSolver, PrecisionPolicy, SolveOptions, StsStructure, SweepDirection};
-use sts_matrix::{CsrMatrix, MatrixError};
+use sts_matrix::{LowerTriangularCsr, MatrixError};
 
 use crate::system::SpdSystem;
 use crate::Result;
@@ -241,10 +242,13 @@ impl Preconditioner for Ssor {
 /// The factor is computed in the system's reordered numbering (incomplete
 /// factorizations are ordering-dependent, so factoring the *reordered*
 /// matrix is what makes the preconditioner consistent with the iteration's
-/// coordinates), and carried by a second [`StsStructure`] that shares the
-/// system's pack / super-row hierarchy — IC(0) preserves the sparsity
-/// pattern, so the hierarchy transfers via
-/// [`StsStructure::with_operand`].
+/// coordinates), from a copy of the values of the system structure's lower
+/// triangle `L' = lower(P A Pᵀ)` — all of `P A Pᵀ` that IC(0) reads. It is
+/// carried by a second [`StsStructure`] that shares the system's pack /
+/// super-row hierarchy and `L'`'s pattern — IC(0) preserves the sparsity
+/// pattern, so both transfer via [`StsStructure::with_operand`]. The
+/// factor's bits, and its breakdown row and pivot, are those of
+/// `sts_matrix::factor::ic0` on `P A Pᵀ`.
 #[derive(Debug)]
 pub struct Ic0 {
     sweeps: SweepPair,
@@ -320,10 +324,14 @@ impl Ic0 {
         operand: Ic0Operand,
         setup: Ic0Setup,
     ) -> Result<Ic0> {
-        let matrix = operand.apply(sys.matrix())?;
+        let lower = sys.structure().lower();
+        let mut vals = operand.values(lower)?;
         let factor = match setup {
-            Ic0Setup::LevelScheduled => solver.parallel_ic0(sys.structure(), &matrix)?,
-            Ic0Setup::Sequential => sts_matrix::factor::ic0(&matrix)?,
+            Ic0Setup::LevelScheduled => solver.parallel_ic0_values(sys.structure(), vals)?,
+            Ic0Setup::Sequential => {
+                sts_matrix::factor::ic0_in_place(lower.row_ptr(), lower.col_idx(), &mut vals)?;
+                lower.with_values(vals)?
+            }
         };
         let structure = Arc::new(sys.structure().with_operand(factor)?);
         Ok(Ic0 {
@@ -368,18 +376,19 @@ impl Ic0Operand {
         }
     }
 
-    /// The operand's matrix: `a`, or a copy with the diagonal entries of the
-    /// perturbed rows scaled by `1 + α`.
-    fn apply(self, a: &CsrMatrix) -> Result<Cow<'_, CsrMatrix>> {
+    /// The operand's lower-triangle values, the workspace the factorization
+    /// overwrites: a copy of `l`'s, with the diagonal (each row's last
+    /// entry) of the perturbed rows scaled by `1 + α`.
+    fn values(self, l: &LowerTriangularCsr) -> Result<Vec<f64>> {
         let (rows, alpha) = match self {
-            Ic0Operand::Plain => return Ok(Cow::Borrowed(a)),
+            Ic0Operand::Plain => (0..0, 0.0),
             Ic0Operand::Shifted(alpha) => {
                 if !alpha.is_finite() || alpha < 0.0 {
                     return Err(MatrixError::InvalidParameter(format!(
                         "Manteuffel shift must be finite and non-negative, got {alpha}"
                     )));
                 }
-                (0..a.nrows(), alpha)
+                (0..l.n(), alpha)
             }
             Ic0Operand::RowBoosted { row, alpha } => {
                 if !alpha.is_finite() || alpha <= 0.0 {
@@ -387,25 +396,20 @@ impl Ic0Operand {
                         "row boost must be finite and positive, got {alpha}"
                     )));
                 }
-                if row >= a.nrows() {
+                if row >= l.n() {
                     return Err(MatrixError::InvalidParameter(format!(
                         "row boost targets row {row}, but the operand has {} rows",
-                        a.nrows()
+                        l.n()
                     )));
                 }
                 (row..row + 1, alpha)
             }
         };
-        let mut perturbed = a.clone();
+        let mut vals = l.values().to_vec();
         for row in rows {
-            let diag_k = (a.row_ptr()[row]..a.row_ptr()[row + 1])
-                .find(|&k| a.col_idx()[k] == row)
-                .ok_or_else(|| {
-                    MatrixError::InvalidStructure(format!("row {row} has no stored diagonal entry"))
-                })?;
-            perturbed.values_mut()[diag_k] *= 1.0 + alpha;
+            vals[l.row_ptr()[row + 1] - 1] *= 1.0 + alpha;
         }
-        Ok(Cow::Owned(perturbed))
+        Ok(vals)
     }
 }
 
@@ -525,6 +529,14 @@ mod tests {
             par.factor_values(),
             "setup engines must produce the same factor bit for bit"
         );
+        // Both factor the lower triangle's values to the bits of the
+        // reference factor of the operator, on the system's own pattern.
+        let reference = sts_matrix::factor::ic0(sys.matrix()).unwrap();
+        assert_eq!(par.factor_values(), reference.values());
+        for pre in [&seq, &par] {
+            let factor = pre.sweeps.structure.lower();
+            assert!(factor.shares_pattern_with(sys.structure().lower()));
+        }
         // And the applications are therefore bitwise identical too.
         let r: Vec<f64> = (0..sys.n()).map(|i| 0.5 + (i % 9) as f64 * 0.3).collect();
         let (mut z1, mut z2) = (vec![0.0; sys.n()], vec![0.0; sys.n()]);
@@ -566,5 +578,27 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn a_rebound_system_and_its_factor_share_the_base_pattern() {
+        let (base, solver) = test_setup();
+        let a = generators::grid2d_laplacian(9, 8).unwrap();
+        let doubled = sts_matrix::CsrMatrix::from_raw(
+            a.nrows(),
+            a.ncols(),
+            a.row_ptr().to_vec(),
+            a.col_idx().to_vec(),
+            a.values().iter().map(|v| v * 2.0).collect(),
+        )
+        .unwrap();
+        let sys = SpdSystem::build_with_structure(&doubled, base.structure()).unwrap();
+        let pre = Ic0::new(&sys, &solver, SweepEngine::Split).unwrap();
+        let pattern = base.structure().lower();
+        assert!(sys.structure().lower().shares_pattern_with(pattern));
+        assert!(pre.sweeps.structure.lower().shares_pattern_with(pattern));
+        assert!(pre.sweeps.structure.shares_hierarchy_with(base.structure()));
+        // The factor structure never builds the product's layout.
+        assert!(!pre.sweeps.structure.symmetric_built());
     }
 }

@@ -411,6 +411,19 @@ impl CsrMatrix {
     /// entry `(i, j)` must meet the next unconsumed entry of row `j`, at
     /// column `i`.
     pub fn is_symmetric(&self, tol: f64) -> bool {
+        self.is_symmetric_by(|a, b| (a - b).abs() <= tol)
+    }
+
+    /// [`CsrMatrix::is_symmetric`] with a tolerance relative to the pair:
+    /// every entry `a_ij` is within `rel_tol · max(|a_ij|, |a_ji|)` of its
+    /// mirror, so the verdict does not change when the matrix is scaled.
+    pub fn is_symmetric_relative(&self, rel_tol: f64) -> bool {
+        self.is_symmetric_by(|a, b| (a - b).abs() <= rel_tol * a.abs().max(b.abs()))
+    }
+
+    /// The one walk behind both symmetry checks: `close(a_ij, a_ji)` judges
+    /// every mirrored pair.
+    fn is_symmetric_by(&self, close: impl Fn(f64, f64) -> bool) -> bool {
         if self.nrows != self.ncols {
             return false;
         }
@@ -422,8 +435,7 @@ impl CsrMatrix {
                 if m == self.row_ptr[j + 1] || self.col_idx[m] != i {
                     return false;
                 }
-                let close = (self.values[m] - self.values[k]).abs() <= tol;
-                if !close {
+                if !close(self.values[k], self.values[m]) {
                     return false;
                 }
                 cursor[j] = m + 1;
@@ -671,5 +683,30 @@ mod tests {
     fn is_symmetric_detects_asymmetry() {
         assert!(!sample().is_symmetric(1e-12));
         assert!(CsrMatrix::identity(3).is_symmetric(0.0));
+    }
+
+    #[test]
+    fn relative_symmetry_scales_with_the_entries() {
+        let pair = |d: f64, upper: f64, lower: f64| {
+            CsrMatrix::from_raw(
+                2,
+                2,
+                vec![0, 2, 4],
+                vec![0, 1, 0, 1],
+                vec![d, upper, lower, d],
+            )
+            .unwrap()
+        };
+        // One ulp apart at 2e11: symmetric relative to the entries.
+        let big = -1e11f64;
+        let stiff = pair(2e11, big, f64::from_bits(big.to_bits() + 1));
+        assert!(stiff.is_symmetric_relative(1e-12));
+        assert!(!stiff.is_symmetric(1e-12));
+        // Half the size of its mirror: asymmetric at any scale.
+        let tiny = pair(2e-13, -1e-13, -0.5e-13);
+        assert!(!tiny.is_symmetric_relative(1e-12));
+        assert!(tiny.is_symmetric(1e-12));
+        assert!(!sample().is_symmetric_relative(1e-12));
+        assert!(CsrMatrix::identity(3).is_symmetric_relative(0.0));
     }
 }

@@ -43,7 +43,9 @@
 //! `sts_core::ParallelSolver::parallel_ic0`; this module provides the
 //! engine-agnostic pieces it shares with [`ic0`]: the lower-triangle pattern
 //! copy ([`lower_pattern_copy`]) and the single-row update
-//! ([`ic0_factor_row`]).
+//! ([`ic0_factor_row`]). Both engines also factor a [`LowerTriangularCsr`]'s
+//! values directly, on that operand's pattern ([`ic0_in_place`] here): the
+//! pattern of `lower(A)` is the operand's, so no copy of `A` is needed.
 
 use crate::csr::CsrMatrix;
 use crate::error::MatrixError;
@@ -149,28 +151,39 @@ pub fn ic0_factor_row<F: Fn(usize) -> f64>(
 /// `a` must be square with a fully stored symmetric pattern (both triangles
 /// present, as the synthetic suite and Matrix Market symmetric readers
 /// produce); only the lower triangle is read. This is the sequential
-/// up-looking sweep; the level-scheduled parallel construction
-/// (`sts_core::ParallelSolver::parallel_ic0`) produces bitwise-identical
-/// values on the same input (see the module documentation).
+/// up-looking sweep ([`ic0_in_place`]); the level-scheduled parallel
+/// construction (`sts_core::ParallelSolver::parallel_ic0`) produces
+/// bitwise-identical values on the same input (see the module
+/// documentation).
 pub fn ic0(a: &CsrMatrix) -> Result<LowerTriangularCsr> {
     let (row_ptr, col_idx, mut vals) = lower_pattern_copy(a)?;
+    ic0_in_place(&row_ptr, &col_idx, &mut vals)?;
     let n = a.nrows();
-    // Up-looking factorization over the retained pattern. Row r's entries
-    // end with its diagonal (largest retained column), so vals[row_ptr[r+1]-1]
-    // is L[r][r] once row r is done.
-    for i in 0..n {
+    let csr = CsrMatrix::from_raw_unchecked(n, n, row_ptr, col_idx, vals);
+    LowerTriangularCsr::from_csr(&csr)
+}
+
+/// The sequential up-looking IC(0) sweep in place: `vals`, laid out on the
+/// lower-triangular pattern `row_ptr`/`col_idx` (columns increasing, the
+/// diagonal last in every row, as both [`lower_pattern_copy`] and a
+/// [`LowerTriangularCsr`] hold it), is overwritten row by row with the
+/// factor. Stops at the first non-SPD pivot with
+/// [`MatrixError::FactorizationBreakdown`].
+pub fn ic0_in_place(row_ptr: &[usize], col_idx: &[usize], vals: &mut [f64]) -> Result<()> {
+    // Row r's entries end with its diagonal (largest retained column), so
+    // vals[row_ptr[r+1]-1] is L[r][r] once row r is done.
+    for i in 0..row_ptr.len().saturating_sub(1) {
         let lo = row_ptr[i];
         let hi = row_ptr[i + 1];
         // Rows < i are final; the split borrow mirrors the dependency DAG.
         let (done, rest) = vals.split_at_mut(lo);
         let row = &mut rest[..hi - lo];
-        let d = ic0_factor_row(&row_ptr, &col_idx, |k| done[k], row, i);
+        let d = ic0_factor_row(row_ptr, col_idx, |k| done[k], row, i);
         if d <= 0.0 || !d.is_finite() {
             return Err(MatrixError::FactorizationBreakdown { row: i, pivot: d });
         }
     }
-    let csr = CsrMatrix::from_raw_unchecked(n, n, row_ptr, col_idx, vals);
-    LowerTriangularCsr::from_csr(&csr)
+    Ok(())
 }
 
 #[cfg(test)]

@@ -12,6 +12,13 @@
 //!
 //! All higher-level solvers in `sts-core` permute and regroup this structure
 //! but keep the per-row layout identical, so the innermost loop is shared.
+//!
+//! The pattern (`row_ptr`, `col_idx`) is held behind `Arc`s: an operand
+//! with new values on the same pattern ([`LowerTriangularCsr::with_values`]
+//! — a rebound system, an incomplete factor) shares the pattern's
+//! allocations instead of copying them.
+
+use std::sync::Arc;
 
 use crate::csr::{inverse_permutation, CsrMatrix};
 use crate::error::MatrixError;
@@ -22,10 +29,10 @@ use crate::Result;
 pub struct LowerTriangularCsr {
     n: usize,
     /// Row pointers into `col_idx`/`values` (`index1` in the paper).
-    row_ptr: Vec<usize>,
+    row_ptr: Arc<Vec<usize>>,
     /// Column indices; within a row the strictly-lower columns come first in
     /// increasing order, followed by the diagonal column (== row index).
-    col_idx: Vec<usize>,
+    col_idx: Arc<Vec<usize>>,
     /// Values, laid out parallel to `col_idx`.
     values: Vec<f64>,
 }
@@ -73,10 +80,49 @@ impl LowerTriangularCsr {
         }
         Ok(LowerTriangularCsr {
             n,
-            row_ptr,
-            col_idx,
+            row_ptr: Arc::new(row_ptr),
+            col_idx: Arc::new(col_idx),
             values,
         })
+    }
+
+    /// The same pattern with new `values` (laid out parallel to
+    /// [`LowerTriangularCsr::col_idx`]): the pattern's allocations are
+    /// shared, not copied, so [`LowerTriangularCsr::shares_pattern_with`]
+    /// holds between the two.
+    ///
+    /// Fails with [`MatrixError::DimensionMismatch`] when `values` is not
+    /// `nnz` long and with [`MatrixError::SingularDiagonal`] when a row's
+    /// diagonal (its last entry) is zero.
+    pub fn with_values(&self, values: Vec<f64>) -> Result<Self> {
+        if values.len() != self.nnz() {
+            return Err(MatrixError::DimensionMismatch(format!(
+                "{} values for a pattern of {} entries",
+                values.len(),
+                self.nnz()
+            )));
+        }
+        if let Some(row) = (0..self.n).find(|&r| values[self.row_ptr[r + 1] - 1] == 0.0) {
+            return Err(MatrixError::SingularDiagonal { row });
+        }
+        Ok(LowerTriangularCsr {
+            n: self.n,
+            row_ptr: Arc::clone(&self.row_ptr),
+            col_idx: Arc::clone(&self.col_idx),
+            values,
+        })
+    }
+
+    /// Whether `other` holds this operand's pattern allocations rather than
+    /// an equal copy: true between an operand and any
+    /// [`LowerTriangularCsr::with_values`] of it.
+    pub fn shares_pattern_with(&self, other: &LowerTriangularCsr) -> bool {
+        Arc::ptr_eq(&self.row_ptr, &other.row_ptr) && Arc::ptr_eq(&self.col_idx, &other.col_idx)
+    }
+
+    /// The value array, by value (the pattern is dropped or kept shared).
+    pub fn into_values(self) -> Vec<f64> {
+        self.values
     }
 
     /// Extracts the lower triangle of a general (e.g. symmetric) matrix and
@@ -303,55 +349,101 @@ impl LowerTriangularCsr {
     /// sort and no symmetric matrix in between. Rows come out sorted with
     /// the diagonal last.
     pub fn permute_symmetric(&self, perm: &[usize]) -> Result<LowerTriangularCsr> {
-        let n = self.n;
-        let inv = inverse_permutation(perm, n)?;
-        // Entry (r, c) of L lands at (max, min) of its new labels.
-        let placed = |r: usize, k: usize| {
-            let (p, q) = (inv[r], inv[self.col_idx[k]]);
-            (p.max(q), p.min(q))
-        };
-        let mut row_ptr = vec![0usize; n + 1];
-        let mut col_ptr = vec![0usize; n + 1];
-        for r in 0..n {
-            for k in self.row_ptr[r]..self.row_ptr[r + 1] {
-                let (row, col) = placed(r, k);
-                row_ptr[row + 1] += 1;
-                col_ptr[col + 1] += 1;
-            }
-        }
-        for i in 0..n {
-            row_ptr[i + 1] += row_ptr[i];
-            col_ptr[i + 1] += col_ptr[i];
-        }
-        // Pass 1: bucket every entry by its new column.
-        let mut by_col = vec![(0usize, 0.0f64); self.nnz()];
-        let mut next = col_ptr[..n].to_vec();
-        for r in 0..n {
-            for k in self.row_ptr[r]..self.row_ptr[r + 1] {
-                let (row, col) = placed(r, k);
-                by_col[next[col]] = (row, self.values[k]);
-                next[col] += 1;
-            }
-        }
-        // Pass 2: the columns in increasing order into their rows, which
-        // fills every row sorted, the diagonal (its largest column) last.
-        let mut col_idx = vec![0usize; self.nnz()];
-        let mut values = vec![0.0f64; self.nnz()];
-        next.copy_from_slice(&row_ptr[..n]);
-        for c in 0..n {
-            for &(row, v) in &by_col[col_ptr[c]..col_ptr[c + 1]] {
-                col_idx[next[row]] = c;
-                values[next[row]] = v;
-                next[row] += 1;
-            }
-        }
-        Ok(LowerTriangularCsr {
-            n,
-            row_ptr,
-            col_idx,
-            values,
+        permute_lower(self.n, perm, |r| {
+            let rows = self.row_ptr[r]..self.row_ptr[r + 1];
+            (&self.col_idx[rows.clone()], &self.values[rows])
         })
     }
+
+    /// [`LowerTriangularCsr::permute_symmetric`] of `lower(a)`, without
+    /// forming `lower(a)`: the same two counting passes, reading each row of
+    /// `a` up to its diagonal. For a symmetric `a` this is
+    /// `lower(P a Pᵀ)`, every value taken from `a`'s lower triangle.
+    ///
+    /// Fails when `a` is not square, when `perm` is not a permutation of
+    /// its rows, or with [`MatrixError::SingularDiagonal`] when a row's
+    /// diagonal is missing or zero.
+    pub fn permute_lower_of(a: &CsrMatrix, perm: &[usize]) -> Result<LowerTriangularCsr> {
+        if a.nrows() != a.ncols() {
+            return Err(MatrixError::DimensionMismatch(format!(
+                "lower-triangular matrix must be square, got {}x{}",
+                a.nrows(),
+                a.ncols()
+            )));
+        }
+        permute_lower(a.nrows(), perm, |r| {
+            let cols = a.row_cols(r);
+            let lower = cols.partition_point(|&c| c <= r);
+            (&cols[..lower], &a.row_values(r)[..lower])
+        })
+    }
+}
+
+/// `lower(P S Pᵀ)` of the symmetric `n × n` matrix `S` whose lower triangle
+/// (diagonal included) row `r` lists as `row(r)`, columns increasing: the
+/// counting passes behind [`LowerTriangularCsr::permute_symmetric`] and
+/// [`LowerTriangularCsr::permute_lower_of`], which differ only in where a
+/// row's entries come from.
+fn permute_lower<'a>(
+    n: usize,
+    perm: &[usize],
+    row: impl Fn(usize) -> (&'a [usize], &'a [f64]),
+) -> Result<LowerTriangularCsr> {
+    let inv = inverse_permutation(perm, n)?;
+    // Entry (r, c) lands at (max, min) of its new labels.
+    let placed = |r: usize, c: usize| {
+        let (p, q) = (inv[r], inv[c]);
+        (p.max(q), p.min(q))
+    };
+    let mut row_ptr = vec![0usize; n + 1];
+    let mut col_ptr = vec![0usize; n + 1];
+    for r in 0..n {
+        for &c in row(r).0 {
+            let (row, col) = placed(r, c);
+            row_ptr[row + 1] += 1;
+            col_ptr[col + 1] += 1;
+        }
+    }
+    for i in 0..n {
+        row_ptr[i + 1] += row_ptr[i];
+        col_ptr[i + 1] += col_ptr[i];
+    }
+    let nnz = row_ptr[n];
+    // Pass 1: bucket every entry by its new column.
+    let mut by_col = vec![(0usize, 0.0f64); nnz];
+    let mut next = col_ptr[..n].to_vec();
+    for r in 0..n {
+        let (cols, vals) = row(r);
+        for (&c, &v) in cols.iter().zip(vals) {
+            let (row, col) = placed(r, c);
+            by_col[next[col]] = (row, v);
+            next[col] += 1;
+        }
+    }
+    // Pass 2: the columns in increasing order into their rows, which fills
+    // every row sorted, the diagonal (its largest column) last.
+    let mut col_idx = vec![0usize; nnz];
+    let mut values = vec![0.0f64; nnz];
+    next.copy_from_slice(&row_ptr[..n]);
+    for c in 0..n {
+        for &(row, v) in &by_col[col_ptr[c]..col_ptr[c + 1]] {
+            col_idx[next[row]] = c;
+            values[next[row]] = v;
+            next[row] += 1;
+        }
+    }
+    if let Some(row) = (0..n).find(|&i| {
+        let end = row_ptr[i + 1];
+        end == row_ptr[i] || col_idx[end - 1] != i || values[end - 1] == 0.0
+    }) {
+        return Err(MatrixError::SingularDiagonal { row });
+    }
+    Ok(LowerTriangularCsr {
+        n,
+        row_ptr: Arc::new(row_ptr),
+        col_idx: Arc::new(col_idx),
+        values,
+    })
 }
 
 #[cfg(test)]
@@ -632,5 +724,55 @@ mod tests {
         for v in x {
             assert!((v - 1.0).abs() < 1e-12);
         }
+    }
+
+    #[test]
+    fn permute_lower_of_equals_permuting_the_lower_triangle() {
+        let suite = crate::suite::TestSuite::generate(crate::suite::SuiteScale::Tiny).unwrap();
+        for m in suite.matrices {
+            let l = m.lower().unwrap();
+            for perm in permutations(l.n()) {
+                assert_eq!(
+                    LowerTriangularCsr::permute_lower_of(&m.symmetric, &perm).unwrap(),
+                    l.permute_symmetric(&perm).unwrap()
+                );
+            }
+        }
+        // A missing diagonal, a bad permutation and a rectangular input.
+        let mut coo = CooMatrix::new(2, 2);
+        coo.push(0, 0, 1.0).unwrap();
+        coo.push(1, 0, 0.5).unwrap();
+        coo.push(0, 1, 0.5).unwrap();
+        let e = LowerTriangularCsr::permute_lower_of(&coo.to_csr(), &[1, 0]);
+        assert!(matches!(e, Err(MatrixError::SingularDiagonal { row: 0 })));
+        let id = CsrMatrix::identity(3);
+        assert!(LowerTriangularCsr::permute_lower_of(&id, &[0, 0, 1]).is_err());
+        let rect = CooMatrix::new(2, 3).to_csr();
+        assert!(LowerTriangularCsr::permute_lower_of(&rect, &[0, 1]).is_err());
+    }
+
+    #[test]
+    fn with_values_shares_the_pattern() {
+        let l = paper_example();
+        let doubled: Vec<f64> = l.values().iter().map(|v| v * 2.0).collect();
+        let l2 = l.with_values(doubled.clone()).unwrap();
+        assert!(l2.shares_pattern_with(&l) && l.shares_pattern_with(&l2));
+        assert_eq!((l2.row_ptr(), l2.col_idx()), (l.row_ptr(), l.col_idx()));
+        assert_eq!(l2.into_values(), doubled);
+        // An equal copy is not a shared pattern.
+        let copy = LowerTriangularCsr::from_csr(&l.to_csr()).unwrap();
+        assert_eq!(copy, l);
+        assert!(!copy.shares_pattern_with(&l));
+        // Wrong length, zero diagonal.
+        assert!(matches!(
+            l.with_values(vec![1.0; 3]),
+            Err(MatrixError::DimensionMismatch(_))
+        ));
+        let mut zero_diag = l.values().to_vec();
+        zero_diag[l.row_ptr()[5] - 1] = 0.0;
+        assert!(matches!(
+            l.with_values(zero_diag),
+            Err(MatrixError::SingularDiagonal { row: 4 })
+        ));
     }
 }

@@ -15,7 +15,7 @@
 //! mergeable by plain element-wise addition.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// The fixed bucket count of every [`Histogram`] (one per possible u64 bit
@@ -128,12 +128,16 @@ impl Histogram {
 
 /// The system allocator plus a count of the allocations it served (every
 /// `alloc`, and the `alloc_zeroed` and `realloc` that `GlobalAlloc`'s
-/// default methods build on it). A binary installs it with
-/// `#[global_allocator]` to show that a hot path allocates nothing; the
-/// count is a relaxed atomic add, like a [`Counter`].
+/// default methods build on it), and of the bytes it holds: live bytes
+/// (each `alloc` adds its size, each `dealloc` subtracts it) and their peak.
+/// A binary installs it with `#[global_allocator]` to show that a hot path
+/// allocates nothing, or how much heap a step needs at its peak; every
+/// update is a relaxed atomic operation, like a [`Counter`].
 #[derive(Debug, Default)]
 pub struct CountingAllocator {
     allocations: AtomicU64,
+    live: AtomicUsize,
+    peak: AtomicUsize,
 }
 
 impl CountingAllocator {
@@ -141,6 +145,8 @@ impl CountingAllocator {
     pub const fn new() -> Self {
         CountingAllocator {
             allocations: AtomicU64::new(0),
+            live: AtomicUsize::new(0),
+            peak: AtomicUsize::new(0),
         }
     }
 
@@ -149,25 +155,49 @@ impl CountingAllocator {
         self.allocations.load(Ordering::Relaxed)
     }
 
-    fn count(&self) {
+    /// Bytes allocated and not yet freed.
+    pub fn live_bytes(&self) -> usize {
+        self.live.load(Ordering::Relaxed)
+    }
+
+    /// The most [`CountingAllocator::live_bytes`] has been since the
+    /// allocator started or since the last
+    /// [`CountingAllocator::reset_peak`].
+    pub fn peak_bytes(&self) -> usize {
+        self.peak.load(Ordering::Relaxed)
+    }
+
+    /// Restarts the peak from the bytes live now, so that
+    /// [`CountingAllocator::peak_bytes`] measures what follows.
+    pub fn reset_peak(&self) {
+        self.peak.store(self.live_bytes(), Ordering::Relaxed);
+    }
+
+    fn count(&self, size: usize) {
         self.allocations.fetch_add(1, Ordering::Relaxed);
+        let live = self.live.fetch_add(size, Ordering::Relaxed) + size;
+        self.peak.fetch_max(live, Ordering::Relaxed);
     }
 }
 
 // SAFETY: `alloc` and `dealloc` forward their arguments unchanged to the
 // system allocator and return its result, so `System`'s guarantees carry
-// over (the default methods are built on these two); the count touches only
-// an atomic and never allocates.
+// over (the default methods are built on these two); the counts touch only
+// atomics and never allocate.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        self.count();
         // SAFETY: forwarded from the caller's contract.
-        unsafe { System.alloc(layout) }
+        let ptr = unsafe { System.alloc(layout) };
+        if !ptr.is_null() {
+            self.count(layout.size());
+        }
+        ptr
     }
 
     // SAFETY: the caller upholds `GlobalAlloc`'s contract for this
     // method, which the body forwards to `System` unchanged.
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        self.live.fetch_sub(layout.size(), Ordering::Relaxed);
         // SAFETY: forwarded from the caller's contract.
         unsafe { System.dealloc(ptr, layout) }
     }
@@ -283,6 +313,30 @@ mod tests {
             assert!(!z.is_null() && *z == 0);
             a.dealloc(z, layout);
         }
+        assert_eq!(a.allocations(), 3);
+    }
+
+    #[test]
+    fn the_counting_allocator_tracks_live_and_peak_bytes() {
+        let a = CountingAllocator::new();
+        let small = Layout::from_size_align(64, 8).unwrap();
+        let large = Layout::from_size_align(1000, 8).unwrap();
+        // SAFETY: non-zero-size layouts; every pointer is freed once, with
+        // the layout it was allocated (or reallocated) with.
+        unsafe {
+            let p = a.alloc(small);
+            let q = a.alloc(large);
+            assert_eq!((a.live_bytes(), a.peak_bytes()), (1064, 1064));
+            a.dealloc(q, large);
+            assert_eq!((a.live_bytes(), a.peak_bytes()), (64, 1064));
+            a.reset_peak();
+            assert_eq!(a.peak_bytes(), 64);
+            // The default realloc holds both blocks while it copies.
+            let p = a.realloc(p, small, 128);
+            assert_eq!((a.live_bytes(), a.peak_bytes()), (128, 192));
+            a.dealloc(p, Layout::from_size_align(128, 8).unwrap());
+        }
+        assert_eq!((a.live_bytes(), a.peak_bytes()), (0, 192));
         assert_eq!(a.allocations(), 3);
     }
 

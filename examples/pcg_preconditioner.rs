@@ -45,7 +45,7 @@ fn main() {
     println!(
         "system: n = {}, nnz = {}, STS-3 with {} packs over {} super-rows, {} threads",
         sys.n(),
-        sys.matrix().nnz(),
+        sys.structure().symmetric().nnz(),
         sys.structure().num_packs(),
         sys.structure().num_super_rows(),
         threads

@@ -396,6 +396,22 @@ fn breakdown_error_is_identical_at_every_thread_count() {
                 }
                 other => panic!("expected a breakdown at {threads} threads, got {other:?}"),
             }
+            // `Ic0` factors the structure's lower triangle, not the matrix,
+            // and must stop at the same row with the same pivot.
+            for setup in [Ic0Setup::LevelScheduled, Ic0Setup::Sequential] {
+                let plain = Ic0Operand::Plain;
+                match Ic0::with_operand(&sys, &solver, SweepEngine::Split, plain, setup) {
+                    Err(MatrixError::FactorizationBreakdown { row, pivot }) => {
+                        assert_eq!(row, row_ref, "{setup:?} breakdown row at {threads} threads");
+                        assert_eq!(
+                            pivot.to_bits(),
+                            pivot_ref.to_bits(),
+                            "{setup:?} breakdown pivot at {threads} threads"
+                        );
+                    }
+                    other => panic!("expected a {setup:?} breakdown, got {:?}", other.err()),
+                }
+            }
         });
     }
 }

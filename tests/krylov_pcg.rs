@@ -1,13 +1,17 @@
 //! End-to-end tests of the `sts-krylov` subsystem against a dense reference:
 //! PCG (plain, SSOR, IC(0); sequential and split sweep engines) must
 //! converge to the dense-Cholesky solution of the synthetic SPD suite (grid
-//! Laplacians) within an iteration bound.
+//! Laplacians) within an iteration bound. The iteration's bits do not depend
+//! on the thread count, and its product has the bits of the CSR product of
+//! the permuted operator.
 
-use sts_k::core::Method;
+use sts_k::core::solver::vector::BLOCK_ROWS;
+use sts_k::core::{BlockSums, Method, ParallelSolver};
 use sts_k::krylov::{
     Ic0, Identity, KrylovWorkspace, Pcg, PcgOptions, Preconditioner, SpdSystem, Ssor, SweepEngine,
     Tolerance,
 };
+use sts_k::matrix::suite::{generate, SuiteId, SuiteScale};
 use sts_k::matrix::{generators, ops, CsrMatrix};
 use sts_k::numa::Schedule;
 
@@ -311,6 +315,62 @@ fn pcg_bits_do_not_depend_on_the_thread_count() {
                         .all(|(u, v)| u.to_bits() == v.to_bits()),
                     "solution bits moved at {threads} threads"
                 );
+            }
+        }
+    }
+}
+
+#[test]
+fn the_product_has_the_bits_of_the_permuted_csr_product() {
+    // PCG multiplies by the structure's symmetric layout of `L'`, with u32
+    // columns: row by row in ascending column order from 0.0, exactly as
+    // the CSR product of `P A Pᵀ` sums it. So the product and its dots are
+    // bitwise those of `spmv_batch_into` on `P A Pᵀ`, at every width and
+    // thread count. Each operator spans more than one reduction block.
+    let small_suite_d1 = generate(SuiteId::D1, SuiteScale::Small).unwrap().symmetric;
+    let operators = [
+        (
+            "5-point grid",
+            generators::grid2d_laplacian(70, 61).unwrap(),
+        ),
+        ("9-point grid", generators::grid2d_9point(66, 64).unwrap()),
+        (
+            "triangulation",
+            generators::triangulated_grid(67, 65, 5).unwrap(),
+        ),
+        (
+            "27-point grid",
+            generators::grid3d_27point(17, 16, 16).unwrap(),
+        ),
+        ("small-suite D1", small_suite_d1),
+    ];
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    for (name, a) in operators {
+        let sys = SpdSystem::build(&a, Method::Sts3, 80).unwrap();
+        let n = sys.n();
+        assert!(n > BLOCK_ROWS, "{name}: {n} rows fit one reduction block");
+        let pa = a
+            .permute_symmetric(sys.structure().permutation().new_to_old())
+            .unwrap();
+        for threads in [1, 2, 3] {
+            let solver = ParallelSolver::new(threads, Schedule::Guided { min_chunk: 1 });
+            for nrhs in 1..=5 {
+                let what = format!("{name}, nrhs = {nrhs}, {threads} threads");
+                let p: Vec<f64> = (0..n * nrhs)
+                    .map(|k| ((k * 7919) % 29) as f64 * 0.173 - 2.3)
+                    .collect();
+                let mut want = vec![0.0; n * nrhs];
+                solver.spmv_batch_into(&pa, &p, &mut want, nrhs).unwrap();
+                let mut sums = BlockSums::new(n, nrhs);
+                let want_dots = bits(solver.dots(&p, &want, &mut sums).unwrap());
+                let mut ap = vec![f64::NAN; n * nrhs];
+                let dots = bits(
+                    solver
+                        .spmv_dots(sys.structure(), &p, &mut ap, &mut sums)
+                        .unwrap(),
+                );
+                assert!(bits(&ap) == bits(&want), "{what}: A·p moved");
+                assert_eq!(dots, want_dots, "{what}: p·Ap moved");
             }
         }
     }

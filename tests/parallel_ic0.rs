@@ -3,12 +3,16 @@
 //! multi-level depths, worker counts and loop schedules — including
 //! identical `FactorizationBreakdown` errors on non-SPD input.
 //!
+//! The same parity holds for [`Ic0`], which factors a copy of the system
+//! structure's lower triangle instead of the operator.
+//!
 //! The parity claim is exact equality (`==` on the value arrays), not a
 //! tolerance: every factor entry is a pure function of already-final inputs
 //! evaluated in the same merge order on both engines, so any difference at
 //! all is a scheduling bug.
 
-use sts_k::core::{Ordering, ParallelSolver, StsBuilder, StsStructure, SuperRowSizing};
+use sts_k::core::{Method, Ordering, ParallelSolver, StsBuilder, StsStructure, SuperRowSizing};
+use sts_k::krylov::{Ic0, Ic0Operand, Ic0Setup, SpdSystem, SweepEngine};
 use sts_k::matrix::suite::{SuiteScale, TestSuite};
 use sts_k::matrix::{factor, generators, CsrMatrix, LowerTriangularCsr, MatrixError};
 use sts_k::numa::Schedule;
@@ -169,4 +173,76 @@ fn breakdown_errors_identically_on_both_paths() {
             );
         }
     }
+}
+
+/// `P A Pᵀ` with the diagonal of `rows` scaled by `1 + alpha`: the operand
+/// an [`Ic0Operand`] names, formed from the system's matrix.
+fn perturbed(a: &CsrMatrix, rows: std::ops::Range<usize>, alpha: f64) -> CsrMatrix {
+    let mut out = a.clone();
+    for r in rows {
+        let pos = a.row_cols(r).iter().position(|&c| c == r).unwrap();
+        out.values_mut()[a.row_ptr()[r] + pos] *= 1.0 + alpha;
+    }
+    out
+}
+
+#[test]
+fn ic0_from_the_lower_triangle_matches_the_reference_factor() {
+    // `Ic0` factors a copy of the structure's lower triangle, never the
+    // operator: on every operand and setup, at every thread count, its
+    // factor has the bits of `factor::ic0` on `P A Pᵀ`, and a breakdown
+    // names the same row with the same pivot bits.
+    let grid = generators::grid2d_laplacian(23, 19).unwrap();
+    let mut poisoned = grid.clone();
+    let target = 200;
+    let pos = poisoned.row_cols(target).iter().position(|&c| c == target);
+    let at = poisoned.row_ptr()[target] + pos.unwrap();
+    poisoned.values_mut()[at] = 1e-9;
+    let mut outcomes = [0usize; 2];
+    for a in [grid, poisoned] {
+        let sys = SpdSystem::build(&a, Method::Sts3, 16).unwrap();
+        let n = sys.n();
+        let operands = [
+            (Ic0Operand::Plain, perturbed(sys.matrix(), 0..0, 0.0)),
+            (Ic0Operand::Shifted(0.1), perturbed(sys.matrix(), 0..n, 0.1)),
+            (
+                Ic0Operand::RowBoosted {
+                    row: 77,
+                    alpha: 0.5,
+                },
+                perturbed(sys.matrix(), 77..78, 0.5),
+            ),
+        ];
+        for (operand, matrix) in operands {
+            let reference = factor::ic0(&matrix);
+            for threads in [1, 2, 3, 8] {
+                let solver = ParallelSolver::new(threads, Schedule::Guided { min_chunk: 1 });
+                for setup in [Ic0Setup::LevelScheduled, Ic0Setup::Sequential] {
+                    let label = format!("{operand:?}, {setup:?}, {threads} threads");
+                    let got = Ic0::with_operand(&sys, &solver, SweepEngine::Split, operand, setup);
+                    match (&reference, got) {
+                        (Ok(f), Ok(pre)) => {
+                            let bits =
+                                |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                            assert_eq!(bits(pre.factor_values()), bits(f.values()), "{label}");
+                            outcomes[0] += 1;
+                        }
+                        (
+                            Err(MatrixError::FactorizationBreakdown { row, pivot }),
+                            Err(MatrixError::FactorizationBreakdown { row: r, pivot: p }),
+                        ) => {
+                            assert_eq!(*row, r, "{label}: breakdown row");
+                            assert_eq!(pivot.to_bits(), p.to_bits(), "{label}: pivot");
+                            outcomes[1] += 1;
+                        }
+                        (want, got) => panic!("{label}: expected {want:?}, got {got:?}"),
+                    }
+                }
+            }
+        }
+    }
+    assert!(
+        outcomes.iter().all(|&c| c > 0),
+        "(factors, breakdowns) compared: {outcomes:?}"
+    );
 }

@@ -12,8 +12,8 @@
 //!   with `r·r`.
 //!
 //! Vectors hold `nrhs` lanes interleaved (`v[i * nrhs + q]`); a lane's
-//! scalars (`α`, `β`) are per lane, so one kernel serves the scalar driver
-//! at `nrhs = 1` and every lane of a lockstep batch. The plain products
+//! scalars (`α`, `β`) are per lane, so one kernel serves a single solve at
+//! `nrhs = 1` and every lane of a lockstep batch. The plain products
 //! [`ParallelSolver::spmv_into`] and [`ParallelSolver::spmv_batch_into`] on a
 //! [`CsrMatrix`] live here too, and share their row body with `spmv_dots`:
 //! the body is generic over the column index type, `usize` for a
@@ -364,7 +364,8 @@ impl BlockBody for SpmvDots<'_> {
     }
 }
 
-/// `x += α∘p`, `r −= α∘ap` and `r·r` per lane.
+/// `x += α∘p`, `r −= α∘ap` and `r·r` per lane; a lane whose `α` is NaN
+/// takes no step.
 struct Step<'a> {
     alpha: &'a [f64],
     p: &'a [f64],
@@ -395,8 +396,10 @@ impl BlockBody for Step<'_> {
             let mut t = [0.0f64; W];
             for (q, t) in t[..w].iter_mut().enumerate() {
                 let a = alpha[q0 + q];
-                x[k + q] += a * p[k + q];
-                r[k + q] -= a * ap[k + q];
+                if !a.is_nan() {
+                    x[k + q] += a * p[k + q];
+                    r[k + q] -= a * ap[k + q];
+                }
                 *t = r[k + q] * r[k + q];
             }
             t
@@ -538,6 +541,11 @@ impl ParallelSolver {
     /// `r·r` of the updated residual, in one dispatch. Per element exactly
     /// `x + α·p` and `r − α·ap`; the sums follow the blocked order of the
     /// [module documentation](self). No heap allocation.
+    ///
+    /// A lane whose `alpha` is NaN takes no step: its `x` and `r` keep
+    /// their bits, and its `r·r` is summed as before. A NaN step could only
+    /// fill the lane with NaN, so a driver passes it for a lane it has
+    /// frozen, whose direction may not even be finite.
     ///
     /// # Errors
     ///
@@ -782,6 +790,34 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn a_nan_step_leaves_its_lane_alone() {
+        let solver = ParallelSolver::new(2, Schedule::Static);
+        let (n, nrhs) = (BLOCK_ROWS + 5, 3);
+        let len = n * nrhs;
+        let (u, v) = (values(len, 1), values(len, 2));
+        let (mut x, mut r) = (values(len, 3), values(len, 4));
+        let (x0, r0) = (x.clone(), r.clone());
+        let mut p = u.clone();
+        p[nrhs + 1] = f64::INFINITY;
+        let lanes = [0.5, f64::NAN, -0.25];
+        let mut sums = BlockSums::new(n, nrhs);
+        let got = bits(
+            solver
+                .cg_step(&lanes, &p, &v, &mut x, &mut r, &mut sums)
+                .unwrap(),
+        );
+        for k in 0..len {
+            let (want_x, want_r) = match lanes[k % nrhs] {
+                a if a.is_nan() => (x0[k], r0[k]),
+                a => (x0[k] + a * p[k], r0[k] - a * v[k]),
+            };
+            assert_eq!(x[k].to_bits(), want_x.to_bits(), "x[{k}]");
+            assert_eq!(r[k].to_bits(), want_r.to_bits(), "r[{k}]");
+        }
+        assert_eq!(got, reference_dots(&r, &r, nrhs));
     }
 
     #[test]

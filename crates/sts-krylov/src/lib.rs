@@ -21,24 +21,25 @@
 //!   `A·p`, sweep scratch, and the partial sums of the reductions) sized
 //!   once per structure, so a converged solve followed by a thousand more
 //!   allocates nothing, and no iteration allocates;
-//! * [`Pcg`] — the conjugate-gradient driver, every pass of whose
-//!   iteration runs on the driver's worker pool: the sweep pair, the
-//!   product `A·p` fused with `p·Ap`, and the vector work in three
-//!   dispatches (`r·z`; `p = z + β p`; `x += α p` and `r −= α Ap` fused with
-//!   `‖r‖`) from `sts_core`'s [`vector`](sts_core::solver::vector) kernels.
-//!   Every dot product and norm is one blocked reduction whose order is
-//!   fixed by the vector length (4096-row blocks, four sub-sums by row
-//!   mod 4, block partials added in ascending order), so the iterates do
-//!   not depend on the thread count, and the scalar driver and every lane
-//!   of a batch sum alike. It carries the tolerance policy
-//!   ([`Tolerance`]), the iteration bound, a per-iteration residual history,
-//!   preconditioner wall-time attribution ([`PcgOutcome`]), a batched
-//!   multi-RHS entry point ([`Pcg::solve_batch`]) running lockstep CG on the
-//!   interleaved layout of the batch sweep kernels: one batched sweep pair
-//!   and one batched `A·P` product per iteration serve every right-hand
-//!   side, and a converged system is frozen until the stragglers finish
-//!   ([`Pcg::solve_block`] reports the same solve under the field names of
-//!   the block-CG driver it replaced);
+//! * [`Pcg`] — the conjugate-gradient driver. It has one CG loop, lockstep
+//!   CG on the interleaved layout of the batch sweep kernels: one batched
+//!   sweep pair and one batched `A·P` product per iteration serve every
+//!   right-hand side ([`Pcg::solve_batch`]; [`Pcg::solve_block`] reports
+//!   the same solve under the field names of the block-CG driver it
+//!   replaced), and [`Pcg::solve`] is that loop at one lane. A lane that
+//!   converges, or stops on a breakdown, is frozen until the others
+//!   finish. Every pass of the iteration runs on the driver's worker pool:
+//!   the sweep pair, the product `A·p` fused with `p·Ap`, and the vector
+//!   work in three dispatches (`r·z`; `p = z + β p`; `x += α p` and
+//!   `r −= α Ap` fused with `‖r‖`) from `sts_core`'s
+//!   [`vector`](sts_core::solver::vector) kernels. Every dot product and
+//!   norm is one blocked reduction whose order is fixed by the vector
+//!   length (4096-row blocks, four sub-sums by row mod 4, block partials
+//!   added in ascending order), so the iterates do not depend on the thread
+//!   count, and every lane of a batch is bitwise its one-lane solve. It
+//!   carries the tolerance policy ([`Tolerance`]), the iteration bound, and,
+//!   for a single solve, a per-iteration residual history and
+//!   preconditioner wall-time attribution ([`PcgOutcome`]);
 //! * [`RobustPcg`] — the fault-tolerant driver: on IC(0) breakdown it
 //!   descends a recovery ladder (a single-row diagonal boost targeting the
 //!   exact pivot the breakdown named, then Manteuffel-shifted IC(0) under
@@ -85,7 +86,7 @@ pub mod system;
 pub mod workspace;
 
 pub use pcg::{Pcg, PcgBatchOutcome, PcgBlockOutcome, PcgOptions, PcgOutcome, Tolerance};
-pub use precond::{Ic0, Ic0Operand, Ic0Setup, Identity, Preconditioner, Ssor, SweepEngine};
+pub use precond::{Ic0, Ic0Operand, Identity, Preconditioner, Ssor, SweepEngine};
 pub use recovery::{
     build_ladder_preconditioner, LadderPreconditioner, RecoveryAttempt, RecoveryPolicy,
     RecoveryReport, Robust, RobustPcg,

@@ -86,17 +86,11 @@ pub struct PcgOutcome {
     /// `‖r‖₂` before each iteration (index 0 is the initial residual), when
     /// history recording is on.
     pub history: Vec<f64>,
-    /// Wall time of the whole solve.
-    pub seconds_total: f64,
-    /// Wall time spent inside preconditioner applications.
-    pub seconds_precond: f64,
-    /// Wall time of the whole solve, integer nanoseconds — the canonical
-    /// value every reporting layer (metrics lines, histograms, bench
-    /// fields) should reuse instead of re-deriving its own. The legacy
-    /// `seconds_total` is the same measurement rendered as f64 seconds.
+    /// Wall time of the whole solve, integer nanoseconds — the one value
+    /// every reporting layer (metrics lines, histograms, bench fields)
+    /// reuses instead of re-deriving its own.
     pub wall_ns: u64,
-    /// Wall time inside preconditioner applications, integer nanoseconds
-    /// (the same measurement as `seconds_precond`).
+    /// Wall time inside preconditioner applications, integer nanoseconds.
     pub precond_ns: u64,
 }
 
@@ -104,8 +98,8 @@ impl PcgOutcome {
     /// Fraction of the solve spent applying the preconditioner — the share
     /// of end-to-end time the triangular kernels own.
     pub fn precond_share(&self) -> f64 {
-        if self.seconds_total > 0.0 {
-            self.seconds_precond / self.seconds_total
+        if self.wall_ns > 0 {
+            self.precond_ns as f64 / self.wall_ns as f64
         } else {
             0.0
         }
@@ -117,16 +111,17 @@ impl PcgOutcome {
 pub struct PcgBatchOutcome {
     /// Solutions, interleaved (`x[i * nrhs + q]`), original numbering.
     pub x: Vec<f64>,
-    /// Per-system iteration at which the tolerance was first met (the
-    /// lockstep count for systems that never converged).
+    /// Per-system iteration at which the system converged or stopped on a
+    /// breakdown (the lockstep count for systems still active at the
+    /// iteration bound).
     pub iterations: Vec<usize>,
     /// Per-system convergence flags.
     pub converged: Vec<bool>,
     /// Per-system final `‖r‖₂`.
     pub residual_norms: Vec<f64>,
-    /// Lockstep iterations performed (every system advances together; a
-    /// converged system is frozen, not dropped, so the batch kernels keep
-    /// their full width).
+    /// Lockstep iterations performed (every active system advances
+    /// together; a converged or stopped system is frozen, not dropped, so
+    /// the batch kernels keep their full width).
     pub lockstep_iterations: usize,
 }
 
@@ -151,7 +146,8 @@ pub struct PcgBlockOutcome {
 
 /// The conjugate-gradient driver: owns the worker pool every kernel of the
 /// iteration runs on (triangular sweeps, `A·p` products) and the stopping
-/// policy.
+/// policy. It has one CG loop, the lockstep loop of [`Pcg::solve_batch`];
+/// [`Pcg::solve`] runs it at one lane.
 pub struct Pcg {
     solver: ParallelSolver,
     options: PcgOptions,
@@ -215,7 +211,10 @@ impl Pcg {
         self.options = options;
     }
 
-    /// Solves `A x = b` (original numbering) with preconditioned CG.
+    /// Solves `A x = b` (original numbering) with preconditioned CG: the
+    /// lockstep loop of [`Pcg::solve_batch`] at one lane, with the residual
+    /// history, the preconditioner's share of the wall time and the
+    /// metrics-registry observations on top.
     ///
     /// Every pass of an iteration runs on the driver's pool: the sweep pair
     /// through `ParallelSolver::solve_into`, and the vector work in three
@@ -237,98 +236,26 @@ impl Pcg {
         b: &[f64],
         ws: &mut KrylovWorkspace,
     ) -> Result<PcgOutcome> {
-        check_shapes(sys, b, 1, ws)?;
         let start = Instant::now();
-        let mut precond = Duration::ZERO;
-        // With x₀ = 0 the initial residual *is* the gathered right-hand
-        // side, so it lands directly in r.
-        sys.gather_into(b, &mut ws.r);
-        ws.x.fill(0.0);
-        let mut rnorm = self.solver.dots(&ws.r, &ws.r, &mut ws.sums)?[0].sqrt();
-        if !rnorm.is_finite() {
-            // A NaN or infinite right-hand side: every comparison against
-            // the threshold would be silently false. Name the breakdown
-            // instead of iterating on poison.
-            return Err(MatrixError::NonFiniteResidual { iteration: 0 });
-        }
-        let threshold = self.options.tolerance.threshold(rnorm);
         // Grown as it is pushed, never sized from `max_iterations`: that
         // bound is whatever the caller (or a wire request) asked for.
         let mut history = Vec::new();
-        if self.options.record_history {
-            history.push(rnorm);
-        }
-        let mut iterations = 0usize;
-        let mut rz = 0.0f64;
-        while rnorm > threshold && iterations < self.options.max_iterations {
-            let t0 = Instant::now();
-            pre.apply_into(&self.solver, &ws.r, &mut ws.z, &mut ws.sweep)?;
-            precond += t0.elapsed();
-            let rz_new = self.solver.dots(&ws.r, &ws.z, &mut ws.sums)?[0];
-            if iterations == 0 {
-                ws.p.copy_from_slice(&ws.z);
-            } else {
-                if rz == 0.0 {
-                    // Stagnated preconditioned residual (e.g. an exactly
-                    // converged system iterated past convergence, or an
-                    // indefinite preconditioner): `rz_new / rz` would poison
-                    // p with ±∞ and, one 0·∞ alpha later, x with NaN. Stop
-                    // here instead — x, p and r keep their last finite
-                    // values and `converged` reports the true residual
-                    // state, mirroring the batch path's `rz[q] == 0.0`
-                    // freeze.
-                    break;
-                }
-                self.solver
-                    .update_direction(&ws.z, &[rz_new / rz], &mut ws.p)?;
-            }
-            rz = rz_new;
-            let pap = self
-                .solver
-                .spmv_dots(sys.structure(), &ws.p, &mut ws.ap, &mut ws.sums)?[0];
-            let alpha = rz / pap;
-            if !alpha.is_finite() {
-                // Breakdown (indefinite operator or preconditioner): report
-                // the state honestly instead of iterating on NaNs.
-                break;
-            }
-            let rr =
-                self.solver
-                    .cg_step(&[alpha], &ws.p, &ws.ap, &mut ws.x, &mut ws.r, &mut ws.sums)?[0];
-            iterations += 1;
-            rnorm = rr.sqrt();
-            if !rnorm.is_finite() {
-                // A non-finite value slipped into the recurrence (operator
-                // or preconditioner emitted NaN/∞ past the alpha guard):
-                // stop with the iteration named rather than looping on NaN
-                // until the bound.
-                return Err(MatrixError::NonFiniteResidual {
-                    iteration: iterations,
-                });
-            }
-            if self.options.record_history {
-                history.push(rnorm);
-            }
-        }
-        let mut x = vec![0.0; sys.n()];
-        sys.scatter_into(&ws.x, &mut x);
-        // One elapsed() reading feeds both representations, so the integer
-        // and f64 fields can never disagree about what was measured.
+        let recorded = self.options.record_history.then_some(&mut history);
+        let (out, precond) = self.lockstep(sys, pre, b, 1, ws, recorded)?;
         let wall = start.elapsed();
         let outcome = PcgOutcome {
-            x,
-            iterations,
-            converged: rnorm <= threshold,
-            residual_norm: rnorm,
+            x: out.x,
+            iterations: out.iterations[0],
+            converged: out.converged[0],
+            residual_norm: out.residual_norms[0],
             history,
-            seconds_total: wall.as_secs_f64(),
-            seconds_precond: precond.as_secs_f64(),
             wall_ns: wall.as_nanos() as u64,
             precond_ns: precond.as_nanos() as u64,
         };
         if let Some(reg) = &self.metrics {
             reg.counter("pcg_solves_total").inc();
-            reg.histogram("pcg_iterations").observe(iterations as u64);
+            reg.histogram("pcg_iterations")
+                .observe(outcome.iterations as u64);
             reg.histogram("pcg_wall_ns").observe(outcome.wall_ns);
             reg.histogram("pcg_precond_share_pct")
                 .observe((outcome.precond_share() * 100.0) as u64);
@@ -341,14 +268,15 @@ impl Pcg {
     /// CG on the batch kernels: one batched sweep pair and one batched
     /// `A·X` product per lockstep iteration serve the whole batch, so the
     /// index traffic of every row is amortised over the right-hand sides.
-    /// Converged systems are frozen (their updates scaled by zero) until the
-    /// stragglers finish.
     ///
-    /// The vector work runs on the pool in the same kernels as
-    /// [`Pcg::solve`], at lane width `nrhs`; lane `q`'s sums follow exactly
-    /// the scalar driver's blocked order, so every lane is bitwise equal to
-    /// the standalone solve of its right-hand side, at every thread count.
-    /// After warm-up, a lockstep iteration performs no heap allocation.
+    /// Each lane is active, converged or stopped. A lane stops on a
+    /// breakdown: `r·z = 0` past the first iteration (the next `β` would
+    /// divide by it), or a non-finite `α`. Converged and stopped lanes
+    /// take no further step, so they keep their `x` and `r` bit for bit, and
+    /// the loop ends when no lane is active. Lane `q`'s sums follow exactly
+    /// the `nrhs = 1` order, so every lane is bitwise equal to
+    /// [`Pcg::solve`] on its right-hand side, at every thread count. After
+    /// warm-up, a lockstep iteration performs no heap allocation.
     pub fn solve_batch(
         &self,
         sys: &SpdSystem,
@@ -357,69 +285,7 @@ impl Pcg {
         nrhs: usize,
         ws: &mut KrylovWorkspace,
     ) -> Result<PcgBatchOutcome> {
-        let (mut rnorm, thresholds, mut iterations) = self.start_batch(sys, b, nrhs, ws)?;
-        let mut rz = vec![0.0f64; nrhs];
-        let mut alpha = vec![0.0f64; nrhs];
-        let mut beta = vec![0.0f64; nrhs];
-        let mut lockstep = 0usize;
-        while lockstep < self.options.max_iterations
-            && rnorm.iter().zip(&thresholds).any(|(&r, &t)| r > t)
-        {
-            pre.apply_batch_into(&self.solver, &ws.r, &mut ws.z, &mut ws.sweep, nrhs)?;
-            let rz_new = self.solver.dots(&ws.r, &ws.z, &mut ws.sums)?;
-            for q in 0..nrhs {
-                let active = rnorm[q] > thresholds[q];
-                beta[q] = if lockstep == 0 || !active || rz[q] == 0.0 {
-                    0.0
-                } else {
-                    rz_new[q] / rz[q]
-                };
-            }
-            rz.copy_from_slice(rz_new);
-            if lockstep == 0 {
-                ws.p.copy_from_slice(&ws.z);
-            } else {
-                self.solver.update_direction(&ws.z, &beta, &mut ws.p)?;
-            }
-            let pap = self
-                .solver
-                .spmv_dots(sys.structure(), &ws.p, &mut ws.ap, &mut ws.sums)?;
-            for q in 0..nrhs {
-                let active = rnorm[q] > thresholds[q];
-                let a = rz[q] / pap[q];
-                // Frozen or broken-down systems get a zero step: x and r
-                // stay put, so their reported residual remains truthful.
-                alpha[q] = if active && a.is_finite() { a } else { 0.0 };
-            }
-            let rr =
-                self.solver
-                    .cg_step(&alpha, &ws.p, &ws.ap, &mut ws.x, &mut ws.r, &mut ws.sums)?;
-            for (r, &s) in rnorm.iter_mut().zip(rr) {
-                *r = s.sqrt();
-            }
-            lockstep += 1;
-            check_finite_norms(&rnorm, lockstep)?;
-            for q in 0..nrhs {
-                if rnorm[q] <= thresholds[q] && iterations[q] > lockstep {
-                    iterations[q] = lockstep;
-                }
-            }
-        }
-        let (x, converged) = finish_batch(
-            sys,
-            ws,
-            nrhs,
-            (&rnorm, &thresholds),
-            &mut iterations,
-            lockstep,
-        );
-        Ok(PcgBatchOutcome {
-            x,
-            iterations,
-            converged,
-            residual_norms: rnorm,
-            lockstep_iterations: lockstep,
-        })
+        Ok(self.lockstep(sys, pre, b, nrhs, ws, None)?.0)
     }
 
     /// [`Pcg::solve_batch`] under the block-CG outcome shape: `block_steps`
@@ -446,45 +312,131 @@ impl Pcg {
         })
     }
 
-    /// The lockstep driver's entry state: checks the shapes, gathers `b`
-    /// into `ws.r` (with `x₀ = 0` the initial residual *is* the right-hand
-    /// side), zeroes `ws.x`, and returns per system the initial residual
-    /// norm, the threshold, and the iteration stamp — 0 for a system
-    /// converged at entry, the iteration bound until a system first meets
-    /// its threshold otherwise.
-    fn start_batch(
+    /// The CG iteration, every lane of `b` in lockstep (see
+    /// [`Pcg::solve_batch`]); `history`, when given, receives every lane's
+    /// `‖r‖₂` at entry and after each step. Returns the outcome and the wall
+    /// time spent in the preconditioner.
+    fn lockstep(
         &self,
         sys: &SpdSystem,
+        pre: &mut dyn Preconditioner,
         b: &[f64],
         nrhs: usize,
         ws: &mut KrylovWorkspace,
-    ) -> Result<(Vec<f64>, Vec<f64>, Vec<usize>)> {
+        mut history: Option<&mut Vec<f64>>,
+    ) -> Result<(PcgBatchOutcome, Duration)> {
         check_shapes(sys, b, nrhs, ws)?;
+        // With x₀ = 0 the initial residual *is* the gathered right-hand
+        // side, so it lands directly in r.
         sys.gather_batch_into(b, &mut ws.r, nrhs);
         ws.x.fill(0.0);
-        let rnorm: Vec<f64> = self
+        let mut rnorm: Vec<f64> = self
             .solver
             .dots(&ws.r, &ws.r, &mut ws.sums)?
             .iter()
             .map(|s| s.sqrt())
             .collect();
+        // A NaN or infinite right-hand side: every comparison against the
+        // threshold would be silently false. Name it instead of iterating on
+        // poison.
         check_finite_norms(&rnorm, 0)?;
         let thresholds: Vec<f64> = rnorm
             .iter()
             .map(|&bn| self.options.tolerance.threshold(bn))
             .collect();
-        let iterations = rnorm
-            .iter()
-            .zip(&thresholds)
-            .map(|(&r, &t)| {
-                if r <= t {
-                    0
-                } else {
-                    self.options.max_iterations
+        let mut active: Vec<bool> = rnorm.iter().zip(&thresholds).map(|(r, t)| r > t).collect();
+        // A lane's count is stamped when it leaves the active set; a lane
+        // converged at entry keeps 0.
+        let mut iterations = vec![0usize; nrhs];
+        if let Some(h) = history.as_deref_mut() {
+            h.extend_from_slice(&rnorm);
+        }
+        let (mut rz, mut beta, mut alpha) = (vec![0.0; nrhs], vec![0.0; nrhs], vec![0.0; nrhs]);
+        let mut precond = Duration::ZERO;
+        let mut steps = 0usize;
+        while steps < self.options.max_iterations && active.contains(&true) {
+            let t0 = Instant::now();
+            pre.apply_batch_into(&self.solver, &ws.r, &mut ws.z, &mut ws.sweep, nrhs)?;
+            precond += t0.elapsed();
+            let rz_new = self.solver.dots(&ws.r, &ws.z, &mut ws.sums)?;
+            for q in 0..nrhs {
+                if active[q] && steps > 0 && rz[q] == 0.0 {
+                    // A stagnated preconditioned residual (an exactly
+                    // converged system iterated past convergence, or an
+                    // indefinite preconditioner): `rz_new / rz` would poison
+                    // p with ±∞ and, one 0·∞ alpha later, x with NaN.
+                    active[q] = false;
+                    iterations[q] = steps;
                 }
-            })
-            .collect();
-        Ok((rnorm, thresholds, iterations))
+                beta[q] = if active[q] && steps > 0 {
+                    rz_new[q] / rz[q]
+                } else {
+                    0.0
+                };
+                rz[q] = rz_new[q];
+            }
+            if !active.contains(&true) {
+                break;
+            }
+            if steps == 0 {
+                ws.p.copy_from_slice(&ws.z);
+            } else {
+                self.solver.update_direction(&ws.z, &beta, &mut ws.p)?;
+            }
+            let pap = self
+                .solver
+                .spmv_dots(sys.structure(), &ws.p, &mut ws.ap, &mut ws.sums)?;
+            for q in 0..nrhs {
+                let a = rz[q] / pap[q];
+                if active[q] && !a.is_finite() {
+                    // Breakdown (indefinite operator or preconditioner).
+                    active[q] = false;
+                    iterations[q] = steps;
+                }
+                // NaN is cg_step's "no step": an inactive lane's x and r
+                // stay as they are.
+                alpha[q] = if active[q] { a } else { f64::NAN };
+            }
+            if !active.contains(&true) {
+                break;
+            }
+            let rr =
+                self.solver
+                    .cg_step(&alpha, &ws.p, &ws.ap, &mut ws.x, &mut ws.r, &mut ws.sums)?;
+            steps += 1;
+            for (r, &s) in rnorm.iter_mut().zip(rr) {
+                *r = s.sqrt();
+            }
+            // A non-finite value slipped into the recurrence past the alpha
+            // guard: name the iteration rather than loop on NaN to the bound.
+            check_finite_norms(&rnorm, steps)?;
+            for q in 0..nrhs {
+                if active[q] && rnorm[q] <= thresholds[q] {
+                    active[q] = false;
+                    iterations[q] = steps;
+                }
+            }
+            if let Some(h) = history.as_deref_mut() {
+                h.extend_from_slice(&rnorm);
+            }
+        }
+        // Lanes still active ran to the bound.
+        for (it, &a) in iterations.iter_mut().zip(&active) {
+            if a {
+                *it = steps;
+            }
+        }
+        let mut x = vec![0.0; sys.n() * nrhs];
+        sys.scatter_batch_into(&ws.x, &mut x, nrhs);
+        let converged = rnorm.iter().zip(&thresholds).map(|(r, t)| r <= t).collect();
+        let outcome = PcgBatchOutcome {
+            x,
+            iterations,
+            converged,
+            residual_norms: rnorm,
+            lockstep_iterations: steps,
+        };
+        Ok((outcome, precond))
     }
 }
 
@@ -511,33 +463,6 @@ fn check_shapes(sys: &SpdSystem, b: &[f64], nrhs: usize, ws: &KrylovWorkspace) -
         )));
     }
     Ok(())
-}
-
-/// The lockstep driver's exit state: scatters `ws.x` back to the caller's
-/// numbering, derives the convergence flags from the final norms, and stamps
-/// the systems that never met their threshold with the `steps` the solve
-/// performed.
-fn finish_batch(
-    sys: &SpdSystem,
-    ws: &KrylovWorkspace,
-    nrhs: usize,
-    (rnorm, thresholds): (&[f64], &[f64]),
-    iterations: &mut [usize],
-    steps: usize,
-) -> (Vec<f64>, Vec<bool>) {
-    let mut x = vec![0.0; sys.n() * nrhs];
-    sys.scatter_batch_into(&ws.x, &mut x, nrhs);
-    let converged: Vec<bool> = rnorm
-        .iter()
-        .zip(thresholds)
-        .map(|(&r, &t)| r <= t)
-        .collect();
-    for (it, &c) in iterations.iter_mut().zip(&converged) {
-        if !c {
-            *it = steps;
-        }
-    }
-    (x, converged)
 }
 
 /// Rejects a non-finite residual norm anywhere in a batch, naming the
@@ -607,7 +532,7 @@ mod tests {
         );
         assert!(ops::relative_error_inf(&with_ssor.x, &x_true) < 1e-6);
         assert!(ops::relative_error_inf(&with_ic0.x, &x_true) < 1e-6);
-        assert!(with_ssor.seconds_precond > 0.0);
+        assert!(with_ssor.precond_ns > 0);
         assert!(with_ssor.precond_share() > 0.0 && with_ssor.precond_share() < 1.0);
     }
 
@@ -696,12 +621,13 @@ mod tests {
         }
     }
 
-    /// A preconditioner manufactured to stagnate: the second application
-    /// returns a vector *exactly* orthogonal to r (so `rz` lands on 0.0
-    /// while the residual is still alive), and later applications return r
-    /// again — the shape that used to drive `beta = rz_new / 0` to ±∞ and
-    /// then `x += (0·∞) · p` to NaN.
+    /// A preconditioner manufactured to stagnate one lane: `z = r` on every
+    /// lane but `lane`, which from the second application on gets a `z`
+    /// *exactly* orthogonal to its `r` (so its `rz` lands on 0.0 while its
+    /// residual is still alive) — the shape that used to drive
+    /// `beta = rz_new / 0` to ±∞ and then `x += (0·∞) · p` to NaN.
     struct StagnatingPre {
+        lane: usize,
         calls: usize,
     }
 
@@ -716,16 +642,18 @@ mod tests {
             r: &[f64],
             z: &mut [f64],
             _sweep: &mut [f64],
-            _nrhs: usize,
+            nrhs: usize,
         ) -> crate::Result<()> {
-            if self.calls == 1 {
+            z.copy_from_slice(r);
+            if self.calls >= 1 {
                 // z ⊥ r exactly: dot(r, z) = r₀·r₁ − r₁·r₀ = 0.0 in floating
                 // point (the two products are bitwise equal).
-                z.fill(0.0);
-                z[0] = r[1];
-                z[1] = -r[0];
-            } else {
-                z.copy_from_slice(r);
+                let q = self.lane;
+                for zi in z.iter_mut().skip(q).step_by(nrhs) {
+                    *zi = 0.0;
+                }
+                z[q] = r[nrhs + q];
+                z[nrhs + q] = -r[q];
             }
             self.calls += 1;
             Ok(())
@@ -747,7 +675,7 @@ mod tests {
         let b = ops::spmv(&a, &x_rough).unwrap();
         let pcg = Pcg::new(2, Schedule::Static);
         let mut ws = KrylovWorkspace::new(sys.n());
-        let mut pre = StagnatingPre { calls: 0 };
+        let mut pre = StagnatingPre { lane: 0, calls: 0 };
         let out = pcg.solve(&sys, &mut pre, &b, &mut ws).unwrap();
         assert!(
             out.x.iter().all(|v| v.is_finite()),
@@ -763,6 +691,60 @@ mod tests {
         // 0); the guard fires at the next beta step, so exactly two
         // iterations ran.
         assert_eq!(out.iterations, 2);
+    }
+
+    #[test]
+    fn a_stagnated_lane_stops_while_the_others_run_on() {
+        // Lane 1 of the batch stagnates at iteration 1 and stops there, as
+        // the one-lane solve of its right-hand side does; it keeps its x
+        // while lanes 0 and 2 run on to convergence, bitwise as their own
+        // solves.
+        let sys = laplacian_system(9, 11);
+        let a = generators::grid2d_laplacian(9, 11).unwrap();
+        let (n, nrhs) = (sys.n(), 3);
+        let mut b = vec![0.0; n * nrhs];
+        for q in 0..nrhs {
+            let xq: Vec<f64> = (0..n)
+                .map(|i| ((i * 7919 + q * 31) % 23) as f64 - 11.0)
+                .collect();
+            for (i, v) in ops::spmv(&a, &xq).unwrap().into_iter().enumerate() {
+                b[i * nrhs + q] = v;
+            }
+        }
+        let pcg = Pcg::new(2, Schedule::Static);
+        let mut ws = KrylovWorkspace::with_nrhs(n, nrhs);
+        let mut pre = StagnatingPre { lane: 1, calls: 0 };
+        let batch = pcg.solve_batch(&sys, &mut pre, &b, nrhs, &mut ws).unwrap();
+        assert!(
+            batch.lockstep_iterations < pcg.options().max_iterations,
+            "the stopped lane must not hold the batch to the iteration bound"
+        );
+        assert_eq!(batch.converged, [true, false, true]);
+        assert_eq!(batch.iterations[1], 2);
+        let mut ws1 = KrylovWorkspace::new(n);
+        for q in 0..nrhs {
+            let bq: Vec<f64> = (0..n).map(|i| b[i * nrhs + q]).collect();
+            let single = if q == 1 {
+                let mut pre = StagnatingPre { lane: 0, calls: 0 };
+                pcg.solve(&sys, &mut pre, &bq, &mut ws1).unwrap()
+            } else {
+                pcg.solve(&sys, &mut Identity, &bq, &mut ws1).unwrap()
+            };
+            assert_eq!(batch.iterations[q], single.iterations, "lane {q}");
+            assert_eq!(batch.converged[q], single.converged, "lane {q}");
+            assert_eq!(
+                batch.residual_norms[q].to_bits(),
+                single.residual_norm.to_bits(),
+                "lane {q}"
+            );
+            for i in 0..n {
+                assert_eq!(
+                    batch.x[i * nrhs + q].to_bits(),
+                    single.x[i].to_bits(),
+                    "lane {q} diverged from its standalone solve at row {i}"
+                );
+            }
+        }
     }
 
     #[test]

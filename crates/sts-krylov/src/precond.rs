@@ -17,8 +17,8 @@
 //!   hierarchy (and hence the whole split-kernel machinery) through
 //!   [`StsStructure::with_operand`] without validating the pattern again.
 //!   The factorization itself is level-scheduled over that same hierarchy
-//!   on the driver's pool ([`Ic0Setup::LevelScheduled`]), bitwise identical
-//!   to the sequential reference sweep ([`Ic0Setup::Sequential`]);
+//!   on the driver's pool, bitwise identical to the sequential reference
+//!   sweep `sts_matrix::factor::ic0`;
 //! * [`Identity`] — `M = I`, turning the driver into plain CG for
 //!   comparison runs.
 //!
@@ -285,54 +285,28 @@ pub enum Ic0Operand {
     },
 }
 
-/// How an [`Ic0`] factor is computed. Both paths produce **bitwise
-/// identical** factors (and identical breakdown errors), so the choice only
-/// moves wall time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Ic0Setup {
-    /// Level-scheduled over the system's pack hierarchy on the solver's
-    /// pool (`ParallelSolver::parallel_ic0`): per pack, the super-rows are
-    /// factored in parallel under the solver's schedule, with a barrier
-    /// between packs.
-    LevelScheduled,
-    /// The sequential up-looking sweep (`sts_matrix::factor::ic0`) — the
-    /// reference the level-scheduled build is compared against.
-    Sequential,
-}
-
 impl Ic0 {
     /// Factorizes `sys`'s reordered operator, level-scheduled on `solver`'s
     /// pool, and builds the sweep state. Fails with
     /// [`MatrixError::FactorizationBreakdown`] when the matrix is not SPD on
     /// the retained pattern.
     pub fn new(sys: &SpdSystem, solver: &ParallelSolver, engine: SweepEngine) -> Result<Ic0> {
-        Ic0::with_operand(
-            sys,
-            solver,
-            engine,
-            Ic0Operand::Plain,
-            Ic0Setup::LevelScheduled,
-        )
+        Ic0::with_operand(sys, solver, engine, Ic0Operand::Plain)
     }
 
-    /// [`Ic0::new`] with the factored operand and the setup path chosen by
-    /// the caller.
+    /// [`Ic0::new`] with the factored operand chosen by the caller. The
+    /// factorization is level-scheduled over the system's pack hierarchy
+    /// on `solver`'s pool (`ParallelSolver::parallel_ic0_values`): per pack,
+    /// the super-rows are factored in parallel under the solver's schedule,
+    /// with a barrier between packs.
     pub fn with_operand(
         sys: &SpdSystem,
         solver: &ParallelSolver,
         engine: SweepEngine,
         operand: Ic0Operand,
-        setup: Ic0Setup,
     ) -> Result<Ic0> {
-        let lower = sys.structure().lower();
-        let mut vals = operand.values(lower)?;
-        let factor = match setup {
-            Ic0Setup::LevelScheduled => solver.parallel_ic0_values(sys.structure(), vals)?,
-            Ic0Setup::Sequential => {
-                sts_matrix::factor::ic0_in_place(lower.row_ptr(), lower.col_idx(), &mut vals)?;
-                lower.with_values(vals)?
-            }
-        };
+        let vals = operand.values(sys.structure().lower())?;
+        let factor = solver.parallel_ic0_values(sys.structure(), vals)?;
         let structure = Arc::new(sys.structure().with_operand(factor)?);
         Ok(Ic0 {
             sweeps: SweepPair::new(structure, engine),
@@ -358,8 +332,9 @@ impl Ic0 {
         }
     }
 
-    /// The factor structure's operand values (test/diagnostic hook: setup
-    /// engines are asserted bitwise identical through this).
+    /// The factor structure's operand values (test/diagnostic hook: the
+    /// factor is asserted bitwise equal to `sts_matrix::factor::ic0`'s
+    /// through this).
     pub fn factor_values(&self) -> &[f64] {
         self.sweeps.structure.lower().values()
     }
@@ -510,42 +485,16 @@ mod tests {
     }
 
     #[test]
-    fn ic0_setup_engines_build_bitwise_identical_factors() {
+    fn ic0_factor_has_the_bits_of_the_reference_factor() {
         let (sys, solver) = test_setup();
-        let build = |setup| {
-            Ic0::with_operand(
-                &sys,
-                &solver,
-                SweepEngine::Sequential,
-                Ic0Operand::Plain,
-                setup,
-            )
-            .unwrap()
-        };
-        let seq = build(Ic0Setup::Sequential);
-        let par = build(Ic0Setup::LevelScheduled);
-        assert_eq!(
-            seq.factor_values(),
-            par.factor_values(),
-            "setup engines must produce the same factor bit for bit"
-        );
-        // Both factor the lower triangle's values to the bits of the
-        // reference factor of the operator, on the system's own pattern.
+        let pre = Ic0::new(&sys, &solver, SweepEngine::Sequential).unwrap();
+        // The level-scheduled build factors the lower triangle's values to
+        // the bits of the sequential reference factor of the operator, on
+        // the system's own pattern.
         let reference = sts_matrix::factor::ic0(sys.matrix()).unwrap();
-        assert_eq!(par.factor_values(), reference.values());
-        for pre in [&seq, &par] {
-            let factor = pre.sweeps.structure.lower();
-            assert!(factor.shares_pattern_with(sys.structure().lower()));
-        }
-        // And the applications are therefore bitwise identical too.
-        let r: Vec<f64> = (0..sys.n()).map(|i| 0.5 + (i % 9) as f64 * 0.3).collect();
-        let (mut z1, mut z2) = (vec![0.0; sys.n()], vec![0.0; sys.n()]);
-        let mut sweep = vec![0.0; sys.n()];
-        let mut seq = seq;
-        let mut par = par;
-        seq.apply_into(&solver, &r, &mut z1, &mut sweep).unwrap();
-        par.apply_into(&solver, &r, &mut z2, &mut sweep).unwrap();
-        assert_eq!(z1, z2);
+        assert_eq!(pre.factor_values(), reference.values());
+        let factor = pre.sweeps.structure.lower();
+        assert!(factor.shares_pattern_with(sys.structure().lower()));
     }
 
     #[test]

@@ -43,7 +43,7 @@ use sts_core::{ParallelSolver, PrecisionPolicy};
 use sts_matrix::MatrixError;
 
 use crate::pcg::{Pcg, PcgBatchOutcome, PcgOutcome};
-use crate::precond::{Ic0, Ic0Operand, Ic0Setup, Identity, Preconditioner, Ssor, SweepEngine};
+use crate::precond::{Ic0, Ic0Operand, Identity, Preconditioner, Ssor, SweepEngine};
 use crate::system::SpdSystem;
 use crate::workspace::KrylovWorkspace;
 use crate::Result;
@@ -221,14 +221,7 @@ fn descend<T>(
         .chain(policy.allow_ssor.then_some(Rung::Ssor))
         .chain(policy.allow_identity.then_some(Rung::Identity));
     let ic0 = |operand: Ic0Operand| {
-        Ic0::with_operand(
-            sys,
-            solver,
-            policy.engine,
-            operand,
-            Ic0Setup::LevelScheduled,
-        )
-        .map(LadderPreconditioner::Ic0)
+        Ic0::with_operand(sys, solver, policy.engine, operand).map(LadderPreconditioner::Ic0)
     };
     let mut attempts: Vec<RecoveryAttempt> = Vec::new();
     let mut shifts_tried: Vec<f64> = Vec::new();

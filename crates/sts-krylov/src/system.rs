@@ -170,37 +170,34 @@ impl SpdSystem {
         Arc::clone(&self.structure)
     }
 
-    /// Gathers a vector given in original numbering into reordered
-    /// numbering, `out[new] = v[old]`, allocation-free.
-    pub fn gather_into(&self, v: &[f64], out: &mut [f64]) {
-        let old_of = self.structure.permutation().new_to_old();
-        for (slot, &old) in out.iter_mut().zip(old_of) {
-            *slot = v[old];
-        }
-    }
-
-    /// Gathers `nrhs` interleaved systems (`v[i * nrhs + r]`) into reordered
-    /// numbering, allocation-free.
+    /// Gathers `nrhs` interleaved systems (`v[i * nrhs + q]`, original
+    /// numbering) into reordered numbering, `out[new] = v[old]` row by row,
+    /// allocation-free.
     pub fn gather_batch_into(&self, v: &[f64], out: &mut [f64], nrhs: usize) {
         let old_of = self.structure.permutation().new_to_old();
+        if nrhs == 1 {
+            // A slice copy per row costs several times the plain loop at
+            // one lane.
+            for (slot, &old) in out.iter_mut().zip(old_of) {
+                *slot = v[old];
+            }
+            return;
+        }
         for (new, &old) in old_of.iter().enumerate() {
             out[new * nrhs..(new + 1) * nrhs].copy_from_slice(&v[old * nrhs..(old + 1) * nrhs]);
         }
     }
 
-    /// Scatters a reordered vector back to original numbering,
-    /// `out[old] = v[new]`, allocation-free.
-    pub fn scatter_into(&self, v: &[f64], out: &mut [f64]) {
-        let old_of = self.structure.permutation().new_to_old();
-        for (&value, &old) in v.iter().zip(old_of) {
-            out[old] = value;
-        }
-    }
-
     /// Scatters `nrhs` interleaved reordered systems back to original
-    /// numbering, allocation-free.
+    /// numbering, `out[old] = v[new]` row by row, allocation-free.
     pub fn scatter_batch_into(&self, v: &[f64], out: &mut [f64], nrhs: usize) {
         let old_of = self.structure.permutation().new_to_old();
+        if nrhs == 1 {
+            for (&value, &old) in v.iter().zip(old_of) {
+                out[old] = value;
+            }
+            return;
+        }
         for (new, &old) in old_of.iter().enumerate() {
             out[old * nrhs..(old + 1) * nrhs].copy_from_slice(&v[new * nrhs..(new + 1) * nrhs]);
         }
@@ -221,22 +218,27 @@ mod tests {
         let x: Vec<f64> = (0..sys.n()).map(|i| 0.5 + (i % 9) as f64).collect();
         let ax = ops::spmv(&a, &x).unwrap();
         let mut x_perm = vec![0.0; sys.n()];
-        sys.gather_into(&x, &mut x_perm);
+        sys.gather_batch_into(&x, &mut x_perm, 1);
         let ax_perm = ops::spmv(sys.matrix(), &x_perm).unwrap();
         let mut expected = vec![0.0; sys.n()];
-        sys.gather_into(&ax, &mut expected);
+        sys.gather_batch_into(&ax, &mut expected, 1);
         assert!(ops::relative_error_inf(&ax_perm, &expected) < 1e-13);
-        // Gather/scatter round-trip, single and batch.
-        let mut back = vec![0.0; sys.n()];
-        sys.scatter_into(&x_perm, &mut back);
-        assert_eq!(back, x);
-        let nrhs = 3;
-        let xb: Vec<f64> = (0..sys.n() * nrhs).map(|k| k as f64).collect();
-        let mut gathered = vec![0.0; sys.n() * nrhs];
-        let mut scattered = vec![0.0; sys.n() * nrhs];
-        sys.gather_batch_into(&xb, &mut gathered, nrhs);
-        sys.scatter_batch_into(&gathered, &mut scattered, nrhs);
-        assert_eq!(scattered, xb);
+        // Gather/scatter round-trip at one lane and at three, and lane q of
+        // a batch lands where the one-lane gather puts it.
+        let new_to_old = sys.structure().permutation().new_to_old();
+        for nrhs in [1, 3] {
+            let xb: Vec<f64> = (0..sys.n() * nrhs).map(|k| k as f64).collect();
+            let mut gathered = vec![0.0; sys.n() * nrhs];
+            let mut scattered = vec![0.0; sys.n() * nrhs];
+            sys.gather_batch_into(&xb, &mut gathered, nrhs);
+            for (new, &old) in new_to_old.iter().enumerate() {
+                for q in 0..nrhs {
+                    assert_eq!(gathered[new * nrhs + q], xb[old * nrhs + q]);
+                }
+            }
+            sys.scatter_batch_into(&gathered, &mut scattered, nrhs);
+            assert_eq!(scattered, xb);
+        }
     }
 
     /// `P A Pᵀ` formed directly from `a` in `sys`'s ordering.

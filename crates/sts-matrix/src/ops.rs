@@ -37,53 +37,6 @@ pub fn spmv_into(a: &CsrMatrix, x: &[f64], y: &mut [f64]) -> Result<()> {
     Ok(())
 }
 
-/// Sparse matrix–vector product `y = A x` across `threads` scoped OS
-/// threads, each owning a contiguous block of rows (and the matching
-/// disjoint slice of `y`).
-///
-/// This is the dependency-free standalone variant — it spawns threads per
-/// call, so it suits one-off products on large matrices. Hot loops that
-/// already hold a worker pool should prefer `ParallelSolver::spmv_into` in
-/// `sts-core`, which reuses pinned workers and allocates nothing.
-pub fn parallel_spmv(a: &CsrMatrix, x: &[f64], threads: usize) -> Result<Vec<f64>> {
-    let mut y = vec![0.0; a.nrows()];
-    parallel_spmv_into(a, x, &mut y, threads)?;
-    Ok(y)
-}
-
-/// [`parallel_spmv`] into a caller-provided buffer.
-pub fn parallel_spmv_into(a: &CsrMatrix, x: &[f64], y: &mut [f64], threads: usize) -> Result<()> {
-    if x.len() != a.ncols() || y.len() != a.nrows() {
-        return Err(MatrixError::DimensionMismatch(
-            "x/y lengths must match the matrix dimensions".into(),
-        ));
-    }
-    let n = a.nrows();
-    let threads = threads.max(1).min(n.max(1));
-    if threads <= 1 {
-        return spmv_into(a, x, y);
-    }
-    std::thread::scope(|scope| {
-        let mut rest = y;
-        for t in 0..threads {
-            let start = t * n / threads;
-            let end = (t + 1) * n / threads;
-            let (mine, tail) = rest.split_at_mut(end - start);
-            rest = tail;
-            scope.spawn(move || {
-                for (r, yr) in (start..end).zip(mine) {
-                    let mut acc = 0.0;
-                    for (&c, &v) in a.row_cols(r).iter().zip(a.row_values(r)) {
-                        acc += v * x[c];
-                    }
-                    *yr = acc;
-                }
-            });
-        }
-    });
-    Ok(())
-}
-
 /// Euclidean norm of a vector.
 pub fn norm2(v: &[f64]) -> f64 {
     v.iter().map(|x| x * x).sum::<f64>().sqrt()
@@ -148,21 +101,6 @@ mod tests {
         assert!(spmv(&id, &[1.0]).is_err());
         let mut y = vec![0.0; 2];
         assert!(spmv_into(&id, &[1.0; 4], &mut y).is_err());
-    }
-
-    #[test]
-    fn parallel_spmv_matches_the_sequential_product() {
-        let l = small_l();
-        let a = l.to_csr().plus_transpose();
-        let x = vec![1.0, -2.0, 3.0];
-        let expected = spmv(&a, &x).unwrap();
-        for threads in [1, 2, 4, 9] {
-            let y = parallel_spmv(&a, &x, threads).unwrap();
-            assert_eq!(y, expected, "{threads} threads diverged");
-        }
-        let mut y = vec![0.0; 2];
-        assert!(parallel_spmv_into(&a, &x, &mut y, 2).is_err());
-        assert!(parallel_spmv(&a, &[1.0], 2).is_err());
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! The paper's whole argument is about *where time goes* inside a sparse
 //! triangular solve — gather phases, in-pack dependence chains, the
-//! barriers between them — yet wall-clock totals (`PcgOutcome::seconds_total`, a benchmark's
+//! barriers between them — yet wall-clock totals (`PcgOutcome::wall_ns`, a benchmark's
 //! `solve_ms_p50`) collapse all of that into one number. This crate provides the
 //! three primitives the rest of the stack threads through its runtime
 //! layers, with **no dependencies** (std only) and **no locks on the record

@@ -29,7 +29,7 @@ fn report(label: &str, out: &PcgOutcome, x_true: &[f64]) {
     println!(
         "{label:<26} {:>5} iterations  {:>9.3} ms  precond {:>4.1}%  error {:.2e}",
         out.iterations,
-        out.seconds_total * 1e3,
+        out.wall_ns as f64 * 1e-6,
         out.precond_share() * 100.0,
         ops::relative_error_inf(&out.x, x_true)
     );
@@ -100,9 +100,9 @@ fn main() {
     println!(
         "sweep-engine speedup at equal iterates: {:.2}x on preconditioner time \
          ({:.3} ms -> {:.3} ms per solve)",
-        seq.seconds_precond / pip.seconds_precond.max(1e-12),
-        seq.seconds_precond * 1e3,
-        pip.seconds_precond * 1e3
+        seq.precond_ns as f64 / pip.precond_ns.max(1) as f64,
+        seq.precond_ns as f64 * 1e-6,
+        pip.precond_ns as f64 * 1e-6
     );
     let label = ssor_pip.label();
     println!(

@@ -208,18 +208,16 @@
 //!
 //! The IC(0) factor shares the reordered pattern, so it reuses the same
 //! hierarchy — and the *factorization itself* is level-scheduled over that
-//! hierarchy on the driver's pool by [`krylov::Ic0::new`]
-//! ([`krylov::Ic0Setup::LevelScheduled`]): per pack, one parallel loop over
-//! the pack's super-rows, then a barrier — the paper's Algorithm 1 with the
-//! IC(0) row in place of the solve row. The sequential sweep ([`krylov::Ic0Setup::Sequential`],
-//! through the general constructor [`krylov::Ic0::with_operand`]) remains as
-//! the reference and produces a bitwise-identical factor, so the choice only
-//! moves setup wall time:
+//! hierarchy on the driver's pool by [`krylov::Ic0::new`]: per pack, one
+//! parallel loop over the pack's super-rows, then a barrier — the paper's
+//! Algorithm 1 with the IC(0) row in place of the solve row. The
+//! sequential sweep [`matrix::factor::ic0`] remains as the reference, and
+//! the level-scheduled factor has its bits exactly:
 //!
 //! ```
 //! # use sts_k::core::Method;
-//! # use sts_k::krylov::{Ic0, Ic0Operand, Ic0Setup, KrylovWorkspace, Pcg, SpdSystem, SweepEngine};
-//! # use sts_k::matrix::{generators, ops};
+//! # use sts_k::krylov::{Ic0, KrylovWorkspace, Pcg, SpdSystem, SweepEngine};
+//! # use sts_k::matrix::{factor, generators, ops};
 //! # use sts_k::numa::Schedule;
 //! # let a = generators::grid2d_laplacian(24, 24).unwrap();
 //! # let sys = SpdSystem::build(&a, Method::Sts3, 40).unwrap();
@@ -231,16 +229,9 @@
 //! let out_ic0 = pcg.solve(&sys, &mut ic0, &b, &mut ws).unwrap();
 //! assert!(out_ic0.converged);
 //!
-//! // The sequential reference build gives the same factor bit for bit.
-//! let seq = Ic0::with_operand(
-//!     &sys,
-//!     pcg.solver(),
-//!     SweepEngine::Sequential,
-//!     Ic0Operand::Plain,
-//!     Ic0Setup::Sequential,
-//! )
-//! .unwrap();
-//! assert_eq!(seq.factor_values(), ic0.factor_values());
+//! // The sequential reference factor of P A Pᵀ, bit for bit.
+//! let reference = factor::ic0(sys.matrix()).unwrap();
+//! assert_eq!(ic0.factor_values(), reference.values());
 //! ```
 //!
 //! # Error handling & graceful degradation

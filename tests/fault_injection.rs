@@ -14,7 +14,7 @@ use std::time::{Duration, Instant};
 use sts_bench::faultinject;
 use sts_k::core::{ChaosHook, Method, ParallelSolver, SolveEngine, SolveOptions, SweepDirection};
 use sts_k::krylov::{
-    build_ladder_preconditioner, Ic0, Ic0Operand, Ic0Setup, KrylovWorkspace, Pcg, Preconditioner,
+    build_ladder_preconditioner, Ic0, Ic0Operand, KrylovWorkspace, Pcg, Preconditioner,
     RecoveryPolicy, RobustPcg, SpdSystem, SweepEngine,
 };
 use sts_k::matrix::{factor, generators, ops, MatrixError};
@@ -372,9 +372,9 @@ fn mid_solve_preconditioner_nan_never_reaches_the_iterate() {
 
 #[test]
 fn breakdown_error_is_identical_at_every_thread_count() {
-    // The tiny-diagonal poison defeats IC(0) deterministically; sequential
-    // and level-scheduled setup must report the *same* breakdown — same
-    // row, bitwise-same pivot — at every worker count.
+    // The tiny-diagonal poison defeats IC(0) deterministically; the
+    // level-scheduled setup must report the sequential reference's
+    // breakdown — same row, bitwise-same pivot — at every worker count.
     let mut a = generators::grid2d_laplacian(14, 14).unwrap();
     faultinject::break_spd_diagonal(&mut a, 9);
     let sys = SpdSystem::build(&a, Method::Sts3, 8).unwrap();
@@ -398,46 +398,47 @@ fn breakdown_error_is_identical_at_every_thread_count() {
             }
             // `Ic0` factors the structure's lower triangle, not the matrix,
             // and must stop at the same row with the same pivot.
-            for setup in [Ic0Setup::LevelScheduled, Ic0Setup::Sequential] {
-                let plain = Ic0Operand::Plain;
-                match Ic0::with_operand(&sys, &solver, SweepEngine::Split, plain, setup) {
-                    Err(MatrixError::FactorizationBreakdown { row, pivot }) => {
-                        assert_eq!(row, row_ref, "{setup:?} breakdown row at {threads} threads");
-                        assert_eq!(
-                            pivot.to_bits(),
-                            pivot_ref.to_bits(),
-                            "{setup:?} breakdown pivot at {threads} threads"
-                        );
-                    }
-                    other => panic!("expected a {setup:?} breakdown, got {:?}", other.err()),
+            match Ic0::new(&sys, &solver, SweepEngine::Split) {
+                Err(MatrixError::FactorizationBreakdown { row, pivot }) => {
+                    assert_eq!(row, row_ref, "Ic0 breakdown row at {threads} threads");
+                    assert_eq!(
+                        pivot.to_bits(),
+                        pivot_ref.to_bits(),
+                        "Ic0 breakdown pivot at {threads} threads"
+                    );
                 }
+                other => panic!("expected an Ic0 breakdown, got {:?}", other.err()),
             }
         });
     }
 }
 
 #[test]
-fn shifted_ic0_engines_are_bitwise_identical_across_the_ladder() {
+fn shifted_ic0_matches_the_reference_factor_across_the_ladder() {
     let a = generators::grid2d_laplacian(16, 16).unwrap();
     let sys = SpdSystem::build(&a, Method::Sts3, 8).unwrap();
+    let lower = sys.structure().lower();
     for threads in thread_counts() {
         within_budget("shifted parity", || {
             let solver = ParallelSolver::new(threads, Schedule::Guided { min_chunk: 1 });
             for alpha in [1e-3, 1e-1, 1.0] {
-                let build = |setup| {
-                    let operand = Ic0Operand::Shifted(alpha);
-                    Ic0::with_operand(&sys, &solver, SweepEngine::Sequential, operand, setup)
-                        .unwrap()
-                };
-                let seq = build(Ic0Setup::Sequential);
-                let par = build(Ic0Setup::LevelScheduled);
+                // The sequential reference on the shifted lower triangle:
+                // every diagonal (each row's last entry) scaled by 1 + α.
+                let mut want = lower.values().to_vec();
+                for &end in &lower.row_ptr()[1..] {
+                    want[end - 1] *= 1.0 + alpha;
+                }
+                factor::ic0_in_place(lower.row_ptr(), lower.col_idx(), &mut want).unwrap();
+                let operand = Ic0Operand::Shifted(alpha);
+                let pre =
+                    Ic0::with_operand(&sys, &solver, SweepEngine::Sequential, operand).unwrap();
                 assert_eq!(
-                    seq.factor_values(),
-                    par.factor_values(),
-                    "shifted (α = {alpha}) factors diverged at {threads} threads"
+                    pre.factor_values(),
+                    want,
+                    "shifted (α = {alpha}) factor diverged at {threads} threads"
                 );
-                assert_eq!(seq.shift(), alpha);
-                assert_eq!(seq.label(), "ic0-shifted");
+                assert_eq!(pre.shift(), alpha);
+                assert_eq!(pre.label(), "ic0-shifted");
             }
         });
     }

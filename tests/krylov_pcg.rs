@@ -2,8 +2,9 @@
 //! PCG (plain, SSOR, IC(0); sequential and split sweep engines) must
 //! converge to the dense-Cholesky solution of the synthetic SPD suite (grid
 //! Laplacians) within an iteration bound. The iteration's bits do not depend
-//! on the thread count, and its product has the bits of the CSR product of
-//! the permuted operator.
+//! on the thread count, a single solve is the one-lane batch solve bit for
+//! bit, and the product has the bits of the CSR product of the permuted
+//! operator.
 
 use sts_k::core::solver::vector::BLOCK_ROWS;
 use sts_k::core::{BlockSums, Method, ParallelSolver};
@@ -320,15 +321,11 @@ fn pcg_bits_do_not_depend_on_the_thread_count() {
     }
 }
 
-#[test]
-fn the_product_has_the_bits_of_the_permuted_csr_product() {
-    // PCG multiplies by the structure's symmetric layout of `L'`, with u32
-    // columns: row by row in ascending column order from 0.0, exactly as
-    // the CSR product of `P A Pᵀ` sums it. So the product and its dots are
-    // bitwise those of `spmv_batch_into` on `P A Pᵀ`, at every width and
-    // thread count. Each operator spans more than one reduction block.
+/// Operators of assorted stencils, each spanning more than one reduction
+/// block.
+fn block_operators() -> Vec<(&'static str, CsrMatrix)> {
     let small_suite_d1 = generate(SuiteId::D1, SuiteScale::Small).unwrap().symmetric;
-    let operators = [
+    vec![
         (
             "5-point grid",
             generators::grid2d_laplacian(70, 61).unwrap(),
@@ -343,9 +340,59 @@ fn the_product_has_the_bits_of_the_permuted_csr_product() {
             generators::grid3d_27point(17, 16, 16).unwrap(),
         ),
         ("small-suite D1", small_suite_d1),
-    ];
+    ]
+}
+
+#[test]
+fn solve_is_the_one_lane_batch_solve() {
+    // `solve` runs the lockstep loop at one lane: its solution, iteration
+    // count, convergence flag and residual are the bits of
+    // `solve_batch(.., 1, ..)` on every operator and thread count.
+    let operators = spd_suite().into_iter().chain(
+        block_operators()
+            .into_iter()
+            .map(|(name, a)| (name.to_string(), a)),
+    );
     let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
     for (name, a) in operators {
+        let sys = SpdSystem::build(&a, Method::Sts3, 80).unwrap();
+        let n = sys.n();
+        let b: Vec<f64> = (0..n).map(|i| ((i * 7919) % 17) as f64 - 8.0).collect();
+        let mut ws = KrylovWorkspace::new(n);
+        let mut pre = Ic0::new(
+            &sys,
+            &ParallelSolver::new(2, Schedule::Static),
+            SweepEngine::Split,
+        )
+        .unwrap();
+        for threads in [1, 2, 3, 8] {
+            let what = format!("{name}, {threads} threads");
+            let pcg = Pcg::new(threads, Schedule::Guided { min_chunk: 1 });
+            let one = pcg.solve(&sys, &mut pre, &b, &mut ws).unwrap();
+            let batch = pcg.solve_batch(&sys, &mut pre, &b, 1, &mut ws).unwrap();
+            assert!(one.converged, "{what}: did not converge");
+            assert_eq!(bits(&one.x), bits(&batch.x), "{what}: x moved");
+            assert_eq!([one.iterations], *batch.iterations, "{what}: iterations");
+            assert_eq!(batch.lockstep_iterations, one.iterations, "{what}: steps");
+            assert_eq!([one.converged], *batch.converged, "{what}: converged");
+            assert_eq!(
+                one.residual_norm.to_bits(),
+                batch.residual_norms[0].to_bits(),
+                "{what}: residual"
+            );
+        }
+    }
+}
+
+#[test]
+fn the_product_has_the_bits_of_the_permuted_csr_product() {
+    // PCG multiplies by the structure's symmetric layout of `L'`, with u32
+    // columns: row by row in ascending column order from 0.0, exactly as
+    // the CSR product of `P A Pᵀ` sums it. So the product and its dots are
+    // bitwise those of `spmv_batch_into` on `P A Pᵀ`, at every width and
+    // thread count. Each operator spans more than one reduction block.
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    for (name, a) in block_operators() {
         let sys = SpdSystem::build(&a, Method::Sts3, 80).unwrap();
         let n = sys.n();
         assert!(n > BLOCK_ROWS, "{name}: {n} rows fit one reduction block");

@@ -12,7 +12,7 @@
 //! all is a scheduling bug.
 
 use sts_k::core::{Method, Ordering, ParallelSolver, StsBuilder, StsStructure, SuperRowSizing};
-use sts_k::krylov::{Ic0, Ic0Operand, Ic0Setup, SpdSystem, SweepEngine};
+use sts_k::krylov::{Ic0, Ic0Operand, SpdSystem, SweepEngine};
 use sts_k::matrix::suite::{SuiteScale, TestSuite};
 use sts_k::matrix::{factor, generators, CsrMatrix, LowerTriangularCsr, MatrixError};
 use sts_k::numa::Schedule;
@@ -189,7 +189,7 @@ fn perturbed(a: &CsrMatrix, rows: std::ops::Range<usize>, alpha: f64) -> CsrMatr
 #[test]
 fn ic0_from_the_lower_triangle_matches_the_reference_factor() {
     // `Ic0` factors a copy of the structure's lower triangle, never the
-    // operator: on every operand and setup, at every thread count, its
+    // operator: on every operand, at every thread count, its
     // factor has the bits of `factor::ic0` on `P A Pᵀ`, and a breakdown
     // names the same row with the same pivot bits.
     let grid = generators::grid2d_laplacian(23, 19).unwrap();
@@ -217,26 +217,23 @@ fn ic0_from_the_lower_triangle_matches_the_reference_factor() {
             let reference = factor::ic0(&matrix);
             for threads in [1, 2, 3, 8] {
                 let solver = ParallelSolver::new(threads, Schedule::Guided { min_chunk: 1 });
-                for setup in [Ic0Setup::LevelScheduled, Ic0Setup::Sequential] {
-                    let label = format!("{operand:?}, {setup:?}, {threads} threads");
-                    let got = Ic0::with_operand(&sys, &solver, SweepEngine::Split, operand, setup);
-                    match (&reference, got) {
-                        (Ok(f), Ok(pre)) => {
-                            let bits =
-                                |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                            assert_eq!(bits(pre.factor_values()), bits(f.values()), "{label}");
-                            outcomes[0] += 1;
-                        }
-                        (
-                            Err(MatrixError::FactorizationBreakdown { row, pivot }),
-                            Err(MatrixError::FactorizationBreakdown { row: r, pivot: p }),
-                        ) => {
-                            assert_eq!(*row, r, "{label}: breakdown row");
-                            assert_eq!(pivot.to_bits(), p.to_bits(), "{label}: pivot");
-                            outcomes[1] += 1;
-                        }
-                        (want, got) => panic!("{label}: expected {want:?}, got {got:?}"),
+                let label = format!("{operand:?}, {threads} threads");
+                let got = Ic0::with_operand(&sys, &solver, SweepEngine::Split, operand);
+                match (&reference, got) {
+                    (Ok(f), Ok(pre)) => {
+                        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                        assert_eq!(bits(pre.factor_values()), bits(f.values()), "{label}");
+                        outcomes[0] += 1;
                     }
+                    (
+                        Err(MatrixError::FactorizationBreakdown { row, pivot }),
+                        Err(MatrixError::FactorizationBreakdown { row: r, pivot: p }),
+                    ) => {
+                        assert_eq!(*row, r, "{label}: breakdown row");
+                        assert_eq!(pivot.to_bits(), p.to_bits(), "{label}: pivot");
+                        outcomes[1] += 1;
+                    }
+                    (want, got) => panic!("{label}: expected {want:?}, got {got:?}"),
                 }
             }
         }

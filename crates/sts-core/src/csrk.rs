@@ -19,8 +19,8 @@ use sts_matrix::{LowerTriangularCsr, MatrixError};
 
 use crate::builder::Ordering;
 use crate::options::SweepDirection;
-use crate::split::SplitLayout;
-use crate::symmetric::SymmetricLayout;
+use crate::split::{SplitLayout, SplitPattern};
+use crate::symmetric::{SymmetricLayout, SymmetricPattern};
 
 /// Result alias for the core crate.
 pub type Result<T> = std::result::Result<T, MatrixError>;
@@ -39,30 +39,48 @@ pub struct StsStructure {
     l: LowerTriangularCsr,
     /// The reordering permutation, shared like the index arrays.
     perm: Arc<Permutation>,
-    /// The dependency-split layout, built on first use ([`StsStructure::split`]):
-    /// it roughly doubles the off-diagonal storage, so unsplit-only callers
-    /// should not pay for it.
-    split: OnceLock<SplitLayout>,
-    /// The transpose (backward-sweep) split layout, likewise built on first
-    /// use ([`StsStructure::transpose_split`]) — only the forward/backward
-    /// sweep pairs of preconditioner applications pay for it.
-    tsplit: OnceLock<SplitLayout>,
+    /// The layouts' index arrays, built once per pattern and shared
+    /// (`Arc`) like the hierarchy arrays: every structure derived through
+    /// [`StsStructure::with_operand`] on this operand's pattern holds the
+    /// same allocation.
+    patterns: Arc<LayoutPatterns>,
+    /// The sweep layouts, indexed by [`direction_index`]: the forward
+    /// dependency-split layout ([`StsStructure::split`]) and the transpose
+    /// (backward-sweep) one ([`StsStructure::transpose_split`]). Each is built
+    /// on first use — it roughly doubles the off-diagonal storage, so
+    /// callers that never run that sweep should not pay for it — as the
+    /// shared pattern plus this structure's values.
+    sweeps: [OnceLock<SplitLayout>; 2],
+    /// The reciprocal diagonal both sweep layouts read, built with the first.
+    inv_diag: OnceLock<Arc<[f64]>>,
     /// The symmetric layout `L' + L'ᵀ − D` a Krylov iteration multiplies
     /// by, likewise built on first use ([`StsStructure::symmetric`]) — only
     /// a system's structure pays for it, never a factor's.
     sym: OnceLock<SymmetricLayout>,
-    /// Debug-only guard: set once the forward layout's schedule has been
-    /// statically verified ([`StsStructure::split`] runs the check on first
-    /// build under `debug_assertions`). A plain flag, not a lazily computed
-    /// value, because the verifier itself calls [`StsStructure::split`]
-    /// reentrantly. Ignored by `PartialEq` like the layout caches, and
-    /// never read in release builds (where the hook compiles out).
+}
+
+/// The per-pattern halves of a structure's layouts, each built on first
+/// use by whichever structure of the pattern needs it first.
+#[derive(Debug, Default)]
+struct LayoutPatterns {
+    /// The sweep layouts' patterns, indexed like `StsStructure::sweeps`.
+    sweeps: [OnceLock<Arc<SplitPattern>>; 2],
+    sym: OnceLock<Arc<SymmetricPattern>>,
+    /// Debug-only guards: set once a sweep pattern's schedule has been
+    /// statically verified (the first layout build of a direction runs the
+    /// check under `debug_assertions`). Plain flags, not lazily computed
+    /// values, because the verifier itself reads the layout reentrantly.
+    /// Never read in release builds (where the hook compiles out).
     #[cfg_attr(not(debug_assertions), allow(dead_code))]
-    split_verified: OnceLock<()>,
-    /// Debug-only guard for the transpose layout's schedule (see
-    /// `split_verified`).
-    #[cfg_attr(not(debug_assertions), allow(dead_code))]
-    tsplit_verified: OnceLock<()>,
+    verified: [OnceLock<()>; 2],
+}
+
+/// The slot of `direction` in the per-direction layout arrays.
+fn direction_index(direction: SweepDirection) -> usize {
+    match direction {
+        SweepDirection::Forward => 0,
+        SweepDirection::Transpose => 1,
+    }
 }
 
 /// Equality ignores the lazy layouts: they are pure functions of the other
@@ -118,7 +136,7 @@ impl StsStructure {
         l: LowerTriangularCsr,
         perm: Arc<Permutation>,
     ) -> Result<Self> {
-        let s = StsStructure::assemble(k, ordering, index3, index2, l, perm);
+        let s = StsStructure::assemble(k, ordering, index3, index2, l, perm, Arc::default());
         s.validate()?;
         if s.n() > 0 && s.n() - 1 > u32::MAX as usize {
             return Err(MatrixError::InvalidStructure(format!(
@@ -129,7 +147,8 @@ impl StsStructure {
         Ok(s)
     }
 
-    /// The fields, no layout built yet and nothing checked.
+    /// The fields, no layout built yet and nothing checked. `patterns`
+    /// must be empty or describe `l`'s pattern over this hierarchy.
     fn assemble(
         k: usize,
         ordering: Ordering,
@@ -137,6 +156,7 @@ impl StsStructure {
         index2: Arc<Vec<usize>>,
         l: LowerTriangularCsr,
         perm: Arc<Permutation>,
+        patterns: Arc<LayoutPatterns>,
     ) -> Self {
         StsStructure {
             k,
@@ -145,25 +165,11 @@ impl StsStructure {
             index2,
             l,
             perm,
-            split: OnceLock::new(),
-            tsplit: OnceLock::new(),
+            patterns,
+            sweeps: Default::default(),
+            inv_diag: OnceLock::new(),
             sym: OnceLock::new(),
-            split_verified: OnceLock::new(),
-            tsplit_verified: OnceLock::new(),
         }
-    }
-
-    /// For every row, the first row of its pack (the boundary the split
-    /// layout classifies columns against).
-    fn pack_start_rows(&self) -> Vec<usize> {
-        let mut start = vec![0usize; self.n()];
-        for p in 0..self.num_packs() {
-            let rows = self.pack_rows(p);
-            for r in rows.clone() {
-                start[r] = rows.start;
-            }
-        }
-        start
     }
 
     /// The number of levels of sub-structuring (1 for the flat reference
@@ -285,61 +291,39 @@ impl StsStructure {
     /// layout. Callers who want the build cost out of their timed region can
     /// force it up front with this same method.
     pub fn split(&self) -> &SplitLayout {
-        let layout = self.split.get_or_init(|| {
-            SplitLayout::build(&self.l, &self.pack_start_rows(), &self.index3, &self.index2)
-        });
-        // Debug builds statically verify the schedule the first time the
-        // layout is built. The guard must be a non-blocking `set` (first
-        // caller wins, losers skip): the verifier extracts its footprints by
-        // calling `split()` again, and a `get_or_init` here would deadlock on
-        // that reentrancy.
-        #[cfg(debug_assertions)]
-        if self.split_verified.set(()).is_ok() {
-            if let Err(v) = self.verify_schedule_at(usize::MAX, SweepDirection::Forward) {
-                panic!("forward schedule fails static verification: {v}");
-            }
-            if let Err(v) = self.verify_factor_schedule() {
-                panic!("super-row schedule fails static verification: {v}");
-            }
-        }
-        layout
+        self.layout(SweepDirection::Forward)
     }
 
     /// Whether the dependency-split layout has been built yet (diagnostic;
     /// unsplit-only callers should keep this `false` and skip the ≈2×
     /// off-diagonal storage cost).
     pub fn split_built(&self) -> bool {
-        self.split.get().is_some()
+        self.sweeps[0].get().is_some()
     }
 
     /// The transpose (backward-sweep) split layout, built on first use like
     /// [`StsStructure::split`]. See [`crate::transpose`] for the
     /// reverse-pack-order correctness argument the backward sweeps rely on.
     pub fn transpose_split(&self) -> &SplitLayout {
-        let layout = self
-            .tsplit
-            .get_or_init(|| crate::transpose::build(&self.l, &self.index3, &self.index2));
-        // Same first-build verification (and same reentrancy-safe guard) as
-        // `split()`, for the backward-sweep schedule.
-        #[cfg(debug_assertions)]
-        if self.tsplit_verified.set(()).is_ok() {
-            if let Err(v) = self.verify_schedule_at(usize::MAX, SweepDirection::Transpose) {
-                panic!("transpose schedule fails static verification: {v}");
-            }
-        }
-        layout
+        self.layout(SweepDirection::Transpose)
     }
 
     /// Whether the transpose split layout has been built yet (diagnostic).
     pub fn transpose_split_built(&self) -> bool {
-        self.tsplit.get().is_some()
+        self.sweeps[1].get().is_some()
     }
 
     /// The symmetric layout `L' + L'ᵀ − D` (see [`crate::symmetric`]), built
     /// on first use like [`StsStructure::split`]: the operator a Krylov
     /// iteration's product reads.
     pub fn symmetric(&self) -> &SymmetricLayout {
-        self.sym.get_or_init(|| SymmetricLayout::build(&self.l))
+        self.sym.get_or_init(|| {
+            let pattern = self
+                .patterns
+                .sym
+                .get_or_init(|| Arc::new(SymmetricPattern::build(&self.l)));
+            SymmetricLayout::fill(pattern, &self.l)
+        })
     }
 
     /// Whether the symmetric layout has been built yet (diagnostic).
@@ -347,12 +331,45 @@ impl StsStructure {
         self.sym.get().is_some()
     }
 
-    /// The split layout a sweep in `direction` runs on.
+    /// The split layout a sweep in `direction` runs on: the pattern's
+    /// (built by the first structure of the pattern that sweeps in
+    /// `direction`) filled with this structure's values.
     pub(crate) fn layout(&self, direction: SweepDirection) -> &SplitLayout {
-        match direction {
-            SweepDirection::Forward => self.split(),
-            SweepDirection::Transpose => self.transpose_split(),
+        let d = direction_index(direction);
+        let layout = self.sweeps[d].get_or_init(|| {
+            let pattern = self.patterns.sweeps[d].get_or_init(|| {
+                Arc::new(SplitPattern::build(
+                    &self.l,
+                    &self.index3,
+                    &self.index2,
+                    direction,
+                ))
+            });
+            let inv_diag = self
+                .inv_diag
+                .get_or_init(|| (0..self.n()).map(|i| 1.0 / self.l.diag(i)).collect());
+            SplitLayout::fill(pattern, &self.l, inv_diag)
+        });
+        // Debug builds statically verify a pattern's schedule the first time
+        // a layout of it is built. The guard must be a non-blocking `set`
+        // (first caller wins, losers skip): the verifier extracts its
+        // footprints by calling `layout()` again, and a `get_or_init` here
+        // would deadlock on that reentrancy.
+        #[cfg(debug_assertions)]
+        if self.patterns.verified[d].set(()).is_ok() {
+            if let Err(v) = self.verify_schedule_at(usize::MAX, direction) {
+                panic!(
+                    "{} schedule fails static verification: {v}",
+                    direction.as_str()
+                );
+            }
+            if direction == SweepDirection::Forward {
+                if let Err(v) = self.verify_factor_schedule() {
+                    panic!("super-row schedule fails static verification: {v}");
+                }
+            }
         }
+        layout
     }
 
     /// Rebuilds this structure around a different operand that shares the
@@ -363,16 +380,20 @@ impl StsStructure {
     /// This is the factored-preconditioner entry point: an incomplete
     /// Cholesky factor has exactly the sparsity pattern of the reordered
     /// operand's lower triangle, so the ordering computed once for the
-    /// system matrix (and the split layouts derived from it) can host the
-    /// factor's values without re-running the ordering pipeline. The
-    /// layouts themselves are value-bearing and are rebuilt lazily on the
-    /// returned structure.
+    /// system matrix can host the factor's values without re-running the
+    /// ordering pipeline.
     ///
-    /// An operand that holds this structure's own pattern allocations
-    /// ([`LowerTriangularCsr::with_values`] of [`StsStructure::lower`]) is
-    /// not validated again: pack independence is a property of that pattern
-    /// and the hierarchy, and both were validated when this structure was
-    /// built. Any other operand is validated in full.
+    /// An operand on this structure's pattern is not validated again: pack
+    /// independence is a property of that pattern and the hierarchy, and
+    /// both were validated when this structure was built. Such an operand
+    /// either holds the pattern's allocations
+    /// ([`LowerTriangularCsr::with_values`] of [`StsStructure::lower`]) or
+    /// an equal copy, which is compared entry by entry and then dropped in
+    /// favour of the shared allocations. The returned structure then shares
+    /// the layouts' index arrays too
+    /// ([`StsStructure::shares_layout_patterns_with`]): each of its layouts,
+    /// built on first use, costs one value pass. Any other operand is
+    /// validated in full and gets layout patterns of its own.
     pub fn with_operand(&self, l: LowerTriangularCsr) -> Result<StsStructure> {
         if l.n() != self.n() {
             return Err(MatrixError::DimensionMismatch(format!(
@@ -386,18 +407,22 @@ impl StsStructure {
             Arc::clone(&self.index2),
             Arc::clone(&self.perm),
         );
-        if l.shares_pattern_with(&self.l) {
-            Ok(StsStructure::assemble(
-                self.k,
-                self.ordering,
-                index3,
-                index2,
-                l,
-                perm,
-            ))
+        let l = if l.shares_pattern_with(&self.l) {
+            l
+        } else if l.row_ptr() == self.l.row_ptr() && l.col_idx() == self.l.col_idx() {
+            self.l.with_values(l.into_values())?
         } else {
-            StsStructure::from_shared(self.k, self.ordering, index3, index2, l, perm)
-        }
+            return StsStructure::from_shared(self.k, self.ordering, index3, index2, l, perm);
+        };
+        Ok(StsStructure::assemble(
+            self.k,
+            self.ordering,
+            index3,
+            index2,
+            l,
+            perm,
+            Arc::clone(&self.patterns),
+        ))
     }
 
     /// Whether `other` shares this structure's hierarchy allocations (index
@@ -408,6 +433,15 @@ impl StsStructure {
         Arc::ptr_eq(&self.index3, &other.index3)
             && Arc::ptr_eq(&self.index2, &other.index2)
             && Arc::ptr_eq(&self.perm, &other.perm)
+    }
+
+    /// Whether `other` shares this structure's layout patterns — the split,
+    /// transpose and symmetric layouts' row pointers, columns and chain
+    /// tasks — rather than building its own: true for any structure derived
+    /// through [`StsStructure::with_operand`] on this structure's pattern
+    /// (diagnostic).
+    pub fn shares_layout_patterns_with(&self, other: &StsStructure) -> bool {
+        Arc::ptr_eq(&self.patterns, &other.patterns)
     }
 
     /// Solves the transposed (upper-triangular) system `L'ᵀ x' = b'`
@@ -584,7 +618,12 @@ mod tests {
             *v *= 2.0;
         }
         let l2 = LowerTriangularCsr::from_csr(&csr).unwrap();
+        assert!(!l2.shares_pattern_with(s.lower()));
         let s2 = s.with_operand(l2).unwrap();
+        // An equal copy of the pattern is dropped for the shared one.
+        assert!(s2.lower().shares_pattern_with(s.lower()));
+        assert!(s2.shares_layout_patterns_with(&s));
+        assert!(std::ptr::eq(s2.split().ext_cols(), s.split().ext_cols()));
         assert_eq!(s2.num_packs(), s.num_packs());
         assert_eq!(s2.index2(), s.index2());
         let b = vec![1.0; 9];
@@ -614,6 +653,36 @@ mod tests {
         .unwrap();
         assert_eq!(small.n(), 9);
         assert!(shrunk.with_operand(small).is_err());
+    }
+
+    #[test]
+    fn another_valid_pattern_gets_layout_patterns_of_its_own() {
+        // Every row its own super-row and its own pack is valid for any
+        // lower-triangular pattern.
+        let l = generators::paper_figure1_l();
+        let flat = |l: LowerTriangularCsr| {
+            let (index3, index2) = ((0..=9).collect(), (0..=9).collect());
+            StsStructure::new(
+                1,
+                Ordering::LevelSet,
+                index3,
+                index2,
+                l,
+                Permutation::identity(9),
+            )
+            .unwrap()
+        };
+        let s = flat(l.clone());
+        let mut diagonal = sts_matrix::CooMatrix::new(9, 9);
+        for i in 0..9 {
+            diagonal.push(i, i, 2.0).unwrap();
+        }
+        let d = LowerTriangularCsr::from_csr(&diagonal.to_csr()).unwrap();
+        let s2 = s.with_operand(d.clone()).unwrap();
+        assert!(s2.shares_hierarchy_with(&s) && !s2.shares_layout_patterns_with(&s));
+        assert_eq!(s2.split().ext_nnz() + s2.split().int_nnz(), 0);
+        assert_eq!(*s2.split(), *flat(d).split());
+        assert_eq!(*s.split(), *flat(l).split());
     }
 
     #[test]

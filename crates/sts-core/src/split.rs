@@ -25,11 +25,24 @@
 //! previous stage has published every earlier pack; the schedule verifier
 //! ([`crate::verify`]) proves that every external column names such a row.
 //!
-//! The layout duplicates the operand's off-diagonal storage (ext + int slabs
+//! # Per-pattern and per-value arrays
+//!
+//! Which slab, row and column an entry of the operand lands in depends only
+//! on the operand's sparsity pattern and the pack hierarchy. Those arrays —
+//! the slabs' row pointers and `u32` columns, and the chain tasks — form a
+//! `SplitPattern`, built once per analysed pattern and shared by `Arc`
+//! between every structure of that pattern (a rebound system, its
+//! incomplete factor, a recovery factor). A [`SplitLayout`] adds what a
+//! structure's values decide: the two value slabs, written by one
+//! value-only pass over the operand (`SplitLayout::fill`), and the
+//! reciprocal diagonal, which the layouts of both sweep directions share.
+//! A first build is the pattern pass followed by that same value pass.
+//!
+//! The layout duplicates the operand's off-diagonal values (ext + int slabs
 //! hold every strictly-lower entry exactly once, next to the original CSR
 //! arrays). It is therefore built **lazily**: [`StsStructure::split`] builds
 //! it on first use (and the split kernels force it), so unsplit-only callers
-//! skip the ≈2× off-diagonal storage and the build sweep entirely.
+//! skip the extra storage and the build sweep entirely.
 //!
 //! # One type, two directions
 //!
@@ -44,19 +57,20 @@
 //!
 //! [`StsStructure::validate`]: crate::csrk::StsStructure::validate
 
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use sts_matrix::LowerTriangularCsr;
 
-/// Per-row split of the reordered operand (or its transpose) into external
-/// (off-pack) and internal (in-pack) slabs, plus the chain tasks phase 2
-/// dispatches. Built lazily by the first
-/// [`StsStructure::split`](crate::csrk::StsStructure::split) /
-/// [`StsStructure::transpose_split`](crate::csrk::StsStructure::transpose_split)
-/// call; immutable afterwards. Field and accessor docs are phrased for the
-/// forward layout; see the module docs for the transpose reading.
-#[derive(Debug, Clone)]
-pub struct SplitLayout {
+use crate::options::SweepDirection;
+
+/// The per-pattern half of a [`SplitLayout`]: the slabs' row pointers and
+/// columns and the chain tasks phase 2 dispatches, for one sweep direction.
+/// Field docs are phrased for the forward layout; see the module docs for
+/// the transpose reading.
+#[derive(Debug, PartialEq)]
+pub(crate) struct SplitPattern {
+    /// The sweep this pattern serves, which decides its value pass.
+    direction: SweepDirection,
     /// CSR row pointer over the external slab (`n + 1` entries).
     ext_row_ptr: Vec<usize>,
     /// Columns of the external slab, referencing rows of earlier packs
@@ -64,17 +78,11 @@ pub struct SplitLayout {
     /// ([`StsStructure::new`](crate::csrk::StsStructure::new) rejects
     /// systems with more than 2^32 rows).
     ext_cols: Vec<u32>,
-    /// Values of the external slab.
-    ext_vals: Vec<f64>,
     /// CSR row pointer over the internal slab (`n + 1` entries).
     int_row_ptr: Vec<usize>,
     /// Columns of the internal slab, referencing rows of the same
     /// super-row, as `u32` like `ext_cols`.
     int_cols: Vec<u32>,
-    /// Values of the internal slab.
-    int_vals: Vec<f64>,
-    /// Reciprocal diagonal, `1.0 / L'[i][i]`.
-    inv_diag: Vec<f64>,
     /// Super-rows owning at least one internal entry ("chain tasks"),
     /// grouped by pack: the chain tasks of pack `p` are
     /// `chain_srs[chain_sr_ptr[p]..chain_sr_ptr[p + 1]]`. Phase 2 dispatches
@@ -83,139 +91,57 @@ pub struct SplitLayout {
     /// Pack pointer into `chain_srs` (`num_packs + 1` entries).
     chain_sr_ptr: Vec<usize>,
     /// The chain *rows* (rows with internal entries) of each chain task, in
-    /// row order: task `t` of `chain_srs` owns
+    /// the order phase 2 visits them: task `t` of `chain_srs` owns
     /// `chain_rows[chain_row_ptr[t]..chain_row_ptr[t + 1]]`. Phase 2 visits
     /// exactly these rows and no others.
     chain_rows: Vec<u32>,
     /// Task pointer into `chain_rows` (`chain_srs.len() + 1` entries).
     chain_row_ptr: Vec<usize>,
-    /// Lazily demoted `f32` copy of `ext_vals` for the mixed-precision
-    /// kernels (storage-only — accumulation stays `f64`). Built on first
-    /// [`SplitLayout::ext_vals_f32`] call so `f64`-only callers never pay
-    /// the extra storage; ignored by `PartialEq` like the lazy caches on
-    /// `StsStructure`.
-    ext_vals_f32: OnceLock<Vec<f32>>,
-    /// Lazily demoted `f32` copy of `int_vals` (see `ext_vals_f32`).
-    int_vals_f32: OnceLock<Vec<f32>>,
 }
 
-/// Equality compares the built slabs and metadata; the lazily demoted `f32`
-/// value caches are derived data and are ignored (the same convention as
-/// `StsStructure`'s lazy layout caches).
-impl PartialEq for SplitLayout {
-    fn eq(&self, other: &SplitLayout) -> bool {
-        self.ext_row_ptr == other.ext_row_ptr
-            && self.ext_cols == other.ext_cols
-            && self.ext_vals == other.ext_vals
-            && self.int_row_ptr == other.int_row_ptr
-            && self.int_cols == other.int_cols
-            && self.int_vals == other.int_vals
-            && self.inv_diag == other.inv_diag
-            && self.chain_srs == other.chain_srs
-            && self.chain_sr_ptr == other.chain_sr_ptr
-            && self.chain_rows == other.chain_rows
-            && self.chain_row_ptr == other.chain_row_ptr
-    }
-}
-
-/// The per-row slabs a layout constructor produces, before the chain tasks
-/// are grouped ([`SplitLayout::from_slabs`]); fields as on [`SplitLayout`].
-pub(crate) struct Slabs {
+/// The per-row slab index arrays a pattern constructor produces, before the
+/// chain tasks are grouped ([`SplitPattern::from_slabs`]); fields as on
+/// [`SplitPattern`].
+pub(crate) struct SlabPattern {
     pub(crate) ext_row_ptr: Vec<usize>,
     pub(crate) ext_cols: Vec<u32>,
-    pub(crate) ext_vals: Vec<f64>,
     pub(crate) int_row_ptr: Vec<usize>,
     pub(crate) int_cols: Vec<u32>,
-    pub(crate) int_vals: Vec<f64>,
-    pub(crate) inv_diag: Vec<f64>,
 }
 
-/// The order phase 2 visits a chain task's rows in: increasing for the
-/// forward substitution, decreasing for the backward one.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum ChainOrder {
-    Increasing,
-    Decreasing,
-}
-
-impl SplitLayout {
-    /// Splits the reordered operand's rows at each row's pack boundary (the
-    /// forward layout; [`crate::transpose::build`] is the other
-    /// constructor).
-    ///
-    /// `pack_start_row[i]` must be the first row of the pack containing row
-    /// `i`: because packs execute in row order, a column is external exactly
-    /// when it is smaller than its row's pack start. `index3`/`index2` are
-    /// the validated hierarchy arrays, used to group the chain tasks by
-    /// pack.
+impl SplitPattern {
+    /// The pattern of a sweep in `direction` over `l`'s pattern, grouped by
+    /// the validated hierarchy arrays `index3`/`index2`.
     pub(crate) fn build(
         l: &LowerTriangularCsr,
-        pack_start_row: &[usize],
         index3: &[usize],
         index2: &[usize],
-    ) -> SplitLayout {
+        direction: SweepDirection,
+    ) -> SplitPattern {
         let n = l.n();
         // Enforced with a proper error by StsStructure::new before this runs.
         debug_assert!(
             n == 0 || n - 1 <= u32::MAX as usize,
             "columns are stored as u32"
         );
-        let row_ptr = l.row_ptr();
-        let col_idx = l.col_idx();
-        let values = l.values();
-        let off_diag = l.nnz() - n;
-        let mut ext_row_ptr = Vec::with_capacity(n + 1);
-        let mut int_row_ptr = Vec::with_capacity(n + 1);
-        let mut ext_cols = Vec::with_capacity(off_diag);
-        let mut ext_vals = Vec::with_capacity(off_diag);
-        let mut int_cols = Vec::new();
-        let mut int_vals = Vec::new();
-        let mut inv_diag = Vec::with_capacity(n);
-        ext_row_ptr.push(0);
-        int_row_ptr.push(0);
-        for i in 0..n {
-            let start = row_ptr[i];
-            let end = row_ptr[i + 1];
-            let pack_start = pack_start_row[i];
-            for k in start..end - 1 {
-                if col_idx[k] < pack_start {
-                    ext_cols.push(col_idx[k] as u32);
-                    ext_vals.push(values[k]);
-                } else {
-                    int_cols.push(col_idx[k] as u32);
-                    int_vals.push(values[k]);
-                }
-            }
-            ext_row_ptr.push(ext_cols.len());
-            int_row_ptr.push(int_cols.len());
-            inv_diag.push(1.0 / values[end - 1]);
-        }
-        SplitLayout::from_slabs(
-            Slabs {
-                ext_row_ptr,
-                ext_cols,
-                ext_vals,
-                int_row_ptr,
-                int_cols,
-                int_vals,
-                inv_diag,
-            },
-            index3,
-            index2,
-            ChainOrder::Increasing,
-        )
+        let slabs = match direction {
+            SweepDirection::Forward => forward_slabs(l, index3, index2),
+            SweepDirection::Transpose => crate::transpose::slabs(l, index3, index2),
+        };
+        SplitPattern::from_slabs(slabs, index3, index2, direction)
     }
 
-    /// Completes a layout from its per-row slabs: groups the super-rows that
-    /// own internal entries ("chain tasks") by pack, and records each task's
-    /// chain rows in the order phase 2 must visit them, so phase 2 visits
-    /// nothing else.
-    pub(crate) fn from_slabs(
-        slabs: Slabs,
+    /// Completes a pattern from its per-row slabs: groups the super-rows
+    /// that own internal entries ("chain tasks") by pack, and records each
+    /// task's chain rows in the order phase 2 must visit them — increasing
+    /// for the forward substitution, decreasing for the backward one — so
+    /// phase 2 visits nothing else.
+    fn from_slabs(
+        slabs: SlabPattern,
         index3: &[usize],
         index2: &[usize],
-        order: ChainOrder,
-    ) -> SplitLayout {
+        direction: SweepDirection,
+    ) -> SplitPattern {
         let num_packs = index3.len() - 1;
         let int_row_ptr = &slabs.int_row_ptr;
         let mut chain_srs = Vec::new();
@@ -235,25 +161,135 @@ impl SplitLayout {
                     rows.filter(|&r| int_row_ptr[r] != int_row_ptr[r + 1])
                         .map(|r| r as u32),
                 );
-                if order == ChainOrder::Decreasing {
+                if direction == SweepDirection::Transpose {
                     chain_rows[first..].reverse();
                 }
                 chain_row_ptr.push(chain_rows.len());
             }
             chain_sr_ptr.push(chain_srs.len());
         }
-        SplitLayout {
+        SplitPattern {
+            direction,
             ext_row_ptr: slabs.ext_row_ptr,
             ext_cols: slabs.ext_cols,
-            ext_vals: slabs.ext_vals,
             int_row_ptr: slabs.int_row_ptr,
             int_cols: slabs.int_cols,
-            int_vals: slabs.int_vals,
-            inv_diag: slabs.inv_diag,
             chain_srs,
             chain_sr_ptr,
             chain_rows,
             chain_row_ptr,
+        }
+    }
+
+    /// Entries of the external slab.
+    pub(crate) fn ext_nnz(&self) -> usize {
+        self.ext_cols.len()
+    }
+
+    /// Entries of the internal slab.
+    pub(crate) fn int_nnz(&self) -> usize {
+        self.int_cols.len()
+    }
+
+    /// The external slab's CSR row pointer.
+    pub(crate) fn ext_row_ptr(&self) -> &[usize] {
+        &self.ext_row_ptr
+    }
+
+    /// The internal slab's CSR row pointer.
+    pub(crate) fn int_row_ptr(&self) -> &[usize] {
+        &self.int_row_ptr
+    }
+}
+
+/// The forward slabs: a row's strictly-lower columns are sorted, so its
+/// external entries (columns before its pack's first row) are a prefix of
+/// the row and its internal entries the rest.
+fn forward_slabs(l: &LowerTriangularCsr, index3: &[usize], index2: &[usize]) -> SlabPattern {
+    let n = l.n();
+    let off_diag = l.nnz() - n;
+    let mut slabs = SlabPattern {
+        ext_row_ptr: Vec::with_capacity(n + 1),
+        ext_cols: Vec::with_capacity(off_diag),
+        int_row_ptr: Vec::with_capacity(n + 1),
+        int_cols: Vec::new(),
+    };
+    slabs.ext_row_ptr.push(0);
+    slabs.int_row_ptr.push(0);
+    for p in 0..index3.len() - 1 {
+        let pack_start = index2[index3[p]];
+        for i in pack_start..index2[index3[p + 1]] {
+            let cols = l.row_off_diag_cols(i);
+            let (ext, int) = cols.split_at(cols.partition_point(|&c| c < pack_start));
+            slabs.ext_cols.extend(ext.iter().map(|&c| c as u32));
+            slabs.int_cols.extend(int.iter().map(|&c| c as u32));
+            slabs.ext_row_ptr.push(slabs.ext_cols.len());
+            slabs.int_row_ptr.push(slabs.int_cols.len());
+        }
+    }
+    slabs
+}
+
+/// Per-row split of the reordered operand (or its transpose) into external
+/// (off-pack) and internal (in-pack) slabs, plus the chain tasks phase 2
+/// dispatches: a shared `SplitPattern` and this structure's values. Built
+/// lazily by the first
+/// [`StsStructure::split`](crate::csrk::StsStructure::split) /
+/// [`StsStructure::transpose_split`](crate::csrk::StsStructure::transpose_split)
+/// call; immutable afterwards. Accessor docs are phrased for the forward
+/// layout; see the module docs for the transpose reading.
+#[derive(Debug, Clone)]
+pub struct SplitLayout {
+    /// The index arrays and chain tasks, shared by every structure of the
+    /// pattern.
+    pattern: Arc<SplitPattern>,
+    /// Values of the external slab, parallel to the pattern's `ext_cols`.
+    ext_vals: Vec<f64>,
+    /// Values of the internal slab, parallel to the pattern's `int_cols`.
+    int_vals: Vec<f64>,
+    /// Reciprocal diagonal, `1.0 / L'[i][i]`, shared by the layouts of both
+    /// sweep directions of one structure.
+    inv_diag: Arc<[f64]>,
+    /// Lazily demoted `f32` copy of `ext_vals` for the mixed-precision
+    /// kernels (storage-only — accumulation stays `f64`). Built on first
+    /// [`SplitLayout::ext_vals_f32`] call so `f64`-only callers never pay
+    /// the extra storage; ignored by `PartialEq` like the lazy caches on
+    /// `StsStructure`.
+    ext_vals_f32: OnceLock<Vec<f32>>,
+    /// Lazily demoted `f32` copy of `int_vals` (see `ext_vals_f32`).
+    int_vals_f32: OnceLock<Vec<f32>>,
+}
+
+/// Equality compares the pattern, the value slabs and the reciprocal
+/// diagonal; the lazily demoted `f32` value caches are derived data and are
+/// ignored (the same convention as `StsStructure`'s lazy layout caches).
+impl PartialEq for SplitLayout {
+    fn eq(&self, other: &SplitLayout) -> bool {
+        self.pattern == other.pattern
+            && self.ext_vals == other.ext_vals
+            && self.int_vals == other.int_vals
+            && self.inv_diag == other.inv_diag
+    }
+}
+
+impl SplitLayout {
+    /// The value pass: `l`'s strictly-lower values written into `pattern`'s
+    /// slabs. `l` must carry the pattern's operand pattern, and `inv_diag`
+    /// its reciprocal diagonal.
+    pub(crate) fn fill(
+        pattern: &Arc<SplitPattern>,
+        l: &LowerTriangularCsr,
+        inv_diag: &Arc<[f64]>,
+    ) -> SplitLayout {
+        let (ext_vals, int_vals) = match pattern.direction {
+            SweepDirection::Forward => forward_values(pattern, l),
+            SweepDirection::Transpose => crate::transpose::values(pattern, l),
+        };
+        SplitLayout {
+            pattern: Arc::clone(pattern),
+            ext_vals,
+            int_vals,
+            inv_diag: Arc::clone(inv_diag),
             ext_vals_f32: OnceLock::new(),
             int_vals_f32: OnceLock::new(),
         }
@@ -266,12 +302,12 @@ impl SplitLayout {
 
     /// Total entries in the external (off-pack) slab.
     pub fn ext_nnz(&self) -> usize {
-        self.ext_cols.len()
+        self.pattern.ext_nnz()
     }
 
     /// Total entries in the internal (in-pack) slab.
     pub fn int_nnz(&self) -> usize {
-        self.int_cols.len()
+        self.pattern.int_nnz()
     }
 
     /// The demoted `f32` copy of the external value slab, built on first
@@ -301,13 +337,13 @@ impl SplitLayout {
     /// The external slab's CSR row pointer (`n + 1` entries).
     #[inline]
     pub fn ext_row_ptr(&self) -> &[usize] {
-        &self.ext_row_ptr
+        &self.pattern.ext_row_ptr
     }
 
     /// The external slab's column array.
     #[inline]
     pub fn ext_cols(&self) -> &[u32] {
-        &self.ext_cols
+        &self.pattern.ext_cols
     }
 
     /// The external slab's value array.
@@ -319,13 +355,13 @@ impl SplitLayout {
     /// The internal slab's CSR row pointer (`n + 1` entries).
     #[inline]
     pub fn int_row_ptr(&self) -> &[usize] {
-        &self.int_row_ptr
+        &self.pattern.int_row_ptr
     }
 
     /// The internal slab's column array.
     #[inline]
     pub fn int_cols(&self) -> &[u32] {
-        &self.int_cols
+        &self.pattern.int_cols
     }
 
     /// The internal slab's value array.
@@ -343,15 +379,17 @@ impl SplitLayout {
     /// External entries of row `i` as parallel `(cols, vals)` slices.
     #[inline]
     pub fn ext_row(&self, i: usize) -> (&[u32], &[f64]) {
-        let r = self.ext_row_ptr[i]..self.ext_row_ptr[i + 1];
-        (&self.ext_cols[r.clone()], &self.ext_vals[r])
+        let p = &self.pattern;
+        let r = p.ext_row_ptr[i]..p.ext_row_ptr[i + 1];
+        (&p.ext_cols[r.clone()], &self.ext_vals[r])
     }
 
     /// Internal entries of row `i` as parallel `(cols, vals)` slices.
     #[inline]
     pub fn int_row(&self, i: usize) -> (&[u32], &[f64]) {
-        let r = self.int_row_ptr[i]..self.int_row_ptr[i + 1];
-        (&self.int_cols[r.clone()], &self.int_vals[r])
+        let p = &self.pattern;
+        let r = p.int_row_ptr[i]..p.int_row_ptr[i + 1];
+        (&p.int_cols[r.clone()], &self.int_vals[r])
     }
 
     /// Reciprocal diagonal of row `i`.
@@ -364,27 +402,42 @@ impl SplitLayout {
     /// internal entry, i.e. the only tasks phase 2 must dispatch.
     #[inline]
     pub fn chain_super_rows(&self, p: usize) -> &[usize] {
-        &self.chain_srs[self.chain_sr_ptr[p]..self.chain_sr_ptr[p + 1]]
+        let pattern = &self.pattern;
+        &pattern.chain_srs[pattern.chain_sr_ptr[p]..pattern.chain_sr_ptr[p + 1]]
     }
 
     /// The chain rows of the `t`-th chain task of pack `p`, in row order —
     /// exactly the rows phase 2 must correct for that task.
     #[inline]
     pub fn chain_rows_of(&self, p: usize, t: usize) -> &[u32] {
-        let task = self.chain_sr_ptr[p] + t;
-        &self.chain_rows[self.chain_row_ptr[task]..self.chain_row_ptr[task + 1]]
+        let pattern = &self.pattern;
+        let task = pattern.chain_sr_ptr[p] + t;
+        &pattern.chain_rows[pattern.chain_row_ptr[task]..pattern.chain_row_ptr[task + 1]]
     }
 
     /// External entries of a contiguous row range, as one streamable slab
     /// (used by benches to verify the layout is contiguous per pack).
     pub fn ext_range_nnz(&self, rows: std::ops::Range<usize>) -> usize {
-        self.ext_row_ptr[rows.end] - self.ext_row_ptr[rows.start]
+        self.ext_row_ptr()[rows.end] - self.ext_row_ptr()[rows.start]
     }
 
     /// Internal entries of a contiguous row range.
     pub fn int_range_nnz(&self, rows: std::ops::Range<usize>) -> usize {
-        self.int_row_ptr[rows.end] - self.int_row_ptr[rows.start]
+        self.int_row_ptr()[rows.end] - self.int_row_ptr()[rows.start]
     }
+}
+
+/// The forward value pass: each row's values split at its external prefix.
+fn forward_values(pattern: &SplitPattern, l: &LowerTriangularCsr) -> (Vec<f64>, Vec<f64>) {
+    let mut ext_vals = Vec::with_capacity(pattern.ext_nnz());
+    let mut int_vals = Vec::with_capacity(pattern.int_nnz());
+    let erp = &pattern.ext_row_ptr;
+    for i in 0..l.n() {
+        let (ext, int) = l.row_off_diag_values(i).split_at(erp[i + 1] - erp[i]);
+        ext_vals.extend_from_slice(ext);
+        int_vals.extend_from_slice(int);
+    }
+    (ext_vals, int_vals)
 }
 
 #[cfg(test)]

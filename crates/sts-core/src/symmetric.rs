@@ -11,36 +11,41 @@
 //! ([`StsStructure::new`] checks `n − 1 ≤ u32::MAX`), 12 bytes per entry
 //! against 16 for a `usize`-indexed CSR matrix.
 //!
-//! Like the split layouts it is built on first use
-//! ([`StsStructure::symmetric`]), in one counting pass over `L'`, and a
+//! The row pointers and columns depend only on `L'`'s pattern: they form a
+//! `SymmetricPattern`, built once per analysed pattern in one counting
+//! pass and shared by `Arc` between every structure of that pattern. A
+//! structure's [`SymmetricLayout`] adds only its values, written by one
+//! value-only pass over `L'` (`SymmetricLayout::fill`). Like the split
+//! layouts it is built on first use ([`StsStructure::symmetric`]), and a
 //! factor structure never builds it.
 //!
 //! [`StsStructure::new`]: crate::csrk::StsStructure::new
 //! [`StsStructure::symmetric`]: crate::csrk::StsStructure::symmetric
 
+use std::sync::Arc;
+
 use sts_matrix::LowerTriangularCsr;
 
-/// `L' + L'ᵀ − D` in CSR form with `u32` columns; see the
-/// [module documentation](self).
-#[derive(Debug, Clone, PartialEq)]
-pub struct SymmetricLayout {
+/// The per-pattern half of a [`SymmetricLayout`]: row pointers and `u32`
+/// columns of `L' + L'ᵀ − D`.
+#[derive(Debug, PartialEq)]
+pub(crate) struct SymmetricPattern {
     row_ptr: Vec<usize>,
     col_idx: Vec<u32>,
-    values: Vec<f64>,
 }
 
-impl SymmetricLayout {
-    /// Builds the layout of `l`: a count of each row's transpose entries,
-    /// then one pass over `l`'s rows in increasing order that copies row
-    /// `i` in place and appends each strictly-lower entry `(i, j)` to row
-    /// `j`, which leaves every row's transpose part sorted.
-    pub(crate) fn build(l: &LowerTriangularCsr) -> SymmetricLayout {
+impl SymmetricPattern {
+    /// The pattern of `l`'s symmetric operator: a count of each row's
+    /// transpose entries, then one pass over `l`'s rows in increasing order
+    /// that copies row `i`'s columns in place and appends `i` to the
+    /// transpose part of row `j` for each strictly-lower entry `(i, j)`,
+    /// which leaves every row's transpose part sorted.
+    pub(crate) fn build(l: &LowerTriangularCsr) -> SymmetricPattern {
         let n = l.n();
         debug_assert!(
             n == 0 || n - 1 <= u32::MAX as usize,
             "columns are stored as u32"
         );
-        let (l_ptr, l_cols, l_vals) = (l.row_ptr(), l.col_idx(), l.values());
         // row_ptr[i + 1] first counts row i's transpose entries.
         let mut row_ptr = vec![0usize; n + 1];
         for &j in (0..n).flat_map(|i| l.row_off_diag_cols(i)) {
@@ -49,34 +54,70 @@ impl SymmetricLayout {
         for i in 0..n {
             row_ptr[i + 1] += row_ptr[i] + l.row_nnz(i);
         }
-        let nnz = row_ptr[n];
-        let mut col_idx = vec![0u32; nnz];
-        let mut values = vec![0.0f64; nnz];
-        // The next free slot of each row's transpose part.
-        let mut next: Vec<usize> = (0..n).map(|i| row_ptr[i] + l.row_nnz(i)).collect();
+        let mut col_idx = vec![0u32; row_ptr[n]];
+        let mut next = transpose_starts(&row_ptr, l);
         for i in 0..n {
-            let (src, dst) = (l_ptr[i]..l_ptr[i + 1], row_ptr[i]..next[i]);
-            for (c, &j) in col_idx[dst.clone()].iter_mut().zip(&l_cols[src.clone()]) {
+            let row = &l.col_idx()[l.row_ptr()[i]..l.row_ptr()[i + 1]];
+            for (c, &j) in col_idx[row_ptr[i]..].iter_mut().zip(row) {
                 *c = j as u32;
             }
-            values[dst].copy_from_slice(&l_vals[src.clone()]);
-            for k in src.start..src.end - 1 {
-                let j = l_cols[k];
+            for &j in &row[..row.len() - 1] {
                 col_idx[next[j]] = i as u32;
-                values[next[j]] = l_vals[k];
+                next[j] += 1;
+            }
+        }
+        SymmetricPattern { row_ptr, col_idx }
+    }
+}
+
+/// The first slot of each row's transpose part: the row's start plus its
+/// own `L'` entries.
+fn transpose_starts(row_ptr: &[usize], l: &LowerTriangularCsr) -> Vec<usize> {
+    (0..l.n()).map(|i| row_ptr[i] + l.row_nnz(i)).collect()
+}
+
+/// `L' + L'ᵀ − D` in CSR form with `u32` columns: a shared
+/// `SymmetricPattern` and this structure's values; see the
+/// [module documentation](self).
+#[derive(Debug, Clone)]
+pub struct SymmetricLayout {
+    pattern: Arc<SymmetricPattern>,
+    values: Vec<f64>,
+}
+
+/// Equality compares the pattern's contents and the values.
+impl PartialEq for SymmetricLayout {
+    fn eq(&self, other: &SymmetricLayout) -> bool {
+        self.pattern == other.pattern && self.values == other.values
+    }
+}
+
+impl SymmetricLayout {
+    /// The value pass: row `i` of `l` copied in place, and each
+    /// strictly-lower value `(i, j)` appended to row `j`'s transpose part in
+    /// the order [`SymmetricPattern::build`] wrote its column. `l` must
+    /// carry the pattern's operand pattern.
+    pub(crate) fn fill(pattern: &Arc<SymmetricPattern>, l: &LowerTriangularCsr) -> SymmetricLayout {
+        let row_ptr = &pattern.row_ptr;
+        let mut values = vec![0.0f64; pattern.col_idx.len()];
+        let mut next = transpose_starts(row_ptr, l);
+        for i in 0..l.n() {
+            let row = &l.values()[l.row_ptr()[i]..l.row_ptr()[i + 1]];
+            values[row_ptr[i]..row_ptr[i] + row.len()].copy_from_slice(row);
+            for (&j, &v) in l.row_off_diag_cols(i).iter().zip(row) {
+                values[next[j]] = v;
                 next[j] += 1;
             }
         }
         SymmetricLayout {
-            row_ptr,
-            col_idx,
+            pattern: Arc::clone(pattern),
             values,
         }
     }
 
     /// Dimension of the operator.
     pub fn n(&self) -> usize {
-        self.row_ptr.len() - 1
+        self.pattern.row_ptr.len() - 1
     }
 
     /// Stored entries: `2 · nnz(L') − n`.
@@ -86,12 +127,12 @@ impl SymmetricLayout {
 
     /// Row pointers into `col_idx` / `values`.
     pub fn row_ptr(&self) -> &[usize] {
-        &self.row_ptr
+        &self.pattern.row_ptr
     }
 
     /// Column indices, increasing within each row.
     pub fn col_idx(&self) -> &[u32] {
-        &self.col_idx
+        &self.pattern.col_idx
     }
 
     /// Values, parallel to `col_idx`.
@@ -109,7 +150,7 @@ mod tests {
     fn the_layout_is_the_symmetric_operator_with_sorted_rows() {
         let a = generators::grid2d_9point(5, 4).unwrap();
         let l = generators::lower_operand(&a).unwrap();
-        let sym = SymmetricLayout::build(&l);
+        let sym = SymmetricLayout::fill(&Arc::new(SymmetricPattern::build(&l)), &l);
         assert_eq!(sym.n(), a.nrows());
         assert_eq!(sym.nnz(), a.nnz());
         assert_eq!(sym.row_ptr(), a.row_ptr());
@@ -121,7 +162,7 @@ mod tests {
     #[test]
     fn an_empty_operator_has_an_empty_layout() {
         let l = LowerTriangularCsr::from_csr(&sts_matrix::CooMatrix::new(0, 0).to_csr()).unwrap();
-        let sym = SymmetricLayout::build(&l);
+        let sym = SymmetricLayout::fill(&Arc::new(SymmetricPattern::build(&l)), &l);
         assert_eq!((sym.n(), sym.nnz()), (0, 0));
     }
 }

@@ -2,8 +2,8 @@
 //!
 //! Preconditioned iterative solvers pair every forward sweep `L' y = r` with
 //! a backward sweep `L'ᵀ z = t` — symmetric Gauss–Seidel and incomplete
-//! Cholesky both apply the transpose once per iteration. `build` produces
-//! the [`SplitLayout`] of `L'ᵀ`, so the backward sweep runs on the same
+//! Cholesky both apply the transpose once per iteration. This module lays
+//! out the [`SplitLayout`] of `L'ᵀ`, so the backward sweep runs on the same
 //! kernels and drivers as the forward one, with the packs visited in reverse.
 //!
 //! # Why reverse pack order is correct
@@ -36,16 +36,18 @@
 //! rows `j > i` of the same super-row. Chain rows are stored per task in
 //! decreasing row order, so phase 2 iterates them forward.
 //!
-//! Like the forward layout, it duplicates the off-diagonal storage and is
-//! therefore built lazily by the first [`StsStructure::transpose_split`]
-//! call.
+//! Like the forward layout, it splits into a per-pattern half (the index
+//! arrays `slabs` lays out, shared between the structures of one pattern)
+//! and the value slabs `values` scatters from `L'` per structure, and it is
+//! built lazily by the first [`StsStructure::transpose_split`] call.
 //!
+//! [`SplitLayout`]: crate::split::SplitLayout
 //! [`StsStructure::transpose_split`]: crate::csrk::StsStructure::transpose_split
 //! [`StsStructure::validate`]: crate::csrk::StsStructure::validate
 
 use sts_matrix::LowerTriangularCsr;
 
-use crate::split::{ChainOrder, Slabs, SplitLayout};
+use crate::split::{SlabPattern, SplitPattern};
 
 /// Row → pack lookup from the validated hierarchy arrays.
 fn pack_of_rows(n: usize, index3: &[usize], index2: &[usize]) -> Vec<u32> {
@@ -57,19 +59,13 @@ fn pack_of_rows(n: usize, index3: &[usize], index2: &[usize]) -> Vec<u32> {
     pack_of_row
 }
 
-/// Builds the transpose split of the reordered operand. `index3`/`index2`
-/// are the validated hierarchy arrays; classification relies on the
-/// pack-independence invariant (cross-super-row dependents live in strictly
-/// later packs).
-pub(crate) fn build(l: &LowerTriangularCsr, index3: &[usize], index2: &[usize]) -> SplitLayout {
+/// The transpose slabs' index arrays over the reordered operand's pattern.
+/// `index3`/`index2` are the validated hierarchy arrays; classification
+/// relies on the pack-independence invariant (cross-super-row dependents
+/// live in strictly later packs).
+pub(crate) fn slabs(l: &LowerTriangularCsr, index3: &[usize], index2: &[usize]) -> SlabPattern {
     let n = l.n();
-    debug_assert!(
-        n == 0 || n - 1 <= u32::MAX as usize,
-        "columns are stored as u32"
-    );
-    let row_ptr = l.row_ptr();
-    let col_idx = l.col_idx();
-    let values = l.values();
+    let (row_ptr, col_idx) = (l.row_ptr(), l.col_idx());
     let pack_of_row = pack_of_rows(n, index3, index2);
     // Counting pass: each strictly-lower entry (j, i) of L' is an entry
     // (i, j) of the transpose; classify by pack(j) vs pack(i).
@@ -96,41 +92,59 @@ pub(crate) fn build(l: &LowerTriangularCsr, index3: &[usize], index2: &[usize]) 
         int_row_ptr.push(int_row_ptr[i] + int_count[i]);
     }
     let mut ext_cols = vec![0u32; ext_row_ptr[n]];
-    let mut ext_vals = vec![0.0f64; ext_row_ptr[n]];
     let mut int_cols = vec![0u32; int_row_ptr[n]];
-    let mut int_vals = vec![0.0f64; int_row_ptr[n]];
     // Fill pass; sweeping j in increasing order leaves every
     // transpose-row's columns sorted increasingly.
-    let mut ext_cursor = ext_row_ptr[..n].to_vec();
-    let mut int_cursor = int_row_ptr[..n].to_vec();
+    let (mut ext_cursor, mut int_cursor) = (ext_count, int_count);
+    ext_cursor.copy_from_slice(&ext_row_ptr[..n]);
+    int_cursor.copy_from_slice(&int_row_ptr[..n]);
     for j in 0..n {
-        for k in row_ptr[j]..row_ptr[j + 1] - 1 {
-            let i = col_idx[k];
+        for &i in &col_idx[row_ptr[j]..row_ptr[j + 1] - 1] {
             if pack_of_row[j] > pack_of_row[i] {
                 ext_cols[ext_cursor[i]] = j as u32;
-                ext_vals[ext_cursor[i]] = values[k];
                 ext_cursor[i] += 1;
             } else {
                 int_cols[int_cursor[i]] = j as u32;
-                int_vals[int_cursor[i]] = values[k];
                 int_cursor[i] += 1;
             }
         }
     }
-    SplitLayout::from_slabs(
-        Slabs {
-            ext_row_ptr,
-            ext_cols,
-            ext_vals,
-            int_row_ptr,
-            int_cols,
-            int_vals,
-            inv_diag: (0..n).map(|i| 1.0 / l.diag(i)).collect(),
-        },
-        index3,
-        index2,
-        ChainOrder::Decreasing,
-    )
+    SlabPattern {
+        ext_row_ptr,
+        ext_cols,
+        int_row_ptr,
+        int_cols,
+    }
+}
+
+/// The transpose value pass: every strictly-lower value of `l` scattered
+/// into its transpose slab slot. Row `i`'s transpose entries arrive in
+/// increasing `j`, so its internal ones (`j` in `i`'s super-row) come before
+/// its external ones (`j` in a later pack, hence past `i`'s pack): the
+/// `c`-th entry to arrive is internal slot `c`, or external slot
+/// `c − int_len(i)`.
+pub(crate) fn values(pattern: &SplitPattern, l: &LowerTriangularCsr) -> (Vec<f64>, Vec<f64>) {
+    let n = l.n();
+    let (row_ptr, col_idx, vals) = (l.row_ptr(), l.col_idx(), l.values());
+    let (erp, irp) = (pattern.ext_row_ptr(), pattern.int_row_ptr());
+    let mut ext_vals = vec![0.0f64; pattern.ext_nnz()];
+    let mut int_vals = vec![0.0f64; pattern.int_nnz()];
+    // The next slot of each transpose row, counted through its internal
+    // slab into its external one.
+    let mut next = irp[..n].to_vec();
+    for j in 0..n {
+        for k in row_ptr[j]..row_ptr[j + 1] - 1 {
+            let i = col_idx[k];
+            let slot = next[i];
+            if slot < irp[i + 1] {
+                int_vals[slot] = vals[k];
+            } else {
+                ext_vals[erp[i] + slot - irp[i + 1]] = vals[k];
+            }
+            next[i] += 1;
+        }
+    }
+    (ext_vals, int_vals)
 }
 
 #[cfg(test)]

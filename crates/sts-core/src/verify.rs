@@ -28,10 +28,12 @@
 //! cross-check (see [`sts_verify::replay`]) validates the footprints
 //! against what the kernels touch.
 //!
-//! Under `debug_assertions`, the first build of each lazy layout re-runs
-//! the corresponding checks ([`StsStructure::split`] /
-//! [`StsStructure::transpose_split`]), so every structure any debug test
-//! solves with is verified at row granularity.
+//! Under `debug_assertions`, the first build of each lazy sweep layout of
+//! a pattern re-runs the corresponding checks ([`StsStructure::split`] /
+//! [`StsStructure::transpose_split`]), so every pattern any debug test
+//! solves with is verified at row granularity. The schedule is a function
+//! of the pattern and the hierarchy alone, so the structures that share a
+//! pattern's layouts share its verification too.
 //!
 //! [`ParallelSolver::solve`]: crate::ParallelSolver::solve
 //! [`ParallelSolver::parallel_ic0`]: crate::ParallelSolver::parallel_ic0

@@ -15,7 +15,9 @@
 //!   the operator is read). The factor has `L'`'s sparsity pattern exactly
 //!   and shares its allocations, so it reuses the system's pack / super-row
 //!   hierarchy (and hence the whole split-kernel machinery) through
-//!   [`StsStructure::with_operand`] without validating the pattern again.
+//!   [`StsStructure::with_operand`] without validating the pattern again;
+//!   its split layouts share the pattern's index arrays, so building them
+//!   writes the factor's values only.
 //!   The factorization itself is level-scheduled over that same hierarchy
 //!   on the driver's pool, bitwise identical to the sequential reference
 //!   sweep `sts_matrix::factor::ic0`;
@@ -245,8 +247,9 @@ impl Preconditioner for Ssor {
 /// coordinates), from a copy of the values of the system structure's lower
 /// triangle `L' = lower(P A Pᵀ)` — all of `P A Pᵀ` that IC(0) reads. It is
 /// carried by a second [`StsStructure`] that shares the system's pack /
-/// super-row hierarchy and `L'`'s pattern — IC(0) preserves the sparsity
-/// pattern, so both transfer via [`StsStructure::with_operand`]. The
+/// super-row hierarchy, `L'`'s pattern and the layouts' index arrays —
+/// IC(0) preserves the sparsity pattern, so all three transfer via
+/// [`StsStructure::with_operand`]. The
 /// factor's bits, and its breakdown row and pivot, are those of
 /// `sts_matrix::factor::ic0` on `P A Pᵀ`.
 #[derive(Debug)]
@@ -547,7 +550,108 @@ mod tests {
         assert!(sys.structure().lower().shares_pattern_with(pattern));
         assert!(pre.sweeps.structure.lower().shares_pattern_with(pattern));
         assert!(pre.sweeps.structure.shares_hierarchy_with(base.structure()));
+        // ... and the layouts' index arrays.
+        assert!(sys
+            .structure()
+            .shares_layout_patterns_with(base.structure()));
+        assert!(pre
+            .sweeps
+            .structure
+            .shares_layout_patterns_with(base.structure()));
         // The factor structure never builds the product's layout.
         assert!(!pre.sweeps.structure.symmetric_built());
+    }
+
+    fn bits<T: Copy + Into<f64>>(v: &[T]) -> Vec<u64> {
+        v.iter().map(|&x| x.into().to_bits()).collect()
+    }
+
+    /// Both sweep layouts of `got` equal `want`'s — pattern, f64 values,
+    /// reciprocal diagonal and f32 slabs, bit for bit — and hold `base`'s
+    /// pattern allocations.
+    fn assert_sweep_layouts_equal(got: &StsStructure, want: &StsStructure, base: &StsStructure) {
+        for (g, w, b) in [
+            (got.split(), want.split(), base.split()),
+            (
+                got.transpose_split(),
+                want.transpose_split(),
+                base.transpose_split(),
+            ),
+        ] {
+            assert_eq!(g.ext_row_ptr(), w.ext_row_ptr());
+            assert_eq!(g.ext_cols(), w.ext_cols());
+            assert_eq!(g.int_row_ptr(), w.int_row_ptr());
+            assert_eq!(g.int_cols(), w.int_cols());
+            assert_eq!(bits(g.ext_vals()), bits(w.ext_vals()));
+            assert_eq!(bits(g.int_vals()), bits(w.int_vals()));
+            assert_eq!(bits(g.inv_diags()), bits(w.inv_diags()));
+            assert!(g.f32_slabs_built() && w.f32_slabs_built());
+            assert_eq!(bits(g.ext_vals_f32()), bits(w.ext_vals_f32()));
+            assert_eq!(bits(g.int_vals_f32()), bits(w.int_vals_f32()));
+            for p in 0..got.num_packs() {
+                assert_eq!(g.chain_super_rows(p), w.chain_super_rows(p));
+            }
+            // The index arrays are the base's allocations.
+            assert!(std::ptr::eq(g.ext_cols(), b.ext_cols()));
+            assert!(std::ptr::eq(g.int_row_ptr(), b.int_row_ptr()));
+            assert!(!std::ptr::eq(g.ext_cols(), w.ext_cols()));
+        }
+        assert!(got.shares_layout_patterns_with(base));
+        assert!(!got.shares_layout_patterns_with(want));
+    }
+
+    #[test]
+    fn rebound_systems_and_factors_equal_fresh_builds_in_every_layout() {
+        let suite =
+            sts_matrix::suite::TestSuite::generate(sts_matrix::suite::SuiteScale::Tiny).unwrap();
+        let solvers: Vec<ParallelSolver> = (1..=3)
+            .map(|t| ParallelSolver::new(t, Schedule::Guided { min_chunk: 1 }))
+            .collect();
+        for m in &suite.matrices {
+            let a = &m.symmetric;
+            let base = SpdSystem::build(a, Method::Sts3, 8).unwrap();
+            // New values on the same pattern: the diagonal up by 1 %.
+            let next = sts_matrix::CsrMatrix::from_raw(
+                a.nrows(),
+                a.ncols(),
+                a.row_ptr().to_vec(),
+                a.col_idx().to_vec(),
+                a.iter()
+                    .map(|(r, c, v)| if r == c { v * 1.01 } else { v })
+                    .collect(),
+            )
+            .unwrap();
+            let rebound = SpdSystem::build_with_structure(&next, base.structure()).unwrap();
+            let fresh = SpdSystem::build(&next, Method::Sts3, 8).unwrap();
+            let label = m.id.label();
+            let (got, want) = (rebound.structure(), fresh.structure());
+            assert_eq!(got, want, "{label}: the rebound structure");
+            let (gs, ws) = (got.symmetric(), want.symmetric());
+            assert_eq!(gs.row_ptr(), ws.row_ptr(), "{label}");
+            assert_eq!(gs.col_idx(), ws.col_idx(), "{label}");
+            assert_eq!(bits(gs.values()), bits(ws.values()), "{label}");
+            assert!(std::ptr::eq(
+                gs.col_idx(),
+                base.structure().symmetric().col_idx()
+            ));
+            assert!(got.shares_layout_patterns_with(base.structure()));
+            for solver in &solvers {
+                for operand in [Ic0Operand::Plain, Ic0Operand::Shifted(0.05)] {
+                    let factor = |sys: &SpdSystem| {
+                        let mut pre =
+                            Ic0::with_operand(sys, solver, SweepEngine::Split, operand).unwrap();
+                        pre.set_precision(PrecisionPolicy::ValuesF32WithRefinement);
+                        pre
+                    };
+                    let (g, w) = (factor(&rebound), factor(&fresh));
+                    assert_eq!(bits(g.factor_values()), bits(w.factor_values()));
+                    assert_sweep_layouts_equal(
+                        &g.sweeps.structure,
+                        &w.sweeps.structure,
+                        base.structure(),
+                    );
+                }
+            }
+        }
     }
 }

@@ -3,7 +3,7 @@
 use std::sync::{Arc, OnceLock};
 
 use sts_core::{Method, StsStructure};
-use sts_matrix::{CsrMatrix, LowerTriangularCsr, MatrixError};
+use sts_matrix::{CsrMatrix, MatrixError};
 
 use crate::Result;
 
@@ -77,17 +77,21 @@ impl SpdSystem {
     /// pattern-only analysis) on a matrix with the same sparsity pattern.
     /// Orderings are purely structural, so the pack / super-row hierarchy and
     /// permutation carry over unchanged. Only `lower(a)`'s values are
-    /// permuted into `base`'s order (`O(nnz)`, without forming `P A Pᵀ`),
-    /// and the new operand shares `base`'s hierarchy arrays and its lower
-    /// triangle's pattern by `Arc` rather than copying them. The resulting
-    /// system is bitwise identical to what a fresh [`SpdSystem::build`] with
-    /// the same method would produce.
+    /// written, straight into the slots of `base`'s lower triangle's
+    /// pattern ([`sts_matrix::LowerTriangularCsr::with_lower_of`], `O(nnz log d)` for
+    /// rows of `d` entries, without forming `P A Pᵀ` or a second pattern).
+    /// The new structure shares `base`'s hierarchy arrays, its lower
+    /// triangle's pattern and its layouts' index arrays by `Arc` rather than
+    /// copying them, so its symmetric layout, built here, costs one value
+    /// pass. The resulting system is bitwise identical to what a fresh
+    /// [`SpdSystem::build`] with the same method would produce.
     ///
     /// The operand is validated exactly as in [`SpdSystem::build`], and
     /// `lower(a)` defines the operator here as there; a matrix whose pattern
-    /// no longer matches the cached hierarchy is rejected with
-    /// [`MatrixError::DimensionMismatch`] or
-    /// [`MatrixError::InvalidStructure`].
+    /// no longer matches the cached structure's is rejected with
+    /// [`MatrixError::DimensionMismatch`] (another size) or
+    /// [`MatrixError::InvalidStructure`] (an entry without a slot in the
+    /// cached pattern, or another entry count).
     pub fn build_with_structure(a: &CsrMatrix, base: &StsStructure) -> Result<SpdSystem> {
         if a.nrows() != a.ncols() {
             return Err(MatrixError::DimensionMismatch(format!(
@@ -111,14 +115,9 @@ impl SpdSystem {
                     .into(),
             ));
         }
-        let l_perm = LowerTriangularCsr::permute_lower_of(a, base.permutation().new_to_old())?;
-        if l_perm.row_ptr() != base.lower().row_ptr() || l_perm.col_idx() != base.lower().col_idx()
-        {
-            return Err(MatrixError::InvalidStructure(
-                "matrix sparsity pattern does not match the cached structure".into(),
-            ));
-        }
-        let l = base.lower().with_values(l_perm.into_values())?;
+        let l = base
+            .lower()
+            .with_lower_of(a, base.permutation().new_to_old())?;
         Ok(SpdSystem::around(base.with_operand(l)?))
     }
 
@@ -289,9 +288,52 @@ mod tests {
             .structure()
             .lower()
             .shares_pattern_with(cold.structure().lower()));
+        // ... and its layouts' index arrays, which the fresh build owns.
+        assert!(warm
+            .structure()
+            .shares_layout_patterns_with(cold.structure()));
+        assert!(!fresh
+            .structure()
+            .shares_layout_patterns_with(cold.structure()));
         // A pattern that doesn't match the cached hierarchy is rejected.
         let other = generators::grid2d_laplacian(5, 9).unwrap();
         assert!(SpdSystem::build_with_structure(&other, cold.structure()).is_err());
+    }
+
+    /// `a` with the mirrored pairs `remove` dropped and `add` added (value
+    /// `-0.5`), every diagonal kept dominant.
+    fn edited(a: &CsrMatrix, remove: &[(usize, usize)], add: &[(usize, usize)]) -> CsrMatrix {
+        let dropped = |r: usize, c: usize| remove.iter().any(|&p| p == (r, c) || p == (c, r));
+        let mut coo = sts_matrix::CooMatrix::new(a.nrows(), a.ncols());
+        for (r, c, v) in a.iter().filter(|&(r, c, _)| !dropped(r, c)) {
+            coo.push(r, c, if r == c { v + 1.0 } else { v }).unwrap();
+        }
+        for &(r, c) in add {
+            coo.push_symmetric(r, c, -0.5).unwrap();
+        }
+        coo.to_csr()
+    }
+
+    #[test]
+    fn build_with_structure_rejects_each_kind_of_pattern_change() {
+        let a = generators::grid2d_laplacian(6, 5).unwrap();
+        let base = SpdSystem::build(&a, Method::Sts3, 4).unwrap();
+        // Rows 0 and 1 are neighbours; 0 and 7 are not.
+        assert!(a.get(1, 0) != 0.0 && a.get(7, 0) == 0.0);
+        let cases = [
+            ("a moved pair", edited(&a, &[(1, 0)], &[(7, 0)])),
+            ("a dropped pair", edited(&a, &[(1, 0)], &[])),
+            ("an added pair", edited(&a, &[], &[(7, 0)])),
+        ];
+        assert_eq!(cases[0].1.nnz(), a.nnz());
+        for (what, changed) in cases {
+            assert!(changed.validate().is_ok(), "{what}");
+            let got = SpdSystem::build_with_structure(&changed, base.structure());
+            assert!(
+                matches!(got, Err(MatrixError::InvalidStructure(_))),
+                "{what}: {got:?}"
+            );
+        }
     }
 
     #[test]

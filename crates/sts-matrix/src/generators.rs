@@ -34,10 +34,19 @@ use crate::Result;
 ///
 /// Each edge `(u, v)` contributes `-1` at `(u, v)` and `(v, u)`; the diagonal
 /// of each row is set to `degree + 1`, which makes the matrix strictly
-/// diagonally dominant and therefore non-singular.
+/// diagonally dominant and therefore non-singular. Self-loops are skipped,
+/// and a repeated edge sums (`-k` for `k` copies, each counted in the
+/// degree).
+///
+/// The CSR arrays are written directly: the degrees give the row pointers
+/// (one slot per incident edge plus the diagonal), a fill pass writes each
+/// row's neighbours in the order the edges arrive, and the diagonal is
+/// rotated into its sorted place. A row whose neighbours arrive unsorted or
+/// repeated is sorted and merged on its own. The result equals
+/// [`CooMatrix::to_csr`] of the same triplets bit for bit.
 pub fn symmetric_from_edges(n: usize, edges: &[(usize, usize)]) -> Result<CsrMatrix> {
-    let mut degree = vec![0usize; n];
-    let mut coo = CooMatrix::with_capacity(n, n, edges.len() * 2 + n);
+    // row_ptr[i + 1] first counts row i's off-diagonal slots (its degree).
+    let mut row_ptr = vec![0usize; n + 1];
     for &(u, v) in edges {
         if u >= n || v >= n {
             return Err(MatrixError::IndexOutOfBounds {
@@ -47,20 +56,70 @@ pub fn symmetric_from_edges(n: usize, edges: &[(usize, usize)]) -> Result<CsrMat
                 ncols: n,
             });
         }
-        if u == v {
-            continue;
+        if u != v {
+            row_ptr[u + 1] += 1;
+            row_ptr[v + 1] += 1;
         }
-        coo.push(u, v, -1.0)?;
-        coo.push(v, u, -1.0)?;
-        degree[u] += 1;
-        degree[v] += 1;
     }
-    for (i, &d) in degree.iter().enumerate() {
-        coo.push(i, i, d as f64 + 1.0)?;
+    for i in 0..n {
+        row_ptr[i + 1] += row_ptr[i] + 1;
     }
-    // Duplicate edges collapse by summation; recompute the diagonal so the
-    // matrix stays dominant even then by using drop-free conversion.
-    Ok(coo.to_csr())
+    let mut col_idx = vec![0usize; row_ptr[n]];
+    let mut values = vec![-1.0f64; row_ptr[n]];
+    let mut next = row_ptr[..n].to_vec();
+    for &(u, v) in edges.iter().filter(|&&(u, v)| u != v) {
+        col_idx[next[u]] = v;
+        next[u] += 1;
+        col_idx[next[v]] = u;
+        next[v] += 1;
+    }
+    // Finish each row in place, compacting rows behind any that merged.
+    let mut written = 0;
+    for i in 0..n {
+        let (start, end) = (row_ptr[i], row_ptr[i + 1]);
+        let degree = end - 1 - start;
+        let mut len = degree;
+        let cols = &mut col_idx[start..end];
+        if cols[..len].windows(2).any(|w| w[0] >= w[1]) {
+            len = sort_and_merge(cols, &mut values[start..end], len);
+        }
+        // The diagonal goes in the row's last slot, then rotates into place.
+        let place = cols[..len].partition_point(|&c| c < i);
+        cols[len] = i;
+        cols[place..=len].rotate_right(1);
+        let vals = &mut values[start..=start + len];
+        vals[len] = degree as f64 + 1.0;
+        vals[place..].rotate_right(1);
+        col_idx.copy_within(start..=start + len, written);
+        values.copy_within(start..=start + len, written);
+        row_ptr[i] = written;
+        written += len + 1;
+    }
+    row_ptr[n] = written;
+    col_idx.truncate(written);
+    values.truncate(written);
+    let a = CsrMatrix::from_raw_unchecked(n, n, row_ptr, col_idx, values);
+    // Every generator a unit test calls is checked against the COO path.
+    #[cfg(test)]
+    tests::assert_bitwise_eq(&a, &tests::coo_path(n, edges));
+    Ok(a)
+}
+
+/// Sorts the first `len` columns of a row whose values are all `-1.0` and
+/// merges repeats, `k` copies into one entry of `-k`; returns the merged
+/// length.
+fn sort_and_merge(cols: &mut [usize], values: &mut [f64], len: usize) -> usize {
+    cols[..len].sort_unstable();
+    let mut merged = 0;
+    let mut k = 0;
+    while k < len {
+        let run = cols[k..len].partition_point(|&c| c == cols[k]);
+        cols[merged] = cols[k];
+        values[merged] = -(run as f64);
+        merged += 1;
+        k += run;
+    }
+    merged
 }
 
 /// Extracts the lower-triangular operand of a symmetric matrix generated by
@@ -537,6 +596,65 @@ mod tests {
             assert_eq!(x.len(), 64);
             assert!(x.iter().all(|v| v.is_finite()));
         }
+    }
+
+    /// The triplet assembly [`symmetric_from_edges`] must equal bit for bit.
+    pub(super) fn coo_path(n: usize, edges: &[(usize, usize)]) -> CsrMatrix {
+        let mut degree = vec![0usize; n];
+        let mut coo = CooMatrix::new(n, n);
+        for &(u, v) in edges.iter().filter(|&&(u, v)| u != v) {
+            coo.push(u, v, -1.0).unwrap();
+            coo.push(v, u, -1.0).unwrap();
+            degree[u] += 1;
+            degree[v] += 1;
+        }
+        for (i, &d) in degree.iter().enumerate() {
+            coo.push(i, i, d as f64 + 1.0).unwrap();
+        }
+        coo.to_csr()
+    }
+
+    pub(super) fn assert_bitwise_eq(a: &CsrMatrix, b: &CsrMatrix) {
+        assert_eq!((a.nrows(), a.ncols()), (b.nrows(), b.ncols()));
+        assert_eq!(a.row_ptr(), b.row_ptr());
+        assert_eq!(a.col_idx(), b.col_idx());
+        let bits = |m: &CsrMatrix| m.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(a), bits(b));
+    }
+
+    #[test]
+    fn every_generator_equals_its_coo_path() {
+        // symmetric_from_edges compares itself with the COO path under
+        // cfg(test); this calls every generator that goes through it.
+        let grid = grid2d_laplacian(6, 5).unwrap();
+        for a in [
+            grid2d_9point(7, 6).unwrap(),
+            grid3d_laplacian(4, 3, 5).unwrap(),
+            grid3d_27point(5, 4, 3).unwrap(),
+            block_expand(&grid, 3).unwrap(),
+            random_geometric(300, 8.0, 2).unwrap(),
+            triangulated_grid(9, 8, 3).unwrap(),
+            road_network(12, 10, 0.6, 4).unwrap(),
+        ] {
+            assert!(a.validate().is_ok());
+        }
+    }
+
+    #[test]
+    fn unsorted_and_repeated_edges_merge_like_the_coo_path() {
+        let mut rng = StdRng::seed_from_u64(5);
+        for n in [1, 2, 7, 40] {
+            let edges: Vec<(usize, usize)> = (0..4 * n)
+                .map(|_| (rng.gen_range(0..n), rng.gen_range(0..n)))
+                .collect();
+            let a = symmetric_from_edges(n, &edges).unwrap();
+            assert_bitwise_eq(&a, &coo_path(n, &edges));
+        }
+        // An edge given three times, once reversed, and a self-loop.
+        let a = symmetric_from_edges(3, &[(2, 0), (0, 2), (1, 1), (2, 0), (1, 0)]).unwrap();
+        assert_eq!(a.col_idx(), &[0, 1, 2, 0, 1, 0, 2]);
+        assert_eq!(a.values(), &[5.0, -1.0, -3.0, -1.0, 2.0, -3.0, 4.0]);
+        assert!(symmetric_from_edges(0, &[]).unwrap().nrows() == 0);
     }
 
     #[test]

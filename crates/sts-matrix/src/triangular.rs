@@ -349,101 +349,114 @@ impl LowerTriangularCsr {
     /// sort and no symmetric matrix in between. Rows come out sorted with
     /// the diagonal last.
     pub fn permute_symmetric(&self, perm: &[usize]) -> Result<LowerTriangularCsr> {
-        permute_lower(self.n, perm, |r| {
-            let rows = self.row_ptr[r]..self.row_ptr[r + 1];
-            (&self.col_idx[rows.clone()], &self.values[rows])
+        let n = self.n;
+        let inv = inverse_permutation(perm, n)?;
+        // Entry (r, c) lands at (max, min) of its new labels.
+        let placed = |r: usize, c: usize| {
+            let (p, q) = (inv[r], inv[c]);
+            (p.max(q), p.min(q))
+        };
+        let mut row_ptr = vec![0usize; n + 1];
+        let mut col_ptr = vec![0usize; n + 1];
+        for r in 0..n {
+            for &c in &self.col_idx[self.row_ptr[r]..self.row_ptr[r + 1]] {
+                let (row, col) = placed(r, c);
+                row_ptr[row + 1] += 1;
+                col_ptr[col + 1] += 1;
+            }
+        }
+        for i in 0..n {
+            row_ptr[i + 1] += row_ptr[i];
+            col_ptr[i + 1] += col_ptr[i];
+        }
+        let nnz = row_ptr[n];
+        // Pass 1: bucket every entry by its new column.
+        let mut by_col = vec![(0usize, 0.0f64); nnz];
+        let mut next = col_ptr[..n].to_vec();
+        for r in 0..n {
+            for k in self.row_ptr[r]..self.row_ptr[r + 1] {
+                let (row, col) = placed(r, self.col_idx[k]);
+                by_col[next[col]] = (row, self.values[k]);
+                next[col] += 1;
+            }
+        }
+        // Pass 2: the columns in increasing order into their rows, which
+        // fills every row sorted, the diagonal (its largest column) last.
+        let mut col_idx = vec![0usize; nnz];
+        let mut values = vec![0.0f64; nnz];
+        next.copy_from_slice(&row_ptr[..n]);
+        for c in 0..n {
+            for &(row, v) in &by_col[col_ptr[c]..col_ptr[c + 1]] {
+                col_idx[next[row]] = c;
+                values[next[row]] = v;
+                next[row] += 1;
+            }
+        }
+        Ok(LowerTriangularCsr {
+            n,
+            row_ptr: Arc::new(row_ptr),
+            col_idx: Arc::new(col_idx),
+            values,
         })
     }
 
-    /// [`LowerTriangularCsr::permute_symmetric`] of `lower(a)`, without
-    /// forming `lower(a)`: the same two counting passes, reading each row of
-    /// `a` up to its diagonal. For a symmetric `a` this is
-    /// `lower(P a Pᵀ)`, every value taken from `a`'s lower triangle.
+    /// The values of `lower(P a Pᵀ)` on this operand's pattern, which the
+    /// result shares ([`LowerTriangularCsr::with_values`]): each entry
+    /// `(r, c)` of `a`'s lower triangle, diagonal included, is written
+    /// into the slot of its new position `(max, min)` of the relabelled
+    /// `(r, c)`, found by a binary search in that row of the pattern. For
+    /// a symmetric `a` whose `lower(P a Pᵀ)` has exactly this pattern, the
+    /// result equals [`LowerTriangularCsr::permute_symmetric`] of `lower(a)`
+    /// bit for bit, without building a second pattern. `perm` maps new
+    /// indices to old ones.
     ///
-    /// Fails when `a` is not square, when `perm` is not a permutation of
-    /// its rows, or with [`MatrixError::SingularDiagonal`] when a row's
-    /// diagonal is missing or zero.
-    pub fn permute_lower_of(a: &CsrMatrix, perm: &[usize]) -> Result<LowerTriangularCsr> {
-        if a.nrows() != a.ncols() {
+    /// The check is exact: every entry must find its slot, and `a`'s lower
+    /// triangle must hold as many entries as the pattern. A
+    /// [`CsrMatrix`]'s rows have strictly increasing columns, so distinct
+    /// entries land in distinct slots and the two conditions together mean
+    /// the patterns are equal.
+    ///
+    /// Fails with [`MatrixError::InvalidStructure`] when the patterns
+    /// differ, [`MatrixError::DimensionMismatch`] when `a` is not `n × n`,
+    /// [`MatrixError::InvalidParameter`] when `perm` is not a permutation of
+    /// its rows, and [`MatrixError::SingularDiagonal`] when a diagonal
+    /// value is zero.
+    pub fn with_lower_of(&self, a: &CsrMatrix, perm: &[usize]) -> Result<LowerTriangularCsr> {
+        let n = self.n;
+        if a.nrows() != n || a.ncols() != n {
             return Err(MatrixError::DimensionMismatch(format!(
-                "lower-triangular matrix must be square, got {}x{}",
+                "matrix is {}x{}, the pattern is {n}x{n}",
                 a.nrows(),
                 a.ncols()
             )));
         }
-        permute_lower(a.nrows(), perm, |r| {
+        let inv = inverse_permutation(perm, n)?;
+        let mut values = vec![0.0f64; self.nnz()];
+        let mut filled = 0usize;
+        for r in 0..n {
             let cols = a.row_cols(r);
             let lower = cols.partition_point(|&c| c <= r);
-            (&cols[..lower], &a.row_values(r)[..lower])
-        })
-    }
-}
-
-/// `lower(P S Pᵀ)` of the symmetric `n × n` matrix `S` whose lower triangle
-/// (diagonal included) row `r` lists as `row(r)`, columns increasing: the
-/// counting passes behind [`LowerTriangularCsr::permute_symmetric`] and
-/// [`LowerTriangularCsr::permute_lower_of`], which differ only in where a
-/// row's entries come from.
-fn permute_lower<'a>(
-    n: usize,
-    perm: &[usize],
-    row: impl Fn(usize) -> (&'a [usize], &'a [f64]),
-) -> Result<LowerTriangularCsr> {
-    let inv = inverse_permutation(perm, n)?;
-    // Entry (r, c) lands at (max, min) of its new labels.
-    let placed = |r: usize, c: usize| {
-        let (p, q) = (inv[r], inv[c]);
-        (p.max(q), p.min(q))
-    };
-    let mut row_ptr = vec![0usize; n + 1];
-    let mut col_ptr = vec![0usize; n + 1];
-    for r in 0..n {
-        for &c in row(r).0 {
-            let (row, col) = placed(r, c);
-            row_ptr[row + 1] += 1;
-            col_ptr[col + 1] += 1;
+            for (&c, &v) in cols[..lower].iter().zip(a.row_values(r)) {
+                let (p, q) = (inv[r], inv[c]);
+                let (row, col) = (p.max(q), p.min(q));
+                let slots = self.row_ptr[row]..self.row_ptr[row + 1];
+                let Ok(k) = self.col_idx[slots.clone()].binary_search(&col) else {
+                    return Err(MatrixError::InvalidStructure(format!(
+                        "entry ({r}, {c}) of the matrix has no slot in the pattern"
+                    )));
+                };
+                values[slots.start + k] = v;
+            }
+            filled += lower;
         }
-    }
-    for i in 0..n {
-        row_ptr[i + 1] += row_ptr[i];
-        col_ptr[i + 1] += col_ptr[i];
-    }
-    let nnz = row_ptr[n];
-    // Pass 1: bucket every entry by its new column.
-    let mut by_col = vec![(0usize, 0.0f64); nnz];
-    let mut next = col_ptr[..n].to_vec();
-    for r in 0..n {
-        let (cols, vals) = row(r);
-        for (&c, &v) in cols.iter().zip(vals) {
-            let (row, col) = placed(r, c);
-            by_col[next[col]] = (row, v);
-            next[col] += 1;
+        if filled != self.nnz() {
+            return Err(MatrixError::InvalidStructure(format!(
+                "the matrix's lower triangle holds {filled} entries, the pattern {}",
+                self.nnz()
+            )));
         }
+        self.with_values(values)
     }
-    // Pass 2: the columns in increasing order into their rows, which fills
-    // every row sorted, the diagonal (its largest column) last.
-    let mut col_idx = vec![0usize; nnz];
-    let mut values = vec![0.0f64; nnz];
-    next.copy_from_slice(&row_ptr[..n]);
-    for c in 0..n {
-        for &(row, v) in &by_col[col_ptr[c]..col_ptr[c + 1]] {
-            col_idx[next[row]] = c;
-            values[next[row]] = v;
-            next[row] += 1;
-        }
-    }
-    if let Some(row) = (0..n).find(|&i| {
-        let end = row_ptr[i + 1];
-        end == row_ptr[i] || col_idx[end - 1] != i || values[end - 1] == 0.0
-    }) {
-        return Err(MatrixError::SingularDiagonal { row });
-    }
-    Ok(LowerTriangularCsr {
-        n,
-        row_ptr: Arc::new(row_ptr),
-        col_idx: Arc::new(col_idx),
-        values,
-    })
 }
 
 #[cfg(test)]
@@ -727,28 +740,62 @@ mod tests {
     }
 
     #[test]
-    fn permute_lower_of_equals_permuting_the_lower_triangle() {
+    fn with_lower_of_equals_permuting_the_lower_triangle() {
         let suite = crate::suite::TestSuite::generate(crate::suite::SuiteScale::Tiny).unwrap();
         for m in suite.matrices {
             let l = m.lower().unwrap();
             for perm in permutations(l.n()) {
-                assert_eq!(
-                    LowerTriangularCsr::permute_lower_of(&m.symmetric, &perm).unwrap(),
-                    l.permute_symmetric(&perm).unwrap()
-                );
+                let lp = l.permute_symmetric(&perm).unwrap();
+                let filled = lp.with_lower_of(&m.symmetric, &perm).unwrap();
+                assert!(filled.shares_pattern_with(&lp));
+                let bits = |l: &LowerTriangularCsr| -> Vec<u64> {
+                    l.values().iter().map(|v| v.to_bits()).collect()
+                };
+                assert_eq!(bits(&filled), bits(&lp));
             }
         }
-        // A missing diagonal, a bad permutation and a rectangular input.
-        let mut coo = CooMatrix::new(2, 2);
-        coo.push(0, 0, 1.0).unwrap();
-        coo.push(1, 0, 0.5).unwrap();
-        coo.push(0, 1, 0.5).unwrap();
-        let e = LowerTriangularCsr::permute_lower_of(&coo.to_csr(), &[1, 0]);
-        assert!(matches!(e, Err(MatrixError::SingularDiagonal { row: 0 })));
-        let id = CsrMatrix::identity(3);
-        assert!(LowerTriangularCsr::permute_lower_of(&id, &[0, 0, 1]).is_err());
-        let rect = CooMatrix::new(2, 3).to_csr();
-        assert!(LowerTriangularCsr::permute_lower_of(&rect, &[0, 1]).is_err());
+    }
+
+    #[test]
+    fn with_lower_of_rejects_other_patterns() {
+        // The 3 × 3 tridiagonal operator and its pattern.
+        let tri = |entries: &[(usize, usize)]| {
+            let mut coo = CooMatrix::new(3, 3);
+            for i in 0..3 {
+                coo.push(i, i, 4.0).unwrap();
+            }
+            for &(r, c) in entries {
+                coo.push_symmetric(r, c, -1.0).unwrap();
+            }
+            coo.to_csr()
+        };
+        let a = tri(&[(1, 0), (2, 1)]);
+        let l = LowerTriangularCsr::from_lower_triangle_of(&a).unwrap();
+        let id = [0, 1, 2];
+        assert_eq!(l.with_lower_of(&a, &id).unwrap(), l);
+        let structure =
+            |e: Result<LowerTriangularCsr>| matches!(e, Err(MatrixError::InvalidStructure(_)));
+        // A moved pair (same count), a dropped pair, an added pair.
+        assert!(structure(l.with_lower_of(&tri(&[(1, 0), (2, 0)]), &id)));
+        assert!(structure(l.with_lower_of(&tri(&[(1, 0)]), &id)));
+        assert!(structure(
+            l.with_lower_of(&tri(&[(1, 0), (2, 1), (2, 0)]), &id)
+        ));
+        // A bad permutation, a wrong size, a zero diagonal.
+        assert!(matches!(
+            l.with_lower_of(&a, &[0, 0, 1]),
+            Err(MatrixError::InvalidParameter(_))
+        ));
+        assert!(matches!(
+            l.with_lower_of(&CsrMatrix::identity(2), &[0, 1]),
+            Err(MatrixError::DimensionMismatch(_))
+        ));
+        let mut zero = a.clone();
+        zero.values_mut()[0] = 0.0;
+        assert!(matches!(
+            l.with_lower_of(&zero, &id),
+            Err(MatrixError::SingularDiagonal { row: 0 })
+        ));
     }
 
     #[test]

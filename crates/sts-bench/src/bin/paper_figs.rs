@@ -31,7 +31,7 @@ use serde::{Serialize, Value};
 use sts_bench::harness::{self, geometric_mean, MethodRun, SuiteRun, PAPER_ROWS_PER_SUPER_ROW};
 use sts_core::pack::Packs;
 use sts_core::{analysis, reorder, Method, Ordering, StsBuilder, StsStructure, SuperRowSizing};
-use sts_graph::{Coarsening, CoarseningStrategy, ColoringOrder, Graph};
+use sts_graph::{Coarsening, ColoringOrder, Graph};
 use sts_matrix::suite::SuiteId;
 use sts_matrix::{generators, SuiteScale, TestSuite};
 use sts_numa::Schedule;
@@ -457,7 +457,7 @@ fn fig_example(_ctx: &Ctx) -> Vec<Table> {
         println!("  vertex {:>2}: neighbours {{{}}}", v + 1, nbrs.join(", "));
     }
 
-    let coarsening = Coarsening::coarsen(&g1, CoarseningStrategy::HeavyEdgeMatching);
+    let coarsening = Coarsening::heavy_edge_matching(&g1);
     let g2 = coarsening.coarse_graph(&g1);
     println!("\nFigure 1 (right): G2 after collapsing connected pairs into super-rows");
     for s in 0..coarsening.num_groups() {
@@ -486,8 +486,8 @@ fn fig_example(_ctx: &Ctx) -> Vec<Table> {
 
     // Figure 3: DAR of the last pack (tasks connected when they reuse x from a
     // previous pack).
-    let groups = coarsening.groups().to_vec();
-    let inputs = reorder::super_row_inputs(&l, &groups);
+    let position: Vec<usize> = (0..l.n()).collect();
+    let inputs = reorder::super_row_inputs(&l, &position, coarsening.membership());
     let last = packs_g2.num_packs() - 1;
     let pack = packs_g2.pack(last);
     let dar = reorder::pack_dar(pack, &inputs);

@@ -7,25 +7,31 @@
 //!
 //! 1. apply RCM to the graph `G1` of `A = L + Lᵀ` — all methods receive the
 //!    RCM-ordered matrix, as in the evaluation setup. `G1` is built straight
-//!    from `L`, and `A` itself is never formed: what the later steps read is
-//!    `G1` relabelled into the RCM order and `L` permuted into it
-//!    ([`LowerTriangularCsr::permute_symmetric`]), each dropped after its
-//!    last reader;
-//! 2. (k ≥ 2) coarsen the RCM-ordered graph into super-rows of roughly equal
-//!    work;
-//! 3. partition the (super-)rows into packs by greedy coloring or dependency
-//!    level sets, and order the packs by increasing size;
+//!    from `L`, `A` itself is never formed, and `G1` is dropped once RCM has
+//!    placed every row: the later steps read `L` in its original numbering
+//!    through the RCM positions;
+//! 2. group contiguous runs of `r` RCM positions into super-rows: position
+//!    `p` belongs to super-row `p / r` (`k = 1` is `r = 1`). One counting
+//!    pass over `L` gives every super-row's external inputs
+//!    ([`super_row_inputs`]); its predecessors are those inputs mapped
+//!    through `/ r`, and the coarse graph `G2` is the predecessors made
+//!    symmetric ([`Graph::from_predecessors`]);
+//! 3. partition the super-rows into packs by greedy coloring of `G2` or by
+//!    the level sets of the predecessors, and order the packs by increasing
+//!    size;
 //! 4. (k ≥ 3) reorder the super-rows inside each pack by RCM on the pack's
-//!    DAR graph so consecutive tasks share inputs;
+//!    DAR graph, whose edges come from the same input sets
+//!    ([`reorder_pack_by_dar`]), so consecutive tasks share inputs;
 //! 5. assemble the global permutation and build the reordered operand
 //!    `lower(P (L + Lᵀ − D) Pᵀ)` (`D` is `L`'s diagonal, kept as is) from `L`
-//!    in two counting passes; `P A Pᵀ` is not built and no row is sorted.
+//!    in two counting passes — the build's only copy of `L`; `P A Pᵀ` is not
+//!    built and no row is sorted.
 //!
 //! The four evaluation methods are exposed as [`Method`] presets:
 //! `CSR-LS`, `CSR-COL`, `CSR-3-LS` and `STS-3` (a.k.a. `CSR-3-COL`).
 
 use serde::Serialize;
-use sts_graph::{rcm, Coarsening, CoarseningStrategy, ColoringOrder, Graph, Permutation};
+use sts_graph::{rcm, ColoringOrder, Graph, Permutation};
 use sts_matrix::{LowerTriangularCsr, MatrixError};
 
 use crate::csrk::{Result, StsStructure};
@@ -107,8 +113,6 @@ pub struct StsBuilder {
     k: usize,
     ordering: Ordering,
     sizing: SuperRowSizing,
-    apply_rcm: bool,
-    coloring_order: ColoringOrder,
     within_pack_rcm: bool,
     order_packs_by_size: bool,
 }
@@ -127,8 +131,6 @@ impl StsBuilder {
             k,
             ordering: Ordering::Coloring,
             sizing: SuperRowSizing::Rows(80),
-            apply_rcm: true,
-            coloring_order: ColoringOrder::LargestDegreeFirst,
             within_pack_rcm: k >= 3,
             order_packs_by_size: true,
         }
@@ -143,19 +145,6 @@ impl StsBuilder {
     /// Selects how super-rows are sized (ignored when `k == 1`).
     pub fn super_row_sizing(mut self, sizing: SuperRowSizing) -> Self {
         self.sizing = sizing;
-        self
-    }
-
-    /// Enables or disables the initial RCM ordering (enabled by default; the
-    /// paper presents all methods with the RCM-ordered matrix).
-    pub fn apply_rcm(mut self, yes: bool) -> Self {
-        self.apply_rcm = yes;
-        self
-    }
-
-    /// Selects the greedy-coloring vertex order.
-    pub fn coloring_order(mut self, order: ColoringOrder) -> Self {
-        self.coloring_order = order;
         self
     }
 
@@ -181,130 +170,68 @@ impl StsBuilder {
     /// Runs the pipeline on a lower-triangular operand.
     pub fn build(&self, l: &LowerTriangularCsr) -> Result<StsStructure> {
         let n = l.n();
-        if n == 0 {
-            return StsStructure::new(
-                self.k,
-                self.ordering,
-                vec![0],
-                vec![0],
-                l.clone(),
-                Permutation::identity(0),
-            );
-        }
-        // 1. RCM on G1 = G(L + Lᵀ), built from L; then G1 relabelled and L
-        //    permuted into the RCM order. Nothing symmetric is materialised,
-        //    and each intermediate is dropped after its last reader: the
-        //    build's peak memory is the sum of what is alive at once.
+        // 1. RCM on G1 = G(L + Lᵀ), built from L. Nothing symmetric is
+        //    materialised, and each intermediate is dropped after its last
+        //    reader: the build's peak memory is the sum of what is alive at
+        //    once.
         let g1 = Graph::from_lower_triangular_symmetrized(l);
-        let perm0 = if self.apply_rcm {
-            rcm::reverse_cuthill_mckee(&g1)
-        } else {
-            Permutation::identity(n)
-        };
-        let g1r = g1.relabel(perm0.new_to_old());
+        let rcm = rcm::reverse_cuthill_mckee(&g1);
         drop(g1);
-        let l1 = l.permute_symmetric(perm0.new_to_old())?;
 
-        // 2. Coarsen into super-rows (k >= 2); k == 1 keeps singleton groups.
-        let (groups, entity_graph) = if self.k == 1 {
-            let groups: Vec<Vec<usize>> = (0..n).map(|i| vec![i]).collect();
-            (groups, g1r)
-        } else {
-            let SuperRowSizing::Rows(r) = self.sizing;
-            let strategy = CoarseningStrategy::ContiguousRows {
-                rows_per_group: r.max(1),
-            };
-            let coarsening = Coarsening::coarsen(&g1r, strategy);
-            let coarse = coarsening.coarse_graph(&g1r);
-            (coarsening.groups().to_vec(), coarse)
+        // 2. Super-rows of r contiguous RCM positions; their inputs, read
+        //    off L through the positions, give the predecessors.
+        let r = match (self.k, self.sizing) {
+            (1, _) => 1,
+            (_, SuperRowSizing::Rows(r)) => r.max(1),
         };
-        let entity_sizes: Vec<usize> = groups.iter().map(|g| g.len()).collect();
+        let group_of: Vec<usize> = (0..n).map(|p| p / r).collect();
+        let inputs = super_row_inputs(l, &rcm.old_to_new(), &group_of);
+        let preds = inputs.predecessors(&group_of);
+        drop(group_of);
+        let sizes: Vec<usize> = (0..preds.len()).map(|s| r.min(n - s * r)).collect();
 
-        // 3. Packs by coloring or level sets, ordered by increasing size.
+        // 3. Packs by coloring G2 or by level sets, ordered by increasing size.
         let mut packs = match self.ordering {
-            Ordering::Coloring => Packs::by_coloring(&entity_graph, self.coloring_order),
-            Ordering::LevelSet => {
-                let preds = entity_predecessors(&l1, &groups);
-                Packs::by_level_set(&preds)
+            Ordering::Coloring => {
+                let g2 = Graph::from_predecessors(&preds, sizes.clone());
+                Packs::by_coloring(&g2, ColoringOrder::LargestDegreeFirst)
             }
+            Ordering::LevelSet => Packs::by_level_set(&preds),
         };
-        drop(entity_graph);
+        drop(preds);
         if self.order_packs_by_size {
-            packs.order_by_increasing_size(&entity_sizes);
+            packs.order_by_increasing_size(&sizes);
         }
 
-        // 4. Within-pack DAR reordering (k >= 3).
-        let inputs = if self.within_pack_rcm {
-            super_row_inputs(&l1, &groups)
-        } else {
-            Vec::new()
-        };
-        drop(l1);
-        let ordered_packs: Vec<Vec<usize>> = packs
-            .all()
-            .iter()
-            .map(|pack| {
-                if self.within_pack_rcm {
-                    reorder_pack_by_dar(pack, &inputs)
-                } else {
-                    let mut p = pack.clone();
-                    p.sort_unstable();
-                    p
-                }
-            })
-            .collect();
-        drop(inputs);
-
-        // 5. Assemble the global ordering and the index arrays, then the
-        //    operand lower(P (L + Lᵀ − D) Pᵀ) straight from L.
-        let mut index3 = Vec::with_capacity(ordered_packs.len() + 1);
-        let mut index2 = Vec::with_capacity(groups.len() + 1);
-        let mut order1: Vec<usize> = Vec::with_capacity(n);
+        // 4. Within-pack DAR reordering (k >= 3), then 5. the global
+        //    ordering and the index arrays, and the operand
+        //    lower(P (L + Lᵀ − D) Pᵀ) straight from L.
+        let mut index3 = Vec::with_capacity(packs.num_packs() + 1);
+        let mut index2 = Vec::with_capacity(sizes.len() + 1);
+        let mut new_to_old: Vec<usize> = Vec::with_capacity(n);
         index3.push(0);
         index2.push(0);
-        for pack in &ordered_packs {
-            for &s in pack {
-                order1.extend_from_slice(&groups[s]);
-                index2.push(order1.len());
+        for pack in packs.all() {
+            let pack = if self.within_pack_rcm {
+                reorder_pack_by_dar(pack, &inputs)
+            } else {
+                let mut p = pack.clone();
+                p.sort_unstable();
+                p
+            };
+            for s in pack {
+                new_to_old.extend((s * r..s * r + sizes[s]).map(|p| rcm.old_of(p)));
+                index2.push(new_to_old.len());
             }
             index3.push(index2.len() - 1);
         }
-        let final_new_to_old: Vec<usize> = order1.iter().map(|&r1| perm0.old_of(r1)).collect();
-        let perm = Permutation::from_new_to_old(final_new_to_old).ok_or_else(|| {
+        drop(inputs);
+        let perm = Permutation::from_new_to_old(new_to_old).ok_or_else(|| {
             MatrixError::InvalidStructure("assembled ordering is not a permutation".into())
         })?;
         let l_final = l.permute_symmetric(perm.new_to_old())?;
         StsStructure::new(self.k, self.ordering, index3, index2, l_final, perm)
     }
-}
-
-/// Computes, for every entity (super-row), the list of entities it depends on
-/// (strictly smaller indices, suitable for
-/// [`Packs::by_level_set`](crate::pack::Packs::by_level_set)). Entity `I`
-/// depends on entity `J < I` when any row of `I` has a strictly-lower nonzero
-/// column owned by `J`.
-pub fn entity_predecessors(l: &LowerTriangularCsr, groups: &[Vec<usize>]) -> Vec<Vec<usize>> {
-    let mut group_of = vec![usize::MAX; l.n()];
-    for (s, g) in groups.iter().enumerate() {
-        for &r in g {
-            group_of[r] = s;
-        }
-    }
-    groups
-        .iter()
-        .enumerate()
-        .map(|(s, g)| {
-            let mut preds: Vec<usize> = g
-                .iter()
-                .flat_map(|&r| l.row_off_diag_cols(r).iter().copied())
-                .map(|c| group_of[c])
-                .filter(|&j| j != s)
-                .collect();
-            preds.sort_unstable();
-            preds.dedup();
-            preds
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -416,12 +343,11 @@ mod tests {
     }
 
     #[test]
-    fn disabling_rcm_and_pack_ordering_still_solves() {
+    fn disabling_pack_ordering_and_dar_reordering_still_solves() {
         let a = generators::triangulated_grid(10, 10, 9).unwrap();
         let l = generators::lower_operand(&a).unwrap();
         let s = StsBuilder::new(3)
             .ordering(Ordering::Coloring)
-            .apply_rcm(false)
             .order_packs_by_size(false)
             .within_pack_rcm(false)
             .super_row_sizing(SuperRowSizing::Rows(4))
@@ -462,16 +388,41 @@ mod tests {
     }
 
     #[test]
-    fn entity_predecessors_point_backwards_only() {
-        let l = generators::paper_figure1_l();
-        let groups: Vec<Vec<usize>> = vec![vec![0, 1, 2], vec![3, 4, 5], vec![6, 7, 8]];
-        let preds = entity_predecessors(&l, &groups);
-        for (i, p) in preds.iter().enumerate() {
-            assert!(p.iter().all(|&j| j < i));
+    fn edge_shapes_build_validate_and_solve() {
+        // Shapes the golden tables miss, at k = 3 under both orderings:
+        // one row per super-row, one super-row for the whole operand, an
+        // operand with no inputs at all, and a single row.
+        let grid = generators::lower_operand(&generators::grid2d_laplacian(9, 7).unwrap()).unwrap();
+        let diagonal = |n: usize| {
+            let mut coo = sts_matrix::CooMatrix::new(n, n);
+            for i in 0..n {
+                coo.push(i, i, 2.0 + i as f64).unwrap();
+            }
+            LowerTriangularCsr::from_csr(&coo.to_csr()).unwrap()
+        };
+        let cases = [
+            ("r = 1", grid.clone(), 1, grid.n()),
+            ("r = n", grid.clone(), grid.n(), 1),
+            ("r > n", grid.clone(), 4 * grid.n(), 1),
+            ("diagonal only", diagonal(50), 8, 7),
+            ("n = 1", diagonal(1), 8, 1),
+        ];
+        for (shape, l, r, super_rows) in &cases {
+            for ordering in [Ordering::Coloring, Ordering::LevelSet] {
+                let s = StsBuilder::new(3)
+                    .ordering(ordering)
+                    .super_row_sizing(SuperRowSizing::Rows(*r))
+                    .build(l)
+                    .unwrap();
+                assert_eq!(s.n(), l.n(), "{shape}, {ordering:?}");
+                assert_eq!(s.num_super_rows(), *super_rows, "{shape}, {ordering:?}");
+                s.validate().unwrap();
+                check_solves_correctly(&s);
+            }
         }
-        // The last group depends on both earlier groups (rows 6..8 reference
-        // columns 3, 4, 5 and 0, 1).
-        assert_eq!(preds[2], vec![0, 1]);
+        // Without inputs every super-row is independent: one pack.
+        let s = Method::Csr3Ls.build(&diagonal(50), 8).unwrap();
+        assert_eq!(s.num_packs(), 1);
     }
 
     #[test]

@@ -8,8 +8,9 @@
 //!   super-row hierarchy, plus the sequential reference solve (Algorithm 1);
 //! * [`pack`] — pack construction on the (coarse) graph by greedy coloring or
 //!   dependency level sets, ordered by increasing size;
-//! * [`reorder`] — the within-pack DAR reordering (RCM on the data-affinity
-//!   graph) that exposes line-graph structure for cache reuse;
+//! * [`reorder`] — the super-row input sets, read off `L` in one pass, and
+//!   the within-pack DAR reordering (RCM on the data-affinity graph) that
+//!   exposes line-graph structure for cache reuse;
 //! * [`builder`] — the [`StsBuilder`] pipeline and the four named methods of
 //!   the evaluation (`CSR-LS`, `CSR-COL`, `CSR-3-LS`, `STS-3`);
 //! * [`split`] — the dependency-split CSR layout (built lazily on first

@@ -3,8 +3,9 @@
 //! A [`Graph`] is the structure-only view of a symmetric sparse matrix: the
 //! vertex set is the row set, and an edge `{u, v}` exists when `A[u][v] != 0`
 //! for `u != v` (the diagonal never contributes an edge). This is the graph
-//! `G1` of the paper when built from `A = L + Lᵀ`, and the graph `G2` when
-//! built by [`coarsening`](crate::coarsen) `G1`.
+//! `G1` of the paper when built from `A = L + Lᵀ`, and the graph `G2` of the
+//! super-rows when built from their predecessor lists
+//! ([`Graph::from_predecessors`]) or by [`coarsening`](crate::coarsen) `G1`.
 
 use sts_matrix::{CsrMatrix, LowerTriangularCsr};
 
@@ -69,7 +70,7 @@ impl Graph {
     /// ascending) and then its upper neighbours (the later rows that name
     /// it, ascending).
     pub fn from_lower_triangular(l: &LowerTriangularCsr) -> Self {
-        let (adj_ptr, adj) = lower_triangular_adjacency(l);
+        let (adj_ptr, adj) = lower_adjacency(l.n(), |i| l.row_off_diag_cols(i));
         let weights = (0..l.n()).map(|i| l.row_nnz(i)).collect();
         Graph {
             adj_ptr,
@@ -83,8 +84,26 @@ impl Graph {
     /// [`Graph::from_lower_triangular`], with each vertex weighted by its row
     /// count in `L + Lᵀ` (its degree plus the diagonal).
     pub fn from_lower_triangular_symmetrized(l: &LowerTriangularCsr) -> Self {
-        let (adj_ptr, adj) = lower_triangular_adjacency(l);
+        let (adj_ptr, adj) = lower_adjacency(l.n(), |i| l.row_off_diag_cols(i));
         let weights = adj_ptr.windows(2).map(|w| w[1] - w[0] + 1).collect();
+        Graph {
+            adj_ptr,
+            adj,
+            weights,
+        }
+    }
+
+    /// The undirected graph with an edge `{i, j}` for every `j` in
+    /// `preds[i]`, each vertex weighted by `weights`: the super-row graph
+    /// `G2` from the super-row predecessor lists. Every list must be sorted,
+    /// free of duplicates and below its vertex; the adjacency then comes out
+    /// sorted by the scatter of [`Graph::from_lower_triangular`].
+    ///
+    /// # Panics
+    /// Panics if `weights` and `preds` differ in length.
+    pub fn from_predecessors(preds: &[Vec<usize>], weights: Vec<usize>) -> Self {
+        assert_eq!(preds.len(), weights.len(), "one weight per vertex");
+        let (adj_ptr, adj) = lower_adjacency(preds.len(), |i| &preds[i]);
         Graph {
             adj_ptr,
             adj,
@@ -117,11 +136,6 @@ impl Graph {
         self.weights[v]
     }
 
-    /// All vertex weights.
-    pub fn weights(&self) -> &[usize] {
-        &self.weights
-    }
-
     /// The vertex of maximum degree (ties broken by lowest index); `None` for
     /// an empty graph.
     pub fn max_degree_vertex(&self) -> Option<usize> {
@@ -136,13 +150,6 @@ impl Graph {
     /// True when `{u, v}` is an edge.
     pub fn has_edge(&self, u: usize, v: usize) -> bool {
         self.neighbors(u).binary_search(&v).is_ok()
-    }
-
-    /// Applies a symmetric relabelling: vertex `new` of the result corresponds
-    /// to vertex `perm[new]` of `self` (`perm` maps new → old). The same
-    /// graph as [`Graph::relabel`].
-    pub fn permute(&self, perm: &[usize]) -> Graph {
-        self.relabel(perm)
     }
 
     /// Relabels the vertices: vertex `new` of the result is vertex
@@ -188,14 +195,15 @@ impl Graph {
     }
 }
 
-/// The CSR adjacency of `G(L + Lᵀ)`: a degree count, then one scatter of the
-/// strictly-lower entries in row order, which leaves every list sorted.
-fn lower_triangular_adjacency(l: &LowerTriangularCsr) -> (Vec<usize>, Vec<usize>) {
-    let n = l.n();
-    // Each strictly-lower entry (i, j) contributes the edge {i, j}.
+/// The CSR adjacency of the undirected graph whose vertex `i` has the lower
+/// neighbours `lower(i)` (each list sorted and below `i`): a degree count,
+/// then one scatter of the lists in vertex order, which leaves every list
+/// sorted.
+fn lower_adjacency<'a>(n: usize, lower: impl Fn(usize) -> &'a [usize]) -> (Vec<usize>, Vec<usize>) {
+    // Each pair (i, j), j in lower(i), contributes the edge {i, j}.
     let mut adj_ptr = vec![0usize; n + 1];
     for i in 0..n {
-        for &j in l.row_off_diag_cols(i) {
+        for &j in lower(i) {
             adj_ptr[i + 1] += 1;
             adj_ptr[j + 1] += 1;
         }
@@ -206,7 +214,7 @@ fn lower_triangular_adjacency(l: &LowerTriangularCsr) -> (Vec<usize>, Vec<usize>
     let mut adj = vec![0usize; adj_ptr[n]];
     let mut next = adj_ptr[..n].to_vec();
     for i in 0..n {
-        for &j in l.row_off_diag_cols(i) {
+        for &j in lower(i) {
             adj[next[i]] = j;
             next[i] += 1;
             adj[next[j]] = i;
@@ -278,10 +286,10 @@ mod tests {
     }
 
     #[test]
-    fn permute_preserves_edge_structure() {
+    fn relabel_preserves_edge_structure() {
         let g = figure1_graph();
         let perm: Vec<usize> = (0..g.n()).rev().collect();
-        let p = g.permute(&perm);
+        let p = g.relabel(&perm);
         assert_eq!(p.num_edges(), g.num_edges());
         // Edge {8, 0} becomes {0, 8} after reversal.
         assert!(p.has_edge(0, 8));
@@ -321,7 +329,19 @@ mod tests {
             assert_eq!(r.neighbors(v), expected.as_slice());
             assert_eq!(r.weight(v), g.weight(old));
         }
-        assert_eq!(g.permute(&new_to_old), r);
+    }
+
+    #[test]
+    fn from_predecessors_is_the_graph_of_the_lower_lists() {
+        let l = generators::random_lower_triangular(200, 3.0, 5).unwrap();
+        let preds: Vec<Vec<usize>> = (0..l.n())
+            .map(|i| l.row_off_diag_cols(i).to_vec())
+            .collect();
+        let weights: Vec<usize> = (0..l.n()).map(|i| l.row_nnz(i)).collect();
+        assert_eq!(
+            Graph::from_predecessors(&preds, weights),
+            Graph::from_lower_triangular(&l)
+        );
     }
 
     #[test]

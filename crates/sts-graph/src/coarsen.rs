@@ -1,34 +1,16 @@
-//! Coarsening `G1` into the super-row graph `G2`.
+//! Figure 1's pairwise collapse of `G1` into a super-row graph `G2`.
 //!
 //! Section 3.1 of the paper builds super-rows by agglomerating rows that share
 //! nonzero columns — formalised either through graph coarsening (collapsing
 //! connected vertices, as in Figure 1) or, when the matrix is in a
-//! band-reducing order such as RCM, by grouping *contiguous* rows. Coarsening
-//! aims for super-rows with roughly equal numbers of nonzeros so that tasks
-//! have equal work.
-//!
-//! Two strategies are provided:
-//!
-//! * [`CoarseningStrategy::ContiguousRows`] — fixed number of consecutive rows
-//!   per super-row (the paper's 80 rows on Intel / 320 rows on AMD);
-//! * [`CoarseningStrategy::HeavyEdgeMatching`] — classic multilevel pairwise
-//!   matching (the Figure 1 illustration collapses pairs of connected
-//!   vertices), useful when the matrix is not band-ordered.
+//! band-reducing order such as RCM, by grouping *contiguous* rows. The
+//! builder groups contiguous runs of RCM positions, which needs no
+//! coarsening object: the super-row of position `p` is `p / r`
+//! (`sts_core::builder`). [`Coarsening`] is the other form, the greedy
+//! heavy-edge matching that collapses pairs of connected vertices, which the
+//! paper's worked example (`paper_figs fig_example`) prints.
 
 use crate::adjacency::Graph;
-
-/// How rows of `G1` are grouped into super-rows.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CoarseningStrategy {
-    /// Group every `rows_per_group` consecutive vertices.
-    ContiguousRows {
-        /// Number of consecutive rows per super-row (≥ 1).
-        rows_per_group: usize,
-    },
-    /// Greedy heavy-edge matching: every super-vertex is a matched pair of
-    /// adjacent vertices (or a leftover singleton).
-    HeavyEdgeMatching,
-}
 
 /// A partition of the vertices of a graph into super-vertices.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -40,29 +22,9 @@ pub struct Coarsening {
 }
 
 impl Coarsening {
-    /// Coarsens `graph` with the requested strategy.
-    ///
-    /// For the contiguous strategy the vertex numbering is assumed to be a
-    /// band-reducing (e.g. RCM) order, as in the paper.
-    pub fn coarsen(graph: &Graph, strategy: CoarseningStrategy) -> Coarsening {
-        match strategy {
-            CoarseningStrategy::ContiguousRows { rows_per_group } => {
-                Self::contiguous(graph.n(), rows_per_group.max(1))
-            }
-            CoarseningStrategy::HeavyEdgeMatching => Self::heavy_edge_matching(graph),
-        }
-    }
-
-    fn contiguous(n: usize, rows_per_group: usize) -> Coarsening {
-        let membership = (0..n).map(|v| v / rows_per_group).collect();
-        let groups = (0..n)
-            .step_by(rows_per_group)
-            .map(|start| (start..(start + rows_per_group).min(n)).collect())
-            .collect();
-        Coarsening { membership, groups }
-    }
-
-    fn heavy_edge_matching(graph: &Graph) -> Coarsening {
+    /// Greedy heavy-edge matching: every super-vertex is a matched pair of
+    /// adjacent vertices (or a leftover singleton).
+    pub fn heavy_edge_matching(graph: &Graph) -> Coarsening {
         let n = graph.n();
         let mut matched = vec![usize::MAX; n];
         let mut membership = vec![usize::MAX; n];
@@ -110,11 +72,6 @@ impl Coarsening {
         self.groups.len()
     }
 
-    /// Number of fine vertices.
-    pub fn n(&self) -> usize {
-        self.membership.len()
-    }
-
     /// The super-vertex containing fine vertex `v`.
     pub fn group_of(&self, v: usize) -> usize {
         self.membership[v]
@@ -125,22 +82,9 @@ impl Coarsening {
         &self.groups[s]
     }
 
-    /// All groups.
-    pub fn groups(&self) -> &[Vec<usize>] {
-        &self.groups
-    }
-
     /// The full membership table.
     pub fn membership(&self) -> &[usize] {
         &self.membership
-    }
-
-    /// True when every group is a contiguous index range (required by the
-    /// CSR-k `index2` representation).
-    pub fn is_contiguous(&self) -> bool {
-        self.groups
-            .iter()
-            .all(|g| g.windows(2).all(|w| w[1] == w[0] + 1))
     }
 
     /// Builds the coarse graph `G2`: super-vertices are the groups, an edge
@@ -186,51 +130,24 @@ mod tests {
     }
 
     #[test]
-    fn contiguous_rows_partitions_evenly() {
-        let g = grid_graph(6, 6);
-        let c = Coarsening::coarsen(&g, CoarseningStrategy::ContiguousRows { rows_per_group: 4 });
-        assert_eq!(c.num_groups(), 9);
-        assert!(c.is_contiguous());
+    fn membership_is_a_partition() {
+        let g = grid_graph(7, 5);
+        let c = Coarsening::heavy_edge_matching(&g);
+        let mut seen = vec![false; g.n()];
         for s in 0..c.num_groups() {
-            assert_eq!(c.group(s).len(), 4);
             for &v in c.group(s) {
+                assert!(!seen[v], "vertex {v} appears twice");
+                seen[v] = true;
                 assert_eq!(c.group_of(v), s);
             }
         }
-    }
-
-    #[test]
-    fn contiguous_rows_handles_remainder() {
-        let g = grid_graph(5, 2); // 10 vertices
-        let c = Coarsening::coarsen(&g, CoarseningStrategy::ContiguousRows { rows_per_group: 4 });
-        assert_eq!(c.num_groups(), 3);
-        assert_eq!(c.group(2).len(), 2);
-    }
-
-    #[test]
-    fn membership_is_a_partition_for_all_strategies() {
-        let g = grid_graph(7, 5);
-        for strat in [
-            CoarseningStrategy::ContiguousRows { rows_per_group: 3 },
-            CoarseningStrategy::HeavyEdgeMatching,
-        ] {
-            let c = Coarsening::coarsen(&g, strat);
-            let mut seen = vec![false; g.n()];
-            for s in 0..c.num_groups() {
-                for &v in c.group(s) {
-                    assert!(!seen[v], "{strat:?}: vertex {v} appears twice");
-                    seen[v] = true;
-                    assert_eq!(c.group_of(v), s);
-                }
-            }
-            assert!(seen.iter().all(|&b| b), "{strat:?}: some vertex unassigned");
-        }
+        assert!(seen.iter().all(|&b| b), "some vertex unassigned");
     }
 
     #[test]
     fn heavy_edge_matching_pairs_adjacent_vertices() {
         let g = grid_graph(4, 4);
-        let c = Coarsening::coarsen(&g, CoarseningStrategy::HeavyEdgeMatching);
+        let c = Coarsening::heavy_edge_matching(&g);
         for s in 0..c.num_groups() {
             let grp = c.group(s);
             assert!(grp.len() <= 2);
@@ -243,33 +160,18 @@ mod tests {
     }
 
     #[test]
-    fn coarse_graph_preserves_connectivity_structure() {
-        let g = grid_graph(6, 6);
-        let c = Coarsening::coarsen(&g, CoarseningStrategy::ContiguousRows { rows_per_group: 6 });
+    fn coarse_graph_keeps_the_weights_and_has_no_self_loops() {
+        let g = grid_graph(9, 3);
+        let c = Coarsening::heavy_edge_matching(&g);
         let g2 = c.coarse_graph(&g);
-        assert_eq!(g2.n(), 6);
-        // Row-groups of a grid form a path in the coarse graph.
-        assert_eq!(g2.degree(0), 1);
-        assert_eq!(g2.degree(2), 2);
+        assert_eq!(g2.n(), c.num_groups());
+        for s in 0..g2.n() {
+            assert!(!g2.neighbors(s).contains(&s));
+        }
         // Coarse weights sum to the fine weights.
         let fine_total: usize = (0..g.n()).map(|v| g.weight(v)).sum();
         let coarse_total: usize = (0..g2.n()).map(|v| g2.weight(v)).sum();
         assert_eq!(fine_total, coarse_total);
-    }
-
-    #[test]
-    fn coarse_graph_has_no_self_loops() {
-        let g = grid_graph(9, 3);
-        for strat in [
-            CoarseningStrategy::ContiguousRows { rows_per_group: 5 },
-            CoarseningStrategy::HeavyEdgeMatching,
-        ] {
-            let c = Coarsening::coarsen(&g, strat);
-            let g2 = c.coarse_graph(&g);
-            for s in 0..g2.n() {
-                assert!(!g2.neighbors(s).contains(&s));
-            }
-        }
     }
 
     #[test]
@@ -278,7 +180,7 @@ mod tests {
         // (four pairs and one singleton).
         let l = generators::paper_figure1_l();
         let g = Graph::from_lower_triangular(&l);
-        let c = Coarsening::coarsen(&g, CoarseningStrategy::HeavyEdgeMatching);
+        let c = Coarsening::heavy_edge_matching(&g);
         assert_eq!(c.num_groups(), 5);
         let sizes: Vec<usize> = (0..5).map(|s| c.group(s).len()).collect();
         let pairs = sizes.iter().filter(|&&s| s == 2).count();

@@ -7,8 +7,8 @@
 //! * band-reducing reorderings of `G1` (reverse Cuthill–McKee, [`rcm`]);
 //! * independent-set extraction by greedy [`coloring`] or by dependency
 //!   [`levelset`]s;
-//! * coarsening of `G1` into the super-row graph `G2` ([`coarsen`]), the
-//!   "CSR-2" level of the paper's hierarchy;
+//! * Figure 1's pairwise collapse of `G1` into a super-row graph
+//!   ([`coarsen`]), the "CSR-2" level of the paper's hierarchy;
 //! * permutation bookkeeping ([`permutation`]) and structural
 //!   [`metrics`] (bandwidth, profile, degree statistics).
 //!
@@ -26,7 +26,7 @@ pub mod permutation;
 pub mod rcm;
 
 pub use adjacency::Graph;
-pub use coarsen::{Coarsening, CoarseningStrategy};
+pub use coarsen::Coarsening;
 pub use coloring::{Coloring, ColoringOrder};
 pub use levelset::LevelSets;
 pub use permutation::Permutation;

@@ -6,48 +6,75 @@
 //! input sets intersect (`DX_l ∩ DX_m ≠ ∅` in the paper's notation): executing
 //! them on the same core, back to back, lets the second read the shared
 //! components out of a proximal cache.
+//!
+//! [`shared_input_adjacency`] is the one routine that finds these edges: the
+//! (input, task) pairs of the pack sorted by input put each input's readers
+//! in one run, and a task's neighbours are the readers of its inputs. Both
+//! [`DarGraph::from_inputs`] and the builder's within-pack reordering
+//! (`sts_core::reorder`) read it.
 
-use std::collections::HashMap;
+/// The DAR adjacency of `num_tasks` tasks, where `inputs_of(t)` lists the
+/// external inputs of task `t`: CSR arrays `(adj_ptr, adj)` in which
+/// `adj[adj_ptr[t]..adj_ptr[t + 1]]` are, in increasing order, the tasks
+/// other than `t` that read at least one input of `t`.
+///
+/// One sort of the pack's (input, task) pairs gives the readers of each
+/// input as one run; a marker over the tasks keeps each neighbour once.
+pub fn shared_input_adjacency<'a>(
+    num_tasks: usize,
+    inputs_of: impl Fn(usize) -> &'a [usize],
+) -> (Vec<usize>, Vec<usize>) {
+    let mut readers: Vec<(usize, usize)> = (0..num_tasks)
+        .flat_map(|t| inputs_of(t).iter().map(move |&x| (x, t)))
+        .collect();
+    readers.sort_unstable();
+    let mut seen_by = vec![usize::MAX; num_tasks];
+    let mut adj_ptr = Vec::with_capacity(num_tasks + 1);
+    let mut adj = Vec::new();
+    adj_ptr.push(0);
+    for t in 0..num_tasks {
+        seen_by[t] = t;
+        let start = adj.len();
+        for &x in inputs_of(t) {
+            let first = readers.partition_point(|&(y, _)| y < x);
+            for &(_, u) in readers[first..].iter().take_while(|&&(y, _)| y == x) {
+                if seen_by[u] != t {
+                    seen_by[u] = t;
+                    adj.push(u);
+                }
+            }
+        }
+        adj[start..].sort_unstable();
+        adj_ptr.push(adj.len());
+    }
+    (adj_ptr, adj)
+}
 
 /// The DAR graph of one pack.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DarGraph {
     /// `inputs[t]`: sorted, deduplicated external data ids read by task `t`.
     inputs: Vec<Vec<usize>>,
-    /// `adj[t]`: tasks sharing at least one input with `t` (sorted).
-    adj: Vec<Vec<usize>>,
+    /// The neighbours of task `t` are `adj[adj_ptr[t]..adj_ptr[t + 1]]`:
+    /// the tasks sharing at least one input with `t`, sorted.
+    adj_ptr: Vec<usize>,
+    adj: Vec<usize>,
 }
 
 impl DarGraph {
     /// Builds the DAR graph from per-task input sets. Inputs are deduplicated
-    /// and sorted; the edge set is derived by grouping tasks per input.
+    /// and sorted; the edges come from [`shared_input_adjacency`].
     pub fn from_inputs(mut inputs: Vec<Vec<usize>>) -> DarGraph {
         for set in &mut inputs {
             set.sort_unstable();
             set.dedup();
         }
-        let n = inputs.len();
-        // input id -> tasks that read it
-        let mut readers: HashMap<usize, Vec<usize>> = HashMap::new();
-        for (t, set) in inputs.iter().enumerate() {
-            for &x in set {
-                readers.entry(x).or_default().push(t);
-            }
+        let (adj_ptr, adj) = shared_input_adjacency(inputs.len(), |t| &inputs[t]);
+        DarGraph {
+            inputs,
+            adj_ptr,
+            adj,
         }
-        let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for tasks in readers.values() {
-            for (i, &a) in tasks.iter().enumerate() {
-                for &b in &tasks[i + 1..] {
-                    adj[a].push(b);
-                    adj[b].push(a);
-                }
-            }
-        }
-        for list in &mut adj {
-            list.sort_unstable();
-            list.dedup();
-        }
-        DarGraph { inputs, adj }
     }
 
     /// Number of tasks in the pack.
@@ -60,19 +87,14 @@ impl DarGraph {
         &self.inputs[t]
     }
 
-    /// All input sets.
-    pub fn all_inputs(&self) -> &[Vec<usize>] {
-        &self.inputs
-    }
-
     /// Tasks sharing at least one input with `t`.
     pub fn neighbors(&self, t: usize) -> &[usize] {
-        &self.adj[t]
+        &self.adj[self.adj_ptr[t]..self.adj_ptr[t + 1]]
     }
 
     /// Number of DAR edges.
     pub fn num_edges(&self) -> usize {
-        self.adj.iter().map(|a| a.len()).sum::<usize>() / 2
+        self.adj.len() / 2
     }
 
     /// Number of distinct external inputs read by the whole pack.
@@ -94,7 +116,7 @@ impl DarGraph {
     /// of Section 3.4 for which the block schedule is optimal.
     pub fn is_union_of_paths(&self) -> bool {
         let n = self.num_tasks();
-        if self.adj.iter().any(|a| a.len() > 2) {
+        if (0..n).any(|t| self.neighbors(t).len() > 2) {
             return false;
         }
         // With max degree ≤ 2, the graph is a union of paths iff each
@@ -110,8 +132,8 @@ impl DarGraph {
             let mut degree_sum = 0usize;
             while let Some(v) = stack.pop() {
                 vertices += 1;
-                degree_sum += self.adj[v].len();
-                for &u in &self.adj[v] {
+                degree_sum += self.neighbors(v).len();
+                for &u in self.neighbors(v) {
                     if !visited[u] {
                         visited[u] = true;
                         stack.push(u);
@@ -127,14 +149,6 @@ impl DarGraph {
             }
         }
         true
-    }
-
-    /// Relabels tasks: task `new` of the result is task `order[new]` of
-    /// `self`. Used after RCM reordering of the pack.
-    pub fn reorder(&self, order: &[usize]) -> DarGraph {
-        assert_eq!(order.len(), self.num_tasks());
-        let inputs = order.iter().map(|&old| self.inputs[old].clone()).collect();
-        DarGraph::from_inputs(inputs)
     }
 
     /// Builds the canonical "line pack" of Figure 5: `n` tasks where task `i`
@@ -162,6 +176,21 @@ mod tests {
         assert_eq!(dar.num_edges(), 2);
         assert_eq!(dar.neighbors(1), &[0, 2]);
         assert!(dar.is_union_of_paths());
+    }
+
+    #[test]
+    fn shared_input_adjacency_is_the_intersection_graph() {
+        // Pseudo-random sets over a small id range, so most pairs meet.
+        let sets: Vec<Vec<usize>> = (0..40)
+            .map(|t: usize| (0..t % 4).map(|k| (t * 7 + k * 13) % 23).collect())
+            .collect();
+        let (adj_ptr, adj) = shared_input_adjacency(sets.len(), |t| &sets[t]);
+        for (a, set_a) in sets.iter().enumerate() {
+            let expected: Vec<usize> = (0..sets.len())
+                .filter(|&b| b != a && set_a.iter().any(|x| sets[b].contains(x)))
+                .collect();
+            assert_eq!(&adj[adj_ptr[a]..adj_ptr[a + 1]], expected.as_slice());
+        }
     }
 
     #[test]
@@ -216,15 +245,6 @@ mod tests {
         let dar = DarGraph::from_inputs(vec![vec![1], vec![2], vec![3]]);
         assert_eq!(dar.num_edges(), 0);
         assert!(dar.is_union_of_paths());
-    }
-
-    #[test]
-    fn reorder_preserves_structure() {
-        let dar = DarGraph::line(5);
-        let reordered = dar.reorder(&[4, 3, 2, 1, 0]);
-        assert_eq!(reordered.num_edges(), dar.num_edges());
-        assert!(reordered.is_union_of_paths());
-        assert_eq!(reordered.inputs(0), dar.inputs(4));
     }
 
     #[test]

@@ -5,10 +5,26 @@
 
 use sts_k::core::pack::Packs;
 use sts_k::core::reorder;
-use sts_k::core::{Method, Ordering, StsBuilder, SuperRowSizing};
-use sts_k::graph::{metrics, rcm, ColoringOrder, Graph, Permutation};
+use sts_k::core::{Method, Ordering, StsBuilder, StsStructure, SuperRowSizing};
+use sts_k::graph::{metrics, rcm, Graph, Permutation};
 use sts_k::matrix::generators;
 use sts_k::matrix::suite::{SuiteId, SuiteScale, TestSuite};
+
+/// The external inputs of every super-row of a built structure, in its final
+/// numbering, and the super-row of each row.
+fn final_super_row_inputs(s: &StsStructure) -> (reorder::SuperRowInputs, Vec<usize>) {
+    let mut group_of = vec![0; s.n()];
+    for sr in 0..s.num_super_rows() {
+        for row in s.super_row_rows(sr) {
+            group_of[row] = sr;
+        }
+    }
+    let identity: Vec<usize> = (0..s.n()).collect();
+    (
+        reorder::super_row_inputs(s.lower(), &identity, &group_of),
+        group_of,
+    )
+}
 
 #[test]
 fn rcm_reduces_bandwidth_on_every_suite_class() {
@@ -24,7 +40,7 @@ fn rcm_reduces_bandwidth_on_every_suite_class() {
         use rand::SeedableRng;
         let mut order: Vec<usize> = (0..g.n()).collect();
         order.shuffle(&mut rand::rngs::StdRng::seed_from_u64(17));
-        let shuffled = g.permute(&order);
+        let shuffled = g.relabel(&order);
         let before = metrics::bandwidth(&shuffled, &Permutation::identity(g.n()));
         let after = metrics::bandwidth(&shuffled, &rcm::reverse_cuthill_mckee(&shuffled));
         assert!(
@@ -75,14 +91,11 @@ fn within_pack_dar_reordering_improves_consecutive_sharing() {
     // Measure sharing on the final structures: fraction of consecutive
     // super-row pairs of the largest pack that reuse at least one
     // previous-pack column.
-    let sharing = |s: &sts_k::core::StsStructure| -> f64 {
+    let sharing = |s: &StsStructure| -> f64 {
         let p = (0..s.num_packs())
             .max_by_key(|&p| s.pack_rows(p).len())
             .unwrap();
-        let groups: Vec<Vec<usize>> = (0..s.num_super_rows())
-            .map(|sr| s.super_row_rows(sr).collect())
-            .collect();
-        let inputs = reorder::super_row_inputs(s.lower(), &groups);
+        let inputs = final_super_row_inputs(s).0;
         let pack: Vec<usize> = s.pack_super_rows(p).collect();
         reorder::consecutive_sharing_fraction(&pack, &inputs)
     };
@@ -100,18 +113,25 @@ fn within_pack_dar_reordering_improves_consecutive_sharing() {
 
 #[test]
 fn coloring_packs_on_g2_are_independent_sets_of_the_coarse_graph() {
+    // The builder's coarse graph G2 — the super-rows' predecessors made
+    // symmetric — read off the built structure, whose super-rows are
+    // contiguous in the final numbering: no two super-rows of one coloring
+    // pack are adjacent in it.
     let a = generators::grid2d_9point(30, 30).unwrap();
     let l = generators::lower_operand(&a).unwrap();
-    let g1 = Graph::from_lower_triangular(&l);
-    let coarsening = sts_k::graph::Coarsening::coarsen(
-        &g1,
-        sts_k::graph::CoarseningStrategy::ContiguousRows { rows_per_group: 10 },
+    let s = Method::Sts3.build(&l, 10).unwrap();
+    let (inputs, group_of) = final_super_row_inputs(&s);
+    let preds = inputs.predecessors(&group_of);
+    let g2 = Graph::from_predecessors(&preds, vec![1; preds.len()]);
+    assert!(g2.num_edges() > 0);
+    let packs = Packs::from_partition(
+        (0..s.num_packs())
+            .map(|p| s.pack_super_rows(p).collect())
+            .collect(),
     );
-    let g2 = coarsening.coarse_graph(&g1);
-    let packs = Packs::by_coloring(&g2, ColoringOrder::LargestDegreeFirst);
     assert!(packs.is_independent(&g2));
-    // Fewer packs than coloring the fine graph directly needs levels: the
-    // coarse graph has at most as many colors as max degree + 1.
+    assert!(packs.respects_dependencies(&preds));
+    // A greedy coloring needs at most max degree + 1 colors.
     assert!(packs.num_packs() <= g2.max_degree() + 1);
 }
 

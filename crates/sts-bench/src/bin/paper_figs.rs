@@ -437,8 +437,15 @@ fn table1(ctx: &Ctx) -> Vec<Table> {
 
 /// Prints the graph `G1` of `A = L + Lᵀ`, the coarsened graph `G2` obtained
 /// by collapsing connected pairs (Figure 1), the packs obtained by coloring
-/// `G1` versus `G2` (Figure 2 — 3 colors versus 2), and the DAR graph of the
-/// second pack (Figure 3). Free-form text; no table.
+/// `G1` versus `G2` (Figure 2), and the DAR graph of the last pack
+/// (Figure 3). Free-form text; no table.
+///
+/// Both colorings give 3 packs here, not the paper's 3 versus 2. The greedy
+/// heavy-edge matching pairs {1,9} {2,4} {3,6} {5,7} and leaves {8} alone;
+/// in its `G2` the super-rows S0 = {1,9}, S1 = {2,4} and S2 = {3,6} are
+/// pairwise adjacent, and a triangle needs three colors. Five other
+/// matchings of this `L` into four pairs and a singleton give a
+/// 2-colorable `G2`; this one does not.
 fn fig_example(_ctx: &Ctx) -> Vec<Table> {
     let one_based = |rows: &[usize]| -> String {
         let rows: Vec<String> = rows.iter().map(|&v| (v + 1).to_string()).collect();

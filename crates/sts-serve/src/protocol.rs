@@ -11,8 +11,10 @@
 //! the full request/response catalogue.
 //!
 //! Floating-point values survive the wire bitwise: the vendored JSON layer
-//! renders `f64`s with Rust's shortest-round-trip `Display`, so a solution
-//! vector read back by a client is bit-for-bit the solver's output.
+//! renders each `f64` as the shortest digits that read back to its bits (an
+//! exact tie between the two nearest candidates rounded up in magnitude),
+//! byte for byte the text of Rust's `Display`, so a solution vector read
+//! back by a client is bit-for-bit the solver's output.
 //!
 //! The n-length arrays (`b`, `x`, `values`, `row_ptr`, `col_idx`) cross this
 //! boundary once per direction and never as a tree: [`parse_request`] reads

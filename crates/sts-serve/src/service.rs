@@ -314,6 +314,25 @@ impl SolverService {
             ));
         }
         let key = pattern_key(n, &row_ptr, &col_idx, method, rows_per_super_row);
+        if let Some(entry) = self.cache.peek(key) {
+            // The key is a 64-bit hash, and collisions can be made: a hit
+            // must be this pattern, or a client's values would be bound to
+            // another client's structure.
+            if entry.structure.n() != n
+                || entry.method != method
+                || entry.rows_per_super_row != rows_per_super_row
+                || entry.row_ptr != row_ptr
+                || entry.col_idx != col_idx
+            {
+                return Err((
+                    ErrorCode::BadRequest,
+                    format!(
+                        "pattern key {} is held by a different pattern",
+                        key_to_wire(key)
+                    ),
+                ));
+            }
+        }
         if self.cache.get_mut(key).is_some() {
             self.registry.counter("sts_serve_cache_hits_total").inc();
             // Idempotent resubmission: the analysis is already paid for.
@@ -722,4 +741,55 @@ fn internal_race() -> (ErrorCode, String) {
 
 fn wire_error(e: MatrixError) -> (ErrorCode, String) {
     (map_error(&e), e.to_string())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sts_matrix::generators::grid2d_laplacian;
+
+    #[test]
+    fn a_key_held_by_another_pattern_is_refused_and_binds_nothing() {
+        let mut service = SolverService::new(ServiceConfig {
+            threads: 1,
+            ..ServiceConfig::default()
+        });
+        let (method, r) = (Method::Sts3, 8);
+        let a = grid2d_laplacian(4, 4).expect("a 4x4 grid");
+        let b = grid2d_laplacian(4, 5).expect("a 4x5 grid");
+        let key_b = pattern_key(b.nrows(), b.row_ptr(), b.col_idx(), method, r);
+        // Pattern A's entry, filed under B's key: what a crafted FNV-1a
+        // collision would leave in the cache.
+        let structure = SpdSystem::build(&a, method, r)
+            .expect("the grid is SPD")
+            .structure_arc();
+        service.cache.insert(
+            key_b,
+            method,
+            r,
+            a.row_ptr().to_vec(),
+            a.col_idx().to_vec(),
+            structure,
+            0,
+        );
+
+        let refused = service.submit_pattern(
+            b.nrows(),
+            b.row_ptr().to_vec(),
+            b.col_idx().to_vec(),
+            method.label(),
+            r,
+        );
+        match refused {
+            Err((code, message)) => {
+                assert_eq!(code, ErrorCode::BadRequest);
+                assert!(message.contains(&key_to_wire(key_b)), "{message}");
+            }
+            Ok(_) => panic!("a colliding key must not be a hit"),
+        }
+        assert_eq!(service.cache.len(), 1, "nothing new is cached");
+        let entry = service.cache.peek(key_b).expect("the entry stays");
+        assert_eq!(entry.row_ptr, a.row_ptr(), "the entry keeps pattern A");
+        assert!(entry.factor.is_none(), "no values were bound");
+    }
 }

@@ -75,9 +75,45 @@ fn float_corpus() -> Vec<f64> {
         let p: f64 = format!("1e{exp}").parse().expect("a power of ten");
         xs.extend([p, -p]);
     }
+    // Every power of two, and the value just below each: the bounds of
+    // every binade, where the gap below a value is half the gap above.
+    for exp in -1074i64..=1023 {
+        let bits = if exp < -1022 {
+            1u64 << (exp + 1074)
+        } else {
+            ((exp + 1023) as u64) << 52
+        };
+        let (p, below) = (f64::from_bits(bits), f64::from_bits(bits - 1));
+        xs.extend([p, -p, below, -below]);
+    }
+    // Both sides of the subnormal/normal boundary and the ends of the
+    // subnormal range.
+    for bits in [1u64, 2, 3, 0x000F_FFFF_FFFF_FFFE, 0x000F_FFFF_FFFF_FFFF] {
+        xs.extend([f64::from_bits(bits), -f64::from_bits(bits)]);
+    }
+    for step in 0..4 {
+        let bits = f64::MIN_POSITIVE.to_bits() + step;
+        xs.extend([f64::from_bits(bits), -f64::from_bits(bits)]);
+    }
+    xs.push(f64::from_bits(f64::MAX.to_bits() - 1));
     let mut state = 0x9E37_79B9_7F4A_7C15u64;
-    for _ in 0..10_000 {
+    // Exact ties: between 2^50 and 2^51 the spacing is 0.25, so k + 0.25
+    // and k + 0.75 lie exactly halfway between two 17-digit candidates
+    // (no 16-digit one is close enough); the one larger in magnitude is
+    // the text, as in 1658206780088562.25 -> 1658206780088562.3.
+    let tie = 1_658_206_780_088_562.0 + 0.25;
+    xs.extend([tie, -tie]);
+    for _ in 0..2_000 {
+        let k = ((1u64 << 50) + xorshift(&mut state) % (1u64 << 50)) as f64;
+        xs.extend([k + 0.25, k + 0.75, -(k + 0.25), -(k + 0.75)]);
+    }
+    for _ in 0..100_000 {
         xs.push(f64::from_bits(xorshift(&mut state)));
+    }
+    // Solution-like values: full-precision doubles in [-0.5, 1.5].
+    for _ in 0..20_000 {
+        let unit = (xorshift(&mut state) >> 11) as f64 / (1u64 << 53) as f64;
+        xs.push(2.0 * unit - 0.5);
     }
     // Integral values of every magnitude below and around 1e15.
     for _ in 0..2_000 {
@@ -86,6 +122,47 @@ fn float_corpus() -> Vec<f64> {
         xs.extend([magnitude, -magnitude]);
     }
     xs
+}
+
+/// The byte-identity check on 10^8 random bit patterns, chunk by chunk.
+/// Minutes in a debug build; run it in release:
+/// `cargo test --release --test wire_differential -- --ignored`.
+#[test]
+#[ignore]
+fn float_text_matches_the_previous_writer_on_a_hundred_million_random_bit_patterns() {
+    const CHUNK: usize = 100_000;
+    let mut state = 0x2545_F491_4F6C_DD1Du64;
+    let (mut text, mut expected) = (String::new(), String::new());
+    for _ in 0..1_000 {
+        let xs: Vec<f64> = (0..CHUNK)
+            .map(|_| f64::from_bits(xorshift(&mut state)))
+            .collect();
+        text.clear();
+        serde_json::write_f64_array(&xs, &mut text);
+        expected.clear();
+        expected.push('[');
+        for (i, &x) in xs.iter().enumerate() {
+            if i > 0 {
+                expected.push(',');
+            }
+            expected.push_str(&previous_float_text(x));
+        }
+        expected.push(']');
+        if text != expected {
+            let first = xs
+                .iter()
+                .find(|&&x| {
+                    let mut one = String::new();
+                    serde_json::write_f64_array(&[x], &mut one);
+                    one != format!("[{}]", previous_float_text(x))
+                })
+                .expect("a differing value");
+            panic!(
+                "{first:e} (bits {:#018x}) drifted from the previous float rule",
+                first.to_bits()
+            );
+        }
+    }
 }
 
 #[test]

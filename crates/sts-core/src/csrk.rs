@@ -36,7 +36,9 @@ pub struct StsStructure {
     index3: Arc<Vec<usize>>,
     /// Super-row → first row, shared like `index3`.
     index2: Arc<Vec<usize>>,
-    l: LowerTriangularCsr,
+    /// The operand `L'`: `None` once [`StsStructure::into_sweeps`] has
+    /// released it, after filling both sweep layouts from it.
+    l: Option<LowerTriangularCsr>,
     /// The reordering permutation, shared like the index arrays.
     perm: Arc<Permutation>,
     /// The layouts' index arrays, built once per pattern and shared
@@ -86,7 +88,10 @@ fn direction_index(direction: SweepDirection) -> usize {
 /// Equality ignores the lazy layouts: they are pure functions of the other
 /// fields, so two structures that differ only in whether
 /// [`StsStructure::split`] (or the transpose or symmetric layout) has been
-/// called yet are still equal.
+/// called yet are still equal. A sweep-only structure
+/// ([`StsStructure::into_sweeps`]) has no operand to compare: it equals no
+/// structure that holds one, and every sweep-only structure of its
+/// hierarchy.
 impl PartialEq for StsStructure {
     fn eq(&self, other: &Self) -> bool {
         self.k == other.k
@@ -163,7 +168,7 @@ impl StsStructure {
             ordering,
             index3,
             index2,
-            l,
+            l: Some(l),
             perm,
             patterns,
             sweeps: Default::default(),
@@ -183,19 +188,30 @@ impl StsStructure {
         self.ordering
     }
 
-    /// Dimension of the system.
+    /// Dimension of the system: where the last super-row ends.
     pub fn n(&self) -> usize {
-        self.l.n()
+        self.index2[self.index2.len() - 1]
     }
 
     /// Stored nonzeros of the reordered operand.
     pub fn nnz(&self) -> usize {
-        self.l.nnz()
+        self.lower().nnz()
     }
 
     /// The reordered triangular operand `L' = lower(P A Pᵀ)`.
+    ///
+    /// # Panics
+    ///
+    /// On a structure returned by [`StsStructure::into_sweeps`], which holds
+    /// no operand. So does every method that reads the operand:
+    /// [`StsStructure::nnz`], [`StsStructure::solve_sequential`],
+    /// [`StsStructure::symmetric`], [`StsStructure::with_operand`], the
+    /// unsplit solve and the IC(0) build.
     pub fn lower(&self) -> &LowerTriangularCsr {
-        &self.l
+        match &self.l {
+            Some(l) => l,
+            None => panic!("a sweep-only structure holds no operand"),
+        }
     }
 
     /// The permutation `P` (new index → original index).
@@ -250,7 +266,8 @@ impl StsStructure {
         (0..self.num_packs())
             .map(|p| {
                 let rows = self.pack_rows(p);
-                self.l.row_ptr()[rows.end] - self.l.row_ptr()[rows.start]
+                let row_ptr = self.lower().row_ptr();
+                row_ptr[rows.end] - row_ptr[rows.start]
             })
             .collect()
     }
@@ -266,9 +283,8 @@ impl StsStructure {
             )));
         }
         let mut x = vec![0.0; self.n()];
-        let row_ptr = self.l.row_ptr();
-        let col_idx = self.l.col_idx();
-        let values = self.l.values();
+        let l = self.lower();
+        let (row_ptr, col_idx, values) = (l.row_ptr(), l.col_idx(), l.values());
         for p in 0..self.num_packs() {
             for s in self.pack_super_rows(p) {
                 for i1 in self.super_row_rows(s) {
@@ -318,11 +334,12 @@ impl StsStructure {
     /// iteration's product reads.
     pub fn symmetric(&self) -> &SymmetricLayout {
         self.sym.get_or_init(|| {
+            let l = self.lower();
             let pattern = self
                 .patterns
                 .sym
-                .get_or_init(|| Arc::new(SymmetricPattern::build(&self.l)));
-            SymmetricLayout::fill(pattern, &self.l)
+                .get_or_init(|| Arc::new(SymmetricPattern::build(l)));
+            SymmetricLayout::fill(pattern, l)
         })
     }
 
@@ -337,9 +354,10 @@ impl StsStructure {
     pub(crate) fn layout(&self, direction: SweepDirection) -> &SplitLayout {
         let d = direction_index(direction);
         let layout = self.sweeps[d].get_or_init(|| {
+            let l = self.lower();
             let pattern = self.patterns.sweeps[d].get_or_init(|| {
                 Arc::new(SplitPattern::build(
-                    &self.l,
+                    l,
                     &self.index3,
                     &self.index2,
                     direction,
@@ -347,8 +365,8 @@ impl StsStructure {
             });
             let inv_diag = self
                 .inv_diag
-                .get_or_init(|| (0..self.n()).map(|i| 1.0 / self.l.diag(i)).collect());
-            SplitLayout::fill(pattern, &self.l, inv_diag)
+                .get_or_init(|| (0..l.n()).map(|i| 1.0 / l.diag(i)).collect());
+            SplitLayout::fill(pattern, l, inv_diag)
         });
         // Debug builds statically verify a pattern's schedule the first time
         // a layout of it is built. The guard must be a non-blocking `set`
@@ -407,10 +425,11 @@ impl StsStructure {
             Arc::clone(&self.index2),
             Arc::clone(&self.perm),
         );
-        let l = if l.shares_pattern_with(&self.l) {
+        let own = self.lower();
+        let l = if l.shares_pattern_with(own) {
             l
-        } else if l.row_ptr() == self.l.row_ptr() && l.col_idx() == self.l.col_idx() {
-            self.l.with_values(l.into_values())?
+        } else if l.row_ptr() == own.row_ptr() && l.col_idx() == own.col_idx() {
+            own.with_values(l.into_values())?
         } else {
             return StsStructure::from_shared(self.k, self.ordering, index3, index2, l, perm);
         };
@@ -423,6 +442,24 @@ impl StsStructure {
             perm,
             Arc::clone(&self.patterns),
         ))
+    }
+
+    /// This structure reduced to what a sweep reads: both sweep layouts are
+    /// built from the operand, whose values are then released. The result
+    /// keeps the layouts' value slabs, the reciprocal diagonal and the
+    /// shared hierarchy and layout patterns, and serves
+    /// [`ParallelSolver::solve_into`](crate::ParallelSolver::solve_into) and
+    /// the layout accessors; every method that reads the operand panics on
+    /// it (see [`StsStructure::lower`]).
+    ///
+    /// This is how a factor is held: Algorithm 1 sweeps only the CSR-k
+    /// layouts, so a copy of the factor's values beside them would be read
+    /// by nothing.
+    pub fn into_sweeps(mut self) -> StsStructure {
+        self.split();
+        self.transpose_split();
+        self.l = None;
+        self
     }
 
     /// Whether `other` shares this structure's hierarchy allocations (index
@@ -452,7 +489,7 @@ impl StsStructure {
     /// Cholesky preconditioners perform per iteration. The backward sweep is
     /// mathematically equivalent to processing the packs in reverse order.
     pub fn solve_transpose_sequential(&self, b: &[f64]) -> Result<Vec<f64>> {
-        self.l.solve_transpose_seq(b)
+        self.lower().solve_transpose_seq(b)
     }
 
     /// Maps a solution vector of the reordered system back to the original
@@ -477,7 +514,8 @@ impl StsStructure {
     ///    pack; dependencies must come from earlier packs or from earlier rows
     ///    of the same super-row.
     pub fn validate(&self) -> Result<()> {
-        let n = self.l.n();
+        let l = self.lower();
+        let n = l.n();
         if self.perm.len() != n {
             return Err(MatrixError::InvalidStructure(format!(
                 "permutation length {} does not match n = {n}",
@@ -501,7 +539,7 @@ impl StsStructure {
         }
         for i in 0..n {
             let si = super_row_of[i];
-            for &j in self.l.row_off_diag_cols(i) {
+            for &j in l.row_off_diag_cols(i) {
                 let sj = super_row_of[j];
                 if sj == si {
                     continue; // internal to the task: solved sequentially
@@ -718,6 +756,25 @@ mod tests {
         for (a, b) in x2.iter().zip(&x) {
             assert!((a - 2.0 * b).abs() < 1e-12);
         }
+    }
+
+    #[test]
+    fn a_sweep_only_structure_keeps_both_layouts_and_no_operand() {
+        let s = figure1_flat_structure();
+        let swept = s.clone().into_sweeps();
+        assert!(swept.split_built() && swept.transpose_split_built());
+        assert_eq!(*swept.split(), *s.split());
+        assert_eq!(*swept.transpose_split(), *s.transpose_split());
+        assert!(swept.shares_hierarchy_with(&s) && swept.shares_layout_patterns_with(&s));
+        assert_eq!((swept.n(), swept.num_packs()), (s.n(), s.num_packs()));
+        assert!(!swept.symmetric_built());
+        assert_ne!(swept, s);
+    }
+
+    #[test]
+    #[should_panic(expected = "a sweep-only structure holds no operand")]
+    fn a_sweep_only_structure_has_no_lower_triangle() {
+        figure1_flat_structure().into_sweeps().lower();
     }
 
     #[test]

@@ -17,7 +17,10 @@
 //!   hierarchy (and hence the whole split-kernel machinery) through
 //!   [`StsStructure::with_operand`] without validating the pattern again;
 //!   its split layouts share the pattern's index arrays, so building them
-//!   writes the factor's values only.
+//!   writes the factor's values only, and once both are filled the
+//!   factor's own copy of its values is released
+//!   ([`StsStructure::into_sweeps`]): the preconditioner holds the two
+//!   sweep layouts and nothing else.
 //!   The factorization itself is level-scheduled over that same hierarchy
 //!   on the driver's pool, bitwise identical to the sequential reference
 //!   sweep `sts_matrix::factor::ic0`;
@@ -119,7 +122,9 @@ impl Preconditioner for Identity {
 }
 
 /// The two sweeps shared by [`Ssor`] and [`Ic0`]: a structure and the
-/// request (engine, precision) every sweep is issued with.
+/// request (engine, precision) every sweep is issued with. The sweeps read
+/// the structure's two split layouts only, so the structure may be a
+/// sweep-only one ([`StsStructure::into_sweeps`]), as a factor's is.
 #[derive(Debug)]
 struct SweepPair {
     structure: Arc<StsStructure>,
@@ -130,8 +135,8 @@ struct SweepPair {
 }
 
 impl SweepPair {
-    /// Forces both lazy layouts, so the first apply is not the one paying
-    /// the build sweeps.
+    /// Forces both lazy layouts (a sweep-only structure has them already),
+    /// so the first apply is not the one paying the build sweeps.
     fn new(structure: Arc<StsStructure>, engine: SweepEngine) -> Self {
         structure.split();
         structure.transpose_split();
@@ -249,9 +254,14 @@ impl Preconditioner for Ssor {
 /// carried by a second [`StsStructure`] that shares the system's pack /
 /// super-row hierarchy, `L'`'s pattern and the layouts' index arrays —
 /// IC(0) preserves the sparsity pattern, so all three transfer via
-/// [`StsStructure::with_operand`]. The
-/// factor's bits, and its breakdown row and pivot, are those of
-/// `sts_matrix::factor::ic0` on `P A Pᵀ`.
+/// [`StsStructure::with_operand`]. The factor's values fill its forward
+/// and transpose split layouts and are then released
+/// ([`StsStructure::into_sweeps`]): what the preconditioner holds is the
+/// two layouts' value slabs and reciprocal diagonal, and `Arc`s to the
+/// shared patterns. The factor's bits, and its breakdown row and pivot, are
+/// those of `sts_matrix::factor::ic0` on `P A Pᵀ`; an application is
+/// therefore bitwise equal to a forward and a transpose sweep over
+/// `sys.structure().with_operand(<that factor>)`.
 #[derive(Debug)]
 pub struct Ic0 {
     sweeps: SweepPair,
@@ -301,7 +311,8 @@ impl Ic0 {
     /// factorization is level-scheduled over the system's pack hierarchy
     /// on `solver`'s pool (`ParallelSolver::parallel_ic0_values`): per pack,
     /// the super-rows are factored in parallel under the solver's schedule,
-    /// with a barrier between packs.
+    /// with a barrier between packs. The factored values fill both sweep
+    /// layouts and are then dropped.
     pub fn with_operand(
         sys: &SpdSystem,
         solver: &ParallelSolver,
@@ -310,7 +321,7 @@ impl Ic0 {
     ) -> Result<Ic0> {
         let vals = operand.values(sys.structure().lower())?;
         let factor = solver.parallel_ic0_values(sys.structure(), vals)?;
-        let structure = Arc::new(sys.structure().with_operand(factor)?);
+        let structure = Arc::new(sys.structure().with_operand(factor)?.into_sweeps());
         Ok(Ic0 {
             sweeps: SweepPair::new(structure, engine),
             operand,
@@ -333,13 +344,6 @@ impl Ic0 {
             Ic0Operand::RowBoosted { row, alpha } => Some((row, alpha)),
             _ => None,
         }
-    }
-
-    /// The factor structure's operand values (test/diagnostic hook: the
-    /// factor is asserted bitwise equal to `sts_matrix::factor::ic0`'s
-    /// through this).
-    pub fn factor_values(&self) -> &[f64] {
-        self.sweeps.structure.lower().values()
     }
 }
 
@@ -487,17 +491,55 @@ mod tests {
         assert!(ops::relative_error_inf(&z, &w) < 1e-10);
     }
 
+    /// `(F Fᵀ)⁻¹ r` for the factor `F` that is `s`'s operand: a forward then
+    /// a transpose sweep over `s`, at `nrhs` lanes and `precision`.
+    fn sweep_pair(
+        solver: &ParallelSolver,
+        s: &StsStructure,
+        r: &[f64],
+        nrhs: usize,
+        precision: PrecisionPolicy,
+    ) -> Vec<f64> {
+        let opts = SolveOptions::default()
+            .with_nrhs(nrhs)
+            .with_precision(precision);
+        let mut y = vec![0.0; r.len()];
+        solver.solve_into(s, r, &mut y, &opts).unwrap();
+        let mut z = vec![0.0; r.len()];
+        let opts = opts.with_direction(SweepDirection::Transpose);
+        solver.solve_into(s, &y, &mut z, &opts).unwrap();
+        z
+    }
+
     #[test]
     fn ic0_factor_has_the_bits_of_the_reference_factor() {
         let (sys, solver) = test_setup();
-        let pre = Ic0::new(&sys, &solver, SweepEngine::Sequential).unwrap();
+        let mut pre = Ic0::new(&sys, &solver, SweepEngine::Sequential).unwrap();
         // The level-scheduled build factors the lower triangle's values to
-        // the bits of the sequential reference factor of the operator, on
-        // the system's own pattern.
+        // the bits of the sequential reference factor of the operator, so an
+        // application is a sweep pair over that factor, at every width and
+        // slab precision.
         let reference = sts_matrix::factor::ic0(sys.matrix()).unwrap();
-        assert_eq!(pre.factor_values(), reference.values());
-        let factor = pre.sweeps.structure.lower();
-        assert!(factor.shares_pattern_with(sys.structure().lower()));
+        let want = sys.structure().with_operand(reference).unwrap();
+        for precision in [
+            PrecisionPolicy::ValuesF64,
+            PrecisionPolicy::ValuesF32WithRefinement,
+        ] {
+            pre.set_precision(precision);
+            for nrhs in [1, 4] {
+                let len = sys.n() * nrhs;
+                let r: Vec<f64> = (0..len).map(|k| 1.0 + (k % 7) as f64 * 0.3).collect();
+                let (mut z, mut sweep) = (vec![0.0; len], vec![0.0; len]);
+                pre.apply_batch_into(&solver, &r, &mut z, &mut sweep, nrhs)
+                    .unwrap();
+                let expected = sweep_pair(&solver, &want, &r, nrhs, precision);
+                assert_eq!(bits(&z), bits(&expected), "{precision:?}, nrhs {nrhs}");
+            }
+        }
+        // The factor holds the system's hierarchy and layout patterns.
+        let factor = &pre.sweeps.structure;
+        assert!(factor.shares_layout_patterns_with(sys.structure()));
+        assert!(factor.shares_hierarchy_with(sys.structure()));
     }
 
     #[test]
@@ -548,7 +590,6 @@ mod tests {
         let pre = Ic0::new(&sys, &solver, SweepEngine::Split).unwrap();
         let pattern = base.structure().lower();
         assert!(sys.structure().lower().shares_pattern_with(pattern));
-        assert!(pre.sweeps.structure.lower().shares_pattern_with(pattern));
         assert!(pre.sweeps.structure.shares_hierarchy_with(base.structure()));
         // ... and the layouts' index arrays.
         assert!(sys
@@ -644,7 +685,6 @@ mod tests {
                         pre
                     };
                     let (g, w) = (factor(&rebound), factor(&fresh));
-                    assert_eq!(bits(g.factor_values()), bits(w.factor_values()));
                     assert_sweep_layouts_equal(
                         &g.sweeps.structure,
                         &w.sweeps.structure,

@@ -212,11 +212,14 @@
 //! parallel loop over the pack's super-rows, then a barrier — the paper's
 //! Algorithm 1 with the IC(0) row in place of the solve row. The
 //! sequential sweep [`matrix::factor::ic0`] remains as the reference, and
-//! the level-scheduled factor has its bits exactly:
+//! the level-scheduled factor has its bits exactly. The preconditioner
+//! keeps only the two sweep layouts it fills from the factor, so the bits
+//! show in its application: a forward and a transpose sweep over the
+//! reference factor give the same `z`:
 //!
 //! ```
-//! # use sts_k::core::Method;
-//! # use sts_k::krylov::{Ic0, KrylovWorkspace, Pcg, SpdSystem, SweepEngine};
+//! # use sts_k::core::{Method, SolveOptions, SweepDirection};
+//! # use sts_k::krylov::{Ic0, KrylovWorkspace, Pcg, Preconditioner, SpdSystem, SweepEngine};
 //! # use sts_k::matrix::{factor, generators, ops};
 //! # use sts_k::numa::Schedule;
 //! # let a = generators::grid2d_laplacian(24, 24).unwrap();
@@ -231,7 +234,15 @@
 //!
 //! // The sequential reference factor of P A Pᵀ, bit for bit.
 //! let reference = factor::ic0(sys.matrix()).unwrap();
-//! assert_eq!(ic0.factor_values(), reference.values());
+//! let f = sys.structure().with_operand(reference).unwrap();
+//! let (solver, r) = (pcg.solver(), vec![1.0; sys.n()]);
+//! let (mut y, mut want) = (vec![0.0; sys.n()], vec![0.0; sys.n()]);
+//! solver.solve_into(&f, &r, &mut y, &SolveOptions::default()).unwrap();
+//! let transpose = SolveOptions::default().with_direction(SweepDirection::Transpose);
+//! solver.solve_into(&f, &y, &mut want, &transpose).unwrap();
+//! let (mut z, mut sweep) = (vec![0.0; sys.n()], vec![0.0; sys.n()]);
+//! ic0.apply_into(solver, &r, &mut z, &mut sweep).unwrap();
+//! assert_eq!(z, want);
 //! ```
 //!
 //! # Error handling & graceful degradation

@@ -20,6 +20,8 @@ use sts_k::krylov::{
 use sts_k::matrix::{factor, generators, ops, MatrixError};
 use sts_k::numa::{PoolError, Schedule, WorkerPool};
 
+mod common;
+
 /// Every chaos scenario must resolve inside this budget — generous enough
 /// for a debug-profile CI host, far below "hung".
 const BUDGET: Duration = Duration::from_secs(30);
@@ -429,14 +431,15 @@ fn shifted_ic0_matches_the_reference_factor_across_the_ladder() {
                     want[end - 1] *= 1.0 + alpha;
                 }
                 factor::ic0_in_place(lower.row_ptr(), lower.col_idx(), &mut want).unwrap();
+                let want = sys
+                    .structure()
+                    .with_operand(lower.with_values(want).unwrap())
+                    .unwrap();
                 let operand = Ic0Operand::Shifted(alpha);
-                let pre =
+                let mut pre =
                     Ic0::with_operand(&sys, &solver, SweepEngine::Sequential, operand).unwrap();
-                assert_eq!(
-                    pre.factor_values(),
-                    want,
-                    "shifted (α = {alpha}) factor diverged at {threads} threads"
-                );
+                let label = format!("shifted (α = {alpha}) factor at {threads} threads");
+                common::assert_applies_factor(&mut pre, &solver, &want, &label);
                 assert_eq!(pre.shift(), alpha);
                 assert_eq!(pre.label(), "ic0-shifted");
             }

@@ -4,7 +4,9 @@
 //! identical `FactorizationBreakdown` errors on non-SPD input.
 //!
 //! The same parity holds for [`Ic0`], which factors a copy of the system
-//! structure's lower triangle instead of the operator.
+//! structure's lower triangle instead of the operator and keeps only the
+//! sweep layouts it fills: its applications equal a sweep pair over the
+//! reference factor, bit for bit.
 //!
 //! The parity claim is exact equality (`==` on the value arrays), not a
 //! tolerance: every factor entry is a pure function of already-final inputs
@@ -16,6 +18,8 @@ use sts_k::krylov::{Ic0, Ic0Operand, SpdSystem, SweepEngine};
 use sts_k::matrix::suite::{SuiteScale, TestSuite};
 use sts_k::matrix::{factor, generators, CsrMatrix, LowerTriangularCsr, MatrixError};
 use sts_k::numa::Schedule;
+
+mod common;
 
 /// The worker counts every parity check runs under. CI's build/test matrix
 /// exports `STS_TEST_THREADS` (1 on the no-contention leg, 4 on the
@@ -189,9 +193,9 @@ fn perturbed(a: &CsrMatrix, rows: std::ops::Range<usize>, alpha: f64) -> CsrMatr
 #[test]
 fn ic0_from_the_lower_triangle_matches_the_reference_factor() {
     // `Ic0` factors a copy of the structure's lower triangle, never the
-    // operator: on every operand, at every thread count, its
-    // factor has the bits of `factor::ic0` on `P A Pᵀ`, and a breakdown
-    // names the same row with the same pivot bits.
+    // operator: on every operand, at every thread count, it applies
+    // `factor::ic0` on `P A Pᵀ` bit for bit, and a breakdown names the
+    // same row with the same pivot bits.
     let grid = generators::grid2d_laplacian(23, 19).unwrap();
     let mut poisoned = grid.clone();
     let target = 200;
@@ -214,15 +218,14 @@ fn ic0_from_the_lower_triangle_matches_the_reference_factor() {
             ),
         ];
         for (operand, matrix) in operands {
-            let reference = factor::ic0(&matrix);
+            let reference = factor::ic0(&matrix).and_then(|f| sys.structure().with_operand(f));
             for threads in [1, 2, 3, 8] {
                 let solver = ParallelSolver::new(threads, Schedule::Guided { min_chunk: 1 });
                 let label = format!("{operand:?}, {threads} threads");
                 let got = Ic0::with_operand(&sys, &solver, SweepEngine::Split, operand);
                 match (&reference, got) {
-                    (Ok(f), Ok(pre)) => {
-                        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                        assert_eq!(bits(pre.factor_values()), bits(f.values()), "{label}");
+                    (Ok(want), Ok(mut pre)) => {
+                        common::assert_applies_factor(&mut pre, &solver, want, &label);
                         outcomes[0] += 1;
                     }
                     (

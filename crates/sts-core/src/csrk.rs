@@ -85,21 +85,29 @@ fn direction_index(direction: SweepDirection) -> usize {
     }
 }
 
-/// Equality ignores the lazy layouts: they are pure functions of the other
-/// fields, so two structures that differ only in whether
-/// [`StsStructure::split`] (or the transpose or symmetric layout) has been
-/// called yet are still equal. A sweep-only structure
-/// ([`StsStructure::into_sweeps`]) has no operand to compare: it equals no
-/// structure that holds one, and every sweep-only structure of its
-/// hierarchy.
+/// Equality ignores the lazy layouts while the operand is held: they are
+/// pure functions of the operand and the hierarchy, so two structures that
+/// differ only in whether [`StsStructure::split`] (or the transpose or
+/// symmetric layout) has been called yet are still equal. A sweep-only
+/// structure ([`StsStructure::into_sweeps`]) has released its operand, and
+/// its two sweep layouts are where its values live: it equals the
+/// sweep-only structures with equal layouts, and no structure that still
+/// holds an operand.
 impl PartialEq for StsStructure {
     fn eq(&self, other: &Self) -> bool {
         self.k == other.k
             && self.ordering == other.ordering
             && self.index3 == other.index3
             && self.index2 == other.index2
-            && self.l == other.l
             && self.perm == other.perm
+            && match (&self.l, &other.l) {
+                (Some(l), Some(other_l)) => l == other_l,
+                (None, None) => {
+                    self.split() == other.split()
+                        && self.transpose_split() == other.transpose_split()
+                }
+                _ => false,
+            }
     }
 }
 
@@ -195,7 +203,20 @@ impl StsStructure {
 
     /// Stored nonzeros of the reordered operand.
     pub fn nnz(&self) -> usize {
-        self.lower().nnz()
+        self.stored_in(0..self.n())
+    }
+
+    /// Stored nonzeros of the operand in `rows`: read from its row pointer,
+    /// or, once [`StsStructure::into_sweeps`] has released it, from the
+    /// forward layout's two slabs plus one diagonal per row.
+    fn stored_in(&self, rows: std::ops::Range<usize>) -> usize {
+        match &self.l {
+            Some(l) => l.row_ptr()[rows.end] - l.row_ptr()[rows.start],
+            None => {
+                let split = self.split();
+                rows.len() + split.ext_range_nnz(rows.clone()) + split.int_range_nnz(rows)
+            }
+        }
     }
 
     /// The reordered triangular operand `L' = lower(P A Pᵀ)`.
@@ -203,10 +224,17 @@ impl StsStructure {
     /// # Panics
     ///
     /// On a structure returned by [`StsStructure::into_sweeps`], which holds
-    /// no operand. So does every method that reads the operand:
-    /// [`StsStructure::nnz`], [`StsStructure::solve_sequential`],
-    /// [`StsStructure::symmetric`], [`StsStructure::with_operand`], the
-    /// unsplit solve and the IC(0) build.
+    /// no operand. So does everything that reads the operand:
+    /// [`StsStructure::with_operand`], [`StsStructure::symmetric`],
+    /// [`StsStructure::solve_sequential`],
+    /// [`StsStructure::solve_transpose_sequential`] and
+    /// [`StsStructure::validate`]; the unsplit
+    /// [`ParallelSolver::solve`](crate::ParallelSolver::solve); the IC(0)
+    /// builds [`ParallelSolver::parallel_ic0`](crate::ParallelSolver::parallel_ic0)
+    /// and [`ParallelSolver::parallel_ic0_values`](crate::ParallelSolver::parallel_ic0_values);
+    /// [`super_row_spec`](crate::super_row_spec); and `sts_krylov::solve_refined`.
+    /// The counts ([`StsStructure::n`], [`StsStructure::nnz`],
+    /// [`StsStructure::work_per_pack`]) and the sweep layouts stay readable.
     pub fn lower(&self) -> &LowerTriangularCsr {
         match &self.l {
             Some(l) => l,
@@ -264,11 +292,7 @@ impl StsStructure {
     /// Work (stored nonzeros, i.e. fused multiply-adds) performed by each pack.
     pub fn work_per_pack(&self) -> Vec<usize> {
         (0..self.num_packs())
-            .map(|p| {
-                let rows = self.pack_rows(p);
-                let row_ptr = self.lower().row_ptr();
-                row_ptr[rows.end] - row_ptr[rows.start]
-            })
+            .map(|p| self.stored_in(self.pack_rows(p)))
             .collect()
     }
 
@@ -769,6 +793,30 @@ mod tests {
         assert_eq!((swept.n(), swept.num_packs()), (s.n(), s.num_packs()));
         assert!(!swept.symmetric_built());
         assert_ne!(swept, s);
+    }
+
+    #[test]
+    fn a_sweep_only_structure_counts_its_entries_from_the_forward_layout() {
+        let a = generators::grid2d_laplacian(30, 30).unwrap();
+        let l = generators::lower_operand(&a).unwrap();
+        let s = crate::builder::Method::Sts3.build(&l, 8).unwrap();
+        let swept = s.clone().into_sweeps();
+        assert!(swept.split().int_nnz() > 0);
+        assert_eq!(
+            (swept.nnz(), swept.work_per_pack()),
+            (s.nnz(), s.work_per_pack())
+        );
+    }
+
+    #[test]
+    fn sweep_only_structures_compare_by_their_layouts() {
+        let s = figure1_flat_structure();
+        let scaled = s.lower().values().iter().map(|v| 2.0 * v).collect();
+        let other = s
+            .with_operand(s.lower().with_values(scaled).unwrap())
+            .unwrap();
+        assert_eq!(s.clone().into_sweeps(), s.clone().into_sweeps());
+        assert_ne!(s.clone().into_sweeps(), other.into_sweeps());
     }
 
     #[test]

@@ -21,21 +21,21 @@
 //! * [`transpose`] — the transpose (backward-sweep) constructor of the same
 //!   layout type: the split applied to `L'ᵀ`, with the packs consumed in
 //!   reverse order, so preconditioner forward/backward sweep pairs both run
-//!   on the parallel engines;
+//!   on the parallel driver;
 //! * [`symmetric`] — the third lazily built layout of a structure: the
 //!   symmetric operator `L' + L'ᵀ − D` row by row with `u32` columns, which
 //!   the Krylov product ([`ParallelSolver::spmv_dots`]) reads, so a system
 //!   needs no second copy of its operator;
 //! * [`solver`] — the threaded pack-parallel solver: one sweep kernel (one
 //!   row body in `solver::kernel`, one chunk geometry in `solver::plan`)
-//!   under a sequential and a two-phase split driver, both behind
+//!   under one two-phase split driver behind
 //!   `ParallelSolver::solve_with` / `solve_into`; the paper's unsplit
 //!   barrier-per-pack kernel (`ParallelSolver::solve`); and the
 //!   level-scheduled parallel IC(0) construction
 //!   (`ParallelSolver::parallel_ic0`) that runs the preconditioner *setup*
 //!   on that same super-row loop, a barrier per pack;
-//! * [`options`] — the typed [`SolveOptions`] request (engine × direction ×
-//!   batch width × [`PrecisionPolicy`]) consumed by
+//! * [`options`] — the typed [`SolveOptions`] request (direction × batch
+//!   width × [`PrecisionPolicy`]) consumed by
 //!   [`solver::parallel::ParallelSolver::solve_with`], and the [`SlabValue`]
 //!   abstraction behind the mixed-precision (f32-storage / f64-accumulation)
 //!   sweep kernels;

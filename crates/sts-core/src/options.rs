@@ -1,16 +1,17 @@
-//! Typed solve options: the one place engine, direction, batch width, and
-//! numeric precision are selected.
+//! Typed solve options: the one place direction, batch width, and numeric
+//! precision are selected.
 //!
 //! [`ParallelSolver`](crate::solver::parallel::ParallelSolver) grew its entry
-//! points one at a time — engine (sequential / split)
-//! × direction (forward / transpose) × single / batch — until callers had a
-//! 12-way method matrix to navigate and no way to thread a *new* axis (like
-//! precision) through it. [`SolveOptions`] collapses the matrix into one
-//! typed request consumed by
+//! points one at a time — direction (forward / transpose) × single / batch —
+//! until callers had a method matrix to navigate and no way to thread a
+//! *new* axis (like precision) through it. [`SolveOptions`] collapses the
+//! matrix into one typed request consumed by
 //! [`ParallelSolver::solve_with`](crate::solver::parallel::ParallelSolver::solve_with)
 //! and its allocation-free form
 //! [`solve_into`](crate::solver::parallel::ParallelSolver::solve_into); one
-//! sweep kernel runs every combination.
+//! sweep kernel and one driver run every combination. How many threads run
+//! it is the solver's, not the request's: a one-thread solver runs the same
+//! sweep on the calling thread alone.
 //!
 //! # Precision
 //!
@@ -61,34 +62,17 @@ impl PrecisionPolicy {
     }
 }
 
-/// Which driver runs the sweep: they synchronise differently and compute
-/// the same bits. (The paper's unsplit barrier-per-pack kernel is not one
-/// of them — it takes no options and is
-/// [`ParallelSolver::solve`](crate::solver::parallel::ParallelSolver::solve).)
+/// The name of a sweep driver. Every value runs the one split driver, so
+/// the value changes nothing; kept only because `benchmark/` names it;
+/// ROADMAP item 1(c) retires it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum SolveEngine {
-    /// Single-threaded two-phase sweep on the split layout: the stage loop
-    /// on the calling thread, no pool involvement.
-    Sequential,
     /// The two-phase split kernel on the pool (external gather, phase
-    /// barrier, internal chains, stage barrier) — the default.
+    /// barrier, internal chains, stage barrier).
     #[default]
     Split,
-    /// Answered by the split driver. The name stays only because the repo
-    /// benchmark (`benchmark/`) still selects it; the next change to the
-    /// benchmark retires it.
+    /// The same split driver under an older name.
     Pipelined,
-}
-
-impl SolveEngine {
-    /// Diagnostic label.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            SolveEngine::Sequential => "sequential",
-            SolveEngine::Split => "split",
-            SolveEngine::Pipelined => "pipelined",
-        }
-    }
 }
 
 /// Sweep direction: the lower-triangular system or its transpose.
@@ -116,14 +100,13 @@ impl SweepDirection {
 /// [`ParallelSolver::solve_with`](crate::solver::parallel::ParallelSolver::solve_with)
 /// consumes it, and the Krylov / service layers thread it through unchanged.
 ///
-/// The default is the common case: split engine, forward sweep, one
-/// right-hand side, full `f64` precision.
+/// The default is the common case: forward sweep, one right-hand side,
+/// full `f64` precision.
 ///
 /// ```
-/// use sts_core::{PrecisionPolicy, SolveEngine, SolveOptions, SweepDirection};
+/// use sts_core::{PrecisionPolicy, SolveOptions, SweepDirection};
 ///
 /// let opts = SolveOptions::default();
-/// assert_eq!(opts.engine, SolveEngine::Split);
 /// assert_eq!(opts.direction, SweepDirection::Forward);
 /// assert_eq!(opts.nrhs, 1);
 /// assert_eq!(opts.precision, PrecisionPolicy::ValuesF64);
@@ -133,8 +116,6 @@ impl SweepDirection {
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SolveOptions {
-    /// The engine to run.
-    pub engine: SolveEngine,
     /// Forward or transpose sweep.
     pub direction: SweepDirection,
     /// Number of interleaved right-hand sides (`b[i * nrhs + r]`); must be
@@ -147,7 +128,6 @@ pub struct SolveOptions {
 impl Default for SolveOptions {
     fn default() -> SolveOptions {
         SolveOptions {
-            engine: SolveEngine::default(),
             direction: SweepDirection::default(),
             nrhs: 1,
             precision: PrecisionPolicy::default(),
@@ -156,9 +136,10 @@ impl Default for SolveOptions {
 }
 
 impl SolveOptions {
-    /// `self` with a different engine.
-    pub fn with_engine(mut self, engine: SolveEngine) -> SolveOptions {
-        self.engine = engine;
+    /// `self`, unchanged: every [`SolveEngine`] runs the one split driver.
+    /// Kept only because `benchmark/` names it; ROADMAP item 1(c) retires
+    /// it.
+    pub fn with_engine(self, _engine: SolveEngine) -> SolveOptions {
         self
     }
 
@@ -187,7 +168,7 @@ impl SolveOptions {
 /// happens in `f64` through [`SlabValue::to_f64`]. For `f64` the conversion
 /// is the identity and inlines away, so the monomorphized `f64` kernels are
 /// instruction-for-instruction the pre-generic kernels — the bitwise-parity
-/// invariants of the engine matrix are untouched. For `f32` the conversion
+/// invariants across thread counts are untouched. For `f32` the conversion
 /// is the exact widening `as f64` (every `f32` is exactly representable in
 /// `f64`), so a mixed-precision sweep's only error is the slab's one-time
 /// storage rounding.
@@ -215,9 +196,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn defaults_are_the_full_precision_split_single_solve() {
+    fn defaults_are_the_full_precision_forward_single_solve() {
         let opts = SolveOptions::default();
-        assert_eq!(opts.engine, SolveEngine::Split);
         assert_eq!(opts.direction, SweepDirection::Forward);
         assert_eq!(opts.nrhs, 1);
         assert_eq!(opts.precision, PrecisionPolicy::ValuesF64);
@@ -226,14 +206,32 @@ mod tests {
     #[test]
     fn builder_style_setters_compose() {
         let opts = SolveOptions::default()
-            .with_engine(SolveEngine::Sequential)
             .with_direction(SweepDirection::Transpose)
             .with_nrhs(4)
             .with_precision(PrecisionPolicy::ValuesF32WithRefinement);
-        assert_eq!(opts.engine, SolveEngine::Sequential);
         assert_eq!(opts.direction, SweepDirection::Transpose);
         assert_eq!(opts.nrhs, 4);
         assert_eq!(opts.precision, PrecisionPolicy::ValuesF32WithRefinement);
+    }
+
+    #[test]
+    fn engine_names_leave_every_request_unchanged() {
+        let changed = SolveOptions::default()
+            .with_direction(SweepDirection::Transpose)
+            .with_nrhs(4)
+            .with_precision(PrecisionPolicy::ValuesF32WithRefinement);
+        for engine in [SolveEngine::Split, SolveEngine::Pipelined] {
+            for opts in [SolveOptions::default(), changed] {
+                assert_eq!(opts.with_engine(engine), opts, "{engine:?}");
+            }
+            // Set before the other fields as well as after them.
+            let built = SolveOptions::default()
+                .with_engine(engine)
+                .with_direction(SweepDirection::Transpose)
+                .with_nrhs(4)
+                .with_precision(PrecisionPolicy::ValuesF32WithRefinement);
+            assert_eq!(built, changed, "{engine:?}");
+        }
     }
 
     #[test]

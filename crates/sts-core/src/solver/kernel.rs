@@ -1,14 +1,14 @@
 //! The row arithmetic of the sweep kernels, written once.
 //!
-//! Every engine runs the same two-phase sweep per pack — *gather* a row
+//! The split driver runs one two-phase sweep per pack — *gather* a row
 //! against finished packs, then *chain*-correct the rows with in-super-row
 //! dependencies — and every output bit comes from one row body, [`Sum`]: it
 //! accumulates `acc = Σ v·x` in slab order and then applies
 //! `x = (b − acc)·d` (gather) or `x −= acc·d` (chain). Single-RHS requests
 //! run it at lane width 1 (the plain scalar loop), batches at width
 //! [`TILE`]; a lane of a batch performs exactly the scalar sweep's
-//! floating-point sequence, so every lane of every batch on every engine is
-//! bitwise identical to the scalar sweep of that right-hand side.
+//! floating-point sequence, so every lane of every batch at every thread
+//! count is bitwise identical to the scalar sweep of that right-hand side.
 //!
 //! The body is generic over the stored value type (`f32` slabs widen
 //! exactly into the `f64` accumulation) and a const lane width, so the

@@ -1,8 +1,8 @@
 //! Triangular solvers on top of the STS-k structure.
 //!
 //! * [`parallel`] — the pack-parallel solver on a persistent (optionally
-//!   pinned) worker pool: the sequential and split drivers of the one
-//!   two-phase sweep kernel behind [`ParallelSolver::solve_with`] /
+//!   pinned) worker pool: the split driver of the one two-phase sweep
+//!   kernel behind [`ParallelSolver::solve_with`] /
 //!   [`ParallelSolver::solve_into`], plus Algorithm 1 executed with threads
 //!   ([`ParallelSolver::solve`]: one `parallel_for` over the super-rows of
 //!   each pack, a barrier between packs) — the super-row loop the IC(0)
@@ -10,7 +10,7 @@
 //! * `kernel` — the row arithmetic of that sweep: one row body with a
 //!   gather-row and a chain-row function, at lane width 1 or 8.
 //! * `plan` — the one chunk geometry (the split sweep's stage and chunk
-//!   functions): called by the drivers and by the schedule verifier alike.
+//!   functions): called by the driver and by the schedule verifier alike.
 //! * [`vector`] — the vector kernels of a Krylov iteration on the same
 //!   pool, over fixed blocks of [`vector::BLOCK_ROWS`] rows: the products
 //!   [`ParallelSolver::spmv_into`] / [`ParallelSolver::spmv_batch_into`] on
@@ -32,14 +32,14 @@
 //!
 //! # Which requests are bitwise identical
 //!
-//! A sweep's output bits depend on the row arithmetic, never on the driver,
-//! the thread count, the chunking or the batch width, and the split-layout
-//! engines share one row arithmetic (`acc = Σ v·x` in slab order, then
+//! A sweep's output bits depend on the row arithmetic, never on the thread
+//! count, the chunking or the batch width, and every split-layout sweep
+//! runs one row arithmetic (`acc = Σ v·x` in slab order, then
 //! `x = (b − acc)·d`):
 //!
 //! | request | bitwise identical to |
 //! |---|---|
-//! | sequential / split, any `nrhs` | each other at every thread count; lane by lane, the `nrhs = 1` sweep of that right-hand side |
+//! | [`ParallelSolver::solve_with`] (split), any `nrhs` | itself at every thread count (one thread included); lane by lane, the `nrhs = 1` sweep of that right-hand side |
 //! | [`ParallelSolver::solve`] (unsplit, Algorithm 1's row loop) | itself at every thread count and schedule |
 //!
 //! Across the two rows — and against [`StsStructure::solve_sequential`] /

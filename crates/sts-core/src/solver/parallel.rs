@@ -1,4 +1,4 @@
-//! The pack-parallel triangular solver: one sweep kernel, two drivers.
+//! The pack-parallel triangular solver: one sweep kernel, one driver.
 //!
 //! A sweep visits the packs as *stages* — in order for `L' x' = b'`, in
 //! reverse order for the transposed system `L'ᵀ x' = b'` — and runs every
@@ -19,17 +19,16 @@
 //! the nonzeros for coloring/level-set packs.
 //!
 //! The row arithmetic lives in `solver::kernel` (one row body, written
-//! once), the chunk geometry in `solver::plan`. This module holds the two
-//! **drivers** that walk the stages and differ only in how they synchronise
-//! — direction, batch width and slab precision are data:
+//! once), the chunk geometry in `solver::plan`. This module holds the
+//! **split driver** that walks the stages — direction, batch width and slab
+//! precision are data: two `parallel_for` dispatches per stage, the gather
+//! chunks under the static schedule, then the chain tasks under the
+//! solver's configured schedule; the pool's completion is the barrier. This
+//! is the paper's execution model: one parallel loop per phase, then a
+//! barrier. A one-thread solver runs the same dispatches on the calling
+//! thread.
 //!
-//! * *sequential* — a plain stage loop on the calling thread;
-//! * *split* — two `parallel_for` dispatches per stage: the gather chunks
-//!   under the static schedule, then the chain tasks under the solver's
-//!   configured schedule; the pool's completion is the barrier. This is the
-//!   paper's execution model: one parallel loop per phase, then a barrier.
-//!
-//! [`ParallelSolver::solve_with`] is the allocating front door over both,
+//! [`ParallelSolver::solve_with`] is the allocating front door over it,
 //! [`ParallelSolver::solve_into`] the allocation-free form iterative solvers
 //! call with an output buffer they hold, and [`ParallelSolver::solve`] the
 //! paper's original kernel: one `parallel_for` over the super-rows of each
@@ -103,7 +102,7 @@
 //! stored in decreasing order.
 //!
 //! The schedule verifier ([`crate::verify`]) checks both arguments on the
-//! dispatches the drivers issue: per stage the gather and chain dispatches
+//! dispatches the kernels issue: per stage the gather and chain dispatches
 //! of the split driver, per pack the super-row dispatch of the unsplit
 //! kernel and the IC(0) build. Every access must be ordered by an earlier
 //! dispatch's barrier or by program order within its task.
@@ -119,7 +118,7 @@ use sts_verify::TaskKind;
 use super::kernel::{SharedVec, Slab, Sum, TILE};
 use super::plan::{chunk_count, chunk_range, stage_pack, stage_rows};
 use crate::csrk::{Result, StsStructure};
-use crate::options::{PrecisionPolicy, SlabValue, SolveEngine, SolveOptions, SweepDirection};
+use crate::options::{PrecisionPolicy, SlabValue, SolveOptions, SweepDirection};
 use crate::split::SplitLayout;
 
 /// Maps a pool-level failure into the matrix error taxonomy the solver
@@ -293,11 +292,10 @@ impl ParallelSolver {
     /// Solves a triangular system described by a typed [`SolveOptions`]
     /// request and returns the solution.
     ///
-    /// The request selects the engine ([`SolveEngine`]), sweep direction
-    /// ([`SweepDirection`]), batch width (`nrhs`, interleaved layout
-    /// `b[i * nrhs + r]`) and value-slab precision ([`PrecisionPolicy`]).
-    /// Every engine accepts every combination of the other three. This
-    /// method allocates the solution and runs
+    /// The request selects the sweep direction ([`SweepDirection`]), batch
+    /// width (`nrhs`, interleaved layout `b[i * nrhs + r]`) and value-slab
+    /// precision ([`PrecisionPolicy`]); the split driver runs every
+    /// combination on this solver's threads. This method allocates the solution and runs
     /// [`ParallelSolver::solve_into`], which callers sweeping one structure
     /// many times call directly with a buffer they hold.
     ///
@@ -323,8 +321,8 @@ impl ParallelSolver {
     /// # Errors
     ///
     /// [`MatrixError::DimensionMismatch`] when `nrhs == 0` or `b` / `x` are
-    /// not `n * nrhs` long. The pool-backed engines also surface
-    /// [`MatrixError::WorkerPanicked`]; on any error `x` must be treated as
+    /// not `n * nrhs` long; a panicking chaos hook surfaces as
+    /// [`MatrixError::WorkerPanicked`]. On any error `x` must be treated as
     /// torn.
     pub fn solve_into(
         &self,
@@ -387,8 +385,7 @@ impl ParallelSolver {
     /// One sweep over the external and internal slabs of `stages`' layout,
     /// from `b` into `x`: binds the row body — lane width 1 for a single
     /// right-hand side, [`TILE`] for a batch — to the sweep's
-    /// `(gather, chain)` bodies and runs them under the requested engine's
-    /// driver.
+    /// `(gather, chain)` bodies and runs them under the split driver.
     fn sweep<V: SlabValue>(
         &self,
         stages: Stages<'_>,
@@ -407,15 +404,11 @@ impl ParallelSolver {
             nrhs: opts.nrhs,
         };
         if opts.nrhs == 1 {
-            self.drive(
-                opts.engine,
-                stages,
-                &|range| rows.gather_rows::<1>(range),
-                &|st, t| rows.chain_task::<1>(st, t),
-            )
+            self.drive_split(stages, &|range| rows.gather_rows::<1>(range), &|st, t| {
+                rows.chain_task::<1>(st, t)
+            })
         } else {
-            self.drive(
-                opts.engine,
+            self.drive_split(
                 stages,
                 &|range| rows.gather_rows::<TILE>(range),
                 &|st, t| rows.chain_task::<TILE>(st, t),
@@ -423,26 +416,9 @@ impl ParallelSolver {
         }
     }
 
-    /// Runs a sweep's `(gather, chain)` bodies under `engine`'s driver.
-    fn drive(
-        &self,
-        engine: SolveEngine,
-        stages: Stages<'_>,
-        gather: &GatherFn<'_>,
-        chain: &ChainFn<'_>,
-    ) -> Result<()> {
-        match engine {
-            SolveEngine::Sequential => {
-                drive_sequential(stages, gather, chain);
-                Ok(())
-            }
-            SolveEngine::Split | SolveEngine::Pipelined => self.drive_split(stages, gather, chain),
-        }
-    }
-
     /// Solves the reordered system `L' x' = b'` with the paper's unsplit
-    /// barrier-per-pack kernel (Algorithm 1 run with threads; it has no
-    /// [`SolveEngine`] and no options — forward, one right-hand side, f64)
+    /// barrier-per-pack kernel (Algorithm 1 run with threads; it takes no
+    /// options — forward, one right-hand side, f64)
     /// and returns `x'`:
     /// per pack, the super-rows are distributed over the pool under the
     /// configured OpenMP-style schedule (the paper uses `dynamic,32` for the
@@ -602,17 +578,6 @@ impl Stages<'_> {
     }
 }
 
-/// The sequential driver: the stages in order on the calling thread — no
-/// pool, no synchronisation, no hooks.
-fn drive_sequential(stages: Stages<'_>, gather: &GatherFn<'_>, chain: &ChainFn<'_>) {
-    for st in 0..stages.count() {
-        gather(stages.rows(st));
-        for t in 0..stages.chain_tasks(st) {
-            chain(st, t);
-        }
-    }
-}
-
 /// The data of one sweep: the direction's stages and layout with the value
 /// slabs at the requested precision, the right-hand sides, and the shared
 /// solution.
@@ -636,9 +601,8 @@ impl<V: SlabValue> SweepRows<'_, V> {
             // SAFETY: solve_into checked x holds n * nrhs slots and the
             // layout's columns are rows of s. Row i is written by exactly
             // one gather chunk; its external columns lie in stages finished
-            // before this chunk started — behind the previous stage's
-            // barrier (split) or in program order (sequential). See the
-            // module docs.
+            // before this chunk started, behind the previous stage's
+            // barrier. See the module docs.
             unsafe {
                 Sum::<W>::gather(
                     &self.x,
@@ -669,7 +633,7 @@ impl<V: SlabValue> SweepRows<'_, V> {
             let r = irp[i]..irp[i + 1];
             // SAFETY: bounds as in gather_rows. Row i belongs to exactly one
             // chain task; its phase-1 value was published by the phase
-            // barrier (or program order); its internal columns stay inside
+            // barrier; its internal columns stay inside
             // this task's super-row — corrected earlier by this task if they
             // are chain rows, phase-1 values otherwise.
             unsafe { Sum::<W>::chain(&self.x, i, self.int, r.clone(), inv_diag[i], self.nrhs) };
@@ -693,14 +657,11 @@ mod tests {
     use crate::builder::Method;
     use sts_matrix::{generators, ops, CooMatrix, LowerTriangularCsr};
 
-    const SPLIT_ENGINES: [SolveEngine; 2] = [SolveEngine::Sequential, SolveEngine::Split];
     const DIRECTIONS: [SweepDirection; 2] = [SweepDirection::Forward, SweepDirection::Transpose];
     const F32: PrecisionPolicy = PrecisionPolicy::ValuesF32WithRefinement;
 
-    fn opts(engine: SolveEngine, direction: SweepDirection) -> SolveOptions {
-        SolveOptions::default()
-            .with_engine(engine)
-            .with_direction(direction)
+    fn opts(direction: SweepDirection) -> SolveOptions {
+        SolveOptions::default().with_direction(direction)
     }
 
     /// The plain (unsplit, single-threaded) reference sweep of `direction`.
@@ -801,7 +762,7 @@ mod tests {
     }
 
     #[test]
-    fn every_engine_matches_the_reference_sweeps_for_all_methods_and_schedules() {
+    fn split_sweeps_match_the_reference_sweeps_for_all_methods_and_schedules() {
         let a = generators::triangulated_grid(14, 14, 2).unwrap();
         let l = generators::lower_operand(&a).unwrap();
         for method in Method::all() {
@@ -816,15 +777,13 @@ mod tests {
                         Schedule::Guided { min_chunk: 1 },
                     ] {
                         let solver = ParallelSolver::new(threads, schedule);
-                        for engine in SPLIT_ENGINES {
-                            let x = solver.solve_with(&s, &b, &opts(engine, direction)).unwrap();
-                            assert!(
-                                ops::relative_error_inf(&x, &expected) < 1e-12,
-                                "{} {engine:?} {direction:?} with {threads} threads under \
-                                 {schedule:?} diverged from the reference sweep",
-                                method.label()
-                            );
-                        }
+                        let x = solver.solve_with(&s, &b, &opts(direction)).unwrap();
+                        assert!(
+                            ops::relative_error_inf(&x, &expected) < 1e-12,
+                            "{} {direction:?} with {threads} threads under {schedule:?} \
+                             diverged from the reference sweep",
+                            method.label()
+                        );
                     }
                 }
             }
@@ -832,9 +791,9 @@ mod tests {
     }
 
     #[test]
-    fn batch_lanes_are_bitwise_identical_to_scalar_sweeps_on_every_engine() {
-        // The engine-matrix invariant: each lane of a batch runs the scalar
-        // sweep's exact floating-point sequence on every engine at every
+    fn batch_lanes_are_bitwise_identical_to_scalar_sweeps_at_every_thread_count() {
+        // The thread-count invariant: each lane of a batch runs the
+        // one-thread scalar sweep's exact floating-point sequence at every
         // thread count, so equality is ==, not a tolerance. Widths above
         // TILE exercise the remainder pass (9) and a third pass (17).
         let a = generators::grid2d_9point(9, 9).unwrap();
@@ -849,7 +808,7 @@ mod tests {
                 .collect();
             for direction in DIRECTIONS {
                 for precision in [PrecisionPolicy::ValuesF64, F32] {
-                    let scalar = opts(SolveEngine::Sequential, direction).with_precision(precision);
+                    let scalar = opts(direction).with_precision(precision);
                     let mut expected = vec![0.0; n * nrhs];
                     for q in 0..nrhs {
                         let xq = scalar_solver
@@ -862,15 +821,12 @@ mod tests {
                     for threads in [1, 3, 8] {
                         let solver =
                             ParallelSolver::new(threads, Schedule::Guided { min_chunk: 1 });
-                        for engine in SPLIT_ENGINES {
-                            let o = scalar.with_engine(engine).with_nrhs(nrhs);
-                            assert_eq!(
-                                solver.solve_with(&s, &bb, &o).unwrap(),
-                                expected,
-                                "{engine:?} {direction:?} {precision:?} batch of {nrhs} \
-                                 diverged from the scalar sweeps at {threads} threads"
-                            );
-                        }
+                        assert_eq!(
+                            solver.solve_with(&s, &bb, &scalar.with_nrhs(nrhs)).unwrap(),
+                            expected,
+                            "{direction:?} {precision:?} batch of {nrhs} diverged from the \
+                             scalar sweeps at {threads} threads"
+                        );
                     }
                 }
             }
@@ -889,35 +845,33 @@ mod tests {
     }
 
     #[test]
-    fn bad_shapes_are_rejected_by_every_engine() {
+    fn bad_shapes_are_rejected_in_every_direction() {
         let l = generators::paper_figure1_l();
         let s = Method::CsrLs.build(&l, 2).unwrap();
         let solver = ParallelSolver::new(2, Schedule::Static);
         assert!(solver.solve(&s, &[1.0; 4]).is_err());
-        for engine in SPLIT_ENGINES {
-            for direction in DIRECTIONS {
-                let o = opts(engine, direction);
-                for (b_len, nrhs) in [(4, 1), (9, 0), (10, 2), (1, wraps_to_one(9))] {
-                    assert!(
-                        matches!(
-                            solver.solve_with(&s, &vec![1.0; b_len], &o.with_nrhs(nrhs)),
-                            Err(MatrixError::DimensionMismatch(_))
-                        ),
-                        "{engine:?} {direction:?} accepted b.len() = {b_len}, nrhs = {nrhs}"
-                    );
-                }
-                // solve_into checks the output buffer the same way.
-                let mut short = vec![0.0; 3];
-                assert!(matches!(
-                    solver.solve_into(&s, &[1.0; 9], &mut short, &o),
-                    Err(MatrixError::DimensionMismatch(_))
-                ));
+        for direction in DIRECTIONS {
+            let o = opts(direction);
+            for (b_len, nrhs) in [(4, 1), (9, 0), (10, 2), (1, wraps_to_one(9))] {
+                assert!(
+                    matches!(
+                        solver.solve_with(&s, &vec![1.0; b_len], &o.with_nrhs(nrhs)),
+                        Err(MatrixError::DimensionMismatch(_))
+                    ),
+                    "{direction:?} accepted b.len() = {b_len}, nrhs = {nrhs}"
+                );
             }
+            // solve_into checks the output buffer the same way.
+            let mut short = vec![0.0; 3];
+            assert!(matches!(
+                solver.solve_into(&s, &[1.0; 9], &mut short, &o),
+                Err(MatrixError::DimensionMismatch(_))
+            ));
         }
     }
 
     #[test]
-    fn degenerate_systems_solve_on_every_engine() {
+    fn degenerate_systems_solve_at_every_thread_count() {
         let empty = LowerTriangularCsr::from_csr(&CooMatrix::new(0, 0).to_csr()).unwrap();
         let mut one = CooMatrix::new(1, 1);
         one.push(0, 0, 4.0).unwrap();
@@ -926,15 +880,13 @@ mod tests {
             let s = Method::Sts3.build(&l, 8).unwrap();
             for threads in [1, 3] {
                 let solver = ParallelSolver::new(threads, Schedule::Static);
-                for engine in SPLIT_ENGINES {
-                    for direction in DIRECTIONS {
-                        for nrhs in [1, 3] {
-                            let b = vec![2.0; s.n() * nrhs];
-                            let x = solver
-                                .solve_with(&s, &b, &opts(engine, direction).with_nrhs(nrhs))
-                                .unwrap();
-                            assert_eq!(x, vec![0.5; s.n() * nrhs], "{engine:?} {direction:?}");
-                        }
+                for direction in DIRECTIONS {
+                    for nrhs in [1, 3] {
+                        let b = vec![2.0; s.n() * nrhs];
+                        let x = solver
+                            .solve_with(&s, &b, &opts(direction).with_nrhs(nrhs))
+                            .unwrap();
+                        assert_eq!(x, vec![0.5; s.n() * nrhs], "{direction:?} at {threads}");
                     }
                 }
             }
@@ -953,7 +905,7 @@ mod tests {
         for direction in DIRECTIONS {
             let b = manufactured(&s, direction, 0);
             let expected = reference(&s, direction, &b);
-            let o = opts(SolveEngine::Split, direction);
+            let o = opts(direction);
             let mut x = vec![0.0; s.n()];
             for round in 0..50 {
                 solver.solve_into(&s, &b, &mut x, &o).unwrap();
@@ -974,20 +926,18 @@ mod tests {
         let nrhs = 2;
         let bb: Vec<f64> = (0..s.n() * nrhs).map(|k| 1.0 + (k % 3) as f64).collect();
         for direction in DIRECTIONS {
-            // One pair of buffers serves every engine, width and precision.
+            // One pair of buffers serves every width and precision.
             let mut x = vec![0.0; s.n()];
             let mut xb = vec![0.0; s.n() * nrhs];
             for shift in 0..4 {
                 let b: Vec<f64> = (0..s.n()).map(|i| 1.0 + ((i + shift) % 5) as f64).collect();
-                for engine in SPLIT_ENGINES {
-                    for precision in [PrecisionPolicy::ValuesF64, F32] {
-                        let o = opts(engine, direction).with_precision(precision);
-                        solver.solve_into(&s, &b, &mut x, &o).unwrap();
-                        assert_eq!(x, solver.solve_with(&s, &b, &o).unwrap());
-                        let ob = o.with_nrhs(nrhs);
-                        solver.solve_into(&s, &bb, &mut xb, &ob).unwrap();
-                        assert_eq!(xb, solver.solve_with(&s, &bb, &ob).unwrap());
-                    }
+                for precision in [PrecisionPolicy::ValuesF64, F32] {
+                    let o = opts(direction).with_precision(precision);
+                    solver.solve_into(&s, &b, &mut x, &o).unwrap();
+                    assert_eq!(x, solver.solve_with(&s, &b, &o).unwrap());
+                    let ob = o.with_nrhs(nrhs);
+                    solver.solve_into(&s, &bb, &mut xb, &ob).unwrap();
+                    assert_eq!(xb, solver.solve_with(&s, &bb, &ob).unwrap());
                 }
             }
         }
@@ -1008,7 +958,7 @@ mod tests {
                 }
             })));
             for direction in DIRECTIONS {
-                match solver.solve_with(&s, &b, &opts(SolveEngine::Split, direction)) {
+                match solver.solve_with(&s, &b, &opts(direction)) {
                     Err(MatrixError::WorkerPanicked {
                         slot,
                         pack,
@@ -1021,9 +971,6 @@ mod tests {
                     other => panic!("expected WorkerPanicked, got {other:?}"),
                 }
             }
-            // The sequential driver runs no hooks.
-            let o = opts(SolveEngine::Sequential, SweepDirection::Forward);
-            assert!(solver.solve_with(&s, &b, &o).is_ok());
         }
     }
 
@@ -1078,36 +1025,27 @@ mod tests {
     }
 
     #[test]
-    fn single_rhs_sweeps_agree_bitwise_across_engines_and_f32_approximates_f64() {
+    fn single_rhs_sweeps_agree_bitwise_across_thread_counts_and_f32_approximates_f64() {
         let a = generators::triangulated_grid(12, 12, 3).unwrap();
         let l = generators::lower_operand(&a).unwrap();
         let s = Method::Sts3.build(&l, 6).unwrap();
         for direction in DIRECTIONS {
             let b = manufactured(&s, direction, 0);
             for precision in [PrecisionPolicy::ValuesF64, F32] {
-                let one = ParallelSolver::new(1, Schedule::Static);
-                let seq = one
-                    .solve_with(
-                        &s,
-                        &b,
-                        &opts(SolveEngine::Sequential, direction).with_precision(precision),
-                    )
+                let o = opts(direction).with_precision(precision);
+                let seq = ParallelSolver::new(1, Schedule::Static)
+                    .solve_with(&s, &b, &o)
                     .unwrap();
                 for threads in [1, 2, 4] {
                     let solver = ParallelSolver::new(threads, Schedule::Guided { min_chunk: 1 });
-                    // Every engine runs the one row body row by row, and f32
-                    // slabs round only the stored values, so all engines
-                    // give the exact same bits at every thread count —
-                    // `Pipelined` included, which the split driver answers.
-                    for engine in [SolveEngine::Split, SolveEngine::Pipelined] {
-                        let x = solver
-                            .solve_with(&s, &b, &opts(engine, direction).with_precision(precision))
-                            .unwrap();
-                        assert_eq!(
-                            seq, x,
-                            "{engine:?} {direction:?} {precision:?} diverged at {threads} threads"
-                        );
-                    }
+                    // The driver runs the one row body row by row, and f32
+                    // slabs round only the stored values, so every thread
+                    // count gives the one-thread sweep's exact bits.
+                    let x = solver.solve_with(&s, &b, &o).unwrap();
+                    assert_eq!(
+                        seq, x,
+                        "{direction:?} {precision:?} diverged at {threads} threads"
+                    );
                 }
                 // The f32 sweep is accurate to at least roughly single
                 // precision before any refinement.

@@ -1,4 +1,4 @@
-//! The dependency-split CSR layout behind the two-phase solve engine.
+//! The dependency-split CSR layout behind the two-phase split sweep.
 //!
 //! The pack-parallel solver's critical path walks every row's full nonzero
 //! list between two barriers. But most of those nonzeros reference rows of

@@ -14,9 +14,8 @@
 //! * [`Preconditioner`] — the sweep contract ([`Identity`], [`Ssor`],
 //!   [`Ic0`]), each applying `z = M⁻¹ r` with **no heap allocation**: the
 //!   sweeps run through `ParallelSolver::solve_into` against caller-held
-//!   buffers, with the sweep engine selectable between the sequential and
-//!   split drivers ([`SweepEngine`], which is `sts_core`'s `SolveEngine`) —
-//!   bitwise identical at every batch width;
+//!   buffers, on the split driver and the threads of the solver they are
+//!   handed — bitwise identical at every thread count and batch width;
 //! * [`KrylovWorkspace`] — the persistent vector arena (`r`, `z`, `p`,
 //!   `A·p`, sweep scratch, and the partial sums of the reductions) sized
 //!   once per structure, so a converged solve followed by a thousand more
@@ -54,7 +53,7 @@
 //!
 //! ```
 //! use sts_core::Method;
-//! use sts_krylov::{Ic0, KrylovWorkspace, Pcg, Preconditioner, SpdSystem, Ssor, SweepEngine};
+//! use sts_krylov::{KrylovWorkspace, Pcg, SpdSystem, Ssor};
 //! use sts_matrix::generators;
 //! use sts_numa::Schedule;
 //!
@@ -62,10 +61,10 @@
 //! let a = generators::grid2d_laplacian(24, 24).unwrap();
 //! let sys = SpdSystem::build(&a, Method::Sts3, 40).unwrap();
 //!
-//! // A PCG driver and a preconditioner whose sweeps run on the split
-//! // parallel driver.
+//! // A PCG driver on four threads, whose pool runs the preconditioner's
+//! // sweeps too.
 //! let pcg = Pcg::new(4, Schedule::Guided { min_chunk: 1 });
-//! let mut pre = Ssor::new(&sys, SweepEngine::Split);
+//! let mut pre = Ssor::new(&sys);
 //!
 //! // Persistent workspace: repeated solves allocate nothing.
 //! let mut ws = KrylovWorkspace::new(sys.n());

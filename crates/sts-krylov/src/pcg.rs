@@ -513,7 +513,7 @@ mod tests {
         let pcg = Pcg::new(3, Schedule::Guided { min_chunk: 1 });
         let mut ws = KrylovWorkspace::new(sys.n());
         let plain = pcg.solve(&sys, &mut Identity, &b, &mut ws).unwrap();
-        let mut ssor = Ssor::new(&sys, SweepEngine::Split);
+        let mut ssor = Ssor::new(&sys);
         let with_ssor = pcg.solve(&sys, &mut ssor, &b, &mut ws).unwrap();
         let mut ic0 = Ic0::new(&sys, pcg.solver(), SweepEngine::Split).unwrap();
         let with_ic0 = pcg.solve(&sys, &mut ic0, &b, &mut ws).unwrap();
@@ -537,22 +537,22 @@ mod tests {
     }
 
     #[test]
-    fn sequential_and_split_sweeps_take_identical_iteration_counts() {
-        // The acceptance invariant: both engines run the same per-row
-        // arithmetic, so the iterate sequences — and hence the counts — are
-        // identical, not merely close.
+    fn one_thread_and_many_thread_solves_take_identical_iteration_counts() {
+        // The acceptance invariant: every thread count runs the same per-row
+        // arithmetic and the same blocked reductions, so the iterate
+        // sequences — and hence the counts — are identical, not merely close.
         let sys = laplacian_system(20, 20);
         let a = generators::grid2d_laplacian(20, 20).unwrap();
         let b = ops::spmv(&a, &vec![1.0; sys.n()]).unwrap();
-        let pcg = Pcg::new(4, Schedule::Guided { min_chunk: 1 });
+        let one = Pcg::new(1, Schedule::Static);
+        let many = Pcg::new(4, Schedule::Guided { min_chunk: 1 });
         let mut ws = KrylovWorkspace::new(sys.n());
-        let mut seq = Ssor::new(&sys, SweepEngine::Sequential);
-        let mut pip = Ssor::new(&sys, SweepEngine::Split);
-        let out_seq = pcg.solve(&sys, &mut seq, &b, &mut ws).unwrap();
-        let out_pip = pcg.solve(&sys, &mut pip, &b, &mut ws).unwrap();
-        assert!(out_seq.converged && out_pip.converged);
-        assert_eq!(out_seq.iterations, out_pip.iterations);
-        assert_eq!(out_seq.history, out_pip.history, "bitwise-identical paths");
+        let mut pre = Ssor::new(&sys);
+        let out_one = one.solve(&sys, &mut pre, &b, &mut ws).unwrap();
+        let out_many = many.solve(&sys, &mut pre, &b, &mut ws).unwrap();
+        assert!(out_one.converged && out_many.converged);
+        assert_eq!(out_one.iterations, out_many.iterations);
+        assert_eq!(out_one.history, out_many.history, "bitwise-identical paths");
     }
 
     #[test]
@@ -587,7 +587,7 @@ mod tests {
         let n = sys.n();
         let nrhs = 3;
         let pcg = Pcg::new(3, Schedule::Guided { min_chunk: 1 });
-        let mut pre = Ssor::new(&sys, SweepEngine::Split);
+        let mut pre = Ssor::new(&sys);
         let mut b = vec![0.0; n * nrhs];
         let mut x_true = vec![0.0; n * nrhs];
         for q in 0..nrhs {
@@ -800,15 +800,16 @@ mod tests {
     }
 
     #[test]
-    fn block_solve_is_the_lockstep_batch_solve_on_both_engines() {
-        // Batched lockstep solves run on single-core hosts through the
-        // sequential engine with iterates bitwise identical to the
-        // split engine, every lane equals its standalone solve, and
-        // `solve_block` reports that same solve under the block field names.
+    fn block_solve_is_the_lockstep_batch_solve_at_every_thread_count() {
+        // Batched lockstep solves run on a one-thread solver with iterates
+        // bitwise identical to a two-thread one, every lane equals its
+        // standalone solve, and `solve_block` reports that same solve under
+        // the block field names.
         let sys = laplacian_system(10, 13);
         let a = generators::grid2d_laplacian(10, 13).unwrap();
         let n = sys.n();
         let nrhs = 2;
+        let one = Pcg::new(1, Schedule::Static);
         let pcg = Pcg::new(2, Schedule::Guided { min_chunk: 1 });
         let mut b = vec![0.0; n * nrhs];
         for q in 0..nrhs {
@@ -821,28 +822,29 @@ mod tests {
             }
         }
         let mut ws = KrylovWorkspace::with_nrhs(n, nrhs);
-        let mut seq = Ssor::new(&sys, SweepEngine::Sequential);
-        let mut pip = Ssor::new(&sys, SweepEngine::Split);
-        let batch_seq = pcg.solve_batch(&sys, &mut seq, &b, nrhs, &mut ws).unwrap();
-        let batch_pip = pcg.solve_batch(&sys, &mut pip, &b, nrhs, &mut ws).unwrap();
-        assert!(batch_seq.converged.iter().all(|&c| c));
-        assert_eq!(batch_seq.iterations, batch_pip.iterations);
-        assert_eq!(batch_seq.x, batch_pip.x);
+        let mut pre = Ssor::new(&sys);
+        let batch_one = one.solve_batch(&sys, &mut pre, &b, nrhs, &mut ws).unwrap();
+        let batch_two = pcg.solve_batch(&sys, &mut pre, &b, nrhs, &mut ws).unwrap();
+        assert!(batch_one.converged.iter().all(|&c| c));
+        assert_eq!(batch_one.iterations, batch_two.iterations);
+        assert_eq!(batch_one.x, batch_two.x);
         let mut ws1 = KrylovWorkspace::new(n);
         for q in 0..nrhs {
             let bq: Vec<f64> = (0..n).map(|i| b[i * nrhs + q]).collect();
-            let single = pcg.solve(&sys, &mut seq, &bq, &mut ws1).unwrap();
-            assert_eq!(single.iterations, batch_seq.iterations[q]);
+            let single = pcg.solve(&sys, &mut pre, &bq, &mut ws1).unwrap();
+            assert_eq!(single.iterations, batch_two.iterations[q]);
             for i in 0..n {
                 assert_eq!(
-                    batch_seq.x[i * nrhs + q],
+                    batch_two.x[i * nrhs + q],
                     single.x[i],
                     "lane {q} diverged from its standalone solve at row {i}"
                 );
             }
         }
-        for (pre, batch) in [(&mut seq, &batch_seq), (&mut pip, &batch_pip)] {
-            let block = pcg.solve_block(&sys, pre, &b, nrhs, &mut ws).unwrap();
+        for (solver, batch) in [(&one, &batch_one), (&pcg, &batch_two)] {
+            let block = solver
+                .solve_block(&sys, &mut pre, &b, nrhs, &mut ws)
+                .unwrap();
             assert_eq!(block.x, batch.x);
             assert_eq!(block.iterations, batch.iterations);
             assert_eq!(block.converged, batch.converged);

@@ -27,13 +27,14 @@
 //! * [`Identity`] — `M = I`, turning the driver into plain CG for
 //!   comparison runs.
 //!
-//! The [`SweepEngine`] selects between the sequential and the split driver
-//! of the one sweep kernel. Both run the *same* per-row
-//! arithmetic in the same order at every batch width, so switching engines
-//! changes wall time, never the iterate sequence: PCG on any of them takes
-//! bitwise identical paths and the same iteration count, and every lane
-//! of a batched application equals the single-RHS application of that lane
-//! bit for bit (see the `sts_core::solver` module docs).
+//! Every sweep runs on the one split driver of the one sweep kernel, on the
+//! threads of the solver the application is handed. It runs the *same*
+//! per-row arithmetic in the same order at every thread count and batch
+//! width, so the thread count changes wall time, never the iterate
+//! sequence: PCG takes bitwise identical paths and the same iteration count
+//! on a one-thread solver as on an N-thread one, and every lane of a
+//! batched application equals the single-RHS application of that lane bit
+//! for bit (see the `sts_core::solver` module docs).
 
 use std::sync::Arc;
 
@@ -43,8 +44,9 @@ use sts_matrix::{LowerTriangularCsr, MatrixError};
 use crate::system::SpdSystem;
 use crate::Result;
 
-/// Which driver a preconditioner's triangular sweeps run on: the solve
-/// engine, under the name this crate has always used for it.
+/// `sts_core`'s `SolveEngine` under the name this crate has used for it; the
+/// value changes nothing. Kept only because `benchmark/` names it; ROADMAP
+/// item 1(c) retires it.
 pub use sts_core::SolveEngine as SweepEngine;
 
 /// The application contract `z = M⁻¹ r`, in the system's reordered
@@ -122,14 +124,14 @@ impl Preconditioner for Identity {
 }
 
 /// The two sweeps shared by [`Ssor`] and [`Ic0`]: a structure and the
-/// request (engine, precision) every sweep is issued with. The sweeps read
+/// request (precision) every sweep is issued with. The sweeps read
 /// the structure's two split layouts only, so the structure may be a
 /// sweep-only one ([`StsStructure::into_sweeps`]), as a factor's is.
 #[derive(Debug)]
 struct SweepPair {
     structure: Arc<StsStructure>,
-    /// Engine and value-slab precision of the sweeps; direction and `nrhs`
-    /// are set per call. Precision is switched by
+    /// Value-slab precision of the sweeps; direction and `nrhs` are set per
+    /// call. Precision is switched by
     /// [`Preconditioner::set_precision`], f64 by default.
     opts: SolveOptions,
 }
@@ -137,12 +139,12 @@ struct SweepPair {
 impl SweepPair {
     /// Forces both lazy layouts (a sweep-only structure has them already),
     /// so the first apply is not the one paying the build sweeps.
-    fn new(structure: Arc<StsStructure>, engine: SweepEngine) -> Self {
+    fn new(structure: Arc<StsStructure>) -> Self {
         structure.split();
         structure.transpose_split();
         SweepPair {
             structure,
-            opts: SolveOptions::default().with_engine(engine),
+            opts: SolveOptions::default(),
         }
     }
 
@@ -186,15 +188,14 @@ pub struct Ssor {
 }
 
 impl Ssor {
-    /// Builds the preconditioner on `sys`'s structure, its sweeps run by
-    /// `engine`.
-    pub fn new(sys: &SpdSystem, engine: SweepEngine) -> Ssor {
+    /// Builds the preconditioner on `sys`'s structure.
+    pub fn new(sys: &SpdSystem) -> Ssor {
         let structure = sys.structure_arc();
         let diag = (0..structure.n())
             .map(|i| structure.lower().diag(i))
             .collect();
         Ssor {
-            sweeps: SweepPair::new(structure, engine),
+            sweeps: SweepPair::new(structure),
             diag,
         }
     }
@@ -303,8 +304,11 @@ impl Ic0 {
     /// pool, and builds the sweep state. Fails with
     /// [`MatrixError::FactorizationBreakdown`] when the matrix is not SPD on
     /// the retained pattern.
-    pub fn new(sys: &SpdSystem, solver: &ParallelSolver, engine: SweepEngine) -> Result<Ic0> {
-        Ic0::with_operand(sys, solver, engine, Ic0Operand::Plain)
+    ///
+    /// The third argument changes nothing: kept only because `benchmark/`
+    /// names it; ROADMAP item 1(c) retires it.
+    pub fn new(sys: &SpdSystem, solver: &ParallelSolver, _engine: SweepEngine) -> Result<Ic0> {
+        Ic0::with_operand(sys, solver, Ic0Operand::Plain)
     }
 
     /// [`Ic0::new`] with the factored operand chosen by the caller. The
@@ -316,14 +320,13 @@ impl Ic0 {
     pub fn with_operand(
         sys: &SpdSystem,
         solver: &ParallelSolver,
-        engine: SweepEngine,
         operand: Ic0Operand,
     ) -> Result<Ic0> {
         let vals = operand.values(sys.structure().lower())?;
         let factor = solver.parallel_ic0_values(sys.structure(), vals)?;
         let structure = Arc::new(sys.structure().with_operand(factor)?.into_sweeps());
         Ok(Ic0 {
-            sweeps: SweepPair::new(structure, engine),
+            sweeps: SweepPair::new(structure),
             operand,
         })
     }
@@ -447,33 +450,47 @@ mod tests {
     }
 
     #[test]
-    fn ssor_engines_agree_with_the_reference_application() {
+    fn ssor_agrees_with_the_reference_application() {
         let (sys, solver) = test_setup();
         let r: Vec<f64> = (0..sys.n()).map(|i| 1.0 + (i % 5) as f64 * 0.3).collect();
         let expected = ssor_reference(&sys, &r);
-        for engine in [SweepEngine::Sequential, SweepEngine::Split] {
-            let mut pre = Ssor::new(&sys, engine);
-            let mut z = vec![0.0; sys.n()];
-            let mut sweep = vec![0.0; sys.n()];
-            pre.apply_into(&solver, &r, &mut z, &mut sweep).unwrap();
-            assert!(
-                ops::relative_error_inf(&z, &expected) < 1e-12,
-                "{engine:?} sweep diverged from the reference"
-            );
-        }
+        let mut pre = Ssor::new(&sys);
+        let mut z = vec![0.0; sys.n()];
+        let mut sweep = vec![0.0; sys.n()];
+        pre.apply_into(&solver, &r, &mut z, &mut sweep).unwrap();
+        assert!(ops::relative_error_inf(&z, &expected) < 1e-12);
     }
 
     #[test]
-    fn sequential_and_split_applications_are_bitwise_identical() {
+    fn one_thread_and_many_thread_applications_are_bitwise_identical() {
         let (sys, solver) = test_setup();
+        let one = ParallelSolver::new(1, Schedule::Static);
         let r: Vec<f64> = (0..sys.n()).map(|i| 0.25 + (i % 7) as f64).collect();
-        let mut seq = Ssor::new(&sys, SweepEngine::Sequential);
-        let mut split = Ssor::new(&sys, SweepEngine::Split);
+        let mut pre = Ssor::new(&sys);
         let (mut z1, mut z2) = (vec![0.0; sys.n()], vec![0.0; sys.n()]);
         let mut sweep = vec![0.0; sys.n()];
-        seq.apply_into(&solver, &r, &mut z1, &mut sweep).unwrap();
-        split.apply_into(&solver, &r, &mut z2, &mut sweep).unwrap();
-        assert_eq!(z1, z2, "engines must take bitwise identical paths");
+        pre.apply_into(&one, &r, &mut z1, &mut sweep).unwrap();
+        pre.apply_into(&solver, &r, &mut z2, &mut sweep).unwrap();
+        assert_eq!(z1, z2, "thread counts must take bitwise identical paths");
+    }
+
+    #[test]
+    fn ic0_engine_names_give_bitwise_equal_applications() {
+        let (sys, solver) = test_setup();
+        let mut split = Ic0::new(&sys, &solver, SweepEngine::Split).unwrap();
+        let mut pipelined = Ic0::new(&sys, &solver, SweepEngine::Pipelined).unwrap();
+        for nrhs in [1, 4] {
+            let len = sys.n() * nrhs;
+            let r: Vec<f64> = (0..len).map(|k| 0.5 + (k % 9) as f64 * 0.7).collect();
+            let (mut z1, mut z2, mut sweep) = (vec![0.0; len], vec![0.0; len], vec![0.0; len]);
+            split
+                .apply_batch_into(&solver, &r, &mut z1, &mut sweep, nrhs)
+                .unwrap();
+            pipelined
+                .apply_batch_into(&solver, &r, &mut z2, &mut sweep, nrhs)
+                .unwrap();
+            assert_eq!(bits(&z1), bits(&z2), "nrhs {nrhs}");
+        }
     }
 
     #[test]
@@ -514,7 +531,7 @@ mod tests {
     #[test]
     fn ic0_factor_has_the_bits_of_the_reference_factor() {
         let (sys, solver) = test_setup();
-        let mut pre = Ic0::new(&sys, &solver, SweepEngine::Sequential).unwrap();
+        let mut pre = Ic0::new(&sys, &solver, SweepEngine::Split).unwrap();
         // The level-scheduled build factors the lower triangle's values to
         // the bits of the sequential reference factor of the operator, so an
         // application is a sweep pair over that factor, at every width and
@@ -545,15 +562,17 @@ mod tests {
     #[test]
     fn batch_application_is_bitwise_identical_to_per_system_applications() {
         // Every lane of a batched application runs the single-RHS
-        // application's exact floating-point sequence, on every engine.
-        let (sys, solver) = test_setup();
+        // application's exact floating-point sequence, at every thread
+        // count.
+        let (sys, _) = test_setup();
         let n = sys.n();
         let nrhs = 3;
         let rb: Vec<f64> = (0..n * nrhs)
             .map(|k| 1.0 + ((k / nrhs + k % nrhs) % 6) as f64 * 0.4)
             .collect();
-        for engine in [SweepEngine::Sequential, SweepEngine::Split] {
-            let mut pre = Ssor::new(&sys, engine);
+        let mut pre = Ssor::new(&sys);
+        for threads in [1, 3] {
+            let solver = ParallelSolver::new(threads, Schedule::Guided { min_chunk: 1 });
             let mut zb = vec![0.0; n * nrhs];
             let mut sweepb = vec![0.0; n * nrhs];
             pre.apply_batch_into(&solver, &rb, &mut zb, &mut sweepb, nrhs)
@@ -567,7 +586,7 @@ mod tests {
                     assert_eq!(
                         zb[i * nrhs + q],
                         z[i],
-                        "{engine:?} lane {q} diverged at row {i}"
+                        "lane {q} diverged at row {i} ({threads} threads)"
                     );
                 }
             }
@@ -679,8 +698,7 @@ mod tests {
             for solver in &solvers {
                 for operand in [Ic0Operand::Plain, Ic0Operand::Shifted(0.05)] {
                     let factor = |sys: &SpdSystem| {
-                        let mut pre =
-                            Ic0::with_operand(sys, solver, SweepEngine::Split, operand).unwrap();
+                        let mut pre = Ic0::with_operand(sys, solver, operand).unwrap();
                         pre.set_precision(PrecisionPolicy::ValuesF32WithRefinement);
                         pre
                     };

@@ -43,7 +43,7 @@ use sts_core::{ParallelSolver, PrecisionPolicy};
 use sts_matrix::MatrixError;
 
 use crate::pcg::{Pcg, PcgBatchOutcome, PcgOutcome};
-use crate::precond::{Ic0, Ic0Operand, Identity, Preconditioner, Ssor, SweepEngine};
+use crate::precond::{Ic0, Ic0Operand, Identity, Preconditioner, Ssor};
 use crate::system::SpdSystem;
 use crate::workspace::KrylovWorkspace;
 use crate::Result;
@@ -63,8 +63,6 @@ pub struct RecoveryPolicy {
     pub allow_ssor: bool,
     /// Whether the ladder may degrade all the way to plain CG.
     pub allow_identity: bool,
-    /// The sweep engine every rung's preconditioner runs on.
-    pub engine: SweepEngine,
     /// The value-slab precision every rung's preconditioner sweeps with
     /// ([`Preconditioner::set_precision`]).
     pub precision: PrecisionPolicy,
@@ -77,7 +75,6 @@ impl Default for RecoveryPolicy {
             shifts: vec![1e-3, 1e-2, 1e-1, 1.0],
             allow_ssor: true,
             allow_identity: true,
-            engine: SweepEngine::Split,
             precision: PrecisionPolicy::ValuesF64,
         }
     }
@@ -221,7 +218,7 @@ fn descend<T>(
         .chain(policy.allow_ssor.then_some(Rung::Ssor))
         .chain(policy.allow_identity.then_some(Rung::Identity));
     let ic0 = |operand: Ic0Operand| {
-        Ic0::with_operand(sys, solver, policy.engine, operand).map(LadderPreconditioner::Ic0)
+        Ic0::with_operand(sys, solver, operand).map(LadderPreconditioner::Ic0)
     };
     let mut attempts: Vec<RecoveryAttempt> = Vec::new();
     let mut shifts_tried: Vec<f64> = Vec::new();
@@ -240,11 +237,7 @@ fn descend<T>(
                 None => continue,
             },
             Rung::Shift(alpha) => ("ic0-shifted", alpha, ic0(Ic0Operand::Shifted(alpha))),
-            Rung::Ssor => (
-                "ssor",
-                0.0,
-                Ok(LadderPreconditioner::Ssor(Ssor::new(sys, policy.engine))),
-            ),
+            Rung::Ssor => ("ssor", 0.0, Ok(LadderPreconditioner::Ssor(Ssor::new(sys)))),
             Rung::Identity => ("none", 0.0, Ok(LadderPreconditioner::Identity(Identity))),
         };
         if matches!(rung, Rung::Plain | Rung::Shift(_)) {
@@ -475,7 +468,6 @@ mod tests {
             row_boosts: vec![],
             allow_ssor: false,
             allow_identity: false,
-            engine: SweepEngine::Sequential,
             ..RecoveryPolicy::default()
         };
         // IC(0) itself still runs (the Laplacian factors), so this succeeds…
@@ -505,7 +497,6 @@ mod tests {
             row_boosts: vec![],
             allow_ssor: false,
             allow_identity: false,
-            engine: SweepEngine::Sequential,
             ..RecoveryPolicy::default()
         };
         let robust = RobustPcg::with_policy(Pcg::new(1, Schedule::Static), policy);

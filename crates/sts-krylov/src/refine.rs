@@ -71,7 +71,7 @@ pub struct RefineOutcome {
 ///
 /// `b` lives in the structure's numbering, like every other
 /// [`ParallelSolver`] entry; the inner solves go through
-/// [`ParallelSolver::solve_with`], so `opts` picks the engine, direction and
+/// [`ParallelSolver::solve_with`], so `opts` picks the direction and
 /// precision in one place. Only single right-hand sides are refined
 /// (`opts.nrhs` must be 1).
 pub fn solve_refined(
@@ -153,7 +153,7 @@ pub fn solve_refined(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sts_core::{Method, PrecisionPolicy, SolveEngine};
+    use sts_core::{Method, PrecisionPolicy};
     use sts_matrix::generators;
     use sts_numa::Schedule;
 
@@ -180,21 +180,20 @@ mod tests {
 
     #[test]
     fn f32_solves_refine_to_the_f64_answer() {
-        let (solver, s, b, _) = setup(4);
         let f64_opts = SolveOptions::default();
-        for engine in [SolveEngine::Sequential, SolveEngine::Split] {
+        for threads in [1, 4] {
+            let (solver, s, b, _) = setup(threads);
             for direction in [SweepDirection::Forward, SweepDirection::Transpose] {
                 let opts = SolveOptions::default()
-                    .with_engine(engine)
                     .with_direction(direction)
                     .with_precision(PrecisionPolicy::ValuesF32WithRefinement);
                 let f64_dir = f64_opts.with_direction(direction);
                 let reference = solver.solve_with(&s, &b, &f64_dir).unwrap();
                 let out = solve_refined(&solver, &s, &b, &opts, &RefineOptions::default()).unwrap();
-                assert!(out.converged, "engine {engine:?} direction {direction:?}");
+                assert!(out.converged, "{threads} threads, direction {direction:?}");
                 assert!(
                     out.refine_iterations <= 2,
-                    "engine {engine:?} direction {direction:?} took {} passes",
+                    "{threads} threads, direction {direction:?} took {} passes",
                     out.refine_iterations
                 );
                 assert!(ops::relative_error_inf(&out.x, &reference) < 1e-10);

@@ -62,9 +62,10 @@ pub fn key_to_wire(key: u64) -> String {
     format!("{key:016x}")
 }
 
-/// Parses a wire pattern string back to the key.
+/// Parses a wire pattern string back to the key: exactly 16 ASCII hex
+/// digits, nothing else (`from_str_radix` alone also takes a leading `+`).
 pub fn key_from_wire(s: &str) -> Option<u64> {
-    if s.len() != 16 {
+    if s.len() != 16 || !s.bytes().all(|b| b.is_ascii_hexdigit()) {
         return None;
     }
     u64::from_str_radix(s, 16).ok()
@@ -164,6 +165,11 @@ impl StructureCache {
         self.entries.iter().filter(|e| e.factor.is_some()).count()
     }
 
+    /// Whether some cached pattern has order `n`.
+    pub fn holds_order(&self, n: usize) -> bool {
+        self.entries.iter().any(|e| e.structure.n() == n)
+    }
+
     /// The hit/miss/eviction counters.
     pub fn stats(&self) -> CacheStats {
         self.stats
@@ -255,5 +261,31 @@ mod tests {
         // Wire round-trip.
         assert_eq!(key_from_wire(&key_to_wire(k)), Some(k));
         assert_eq!(key_from_wire("zzz"), None);
+    }
+
+    #[test]
+    fn wire_keys_are_exactly_sixteen_hex_digits() {
+        for key in [0, 1, 0x0fff_ffff_ffff_ffff, 0xdead_beef_0123_4567, u64::MAX] {
+            let wire = key_to_wire(key);
+            assert_eq!(wire.len(), 16);
+            assert_eq!(key_from_wire(&wire), Some(key), "{wire}");
+        }
+        assert_eq!(
+            key_from_wire("DEADBEEF01234567"),
+            Some(0xdead_beef_0123_4567)
+        );
+        for refused in [
+            "+fffffffffffffff",  // a sign, 15 digits
+            "-fffffffffffffff",  // the other sign
+            "fffffffffffffff",   // 15 digits
+            "0ffffffffffffffff", // 17 digits
+            "0xffffffffffffff",  // a radix prefix, 14 digits
+            "0x0fffffffffffffff",
+            " fffffffffffffff",
+            "ffffffffffffff\u{e9}", // 16 bytes, not 16 digits
+            "",
+        ] {
+            assert_eq!(key_from_wire(refused), None, "{refused:?}");
+        }
     }
 }

@@ -52,6 +52,11 @@ impl WorkspacePool {
         self.free.push(ws);
     }
 
+    /// Drops every idle workspace whose order `n` fails `keep`.
+    pub fn retain_orders(&mut self, keep: impl Fn(usize) -> bool) {
+        self.free.retain(|ws| keep(ws.n()));
+    }
+
     /// Number of idle workspaces currently pooled.
     pub fn idle(&self) -> usize {
         self.free.len()
@@ -83,5 +88,18 @@ mod tests {
         assert_eq!(c.n(), 8);
         assert_eq!(pool.stats().created, 2);
         assert_eq!(pool.stats().reused, 1);
+    }
+
+    #[test]
+    fn retain_orders_drops_only_the_refused_orders() {
+        let mut pool = WorkspacePool::new();
+        for (n, nrhs) in [(8, 1), (8, 4), (9, 1)] {
+            let ws = pool.checkout(n, nrhs);
+            pool.checkin(ws);
+        }
+        pool.retain_orders(|n| n == 8);
+        assert_eq!(pool.idle(), 2);
+        pool.retain_orders(|_| false);
+        assert_eq!(pool.idle(), 0);
     }
 }

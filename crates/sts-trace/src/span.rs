@@ -18,7 +18,7 @@
 //!
 //! The price of lock-freedom is a weak snapshot contract:
 //! [`SpanRecorder::snapshot`] is meant for quiescent moments (after a solve
-//! returns — the engines' pool dispatch is a synchronization point, so all
+//! returns — the kernels' pool dispatch is a synchronization point, so all
 //! worker stores are visible by then). Snapshotting *during* a solve is
 //! safe (no UB — every field is atomic) but may observe torn span tuples;
 //! such spans are filtered by the `t_end >= t_start` sanity check.

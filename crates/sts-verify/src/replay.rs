@@ -9,8 +9,7 @@
 //! gathered exactly once with exactly the predicted read set, and the chain
 //! corrections must touch exactly the predicted chain rows. This validates
 //! that the verifier's model matches what the kernels really touch,
-//! independent of chunk boundaries (which differ between engines and worker
-//! counts).
+//! independent of chunk boundaries (which differ between worker counts).
 
 use std::fmt;
 use std::sync::Mutex;

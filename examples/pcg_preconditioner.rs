@@ -6,15 +6,15 @@
 //! example solves an SPD 2-D Laplacian system four ways —
 //!
 //! * plain CG (no preconditioner),
-//! * SSOR-PCG with *sequential* split sweeps,
-//! * SSOR-PCG with *split* parallel sweeps,
-//! * IC(0)-PCG with split parallel sweeps,
+//! * SSOR-PCG on a one-thread solver,
+//! * SSOR-PCG on an N-thread solver,
+//! * IC(0)-PCG on the N-thread solver,
 //!
 //! and reports iterations, wall time, and the share of time spent inside
 //! the preconditioner (the fraction the triangular kernels own). The two
-//! SSOR rows demonstrate the subsystem's core invariant: both engines run
-//! bitwise-identical arithmetic, so they take *exactly* the same iteration
-//! count and differ only in speed.
+//! SSOR rows demonstrate the subsystem's core invariant: every thread count
+//! runs bitwise-identical arithmetic, so both take *exactly* the same
+//! iteration count and differ only in speed.
 //!
 //! Run with `cargo run --release --example pcg_preconditioner`.
 
@@ -68,21 +68,20 @@ fn main() {
         .expect("plain CG runs");
     report("plain CG", &plain, &x_true);
 
-    // SSOR-PCG, sequential vs split sweeps: same iterates, faster sweeps.
-    let mut ssor_seq = Ssor::new(&sys, SweepEngine::Sequential);
-    let seq = pcg
-        .solve(&sys, &mut ssor_seq, &b, &mut ws)
-        .expect("sequential-sweep PCG runs");
-    report("SSOR-PCG (seq sweeps)", &seq, &x_true);
+    // SSOR-PCG on one thread vs all of them: same iterates, faster sweeps.
+    let mut ssor = Ssor::new(&sys);
+    let one = Pcg::new(1, Schedule::Static)
+        .solve(&sys, &mut ssor, &b, &mut ws)
+        .expect("one-thread PCG runs");
+    report("SSOR-PCG (1 thread)", &one, &x_true);
 
-    let mut ssor_pip = Ssor::new(&sys, SweepEngine::Split);
-    let pip = pcg
-        .solve(&sys, &mut ssor_pip, &b, &mut ws)
-        .expect("split-sweep PCG runs");
-    report("SSOR-PCG (split)", &pip, &x_true);
+    let many = pcg
+        .solve(&sys, &mut ssor, &b, &mut ws)
+        .expect("N-thread PCG runs");
+    report(&format!("SSOR-PCG ({threads} threads)"), &many, &x_true);
     assert_eq!(
-        seq.iterations, pip.iterations,
-        "the sweep engines are bitwise identical: counts must match exactly"
+        one.iterations, many.iterations,
+        "every thread count is bitwise identical: counts must match exactly"
     );
 
     // IC(0)-PCG: a genuine factorization, same hierarchy, fewer iterations.
@@ -90,23 +89,23 @@ fn main() {
     let ic = pcg
         .solve(&sys, &mut ic0, &b, &mut ws)
         .expect("IC(0)-PCG runs");
-    report("IC(0)-PCG (split)", &ic, &x_true);
+    report(&format!("IC(0)-PCG ({threads} threads)"), &ic, &x_true);
 
     println!(
         "\niteration reduction: SSOR {:.1}x, IC(0) {:.1}x over plain CG",
-        plain.iterations as f64 / seq.iterations.max(1) as f64,
+        plain.iterations as f64 / many.iterations.max(1) as f64,
         plain.iterations as f64 / ic.iterations.max(1) as f64
     );
     println!(
-        "sweep-engine speedup at equal iterates: {:.2}x on preconditioner time \
+        "{threads}-thread speedup at equal iterates: {:.2}x on preconditioner time \
          ({:.3} ms -> {:.3} ms per solve)",
-        seq.precond_ns as f64 / pip.precond_ns.max(1) as f64,
-        seq.precond_ns as f64 * 1e-6,
-        pip.precond_ns as f64 * 1e-6
+        one.precond_ns as f64 / many.precond_ns.max(1) as f64,
+        one.precond_ns as f64 * 1e-6,
+        many.precond_ns as f64 * 1e-6
     );
-    let label = ssor_pip.label();
+    let label = ssor.label();
     println!(
         "preconditioner '{label}' applied {} times without allocation",
-        pip.iterations
+        many.iterations
     );
 }

@@ -49,16 +49,15 @@
 //! ([`core::SplitLayout`]): per pack, the nonzeros referencing *earlier*
 //! packs (a pure, embarrassingly-parallel gather) are separated from the
 //! short in-pack dependence chains. One sweep kernel streams the former and
-//! schedules only the latter, and a single typed request,
-//! [`core::SolveOptions`], selects how it runs — engine (sequential, or the
-//! two-phase split driver on the pool: one parallel loop per phase, then a
-//! barrier), sweep direction (`L'` or `L'ᵀ`), right-hand-side count
-//! and value-slab precision — through
-//! [`core::ParallelSolver::solve_with`]:
+//! schedules only the latter, on one two-phase split driver (one parallel
+//! loop per phase, then a barrier). A single typed request,
+//! [`core::SolveOptions`], selects the sweep direction (`L'` or `L'ᵀ`),
+//! right-hand-side count and value-slab precision of a
+//! [`core::ParallelSolver::solve_with`] call; the thread count is the
+//! solver's:
 //!
 //! ```
-//! use sts_k::core::{Ordering, ParallelSolver, SolveEngine, SolveOptions, StsBuilder,
-//!                   SweepDirection};
+//! use sts_k::core::{Ordering, ParallelSolver, SolveOptions, StsBuilder, SweepDirection};
 //! use sts_k::matrix::generators;
 //! use sts_k::numa::Schedule;
 //!
@@ -68,22 +67,21 @@
 //! let b = vec![1.0; sts.n()];
 //! let solver = ParallelSolver::new(4, Schedule::Guided { min_chunk: 1 });
 //!
-//! // Two-phase split solve (the default engine): external gather, phase
-//! // barrier, in-pack chains.
+//! // Two-phase split solve: external gather, phase barrier, in-pack chains.
 //! let split = SolveOptions::default();
 //! let x = solver.solve_with(&sts, &b, &split).unwrap();
 //! assert!((x[0] - sts.solve_sequential(&b).unwrap()[0]).abs() < 1e-12);
 //!
-//! // The sequential driver runs the same row arithmetic — bitwise — on the
-//! // calling thread alone.
-//! let seq = split.with_engine(SolveEngine::Sequential);
-//! assert_eq!(solver.solve_with(&sts, &b, &seq).unwrap(), x);
+//! // A one-thread solver runs the same sweep — bitwise — on the calling
+//! // thread alone.
+//! let one = ParallelSolver::new(1, Schedule::Static);
+//! assert_eq!(one.solve_with(&sts, &b, &split).unwrap(), x);
 //!
 //! // Four right-hand sides at once, row-major (`B[i * nrhs + r]`).
 //! let nrhs = 4;
 //! let bb: Vec<f64> = (0..sts.n() * nrhs).map(|k| 1.0 + (k % nrhs) as f64).collect();
 //! let xb = solver.solve_with(&sts, &bb, &split.with_nrhs(nrhs)).unwrap();
-//! assert_eq!(xb, solver.solve_with(&sts, &bb, &seq.with_nrhs(nrhs)).unwrap());
+//! assert_eq!(xb, one.solve_with(&sts, &bb, &split.with_nrhs(nrhs)).unwrap());
 //!
 //! // The backward sweep `L'ᵀ x = b` runs on the same kernel, packs reversed.
 //! let xt = solver
@@ -144,7 +142,7 @@
 //!
 //! ```
 //! use sts_k::core::Method;
-//! use sts_k::krylov::{Ic0, KrylovWorkspace, Pcg, SpdSystem, Ssor, SweepEngine};
+//! use sts_k::krylov::{KrylovWorkspace, Pcg, SpdSystem, Ssor};
 //! use sts_k::matrix::{generators, ops};
 //! use sts_k::numa::Schedule;
 //!
@@ -154,7 +152,7 @@
 //!
 //! // PCG with symmetric Gauss–Seidel sweeps on the split driver.
 //! let pcg = Pcg::new(4, Schedule::Guided { min_chunk: 1 });
-//! let mut pre = Ssor::new(&sys, SweepEngine::Split);
+//! let mut pre = Ssor::new(&sys);
 //! let mut ws = KrylovWorkspace::new(sys.n());
 //!
 //! let x_true = vec![1.0; sys.n()];
@@ -171,12 +169,12 @@
 //! pair and one batched `A·P` product per iteration serve them all, so each
 //! row's index traffic is paid once for the whole batch. A converged system
 //! is frozen (its updates scaled by zero) while the stragglers finish. Every
-//! sweep engine works, and every lane of a batched solve is bitwise equal to
-//! the standalone solve of that right-hand side:
+//! lane of a batched solve is bitwise equal to the standalone solve of that
+//! right-hand side:
 //!
 //! ```
 //! use sts_k::core::Method;
-//! use sts_k::krylov::{KrylovWorkspace, Pcg, SpdSystem, Ssor, SweepEngine};
+//! use sts_k::krylov::{KrylovWorkspace, Pcg, SpdSystem, Ssor};
 //! use sts_k::matrix::generators;
 //! use sts_k::numa::Schedule;
 //!
@@ -191,7 +189,7 @@
 //! }
 //!
 //! let pcg = Pcg::new(4, Schedule::Guided { min_chunk: 1 });
-//! let mut pre = Ssor::new(&sys, SweepEngine::Split);
+//! let mut pre = Ssor::new(&sys);
 //! let mut ws = KrylovWorkspace::with_nrhs(n, nrhs);
 //! let out = pcg.solve_batch(&sys, &mut pre, &b, nrhs, &mut ws).unwrap();
 //! assert!(out.converged.iter().all(|&c| c));
@@ -268,7 +266,8 @@
 //!   dispatch's barrier: a slow success at every thread count.
 //! * **Preconditioner breakdown.** IC(0) on an SPD-but-not-M matrix can hit
 //!   a non-positive pivot (`FactorizationBreakdown { row, pivot }`, bitwise
-//!   identical between the sequential and level-scheduled engines).
+//!   identical between the sequential reference and the level-scheduled
+//!   build).
 //!   [`krylov::RobustPcg`] wraps [`krylov::Pcg`] in a recovery ladder: it
 //!   first retries with only the *reported breakdown row's* diagonal
 //!   boosted (the targeted `ic0-rowboost` rung, under

@@ -1,7 +1,16 @@
-//! A check shared by the IC(0) test binaries.
+//! Helpers shared by the integration-test binaries. Each binary compiles
+//! this module and uses only part of it.
+#![allow(dead_code)]
 
 use sts_k::core::{ParallelSolver, PrecisionPolicy, SolveOptions, StsStructure, SweepDirection};
 use sts_k::krylov::{Ic0, Preconditioner};
+
+/// The worker counts every thread-count parity loop runs under: one thread
+/// (no pool threads), two, four, and eight — more threads than a small host
+/// has cores, so the barriers also run oversubscribed.
+pub fn thread_counts() -> [usize; 4] {
+    [1, 2, 4, 8]
+}
 
 /// Asserts that `pre` applies bit for bit like a forward and a transpose
 /// sweep over `want`, whose operand is the reference factor: at one and

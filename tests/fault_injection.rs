@@ -12,7 +12,7 @@ use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
 use std::time::{Duration, Instant};
 
 use sts_bench::faultinject;
-use sts_k::core::{ChaosHook, Method, ParallelSolver, SolveEngine, SolveOptions, SweepDirection};
+use sts_k::core::{ChaosHook, Method, ParallelSolver, SolveOptions, SweepDirection};
 use sts_k::krylov::{
     build_ladder_preconditioner, Ic0, Ic0Operand, KrylovWorkspace, Pcg, Preconditioner,
     RecoveryPolicy, RobustPcg, SpdSystem, SweepEngine,
@@ -22,22 +22,11 @@ use sts_k::numa::{PoolError, Schedule, WorkerPool};
 
 mod common;
 
+use common::thread_counts;
+
 /// Every chaos scenario must resolve inside this budget — generous enough
 /// for a debug-profile CI host, far below "hung".
 const BUDGET: Duration = Duration::from_secs(30);
-
-/// The worker counts each scenario runs under, plus the CI matrix leg.
-fn thread_counts() -> Vec<usize> {
-    let mut counts = vec![1usize, 2, 4, 8];
-    if let Ok(raw) = std::env::var("STS_TEST_THREADS") {
-        if let Ok(extra) = raw.trim().parse::<usize>() {
-            if extra > 0 && !counts.contains(&extra) {
-                counts.push(extra);
-            }
-        }
-    }
-    counts
-}
 
 /// Runs `f` and asserts it finished inside the chaos budget.
 fn within_budget<T>(label: &str, f: impl FnOnce() -> T) -> T {
@@ -99,7 +88,7 @@ fn sweep_panic_is_structured_and_recovers() {
                 .with_nrhs(nrhs);
             let b = vec![1.0; s.n() * nrhs];
             let reference = ParallelSolver::new(1, Schedule::Static)
-                .solve_with(&s, &b, &opts.with_engine(SolveEngine::Sequential))
+                .solve_with(&s, &b, &opts)
                 .unwrap();
             for threads in thread_counts() {
                 within_budget("sweep panic", || {
@@ -436,8 +425,7 @@ fn shifted_ic0_matches_the_reference_factor_across_the_ladder() {
                     .with_operand(lower.with_values(want).unwrap())
                     .unwrap();
                 let operand = Ic0Operand::Shifted(alpha);
-                let mut pre =
-                    Ic0::with_operand(&sys, &solver, SweepEngine::Sequential, operand).unwrap();
+                let mut pre = Ic0::with_operand(&sys, &solver, operand).unwrap();
                 let label = format!("shifted (α = {alpha}) factor at {threads} threads");
                 common::assert_applies_factor(&mut pre, &solver, &want, &label);
                 assert_eq!(pre.shift(), alpha);
@@ -620,7 +608,7 @@ fn chaos_hooks_compose_with_the_krylov_driver() {
             let mut pcg = Pcg::new(threads, Schedule::Guided { min_chunk: 1 });
             pcg.solver_mut()
                 .set_chaos_hook(Some(faultinject::panic_hook(0)));
-            let mut pre = sts_k::krylov::Ssor::new(&sys, SweepEngine::Split);
+            let mut pre = sts_k::krylov::Ssor::new(&sys);
             let mut ws = KrylovWorkspace::new(sys.n());
             let b = vec![1.0; sys.n()];
             let err = pcg

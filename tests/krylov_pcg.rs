@@ -1,7 +1,6 @@
 //! End-to-end tests of the `sts-krylov` subsystem against a dense reference:
-//! PCG (plain, SSOR, IC(0); sequential and split sweep engines) must
-//! converge to the dense-Cholesky solution of the synthetic SPD suite (grid
-//! Laplacians) within an iteration bound. The iteration's bits do not depend
+//! PCG (plain, SSOR, IC(0)) must converge to the dense-Cholesky solution of
+//! the synthetic SPD suite (grid Laplacians) within an iteration bound. The iteration's bits do not depend
 //! on the thread count, a single solve is the one-lane batch solve bit for
 //! bit, and the product has the bits of the CSR product of the permuted
 //! operator.
@@ -100,13 +99,9 @@ fn pcg_matches_the_dense_reference_on_the_spd_suite() {
         let mut ws = KrylovWorkspace::new(n);
         let mut preconditioners: Vec<(&str, Box<dyn Preconditioner>)> = vec![
             ("none", Box::new(Identity)),
+            ("ssor", Box::new(Ssor::new(&sys))),
             (
-                "ssor-seq",
-                Box::new(Ssor::new(&sys, SweepEngine::Sequential)),
-            ),
-            ("ssor-split", Box::new(Ssor::new(&sys, SweepEngine::Split))),
-            (
-                "ic0-split",
+                "ic0",
                 Box::new(Ic0::new(&sys, pcg.solver(), SweepEngine::Split).unwrap()),
             ),
         ];
@@ -140,7 +135,7 @@ fn batched_pcg_matches_the_dense_reference() {
     let n = sys.n();
     let nrhs = 4;
     let pcg = Pcg::new(3, Schedule::Guided { min_chunk: 1 });
-    let mut pre = Ssor::new(&sys, SweepEngine::Split);
+    let mut pre = Ssor::new(&sys);
     let mut b = vec![0.0; n * nrhs];
     let mut x_ref = vec![0.0; n * nrhs];
     for q in 0..nrhs {
@@ -165,8 +160,7 @@ fn batched_pcg_matches_the_dense_reference() {
 #[test]
 fn batched_pcg_matches_the_dense_reference_on_every_preconditioner() {
     // The lockstep driver — and the block-mode entry that forwards to it —
-    // against the ground-truth oracle, on both sweep engines and both
-    // preconditioner families, to the acceptance bar of 1e-8.
+    // against the ground-truth oracle, on both preconditioner families, to the acceptance bar of 1e-8.
     let a = generators::grid2d_laplacian(12, 10).unwrap();
     let sys = SpdSystem::build(&a, Method::Sts3, 8).unwrap();
     let n = sys.n();
@@ -195,13 +189,9 @@ fn batched_pcg_matches_the_dense_reference_on_every_preconditioner() {
     let mut ws = KrylovWorkspace::with_nrhs(n, nrhs);
     let mut preconditioners: Vec<(&str, Box<dyn Preconditioner>)> = vec![
         ("none", Box::new(Identity)),
+        ("ssor", Box::new(Ssor::new(&sys))),
         (
-            "ssor-seq",
-            Box::new(Ssor::new(&sys, SweepEngine::Sequential)),
-        ),
-        ("ssor-split", Box::new(Ssor::new(&sys, SweepEngine::Split))),
-        (
-            "ic0-split",
+            "ic0",
             Box::new(Ic0::new(&sys, pcg.solver(), SweepEngine::Split).unwrap()),
         ),
     ];

@@ -5,24 +5,26 @@
 //!
 //! * **Refined accuracy.** A triangular solve on the f32 slabs, wrapped in
 //!   [`solve_refined`](sts_k::krylov::solve_refined), lands within 1e-10 of
-//!   the f64 direct solve — across both orderings, both multi-level depths,
-//!   several worker counts and every engine, on randomly generated operands.
-//! * **Engine independence.** The f32 sweep kernels are bitwise identical
-//!   across engines (like their f64 counterparts), so a PCG run whose
-//!   preconditioner reads the f32 slabs takes *exactly* the same number of
-//!   iterations whichever engine performs the sweeps.
+//!   the f64 direct solve — across both orderings, both multi-level depths
+//!   and several worker counts, on randomly generated operands.
+//! * **Thread-count independence.** The f32 sweep kernels are bitwise
+//!   identical at every worker count (like their f64 counterparts), so a
+//!   PCG run whose preconditioner reads the f32 slabs takes *exactly* the
+//!   same number of iterations on a one-thread solver as on an N-thread
+//!   one.
 
 use proptest::prelude::*;
 use sts_k::core::{
-    Method, Ordering, ParallelSolver, PrecisionPolicy, SolveEngine, SolveOptions, StsBuilder,
-    SuperRowSizing, SweepDirection,
+    Method, Ordering, ParallelSolver, PrecisionPolicy, SolveOptions, StsBuilder, SuperRowSizing,
+    SweepDirection,
 };
 use sts_k::krylov::{
     solve_refined, KrylovWorkspace, Pcg, Preconditioner, RefineOptions, SpdSystem, Ssor,
-    SweepEngine,
 };
 use sts_k::matrix::{generators, ops, LowerTriangularCsr};
 use sts_k::numa::Schedule;
+
+mod common;
 
 /// Strategy: a random lower-triangular operand with n in [1, 60] and an
 /// average of up to 4 strictly-lower entries per row. The values are
@@ -51,7 +53,7 @@ proptest! {
                     (0..s.n()).map(|i| 0.5 + (i % 6) as f64 * 0.4).collect();
                 let b = s.lower().multiply(&x_true).unwrap();
                 let bt = s.lower().multiply_transpose(&x_true).unwrap();
-                for threads in [1usize, 2, 4, 8] {
+                for threads in common::thread_counts() {
                     let solver = ParallelSolver::new(threads, Schedule::Guided { min_chunk: 1 });
                     for direction in [SweepDirection::Forward, SweepDirection::Transpose] {
                         let rhs = match direction {
@@ -61,43 +63,33 @@ proptest! {
                         let reference = solver
                             .solve_with(&s, rhs, &SolveOptions::default().with_direction(direction))
                             .unwrap();
-                        for engine in
-                            [SolveEngine::Sequential, SolveEngine::Split]
-                        {
-                            let opts = SolveOptions::default()
-                                .with_engine(engine)
-                                .with_direction(direction)
-                                .with_precision(PrecisionPolicy::ValuesF32WithRefinement);
-                            let out = solve_refined(
-                                &solver,
-                                &s,
-                                rhs,
-                                &opts,
-                                &RefineOptions::default(),
-                            )
-                            .unwrap();
-                            prop_assert!(
-                                out.converged,
-                                "refinement stalled ({ordering:?}, k={k}, {threads} threads, \
-                                 {engine:?}, {direction:?}, n={})",
-                                s.n()
-                            );
-                            // Each pass contracts the error by ~1e-7, so two must
-                            // reach the 1e-12 residual; these draws need one.
-                            prop_assert!(
-                                out.refine_iterations <= 2,
-                                "{} refinement passes ({ordering:?}, k={k}, {threads} threads, \
-                                 {engine:?}, {direction:?}, n={})",
-                                out.refine_iterations,
-                                s.n()
-                            );
-                            prop_assert!(
-                                ops::relative_error_inf(&out.x, &reference) < 1e-10,
-                                "refined f32 solve drifted from f64 ({ordering:?}, k={k}, \
-                                 {threads} threads, {engine:?}, {direction:?}, n={})",
-                                s.n()
-                            );
-                        }
+                        let opts = SolveOptions::default()
+                            .with_direction(direction)
+                            .with_precision(PrecisionPolicy::ValuesF32WithRefinement);
+                        let out =
+                            solve_refined(&solver, &s, rhs, &opts, &RefineOptions::default())
+                                .unwrap();
+                        prop_assert!(
+                            out.converged,
+                            "refinement stalled ({ordering:?}, k={k}, {threads} threads, \
+                             {direction:?}, n={})",
+                            s.n()
+                        );
+                        // Each pass contracts the error by ~1e-7, so two must
+                        // reach the 1e-12 residual; these draws need one.
+                        prop_assert!(
+                            out.refine_iterations <= 2,
+                            "{} refinement passes ({ordering:?}, k={k}, {threads} threads, \
+                             {direction:?}, n={})",
+                            out.refine_iterations,
+                            s.n()
+                        );
+                        prop_assert!(
+                            ops::relative_error_inf(&out.x, &reference) < 1e-10,
+                            "refined f32 solve drifted from f64 ({ordering:?}, k={k}, \
+                             {threads} threads, {direction:?}, n={})",
+                            s.n()
+                        );
                     }
                 }
             }
@@ -105,12 +97,11 @@ proptest! {
     }
 }
 
-/// The f32 sweep kernels, like the f64 ones, are bitwise identical across
-/// engines for single right-hand sides — so a mixed-precision PCG run must
-/// take exactly the same iteration count whichever engine the
-/// preconditioner sweeps on, at any worker count.
+/// The f32 sweep kernels, like the f64 ones, are bitwise identical at every
+/// worker count — so a mixed-precision PCG run must take exactly the same
+/// iteration count on a one-thread solver as on an N-thread one.
 #[test]
-fn f32_pcg_iteration_counts_are_engine_independent() {
+fn f32_pcg_iteration_counts_are_thread_count_independent() {
     let a = generators::triangulated_grid(16, 13, 11).unwrap();
     let sys = SpdSystem::build(&a, Method::Sts3, 8).unwrap();
     let x_true: Vec<f64> = (0..sys.n())
@@ -118,27 +109,16 @@ fn f32_pcg_iteration_counts_are_engine_independent() {
         .collect();
     let b = ops::spmv(&a, &x_true).unwrap();
     let mut counts = Vec::new();
-    for threads in [1usize, 2, 4, 8] {
+    for threads in common::thread_counts() {
         let pcg = Pcg::new(threads, Schedule::Guided { min_chunk: 1 });
-        let mut per_engine = Vec::new();
-        for engine in [SweepEngine::Sequential, SweepEngine::Split] {
-            let mut pre = Ssor::new(&sys, engine);
-            pre.set_precision(PrecisionPolicy::ValuesF32WithRefinement);
-            assert_eq!(pre.precision(), PrecisionPolicy::ValuesF32WithRefinement);
-            let mut ws = KrylovWorkspace::new(sys.n());
-            let out = pcg.solve(&sys, &mut pre, &b, &mut ws).unwrap();
-            assert!(out.converged, "{engine:?} at {threads} threads diverged");
-            per_engine.push(out.iterations);
-        }
-        assert!(
-            per_engine.windows(2).all(|w| w[0] == w[1]),
-            "f32-path iteration counts diverged across engines at {threads} threads: \
-             {per_engine:?}"
-        );
-        counts.push(per_engine[0]);
+        let mut pre = Ssor::new(&sys);
+        pre.set_precision(PrecisionPolicy::ValuesF32WithRefinement);
+        assert_eq!(pre.precision(), PrecisionPolicy::ValuesF32WithRefinement);
+        let mut ws = KrylovWorkspace::new(sys.n());
+        let out = pcg.solve(&sys, &mut pre, &b, &mut ws).unwrap();
+        assert!(out.converged, "{threads} threads diverged");
+        counts.push(out.iterations);
     }
-    // Engine independence holds per worker count; the bitwise kernels make
-    // the count identical across worker counts too.
     assert!(
         counts.windows(2).all(|w| w[0] == w[1]),
         "f32-path iteration counts diverged across worker counts: {counts:?}"

@@ -14,29 +14,14 @@
 //! all is a scheduling bug.
 
 use sts_k::core::{Method, Ordering, ParallelSolver, StsBuilder, StsStructure, SuperRowSizing};
-use sts_k::krylov::{Ic0, Ic0Operand, SpdSystem, SweepEngine};
+use sts_k::krylov::{Ic0, Ic0Operand, SpdSystem};
 use sts_k::matrix::suite::{SuiteScale, TestSuite};
 use sts_k::matrix::{factor, generators, CsrMatrix, LowerTriangularCsr, MatrixError};
 use sts_k::numa::Schedule;
 
 mod common;
 
-/// The worker counts every parity check runs under. CI's build/test matrix
-/// exports `STS_TEST_THREADS` (1 on the no-contention leg, 4 on the
-/// oversubscribed one); that count is appended so the pack barriers are
-/// exercised under the runner's real contention regime on top of the fixed
-/// {1, 2, 4, 8} sweep.
-fn thread_counts() -> Vec<usize> {
-    let mut counts = vec![1usize, 2, 4, 8];
-    if let Ok(raw) = std::env::var("STS_TEST_THREADS") {
-        if let Ok(extra) = raw.trim().parse::<usize>() {
-            if extra > 0 && !counts.contains(&extra) {
-                counts.push(extra);
-            }
-        }
-    }
-    counts
-}
+use common::thread_counts;
 
 /// The build runs its super-rows under the solver's schedule: the static
 /// blocks, dynamic chunks and the paper's `guided,1` all claim them in a
@@ -222,7 +207,7 @@ fn ic0_from_the_lower_triangle_matches_the_reference_factor() {
             for threads in [1, 2, 3, 8] {
                 let solver = ParallelSolver::new(threads, Schedule::Guided { min_chunk: 1 });
                 let label = format!("{operand:?}, {threads} threads");
-                let got = Ic0::with_operand(&sys, &solver, SweepEngine::Split, operand);
+                let got = Ic0::with_operand(&sys, &solver, operand);
                 match (&reference, got) {
                     (Ok(want), Ok(mut pre)) => {
                         common::assert_applies_factor(&mut pre, &solver, want, &label);

@@ -3,8 +3,8 @@
 
 use proptest::prelude::*;
 use sts_k::core::{
-    Method, Ordering, ParallelSolver, SolveEngine, SolveOptions, StsBuilder, StsStructure,
-    SuperRowSizing, SweepDirection,
+    Method, Ordering, ParallelSolver, SolveOptions, StsBuilder, StsStructure, SuperRowSizing,
+    SweepDirection,
 };
 use sts_k::graph::{rcm, Coloring, ColoringOrder, Graph, LevelSets, Permutation};
 use sts_k::matrix::suite::{SuiteScale, TestSuite};
@@ -15,6 +15,8 @@ use sts_k::sched::dar::DarGraph;
 use sts_k::sched::exact::optimal_schedule;
 use sts_k::sched::heuristic::{affinity_list_schedule, block_schedule, round_robin_schedule};
 
+mod common;
+
 /// Strategy: a random lower-triangular operand with n in [1, 60] and an
 /// average of up to 4 strictly-lower entries per row.
 fn lower_triangular_strategy() -> impl Strategy<Value = LowerTriangularCsr> {
@@ -24,16 +26,15 @@ fn lower_triangular_strategy() -> impl Strategy<Value = LowerTriangularCsr> {
     })
 }
 
-const SPLIT_ENGINES: [SolveEngine; 2] = [SolveEngine::Sequential, SolveEngine::Split];
 const DIRECTIONS: [SweepDirection; 2] = [SweepDirection::Forward, SweepDirection::Transpose];
 
-/// The options-matrix agreement invariant on one structure: every
-/// split-layout engine, in both directions, single-RHS and batched, at
-/// several worker counts, returns the same bits — lane by lane those of the
-/// sequential engine's single-RHS sweep — and that sweep agrees with the
-/// plain reference sweep to 1e-12. Returns the first divergence as a message
-/// naming the request.
-fn engines_match_the_reference_sweeps(s: &StsStructure, nrhs: usize) -> Result<(), String> {
+/// The options-matrix agreement invariant on one structure: the split
+/// sweep, in both directions, single-RHS and batched, at every worker count
+/// of `common::thread_counts`, returns the same bits — lane by lane those of
+/// the one-thread solver's single-RHS sweep — and that sweep agrees with
+/// the plain reference sweep to 1e-12. Returns the first divergence as a
+/// message naming the request.
+fn sweeps_match_the_reference_sweeps(s: &StsStructure, nrhs: usize) -> Result<(), String> {
     let n = s.n();
     let x_true: Vec<f64> = (0..n).map(|i| 0.5 + (i % 6) as f64 * 0.4).collect();
     let scalar_solver = ParallelSolver::new(1, Schedule::Static);
@@ -46,11 +47,9 @@ fn engines_match_the_reference_sweeps(s: &StsStructure, nrhs: usize) -> Result<(
             SweepDirection::Forward => s.lower().multiply(&x_true).unwrap(),
             SweepDirection::Transpose => s.lower().multiply_transpose(&x_true).unwrap(),
         };
-        let scalar = SolveOptions::default()
-            .with_engine(SolveEngine::Sequential)
-            .with_direction(direction);
+        let scalar = SolveOptions::default().with_direction(direction);
         // Batched right-hand sides: shifted copies of b, expected solutions
-        // from the sequential engine's scalar sweep per system.
+        // from the one-thread solver's scalar sweep per system.
         let mut bb = vec![0.0; n * nrhs];
         let mut expected = vec![0.0; n * nrhs];
         for r in 0..nrhs {
@@ -67,17 +66,14 @@ fn engines_match_the_reference_sweeps(s: &StsStructure, nrhs: usize) -> Result<(
             }
         }
         let single: Vec<f64> = expected.iter().step_by(nrhs).copied().collect();
-        for threads in [1usize, 2, 4, 8] {
+        for threads in common::thread_counts() {
             let solver = ParallelSolver::new(threads, Schedule::Guided { min_chunk: 1 });
-            for engine in SPLIT_ENGINES {
-                let opts = scalar.with_engine(engine);
-                for (rhs, want, width) in [(&b, &single, 1), (&bb, &expected, nrhs)] {
-                    let x = solver.solve_with(s, rhs, &opts.with_nrhs(width)).unwrap();
-                    if x != *want {
-                        return Err(format!(
-                            "{engine:?} {direction:?} nrhs={width} moved a bit ({threads} threads, n={n})"
-                        ));
-                    }
+            for (rhs, want, width) in [(&b, &single, 1), (&bb, &expected, nrhs)] {
+                let x = solver.solve_with(s, rhs, &scalar.with_nrhs(width)).unwrap();
+                if x != *want {
+                    return Err(format!(
+                        "{direction:?} nrhs={width} moved a bit ({threads} threads, n={n})"
+                    ));
                 }
             }
         }
@@ -206,12 +202,12 @@ proptest! {
     }
 
     #[test]
-    fn every_engine_matches_the_reference_sweeps(l in lower_triangular_strategy()) {
-        // The sweep-kernel invariant: the sequential and split
-        // drivers — forward and transpose, single-RHS and batched — return
-        // identical bits (every batch lane those of its scalar sweep) and
-        // agree with the reference sweeps to 1e-12, across both orderings,
-        // both multi-level depths and several worker counts.
+    fn every_thread_count_matches_the_reference_sweeps(l in lower_triangular_strategy()) {
+        // The sweep-kernel invariant: the split driver — forward and
+        // transpose, single-RHS and batched — returns identical bits at
+        // every worker count (every batch lane those of its one-thread
+        // scalar sweep) and agrees with the reference sweeps to 1e-12,
+        // across both orderings and both multi-level depths.
         for ordering in [Ordering::LevelSet, Ordering::Coloring] {
             for k in [2usize, 3] {
                 let s = StsBuilder::new(k)
@@ -219,7 +215,7 @@ proptest! {
                     .super_row_sizing(SuperRowSizing::Rows(8))
                     .build(&l)
                     .unwrap();
-                let outcome = engines_match_the_reference_sweeps(&s, 3);
+                let outcome = sweeps_match_the_reference_sweeps(&s, 3);
                 prop_assert!(outcome.is_ok(), "{:?} k={}: {:?}", ordering, k, outcome);
             }
         }
@@ -340,7 +336,7 @@ proptest! {
 /// The options-matrix agreement invariant on every matrix of the synthetic
 /// suite (deterministic, so suite regressions are reported by name).
 #[test]
-fn every_engine_matches_the_reference_sweeps_on_the_synthetic_suite() {
+fn every_thread_count_matches_the_reference_sweeps_on_the_synthetic_suite() {
     let suite = TestSuite::generate(SuiteScale::Tiny).unwrap();
     for m in &suite.matrices {
         let l = m.lower().unwrap();
@@ -351,7 +347,7 @@ fn every_engine_matches_the_reference_sweeps_on_the_synthetic_suite() {
                     .super_row_sizing(SuperRowSizing::Rows(16))
                     .build(&l)
                     .unwrap();
-                if let Err(what) = engines_match_the_reference_sweeps(&s, 2) {
+                if let Err(what) = sweeps_match_the_reference_sweeps(&s, 2) {
                     panic!("{} ({ordering:?}, k={k}): {what}", m.id.label());
                 }
             }

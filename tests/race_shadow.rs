@@ -16,8 +16,8 @@
 use std::sync::Arc;
 
 use sts_k::core::{
-    solve_spec, super_row_spec, Method, Ordering, ParallelSolver, SolveEngine, SolveOptions,
-    StsBuilder, SuperRowSizing, SweepDirection,
+    solve_spec, super_row_spec, Method, Ordering, ParallelSolver, SolveOptions, StsBuilder,
+    SuperRowSizing, SweepDirection,
 };
 use sts_k::matrix::generators;
 use sts_k::numa::Schedule;
@@ -34,7 +34,7 @@ fn replay(log: &AccessLog, spec: &ScheduleSpec, what: &str) {
 }
 
 #[test]
-fn every_solve_engine_touches_exactly_the_modelled_footprints() {
+fn every_split_sweep_touches_exactly_the_modelled_footprints() {
     let l = generators::random_lower_triangular(120, 3.0, 42).unwrap();
     for ordering in [Ordering::LevelSet, Ordering::Coloring] {
         for k in [2usize, 3] {
@@ -57,7 +57,6 @@ fn every_solve_engine_touches_exactly_the_modelled_footprints() {
                     solver.set_shadow_log(Some(log.clone()));
                     for nrhs in [1usize, 3] {
                         let opts = SolveOptions::default()
-                            .with_engine(SolveEngine::Split)
                             .with_direction(direction)
                             .with_nrhs(nrhs);
                         solver

@@ -327,6 +327,34 @@ fn lru_eviction_drops_the_coldest_pattern() {
 }
 
 #[test]
+fn evicted_patterns_leave_no_idle_workspaces_behind() {
+    let mut service = SolverService::new(ServiceConfig {
+        cache_capacity: 2,
+        ..ServiceConfig::default()
+    });
+    for (id, nx) in (5..10).enumerate() {
+        let a = generators::grid2d_laplacian(nx, nx).unwrap();
+        let key = submit(&mut service, &a, "STS-3", 8);
+        let b = vec![1.0; a.nrows()];
+        result_of(
+            &service
+                .handle_line(&solve_request(40 + id as u64, &key, &b, vec![]))
+                .line,
+        );
+    }
+    let stats = result_of(&service.handle_line(&request(50, "stats", vec![])).line);
+    let count = |field: &str| stats.get(field).and_then(Value::as_u64).unwrap();
+    assert_eq!(count("cache_evictions"), 3);
+    assert_eq!(count("workspaces_created"), 5);
+    assert!(
+        count("workspaces_idle") <= count("patterns_cached"),
+        "{} idle workspaces for {} cached patterns",
+        count("workspaces_idle"),
+        count("patterns_cached")
+    );
+}
+
+#[test]
 fn workspaces_are_pooled_across_solves() {
     let a = generators::grid2d_laplacian(8, 8).unwrap();
     let mut service = SolverService::new(ServiceConfig::default());

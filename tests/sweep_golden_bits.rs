@@ -1,14 +1,13 @@
 //! Golden output bits of every sweep the options matrix can request.
 //!
-//! Each `(structure, engine, direction, nrhs, precision)` request is solved
-//! at several thread counts and its output hashed over `f64::to_bits`. The
-//! sequential engine's digest (and, for the one request it serves, that of
+//! Each `(structure, direction, nrhs, precision)` request is solved by the
+//! split driver at several thread counts and its output hashed over
+//! `f64::to_bits`. That digest (and, for the one request it serves, that of
 //! the unsplit kernel `ParallelSolver::solve`) is compared with a table
-//! recorded once at the commit *before* the sweep kernels were unified; every
-//! other engine must produce the sequential engine's digest — there is one
-//! row arithmetic, so choosing an engine or a thread count never moves a bit.
-//! A kernel refactor must leave the table untouched: a changed digest means
-//! some request's output bits moved.
+//! recorded once at the commit *before* the sweep kernels were unified —
+//! there is one row arithmetic, so choosing a thread count never moves a
+//! bit. A kernel refactor must leave the table untouched: a changed digest
+//! means some request's output bits moved.
 //!
 //! The digests are thread-count invariant (per-row arithmetic does not
 //! depend on chunking), so one entry covers threads 1, 2, 3 and 8. On a
@@ -16,8 +15,8 @@
 //! paste-ready form.
 
 use sts_k::core::{
-    Method, Ordering, ParallelSolver, PrecisionPolicy, SolveEngine, SolveOptions, StsBuilder,
-    StsStructure, SuperRowSizing, SweepDirection,
+    Method, Ordering, ParallelSolver, PrecisionPolicy, SolveOptions, StsBuilder, StsStructure,
+    SuperRowSizing, SweepDirection,
 };
 use sts_k::krylov::{Ic0, KrylovWorkspace, Pcg, SpdSystem, SweepEngine};
 use sts_k::matrix::{generators, MatrixError};
@@ -101,28 +100,22 @@ fn computed_table() -> Vec<(String, u64)> {
                         .with_direction(direction)
                         .with_nrhs(nrhs)
                         .with_precision(precision);
-                    let label = |engine: &str| {
+                    let label = |kernel: &str| {
                         format!(
-                            "{name}/{engine}/{}/n{nrhs}/{}",
+                            "{name}/{kernel}/{}/n{nrhs}/{}",
                             direction.as_str(),
                             precision.as_str()
                         )
                     };
-                    let l = label(SolveEngine::Sequential.as_str());
-                    let sequential =
-                        sweep_digest(&s, &b, &base.with_engine(SolveEngine::Sequential), &l);
-                    table.push((l, sequential));
+                    let l = label("split");
+                    let split = sweep_digest(&s, &b, &base, &l);
+                    table.push((l, split));
                     // The unsplit barrier-per-pack kernel serves one request:
                     // forward, one right-hand side, f64.
                     if base == SolveOptions::default() {
                         let l = label("parallel");
                         let d = digest_at_every_thread_count(&l, |solver| solver.solve(&s, &b));
                         table.push((l, d));
-                    }
-                    for engine in [SolveEngine::Split, SolveEngine::Pipelined] {
-                        let l = label(engine.as_str());
-                        let d = sweep_digest(&s, &b, &base.with_engine(engine), &l);
-                        assert_eq!(d, sequential, "{l} must equal the sequential sweep's bits");
                     }
                 }
             }
@@ -153,8 +146,8 @@ fn sweep_output_bits_match_the_recorded_table() {
 }
 
 /// IC(0)-PCG on a 2-D Laplacian: iteration counts and solution bits of one
-/// scalar solve and one lockstep batch solve per sweep engine, the same at
-/// every thread count.
+/// scalar solve and one lockstep batch solve, the same at every thread
+/// count.
 #[test]
 fn pcg_iterations_and_solution_bits_match_the_recorded_values() {
     let a = generators::grid2d_laplacian(14, 11).unwrap();
@@ -170,26 +163,21 @@ fn pcg_iterations_and_solution_bits_match_the_recorded_values() {
     for threads in THREADS {
         let pcg = Pcg::new(threads, Schedule::Guided { min_chunk: 1 });
         let mut computed = Vec::new();
-        for (name, engine) in [
-            ("sequential", SweepEngine::Sequential),
-            ("pipelined", SweepEngine::Pipelined),
-        ] {
-            let mut pre = Ic0::new(&sys, pcg.solver(), engine).unwrap();
-            let mut ws = KrylovWorkspace::new(n);
-            let out = pcg.solve(&sys, &mut pre, &b, &mut ws).unwrap();
-            assert!(out.converged);
-            computed.push((format!("{name}/solve"), out.iterations, digest(&out.x)));
-            let mut wsb = KrylovWorkspace::with_nrhs(n, nrhs);
-            let out = pcg
-                .solve_batch(&sys, &mut pre, &bb, nrhs, &mut wsb)
-                .unwrap();
-            assert!(out.converged.iter().all(|&c| c));
-            computed.push((
-                format!("{name}/solve_batch"),
-                out.lockstep_iterations,
-                digest(&out.x),
-            ));
-        }
+        let mut pre = Ic0::new(&sys, pcg.solver(), SweepEngine::Split).unwrap();
+        let mut ws = KrylovWorkspace::new(n);
+        let out = pcg.solve(&sys, &mut pre, &b, &mut ws).unwrap();
+        assert!(out.converged);
+        computed.push(("split/solve".to_string(), out.iterations, digest(&out.x)));
+        let mut wsb = KrylovWorkspace::with_nrhs(n, nrhs);
+        let out = pcg
+            .solve_batch(&sys, &mut pre, &bb, nrhs, &mut wsb)
+            .unwrap();
+        assert!(out.converged.iter().all(|&c| c));
+        computed.push((
+            "split/solve_batch".to_string(),
+            out.lockstep_iterations,
+            digest(&out.x),
+        ));
         let rendered: String = computed
             .iter()
             .map(|(l, it, d)| format!("    (\"{l}\", {it}, 0x{d:016x}),\n"))
@@ -206,51 +194,49 @@ fn pcg_iterations_and_solution_bits_match_the_recorded_values() {
 /// `sts_core::solver::vector`, whose order is fixed by the vector length
 /// alone (the sweeps' bits, pinned by `GOLDEN_SWEEPS`, did not move).
 const GOLDEN_PCG: &[(&str, usize, u64)] = &[
-    ("sequential/solve", 12, 0x99e6188d7fcbf122),
-    ("sequential/solve_batch", 13, 0x132a607cdb6b2081),
-    ("pipelined/solve", 12, 0x99e6188d7fcbf122),
-    ("pipelined/solve_batch", 13, 0x132a607cdb6b2081),
+    ("split/solve", 12, 0x99e6188d7fcbf122),
+    ("split/solve_batch", 13, 0x132a607cdb6b2081),
 ];
 
 /// Recorded at the commit before the sweep kernels were unified.
 const GOLDEN_SWEEPS: &[(&str, u64)] = &[
-    ("fig1/sequential/forward/n1/f64", 0x95981485163dd204),
+    ("fig1/split/forward/n1/f64", 0x95981485163dd204),
     ("fig1/parallel/forward/n1/f64", 0x0654eb2bbb2bac93),
-    ("fig1/sequential/forward/n1/f32", 0x95981485163dd204),
-    ("fig1/sequential/forward/n3/f64", 0x7a8051e7d2158f6e),
-    ("fig1/sequential/forward/n3/f32", 0x7a8051e7d2158f6e),
-    ("fig1/sequential/forward/n9/f64", 0x2b42b048f3621e71),
-    ("fig1/sequential/forward/n9/f32", 0x2b42b048f3621e71),
-    ("fig1/sequential/transpose/n1/f64", 0xe3cdebb2b328a2ba),
-    ("fig1/sequential/transpose/n1/f32", 0xe3cdebb2b328a2ba),
-    ("fig1/sequential/transpose/n3/f64", 0x500d1abe87adc640),
-    ("fig1/sequential/transpose/n3/f32", 0x500d1abe87adc640),
-    ("fig1/sequential/transpose/n9/f64", 0x2bc28bc3505c0296),
-    ("fig1/sequential/transpose/n9/f32", 0x2bc28bc3505c0296),
-    ("grid9/sequential/forward/n1/f64", 0x3f754d4408da9d04),
+    ("fig1/split/forward/n1/f32", 0x95981485163dd204),
+    ("fig1/split/forward/n3/f64", 0x7a8051e7d2158f6e),
+    ("fig1/split/forward/n3/f32", 0x7a8051e7d2158f6e),
+    ("fig1/split/forward/n9/f64", 0x2b42b048f3621e71),
+    ("fig1/split/forward/n9/f32", 0x2b42b048f3621e71),
+    ("fig1/split/transpose/n1/f64", 0xe3cdebb2b328a2ba),
+    ("fig1/split/transpose/n1/f32", 0xe3cdebb2b328a2ba),
+    ("fig1/split/transpose/n3/f64", 0x500d1abe87adc640),
+    ("fig1/split/transpose/n3/f32", 0x500d1abe87adc640),
+    ("fig1/split/transpose/n9/f64", 0x2bc28bc3505c0296),
+    ("fig1/split/transpose/n9/f32", 0x2bc28bc3505c0296),
+    ("grid9/split/forward/n1/f64", 0x3f754d4408da9d04),
     ("grid9/parallel/forward/n1/f64", 0xd56f76d1fadd4acb),
-    ("grid9/sequential/forward/n1/f32", 0x3f754d4408da9d04),
-    ("grid9/sequential/forward/n3/f64", 0xc6db033d19754a6d),
-    ("grid9/sequential/forward/n3/f32", 0xc6db033d19754a6d),
-    ("grid9/sequential/forward/n9/f64", 0x01d0482d5bf44557),
-    ("grid9/sequential/forward/n9/f32", 0x01d0482d5bf44557),
-    ("grid9/sequential/transpose/n1/f64", 0x3702f66ffdb452fb),
-    ("grid9/sequential/transpose/n1/f32", 0x3702f66ffdb452fb),
-    ("grid9/sequential/transpose/n3/f64", 0x7ed0b5c2863118b5),
-    ("grid9/sequential/transpose/n3/f32", 0x7ed0b5c2863118b5),
-    ("grid9/sequential/transpose/n9/f64", 0x3c3a2a0e10088c9f),
-    ("grid9/sequential/transpose/n9/f32", 0x3c3a2a0e10088c9f),
-    ("rand120/sequential/forward/n1/f64", 0x5fdf96e98e5a5b8a),
+    ("grid9/split/forward/n1/f32", 0x3f754d4408da9d04),
+    ("grid9/split/forward/n3/f64", 0xc6db033d19754a6d),
+    ("grid9/split/forward/n3/f32", 0xc6db033d19754a6d),
+    ("grid9/split/forward/n9/f64", 0x01d0482d5bf44557),
+    ("grid9/split/forward/n9/f32", 0x01d0482d5bf44557),
+    ("grid9/split/transpose/n1/f64", 0x3702f66ffdb452fb),
+    ("grid9/split/transpose/n1/f32", 0x3702f66ffdb452fb),
+    ("grid9/split/transpose/n3/f64", 0x7ed0b5c2863118b5),
+    ("grid9/split/transpose/n3/f32", 0x7ed0b5c2863118b5),
+    ("grid9/split/transpose/n9/f64", 0x3c3a2a0e10088c9f),
+    ("grid9/split/transpose/n9/f32", 0x3c3a2a0e10088c9f),
+    ("rand120/split/forward/n1/f64", 0x5fdf96e98e5a5b8a),
     ("rand120/parallel/forward/n1/f64", 0x25addf50f30c3b6f),
-    ("rand120/sequential/forward/n1/f32", 0xf94501402b80fdb1),
-    ("rand120/sequential/forward/n3/f64", 0x2515a4286cb886d2),
-    ("rand120/sequential/forward/n3/f32", 0x1a8244c58d2b4d91),
-    ("rand120/sequential/forward/n9/f64", 0x96120b89d1491bc9),
-    ("rand120/sequential/forward/n9/f32", 0x4b768f7cb193b83c),
-    ("rand120/sequential/transpose/n1/f64", 0x953d6a01f1b1afe0),
-    ("rand120/sequential/transpose/n1/f32", 0x35ec9e9cda773276),
-    ("rand120/sequential/transpose/n3/f64", 0x4d75b7b85dd6770e),
-    ("rand120/sequential/transpose/n3/f32", 0xa3d097e2ecb06d5f),
-    ("rand120/sequential/transpose/n9/f64", 0x9a72ee577c6b23fd),
-    ("rand120/sequential/transpose/n9/f32", 0x822c825265ce13ca),
+    ("rand120/split/forward/n1/f32", 0xf94501402b80fdb1),
+    ("rand120/split/forward/n3/f64", 0x2515a4286cb886d2),
+    ("rand120/split/forward/n3/f32", 0x1a8244c58d2b4d91),
+    ("rand120/split/forward/n9/f64", 0x96120b89d1491bc9),
+    ("rand120/split/forward/n9/f32", 0x4b768f7cb193b83c),
+    ("rand120/split/transpose/n1/f64", 0x953d6a01f1b1afe0),
+    ("rand120/split/transpose/n1/f32", 0x35ec9e9cda773276),
+    ("rand120/split/transpose/n3/f64", 0x4d75b7b85dd6770e),
+    ("rand120/split/transpose/n3/f32", 0xa3d097e2ecb06d5f),
+    ("rand120/split/transpose/n9/f64", 0x9a72ee577c6b23fd),
+    ("rand120/split/transpose/n9/f32", 0x822c825265ce13ca),
 ];

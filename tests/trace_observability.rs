@@ -10,8 +10,8 @@ use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex};
 
 use serde::Value;
-use sts_k::core::{Method, ParallelSolver, SolveEngine, SolveOptions, SweepDirection};
-use sts_k::krylov::{KrylovWorkspace, Pcg, SpdSystem, Ssor, SweepEngine};
+use sts_k::core::{Method, ParallelSolver, SolveOptions, SweepDirection};
+use sts_k::krylov::{KrylovWorkspace, Pcg, SpdSystem, Ssor};
 use sts_k::matrix::{generators, ops};
 use sts_k::numa::Schedule;
 use sts_k::serve::{ServiceConfig, SolverService};
@@ -27,7 +27,7 @@ fn traced_laplacian_solve() -> (Arc<SpanRecorder>, SpdSystem) {
     recorder.enable();
     pcg.solver_mut()
         .set_trace_recorder(Some(Arc::clone(&recorder)));
-    let mut pre = Ssor::new(&sys, SweepEngine::Split);
+    let mut pre = Ssor::new(&sys);
     let mut ws = KrylovWorkspace::new(sys.n());
     let b = ops::spmv(&a, &vec![1.0; sys.n()]).unwrap();
     let out = pcg.solve(&sys, &mut pre, &b, &mut ws).unwrap();
@@ -71,15 +71,14 @@ fn traced_solve_covers_every_pack_per_phase() {
 /// The split driver records spans for whatever it drives: a transpose sweep
 /// and a batched sweep each leave `Gather` and `Chain` spans for every pack.
 #[test]
-fn split_engine_traces_transpose_and_batch_sweeps() {
+fn split_driver_traces_transpose_and_batch_sweeps() {
     let a = generators::grid2d_laplacian(40, 40).unwrap();
     let sys = SpdSystem::build(&a, Method::Sts3, 40).unwrap();
     let s = sys.structure();
     let all: BTreeSet<u32> = (0..s.num_packs() as u32).collect();
-    let split = SolveOptions::default().with_engine(SolveEngine::Split);
     for opts in [
-        split.with_direction(SweepDirection::Transpose),
-        split.with_nrhs(4),
+        SolveOptions::default().with_direction(SweepDirection::Transpose),
+        SolveOptions::default().with_nrhs(4),
     ] {
         let mut solver = ParallelSolver::new(3, Schedule::Guided { min_chunk: 1 });
         let recorder = Arc::new(SpanRecorder::new(1 << 16));
@@ -131,7 +130,7 @@ fn installed_but_disabled_recorder_stays_silent() {
     // Installed but never enabled: the disabled path must record nothing.
     pcg.solver_mut()
         .set_trace_recorder(Some(Arc::clone(&recorder)));
-    let mut pre = Ssor::new(&sys, SweepEngine::Split);
+    let mut pre = Ssor::new(&sys);
     let mut ws = KrylovWorkspace::new(sys.n());
     let b = ops::spmv(&a, &vec![1.0; sys.n()]).unwrap();
     pcg.solve(&sys, &mut pre, &b, &mut ws).unwrap();

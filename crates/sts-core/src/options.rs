@@ -196,7 +196,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn defaults_are_the_full_precision_forward_single_solve() {
+    fn defaults_are_the_full_precision_split_single_solve() {
         let opts = SolveOptions::default();
         assert_eq!(opts.direction, SweepDirection::Forward);
         assert_eq!(opts.nrhs, 1);

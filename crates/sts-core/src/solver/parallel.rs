@@ -295,9 +295,10 @@ impl ParallelSolver {
     /// The request selects the sweep direction ([`SweepDirection`]), batch
     /// width (`nrhs`, interleaved layout `b[i * nrhs + r]`) and value-slab
     /// precision ([`PrecisionPolicy`]); the split driver runs every
-    /// combination on this solver's threads. This method allocates the solution and runs
-    /// [`ParallelSolver::solve_into`], which callers sweeping one structure
-    /// many times call directly with a buffer they hold.
+    /// combination on this solver's threads. This method allocates the
+    /// solution and runs [`ParallelSolver::solve_into`], which callers
+    /// sweeping one structure many times call directly with a buffer they
+    /// hold.
     ///
     /// Mixed-precision requests ([`PrecisionPolicy::ValuesF32WithRefinement`])
     /// read the lazily demoted f32 value slabs but accumulate every partial

@@ -124,16 +124,14 @@ impl Preconditioner for Identity {
 }
 
 /// The two sweeps shared by [`Ssor`] and [`Ic0`]: a structure and the
-/// request (precision) every sweep is issued with. The sweeps read
+/// value-slab precision every sweep is issued with. The sweeps read
 /// the structure's two split layouts only, so the structure may be a
 /// sweep-only one ([`StsStructure::into_sweeps`]), as a factor's is.
 #[derive(Debug)]
 struct SweepPair {
     structure: Arc<StsStructure>,
-    /// Value-slab precision of the sweeps; direction and `nrhs` are set per
-    /// call. Precision is switched by
-    /// [`Preconditioner::set_precision`], f64 by default.
-    opts: SolveOptions,
+    /// Switched by [`Preconditioner::set_precision`], f64 by default.
+    precision: PrecisionPolicy,
 }
 
 impl SweepPair {
@@ -144,7 +142,7 @@ impl SweepPair {
         structure.transpose_split();
         SweepPair {
             structure,
-            opts: SolveOptions::default(),
+            precision: PrecisionPolicy::ValuesF64,
         }
     }
 
@@ -158,7 +156,7 @@ impl SweepPair {
                 layout.int_vals_f32();
             }
         }
-        self.opts.precision = precision;
+        self.precision = precision;
     }
 
     /// One sweep over `nrhs` interleaved systems: `L y = r` (forward) or
@@ -171,7 +169,10 @@ impl SweepPair {
         y: &mut [f64],
         nrhs: usize,
     ) -> Result<()> {
-        let opts = self.opts.with_direction(direction).with_nrhs(nrhs);
+        let opts = SolveOptions::default()
+            .with_direction(direction)
+            .with_nrhs(nrhs)
+            .with_precision(self.precision);
         solver.solve_into(&self.structure, r, y, &opts)
     }
 }
@@ -241,7 +242,7 @@ impl Preconditioner for Ssor {
     }
 
     fn precision(&self) -> PrecisionPolicy {
-        self.sweeps.opts.precision
+        self.sweeps.precision
     }
 }
 
@@ -423,7 +424,7 @@ impl Preconditioner for Ic0 {
     }
 
     fn precision(&self) -> PrecisionPolicy {
-        self.sweeps.opts.precision
+        self.sweeps.precision
     }
 }
 

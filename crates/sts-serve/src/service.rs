@@ -364,7 +364,6 @@ impl SolverService {
         let sys = SpdSystem::build(&a, method, rows_per_super_row).map_err(wire_error)?;
         let structure = sys.structure_arc();
         let analysis_wall_ns = start.elapsed().as_nanos() as u64;
-        let evictions = self.cache.stats().evictions;
         let entry = self.cache.insert(
             key,
             method,
@@ -375,12 +374,10 @@ impl SolverService {
             analysis_wall_ns,
         );
         let result = pattern_result(key, false, analysis_wall_ns, &entry.structure);
-        if self.cache.stats().evictions > evictions {
-            // Nothing else would ever drop the idle workspaces of an evicted
-            // pattern's order.
-            let cache = &self.cache;
-            self.pool.retain_orders(|n| cache.holds_order(n));
-        }
+        // An insert is the only way a pattern leaves the cache (eviction),
+        // and nothing else would ever drop the idle workspaces of its order.
+        let cache = &self.cache;
+        self.pool.retain_orders(|n| cache.holds_order(n));
         Ok(OpOutcome {
             x: None,
             result,

@@ -1,9 +1,9 @@
 //! End-to-end tests of the `sts-krylov` subsystem against a dense reference:
 //! PCG (plain, SSOR, IC(0)) must converge to the dense-Cholesky solution of
-//! the synthetic SPD suite (grid Laplacians) within an iteration bound. The iteration's bits do not depend
-//! on the thread count, a single solve is the one-lane batch solve bit for
-//! bit, and the product has the bits of the CSR product of the permuted
-//! operator.
+//! the synthetic SPD suite (grid Laplacians) within an iteration bound. The
+//! iteration's bits do not depend on the thread count, a single solve is the
+//! one-lane batch solve bit for bit, and the product has the bits of the CSR
+//! product of the permuted operator.
 
 use sts_k::core::solver::vector::BLOCK_ROWS;
 use sts_k::core::{BlockSums, Method, ParallelSolver};
@@ -160,7 +160,8 @@ fn batched_pcg_matches_the_dense_reference() {
 #[test]
 fn batched_pcg_matches_the_dense_reference_on_every_preconditioner() {
     // The lockstep driver — and the block-mode entry that forwards to it —
-    // against the ground-truth oracle, on both preconditioner families, to the acceptance bar of 1e-8.
+    // against the ground-truth oracle, on both preconditioner families, to
+    // the acceptance bar of 1e-8.
     let a = generators::grid2d_laplacian(12, 10).unwrap();
     let sys = SpdSystem::build(&a, Method::Sts3, 8).unwrap();
     let n = sys.n();
